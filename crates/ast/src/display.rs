@@ -1,7 +1,7 @@
 //! The unparser: renders the abstract syntax back to valid Cypher text.
 //!
 //! This regenerates the concrete syntax of Figures 3 and 5 and is the basis
-//! of the grammar round-trip experiments (E6/E12 in DESIGN.md):
+//! of the grammar round-trip tests (`tests/grammar_roundtrip.rs`):
 //! `parse(render(ast)) == ast`. Expressions are rendered fully
 //! parenthesized so the round-trip is independent of precedence.
 

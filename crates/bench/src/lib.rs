@@ -1,10 +1,10 @@
 //! # cypher-bench
 //!
-//! Criterion benchmark harness: one bench target per experiment of
-//! DESIGN.md's index (E1, E14–E20) plus general scaling sweeps. The
+//! Criterion benchmark harness: one bench target per experiment
+//! (ARCHITECTURE.md, "Benchmarks") plus general scaling sweeps. The
 //! binaries print the series the paper's narrative implies — who wins and
-//! by roughly what factor — and EXPERIMENTS.md records the measured
-//! numbers next to the paper's claims.
+//! by roughly what factor; the README's results table records the
+//! measured numbers.
 
 #![warn(missing_docs)]
 

@@ -9,7 +9,7 @@
 //!
 //! Naming note: openCypher spells the duration difference function
 //! `duration.between(a, b)`; our grammar has no namespaced function names,
-//! so it is exposed as `durationBetween(a, b)` (documented in DESIGN.md).
+//! so it is exposed as `durationBetween(a, b)`.
 
 use crate::error::{err, EvalError};
 use crate::EvalContext;

@@ -1139,10 +1139,9 @@ impl DbInner {
         result
     }
 
-    /// Profiles a read query against `view`: instrumented execution,
-    /// result bit-identical to the unprofiled run (see
-    /// `cypher_engine::profile_read` — profiling bypasses only the
-    /// fused-projection fast path, whose contract is result equality).
+    /// Profiles a read query against `view`: the production plan under
+    /// a measuring probe, so the result is bit-identical to the
+    /// unprofiled run (see `cypher_engine::profile_read`).
     fn profile_at(
         &self,
         view: &GraphView,

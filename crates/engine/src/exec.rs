@@ -1,26 +1,25 @@
 //! The clause-by-clause executor.
 //!
-//! Reading clauses (`MATCH`, `OPTIONAL MATCH`) are compiled by the planner
-//! and run through the batch (morsel-driven) pipeline of [`crate::ops`],
-//! parallelized across a worker pool when [`EngineConfig::num_threads`]
-//! allows. Mid-query `WITH` and `UNWIND` reuse the reference semantics of
-//! [`cypher_core`] directly (they are pipeline *breakers*: the per-morsel
-//! partial results are merged — in morsel order — into one table at these
-//! boundaries). The **final** `MATCH … RETURN` of an aggregating,
-//! `DISTINCT` or `ORDER BY … LIMIT` query is instead *fused* through
-//! `pushdown`: workers fold partial aggregate / top-k states and
-//! no merged table ever materializes. Updating clauses are dispatched to
+//! One loop walks a query's clauses ([`execute`] and [`execute_read`]
+//! differ only in whether it may touch the graph). Reading clauses
+//! (`MATCH`, `OPTIONAL MATCH`) are compiled by the planner and run by
+//! the morsel driver of [`crate::ops`] into a sink: normally the one
+//! that collects the rows, but the **final** `MATCH` of an aggregating,
+//! `DISTINCT` or `ORDER BY … LIMIT` query folds straight into its
+//! `RETURN` (`pushdown`), so that no match table ever materializes.
+//! Mid-query `WITH` and `UNWIND` reuse the reference semantics of
+//! [`cypher_core`] directly; updating clauses are dispatched to
 //! [`crate::update`].
 
 use crate::cache::{plan_match_memo, MemoSite, PlanMemo};
-use crate::ops::{run_plan, run_plan_profiled, ExecOptions, DEFAULT_MORSEL_SIZE};
+use crate::ops::{drive, Collect, PlanProfile, Sink, DEFAULT_MORSEL_SIZE};
 use crate::plan::PlanStep;
 use crate::planner::{plan_match, PlannedMatch, PlannerMode, PlannerOptions, WcoJoinMode};
-use crate::pushdown::{ret_pushdown, try_fused_match_projection, FusedOutcome, PushdownKind};
+use crate::pushdown::{project_visible, select_sink, FinalSink};
 use crate::update;
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::PathPattern;
-use cypher_ast::query::{Clause, Query, Return, SingleQuery};
+use cypher_ast::query::{Clause, Query, SingleQuery};
 use cypher_core::clauses::{apply_projection, apply_unwind, apply_where};
 use cypher_core::error::{err, EvalError};
 use cypher_core::morphism::Morphism;
@@ -417,12 +416,19 @@ impl EngineConfig {
         }
     }
 
-    /// The runtime-facing slice of this configuration.
-    pub fn exec_options(&self) -> ExecOptions {
-        ExecOptions {
-            morsel_size: self.morsel_size.max(1),
-            num_threads: self.num_threads.max(1),
-        }
+    /// The dispatch gate of the morsel driver, asked by execution and
+    /// `EXPLAIN` alike: a source-anchored pipeline goes to the worker
+    /// pool when its source emits more rows than this. `None` (one
+    /// thread) never dispatches; [`PartialAggMode::Force`] opens the
+    /// gate for a `folding` sink so tiny inputs exercise the merge.
+    pub(crate) fn parallel_gate(&self, folding: bool) -> Option<usize> {
+        (self.num_threads > 1).then(|| {
+            if folding && self.partial_agg == PartialAggMode::Force {
+                0
+            } else {
+                self.morsel_size.max(1)
+            }
+        })
     }
 
     /// This configuration with both index families disabled — every
@@ -532,9 +538,11 @@ pub struct OpProfile {
 pub struct ClauseProfile {
     /// `"MATCH"` or `"OPTIONAL MATCH"`.
     pub label: String,
-    /// Per-operator measurements, in pipeline order. Empty when the
-    /// clause was delegated to the reference matcher (node-isomorphism
-    /// mode), which has no operator pipeline to instrument.
+    /// Per-operator measurements, in pipeline order; a clause folded
+    /// into the `RETURN` ends with its `PartialAggregate(…)` / `TopK(…)`
+    /// sink. Empty when the clause was delegated to the reference
+    /// matcher (node-isomorphism mode), which has no operator pipeline
+    /// to instrument.
     pub operators: Vec<OpProfile>,
     /// Morsels executed (1 for a sequential run).
     pub morsels: u64,
@@ -606,21 +614,27 @@ impl QueryProfile {
 /// returns the result table alongside its [`QueryProfile`].
 ///
 /// The result rows are **bit-identical** to [`execute_read`] under the
-/// same configuration: profiling reuses the planner and the pipeline
-/// executor verbatim (it only wraps operators in measuring shims) and
-/// bypasses the fused-projection fast path, whose own contract is
-/// result-equality with the classic path.
+/// same configuration, because it *is* that execution: the same plan,
+/// dispatch and sink, with every operator and the sink wrapped in a
+/// measuring probe.
 pub fn profile_read<'a>(
     view: impl Into<ViewRef<'a>>,
     q: &Query,
     params: &Params,
     cfg: &EngineConfig,
 ) -> Result<(Table, QueryProfile), EvalError> {
-    let view = view.into();
     let t0 = std::time::Instant::now();
     let mut clauses: Vec<ClauseProfile> = Vec::new();
-    let mut branch = 0usize;
-    let t = exec_query_read(view, q, params, cfg, None, &mut branch, Some(&mut clauses))?;
+    let mut access = Access::Read(view.into());
+    let t = exec_query(
+        &mut access,
+        q,
+        params,
+        cfg,
+        None,
+        &mut 0,
+        Some(&mut clauses),
+    )?;
     let rows = t.len() as u64;
     Ok((
         t,
@@ -656,40 +670,8 @@ pub fn execute_read_cached<'a>(
     cfg: &EngineConfig,
     memo: Option<&PlanMemo>,
 ) -> Result<Table, EvalError> {
-    let mut branch = 0usize;
-    exec_query_read(view.into(), q, params, cfg, memo, &mut branch, None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_query_read(
-    view: ViewRef<'_>,
-    q: &Query,
-    params: &Params,
-    cfg: &EngineConfig,
-    memo: Option<&PlanMemo>,
-    branch: &mut usize,
-    mut profile: Option<&mut Vec<ClauseProfile>>,
-) -> Result<Table, EvalError> {
-    match q {
-        Query::Single(sq) => {
-            let b = *branch;
-            *branch += 1;
-            exec_single_read(view, sq, params, cfg, Table::unit(), memo, b, profile)
-        }
-        Query::Union { all, left, right } => {
-            let l = exec_query_read(
-                view,
-                left,
-                params,
-                cfg,
-                memo,
-                branch,
-                profile.as_deref_mut(),
-            )?;
-            let r = exec_query_read(view, right, params, cfg, memo, branch, profile)?;
-            union_tables(l, r, *all)
-        }
-    }
+    let mut access = Access::Read(view.into());
+    exec_query(&mut access, q, params, cfg, memo, &mut 0, None)
 }
 
 /// Executes any query, including updating clauses, against a mutable
@@ -713,139 +695,112 @@ pub fn execute_cached(
     cfg: &EngineConfig,
     memo: Option<&PlanMemo>,
 ) -> Result<Table, EvalError> {
-    let mut branch = 0usize;
-    exec_query(graph, q, params, cfg, memo, &mut branch)
+    exec_query(
+        &mut Access::Write(graph),
+        q,
+        params,
+        cfg,
+        memo,
+        &mut 0,
+        None,
+    )
 }
 
+/// What the clause loop may do with the graph it runs against.
+enum Access<'g> {
+    /// A frozen snapshot: updating clauses are refused.
+    Read(ViewRef<'g>),
+    /// The graph itself: updating clauses go to [`crate::update`].
+    Write(&'g mut PropertyGraph),
+}
+
+impl Access<'_> {
+    fn view(&self) -> ViewRef<'_> {
+        match self {
+            Access::Read(view) => *view,
+            Access::Write(graph) => ViewRef::from(&**graph),
+        }
+    }
+
+    fn graph_mut(&mut self) -> Result<&mut PropertyGraph, EvalError> {
+        match self {
+            Access::Read(_) => err("updating clause in a read-only execution"),
+            Access::Write(graph) => Ok(graph),
+        }
+    }
+}
+
+/// `branch` numbers the single queries of a `UNION` left to right (the
+/// plan memo's site key); `profile` collects one entry per `MATCH`.
 fn exec_query(
-    graph: &mut PropertyGraph,
+    access: &mut Access<'_>,
     q: &Query,
     params: &Params,
     cfg: &EngineConfig,
     memo: Option<&PlanMemo>,
     branch: &mut usize,
+    mut profile: Option<&mut Vec<ClauseProfile>>,
 ) -> Result<Table, EvalError> {
     match q {
         Query::Single(sq) => {
             let b = *branch;
             *branch += 1;
-            exec_single(graph, sq, params, cfg, Table::unit(), memo, b)
+            exec_single(access, sq, params, cfg, memo, b, profile)
         }
         Query::Union { all, left, right } => {
-            let l = exec_query(graph, left, params, cfg, memo, branch)?;
-            let r = exec_query(graph, right, params, cfg, memo, branch)?;
-            union_tables(l, r, *all)
+            let profile_l = profile.as_deref_mut();
+            let l = exec_query(access, left, params, cfg, memo, branch, profile_l)?;
+            let r = exec_query(access, right, params, cfg, memo, branch, profile)?;
+            if !l.schema().same_fields(r.schema()) {
+                return err(format!(
+                    "UNION requires identical field sets: {:?} vs {:?}",
+                    l.schema().names(),
+                    r.schema().names()
+                ));
+            }
+            let u = l.bag_union(r);
+            Ok(if *all { u } else { u.dedup() })
         }
     }
 }
 
-fn union_tables(l: Table, r: Table, all: bool) -> Result<Table, EvalError> {
-    if !l.schema().same_fields(r.schema()) {
-        return err(format!(
-            "UNION requires identical field sets: {:?} vs {:?}",
-            l.schema().names(),
-            r.schema().names()
-        ));
-    }
-    let u = l.bag_union(r);
-    Ok(if all { u } else { u.dedup() })
-}
-
-/// True when the final-`MATCH`-plus-`RETURN` of a query may take the
-/// fused (pushed-down) path at all: pushdown enabled, the pipeline
-/// executor in charge (node isomorphism delegates matching to the
-/// reference matcher), no `RETURN GRAPH`, and a qualifying projection.
-fn fused_applicable(cfg: &EngineConfig, sq: &SingleQuery, ret: &Return) -> bool {
-    cfg.partial_agg != PartialAggMode::Off
-        && cfg.match_config.morphism != Morphism::NodeIsomorphism
-        && sq.ret_graph.is_none()
-        && ret_pushdown(ret).is_some()
-}
-
-/// Runs the final `MATCH` clause fused with the query's `RETURN`. On
-/// `Done` the returned table is the query's final output.
-fn exec_fused_final(
-    view: ViewRef<'_>,
-    params: &Params,
-    cfg: &EngineConfig,
-    memo: Option<(&PlanMemo, MemoSite)>,
-    patterns: &[PathPattern],
-    where_: Option<&Expr>,
-    ret: &Return,
-    t: Table,
-) -> FusedOutcome {
-    let planned = plan_match_memo(memo, view, table_names(&t), patterns, cfg.planner_options());
-    let ctx = EvalContext::new(view.graph(), params).with_config(cfg.match_config);
-    try_fused_match_projection(&ctx, cfg, &planned, where_, ret, t)
-}
-
-fn table_names(t: &Table) -> &[String] {
-    t.schema().names()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_single_read(
-    view: ViewRef<'_>,
+fn exec_single(
+    access: &mut Access<'_>,
     sq: &SingleQuery,
     params: &Params,
     cfg: &EngineConfig,
-    mut t: Table,
     memo: Option<&PlanMemo>,
     branch: usize,
     mut profile: Option<&mut Vec<ClauseProfile>>,
 ) -> Result<Table, EvalError> {
+    let mut t = Table::unit();
     for (i, clause) in sq.clauses.iter().enumerate() {
-        let site = memo.map(|m| (m, (branch, i)));
-        // The final MATCH of an aggregating / DISTINCT / top-k query is
-        // fused with the RETURN: workers fold partial states instead of
-        // materializing the match output. Profiling instruments the
-        // classic pipeline, so it skips the fusion (the fused path's own
-        // contract is result-equality with the classic one).
-        if i + 1 == sq.clauses.len() && profile.is_none() {
-            if let (
-                Clause::Match {
-                    optional: false,
-                    patterns,
-                    where_,
-                },
-                Some(ret),
-            ) = (clause, &sq.ret)
-            {
-                if fused_applicable(cfg, sq, ret) {
-                    match exec_fused_final(
-                        view,
-                        params,
-                        cfg,
-                        site,
-                        patterns,
-                        where_.as_ref(),
-                        ret,
-                        t,
-                    ) {
-                        FusedOutcome::Done(out) => return Ok(out),
-                        FusedOutcome::Skipped(orig) => t = orig,
-                    }
-                }
-            }
-        }
         t = match clause {
             Clause::Match {
                 optional,
                 patterns,
                 where_,
-            } => exec_match_memo(
-                view,
-                params,
-                cfg,
-                patterns,
-                where_.as_ref(),
-                *optional,
-                t,
-                site,
-                profile.as_deref_mut(),
-            )?,
+            } => {
+                let (out, folded) = exec_match_memo(
+                    access.view(),
+                    params,
+                    cfg,
+                    patterns,
+                    where_.as_ref(),
+                    *optional,
+                    t,
+                    memo.map(|m| (m, (branch, i))),
+                    Some((sq, i)),
+                    profile.as_deref_mut(),
+                )?;
+                if folded {
+                    return Ok(out);
+                }
+                out
+            }
             Clause::With { ret, where_ } => {
-                let ctx = EvalContext::new(view.graph(), params).with_config(cfg.match_config);
+                let ctx =
+                    EvalContext::new(access.view().graph(), params).with_config(cfg.match_config);
                 let projected = apply_projection(&ctx, ret, t)?;
                 match where_ {
                     Some(p) => apply_where(&ctx, p, projected)?,
@@ -853,110 +808,38 @@ fn exec_single_read(
                 }
             }
             Clause::Unwind { expr, alias } => {
-                let ctx = EvalContext::new(view.graph(), params).with_config(cfg.match_config);
+                let ctx =
+                    EvalContext::new(access.view().graph(), params).with_config(cfg.match_config);
                 apply_unwind(&ctx, expr, alias, t)?
             }
             Clause::FromGraph { .. } => {
                 return err("FROM GRAPH requires a catalog; use the multigraph executor")
             }
-            _ => return err("updating clause in a read-only execution"),
-        };
-    }
-    finish_single(view, sq, params, cfg, t)
-}
-
-fn exec_single(
-    graph: &mut PropertyGraph,
-    sq: &SingleQuery,
-    params: &Params,
-    cfg: &EngineConfig,
-    mut t: Table,
-    memo: Option<&PlanMemo>,
-    branch: usize,
-) -> Result<Table, EvalError> {
-    for (i, clause) in sq.clauses.iter().enumerate() {
-        let site = memo.map(|m| (m, (branch, i)));
-        if i + 1 == sq.clauses.len() {
-            if let (
-                Clause::Match {
-                    optional: false,
-                    patterns,
-                    where_,
-                },
-                Some(ret),
-            ) = (clause, &sq.ret)
-            {
-                if fused_applicable(cfg, sq, ret) {
-                    match exec_fused_final(
-                        ViewRef::from(&*graph),
-                        params,
-                        cfg,
-                        site,
-                        patterns,
-                        where_.as_ref(),
-                        ret,
-                        t,
-                    ) {
-                        FusedOutcome::Done(out) => return Ok(out),
-                        FusedOutcome::Skipped(orig) => t = orig,
-                    }
-                }
+            Clause::Create { patterns } => {
+                update::exec_create(access.graph_mut()?, params, cfg, patterns, t)?
             }
-        }
-        t = match clause {
-            Clause::Match {
-                optional,
-                patterns,
-                where_,
-            } => exec_match_memo(
-                ViewRef::from(&*graph),
-                params,
-                cfg,
-                patterns,
-                where_.as_ref(),
-                *optional,
-                t,
-                site,
-                None,
-            )?,
-            Clause::With { ret, where_ } => {
-                let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-                let projected = apply_projection(&ctx, ret, t)?;
-                match where_ {
-                    Some(p) => apply_where(&ctx, p, projected)?,
-                    None => projected,
-                }
-            }
-            Clause::Unwind { expr, alias } => {
-                let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-                apply_unwind(&ctx, expr, alias, t)?
-            }
-            Clause::Create { patterns } => update::exec_create(graph, params, cfg, patterns, t)?,
             Clause::Merge {
                 pattern,
                 on_create,
                 on_match,
-            } => update::exec_merge(graph, params, cfg, pattern, on_create, on_match, t)?,
+            } => update::exec_merge(
+                access.graph_mut()?,
+                params,
+                cfg,
+                pattern,
+                on_create,
+                on_match,
+                t,
+            )?,
             Clause::Delete { detach, exprs } => {
-                update::exec_delete(graph, params, cfg, *detach, exprs, t)?
+                update::exec_delete(access.graph_mut()?, params, cfg, *detach, exprs, t)?
             }
-            Clause::Set { items } => update::exec_set(graph, params, cfg, items, t)?,
-            Clause::Remove { items } => update::exec_remove(graph, params, cfg, items, t)?,
-            Clause::FromGraph { .. } => {
-                return err("FROM GRAPH requires a catalog; use the multigraph executor")
+            Clause::Set { items } => update::exec_set(access.graph_mut()?, params, cfg, items, t)?,
+            Clause::Remove { items } => {
+                update::exec_remove(access.graph_mut()?, params, cfg, items, t)?
             }
         };
     }
-    finish_single(ViewRef::from(&*graph), sq, params, cfg, t)
-}
-
-fn finish_single(
-    view: ViewRef<'_>,
-    sq: &SingleQuery,
-    params: &Params,
-    cfg: &EngineConfig,
-    t: Table,
-) -> Result<Table, EvalError> {
     if sq.ret_graph.is_some() {
         return err("RETURN GRAPH requires a catalog; use the multigraph executor");
     }
@@ -965,7 +848,7 @@ fn finish_single(
             if ret.star && ret.items.is_empty() && t.schema().is_empty() {
                 return err("RETURN * requires at least one field");
             }
-            let ctx = EvalContext::new(view.graph(), params).with_config(cfg.match_config);
+            let ctx = EvalContext::new(access.view().graph(), params).with_config(cfg.match_config);
             apply_projection(&ctx, ret, t)
         }
         // Update-only query: no rows, no fields.
@@ -984,66 +867,75 @@ pub fn exec_match<'a>(
     optional: bool,
     table: Table,
 ) -> Result<Table, EvalError> {
+    let view = view.into();
     exec_match_memo(
-        view.into(),
-        params,
-        cfg,
-        patterns,
-        where_,
-        optional,
-        table,
-        None,
-        None,
+        view, params, cfg, patterns, where_, optional, table, None, None, None,
     )
+    .map(|(t, _)| t)
 }
 
-/// Builds the profiled view of one executed `MATCH` pipeline: plan-step
-/// text + cost-model estimate + the measured actuals. Operator timings
-/// from the shims are *inclusive* (each wraps everything beneath it);
-/// the exclusive time reported here subtracts the operator immediately
-/// below — except the pipeline's own source, whose measurement is
-/// direct (the parallel path times morsel-table construction itself, and
-/// the step above it wraps only the unmeasured table re-scan).
-fn clause_profile(
+/// Runs a planned `MATCH` (plus its `WHERE`, as a trailing filter step)
+/// over `input` into `sink`. When profiling, the run is probed and its
+/// profile recorded: plan-step text + cost-model estimate + the measured
+/// actuals, with `sink_label` naming a folding sink's row. Probe timings
+/// are *inclusive* (each stage contains everything beneath it); the
+/// exclusive time reported subtracts the stage immediately below.
+#[allow(clippy::too_many_arguments)]
+fn run_match<S: Sink>(
+    ctx: &EvalContext<'_>,
+    cfg: &EngineConfig,
     label: &str,
-    steps: &[PlanStep],
-    plan: &crate::plan::MatchPlan,
-    prof: crate::ops::PlanProfile,
-) -> ClauseProfile {
-    let mut operators = Vec::with_capacity(prof.steps.len());
-    for (i, st) in prof.steps.iter().enumerate() {
-        let nested = if i == 0 || (prof.parallel && i == 1) {
-            0
-        } else {
-            prof.steps[i - 1].nanos
-        };
-        // The appended WHERE filter has no planner entry; its estimate
-        // is the plan's final cardinality.
-        let est = plan
-            .step_estimates
-            .get(i)
-            .copied()
-            .unwrap_or(plan.estimated_rows);
-        operators.push(OpProfile {
-            operator: steps[i].to_string(),
-            estimated_rows: est,
-            rows: st.rows,
-            batches: st.batches,
-            time_us: st.nanos.saturating_sub(nested) / 1_000,
-            probes: st.probes,
-            isect: st.isect,
-        });
+    planned: &PlannedMatch,
+    where_: Option<&Expr>,
+    input: Table,
+    sink: &S,
+    sink_label: Option<String>,
+    profile: Option<&mut Vec<ClauseProfile>>,
+) -> Result<Table, EvalError> {
+    let plan = &planned.plan;
+    let mut steps = plan.steps.clone();
+    if let Some(p) = where_ {
+        steps.push(PlanStep::FilterExpr { pred: p.clone() });
     }
-    ClauseProfile {
+    let Some(profile) = profile else {
+        return drive(ctx, &steps, input, cfg, sink, None);
+    };
+    let mut prof = PlanProfile::default();
+    let out = drive(ctx, &steps, input, cfg, sink, Some(&mut prof))?;
+    // Neither the appended WHERE filter nor the sink has a planner
+    // entry; their estimate is the plan's final cardinality.
+    let names = steps.iter().map(|s| s.to_string()).chain(sink_label);
+    let mut below = 0;
+    let operators = names
+        .zip(&prof.stages)
+        .enumerate()
+        .map(|(i, (operator, st))| {
+            let time_us = st.nanos.saturating_sub(below) / 1_000;
+            below = st.nanos;
+            OpProfile {
+                operator,
+                estimated_rows: *plan.step_estimates.get(i).unwrap_or(&plan.estimated_rows),
+                rows: st.rows,
+                batches: st.batches,
+                time_us,
+                probes: st.probes,
+                isect: st.isect,
+            }
+        })
+        .collect();
+    profile.push(ClauseProfile {
         label: label.to_string(),
         operators,
         morsels: prof.morsels,
         parallel: prof.parallel,
-    }
+    });
+    Ok(out)
 }
 
-/// [`exec_match`] with an optional plan-memo site and an optional
-/// profile sink (per-operator instrumentation).
+/// [`exec_match`] with an optional plan-memo site, an optional profile
+/// to record into, and the clause's position `(query, index)` when it is
+/// one [`select_sink`] may fold into the `RETURN` — in which case the
+/// table returned is the query's result and the flag is set.
 #[allow(clippy::too_many_arguments)]
 fn exec_match_memo(
     view: ViewRef<'_>,
@@ -1054,10 +946,12 @@ fn exec_match_memo(
     optional: bool,
     table: Table,
     memo: Option<(&PlanMemo, MemoSite)>,
+    at: Option<(&SingleQuery, usize)>,
     profile: Option<&mut Vec<ClauseProfile>>,
-) -> Result<Table, EvalError> {
+) -> Result<(Table, bool), EvalError> {
     let graph = view.graph();
     let label = if optional { "OPTIONAL MATCH" } else { "MATCH" };
+    let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
     // Node isomorphism needs global node tracking that the pipeline does
     // not model; delegate to the reference matcher (documented fallback).
     if cfg.match_config.morphism == Morphism::NodeIsomorphism {
@@ -1071,19 +965,18 @@ fn exec_match_memo(
                 parallel: false,
             });
         }
-        let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-        return if optional {
-            cypher_core::clauses::apply_optional_match(&ctx, patterns, where_, table)
+        let out = if optional {
+            cypher_core::clauses::apply_optional_match(&ctx, patterns, where_, table)?
         } else {
             let m = cypher_core::clauses::apply_match(&ctx, patterns, table)?;
             match where_ {
-                Some(p) => apply_where(&ctx, p, m),
-                None => Ok(m),
+                Some(p) => apply_where(&ctx, p, m)?,
+                None => m,
             }
         };
+        return Ok((out, false));
     }
 
-    let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
     if !optional {
         let planned = plan_match_memo(
             memo,
@@ -1092,26 +985,33 @@ fn exec_match_memo(
             patterns,
             cfg.planner_options(),
         );
-        let mut steps = planned.plan.steps.clone();
-        if let Some(p) = where_ {
-            steps.push(PlanStep::FilterExpr { pred: p.clone() });
-        }
-        let driving: Vec<String> = table.schema().names().to_vec();
-        let raw = match profile {
-            Some(prof_out) => {
-                let (raw, pp) = run_plan_profiled(&ctx, &steps, table, cfg.exec_options())?;
-                prof_out.push(clause_profile(label, &steps, &planned.plan, pp));
-                raw
-            }
-            None => run_plan(
-                &ctx,
-                &steps,
-                table,
-                cfg.exec_options(),
-                cfg.exec_metrics.as_deref(),
-            )?,
+        let mut visible = table.schema().names().to_vec();
+        visible.extend(planned.new_vars.iter().cloned());
+        let sink = at.and_then(|(sq, i)| select_sink(&ctx, cfg, sq, i, &visible));
+        let sink_label = match (&sink, &profile) {
+            (Some(sink), Some(_)) => Some(sink.label()),
+            _ => None,
         };
-        return Ok(project_visible(raw, &driving, &planned.new_vars));
+        return Ok(match &sink {
+            Some(FinalSink::Fold(s)) => (
+                run_match(
+                    &ctx, cfg, label, &planned, where_, table, s, sink_label, profile,
+                )?,
+                true,
+            ),
+            Some(FinalSink::TopK(s)) => (
+                run_match(
+                    &ctx, cfg, label, &planned, where_, table, s, sink_label, profile,
+                )?,
+                true,
+            ),
+            None => {
+                let raw = run_match(
+                    &ctx, cfg, label, &planned, where_, table, &Collect, None, profile,
+                )?;
+                (project_visible(raw, &Schema::new(visible)), false)
+            }
+        });
     }
 
     // OPTIONAL MATCH: tag each driving row with a hidden index, run the
@@ -1133,24 +1033,9 @@ fn exec_match_memo(
         patterns,
         cfg.planner_options(),
     );
-    let mut steps = planned.plan.steps.clone();
-    if let Some(p) = where_ {
-        steps.push(PlanStep::FilterExpr { pred: p.clone() });
-    }
-    let raw = match profile {
-        Some(prof_out) => {
-            let (raw, pp) = run_plan_profiled(&ctx, &steps, tagged, cfg.exec_options())?;
-            prof_out.push(clause_profile(label, &steps, &planned.plan, pp));
-            raw
-        }
-        None => run_plan(
-            &ctx,
-            &steps,
-            tagged,
-            cfg.exec_options(),
-            cfg.exec_metrics.as_deref(),
-        )?,
-    };
+    let raw = run_match(
+        &ctx, cfg, label, &planned, where_, tagged, &Collect, None, profile,
+    )?;
 
     // Group pipeline outputs by input index.
     let idx_pos = raw.schema().index_of(&idx_col).expect("hidden idx kept");
@@ -1189,32 +1074,14 @@ fn exec_match_memo(
             }
         }
     }
-    Ok(out)
-}
-
-/// Projects the pipeline output down to the driving fields plus the new
-/// visible variables (dropping hidden bookkeeping columns).
-fn project_visible(raw: Table, driving: &[String], new_vars: &[String]) -> Table {
-    let mut names: Vec<String> = driving.to_vec();
-    names.extend(new_vars.iter().cloned());
-    let idxs: Vec<usize> = names
-        .iter()
-        .map(|n| raw.schema().index_of(n).expect("visible column present"))
-        .collect();
-    let schema = Schema::new(names);
-    let mut out = Table::empty(schema);
-    for r in raw.rows() {
-        out.push(Record::new(
-            idxs.iter().map(|&i| r.get(i).clone()).collect(),
-        ));
-    }
-    out
+    Ok((out, false))
 }
 
 /// Renders the physical plan of every `MATCH` clause in a query — a
-/// minimal `EXPLAIN` — plus the projection pushdowns the executor will
-/// apply (`PartialAggregate(keys=…, aggs=…)` / `TopK(k=…)`), against the
-/// given snapshot's statistics.
+/// minimal `EXPLAIN` — plus, from the executor's own dispatch gate and
+/// sink selection, whether the worker pool can engage and what a final
+/// `MATCH` folds into (`PartialAggregate(keys=…, aggs=…)` / `TopK(k=…)`),
+/// against the given snapshot's statistics.
 ///
 /// When the handle carries a version (it came from a pinned
 /// `GraphView`), the output opens with a `snapshot version N` line —
@@ -1224,6 +1091,10 @@ pub fn explain<'a>(view: impl Into<ViewRef<'a>>, q: &Query, cfg: &EngineConfig) 
     fn go(view: ViewRef<'_>, q: &Query, cfg: &EngineConfig, out: &mut String) {
         match q {
             Query::Single(sq) => {
+                // Best effort without the caller's parameters (a `LIMIT
+                // $n` renders as `TopK(k=?)`).
+                let params = Params::new();
+                let ctx = EvalContext::new(view.graph(), &params).with_config(cfg.match_config);
                 let mut fields: Vec<String> = Vec::new();
                 for (i, clause) in sq.clauses.iter().enumerate() {
                     match clause {
@@ -1239,41 +1110,29 @@ pub fn explain<'a>(view: impl Into<ViewRef<'a>>, q: &Query, cfg: &EngineConfig) 
                             });
                             out.push_str(&plan.to_string());
                             out.push('\n');
-                            // Surface the runtime's parallelism: a plan
-                            // whose anchor is a source is dispatched
-                            // morsel-wise across the worker pool — once
-                            // the source's output exceeds one morsel
-                            // (below that the pool cannot help and
-                            // run_plan stays sequential).
-                            if cfg.num_threads > 1 {
+                            fields.extend(new_vars);
+                            let sink = select_sink(&ctx, cfg, sq, i, &fields);
+                            if let Some(gate) = cfg.parallel_gate(sink.is_some()) {
                                 if plan.steps.first().is_some_and(|s| s.is_source()) {
                                     out.push_str(&format!(
-                                        "(parallel: {} threads, morsel size {m}; \
-                                         engages when driving rows × scanned items \
-                                         exceed {m})\n",
+                                        "(parallel: {} threads, morsel size {}; engages when \
+                                         driving rows × scanned items exceed {gate})\n",
                                         cfg.num_threads,
-                                        m = cfg.morsel_size.max(1)
+                                        cfg.morsel_size.max(1)
                                     ));
                                 } else {
                                     out.push_str("(sequential: source is pre-bound)\n");
                                 }
                             }
-                            fields.extend(new_vars.iter().cloned());
-                            // The final MATCH of a qualifying query fuses
-                            // with the RETURN; surface what the workers
-                            // will fold.
-                            if i + 1 == sq.clauses.len() && !*optional {
-                                if let Some(ret) = &sq.ret {
-                                    if fused_applicable(cfg, sq, ret) {
-                                        explain_pushdown(view.graph(), cfg, ret, &fields, out);
-                                    }
-                                }
+                            if let Some(sink) = sink {
+                                out.push_str(&sink.label());
+                                out.push('\n');
                             }
                         }
                         // Projection replaces the visible schema; UNWIND
                         // appends its alias — mirrored here so later plans
-                        // (and the pushdown line) see the schema the
-                        // executor actually runs with.
+                        // (and the sink line) see the schema the executor
+                        // actually runs with.
                         Clause::With { ret, .. } => {
                             let distinct_names = fields
                                 .iter()
@@ -1311,52 +1170,6 @@ pub fn explain<'a>(view: impl Into<ViewRef<'a>>, q: &Query, cfg: &EngineConfig) 
     }
     go(view, q, cfg, &mut s);
     s
-}
-
-/// Renders the pushdown line of a qualifying final projection.
-fn explain_pushdown(
-    graph: &PropertyGraph,
-    cfg: &EngineConfig,
-    ret: &Return,
-    fields: &[String],
-    out: &mut String,
-) {
-    let vis = Schema::new(fields.to_vec());
-    let Ok(plan) = ProjectionPlan::compile(ret, &vis) else {
-        return;
-    };
-    match ret_pushdown(ret) {
-        Some(PushdownKind::Aggregate) => {
-            out.push_str(&format!(
-                "PartialAggregate(keys=[{}], aggs=[{}])\n",
-                plan.key_names().join(", "),
-                plan.agg_display().join(", ")
-            ));
-        }
-        Some(PushdownKind::Distinct) => {
-            out.push_str(&format!(
-                "PartialAggregate(keys=[{}], aggs=[], distinct)\n",
-                plan.key_names().join(", ")
-            ));
-        }
-        Some(PushdownKind::TopK) => {
-            // Best effort without the caller's parameters.
-            let params = Params::new();
-            let ctx = EvalContext::new(graph, &params).with_config(cfg.match_config);
-            let k = match (
-                cypher_core::clauses::eval_count(&ctx, ret.skip.as_ref(), "SKIP"),
-                cypher_core::clauses::eval_count(&ctx, ret.limit.as_ref(), "LIMIT"),
-            ) {
-                (Ok(s), Ok(l)) => Some(s.saturating_add(l)),
-                _ => None,
-            };
-            match k {
-                Some(k) => out.push_str(&format!("TopK(k={k})\n")),
-                None => out.push_str("TopK(k=?)\n"),
-            }
-        }
-        None => {}
-    }
 }
 
 #[cfg(test)]

@@ -20,13 +20,14 @@
 //! reference semantics of [`cypher_core`] — the two implementations share
 //! exactly the behaviour the paper defines once, and differ (and are
 //! differentially tested) on pattern matching, where the planner matters.
-//! The **final** projection of a qualifying query is *fused* into the
-//! morsel pipeline instead: aggregation and `DISTINCT` fold per-morsel
-//! `GroupedAggState`s (the same type the reference semantics fold
-//! through) and `ORDER BY … LIMIT` folds bounded top-k heaps, merged in
-//! morsel order so results stay bit-identical across thread counts and
-//! morsel sizes — surfaced in `EXPLAIN` as `PartialAggregate(…)` /
-//! `TopK(k=…)` and controlled by [`EngineConfig::partial_agg`]. Repeated
+//! The **final** projection of a qualifying query is instead the *sink*
+//! the morsel driver folds into: aggregation and `DISTINCT` fold
+//! per-morsel `GroupedAggState`s (the same type the reference semantics
+//! fold through) and `ORDER BY … LIMIT` folds bounded top-k heaps, merged
+//! in morsel order so results stay bit-identical across thread counts and
+//! morsel sizes — surfaced in `EXPLAIN` and `PROFILE` as
+//! `PartialAggregate(…)` / `TopK(k=…)` and controlled by
+//! [`EngineConfig::partial_agg`]. Repeated
 //! queries skip planning through a [`PlanMemo`] (see [`cache`]), which
 //! the `cypher::Database` facade wires into an LRU parse+plan cache with
 //! statistics-fingerprint invalidation.
@@ -71,6 +72,6 @@ pub use exec::{
     PartialAggMode, QueryProfile,
 };
 pub use multigraph::{execute_on_catalog, MultiResult};
-pub use ops::{ExecMetrics, ExecOptions, OpStats, PlanProfile, RowBatch, DEFAULT_MORSEL_SIZE};
+pub use ops::{ExecMetrics, RowBatch, DEFAULT_MORSEL_SIZE};
 pub use plan::{IntersectGuard, MatchPlan, PlanStep};
 pub use planner::{plan_match, PlannerMode, PlannerOptions, WcoJoinMode};

@@ -5,10 +5,10 @@
 //! it in the catalog — so that "Cypher queries \[can\] be composed as a
 //! chain of elementary queries", as in Example 6.1.
 //!
-//! Simplifications relative to the full proposal (documented in
-//! DESIGN.md): the `AT "<uri>"` locator is accepted but graphs are
-//! resolved by name in the in-process [`Catalog`]; the result of a query
-//! is either a table or a graph name (not a combined table-graphs value).
+//! Simplifications relative to the full proposal: the `AT "<uri>"`
+//! locator is accepted but graphs are resolved by name in the in-process
+//! [`Catalog`]; the result of a query is either a table or a graph name
+//! (not a combined table-graphs value).
 
 use crate::exec::{exec_match, EngineConfig};
 use cypher_ast::pattern::{Dir, PathPattern};

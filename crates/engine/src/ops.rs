@@ -8,17 +8,19 @@
 //! `morsel_size` records at a time from its child. Batching amortizes the
 //! per-row virtual dispatch of the Volcano model and — more importantly —
 //! gives the executor a natural unit of parallelism: the *morsel*
-//! (Leis et al., "Morsel-driven parallelism"). [`run_plan`] partitions a
-//! pipeline's source into morsels and dispatches them across a
-//! `std::thread::scope` worker pool; per-worker partial results are merged
-//! *in morsel order*, so the output row sequence is identical for every
-//! thread count — including 1, which bypasses dispatch entirely and
-//! reproduces the classic single-threaded execution bit-for-bit.
+//! (Leis et al., "Morsel-driven parallelism"). `drive` — the one way a
+//! plan is run — partitions a pipeline's source into morsels, dispatches
+//! them across a `std::thread::scope` worker pool, feeds each morsel into
+//! a fresh partial of its `Sink` and merges the partials *in morsel
+//! order*, so the result is identical for every thread count — including
+//! 1, which bypasses dispatch entirely and reproduces the classic
+//! single-threaded execution bit-for-bit.
 //!
 //! `Expand` still exploits the native adjacency of [`cypher_graph`]: "it
 //! utilizes the fact that the data representation contains direct
 //! references from each node via its edges to the related nodes".
 
+use crate::exec::EngineConfig;
 use crate::plan::{PathElem, PlanStep};
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::Dir;
@@ -35,6 +37,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// The default number of rows per batch (morsel).
 pub const DEFAULT_MORSEL_SIZE: usize = 1024;
@@ -101,27 +104,6 @@ pub trait Operator {
     }
 }
 
-/// Execution knobs of the morsel-driven runtime: how many rows one morsel
-/// holds and how many worker threads claim morsels. Both are clamped to a
-/// minimum of 1.
-#[derive(Clone, Copy, Debug)]
-pub struct ExecOptions {
-    /// Rows per batch; also the granularity of parallel work division.
-    pub morsel_size: usize,
-    /// Worker threads for parallelizable pipelines. `1` runs the entire
-    /// pipeline on the calling thread, with no dispatch overhead.
-    pub num_threads: usize,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            morsel_size: DEFAULT_MORSEL_SIZE,
-            num_threads: 1,
-        }
-    }
-}
-
 /// Executor-level event counters, shared through
 /// [`crate::exec::EngineConfig::exec_metrics`]. Recording is lock-free
 /// (relaxed atomics) and happens once per pipeline run — never per row
@@ -144,18 +126,17 @@ pub struct ExecMetrics {
     pub intersect_rows: Counter,
 }
 
-/// Measured totals of one plan step across a profiled run: every batch
-/// the operator emitted, every row in those batches, and the wall time
-/// spent inside its `next_batch` (inclusive of its children — the
-/// pipeline is linear, so callers recover exclusive time by subtracting
-/// the child's total).
+/// Measured totals of one pipeline stage across a probed run: every batch
+/// it emitted, every row in those batches, and the wall time spent inside
+/// it (inclusive of the stages beneath it — the pipeline is linear, so
+/// callers recover exclusive time by subtracting the child's total).
 #[derive(Clone, Debug, Default)]
-pub struct OpStats {
-    /// Rows the operator emitted.
+pub(crate) struct OpStats {
+    /// Rows the stage emitted (for the sink: took in).
     pub rows: u64,
-    /// Non-empty batches the operator emitted.
+    /// Non-empty batches the stage emitted (for the sink: took in).
     pub batches: u64,
-    /// Wall nanoseconds inside `next_batch`, children included. Parallel
+    /// Wall nanoseconds inside the stage, children included. Parallel
     /// runs sum the per-worker times (CPU-style, not elapsed).
     pub nanos: u64,
     /// Galloping probes (`MultiwayIntersect` steps only; 0 elsewhere).
@@ -175,23 +156,22 @@ impl OpStats {
     }
 }
 
-/// The measured execution of one plan, from [`run_plan_profiled`]:
-/// per-step totals (indexed like the step slice) aggregated across all
-/// morsels in claim-index order, plus the dispatch shape.
+/// The measured execution of one plan, filled by a probed [`drive`]:
+/// per-stage totals summed over all morsels, plus the dispatch shape.
 #[derive(Clone, Debug, Default)]
-pub struct PlanProfile {
-    /// Per-step totals, one entry per plan step.
-    pub steps: Vec<OpStats>,
+pub(crate) struct PlanProfile {
+    /// One entry per plan step, then one for the sink.
+    pub stages: Vec<OpStats>,
     /// Morsels executed (1 for a sequential run).
     pub morsels: u64,
     /// Whether the parallel dispatcher engaged.
     pub parallel: bool,
 }
 
-/// Wraps a pipeline operator with per-morsel measurement. The counters
-/// are plain (non-atomic) cells private to the morsel's thread; workers
-/// never share a slot, so profiling adds no synchronization to the
-/// pipeline itself.
+/// The probe around one operator. The counters are plain (non-atomic)
+/// cells private to the morsel's thread; workers never share a slot, so
+/// probing adds no synchronization to the pipeline itself and costs one
+/// `Instant::now()` pair per batch.
 struct ProfiledOp<'a> {
     inner: Box<dyn Operator + 'a>,
     slot: Rc<RefCell<Vec<OpStats>>>,
@@ -204,7 +184,7 @@ impl Operator for ProfiledOp<'_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        let t = std::time::Instant::now();
+        let t = Instant::now();
         let res = self.inner.next_batch();
         let nanos = t.elapsed().as_nanos() as u64;
         let mut stats = self.slot.borrow_mut();
@@ -228,268 +208,310 @@ impl Operator for ProfiledOp<'_> {
     }
 }
 
-/// Drains an operator into a materialized table.
-pub fn run_to_table(mut op: Box<dyn Operator + '_>) -> Result<Table, EvalError> {
-    let schema = op.schema().clone();
-    let mut out = Table::empty(schema);
-    while let Some(batch) = op.next_batch()? {
+/// What a pipeline's output rows are folded into. [`drive`] feeds every
+/// morsel into a fresh [`Sink::Partial`] and hands the partials to
+/// [`Sink::finish`] in morsel order; an implementation whose `finish`
+/// over in-order partials equals feeding one partial every row is
+/// therefore independent of thread count and morsel size.
+pub(crate) trait Sink: Sync {
+    /// One morsel's share of the result.
+    type Partial: Send;
+    /// Whether rows are folded away rather than kept. A folding run
+    /// interleaves its own evaluation with the pipeline's, so its errors
+    /// are not the canonical ones, and
+    /// [`crate::exec::PartialAggMode::Force`] drops its work-size gate.
+    const FOLDS: bool;
+    /// A fresh partial for a pipeline that emits `schema`.
+    fn partial(&self, schema: &Arc<Schema>) -> Self::Partial;
+    /// Takes in one batch.
+    fn feed(
+        &self,
+        ctx: &EvalContext<'_>,
+        schema: &Schema,
+        part: &mut Self::Partial,
+        batch: RowBatch,
+    ) -> Result<(), EvalError>;
+    /// Merges the partials (at least one), given in morsel order, into
+    /// the result.
+    fn finish(
+        &self,
+        ctx: &EvalContext<'_>,
+        schema: &Arc<Schema>,
+        parts: impl Iterator<Item = Self::Partial>,
+    ) -> Result<Table, EvalError>;
+    /// The same result computed from the collected pipeline output — the
+    /// definition folding must agree with, and how [`drive`] answers a
+    /// failed run.
+    fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError>;
+}
+
+/// The sink that keeps every row: the pipeline's raw output table.
+pub(crate) struct Collect;
+
+impl Sink for Collect {
+    type Partial = Table;
+    const FOLDS: bool = false;
+
+    fn partial(&self, schema: &Arc<Schema>) -> Table {
+        Table::empty(schema.clone())
+    }
+
+    fn feed(
+        &self,
+        _ctx: &EvalContext<'_>,
+        _schema: &Schema,
+        part: &mut Table,
+        batch: RowBatch,
+    ) -> Result<(), EvalError> {
         for r in batch.into_rows() {
-            out.push(r);
+            part.push(r);
         }
+        Ok(())
     }
-    Ok(out)
+
+    fn finish(
+        &self,
+        _ctx: &EvalContext<'_>,
+        _schema: &Arc<Schema>,
+        mut parts: impl Iterator<Item = Table>,
+    ) -> Result<Table, EvalError> {
+        let mut out = parts.next().expect("a run has at least one morsel");
+        for t in parts {
+            for r in t.into_rows() {
+                out.push(r);
+            }
+        }
+        Ok(out)
+    }
+
+    fn materialized(&self, _ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
+        Ok(raw)
+    }
 }
 
-/// Executes a compiled `MATCH` plan over a driving table, dispatching
-/// source morsels across a worker pool when `opts.num_threads > 1`.
+/// Executes a compiled `MATCH` plan over a driving table into `sink` —
+/// the only way a plan is run. The dispatch decision is made once: a
+/// plan anchored on a source whose output (`driving rows × scanned
+/// items`) exceeds [`EngineConfig::parallel_gate`] is cut into morsels
+/// claimed by `cfg.num_threads` workers; anything else is one morsel on
+/// the calling thread. `probe`, when given, wraps every operator and the
+/// sink in measurement and receives the totals.
 ///
-/// **Determinism:** morsel `k` covers output rows `[k·m, (k+1)·m)` of the
+/// **Determinism:** morsel `k` covers rows `[k·m, (k+1)·m)` of the
 /// source's row-major product (driving row outer, scanned item inner) —
-/// exactly the order the sequential executor produces — and partial
-/// results are merged in morsel order. The output is therefore the *same
-/// sequence of rows* for every `num_threads`, not merely the same bag.
+/// the order the sequential pipeline emits — every operator is a pure
+/// function of its input row sequence, and every sink merges its
+/// partials in morsel order. The result is therefore the same for every
+/// `num_threads` and `morsel_size`, not merely the same bag.
 ///
-/// Should any worker fail, the plan is re-run sequentially so the reported
-/// error is the one single-threaded execution raises (workers race, and
-/// the first error to surface is otherwise scheduling-dependent).
-pub fn run_plan<'a>(
+/// **Canonical errors:** workers race and a folding sink evaluates
+/// between batches, so the first error of a parallel or folding run is
+/// scheduling-dependent. Any such error is discarded and answered by one
+/// sequential re-run through [`Collect`] and [`Sink::materialized`],
+/// which raises what the clause-at-a-time semantics raise.
+pub(crate) fn drive<'a, S: Sink>(
     ctx: &'a EvalContext<'a>,
     steps: &[PlanStep],
     input: Table,
-    opts: ExecOptions,
-    metrics: Option<&'a ExecMetrics>,
+    cfg: &'a EngineConfig,
+    sink: &S,
+    mut probe: Option<&mut PlanProfile>,
 ) -> Result<Table, EvalError> {
-    let morsel = opts.morsel_size.max(1);
-    if opts.num_threads > 1 && steps.first().is_some_and(|s| s.is_source()) {
-        // Resolve every source once; whichever path runs below reuses
-        // the same lists (no re-collection on the sequential fallback).
-        let prepared = prepare_sources(ctx, steps)?;
-        let (var, items) = prepared[0].as_ref().expect("is_source");
-        let total = input.len().saturating_mul(items.len());
-        // Below one morsel of work the pool cannot help; fall through to
-        // the sequential path.
-        if total > morsel {
-            let run = run_parallel(
-                ctx,
-                &steps[1..],
-                &prepared[1..],
-                &input,
-                var,
-                items,
-                morsel,
-                opts.num_threads,
-                metrics,
-            );
-            match run {
-                Ok(t) => {
-                    if let Some(m) = metrics {
-                        m.morsels.add(total.div_ceil(morsel) as u64);
-                        m.rows.add(t.len() as u64);
-                        m.parallel_runs.inc();
-                    }
-                    return Ok(t);
-                }
-                Err(_) => { /* canonical error from the sequential re-run */ }
-            }
-        }
-        let pipeline = build_prepared(ctx, steps, &prepared, input, morsel, metrics)?;
-        let t = run_to_table(pipeline)?;
-        if let Some(m) = metrics {
-            m.morsels.inc();
-            m.rows.add(t.len() as u64);
-        }
-        return Ok(t);
-    }
-    let pipeline = build_pipeline(ctx, steps, input, morsel, metrics)?;
-    let t = run_to_table(pipeline)?;
-    if let Some(m) = metrics {
-        m.morsels.inc();
-        m.rows.add(t.len() as u64);
-    }
-    Ok(t)
-}
-
-/// [`run_plan`] with per-operator instrumentation: the same dispatch
-/// decisions and the same output rows, but every operator is wrapped in
-/// a measuring shim and the per-morsel measurements are merged — in
-/// claim-index order, like the rows — into one [`PlanProfile`].
-///
-/// The counters each morsel writes are plain thread-local cells, not
-/// atomics: profiling costs one `Instant::now()` pair per batch and
-/// nothing at all when this entry point is not used.
-pub fn run_plan_profiled<'a>(
-    ctx: &'a EvalContext<'a>,
-    steps: &[PlanStep],
-    input: Table,
-    opts: ExecOptions,
-) -> Result<(Table, PlanProfile), EvalError> {
-    let morsel = opts.morsel_size.max(1);
-    if opts.num_threads > 1 && steps.first().is_some_and(|s| s.is_source()) {
-        let prepared = prepare_sources(ctx, steps)?;
-        let (var, items) = prepared[0].as_ref().expect("is_source");
-        let total = input.len().saturating_mul(items.len());
-        if total > morsel {
-            match run_parallel_profiled(
-                ctx,
-                steps,
-                &prepared,
-                &input,
-                var,
-                items,
-                morsel,
-                opts.num_threads,
-            ) {
-                Ok(r) => return Ok(r),
-                Err(_) => { /* canonical error from the sequential re-run */ }
-            }
-        }
-        return run_sequential_profiled(ctx, steps, &prepared, input, morsel);
-    }
+    // Resolve every source once; all morsels and the re-run share the
+    // lists (a second scan inside the pipeline — a disconnected pattern —
+    // is not re-collected per morsel).
     let prepared = prepare_sources(ctx, steps)?;
-    run_sequential_profiled(ctx, steps, &prepared, input, morsel)
+    let run = Run {
+        ctx,
+        steps,
+        prepared: &prepared,
+        cfg,
+    };
+    let total = match prepared.first() {
+        Some(Some((_, items))) => input.len().saturating_mul(items.len()),
+        _ => 0,
+    };
+    let first = if cfg.parallel_gate(S::FOLDS).is_some_and(|gate| total > gate) {
+        run.morsels(&input, total, sink, probe.as_deref_mut())
+    } else if S::FOLDS {
+        // Cloned so the re-run still has it: the driving table of a
+        // final MATCH is the usually-tiny pre-match context.
+        run.whole(input.clone(), sink, probe.as_deref_mut())
+    } else {
+        return run.whole(input, sink, probe);
+    };
+    first.or_else(|_| sink.materialized(ctx, run.whole(input, &Collect, probe)?))
 }
 
-/// One profiled pipeline over the whole input on the calling thread.
-fn run_sequential_profiled<'a>(
-    ctx: &'a EvalContext<'a>,
-    steps: &[PlanStep],
-    prepared: &[PreparedSource],
-    input: Table,
-    morsel: usize,
-) -> Result<(Table, PlanProfile), EvalError> {
-    let slot = Rc::new(RefCell::new(vec![OpStats::default(); steps.len()]));
-    let pipeline = build_profiled(ctx, steps, prepared, input, morsel, &slot, 0)?;
-    // (Profiled runs report through `PlanProfile`, not `ExecMetrics`.)
-    let t = run_to_table(pipeline)?;
-    let stats = slot.borrow().clone();
-    Ok((
-        t,
-        PlanProfile {
-            steps: stats,
-            morsels: 1,
-            parallel: false,
-        },
-    ))
+/// What every execution of one plan — whole, per morsel, or the
+/// canonical re-run — shares.
+struct Run<'p> {
+    ctx: &'p EvalContext<'p>,
+    steps: &'p [PlanStep],
+    prepared: &'p [PreparedSource],
+    cfg: &'p EngineConfig,
 }
 
-/// The profiled mirror of [`run_parallel`]: each worker measures its own
-/// morsels into private cells; per-morsel profiles are summed in
-/// claim-index order alongside the row merge. `steps` still includes the
-/// source step (index 0); the source's work — reconstructing the
-/// morsel's rows — is measured directly and attributed to it.
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_profiled<'a>(
-    ctx: &'a EvalContext<'a>,
-    steps: &[PlanStep],
-    prepared: &[PreparedSource],
-    driving: &Table,
-    var: &str,
-    items: &[Value],
-    morsel: usize,
-    threads: usize,
-) -> Result<(Table, PlanProfile), EvalError> {
-    let rest = &steps[1..];
-    let rest_sources = &prepared[1..];
-    let total = driving.len() * items.len();
-    let n_morsels = total.div_ceil(morsel);
-    let src_schema = driving.schema().with_field(var.to_string());
+/// One pipeline drained into one partial.
+struct Morsel<P> {
+    part: P,
+    schema: Arc<Schema>,
+    rows: u64,
+    /// Per-stage measurements; empty unless probed.
+    stages: Vec<OpStats>,
+}
 
-    let slots = parallel_morsels(threads, n_morsels, |i| {
-        let lo = i * morsel;
-        let hi = ((i + 1) * morsel).min(total);
-        let per_row = items.len();
-        let t0 = std::time::Instant::now();
-        let mut t = Table::empty(src_schema.clone());
-        for idx in lo..hi {
-            let mut r = driving.rows()[idx / per_row].cloned_with_extra(1);
-            r.push(items[idx % per_row].clone());
-            t.push(r);
+impl<'p> Run<'p> {
+    fn cap(&self) -> usize {
+        self.cfg.morsel_size.max(1)
+    }
+
+    /// The whole input as one morsel on the calling thread.
+    fn whole<S: Sink>(
+        &self,
+        input: Table,
+        sink: &S,
+        probe: Option<&mut PlanProfile>,
+    ) -> Result<Table, EvalError> {
+        let source = Box::new(TableScan::new(input, self.cap()));
+        let m = self.pump(source, 0, sink, probe.is_some())?;
+        self.merge(m, std::iter::empty(), false, sink, probe)
+    }
+
+    /// The source's `total` output rows cut into morsels of `cap` rows,
+    /// claimed by the worker pool.
+    fn morsels<S: Sink>(
+        &self,
+        driving: &Table,
+        total: usize,
+        sink: &S,
+        probe: Option<&mut PlanProfile>,
+    ) -> Result<Table, EvalError> {
+        let cap = self.cap();
+        let (var, items) = self.prepared[0].as_ref().expect("source-anchored");
+        let schema = driving.schema().with_field(var.clone());
+        let probing = probe.is_some();
+        let mut done = parallel_morsels(self.cfg.num_threads, total.div_ceil(cap), |k| {
+            let source = Box::new(MorselScan {
+                schema: schema.clone(),
+                driving,
+                items: Arc::clone(items),
+                range: k * cap..((k + 1) * cap).min(total),
+            });
+            self.pump(source, 1, sink, probing)
+        })?
+        .into_iter();
+        let first = done.next().expect("a run has at least one morsel");
+        self.merge(first, done, true, sink, probe)
+    }
+
+    /// Builds the pipeline over `source` — which already stands for the
+    /// first `attached` steps — and drains it into a fresh partial.
+    fn pump<'x, S: Sink>(
+        &'x self,
+        source: Box<dyn Operator + 'x>,
+        attached: usize,
+        sink: &S,
+        probing: bool,
+    ) -> Result<Morsel<S::Partial>, EvalError> {
+        let slot = probing.then(|| {
+            let stages = vec![OpStats::default(); self.steps.len() + 1];
+            Rc::new(RefCell::new(stages))
+        });
+        let metrics = self.cfg.exec_metrics.as_deref();
+        let mut op = source;
+        for (i, (step, prep)) in self.steps.iter().zip(self.prepared).enumerate() {
+            if i >= attached {
+                op = attach(self.ctx, step, prep, op, self.cap(), metrics)?;
+            }
+            if let Some(slot) = &slot {
+                op = Box::new(ProfiledOp {
+                    inner: op,
+                    slot: Rc::clone(slot),
+                    idx: i,
+                });
+            }
         }
-        let src_nanos = t0.elapsed().as_nanos() as u64;
-        let slot = Rc::new(RefCell::new(vec![OpStats::default(); steps.len()]));
-        {
-            let mut s = slot.borrow_mut();
-            s[0] = OpStats {
-                rows: (hi - lo) as u64,
-                batches: 1,
-                nanos: src_nanos,
+        let schema = op.schema().clone();
+        let mut part = sink.partial(&schema);
+        let (mut rows, mut batches) = (0, 0);
+        let started = probing.then(Instant::now);
+        while let Some(batch) = op.next_batch()? {
+            rows += batch.len() as u64;
+            batches += 1;
+            sink.feed(self.ctx, &schema, &mut part, batch)?;
+        }
+        let stages = slot.map_or_else(Vec::new, |slot| {
+            let mut stages = slot.take();
+            stages[self.steps.len()] = OpStats {
+                rows,
+                batches,
+                nanos: started.map_or(0, |t| t.elapsed().as_nanos() as u64),
                 ..OpStats::default()
             };
-        }
-        let pipeline = build_profiled(ctx, rest, rest_sources, t, morsel, &slot, 1)?;
-        let out = run_to_table(pipeline)?;
-        let stats = slot.borrow().clone();
-        Ok((out, stats))
-    })?;
+            stages
+        });
+        Ok(Morsel {
+            part,
+            schema,
+            rows,
+            stages,
+        })
+    }
 
-    let mut out: Option<Table> = None;
-    let mut stats = vec![OpStats::default(); steps.len()];
-    for slot in slots {
-        let Some((t, part)) = slot else { continue };
-        for (acc, s) in stats.iter_mut().zip(&part) {
-            acc.merge(s);
-        }
-        match &mut out {
-            None => out = Some(t),
-            Some(acc) => {
-                for r in t.into_rows() {
-                    acc.push(r);
-                }
+    /// Finishes the sink over the morsels' partials, in the order given,
+    /// and records the run — once — in `ExecMetrics` and the probe.
+    fn merge<S: Sink>(
+        &self,
+        first: Morsel<S::Partial>,
+        rest: impl Iterator<Item = Morsel<S::Partial>>,
+        parallel: bool,
+        sink: &S,
+        probe: Option<&mut PlanProfile>,
+    ) -> Result<Table, EvalError> {
+        let Morsel {
+            part,
+            schema,
+            mut rows,
+            mut stages,
+        } = first;
+        let mut n = 1;
+        let started = probe.is_some().then(Instant::now);
+        let parts = std::iter::once(part).chain(rest.map(|m| {
+            n += 1;
+            rows += m.rows;
+            for (acc, s) in stages.iter_mut().zip(&m.stages) {
+                acc.merge(s);
+            }
+            m.part
+        }));
+        let out = sink.finish(self.ctx, &schema, parts)?;
+        if let Some(m) = &self.cfg.exec_metrics {
+            m.morsels.add(n);
+            m.rows.add(rows);
+            if parallel {
+                m.parallel_runs.inc();
             }
         }
-    }
-    match out {
-        Some(t) => Ok((
-            t,
-            PlanProfile {
-                steps: stats,
-                morsels: n_morsels as u64,
-                parallel: true,
-            },
-        )),
-        // total > morsel ≥ 1 guarantees at least one morsel ran.
-        None => unreachable!("parallel run with zero morsels"),
+        if let Some(p) = probe {
+            if let (Some(sink_stage), Some(t)) = (stages.last_mut(), started) {
+                sink_stage.nanos += t.elapsed().as_nanos() as u64;
+            }
+            *p = PlanProfile {
+                stages,
+                morsels: n,
+                parallel,
+            };
+        }
+        Ok(out)
     }
 }
 
-/// [`build_prepared`] with a measuring shim around every attached step.
-/// Step `i` accumulates into `slot[base + i]` (`base` skips entries the
-/// caller fills directly, e.g. the parallel path's source step).
-fn build_profiled<'a>(
-    ctx: &'a EvalContext<'a>,
-    steps: &[PlanStep],
-    prepared: &[PreparedSource],
-    input: Table,
-    morsel_size: usize,
-    slot: &Rc<RefCell<Vec<OpStats>>>,
-    base: usize,
-) -> Result<Box<dyn Operator + 'a>, EvalError> {
-    let cap = morsel_size.max(1);
-    let mut op: Box<dyn Operator + 'a> = Box::new(TableScan::new(input, cap));
-    for (i, (step, prep)) in steps.iter().zip(prepared).enumerate() {
-        // Profiled pipelines report through `OpStats`, not `ExecMetrics`.
-        op = attach(ctx, step, prep, op, cap, None)?;
-        op = Box::new(ProfiledOp {
-            inner: op,
-            slot: Rc::clone(slot),
-            idx: base + i,
-        });
-    }
-    Ok(op)
-}
-
-/// The generic morsel dispatcher behind [`run_plan`] and the
-/// partial-aggregation pushdown: `threads` scoped workers claim morsel
-/// indices `0..n_morsels` from a shared atomic counter, run `work` on
-/// each, and the per-morsel results are returned **indexed by morsel** so
-/// the caller can merge them in claim-index order (the determinism
-/// contract). After any failure remaining morsels are skipped (`None`
-/// slots); the first stored error is returned in place of the slots.
-pub(crate) fn parallel_morsels<P, F>(
-    threads: usize,
-    n_morsels: usize,
-    work: F,
-) -> Result<Vec<Option<P>>, EvalError>
+/// The morsel dispatcher: `threads` scoped workers claim morsel indices
+/// `0..n_morsels` from a shared atomic counter and run `work` on each;
+/// the results come back **indexed by morsel**. After any failure the
+/// remaining morsels are skipped and the first stored error is returned.
+fn parallel_morsels<P, F>(threads: usize, n_morsels: usize, work: F) -> Result<Vec<P>, EvalError>
 where
     P: Send,
     F: Fn(usize) -> Result<P, EvalError> + Sync,
@@ -515,111 +537,17 @@ where
         }
     });
 
-    let mut out = Vec::with_capacity(n_morsels);
-    for slot in slots.into_inner().unwrap() {
-        match slot {
-            // Skipped after a failure elsewhere; callers re-run
-            // sequentially for the canonical error.
-            None => out.push(None),
-            Some(Err(e)) => return Err(e),
-            Some(Ok(p)) => out.push(Some(p)),
-        }
-    }
-    Ok(out)
-}
-
-/// Runs `rest` (the plan minus its source, with `rest_sources` its
-/// pre-resolved scan lists) over every morsel of `driving × items`, on
-/// `threads` scoped workers claiming morsels from a shared atomic
-/// counter, and merges the partial tables in morsel order.
-#[allow(clippy::too_many_arguments)]
-fn run_parallel<'a>(
-    ctx: &'a EvalContext<'a>,
-    rest: &[PlanStep],
-    rest_sources: &[PreparedSource],
-    driving: &Table,
-    var: &str,
-    items: &[Value],
-    morsel: usize,
-    threads: usize,
-    metrics: Option<&'a ExecMetrics>,
-) -> Result<Table, EvalError> {
-    let total = driving.len() * items.len();
-    let n_morsels = total.div_ceil(morsel);
-    let src_schema = driving.schema().with_field(var.to_string());
-
-    let slots = parallel_morsels(threads, n_morsels, |i| {
-        let lo = i * morsel;
-        let hi = ((i + 1) * morsel).min(total);
-        run_morsel(
-            ctx,
-            rest,
-            rest_sources,
-            driving,
-            &src_schema,
-            items,
-            lo..hi,
-            morsel,
-            metrics,
-        )
-    })?;
-
-    let mut out: Option<Table> = None;
-    for slot in slots {
-        match slot {
-            None => {}
-            Some(t) => match &mut out {
-                None => out = Some(t),
-                Some(acc) => {
-                    for r in t.into_rows() {
-                        acc.push(r);
-                    }
-                }
-            },
-        }
-    }
-    match out {
-        Some(t) => Ok(t),
-        // total > morsel ≥ 1 guarantees at least one morsel ran.
-        None => unreachable!("parallel run with zero morsels"),
-    }
-}
-
-/// Reconstructs the source rows of one morsel (indices `range` of the
-/// row-major `driving × items` product) and runs the remaining pipeline
-/// over them.
-#[allow(clippy::too_many_arguments)]
-fn run_morsel<'a>(
-    ctx: &'a EvalContext<'a>,
-    rest: &[PlanStep],
-    rest_sources: &[PreparedSource],
-    driving: &Table,
-    src_schema: &Arc<Schema>,
-    items: &[Value],
-    range: std::ops::Range<usize>,
-    morsel: usize,
-    metrics: Option<&'a ExecMetrics>,
-) -> Result<Table, EvalError> {
-    let per_row = items.len();
-    let mut t = Table::empty(src_schema.clone());
-    for idx in range {
-        let mut r = driving.rows()[idx / per_row].cloned_with_extra(1);
-        r.push(items[idx % per_row].clone());
-        t.push(r);
-    }
-    let pipeline = build_prepared(ctx, rest, rest_sources, t, morsel, metrics)?;
-    run_to_table(pipeline)
+    // A `None` slot was skipped after a failure elsewhere, whose error
+    // the collect stops at.
+    slots.into_inner().unwrap().into_iter().flatten().collect()
 }
 
 /// A source step's resolved scan list: the bound column plus the
 /// `Arc`-shared items, or `None` for non-source steps.
-pub(crate) type PreparedSource = Option<(String, Arc<[Value]>)>;
+type PreparedSource = Option<(String, Arc<[Value]>)>;
 
-/// Resolves every source step of a plan to its scan list, once. Parallel
-/// runs share the result across all morsels of the worker pool, so a
-/// second scan inside the pipeline (a disconnected pattern) is not
-/// re-collected per morsel.
-pub(crate) fn prepare_sources(
+/// Resolves every source step of a plan to its scan list.
+fn prepare_sources(
     ctx: &EvalContext<'_>,
     steps: &[PlanStep],
 ) -> Result<Vec<PreparedSource>, EvalError> {
@@ -684,36 +612,6 @@ fn source_items(
         }
         _ => None,
     })
-}
-
-/// Builds the operator pipeline for a compiled `MATCH` plan over a driving
-/// table. `morsel_size` caps the batches the sources and expands emit.
-pub fn build_pipeline<'a>(
-    ctx: &'a EvalContext<'a>,
-    steps: &[PlanStep],
-    input: Table,
-    morsel_size: usize,
-    metrics: Option<&'a ExecMetrics>,
-) -> Result<Box<dyn Operator + 'a>, EvalError> {
-    let prepared = prepare_sources(ctx, steps)?;
-    build_prepared(ctx, steps, &prepared, input, morsel_size, metrics)
-}
-
-/// [`build_pipeline`] over pre-resolved source lists (one entry per step).
-pub(crate) fn build_prepared<'a>(
-    ctx: &'a EvalContext<'a>,
-    steps: &[PlanStep],
-    prepared: &[PreparedSource],
-    input: Table,
-    morsel_size: usize,
-    metrics: Option<&'a ExecMetrics>,
-) -> Result<Box<dyn Operator + 'a>, EvalError> {
-    let cap = morsel_size.max(1);
-    let mut op: Box<dyn Operator + 'a> = Box::new(TableScan::new(input, cap));
-    for (step, prep) in steps.iter().zip(prepared) {
-        op = attach(ctx, step, prep, op, cap, metrics)?;
-    }
-    Ok(op)
 }
 
 fn col_idx(schema: &Schema, name: &str) -> Result<usize, EvalError> {
@@ -1063,6 +961,36 @@ impl Operator for ItemScan<'_> {
                 return Ok(Some(out));
             }
         }
+    }
+}
+
+/// The anchor scan of one parallel morsel: rows `range` of the row-major
+/// `driving × items` product — the order [`ItemScan`] emits them in — as
+/// one batch (a morsel is at most the batch cap; they are the same knob).
+struct MorselScan<'d> {
+    schema: Arc<Schema>,
+    driving: &'d Table,
+    items: Arc<[Value]>,
+    range: std::ops::Range<usize>,
+}
+
+impl Operator for MorselScan<'_> {
+    fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
+        if self.range.is_empty() {
+            return Ok(None);
+        }
+        let per_row = self.items.len();
+        let mut out = RowBatch::with_capacity(self.range.len());
+        for idx in std::mem::take(&mut self.range) {
+            let mut r = self.driving.rows()[idx / per_row].cloned_with_extra(1);
+            r.push(self.items[idx % per_row].clone());
+            out.push(r);
+        }
+        Ok(Some(out))
     }
 }
 

@@ -191,7 +191,7 @@ impl PlanStep {
     /// `NodeIndexScan`, `PropertyIndexSeek`, `RelScan`). Sources are where
     /// the morsel-driven executor injects parallelism: their item list is
     /// partitioned into morsels and dispatched across the worker pool (see
-    /// [`crate::ops::run_plan`]).
+    /// `ops::drive`).
     pub fn is_source(&self) -> bool {
         matches!(
             self,

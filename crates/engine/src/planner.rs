@@ -23,7 +23,7 @@
 //!
 //! Anchor choice doubles as the executor's **parallelism decision**: every
 //! plan starts with a source step (scan or seek) unless the anchor is
-//! pre-bound, and [`crate::ops::run_plan`] partitions exactly that source
+//! pre-bound, and `ops::drive` partitions exactly that source
 //! into morsels for the worker pool. Picking the cheapest anchor therefore
 //! also picks the smallest work list to split.
 

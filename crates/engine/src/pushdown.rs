@@ -1,377 +1,286 @@
-//! Partial-aggregation and top-k pushdown: folding the final projection
-//! inside the morsel pipeline.
+//! Partial-aggregation and top-k pushdown: the folding [`Sink`]s of the
+//! final projection.
 //!
-//! Before this module, every `RETURN`/`WITH` that aggregates, deduplicates
-//! or sorts forced a full *pipeline breaker*: the morsel workers each
-//! materialized their share of the match output, the partial tables were
-//! merged into one, and grouping/sorting ran single-threaded over the
-//! merged table. For the analytic queries Section 3 of the paper centers
-//! on (implicit grouping keys, `count`, `collect`, ordered projections)
-//! that merged table *is* the cost — it scales with the pre-aggregation
-//! row count and serializes the most expensive clause.
+//! A `RETURN` that aggregates, deduplicates or sorts is a *pipeline
+//! breaker* when run clause by clause: the match output is collected into
+//! one table and grouping/sorting runs single-threaded over it. For the
+//! analytic queries Section 3 of the paper centers on (implicit grouping
+//! keys, `count`, `collect`, ordered projections) that table *is* the
+//! cost — it scales with the pre-aggregation row count and serializes the
+//! most expensive clause.
 //!
-//! Here, when the **final** clause of a query is a plannable `MATCH` and
-//! the `RETURN` qualifies, each worker instead folds its morsels directly
-//! into a partial state:
+//! When the **final** clause of a query is a plannable `MATCH` and the
+//! `RETURN` qualifies ([`select_sink`]), the driver instead folds every
+//! morsel straight into a partial state:
 //!
-//! * aggregating projections (and `DISTINCT`) fold into a
-//!   [`GroupedAggState`] — the *same* type the sequential reference
-//!   semantics use, so there is exactly one grouping implementation;
+//! * aggregating projections and `DISTINCT` fold into a
+//!   [`GroupedAggState`] ([`Fold`]) — the *same* type the sequential
+//!   reference semantics use, so there is exactly one grouping
+//!   implementation;
 //! * `ORDER BY … LIMIT k` (no aggregation) folds into a bounded
-//!   [`TopKState`] of `skip + limit` rows per morsel.
+//!   [`TopKState`] of `skip + limit` rows per morsel ([`TopK`]).
 //!
-//! Partial states are merged **in morsel order**. Every constituent is
+//! Both merge their partials in morsel order, and every constituent is
 //! designed to make that merge reproduce the sequential row-order fold
 //! bit-for-bit — group creation order, distinct first-occurrence order,
 //! `min`/`max` tie-breaking, stable-sort tie-breaking, and (via exact
-//! float summation) `sum`/`avg` bits — so thread count and morsel size
-//! remain unobservable, the determinism contract the executor has had
-//! since the morsel refactor.
-//!
-//! Any error inside the fused path makes the caller fall back to the
-//! classic materialize-then-project execution, which reports the
-//! canonical (scheduling-independent) error.
+//! float summation) `sum`/`avg` bits.
 
 use crate::exec::{EngineConfig, PartialAggMode};
-use crate::ops::{build_prepared, parallel_morsels, prepare_sources, ExecMetrics, PreparedSource};
-use crate::plan::PlanStep;
-use crate::planner::PlannedMatch;
-use cypher_ast::expr::Expr;
-use cypher_ast::query::Return;
-use cypher_core::clauses::{apply_order_by_scoped, eval_count};
+use crate::ops::{RowBatch, Sink};
+use cypher_ast::query::{Clause, Return, SingleQuery};
+use cypher_core::clauses::{apply_order_by_scoped, apply_projection, eval_count};
 use cypher_core::error::EvalError;
+use cypher_core::morphism::Morphism;
 use cypher_core::project::{GroupedAggState, ProjectionPlan, TopKState};
 use cypher_core::table::{Record, Schema, Table};
 use cypher_core::EvalContext;
 use std::sync::Arc;
 
-/// What a qualifying final projection folds into.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum PushdownKind {
-    /// Grouped aggregation (implicit grouping keys + aggregate calls).
-    Aggregate,
-    /// `DISTINCT` with no aggregates: ordered duplicate elimination.
-    Distinct,
-    /// `ORDER BY … LIMIT` with neither aggregates nor `DISTINCT`.
-    TopK,
+/// A final projection compiled for folding: what [`Fold`] and [`TopK`]
+/// share.
+pub(crate) struct Projection<'q> {
+    plan: ProjectionPlan,
+    ret: &'q Return,
+    /// The schema the projection is written against: driving fields plus
+    /// the match's new variables. (The pipeline's raw schema is a
+    /// superset with hidden columns; expressions resolve by name, so
+    /// feeding raw rows is equivalent — and saves a per-row projection.)
+    visible: Arc<Schema>,
+    /// `SKIP` and `LIMIT` (0 when absent), or why they do not evaluate.
+    bounds: Result<(usize, usize), EvalError>,
 }
 
-/// Classifies a `RETURN` body, independent of schema or data. `None`
-/// means the projection needs the full materialized input (e.g. a bare
-/// `ORDER BY` without `LIMIT`).
-pub(crate) fn ret_pushdown(ret: &Return) -> Option<PushdownKind> {
-    let any_agg = ret.items.iter().any(|i| i.expr.contains_aggregate());
-    if any_agg {
-        Some(PushdownKind::Aggregate)
-    } else if ret.distinct {
-        Some(PushdownKind::Distinct)
-    } else if !ret.order_by.is_empty() && ret.limit.is_some() {
-        Some(PushdownKind::TopK)
-    } else {
-        None
+impl Projection<'_> {
+    fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
+        apply_projection(ctx, self.ret, project_visible(raw, &self.visible))
     }
 }
 
-/// Result of attempting the fused path: either the final table of the
-/// query (projection applied), or the untouched driving table for the
-/// caller's classic execution.
-pub(crate) enum FusedOutcome {
-    /// The fused pipeline produced the query's final table.
-    Done(Table),
-    /// Not applicable (or an error occurred): run the classic path.
-    Skipped(Table),
+/// Grouped aggregation, or `DISTINCT` as grouping by every item.
+pub(crate) struct Fold<'q>(Projection<'q>);
+
+/// `ORDER BY … LIMIT` with neither aggregates nor `DISTINCT`.
+pub(crate) struct TopK<'q>(Projection<'q>);
+
+/// What a qualifying final projection folds into.
+pub(crate) enum FinalSink<'q> {
+    /// See [`Fold`].
+    Fold(Fold<'q>),
+    /// See [`TopK`].
+    TopK(TopK<'q>),
 }
 
-/// One morsel's partial state.
-enum FoldState {
-    Agg(GroupedAggState),
-    TopK(TopKState),
-}
-
-/// Everything the per-morsel fold needs, compiled once.
-struct FusedSpec<'a> {
-    plan: ProjectionPlan,
-    ret: &'a Return,
-    kind: PushdownKind,
-    /// `SKIP`/`LIMIT` bounds (evaluated up front; only used by `TopK`).
-    skip: usize,
-    limit: usize,
-}
-
-impl FusedSpec<'_> {
-    fn new_state(&self) -> FoldState {
-        match self.kind {
-            PushdownKind::Aggregate => FoldState::Agg(GroupedAggState::new(true)),
-            PushdownKind::Distinct => FoldState::Agg(GroupedAggState::new(false)),
-            PushdownKind::TopK => FoldState::TopK(TopKState::new(
-                self.skip.saturating_add(self.limit),
-                &self.ret.order_by,
-            )),
+impl FinalSink<'_> {
+    /// The operator line `EXPLAIN` and `PROFILE` show for this sink.
+    pub(crate) fn label(&self) -> String {
+        match self {
+            FinalSink::Fold(Fold(p)) => format!(
+                "PartialAggregate(keys=[{}], aggs=[{}]{})",
+                p.plan.key_names().join(", "),
+                p.plan.agg_display().join(", "),
+                if p.plan.is_aggregating() {
+                    ""
+                } else {
+                    ", distinct"
+                }
+            ),
+            FinalSink::TopK(TopK(p)) => match &p.bounds {
+                Ok((skip, limit)) => format!("TopK(k={})", skip.saturating_add(*limit)),
+                Err(_) => "TopK(k=?)".to_string(),
+            },
         }
+    }
+}
+
+/// Sink selection, the one place it is decided: clause `i` of `sq` folds
+/// into the query's `RETURN` when it is the final clause, a non-optional
+/// `MATCH` the pipeline runs (node isomorphism delegates matching to the
+/// reference matcher), pushdown is enabled, there is no `RETURN GRAPH`,
+/// and the projection aggregates, deduplicates or sorts under a `LIMIT`
+/// (a bare `ORDER BY` needs its whole input). `visible` names the fields
+/// in scope after the clause. `None` means the rows are collected.
+pub(crate) fn select_sink<'q>(
+    ctx: &EvalContext<'_>,
+    cfg: &EngineConfig,
+    sq: &'q SingleQuery,
+    i: usize,
+    visible: &[String],
+) -> Option<FinalSink<'q>> {
+    let ret = sq.ret.as_ref()?;
+    let final_match = i + 1 == sq.clauses.len()
+        && matches!(
+            sq.clauses[i],
+            Clause::Match {
+                optional: false,
+                ..
+            }
+        );
+    if !final_match
+        || cfg.partial_agg == PartialAggMode::Off
+        || cfg.match_config.morphism == Morphism::NodeIsomorphism
+        || sq.ret_graph.is_some()
+    {
+        return None;
+    }
+    let folds = ret.distinct || ret.items.iter().any(|i| i.expr.contains_aggregate());
+    if !folds && (ret.order_by.is_empty() || ret.limit.is_none()) {
+        return None;
+    }
+    let visible = Schema::new(visible.to_vec());
+    // A projection that does not compile is the collecting path's error.
+    let plan = ProjectionPlan::compile(ret, &visible).ok()?;
+    let bounds = eval_count(ctx, ret.skip.as_ref(), "SKIP").and_then(|skip| {
+        let limit = match &ret.limit {
+            Some(_) => eval_count(ctx, ret.limit.as_ref(), "LIMIT")?,
+            None => 0,
+        };
+        Ok((skip, limit))
+    });
+    let projection = Projection {
+        plan,
+        ret,
+        visible,
+        bounds,
+    };
+    Some(if folds {
+        FinalSink::Fold(Fold(projection))
+    } else {
+        FinalSink::TopK(TopK(projection))
+    })
+}
+
+impl Sink for Fold<'_> {
+    type Partial = GroupedAggState;
+    const FOLDS: bool = true;
+
+    fn partial(&self, _schema: &Arc<Schema>) -> GroupedAggState {
+        // Aggregation keeps each group's representative row for ORDER BY.
+        GroupedAggState::new(self.0.plan.is_aggregating())
     }
 
     fn feed(
         &self,
-        state: &mut FoldState,
         ctx: &EvalContext<'_>,
         schema: &Schema,
-        row: &Record,
+        part: &mut GroupedAggState,
+        batch: RowBatch,
     ) -> Result<(), EvalError> {
-        match state {
-            FoldState::Agg(st) => st.feed(ctx, &self.plan, schema, row),
-            FoldState::TopK(st) => {
-                let out_row = self.plan.project_row(ctx, schema, row)?;
-                st.feed(
-                    ctx,
-                    &self.ret.order_by,
-                    self.plan.out_schema(),
-                    out_row,
-                    schema,
-                    Some(row),
-                )
-            }
-        }
-    }
-
-    /// Merges the per-morsel states in order and applies the tail of the
-    /// projection (`DISTINCT` over groups, `ORDER BY`, `SKIP`/`LIMIT`).
-    fn finalize(
-        &self,
-        states: Vec<FoldState>,
-        ctx: &EvalContext<'_>,
-        raw_schema: &Arc<Schema>,
-    ) -> Result<Table, EvalError> {
-        match self.kind {
-            PushdownKind::TopK => {
-                let topk: Vec<TopKState> = states
-                    .into_iter()
-                    .map(|s| match s {
-                        FoldState::TopK(t) => t,
-                        FoldState::Agg(_) => unreachable!("kind mismatch"),
-                    })
-                    .collect();
-                Ok(TopKState::merge_sorted(
-                    topk,
-                    &self.ret.order_by,
-                    self.skip,
-                    self.limit,
-                    self.plan.out_schema().clone(),
-                ))
-            }
-            PushdownKind::Aggregate | PushdownKind::Distinct => {
-                let mut iter = states.into_iter().map(|s| match s {
-                    FoldState::Agg(a) => a,
-                    FoldState::TopK(_) => unreachable!("kind mismatch"),
-                });
-                let mut acc = iter.next().unwrap_or_else(|| match self.new_state() {
-                    FoldState::Agg(a) => a,
-                    _ => unreachable!(),
-                });
-                for st in iter {
-                    acc.merge(st, &self.plan);
-                }
-                let (mut out, mut sources) = acc.finalize(ctx, &self.plan, raw_schema)?;
-                if self.ret.distinct && self.plan.is_aggregating() {
-                    out = out.dedup();
-                    sources.clear();
-                }
-                if !self.ret.order_by.is_empty() {
-                    let src = if sources.is_empty() {
-                        None
-                    } else {
-                        Some((raw_schema.clone(), sources))
-                    };
-                    out = apply_order_by_scoped(ctx, &self.ret.order_by, out, src)?;
-                }
-                if self.skip > 0 || self.ret.limit.is_some() {
-                    out = out.slice(self.skip, self.ret.limit.as_ref().map(|_| self.limit));
-                }
-                Ok(out)
-            }
-        }
-    }
-}
-
-/// Attempts to run `MATCH … [WHERE …] RETURN <qualifying projection>` as
-/// one fused pipeline. On any internal error the original driving table
-/// is handed back and the caller re-runs the classic path, which surfaces
-/// the canonical error.
-pub(crate) fn try_fused_match_projection(
-    ctx: &EvalContext<'_>,
-    cfg: &EngineConfig,
-    planned: &PlannedMatch,
-    where_: Option<&Expr>,
-    ret: &Return,
-    table: Table,
-) -> FusedOutcome {
-    let Some(kind) = ret_pushdown(ret) else {
-        return FusedOutcome::Skipped(table);
-    };
-    let mut steps = planned.plan.steps.clone();
-    if let Some(p) = where_ {
-        steps.push(PlanStep::FilterExpr { pred: p.clone() });
-    }
-    // The schema visible to the projection: driving fields plus the new
-    // match variables. (The pipeline's raw schema is a superset with
-    // hidden columns; expressions resolve by name, so feeding raw rows is
-    // equivalent — and saves the per-row projection to visible columns.)
-    let mut vis = table.schema().clone();
-    for v in &planned.new_vars {
-        vis = vis.with_field(v.clone());
-    }
-    let plan = match ProjectionPlan::compile(ret, &vis) {
-        Ok(p) => p,
-        Err(_) => return FusedOutcome::Skipped(table),
-    };
-    let (skip, limit) = match (
-        eval_count(ctx, ret.skip.as_ref(), "SKIP"),
-        match &ret.limit {
-            Some(_) => eval_count(ctx, ret.limit.as_ref(), "LIMIT").map(Some),
-            None => Ok(None),
-        },
-    ) {
-        (Ok(s), Ok(l)) => (s, l.unwrap_or(0)),
-        _ => return FusedOutcome::Skipped(table),
-    };
-    let spec = FusedSpec {
-        plan,
-        ret,
-        kind,
-        skip,
-        limit,
-    };
-
-    let morsel = cfg.morsel_size.max(1);
-    let threads = cfg.num_threads.max(1);
-    let prepared = match prepare_sources(ctx, &steps) {
-        Ok(p) => p,
-        Err(_) => return FusedOutcome::Skipped(table),
-    };
-
-    // Parallel dispatch mirrors `run_plan`'s gate: a source-anchored plan
-    // with more than one morsel of work (`Force` drops the size gate so CI
-    // can exercise the merge path on arbitrarily small inputs).
-    if threads > 1 && steps.first().is_some_and(|s| s.is_source()) {
-        let (var, items) = prepared[0].as_ref().expect("is_source").clone();
-        let total = table.len().saturating_mul(items.len());
-        let engage = total > 0 && (cfg.partial_agg == PartialAggMode::Force || total > morsel);
-        if engage {
-            match run_parallel_fused(
-                ctx,
-                &spec,
-                &steps[1..],
-                &prepared[1..],
-                &table,
-                &var,
-                &items,
-                morsel,
-                threads,
-                cfg.exec_metrics.as_deref(),
-            ) {
-                Ok(t) => return FusedOutcome::Done(t),
-                Err(_) => return FusedOutcome::Skipped(table),
-            }
-        }
-    }
-
-    // Sequential fused fold: stream the pipeline into one state — same
-    // results, but the match output is never materialized as a table.
-    // (The driving table is cloned so the classic path can still run if
-    // the fold errors; driving tables at this point are the usually-tiny
-    // pre-match context, not the scan output.)
-    match run_sequential_fused(
-        ctx,
-        &spec,
-        &steps,
-        &prepared,
-        table.clone(),
-        morsel,
-        cfg.exec_metrics.as_deref(),
-    ) {
-        Ok(t) => FusedOutcome::Done(t),
-        Err(_) => FusedOutcome::Skipped(table),
-    }
-}
-
-fn run_sequential_fused<'a>(
-    ctx: &'a EvalContext<'a>,
-    spec: &FusedSpec<'_>,
-    steps: &[PlanStep],
-    prepared: &[PreparedSource],
-    input: Table,
-    morsel: usize,
-    metrics: Option<&'a ExecMetrics>,
-) -> Result<Table, EvalError> {
-    let mut op = build_prepared(ctx, steps, prepared, input, morsel, metrics)?;
-    let raw_schema = op.schema().clone();
-    let mut state = spec.new_state();
-    while let Some(batch) = op.next_batch()? {
         for row in batch.rows() {
-            spec.feed(&mut state, ctx, &raw_schema, row)?;
+            part.feed(ctx, &self.0.plan, schema, row)?;
         }
+        Ok(())
     }
-    drop(op);
-    spec.finalize(vec![state], ctx, &raw_schema)
+
+    /// Merges the groups, then applies the tail of the projection
+    /// (`DISTINCT` over groups, `ORDER BY`, `SKIP`/`LIMIT`).
+    fn finish(
+        &self,
+        ctx: &EvalContext<'_>,
+        schema: &Arc<Schema>,
+        mut parts: impl Iterator<Item = GroupedAggState>,
+    ) -> Result<Table, EvalError> {
+        let Projection { plan, ret, .. } = &self.0;
+        let (skip, limit) = self.0.bounds.clone()?;
+        let mut acc = parts.next().expect("a run has at least one morsel");
+        for st in parts {
+            acc.merge(st, plan);
+        }
+        let (mut out, mut sources) = acc.finalize(ctx, plan, schema)?;
+        if ret.distinct && plan.is_aggregating() {
+            out = out.dedup();
+            sources.clear();
+        }
+        if !ret.order_by.is_empty() {
+            let src = if sources.is_empty() {
+                None
+            } else {
+                Some((schema.clone(), sources))
+            };
+            out = apply_order_by_scoped(ctx, &ret.order_by, out, src)?;
+        }
+        if skip > 0 || ret.limit.is_some() {
+            out = out.slice(skip, ret.limit.as_ref().map(|_| limit));
+        }
+        Ok(out)
+    }
+
+    fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
+        self.0.materialized(ctx, raw)
+    }
 }
 
-/// The parallel fold: one partial state per morsel, merged in morsel
-/// order. Mirrors `ops::run_parallel`'s work division exactly — morsel
-/// `k` covers rows `[k·m, (k+1)·m)` of the row-major `driving × items`
-/// product — so the concatenation of per-morsel row streams *is* the
-/// sequential row order, and in-order merging reproduces the sequential
-/// fold.
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_fused<'a>(
-    ctx: &'a EvalContext<'a>,
-    spec: &FusedSpec<'_>,
-    rest: &[PlanStep],
-    rest_sources: &[PreparedSource],
-    driving: &Table,
-    var: &str,
-    items: &[cypher_graph::Value],
-    morsel: usize,
-    threads: usize,
-    metrics: Option<&'a ExecMetrics>,
-) -> Result<Table, EvalError> {
-    let total = driving.len() * items.len();
-    let n_morsels = total.div_ceil(morsel);
-    let src_schema = driving.schema().with_field(var.to_string());
-    let per_row = items.len();
+impl Sink for TopK<'_> {
+    type Partial = TopKState;
+    const FOLDS: bool = true;
 
-    // The raw schema is identical for every morsel (same steps over the
-    // same source schema); capture it from the first build.
-    let schema_slot: std::sync::Mutex<Option<Arc<Schema>>> = std::sync::Mutex::new(None);
+    fn partial(&self, _schema: &Arc<Schema>) -> TopKState {
+        // Unevaluable bounds keep nothing; `finish` raises them.
+        let k = self
+            .0
+            .bounds
+            .as_ref()
+            .map_or(0, |(skip, limit)| skip.saturating_add(*limit));
+        TopKState::new(k, &self.0.ret.order_by)
+    }
 
-    let slots = parallel_morsels(threads, n_morsels, |i| {
-        let lo = i * morsel;
-        let hi = ((i + 1) * morsel).min(total);
-        let mut t = Table::empty(src_schema.clone());
-        for idx in lo..hi {
-            let mut r = driving.rows()[idx / per_row].cloned_with_extra(1);
-            r.push(items[idx % per_row].clone());
-            t.push(r);
+    fn feed(
+        &self,
+        ctx: &EvalContext<'_>,
+        schema: &Schema,
+        part: &mut TopKState,
+        batch: RowBatch,
+    ) -> Result<(), EvalError> {
+        let Projection { plan, ret, .. } = &self.0;
+        for row in batch.rows() {
+            let out_row = plan.project_row(ctx, schema, row)?;
+            part.feed(
+                ctx,
+                &ret.order_by,
+                plan.out_schema(),
+                out_row,
+                schema,
+                Some(row),
+            )?;
         }
-        let mut op = build_prepared(ctx, rest, rest_sources, t, morsel, metrics)?;
-        let raw_schema = op.schema().clone();
-        {
-            let mut slot = schema_slot.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(raw_schema.clone());
-            }
-        }
-        let mut state = spec.new_state();
-        while let Some(batch) = op.next_batch()? {
-            for row in batch.rows() {
-                spec.feed(&mut state, ctx, &raw_schema, row)?;
-            }
-        }
-        Ok(state)
-    })?;
+        Ok(())
+    }
 
-    let states: Vec<FoldState> = slots.into_iter().flatten().collect();
-    let raw_schema = schema_slot
-        .into_inner()
-        .unwrap()
-        .expect("at least one morsel ran");
-    spec.finalize(states, ctx, &raw_schema)
+    fn finish(
+        &self,
+        _ctx: &EvalContext<'_>,
+        _schema: &Arc<Schema>,
+        parts: impl Iterator<Item = TopKState>,
+    ) -> Result<Table, EvalError> {
+        let Projection { plan, ret, .. } = &self.0;
+        let (skip, limit) = self.0.bounds.clone()?;
+        Ok(TopKState::merge_sorted(
+            parts.collect(),
+            &ret.order_by,
+            skip,
+            limit,
+            plan.out_schema().clone(),
+        ))
+    }
+
+    fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
+        self.0.materialized(ctx, raw)
+    }
+}
+
+/// Projects the pipeline output down to the `visible` fields (dropping
+/// hidden bookkeeping columns).
+pub(crate) fn project_visible(raw: Table, visible: &Arc<Schema>) -> Table {
+    let idxs: Vec<usize> = visible
+        .names()
+        .iter()
+        .map(|n| raw.schema().index_of(n).expect("visible column present"))
+        .collect();
+    let mut out = Table::empty(visible.clone());
+    for r in raw.rows() {
+        out.push(Record::new(
+            idxs.iter().map(|&i| r.get(i).clone()).collect(),
+        ));
+    }
+    out
 }

@@ -8,8 +8,7 @@
 //! networks, and citation networks.
 //!
 //! All generators are seeded and reproducible; they substitute for the
-//! production datasets the paper's deployments run on (see DESIGN.md,
-//! "Simulated / substituted components").
+//! production datasets the paper's deployments run on.
 //!
 //! Besides graphs, [`queries`] generates random *queries* from a small
 //! grammar — the workload side of the parallel differential harness

@@ -21,7 +21,9 @@
 //!   concurrent load, `PROFILE` over TCP returns structured operator
 //!   rows, and a remote write's trace id is witnessed at the WAL seal.
 
-use cypher::{Database, EngineConfig, Params, SlowQueryEntry, SlowQuerySink, Value};
+use cypher::{
+    Database, EngineConfig, Params, PartialAggMode, SlowQueryEntry, SlowQuerySink, Value,
+};
 use cypher_client::Client;
 use cypher_server::{Server, ServerConfig};
 use std::collections::HashMap;
@@ -58,7 +60,20 @@ const QUERIES: &[&str] = &[
     "MATCH (p:P)-[:R]->(q:Q) RETURN p.x, q.y ORDER BY p.x",
     "MATCH (p:P) RETURN count(p) AS c, sum(p.x) AS s",
     "MATCH (p:P)-[:R]->(q) WHERE q.y > 100 RETURN count(q) AS c",
+    // One query per folding sink: grouped aggregate with keys, DISTINCT,
+    // top-k.
+    "MATCH (p:P) RETURN p.x % 3 AS k, count(*) AS c",
+    "MATCH (p:P)-[:R]->(q:Q) RETURN DISTINCT q.y % 5 AS m",
+    "MATCH (p:P) RETURN p.x ORDER BY p.x DESC LIMIT 7",
 ];
+
+/// The sink line `EXPLAIN` prints under the final `MATCH` plan, if any.
+fn explained_sink(db: &Database, q: &str) -> Option<String> {
+    let plan = db.explain(q).expect("explain");
+    plan.lines()
+        .find(|l| l.starts_with("PartialAggregate(") || l.starts_with("TopK("))
+        .map(str::to_string)
+}
 
 // ---------------------------------------------------------------------
 // PROFILE: bit-identical results, structured output, update refusal.
@@ -70,6 +85,8 @@ const QUERIES: &[&str] = &[
 #[test]
 fn profile_results_bit_identical_across_parallel_configs() {
     let params = Params::new();
+    // Per query, the rows every operator reported in the first cell.
+    let mut op_rows: HashMap<&str, Vec<u64>> = HashMap::new();
     for &(threads, morsel) in &[(1usize, 1024usize), (2, 1), (3, 7), (4, 64), (8, 1024)] {
         let mut cfg = mem_cfg();
         cfg.num_threads = threads;
@@ -85,6 +102,24 @@ fn profile_results_bit_identical_across_parallel_configs() {
                 "threads={threads} morsel={morsel}: profiled rows diverged for {q}"
             );
             assert_eq!(report.profile.rows, plain.len() as u64);
+            // The profile is of the plan that ran: a folded query ends
+            // in its sink, which took in exactly what the operator
+            // beneath it emitted; and how the work was cut into morsels
+            // changes no operator's row count.
+            let ops = &report.profile.clauses.last().expect("a MATCH").operators;
+            if let Some(sink) = explained_sink(&db, q) {
+                let [.., below, last] = ops.as_slice() else {
+                    panic!("a folded MATCH has an operator and a sink: {ops:?}")
+                };
+                assert_eq!(last.operator, sink, "{q}");
+                assert_eq!(last.rows, below.rows, "sink rows-in for {q}");
+            }
+            let rows: Vec<u64> = ops.iter().map(|op| op.rows).collect();
+            let first = op_rows.entry(q).or_insert_with(|| rows.clone());
+            assert_eq!(
+                *first, rows,
+                "threads={threads} morsel={morsel}: operator rows moved for {q}"
+            );
             // The annotated text names at least one operator and the
             // structured table is one row per operator.
             assert!(!report.profile.clauses.is_empty());
@@ -95,6 +130,56 @@ fn profile_results_bit_identical_across_parallel_configs() {
             );
         }
     }
+}
+
+/// `EXPLAIN` and `PROFILE` ask the executor's own sink selection, so
+/// the sink `EXPLAIN` promises is the last operator `PROFILE` measured
+/// — with real rows and time — and with pushdown off neither shows one.
+#[test]
+fn explain_and_profile_name_the_same_sink() {
+    let params = Params::new();
+    for mode in [PartialAggMode::Auto, PartialAggMode::Off] {
+        let mut cfg = mem_cfg();
+        cfg.partial_agg = mode;
+        let db = Database::open_with(cfg).expect("open");
+        seed(&db, 300);
+        let mut folded = 0;
+        for q in QUERIES {
+            let report = db.profile(q, &params).expect("profiled run");
+            let ops = &report.profile.clauses.last().expect("a MATCH").operators;
+            let last = ops.last().expect("an operator");
+            let is_sink = last.operator.starts_with("PartialAggregate(")
+                || last.operator.starts_with("TopK(");
+            match explained_sink(&db, q) {
+                Some(sink) => {
+                    assert_eq!(
+                        mode,
+                        PartialAggMode::Auto,
+                        "pushdown off, yet {sink} for {q}"
+                    );
+                    assert_eq!(last.operator, sink, "{q}");
+                    folded += 1;
+                }
+                None => assert!(!is_sink, "PROFILE alone shows {} for {q}", last.operator),
+            }
+        }
+        // The two `count` queries and the three added for the sinks.
+        assert_eq!(folded, if mode == PartialAggMode::Auto { 5 } else { 0 });
+    }
+
+    let db = Database::open_with(mem_cfg().with_partial_agg(PartialAggMode::Auto)).expect("open");
+    seed(&db, 300);
+    let report = db
+        .profile(
+            "PROFILE MATCH (p:P) RETURN p.x % 3 AS k, count(*) AS c",
+            &params,
+        )
+        .expect("profiled run");
+    let sink = report.profile.clauses[0].operators.last().expect("sink");
+    assert_eq!(sink.operator, "PartialAggregate(keys=[k], aggs=[count(*)])");
+    assert_eq!(sink.rows, 300);
+    assert!(sink.time_us > 0, "folding 300 rows takes time: {sink:?}");
+    assert!(report.text.contains(&sink.operator), "{}", report.text);
 }
 
 /// `PROFILE` is read-only: an update under it must refuse rather than
@@ -214,6 +299,36 @@ fn metrics_counters_track_the_workload_exactly() {
     assert_eq!(m.sessions_pinned.get(), 0);
     drop(session);
     assert_eq!(m.sessions_active.get(), 0);
+}
+
+/// The executor's counters are recorded by the one morsel driver, so a
+/// `MATCH` folded into its `RETURN` and a profiled run move them like
+/// any other.
+#[test]
+fn exec_metrics_count_folded_and_profiled_runs() {
+    let mut cfg = mem_cfg();
+    cfg.num_threads = 4;
+    cfg.morsel_size = 8;
+    let db = Database::open_with(cfg).expect("open");
+    seed(&db, 100);
+    let params = Params::new();
+    let q = "MATCH (p:P) RETURN count(p)";
+    let em = db.exec_metrics().expect("metrics are on");
+    let read = || (em.morsels.get(), em.rows.get(), em.parallel_runs.get());
+
+    let before = read();
+    db.session().query(q, &params).expect("folded run");
+    let after = read();
+    // 100 :P nodes in morsels of 8.
+    assert_eq!(after.0 - before.0, 13, "morsels");
+    assert_eq!(after.1 - before.1, 100, "rows");
+    assert_eq!(after.2 - before.2, 1, "parallel runs");
+
+    db.profile(q, &params).expect("profiled run");
+    let profiled = read();
+    assert_eq!(profiled.0 - after.0, 13, "profiled morsels");
+    assert_eq!(profiled.1 - after.1, 100, "profiled rows");
+    assert_eq!(profiled.2 - after.2, 1, "profiled parallel runs");
 }
 
 /// With `metrics_enabled = false` results are unchanged and every

@@ -1,4 +1,4 @@
-//! The rigid-expansion oracle (DESIGN.md, E13 support): Section 4.2
+//! The rigid-expansion oracle: Section 4.2
 //! defines satisfaction of a variable-length pattern π through the set
 //! `rigid(π)` of rigid patterns it subsumes, and `match(π̄, G, u)` as a bag
 //! union over `π̄′ ∈ rigid(π̄)`. Our matcher instead runs a DFS over hop
