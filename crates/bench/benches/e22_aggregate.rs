@@ -37,11 +37,7 @@ use std::time::Instant;
 static ALLOC: cypher_bench::CountingAlloc = cypher_bench::CountingAlloc;
 
 fn rows() -> usize {
-    std::env::var("CYPHER_E22_ROWS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1024)
-        .unwrap_or(1_000_000)
+    cypher::workload::harness_knob("CYPHER_E22_ROWS", 1_000_000, 1024) as usize
 }
 
 const GROUP_FEW: &str = "MATCH (n:R) RETURN n.v AS g, count(*) AS c, sum(n.u) AS s";

@@ -26,11 +26,7 @@ use std::time::Instant;
 const ROWS: usize = 1000;
 
 fn ops_per_conn() -> usize {
-    std::env::var("CYPHER_E25_OPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(2000)
+    cypher::workload::harness_knob("CYPHER_E25_OPS", 2000, 1) as usize
 }
 
 fn start_server() -> Server {

@@ -24,11 +24,7 @@ use std::time::Instant;
 const ROWS: usize = 1000;
 
 fn ops() -> usize {
-    std::env::var("CYPHER_E26_OPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30_000)
+    cypher::workload::harness_knob("CYPHER_E26_OPS", 30_000, 1) as usize
 }
 
 fn open_db(metrics: bool) -> Database {

@@ -36,11 +36,7 @@ const HOT: &str = "MATCH (n:Item) RETURN n.g AS g, count(*) AS c, sum(n.x) AS s"
 const POINT_UPDATE: &str = "MATCH (n:Item {u: $u}) SET n.x = n.x + 1";
 
 fn rows() -> usize {
-    std::env::var("CYPHER_E28_ROWS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 4096)
-        .unwrap_or(100_000)
+    cypher::workload::harness_knob("CYPHER_E28_ROWS", 100_000, 4096) as usize
 }
 
 /// An in-memory database seeded with `n` items and the hot view.

@@ -40,6 +40,7 @@ pub use cypher_core::{
     eval_query, table_of, EvalContext, EvalError, MatchConfig, Morphism, Params, Record, Schema,
     Table,
 };
+pub use cypher_engine::config;
 pub use cypher_engine::{
     env_config_issues, ClauseProfile, EngineConfig, EnvConfigIssue, ExecMetrics, FsyncMode,
     MultiResult, OpProfile, PartialAggMode, PlanMemo, PlannerMode, QueryProfile, WcoJoinMode,
@@ -54,13 +55,37 @@ pub use cypher_storage as storage;
 pub use cypher_storage::{RecoveryReport, StorageError, Store};
 pub use cypher_workload as workload;
 
+mod commit;
 mod database;
+// `crate::metrics` is the public re-export of `cypher_metrics`, so the
+// registry's module cannot share its file's name.
+mod plan_cache;
+#[path = "metrics.rs"]
+mod registry;
+mod session;
 mod view;
-pub use database::{
-    Database, DatabaseMetrics, MetricsSnapshot, PlanCacheStats, ProfileReport, Session,
-    SlowQueryEntry, SlowQuerySink,
-};
+pub use database::Database;
+pub use plan_cache::PlanCacheStats;
+pub use registry::{DatabaseMetrics, MetricsSnapshot, SlowQueryEntry, SlowQuerySink};
+pub use session::{ProfileReport, Session};
 pub use view::{SubscriptionPoll, ViewChange, ViewSubscription};
+
+/// Locks `m`, recovering the guard if a panicking thread poisoned it:
+/// every structure this crate keeps under a mutex is valid at each step
+/// of its updates, and one statement's panic must not take the database
+/// down for every other session.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Whether the fault-injection test doubles may arm: a network-exposed
+/// binary must not carry a live fault hook, so they stay inert unless
+/// the `CYPHER_TEST_FAULTS` environment variable is set (to anything) —
+/// the fault-injection suites set it themselves.
+#[doc(hidden)]
+pub fn test_faults_armed() -> bool {
+    std::env::var_os("CYPHER_TEST_FAULTS").is_some()
+}
 
 /// Anything that can go wrong between query text and result table.
 #[derive(Debug, Clone)]
@@ -203,6 +228,13 @@ pub fn run_on_catalog(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fresh per-process scratch directory for a durable-database test.
+    pub(crate) fn tmpdir(tag: &str) -> std::path::PathBuf {
+        let d = std::env::temp_dir().join(format!("cypher-db-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
 
     #[test]
     fn facade_roundtrip() {

@@ -50,7 +50,7 @@
 //! stamped with the version. Replaying the changes on top of the initial
 //! table reproduces every published state in order.
 
-use crate::database::DatabaseMetrics;
+use crate::registry::DatabaseMetrics;
 use crate::{Error, Record, Schema, Table};
 use cypher_ast::expr::Expr;
 use cypher_ast::query::{Query, SortItem};

@@ -12,7 +12,7 @@
 //! [`crate::update`].
 
 use crate::cache::{plan_match_memo, MemoSite, PlanMemo};
-use crate::ops::{drive, Collect, PlanProfile, Sink, DEFAULT_MORSEL_SIZE};
+use crate::ops::{drive, Collect, PlanProfile, Sink};
 use crate::plan::PlanStep;
 use crate::planner::{plan_match, PlannedMatch, PlannerMode, PlannerOptions, WcoJoinMode};
 use crate::pushdown::{project_visible, select_sink, FinalSink};
@@ -87,10 +87,12 @@ pub struct EngineConfig {
     pub plan_cache_size: usize,
     /// Whether the `Database` write path coalesces concurrently-arriving
     /// transactions into one WAL seal + one published version (group
-    /// commit). On by default; override with `CYPHER_GROUP_COMMIT`
-    /// (`on` / `off`). Off, every transaction seals its own group of
-    /// one — same protocol, no coalescing. Never changes per-transaction
-    /// semantics, only how many fsyncs a burst of writers pays.
+    /// commit). On by default and deliberately not an environment
+    /// variable: off, every transaction seals its own group of one —
+    /// same protocol, no coalescing — which only the `e24_group_commit`
+    /// baseline and the tests that set this field want. Never changes
+    /// per-transaction semantics, only how many fsyncs a burst of
+    /// writers pays.
     pub group_commit: bool,
     /// When the durable write path forces sealed groups to stable
     /// storage. Defaults to [`FsyncMode::Os`]; override with
@@ -157,254 +159,6 @@ pub enum FsyncMode {
     Pipelined,
 }
 
-/// One malformed environment override, reported instead of being
-/// silently replaced by the built-in default. Collected once at first
-/// config construction — inspect via [`env_config_issues`]; each issue
-/// is also printed to stderr once.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnvConfigIssue {
-    /// The environment variable (e.g. `CYPHER_MORSEL_SIZE`).
-    pub var: &'static str,
-    /// The rejected value, verbatim.
-    pub value: String,
-    /// Why it was rejected and what was used instead.
-    pub message: String,
-}
-
-impl std::fmt::Display for EnvConfigIssue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}={:?}: {}", self.var, self.value, self.message)
-    }
-}
-
-/// Reads the execution defaults from the environment, once. The CI matrix
-/// uses these hooks to run the whole suite under degenerate morsels and a
-/// multi-threaded pool without touching any test.
-struct EnvDefaults {
-    morsel_size: usize,
-    num_threads: usize,
-    persistence: Option<std::path::PathBuf>,
-    wal_compact_bytes: u64,
-    partial_agg: PartialAggMode,
-    wco_join: WcoJoinMode,
-    plan_cache_size: usize,
-    group_commit: bool,
-    fsync_mode: FsyncMode,
-    slow_query_ms: Option<u64>,
-    metrics_enabled: bool,
-    issues: Vec<EnvConfigIssue>,
-}
-
-/// Parses the `CYPHER_*` execution overrides from `get` (an environment
-/// lookup, injectable for tests; `get_path` serves `CYPHER_DATA_DIR`,
-/// which is a filesystem path and must not require UTF-8). An **unset
-/// or empty** variable silently keeps the default; anything else must
-/// parse, and a value that does not is reported as an
-/// [`EnvConfigIssue`] alongside the default that was used in its place
-/// — malformed configuration is never swallowed.
-fn parse_env_defaults(
-    get: &dyn Fn(&str) -> Option<String>,
-    get_path: &dyn Fn(&str) -> Option<std::ffi::OsString>,
-) -> EnvDefaults {
-    let mut issues: Vec<EnvConfigIssue> = Vec::new();
-    let mut parse_int = |var: &'static str, min: u64, fallback: u64| -> u64 {
-        match get(var).filter(|s| !s.is_empty()) {
-            None => fallback,
-            Some(raw) => match raw.trim().parse::<u64>() {
-                Ok(v) if v >= min => v,
-                Ok(v) => {
-                    issues.push(EnvConfigIssue {
-                        var,
-                        value: raw,
-                        message: format!(
-                            "must be at least {min}, got {v}; using default {fallback}"
-                        ),
-                    });
-                    fallback
-                }
-                Err(_) => {
-                    issues.push(EnvConfigIssue {
-                        var,
-                        value: raw,
-                        message: format!("not a valid integer; using default {fallback}"),
-                    });
-                    fallback
-                }
-            },
-        }
-    };
-    let morsel_size = parse_int("CYPHER_MORSEL_SIZE", 1, DEFAULT_MORSEL_SIZE as u64) as usize;
-    let num_threads = parse_int("CYPHER_NUM_THREADS", 1, 1) as usize;
-    let wal_compact_bytes = parse_int("CYPHER_WAL_COMPACT_BYTES", 1, DEFAULT_WAL_COMPACT_BYTES);
-    // 0 is meaningful here: it disables the plan cache.
-    let plan_cache_size =
-        parse_int("CYPHER_PLAN_CACHE_SIZE", 0, DEFAULT_PLAN_CACHE_SIZE as u64) as usize;
-    let partial_agg = match get("CYPHER_PARTIAL_AGG").filter(|s| !s.is_empty()) {
-        None => PartialAggMode::default(),
-        Some(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "false" | "no" => PartialAggMode::Off,
-            "force" => PartialAggMode::Force,
-            "auto" | "on" | "1" | "true" | "yes" => PartialAggMode::Auto,
-            _ => {
-                issues.push(EnvConfigIssue {
-                    var: "CYPHER_PARTIAL_AGG",
-                    value: raw,
-                    message: "expected off/auto/force; using default auto".to_string(),
-                });
-                PartialAggMode::Auto
-            }
-        },
-    };
-    let wco_join = match get("CYPHER_WCO_JOIN").filter(|s| !s.is_empty()) {
-        None => WcoJoinMode::default(),
-        Some(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "false" | "no" => WcoJoinMode::Off,
-            "force" => WcoJoinMode::Force,
-            "auto" | "on" | "1" | "true" | "yes" => WcoJoinMode::Auto,
-            _ => {
-                issues.push(EnvConfigIssue {
-                    var: "CYPHER_WCO_JOIN",
-                    value: raw,
-                    message: "expected off/auto/force; using default auto".to_string(),
-                });
-                WcoJoinMode::Auto
-            }
-        },
-    };
-    let group_commit = match get("CYPHER_GROUP_COMMIT").filter(|s| !s.is_empty()) {
-        None => true,
-        Some(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "false" | "no" => false,
-            "on" | "1" | "true" | "yes" => true,
-            _ => {
-                issues.push(EnvConfigIssue {
-                    var: "CYPHER_GROUP_COMMIT",
-                    value: raw,
-                    message: "expected on/off; using default on".to_string(),
-                });
-                true
-            }
-        },
-    };
-    let fsync_mode = match get("CYPHER_FSYNC_MODE").filter(|s| !s.is_empty()) {
-        None => FsyncMode::default(),
-        Some(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "os" => FsyncMode::Os,
-            "sync" => FsyncMode::Sync,
-            "pipelined" | "pipeline" => FsyncMode::Pipelined,
-            _ => {
-                issues.push(EnvConfigIssue {
-                    var: "CYPHER_FSYNC_MODE",
-                    value: raw,
-                    message: "expected os/sync/pipelined; using default os".to_string(),
-                });
-                FsyncMode::Os
-            }
-        },
-    };
-    let slow_query_ms = match get("CYPHER_SLOW_QUERY_MS").filter(|s| !s.is_empty()) {
-        None => None,
-        Some(raw) => match raw.trim().parse::<u64>() {
-            Ok(ms) => Some(ms),
-            Err(_) => {
-                issues.push(EnvConfigIssue {
-                    var: "CYPHER_SLOW_QUERY_MS",
-                    value: raw,
-                    message: "not a valid integer; slow-query log stays disabled".to_string(),
-                });
-                None
-            }
-        },
-    };
-    let metrics_enabled = match get("CYPHER_METRICS").filter(|s| !s.is_empty()) {
-        None => true,
-        Some(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "false" | "no" => false,
-            "on" | "1" | "true" | "yes" => true,
-            _ => {
-                issues.push(EnvConfigIssue {
-                    var: "CYPHER_METRICS",
-                    value: raw,
-                    message: "expected on/off; using default on".to_string(),
-                });
-                true
-            }
-        },
-    };
-    let persistence = get_path("CYPHER_DATA_DIR")
-        .filter(|s| !s.is_empty())
-        .map(std::path::PathBuf::from);
-    EnvDefaults {
-        morsel_size,
-        num_threads,
-        persistence,
-        wal_compact_bytes,
-        partial_agg,
-        wco_join,
-        plan_cache_size,
-        group_commit,
-        fsync_mode,
-        slow_query_ms,
-        metrics_enabled,
-        issues,
-    }
-}
-
-fn env_exec_defaults() -> &'static EnvDefaults {
-    static CACHE: std::sync::OnceLock<EnvDefaults> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| {
-        let defaults = parse_env_defaults(
-            &|name| match std::env::var(name) {
-                Ok(s) => Some(s),
-                Err(std::env::VarError::NotPresent) => None,
-                // A non-UTF-8 value cannot be a valid integer/mode
-                // token; surface it through the normal malformed-value
-                // path instead of silently treating it as unset.
-                Err(std::env::VarError::NotUnicode(_)) => Some("<non-unicode>".to_string()),
-            },
-            // Paths are OS strings, not UTF-8: read them losslessly.
-            &|name| std::env::var_os(name),
-        );
-        for issue in &defaults.issues {
-            eprintln!("warning: ignoring environment override {issue}");
-        }
-        defaults
-    })
-}
-
-/// The malformed `CYPHER_*` environment overrides found when the
-/// execution defaults were first read (empty when every override was
-/// well-formed). Each was replaced by its built-in default and printed
-/// to stderr once; this accessor lets embedders surface them their own
-/// way (or fail hard on them).
-pub fn env_config_issues() -> &'static [EnvConfigIssue] {
-    &env_exec_defaults().issues
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        let env = env_exec_defaults();
-        EngineConfig {
-            match_config: MatchConfig::default(),
-            planner_mode: PlannerMode::default(),
-            use_label_index: true,
-            use_property_index: true,
-            wco_join: env.wco_join,
-            morsel_size: env.morsel_size,
-            num_threads: env.num_threads,
-            persistence: env.persistence.clone(),
-            wal_compact_bytes: env.wal_compact_bytes,
-            partial_agg: env.partial_agg,
-            plan_cache_size: env.plan_cache_size,
-            group_commit: env.group_commit,
-            fsync_mode: env.fsync_mode,
-            slow_query_ms: env.slow_query_ms,
-            metrics_enabled: env.metrics_enabled,
-            exec_metrics: None,
-        }
-    }
-}
-
 impl EngineConfig {
     /// The planner-facing slice of this configuration.
     pub fn planner_options(&self) -> PlannerOptions {
@@ -469,44 +223,6 @@ impl EngineConfig {
     /// This configuration with the given worst-case-optimal join mode.
     pub fn with_wco_join(self, wco_join: WcoJoinMode) -> Self {
         EngineConfig { wco_join, ..self }
-    }
-
-    /// This configuration with the given plan-cache capacity (0 disables).
-    pub fn with_plan_cache_size(self, plan_cache_size: usize) -> Self {
-        EngineConfig {
-            plan_cache_size,
-            ..self
-        }
-    }
-
-    /// This configuration with group commit forced on or off.
-    pub fn with_group_commit(self, group_commit: bool) -> Self {
-        EngineConfig {
-            group_commit,
-            ..self
-        }
-    }
-
-    /// This configuration with the given fsync scheduling mode.
-    pub fn with_fsync_mode(self, fsync_mode: FsyncMode) -> Self {
-        EngineConfig { fsync_mode, ..self }
-    }
-
-    /// This configuration with the given slow-query threshold
-    /// (`None` disables the slow-query log).
-    pub fn with_slow_query_ms(self, slow_query_ms: Option<u64>) -> Self {
-        EngineConfig {
-            slow_query_ms,
-            ..self
-        }
-    }
-
-    /// This configuration with metrics recording forced on or off.
-    pub fn with_metrics(self, metrics_enabled: bool) -> Self {
-        EngineConfig {
-            metrics_enabled,
-            ..self
-        }
     }
 }
 
@@ -1401,99 +1117,6 @@ mod tests {
                  engages when driving rows × scanned items exceed 512)"
             ),
             "{par}"
-        );
-    }
-
-    #[test]
-    fn malformed_env_overrides_are_reported_not_swallowed() {
-        let env = |pairs: &'static [(&'static str, &'static str)]| {
-            move |name: &str| {
-                pairs
-                    .iter()
-                    .find(|(k, _)| *k == name)
-                    .map(|(_, v)| v.to_string())
-            }
-        };
-        let no_paths = |_: &str| None::<std::ffi::OsString>;
-        // Well-formed values apply with no issues.
-        let d = parse_env_defaults(
-            &env(&[
-                ("CYPHER_MORSEL_SIZE", "64"),
-                ("CYPHER_NUM_THREADS", "4"),
-                ("CYPHER_PLAN_CACHE_SIZE", "0"),
-                ("CYPHER_PARTIAL_AGG", "force"),
-                ("CYPHER_WCO_JOIN", "force"),
-                ("CYPHER_GROUP_COMMIT", "off"),
-                ("CYPHER_FSYNC_MODE", "pipelined"),
-                ("CYPHER_SLOW_QUERY_MS", "250"),
-                ("CYPHER_METRICS", "off"),
-            ]),
-            &no_paths,
-        );
-        assert!(d.issues.is_empty(), "{:?}", d.issues);
-        assert_eq!(
-            (d.morsel_size, d.num_threads, d.plan_cache_size),
-            (64, 4, 0)
-        );
-        assert_eq!(d.partial_agg, PartialAggMode::Force);
-        assert_eq!(d.wco_join, WcoJoinMode::Force);
-        assert!(!d.group_commit);
-        assert_eq!(d.fsync_mode, FsyncMode::Pipelined);
-        assert_eq!(d.slow_query_ms, Some(250));
-        assert!(!d.metrics_enabled);
-
-        // Unset and empty silently keep defaults.
-        let d = parse_env_defaults(&env(&[("CYPHER_MORSEL_SIZE", "")]), &no_paths);
-        assert!(d.issues.is_empty());
-        assert_eq!(d.morsel_size, DEFAULT_MORSEL_SIZE);
-
-        // Malformed values fall back to defaults AND surface an issue
-        // naming the variable, the rejected value and the fallback.
-        let d = parse_env_defaults(
-            &env(&[
-                ("CYPHER_MORSEL_SIZE", "banana"),
-                ("CYPHER_NUM_THREADS", "0"),
-                ("CYPHER_WAL_COMPACT_BYTES", "-5"),
-                ("CYPHER_PARTIAL_AGG", "sometimes"),
-                ("CYPHER_WCO_JOIN", "sometimes"),
-                ("CYPHER_GROUP_COMMIT", "maybe"),
-                ("CYPHER_FSYNC_MODE", "eventually"),
-                ("CYPHER_SLOW_QUERY_MS", "soon"),
-                ("CYPHER_METRICS", "perhaps"),
-            ]),
-            &no_paths,
-        );
-        assert_eq!(d.morsel_size, DEFAULT_MORSEL_SIZE);
-        assert_eq!(d.num_threads, 1);
-        assert_eq!(d.wal_compact_bytes, DEFAULT_WAL_COMPACT_BYTES);
-        assert_eq!(d.partial_agg, PartialAggMode::Auto);
-        assert_eq!(d.wco_join, WcoJoinMode::Auto);
-        assert!(d.group_commit, "malformed override keeps the default");
-        assert_eq!(d.fsync_mode, FsyncMode::Os);
-        assert_eq!(d.slow_query_ms, None);
-        assert!(d.metrics_enabled, "malformed override keeps the default");
-        let vars: Vec<&str> = d.issues.iter().map(|i| i.var).collect();
-        assert_eq!(
-            vars,
-            vec![
-                "CYPHER_MORSEL_SIZE",
-                "CYPHER_NUM_THREADS",
-                "CYPHER_WAL_COMPACT_BYTES",
-                "CYPHER_PARTIAL_AGG",
-                "CYPHER_WCO_JOIN",
-                "CYPHER_GROUP_COMMIT",
-                "CYPHER_FSYNC_MODE",
-                "CYPHER_SLOW_QUERY_MS",
-                "CYPHER_METRICS"
-            ]
-        );
-        let morsel = &d.issues[0];
-        assert_eq!(morsel.value, "banana");
-        assert!(morsel.message.contains("not a valid integer"), "{morsel}");
-        assert!(
-            d.issues[1].message.contains("at least 1"),
-            "{}",
-            d.issues[1]
         );
     }
 

@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod config;
 pub mod delta;
 pub mod exec;
 pub mod multigraph;
@@ -65,11 +66,11 @@ mod pushdown;
 pub mod update;
 
 pub use cache::{stats_fingerprint, PlanMemo};
+pub use config::{env_config_issues, EnvConfigIssue};
 pub use delta::{expr_rescans_graph, DeltaPlan};
 pub use exec::{
-    env_config_issues, execute, execute_cached, execute_read, execute_read_cached, explain,
-    profile_read, ClauseProfile, EngineConfig, EnvConfigIssue, FsyncMode, OpProfile,
-    PartialAggMode, QueryProfile,
+    execute, execute_cached, execute_read, execute_read_cached, explain, profile_read,
+    ClauseProfile, EngineConfig, FsyncMode, OpProfile, PartialAggMode, QueryProfile,
 };
 pub use multigraph::{execute_on_catalog, MultiResult};
 pub use ops::{ExecMetrics, RowBatch, DEFAULT_MORSEL_SIZE};

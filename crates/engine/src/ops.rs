@@ -104,26 +104,28 @@ pub trait Operator {
     }
 }
 
-/// Executor-level event counters, shared through
-/// [`crate::exec::EngineConfig::exec_metrics`]. Recording is lock-free
-/// (relaxed atomics) and happens once per pipeline run — never per row
-/// or per batch — so the hot path stays untouched; a `None` handle
-/// skips even that.
-#[derive(Debug, Default)]
-pub struct ExecMetrics {
-    /// Morsels executed by `MATCH` pipelines (a sequential run counts 1).
-    pub morsels: Counter,
-    /// Rows produced by `MATCH` pipelines (pre-projection).
-    pub rows: Counter,
-    /// Pipeline runs that engaged the parallel morsel dispatcher.
-    pub parallel_runs: Counter,
-    /// Galloping probes performed by `MultiwayIntersect` operators.
-    pub intersect_probes: Counter,
-    /// Nodes surviving a multiway adjacency intersection (the summed
-    /// intersection lengths, before label filtering).
-    pub intersect_nodes: Counter,
-    /// Rows emitted by `MultiwayIntersect` operators.
-    pub intersect_rows: Counter,
+cypher_metrics::instruments! {
+    /// Executor-level event counters, shared through
+    /// [`crate::exec::EngineConfig::exec_metrics`]. Recording is lock-free
+    /// (relaxed atomics) and happens once per pipeline run — never per row
+    /// or per batch — so the hot path stays untouched; a `None` handle
+    /// skips even that.
+    pub struct ExecMetrics {
+        /// Morsels executed by `MATCH` pipelines (a sequential run counts 1).
+        pub morsels: Counter = "cypher_exec_morsels_total", "morsels executed by MATCH pipelines";
+        pub rows: Counter = "cypher_exec_rows_total",
+            "rows produced by MATCH pipelines (pre-projection)";
+        pub parallel_runs: Counter = "cypher_exec_parallel_runs_total",
+            "pipeline runs that engaged the parallel dispatcher";
+        pub intersect_probes: Counter = "cypher_exec_intersect_probes_total",
+            "galloping probes issued by multiway intersection joins";
+        /// Nodes surviving a multiway adjacency intersection (the summed
+        /// intersection lengths, before label filtering).
+        pub intersect_nodes: Counter = "cypher_exec_intersect_nodes_total",
+            "candidate nodes surviving multiway adjacency intersection";
+        pub intersect_rows: Counter = "cypher_exec_intersect_rows_total",
+            "rows emitted by MultiwayIntersect operators";
+    }
 }
 
 /// Measured totals of one pipeline stage across a probed run: every batch

@@ -255,6 +255,87 @@ pub fn fmt_histogram(out: &mut String, name: &str, help: &str, s: &HistogramSnap
     let _ = writeln!(out, "{name}_count {}", s.count);
 }
 
+/// Something [`instruments!`] can put on a text page: it appends its own
+/// exposition lines under the metric `name` and `help` its registry
+/// declared for it.
+pub trait Instrument {
+    /// Appends this instrument's current reading to `out`.
+    fn render(&self, out: &mut String, name: &str, help: &str);
+}
+
+impl Instrument for Counter {
+    fn render(&self, out: &mut String, name: &str, help: &str) {
+        fmt_counter(out, name, help, self.get());
+    }
+}
+
+impl Instrument for Gauge {
+    fn render(&self, out: &mut String, name: &str, help: &str) {
+        fmt_gauge(out, name, help, self.get());
+    }
+}
+
+impl Instrument for Histogram {
+    fn render(&self, out: &mut String, name: &str, help: &str) {
+        fmt_histogram(out, name, help, &self.snapshot());
+    }
+}
+
+/// Declares a metrics registry **once**: the struct, its `Default`
+/// constructor and its `render_into` all come from one field list, so a
+/// new instrument cannot be declared without being constructed and
+/// exposed (or exposed under a name its declaration does not show).
+///
+/// A field written `name: Type = "metric_name", "help text";` is an
+/// [`Instrument`] rendered, in declaration order, by `render_into`, and
+/// its help text closes its documentation (so it needs a doc comment
+/// only to say more); a field written `name: Type;` is plain
+/// `Default`-constructed state the page does not show.
+///
+/// ```
+/// cypher_metrics::instruments! {
+///     /// Front-door counters.
+///     pub struct Door {
+///         pub opened: cypher_metrics::Counter = "door_opened_total", "visitors let in";
+///         /// Those who have not left yet.
+///         pub inside: cypher_metrics::Gauge = "door_inside", "visitors inside";
+///         last_visitor: std::sync::atomic::AtomicU64;
+///     }
+/// }
+/// let door = Door::default();
+/// door.opened.inc();
+/// let mut page = String::new();
+/// door.render_into(&mut page);
+/// assert!(page.contains("door_opened_total 1"));
+/// assert!(page.find("door_opened_total").unwrap() < page.find("door_inside").unwrap());
+/// ```
+#[macro_export]
+macro_rules! instruments {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $fvis:vis $field:ident : $kind:ty $(= $metric:literal, $help:literal)? ;
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $name {
+            $( $(#[$fmeta])* $(#[doc = $help])? $fvis $field: $kind, )*
+        }
+
+        impl $name {
+            /// Appends every declared instrument, in declaration order,
+            /// to a Prometheus-style text page.
+            pub fn render_into(&self, out: &mut String) {
+                $( $( $crate::Instrument::render(&self.$field, out, $metric, $help); )? )*
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

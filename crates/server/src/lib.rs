@@ -57,6 +57,8 @@
 
 #![warn(missing_docs)]
 
+use cypher::config::{self, Access, Knob};
+use cypher::metrics::{Counter, Gauge};
 use cypher::{Database, Error, Params, Session, SubscriptionPoll, ViewSubscription};
 use cypher_wire::{
     read_exact_frame, server_handshake, write_frame, ErrorCode, Request, Response, ServerStats,
@@ -66,7 +68,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -96,26 +98,63 @@ impl Default for ServerConfig {
     }
 }
 
+/// The server's rows of the configuration table (see
+/// [`cypher::config`]): same row type, same parser, same reporting as
+/// the engine's.
+pub static SERVER_KNOBS: [Knob<ServerConfig>; 2] = [
+    Knob {
+        var: "CYPHER_MAX_CONNS",
+        field: "max_connections",
+        access: Access::Int {
+            min: 1,
+            max: usize::MAX as u64,
+            get: |c| Some(c.max_connections as u64),
+            set: |c, v| c.max_connections = v as usize,
+        },
+        set_by: "deployment",
+        doc: "connections served at once; one past the cap is answered `Limit` and closed",
+    },
+    Knob {
+        var: "CYPHER_MAX_FRAME_BYTES",
+        field: "max_frame_bytes",
+        access: Access::Int {
+            min: 1,
+            max: u32::MAX as u64,
+            get: |c| Some(c.max_frame_bytes as u64),
+            set: |c, v| c.max_frame_bytes = v as u32,
+        },
+        set_by: "deployment",
+        doc: "frame payload cap, enforced before allocation on receive and send",
+    },
+];
+
+/// The address `cypher-server` binds unless `CYPHER_LISTEN` names another.
+pub const DEFAULT_LISTEN: &str = "127.0.0.1:7474";
+
+/// The binary's listen address as a row: it configures the process, not
+/// a [`ServerConfig`] field (`Server::bind` takes the address).
+pub static LISTEN_KNOB: [Knob<String>; 1] = [Knob {
+    var: "CYPHER_LISTEN",
+    field: "listen",
+    access: Access::Text {
+        get: |addr| Some(addr.into()),
+        set: |addr, v| *addr = v.to_string_lossy().into_owned(),
+    },
+    set_by: "deployment",
+    doc: "address `cypher-server` binds",
+}];
+
 impl ServerConfig {
-    /// Defaults overlaid with the `CYPHER_MAX_CONNS` and
-    /// `CYPHER_MAX_FRAME_BYTES` environment variables (ignored when
-    /// unparsable or zero — the server must not start wide open because
-    /// of a typo).
+    /// Defaults overlaid with the process environment's [`SERVER_KNOBS`].
+    /// A malformed or zero value keeps its default — the server must not
+    /// start wide open because of a typo — and is **reported** on stderr.
     pub fn from_env() -> ServerConfig {
         let mut cfg = ServerConfig::default();
-        if let Some(n) = parse_env("CYPHER_MAX_CONNS") {
-            cfg.max_connections = n;
-        }
-        if let Some(n) = parse_env::<u32>("CYPHER_MAX_FRAME_BYTES") {
-            cfg.max_frame_bytes = n;
+        for issue in config::load(&SERVER_KNOBS, &mut cfg, &config::process_env) {
+            eprintln!("warning: ignoring environment override {issue}");
         }
         cfg
     }
-}
-
-fn parse_env<T: std::str::FromStr + PartialOrd + Default>(key: &str) -> Option<T> {
-    let v = std::env::var(key).ok()?.parse::<T>().ok()?;
-    (v > T::default()).then_some(v)
 }
 
 /// Maps an engine error onto its wire error code. The message sent to
@@ -129,29 +168,51 @@ pub fn classify_error(e: &Error) -> ErrorCode {
     }
 }
 
+fn error(code: ErrorCode, message: impl ToString) -> Response {
+    let message = message.to_string();
+    Response::Error { code, message }
+}
+
+/// An engine error as the response that reports it.
+fn engine_error(e: &Error) -> Response {
+    error(classify_error(e), e)
+}
+
+fn unknown_statement(id: u32) -> Response {
+    let message = format!("no prepared statement with id {id} on this connection");
+    error(ErrorCode::UnknownStatement, message)
+}
+
+cypher::metrics::instruments! {
+    /// The server-level instruments, appended to the database's page.
+    /// Unlike the database's they are not gated on `CYPHER_METRICS`: the
+    /// connection gauge doubles as the admission counter.
+    struct ServerMetrics {
+        connections: Gauge = "cypher_server_connections", "connections currently served";
+        pinned: Gauge = "cypher_server_pinned_connections",
+            "connections inside a pinned read transaction";
+        requests: Counter = "cypher_server_requests_total",
+            "requests answered over the server's lifetime";
+        requests_query: Counter = "cypher_server_requests_query_total", "Query requests";
+        requests_prepare: Counter = "cypher_server_requests_prepare_total", "Prepare requests";
+        requests_execute: Counter = "cypher_server_requests_execute_total", "Execute requests";
+        requests_control: Counter = "cypher_server_requests_control_total",
+            "control requests (ping/stats/metrics/transactions/goodbye)";
+        bytes_in: Counter = "cypher_server_bytes_in_total", "request payload bytes received";
+        bytes_out: Counter = "cypher_server_bytes_out_total", "response payload bytes sent";
+        frame_errors: Counter = "cypher_server_frame_errors_total",
+            "broken frames and malformed messages rejected";
+    }
+}
+
 /// State shared by the accept loop, every connection thread, and the
 /// [`Server`] handle.
 struct ServerShared {
     db: Database,
     cfg: ServerConfig,
     stop: AtomicBool,
-    connections: AtomicUsize,
-    pinned: AtomicUsize,
-    requests: AtomicU64,
     conn_seq: AtomicU64,
-    /// Requests by type: `Query`, `Prepare`, `Execute`, everything else
-    /// (control traffic: pings, stats, transaction brackets, goodbyes).
-    requests_query: AtomicU64,
-    requests_prepare: AtomicU64,
-    requests_execute: AtomicU64,
-    requests_control: AtomicU64,
-    /// Frame payload bytes received from / sent to clients (framing
-    /// overhead excluded).
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    /// Broken frames and malformed messages rejected by the total
-    /// decoder.
-    frame_errors: AtomicU64,
+    metrics: ServerMetrics,
     /// Duplicate handles of every live connection's stream, so shutdown
     /// can force blocked reads to return.
     open_streams: Mutex<HashMap<u64, TcpStream>>,
@@ -162,9 +223,9 @@ impl ServerShared {
         let plan = self.db.plan_cache_stats();
         ServerStats {
             version: self.db.version(),
-            connections: self.connections.load(Ordering::Relaxed) as u32,
-            pinned: self.pinned.load(Ordering::Relaxed) as u32,
-            requests: self.requests.load(Ordering::Relaxed),
+            connections: self.metrics.connections.get() as u32,
+            pinned: self.metrics.pinned.get() as u32,
+            requests: self.metrics.requests.get(),
             plan_hits: plan.hits,
             plan_misses: plan.misses,
             plan_invalidations: plan.invalidations,
@@ -176,69 +237,9 @@ impl ServerShared {
     /// server-level instruments appended, so one request observes every
     /// layer.
     fn metrics(&self) -> Response {
-        use cypher::metrics::{fmt_counter, fmt_gauge};
         let snap = self.db.metrics_snapshot();
         let mut text = snap.text;
-        fmt_gauge(
-            &mut text,
-            "cypher_server_connections",
-            "connections currently served",
-            self.connections.load(Ordering::Relaxed) as i64,
-        );
-        fmt_gauge(
-            &mut text,
-            "cypher_server_pinned_connections",
-            "connections inside a pinned read transaction",
-            self.pinned.load(Ordering::Relaxed) as i64,
-        );
-        fmt_counter(
-            &mut text,
-            "cypher_server_requests_total",
-            "requests answered over the server's lifetime",
-            self.requests.load(Ordering::Relaxed),
-        );
-        fmt_counter(
-            &mut text,
-            "cypher_server_requests_query_total",
-            "Query requests",
-            self.requests_query.load(Ordering::Relaxed),
-        );
-        fmt_counter(
-            &mut text,
-            "cypher_server_requests_prepare_total",
-            "Prepare requests",
-            self.requests_prepare.load(Ordering::Relaxed),
-        );
-        fmt_counter(
-            &mut text,
-            "cypher_server_requests_execute_total",
-            "Execute requests",
-            self.requests_execute.load(Ordering::Relaxed),
-        );
-        fmt_counter(
-            &mut text,
-            "cypher_server_requests_control_total",
-            "control requests (ping/stats/metrics/transactions/goodbye)",
-            self.requests_control.load(Ordering::Relaxed),
-        );
-        fmt_counter(
-            &mut text,
-            "cypher_server_bytes_in_total",
-            "request payload bytes received",
-            self.bytes_in.load(Ordering::Relaxed),
-        );
-        fmt_counter(
-            &mut text,
-            "cypher_server_bytes_out_total",
-            "response payload bytes sent",
-            self.bytes_out.load(Ordering::Relaxed),
-        );
-        fmt_counter(
-            &mut text,
-            "cypher_server_frame_errors_total",
-            "broken frames and malformed messages rejected",
-            self.frame_errors.load(Ordering::Relaxed),
-        );
+        self.metrics.render_into(&mut text);
         Response::Metrics {
             uptime_ms: snap.uptime_ms,
             version: snap.version,
@@ -253,7 +254,9 @@ impl ServerShared {
 pub struct Server {
     shared: Arc<ServerShared>,
     addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    /// The accept thread, which answers with the handles of every
+    /// connection (and refusal) thread it started and has not reaped.
+    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -266,17 +269,8 @@ impl Server {
             db,
             cfg,
             stop: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
-            pinned: AtomicUsize::new(0),
-            requests: AtomicU64::new(0),
             conn_seq: AtomicU64::new(0),
-            requests_query: AtomicU64::new(0),
-            requests_prepare: AtomicU64::new(0),
-            requests_execute: AtomicU64::new(0),
-            requests_control: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            frame_errors: AtomicU64::new(0),
+            metrics: ServerMetrics::default(),
             open_streams: Mutex::new(HashMap::new()),
         });
         let accept_shared = Arc::clone(&shared);
@@ -303,17 +297,17 @@ impl Server {
 
     /// Connections currently served.
     pub fn active_connections(&self) -> usize {
-        self.shared.connections.load(Ordering::Relaxed)
+        self.shared.metrics.connections.get() as usize
     }
 
     /// Connections currently inside a pinned read transaction.
     pub fn pinned_connections(&self) -> usize {
-        self.shared.pinned.load(Ordering::Relaxed)
+        self.shared.metrics.pinned.get() as usize
     }
 
     /// Requests answered over the server's lifetime.
     pub fn requests_served(&self) -> u64 {
-        self.shared.requests.load(Ordering::Relaxed)
+        self.shared.metrics.requests.get()
     }
 
     /// The same counters a remote `Stats` request returns.
@@ -331,94 +325,69 @@ impl Server {
 
     /// Stops accepting, force-closes every live connection (their
     /// sessions — and pinned versions — are released by the connection
-    /// threads' cleanup), and returns the database handle.
+    /// threads' cleanup), **joins every thread the server started**, and
+    /// returns the database handle.
     pub fn shutdown(mut self) -> Database {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Force blocked per-connection reads to return.
-        for (_, s) in self
-            .shared
-            .open_streams
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-        {
+        let accept = self.accept.take().expect("shutdown consumes the server");
+        let threads = accept.join().unwrap_or_default();
+        // Force blocked per-connection reads and writes to return. No
+        // stream can register any more: the accept loop is gone.
+        for (_, s) in lock(&self.shared.open_streams).iter() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        // Wait for the connection threads' cleanup to run.
-        while self.shared.connections.load(Ordering::Relaxed) > 0 {
-            std::thread::yield_now();
+        // A connection thread owns a handle on the shared state until it
+        // has fully exited — its gauges fall earlier — so only joining
+        // makes ours the last one.
+        for t in threads {
+            let _ = t.join();
         }
-        // The accept loop and all connections are gone: this handle
-        // holds the last strong reference besides ours.
-        let shared = Arc::clone(&self.shared);
-        drop(self);
-        match Arc::try_unwrap(shared) {
-            Ok(s) => s.db,
-            Err(_) => unreachable!("all server threads have exited"),
-        }
+        let shared = Arc::into_inner(self.shared);
+        shared.expect("every thread holding the state is joined").db
     }
 }
 
-fn accept_loop(shared: Arc<ServerShared>, listener: TcpListener) {
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Accepts until stopped; returns the threads it started and has not
+/// seen finish, for [`Server::shutdown`] to join.
+fn accept_loop(shared: Arc<ServerShared>, listener: TcpListener) -> Vec<JoinHandle<()>> {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
     loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
+        let accepted = listener.accept();
         if shared.stop.load(Ordering::SeqCst) {
-            return;
+            return threads;
+        }
+        let Ok((stream, _)) = accepted else {
+            continue;
+        };
+        threads.retain(|t| !t.is_finished());
+        // Every accepted stream is registered before its thread starts,
+        // so shutdown can unblock whatever that thread is waiting on.
+        let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
+        if let Ok(dup) = stream.try_clone() {
+            lock(&shared.open_streams).insert(conn_id, dup);
         }
         // Over-cap connections are refused politely — but never on the
         // accept thread, where a slow client could stall every accept.
-        if shared.connections.load(Ordering::Relaxed) >= shared.cfg.max_connections {
-            let _ = std::thread::Builder::new()
-                .name("cypher-conn-refuse".to_string())
-                .spawn(move || refuse_connection(stream));
-            continue;
+        let admitted = (shared.metrics.connections.get() as usize) < shared.cfg.max_connections;
+        if admitted {
+            shared.metrics.connections.inc();
         }
-        shared.connections.fetch_add(1, Ordering::Relaxed);
-        let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-        if let Ok(dup) = stream.try_clone() {
-            shared
-                .open_streams
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(conn_id, dup);
-        }
-        let conn_shared = Arc::clone(&shared);
-        let spawned = std::thread::Builder::new()
-            .name(format!("cypher-conn-{conn_id}"))
-            .spawn(move || serve_connection(conn_shared, stream, conn_id));
-        if spawned.is_err() {
-            // Could not spawn: roll the registration back.
-            shared.connections.fetch_sub(1, Ordering::Relaxed);
-            shared
-                .open_streams
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&conn_id);
-        }
-    }
-}
-
-fn refuse_connection(mut stream: TcpStream) {
-    if server_handshake(&mut stream).is_ok() {
-        let resp = Response::Error {
-            code: ErrorCode::Limit,
-            message: "connection limit reached".to_string(),
+        let guard = ConnGuard {
+            shared: Arc::clone(&shared),
+            conn_id,
+            admitted,
+            state: None,
         };
-        let _ = write_frame(&mut stream, &resp.encode());
-        let _ = stream.flush();
+        // A failed spawn drops the closure, and the guard inside it
+        // rolls the registration back.
+        let conn = std::thread::Builder::new().name(format!("cypher-conn-{conn_id}"));
+        threads.extend(conn.spawn(move || serve_connection(guard, stream)));
     }
 }
 
@@ -442,39 +411,42 @@ struct ConnState {
 /// Gauge/registry cleanup that must run however the connection ends —
 /// clean `Goodbye`, peer reset, handshake garbage, or a bug in the serve
 /// loop itself.
-struct ConnGuard<'a> {
-    shared: &'a ServerShared,
+struct ConnGuard {
+    shared: Arc<ServerShared>,
     conn_id: u64,
+    /// Whether the connection counts against the cap (a refused one
+    /// only has its stream registered).
+    admitted: bool,
     state: Option<ConnState>,
 }
 
-impl Drop for ConnGuard<'_> {
+impl Drop for ConnGuard {
     fn drop(&mut self) {
         // Dropping the state drops the Session, which releases any
         // pinned snapshot version.
         if let Some(state) = self.state.take() {
             if state.pinned {
-                self.shared.pinned.fetch_sub(1, Ordering::Relaxed);
+                self.shared.metrics.pinned.dec();
             }
         }
-        self.shared
-            .open_streams
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&self.conn_id);
-        self.shared.connections.fetch_sub(1, Ordering::Relaxed);
+        lock(&self.shared.open_streams).remove(&self.conn_id);
+        if self.admitted {
+            self.shared.metrics.connections.dec();
+        }
     }
 }
 
-fn serve_connection(shared: Arc<ServerShared>, mut stream: TcpStream, conn_id: u64) {
-    let mut guard = ConnGuard {
-        shared: &shared,
-        conn_id,
-        state: None,
-    };
+fn serve_connection(mut guard: ConnGuard, mut stream: TcpStream) {
+    let (shared, conn_id) = (Arc::clone(&guard.shared), guard.conn_id);
     let _ = stream.set_nodelay(true);
     if server_handshake(&mut stream).is_err() {
         return; // wrong protocol: drop without answering
+    }
+    if !guard.admitted {
+        let resp = error(ErrorCode::Limit, "connection limit reached");
+        let _ = write_frame(&mut stream, &resp.encode());
+        let _ = stream.flush();
+        return;
     }
     let reader_stream = match stream.try_clone() {
         Ok(s) => s,
@@ -498,11 +470,8 @@ fn serve_connection(shared: Arc<ServerShared>, mut stream: TcpStream, conn_id: u
             Err(e) => {
                 // Framing can no longer be trusted: answer once (best
                 // effort) and drop the connection.
-                shared.frame_errors.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error {
-                    code: ErrorCode::Protocol,
-                    message: e.to_string(),
-                };
+                shared.metrics.frame_errors.inc();
+                let resp = error(ErrorCode::Protocol, e);
                 let _ = write_frame(&mut writer, &resp.encode());
                 let _ = writer.flush();
                 return;
@@ -511,41 +480,25 @@ fn serve_connection(shared: Arc<ServerShared>, mut stream: TcpStream, conn_id: u
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        shared.requests.fetch_add(1, Ordering::Relaxed);
-        shared
-            .bytes_in
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
+        shared.metrics.requests.inc();
+        shared.metrics.bytes_in.add(payload.len() as u64);
         state.req_seq += 1;
         let (resp, goodbye) = match Request::decode(&payload) {
             Err(e) => {
                 // The frame was intact (length + CRC), only the message
                 // inside was malformed: answer and keep serving.
-                shared.frame_errors.fetch_add(1, Ordering::Relaxed);
-                (
-                    Response::Error {
-                        code: ErrorCode::Protocol,
-                        message: e.to_string(),
-                    },
-                    false,
-                )
+                shared.metrics.frame_errors.inc();
+                (error(ErrorCode::Protocol, e), false)
             }
             Ok(Request::Subscribe { name }) => {
                 // Mode switch: this connection stops answering requests
                 // and becomes a push stream of the view's change frames.
-                shared.requests_control.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.requests_control.inc();
                 match shared.db.subscribe(&name) {
-                    Err(e) => (
-                        Response::Error {
-                            code: classify_error(&e),
-                            message: e.to_string(),
-                        },
-                        false,
-                    ),
+                    Err(e) => (engine_error(&e), false),
                     Ok(sub) => {
                         let encoded = Response::Subscribed.encode();
-                        shared
-                            .bytes_out
-                            .fetch_add(encoded.len() as u64, Ordering::Relaxed);
+                        shared.metrics.bytes_out.add(encoded.len() as u64);
                         if write_frame(&mut writer, &encoded).is_err() || writer.flush().is_err() {
                             return;
                         }
@@ -557,24 +510,25 @@ fn serve_connection(shared: Arc<ServerShared>, mut stream: TcpStream, conn_id: u
             Ok(req) => {
                 let goodbye = matches!(req, Request::Goodbye);
                 match &req {
-                    Request::Query { .. } => &shared.requests_query,
-                    Request::Prepare { .. } => &shared.requests_prepare,
-                    Request::Execute { .. } => &shared.requests_execute,
-                    _ => &shared.requests_control,
+                    Request::Query { .. } => &shared.metrics.requests_query,
+                    Request::Prepare { .. } => &shared.metrics.requests_prepare,
+                    Request::Execute { .. } => &shared.metrics.requests_execute,
+                    _ => &shared.metrics.requests_control,
                 }
-                .fetch_add(1, Ordering::Relaxed);
+                .inc();
                 let resp = catch_unwind(AssertUnwindSafe(|| handle_request(&shared, state, req)))
-                    .unwrap_or_else(|panic| Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("request handler panicked: {}", panic_message(&panic)),
+                    .unwrap_or_else(|panic| {
+                        let what = panic_message(&panic);
+                        error(
+                            ErrorCode::Internal,
+                            format!("request handler panicked: {what}"),
+                        )
                     });
                 (resp, goodbye)
             }
         };
         let encoded = resp.encode();
-        shared
-            .bytes_out
-            .fetch_add(encoded.len() as u64, Ordering::Relaxed);
+        shared.metrics.bytes_out.add(encoded.len() as u64);
         if write_frame(&mut writer, &encoded).is_err() || writer.flush().is_err() {
             return;
         }
@@ -596,27 +550,19 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 
 fn handle_request(shared: &ServerShared, state: &mut ConnState, req: Request) -> Response {
     match req {
-        Request::Query { text, params } => run_statement(shared, state, &text, &params),
+        Request::Query { text, params } => run_statement(state, &text, &params),
         Request::Prepare { text } => {
             if state.statements.len() >= shared.cfg.max_prepared {
-                return Response::Error {
-                    code: ErrorCode::Limit,
-                    message: format!(
-                        "connection holds {} prepared statements (the cap)",
-                        state.statements.len()
-                    ),
-                };
+                let held = state.statements.len();
+                let cap = format!("connection holds {held} prepared statements (the cap)");
+                return error(ErrorCode::Limit, cap);
             }
             // Parse now: a statement that cannot parse fails at PREPARE
             // time, and honest EXECUTEs never pay a parse-error path.
             // (Planning stays lazy — it depends on the statistics of the
             // snapshot each execution runs against.)
             if let Err(e) = cypher::parse_query(&text) {
-                let e = Error::from(e);
-                return Response::Error {
-                    code: classify_error(&e),
-                    message: e.to_string(),
-                };
+                return engine_error(&Error::from(e));
             }
             let id = state.next_statement;
             state.next_statement += 1;
@@ -626,25 +572,19 @@ fn handle_request(shared: &ServerShared, state: &mut ConnState, req: Request) ->
         Request::Execute { id, params } => match state.statements.get(&id) {
             Some(text) => {
                 let text = Arc::clone(text);
-                run_statement(shared, state, &text, &params)
+                run_statement(state, &text, &params)
             }
-            None => Response::Error {
-                code: ErrorCode::UnknownStatement,
-                message: format!("no prepared statement with id {id} on this connection"),
-            },
+            None => unknown_statement(id),
         },
         Request::Deallocate { id } => match state.statements.remove(&id) {
             Some(_) => Response::Deallocated,
-            None => Response::Error {
-                code: ErrorCode::UnknownStatement,
-                message: format!("no prepared statement with id {id} on this connection"),
-            },
+            None => unknown_statement(id),
         },
         Request::BeginRead => {
             let version = state.session.begin_read();
             if !state.pinned {
                 state.pinned = true;
-                shared.pinned.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.pinned.inc();
             }
             Response::BeganRead { version }
         }
@@ -652,7 +592,7 @@ fn handle_request(shared: &ServerShared, state: &mut ConnState, req: Request) ->
             state.session.commit();
             if state.pinned {
                 state.pinned = false;
-                shared.pinned.fetch_sub(1, Ordering::Relaxed);
+                shared.metrics.pinned.dec();
             }
             Response::ReadCommitted
         }
@@ -662,32 +602,23 @@ fn handle_request(shared: &ServerShared, state: &mut ConnState, req: Request) ->
         Request::Goodbye => Response::Bye,
         Request::CreateView { name, query } => match shared.db.create_view(&name, &query) {
             Ok(version) => Response::ViewCreated { version },
-            Err(e) => Response::Error {
-                code: classify_error(&e),
-                message: e.to_string(),
-            },
+            Err(e) => engine_error(&e),
         },
         Request::DropView { name } => match shared.db.drop_view(&name) {
             Ok(()) => Response::ViewDropped,
-            Err(e) => Response::Error {
-                code: classify_error(&e),
-                message: e.to_string(),
-            },
+            Err(e) => engine_error(&e),
         },
         Request::ReadView { name } => match state.session.view_versioned(&name) {
             Ok((version, table)) => Response::ViewRows { version, table },
-            Err(e) => Response::Error {
-                code: classify_error(&e),
-                message: e.to_string(),
-            },
+            Err(e) => engine_error(&e),
         },
         // Subscribe switches the connection into push mode, which owns
         // the writer — the serve loop intercepts it before dispatching
         // here. Reaching this arm means the loop's intercept is broken.
-        Request::Subscribe { .. } => Response::Error {
-            code: ErrorCode::Protocol,
-            message: "Subscribe must be handled by the connection loop".to_string(),
-        },
+        Request::Subscribe { .. } => error(
+            ErrorCode::Protocol,
+            "Subscribe must be handled by the connection loop",
+        ),
     }
 }
 
@@ -715,9 +646,7 @@ fn stream_view_changes(
                     removed: c.removed,
                 };
                 let encoded = resp.encode();
-                shared
-                    .bytes_out
-                    .fetch_add(encoded.len() as u64, Ordering::Relaxed);
+                shared.metrics.bytes_out.add(encoded.len() as u64);
                 if write_frame(writer, &encoded).is_err() || writer.flush().is_err() {
                     return;
                 }
@@ -726,16 +655,10 @@ fn stream_view_changes(
     }
 }
 
-fn run_statement(
-    shared: &ServerShared,
-    state: &mut ConnState,
-    text: &str,
-    params: &Params,
-) -> Response {
-    let _ = shared;
+fn run_statement(state: &mut ConnState, text: &str, params: &Params) -> Response {
     // Test hook for the catch_unwind path, inert without the
     // fault-injection env guard (mirrors Database::inject_fsync_failures).
-    if text == "__CYPHER_TEST_PANIC__" && std::env::var_os("CYPHER_TEST_FAULTS").is_some() {
+    if text == "__CYPHER_TEST_PANIC__" && cypher::test_faults_armed() {
         panic!("injected test panic");
     }
     let trace = (state.conn_id << 32) | (state.req_seq & 0xffff_ffff);
@@ -744,10 +667,7 @@ fn run_statement(
             committed: state.session.last_commit_version(),
             table,
         },
-        Err(e) => Response::Error {
-            code: classify_error(&e),
-            message: e.to_string(),
-        },
+        Err(e) => engine_error(&e),
     }
 }
 
@@ -761,16 +681,5 @@ mod tests {
         assert_eq!(classify_error(&parse), ErrorCode::Parse);
         let unavailable = Error::Unavailable("closed".to_string());
         assert_eq!(classify_error(&unavailable), ErrorCode::Unavailable);
-    }
-
-    #[test]
-    fn server_config_env_ignores_garbage() {
-        std::env::set_var("CYPHER_MAX_CONNS", "not-a-number");
-        assert_eq!(ServerConfig::from_env().max_connections, 64);
-        std::env::set_var("CYPHER_MAX_CONNS", "0");
-        assert_eq!(ServerConfig::from_env().max_connections, 64);
-        std::env::set_var("CYPHER_MAX_CONNS", "7");
-        assert_eq!(ServerConfig::from_env().max_connections, 7);
-        std::env::remove_var("CYPHER_MAX_CONNS");
     }
 }

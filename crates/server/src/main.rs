@@ -4,11 +4,12 @@
 //! protocol until killed. `CYPHER_MAX_CONNS` and
 //! `CYPHER_MAX_FRAME_BYTES` bound each client's footprint.
 
-use cypher::{Database, EngineConfig};
-use cypher_server::{Server, ServerConfig};
+use cypher::{config, Database, EngineConfig};
+use cypher_server::{Server, ServerConfig, DEFAULT_LISTEN, LISTEN_KNOB};
 
 fn main() {
-    let listen = std::env::var("CYPHER_LISTEN").unwrap_or_else(|_| "127.0.0.1:7474".to_string());
+    let mut listen = DEFAULT_LISTEN.to_string();
+    config::load(&LISTEN_KNOB, &mut listen, &config::process_env);
     for issue in cypher::env_config_issues() {
         eprintln!("cypher-server: {issue}");
     }

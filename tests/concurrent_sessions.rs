@@ -26,7 +26,7 @@
 //! the acceptance floor); reader-thread count via `CYPHER_CONC_READERS`
 //! (default 3; CI runs 2 and 8).
 
-use cypher::workload::QueryGenerator;
+use cypher::workload::{harness_knob, harness_override, QueryGenerator};
 use cypher::{
     run_read_with, run_reference, run_with, Database, EngineConfig, Params, PropertyGraph, Table,
 };
@@ -35,18 +35,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 fn workload_count() -> u64 {
-    std::env::var("CYPHER_CONC_WORKLOADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200)
+    harness_knob("CYPHER_CONC_WORKLOADS", 200, 0)
 }
 
 fn reader_count() -> usize {
-    std::env::var("CYPHER_CONC_READERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(3)
+    harness_knob("CYPHER_CONC_READERS", 3, 1) as usize
 }
 
 /// The engine configuration of both the live database and the oracle.
@@ -313,10 +306,7 @@ fn concurrent_readers_match_the_sequential_oracle_at_their_pinned_versions() {
     let n = workload_count();
     // CYPHER_TEST_SEED replays exactly one workload seed (the failure
     // messages name it as `workload <seed>`); default sweeps the range.
-    let workload_seeds: Vec<u64> = match std::env::var("CYPHER_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
+    let workload_seeds: Vec<u64> = match harness_override("CYPHER_TEST_SEED", 0) {
         Some(seed) => {
             eprintln!("CYPHER_TEST_SEED={seed}: replaying a single workload");
             vec![seed]

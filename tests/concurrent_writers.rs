@@ -9,8 +9,8 @@
 //! are assigned at admission).
 //!
 //! What must hold, for every generated workload and every knob cell
-//! (`CYPHER_GROUP_COMMIT` on/off × `CYPHER_FSYNC_MODE`
-//! os/sync/pipelined × 2–8 writers):
+//! (`EngineConfig::group_commit` on/off, set by the tests themselves ×
+//! `CYPHER_FSYNC_MODE` os/sync/pipelined × 2–8 writers):
 //!
 //! * **serializability witness** — the final graph is bit-identical
 //!   (canonical dump, indexes included) to the oracle's replay of the
@@ -37,7 +37,7 @@
 //! `CYPHER_TEST_SEED=<n>` replays exactly one seed — failure messages
 //! name the seed that minted the workload.
 
-use cypher::workload::QueryGenerator;
+use cypher::workload::{harness_knob, harness_override, QueryGenerator};
 use cypher::{
     run_read_with, run_reference, run_with, Database, EngineConfig, FsyncMode, Params,
     PropertyGraph, Table,
@@ -47,35 +47,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
 
 fn workload_count() -> u64 {
-    std::env::var("CYPHER_WRITER_WORKLOADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40)
+    harness_knob("CYPHER_WRITER_WORKLOADS", 40, 0)
 }
 
 fn writer_count() -> usize {
-    std::env::var("CYPHER_CONC_WRITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
+    harness_knob("CYPHER_CONC_WRITERS", 4, 1) as usize
 }
 
 fn reader_count() -> usize {
-    std::env::var("CYPHER_CONC_READERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(2)
+    harness_knob("CYPHER_CONC_READERS", 2, 1) as usize
 }
 
 /// The seeds a test sweeps: `0..n`, or exactly the one named by
 /// `CYPHER_TEST_SEED` (for replaying a CI failure locally).
 fn seeds(n: u64) -> Vec<u64> {
-    match std::env::var("CYPHER_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
+    match harness_override("CYPHER_TEST_SEED", 0) {
         Some(seed) => {
             eprintln!("CYPHER_TEST_SEED={seed}: replaying a single seed");
             vec![seed]
@@ -381,13 +367,12 @@ fn serial_commit_mode_matches_the_oracle_too() {
 #[test]
 fn durable_multi_writer_runs_survive_reopen_in_every_fsync_mode() {
     let params = Params::new();
-    // Honor the CI matrix cell's mode when one is pinned via env;
-    // otherwise sweep sync and pipelined (os is the recovery suite's
-    // default diet).
-    let modes: Vec<FsyncMode> = if std::env::var("CYPHER_FSYNC_MODE").is_ok() {
-        vec![EngineConfig::default().fsync_mode]
-    } else {
-        vec![FsyncMode::Sync, FsyncMode::Pipelined]
+    // Honor the CI matrix cell's mode when `CYPHER_FSYNC_MODE` pins
+    // one; otherwise sweep sync and pipelined (os is the recovery
+    // suite's default diet).
+    let modes = match EngineConfig::default().fsync_mode {
+        FsyncMode::Os => vec![FsyncMode::Sync, FsyncMode::Pipelined],
+        pinned => vec![pinned],
     };
     for mode in modes {
         for seed in seeds(4) {

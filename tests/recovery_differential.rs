@@ -16,7 +16,7 @@
 //! so a red CI line reproduces locally with one env var.
 
 use cypher::storage::wal;
-use cypher::workload::QueryGenerator;
+use cypher::workload::{harness_knob, harness_override, QueryGenerator};
 use cypher::{Change, Database, EngineConfig, Params, PropertyGraph, SharedChangeBuffer, Store};
 use std::path::PathBuf;
 
@@ -49,20 +49,14 @@ fn workload(seed: u64, len: usize) -> Vec<String> {
 }
 
 fn workload_count() -> u64 {
-    std::env::var("CYPHER_RECOVERY_WORKLOADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200)
+    harness_knob("CYPHER_RECOVERY_WORKLOADS", 200, 0)
 }
 
 /// The seeds a differential test sweeps: `0..n`, or exactly the one
 /// named by `CYPHER_TEST_SEED` (for replaying a failure from a CI log —
 /// every assertion message includes the seed that minted the workload).
 fn seeds(n: u64) -> Vec<u64> {
-    match std::env::var("CYPHER_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
+    match harness_override("CYPHER_TEST_SEED", 0) {
         Some(seed) => {
             eprintln!("CYPHER_TEST_SEED={seed}: replaying a single seed");
             vec![seed]

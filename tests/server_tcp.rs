@@ -20,7 +20,7 @@
 //! Workload count for the differential harness is tunable via
 //! `CYPHER_TCP_WORKLOADS` (default 4).
 
-use cypher::workload::QueryGenerator;
+use cypher::workload::{harness_knob, QueryGenerator};
 use cypher::{Database, EngineConfig, Params, Value};
 use cypher_client::{Client, ClientError};
 use cypher_server::{Server, ServerConfig};
@@ -31,7 +31,7 @@ use cypher_wire::{
 use std::collections::HashSet;
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
 fn mem_cfg(plan_cache: bool) -> EngineConfig {
@@ -356,11 +356,7 @@ fn tcp_workload(seed: u64, clients: usize, rounds: usize) {
 /// every observation exactly.
 #[test]
 fn concurrent_tcp_clients_match_the_in_process_session_oracle() {
-    let workloads: u64 = std::env::var("CYPHER_TCP_WORKLOADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    for w in 0..workloads {
+    for w in 0..harness_knob("CYPHER_TCP_WORKLOADS", 4, 0) {
         tcp_workload(0xBEEF + w, 3, 5);
     }
 }
@@ -669,6 +665,38 @@ fn connection_limit_answers_limit_error() {
     drop(second);
     first.ping().expect("first connection unaffected");
     first.goodbye().expect("goodbye");
+}
+
+/// `shutdown` while clients are mid-request must hand the database back
+/// every time. A connection thread drops its gauge before it drops its
+/// handle on the shared state, so a shutdown that waits for the gauge
+/// (instead of joining the threads) can find a handle still alive; the
+/// first capped connection also leaves a refusal thread to join.
+#[test]
+fn shutdown_under_load_joins_every_connection_thread() {
+    const CLIENTS: usize = 8;
+    let mut cfg = ServerConfig::default();
+    cfg.max_connections = CLIENTS;
+    for round in 0..200 {
+        let server = start(mem_cfg(true), cfg.clone());
+        let addr = server.local_addr();
+        let in_flight = Barrier::new(CLIENTS + 1);
+        std::thread::scope(|scope| {
+            for _ in 0..CLIENTS {
+                scope.spawn(|| {
+                    let mut client = Client::connect(addr).expect("connect client");
+                    client.ping().expect("served before the shutdown");
+                    in_flight.wait();
+                    // Keep requests in flight until the server hangs up.
+                    while client.query("RETURN 1 AS one", &Params::new()).is_ok() {}
+                });
+            }
+            in_flight.wait();
+            let _refused = TcpStream::connect(addr);
+            let db = server.shutdown();
+            assert_eq!(db.version(), 0, "round {round}: the handle came back");
+        });
+    }
 }
 
 /// The per-connection prepared-statement cap answers `Limit` instead of

@@ -18,9 +18,9 @@
 //!   frames, applied in version order to the subscribe-time contents,
 //!   must reproduce the final maintained table bit-for-bag.
 //!
-//! The engine knobs (threads, morsel size, group commit) come from the
-//! environment via `EngineConfig::default()`, so CI can sweep the
-//! matrix without code changes.
+//! The engine knobs (threads, morsel size) come from the environment
+//! via `EngineConfig::default()`, so CI can sweep the matrix without
+//! code changes; group commit is a field the tests set themselves.
 
 use cypher::workload::QueryGenerator;
 use cypher::{Database, EngineConfig, Params, Record, Session, Table};
@@ -153,8 +153,25 @@ fn generated_views_track_generated_update_streams() {
 
 #[test]
 fn pinned_readers_see_exact_views_under_concurrent_writers() {
+    pinned_readers_see_exact_views(memory_cfg());
+}
+
+/// The same race with every transaction sealed as its own group: the
+/// publisher then folds one single-commit delta per version instead of
+/// one delta per coalesced group. (This case and
+/// `serial_commit_mode_matches_the_oracle_too` in `concurrent_writers`
+/// set the field directly; they cover what the CI matrix's former
+/// `CYPHER_GROUP_COMMIT=off` cells ran.)
+#[test]
+fn pinned_readers_see_exact_views_without_group_commit() {
+    let mut cfg = memory_cfg();
+    cfg.group_commit = false;
+    pinned_readers_see_exact_views(cfg);
+}
+
+fn pinned_readers_see_exact_views(cfg: EngineConfig) {
     let params = Params::new();
-    let db = Database::open_with(memory_cfg()).unwrap();
+    let db = Database::open_with(cfg).unwrap();
     let mut seed_session = db.session();
     let mut gen = QueryGenerator::new(7);
     for _ in 0..20 {
