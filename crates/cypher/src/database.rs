@@ -124,13 +124,7 @@ impl DbInner {
         if self.metrics.enabled() {
             self.metrics.view_full_recomputes.inc();
         }
-        Ok(cypher_engine::execute_read_cached(
-            at,
-            &query,
-            &Params::new(),
-            &self.cfg,
-            None,
-        )?)
+        crate::view::cold_eval(at, &query, &self.cfg)
     }
 }
 
@@ -534,7 +528,8 @@ impl Database {
     /// Renders view `name`'s maintenance plan (same text as
     /// `EXPLAIN VIEW <name>`).
     pub fn explain_view(&self, name: &str) -> Result<String, Error> {
-        lock(&self.inner.readers.views).explain(name)
+        let at = self.inner.readers.versioned.latest();
+        lock(&self.inner.readers.views).explain(name, &at)
     }
 
     /// Subscribes to view `name`'s change stream: one

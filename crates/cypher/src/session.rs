@@ -80,7 +80,7 @@ impl DbInner {
             // maintenance plan (VIEW is not a Cypher keyword, so the
             // prefix cannot shadow a real query).
             if let Some(name) = keyword_prefix(rest, "VIEW") {
-                let text = lock(&self.readers.views).explain(name.trim())?;
+                let text = lock(&self.readers.views).explain(name.trim(), view)?;
                 return Ok(lines_table("view", &text));
             }
             let q = crate::parse_query(rest)?;

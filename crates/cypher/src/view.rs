@@ -21,17 +21,20 @@
 //!   restricted to projected columns. The persistent state is a
 //!   [`GroupedAggState`]; a refresh retracts the old rows, feeds the new
 //!   ones, and snapshots the live groups — O(changed rows + live groups)
-//!   per commit, independent of the base table size.
+//!   per commit, independent of the base table size. The changed rows
+//!   are enumerated by the engine's own planner and morsel driver,
+//!   anchored at the changed nodes ([`DeltaPlan::affected_rows`]).
 //! * **Counted-bag projection** — same match half, but a plain
 //!   (non-aggregating, non-`DISTINCT`) projection. The state is a
 //!   refcounted bag of projected rows (plus their precomputed `ORDER BY`
 //!   keys); a refresh adjusts counts — O(changed rows) — and re-sorts at
 //!   publication.
-//! * **Full recomputation** — everything else. The view stays correct
-//!   (the query is re-run against each published version) but pays full
-//!   evaluation per commit; `cypher_view_full_recomputes_total` counts
-//!   these so operators can see which standing queries missed the fast
-//!   path.
+//! * **Full recomputation** — everything else, and every view under
+//!   `Morphism::NodeIsomorphism`, which the driver does not model. The
+//!   view stays correct (the query is re-run against each published
+//!   version) but pays full evaluation per commit;
+//!   `cypher_view_full_recomputes_total` counts these so operators can
+//!   see which standing queries missed the fast path.
 //!
 //! A delta fold that cannot find a row it must retract (which would mean
 //! the maintained state diverged) falls back to a one-off full
@@ -56,10 +59,11 @@ use cypher_ast::expr::Expr;
 use cypher_ast::query::{Query, SortItem};
 use cypher_core::clauses::apply_order_by_scoped;
 use cypher_core::error::EvalError;
+use cypher_core::morphism::Morphism;
 use cypher_core::project::{GroupedAggState, ProjectionPlan};
 use cypher_core::{Bindings, EvalContext, Params, VarLookup};
 use cypher_engine::{DeltaPlan, EngineConfig};
-use cypher_graph::{affected_nodes, Change, GraphView, PropertyGraph, Value};
+use cypher_graph::{affected_nodes, Change, GraphView, PropertyGraph, Value, ViewRef};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{mpsc, Arc};
@@ -130,41 +134,137 @@ pub enum SubscriptionPoll {
     Closed,
 }
 
-/// How a view's output is kept current across commits.
-enum Maint {
-    /// Persistent [`GroupedAggState`]: aggregation and/or `DISTINCT`
-    /// folded with exact retraction support.
-    Agg {
-        delta: DeltaPlan,
-        proj: ProjectionPlan,
-        order: Vec<SortItem>,
-        state: GroupedAggState,
-    },
-    /// Refcounted bag of projected rows for plain projections.
-    Rows {
-        delta: DeltaPlan,
-        proj: ProjectionPlan,
-        order: Vec<SortItem>,
-        bag: CountedBag,
-    },
-    /// Re-run the whole query against each published version.
-    Full,
+/// A delta-maintained view: its match half, its projection, and the
+/// state the match rows fold into.
+struct Fold {
+    delta: DeltaPlan,
+    proj: ProjectionPlan,
+    order: Vec<SortItem>,
+    state: FoldState,
 }
 
-impl Maint {
+/// The persistent state of a [`Fold`].
+enum FoldState {
+    /// Aggregation and/or `DISTINCT` folded with exact retraction support.
+    Agg(GroupedAggState),
+    /// Refcounted bag of projected rows for plain projections.
+    Rows(CountedBag),
+}
+
+impl Fold {
     fn mode_name(&self) -> &'static str {
-        match self {
-            Maint::Agg { .. } => "grouped-aggregate fold",
-            Maint::Rows { .. } => "counted-bag projection",
-            Maint::Full => "full recomputation",
+        match self.state {
+            FoldState::Agg(_) => "grouped-aggregate fold",
+            FoldState::Rows(_) => "counted-bag projection",
         }
+    }
+
+    /// Folds one match row in (evaluated against `ctx`'s graph).
+    fn insert(&mut self, ctx: &EvalContext<'_>, row: &Record) -> Result<(), EvalError> {
+        match &mut self.state {
+            FoldState::Agg(state) => state.feed(ctx, &self.proj, self.delta.schema(), row),
+            FoldState::Rows(bag) => {
+                let (keys, out) =
+                    project_with_keys(ctx, &self.proj, &self.delta, &self.order, row)?;
+                bag.insert(keys, out);
+                Ok(())
+            }
+        }
+    }
+
+    /// Takes one match row out; `false` when the state never held it
+    /// (the state diverged).
+    fn retract(&mut self, ctx: &EvalContext<'_>, row: &Record) -> Result<bool, EvalError> {
+        match &mut self.state {
+            FoldState::Agg(state) => state.retract(ctx, &self.proj, self.delta.schema(), row),
+            FoldState::Rows(bag) => {
+                let (keys, out) =
+                    project_with_keys(ctx, &self.proj, &self.delta, &self.order, row)?;
+                Ok(bag.remove(&keys, &out))
+            }
+        }
+    }
+
+    /// Empties the state and folds in every row of `ctx`'s graph.
+    fn rebuild(&mut self, ctx: &EvalContext<'_>, cfg: &EngineConfig) -> Result<(), EvalError> {
+        match &mut self.state {
+            FoldState::Agg(state) => *state = GroupedAggState::new(false),
+            FoldState::Rows(bag) => bag.clear(),
+        }
+        for row in self.delta.all_rows(ctx, cfg)? {
+            self.insert(ctx, &row)?;
+        }
+        Ok(())
+    }
+
+    /// The output table of the current state, `ORDER BY` applied.
+    fn publish(&self, ctx: &EvalContext<'_>) -> Result<Table, EvalError> {
+        match &self.state {
+            FoldState::Agg(state) => {
+                let out = state.finalize_snapshot(ctx, &self.proj, self.delta.schema())?;
+                if self.order.is_empty() {
+                    return Ok(out);
+                }
+                apply_order_by_scoped(ctx, &self.order, out, None)
+            }
+            FoldState::Rows(bag) => Ok(bag.snapshot(self.proj.out_schema().clone(), &self.order)),
+        }
+    }
+
+    /// Folds one commit group's delta — retractions enumerated against
+    /// `old`, insertions against `new_graph` — and returns the new output
+    /// table. A retraction the state cannot find rebuilds it from
+    /// `new_graph` rather than publish a corrupt table.
+    fn refresh(
+        &mut self,
+        old: &GraphView,
+        new_graph: &PropertyGraph,
+        changes: &[&[Change]],
+        cfg: &EngineConfig,
+        metrics: &DatabaseMetrics,
+    ) -> Result<Table, EvalError> {
+        let mut affected = Vec::new();
+        for batch in changes {
+            affected.extend(affected_nodes(batch, old.graph()));
+        }
+        affected.sort_unstable();
+        affected.dedup();
+        let params = Params::new();
+        let ctx_old = EvalContext::new(old.graph(), &params).with_config(cfg.match_config);
+        let ctx_new = EvalContext::new(new_graph, &params).with_config(cfg.match_config);
+        let retractions = self.delta.affected_rows(&ctx_old, cfg, &affected)?;
+        let insertions = self.delta.affected_rows(&ctx_new, cfg, &affected)?;
+        if metrics.enabled() {
+            metrics
+                .view_delta_rows
+                .add((retractions.len() + insertions.len()) as u64);
+        }
+        let mut consistent = true;
+        for row in &retractions {
+            if !self.retract(&ctx_old, row)? {
+                consistent = false;
+                break;
+            }
+        }
+        if consistent {
+            for row in &insertions {
+                self.insert(&ctx_new, row)?;
+            }
+        } else {
+            if metrics.enabled() {
+                metrics.view_full_recomputes.inc();
+            }
+            self.rebuild(&ctx_new, cfg)?;
+        }
+        self.publish(&ctx_new)
     }
 }
 
 /// One refcounted row of a counted-bag view: the precomputed sort keys,
 /// the projected output row, and how many copies are live. Entries
-/// retracted to zero become tombstones (bucket indices stay stable);
-/// re-inserted rows take a fresh slot.
+/// retracted to zero become tombstones (bucket indices stay stable)
+/// until [`CountedBag::remove`] compacts; re-inserted rows take a fresh
+/// slot.
 struct BagEntry {
     keys: Vec<Value>,
     row: Record,
@@ -177,6 +277,8 @@ struct BagEntry {
 struct CountedBag {
     entries: Vec<BagEntry>,
     buckets: HashMap<u64, Vec<usize>>,
+    /// Tombstones in `entries`.
+    dead: usize,
 }
 
 impl CountedBag {
@@ -220,21 +322,39 @@ impl CountedBag {
     }
 
     /// Removes one copy; `false` when no live entry matches (the caller
-    /// falls back to full recomputation).
+    /// falls back to full recomputation). Once tombstones are half the
+    /// entries they are dropped, so a bag churned for a million commits
+    /// costs what its live rows cost — not its history.
     fn remove(&mut self, keys: &[Value], row: &Record) -> bool {
         let h = Self::hash_of(keys, row);
-        match self.find_live(h, keys, row) {
-            Some(i) => {
-                self.entries[i].count -= 1;
-                true
+        let Some(i) = self.find_live(h, keys, row) else {
+            return false;
+        };
+        self.entries[i].count -= 1;
+        if self.entries[i].count == 0 {
+            self.dead += 1;
+            if 2 * self.dead >= self.entries.len() {
+                self.compact();
             }
-            None => false,
+        }
+        true
+    }
+
+    /// Drops the tombstones, keeping the live entries in order.
+    fn compact(&mut self) {
+        self.entries.retain(|e| e.count > 0);
+        self.buckets.clear();
+        self.dead = 0;
+        for (i, e) in self.entries.iter().enumerate() {
+            let h = Self::hash_of(&e.keys, &e.row);
+            self.buckets.entry(h).or_default().push(i);
         }
     }
 
     fn clear(&mut self) {
         self.entries.clear();
         self.buckets.clear();
+        self.dead = 0;
     }
 
     /// Expands the live entries into an output table, sorted by the
@@ -292,7 +412,9 @@ struct ViewEntry {
     name: String,
     query_text: String,
     query: Arc<Query>,
-    maint: Maint,
+    /// How the output is kept current across commits: delta-folded, or
+    /// (`None`) the whole query re-run against each published version.
+    fold: Option<Fold>,
     /// `(version, output)` ring of recent publications, newest last.
     published: VecDeque<(u64, Arc<Table>)>,
     subs: Vec<Sender<ViewChange>>,
@@ -311,34 +433,14 @@ impl ViewEntry {
         at: &GraphView,
         cfg: &EngineConfig,
     ) -> Result<ViewEntry, Error> {
-        let mut maint = Self::classify(&query, cfg);
-        let params = Params::new();
-        let initial = match &mut maint {
-            Maint::Full => cold_eval(at, &query, cfg)?,
-            Maint::Agg {
-                delta,
-                proj,
-                order,
-                state,
-            } => {
+        let mut fold = Self::classify(&query, cfg);
+        let initial = match &mut fold {
+            None => cold_eval(at, &query, cfg)?,
+            Some(fold) => {
+                let params = Params::new();
                 let ctx = EvalContext::new(at.graph(), &params).with_config(cfg.match_config);
-                for row in delta.all_rows(&ctx)? {
-                    state.feed(&ctx, proj, delta.schema(), &row)?;
-                }
-                finalize_agg(state, &ctx, proj, delta.schema(), order)?
-            }
-            Maint::Rows {
-                delta,
-                proj,
-                order,
-                bag,
-            } => {
-                let ctx = EvalContext::new(at.graph(), &params).with_config(cfg.match_config);
-                for row in delta.all_rows(&ctx)? {
-                    let (keys, out) = project_with_keys(&ctx, proj, delta, order, &row)?;
-                    bag.insert(keys, out);
-                }
-                bag.snapshot(proj.out_schema().clone(), order)
+                fold.rebuild(&ctx, cfg)?;
+                fold.publish(&ctx)?
             }
         };
         let mut published = VecDeque::with_capacity(PUBLISHED_RING);
@@ -347,45 +449,44 @@ impl ViewEntry {
             name: name.to_string(),
             query_text: text.to_string(),
             query,
-            maint,
+            fold,
             published,
             subs: Vec::new(),
             broken: None,
         })
     }
 
-    /// Picks the maintenance mode for `query`; never errors — anything
-    /// outside the delta-foldable fragment is a correct (if slower)
-    /// `Full` view, and genuinely invalid queries fail at the initial
-    /// materialization instead.
-    fn classify(query: &Query, _cfg: &EngineConfig) -> Maint {
-        let Some(delta) = DeltaPlan::compile(query) else {
-            return Maint::Full;
-        };
+    /// Picks the maintenance mode for `query`: `None` (full
+    /// recomputation) for anything outside the delta-foldable fragment —
+    /// a correct, if slower, view; genuinely invalid queries fail at the
+    /// initial materialization instead.
+    fn classify(query: &Query, cfg: &EngineConfig) -> Option<Fold> {
+        // The driver the delta pass runs on does not model node
+        // isomorphism (a `MATCH` hands it to the reference matcher).
+        if cfg.match_config.morphism == Morphism::NodeIsomorphism {
+            return None;
+        }
+        let delta = DeltaPlan::compile(query)?;
         let Query::Single(sq) = query else {
-            return Maint::Full;
+            return None;
         };
-        let Some(ret) = &sq.ret else {
-            return Maint::Full;
-        };
-        let Ok(proj) = ProjectionPlan::compile(ret, delta.visible_schema()) else {
-            return Maint::Full;
-        };
+        let ret = sq.ret.as_ref()?;
+        let proj = ProjectionPlan::compile(ret, delta.visible_schema()).ok()?;
         // SKIP/LIMIT slice an ordered sequence: under churn the slice
         // boundary depends on tie order among equal keys, which a
         // maintained bag does not preserve — always recompute.
         if ret.skip.is_some() || ret.limit.is_some() {
-            return Maint::Full;
+            return None;
         }
-        let aggregating = proj.is_aggregating() || ret.distinct;
-        if aggregating {
+        let order = ret.order_by.clone();
+        let state = if proj.is_aggregating() || ret.distinct {
             // DISTINCT *after* aggregation is a second dedup layer the
             // single grouped state cannot express.
             if proj.is_aggregating() && ret.distinct {
-                return Maint::Full;
+                return None;
             }
             if !proj.all_aggs_retractable() || !proj.aggregated_items_are_bare() {
-                return Maint::Full;
+                return None;
             }
             // Group representative rows are not retained (a retraction
             // may concern entities deleted from the graph), so sort keys
@@ -395,22 +496,18 @@ impl ViewEntry {
                 .iter()
                 .all(|s| is_output_column_ref(&s.expr, proj.out_schema()))
             {
-                return Maint::Full;
+                return None;
             }
-            Maint::Agg {
-                delta,
-                proj,
-                order: ret.order_by.clone(),
-                state: GroupedAggState::new(false),
-            }
+            FoldState::Agg(GroupedAggState::new(false))
         } else {
-            Maint::Rows {
-                delta,
-                proj,
-                order: ret.order_by.clone(),
-                bag: CountedBag::default(),
-            }
-        }
+            FoldState::Rows(CountedBag::default())
+        };
+        Some(Fold {
+            delta,
+            proj,
+            order,
+            state,
+        })
     }
 
     /// The published table for a reader pinned at `version`: the newest
@@ -436,149 +533,63 @@ impl ViewEntry {
     fn refresh(
         &mut self,
         old: &GraphView,
-        new_graph: &Arc<PropertyGraph>,
+        new_graph: &PropertyGraph,
         changes: &[&[Change]],
         cfg: &EngineConfig,
         metrics: &DatabaseMetrics,
     ) -> Result<Table, Error> {
-        let params = Params::new();
-        match &mut self.maint {
-            Maint::Full => {
+        match &mut self.fold {
+            None => {
                 if metrics.enabled() {
                     metrics.view_full_recomputes.inc();
                 }
-                cold_eval_graph(new_graph, &self.query, cfg)
+                cold_eval(new_graph, &self.query, cfg)
             }
-            Maint::Agg {
+            Some(fold) => Ok(fold.refresh(old, new_graph, changes, cfg, metrics)?),
+        }
+    }
+
+    /// The `EXPLAIN VIEW` rendering: mode, pattern, the plan each anchor
+    /// position runs (planned against `at`, as a fold would), fold shape.
+    fn explain(&self, at: &GraphView, cfg: &EngineConfig) -> String {
+        let mode = self
+            .fold
+            .as_ref()
+            .map_or("full recomputation", Fold::mode_name);
+        let mut s = format!("view {}: {mode}\n", self.name);
+        s.push_str(&format!("  query: {}\n", self.query_text.trim()));
+        match &self.fold {
+            None => {
+                s.push_str("  every commit re-evaluates the query against the new version\n");
+            }
+            Some(Fold {
                 delta,
                 proj,
                 order,
                 state,
-            } => {
-                let mut affected = Vec::new();
-                for batch in changes {
-                    affected.extend(affected_nodes(batch, old.graph()));
-                }
-                affected.sort_unstable();
-                affected.dedup();
-                let ctx_old = EvalContext::new(old.graph(), &params).with_config(cfg.match_config);
-                let ctx_new = EvalContext::new(new_graph, &params).with_config(cfg.match_config);
-                let retractions = delta.affected_rows(&ctx_old, &affected)?;
-                let insertions = delta.affected_rows(&ctx_new, &affected)?;
-                if metrics.enabled() {
-                    metrics
-                        .view_delta_rows
-                        .add((retractions.len() + insertions.len()) as u64);
-                }
-                let mut diverged = false;
-                for row in &retractions {
-                    if !state.retract(&ctx_old, proj, delta.schema(), row)? {
-                        diverged = true;
-                        break;
-                    }
-                }
-                if diverged {
-                    // The state disagrees with the old graph: rebuild it
-                    // from scratch rather than publish a corrupt table.
-                    if metrics.enabled() {
-                        metrics.view_full_recomputes.inc();
-                    }
-                    *state = GroupedAggState::new(false);
-                    for row in delta.all_rows(&ctx_new)? {
-                        state.feed(&ctx_new, proj, delta.schema(), &row)?;
-                    }
-                } else {
-                    for row in &insertions {
-                        state.feed(&ctx_new, proj, delta.schema(), row)?;
-                    }
-                }
-                Ok(finalize_agg(state, &ctx_new, proj, delta.schema(), order)?)
-            }
-            Maint::Rows {
-                delta,
-                proj,
-                order,
-                bag,
-            } => {
-                let mut affected = Vec::new();
-                for batch in changes {
-                    affected.extend(affected_nodes(batch, old.graph()));
-                }
-                affected.sort_unstable();
-                affected.dedup();
-                let ctx_old = EvalContext::new(old.graph(), &params).with_config(cfg.match_config);
-                let ctx_new = EvalContext::new(new_graph, &params).with_config(cfg.match_config);
-                let retractions = delta.affected_rows(&ctx_old, &affected)?;
-                let insertions = delta.affected_rows(&ctx_new, &affected)?;
-                if metrics.enabled() {
-                    metrics
-                        .view_delta_rows
-                        .add((retractions.len() + insertions.len()) as u64);
-                }
-                let mut diverged = false;
-                for row in &retractions {
-                    let (keys, out) = project_with_keys(&ctx_old, proj, delta, order, row)?;
-                    if !bag.remove(&keys, &out) {
-                        diverged = true;
-                        break;
-                    }
-                }
-                if diverged {
-                    if metrics.enabled() {
-                        metrics.view_full_recomputes.inc();
-                    }
-                    bag.clear();
-                    for row in delta.all_rows(&ctx_new)? {
-                        let (keys, out) = project_with_keys(&ctx_new, proj, delta, order, &row)?;
-                        bag.insert(keys, out);
-                    }
-                } else {
-                    for row in &insertions {
-                        let (keys, out) = project_with_keys(&ctx_new, proj, delta, order, row)?;
-                        bag.insert(keys, out);
-                    }
-                }
-                Ok(bag.snapshot(proj.out_schema().clone(), order))
-            }
-        }
-    }
-
-    /// The `EXPLAIN VIEW` rendering: mode, pattern, anchors, fold shape.
-    fn explain(&self) -> String {
-        let mut s = format!("view {}: {}\n", self.name, self.maint.mode_name());
-        s.push_str(&format!("  query: {}\n", self.query_text.trim()));
-        match &self.maint {
-            Maint::Full => {
-                s.push_str("  every commit re-evaluates the query against the new version\n");
-            }
-            Maint::Agg {
-                delta, proj, order, ..
-            } => {
+            }) => {
+                let anchors = delta.explain_anchors(at.graph(), cfg);
+                let fold = match state {
+                    FoldState::Agg(_) => "retract(old) + feed(new)",
+                    FoldState::Rows(_) => "counted-bag add/remove",
+                };
                 s.push_str(&format!("  pattern: {}\n", delta.pattern()));
                 s.push_str(&format!(
-                    "  delta pass: {} anchor position(s), retract(old) + feed(new)\n",
-                    delta.anchor_count()
+                    "  delta pass: {} anchor position(s), {fold}\n",
+                    anchors.len()
                 ));
-                s.push_str(&format!(
-                    "  fold: {} group key(s), aggregates [{}]\n",
-                    proj.key_names().len(),
-                    proj.agg_display().join(", ")
-                ));
-                if !order.is_empty() {
-                    s.push_str(&format!("  order: {} projected key(s)\n", order.len()));
+                for line in anchors {
+                    s.push_str(&format!("    {line}\n"));
                 }
-            }
-            Maint::Rows { delta, order, .. } => {
-                s.push_str(&format!("  pattern: {}\n", delta.pattern()));
-                s.push_str(&format!(
-                    "  delta pass: {} anchor position(s), counted-bag add/remove\n",
-                    delta.anchor_count()
-                ));
-                if !order.is_empty() {
+                if let FoldState::Agg(_) = state {
                     s.push_str(&format!(
-                        "  order: {} key(s), precomputed at fold time\n",
-                        order.len()
+                        "  fold: {} group key(s), aggregates [{}]\n",
+                        proj.key_names().len(),
+                        proj.agg_display().join(", ")
                     ));
+                }
+                if !order.is_empty() {
+                    s.push_str(&format!("  order: {} key(s)\n", order.len()));
                 }
             }
         }
@@ -588,22 +599,6 @@ impl ViewEntry {
         }
         s
     }
-}
-
-/// Finalizes an aggregate view's state into its output table, applying
-/// the (projected-columns-only) `ORDER BY`.
-fn finalize_agg(
-    state: &GroupedAggState,
-    ctx: &EvalContext<'_>,
-    proj: &ProjectionPlan,
-    src_schema: &Schema,
-    order: &[SortItem],
-) -> Result<Table, EvalError> {
-    let out = state.finalize_snapshot(ctx, proj, src_schema)?;
-    if order.is_empty() {
-        return Ok(out);
-    }
-    apply_order_by_scoped(ctx, order, out, None)
 }
 
 /// Projects one match row and computes its `ORDER BY` keys under the
@@ -629,21 +624,15 @@ fn project_with_keys(
     Ok((keys, out))
 }
 
-/// Cold evaluation of a view query at a published version.
-fn cold_eval(at: &GraphView, q: &Query, cfg: &EngineConfig) -> Result<Table, Error> {
+/// Cold evaluation of a view query against a published version or a
+/// not-yet-published candidate graph.
+pub(crate) fn cold_eval<'a>(
+    at: impl Into<ViewRef<'a>>,
+    q: &Query,
+    cfg: &EngineConfig,
+) -> Result<Table, Error> {
     Ok(cypher_engine::execute_read_cached(
         at,
-        q,
-        &Params::new(),
-        cfg,
-        None,
-    )?)
-}
-
-/// Cold evaluation against a not-yet-published candidate graph.
-fn cold_eval_graph(g: &Arc<PropertyGraph>, q: &Query, cfg: &EngineConfig) -> Result<Table, Error> {
-    Ok(cypher_engine::execute_read_cached(
-        g.as_ref(),
         q,
         &Params::new(),
         cfg,
@@ -757,9 +746,9 @@ impl ViewRegistry {
         self.entries.iter().map(|e| e.name.clone()).collect()
     }
 
-    pub(crate) fn explain(&self, name: &str) -> Result<String, Error> {
+    pub(crate) fn explain(&self, name: &str, at: &GraphView) -> Result<String, Error> {
         match self.entry(name) {
-            Some(e) => Ok(e.explain()),
+            Some(e) => Ok(e.explain(at, &self.cfg)),
             None => Err(Error::Eval(EvalError::new(format!("no such view: {name}")))),
         }
     }
@@ -804,18 +793,18 @@ impl ViewRegistry {
     pub(crate) fn refresh_all(
         &mut self,
         old: &GraphView,
-        new_graph: &Arc<PropertyGraph>,
+        new_graph: &PropertyGraph,
         new_version: u64,
         changes: &[&[Change]],
         metrics: &DatabaseMetrics,
     ) {
-        let cfg = self.cfg.clone();
-        for e in &mut self.entries {
+        let ViewRegistry { cfg, entries } = self;
+        for e in entries {
             if e.broken.is_some() {
                 continue;
             }
             let started = Instant::now();
-            let refreshed = e.refresh(old, new_graph, changes, &cfg, metrics);
+            let refreshed = e.refresh(old, new_graph, changes, cfg, metrics);
             match refreshed {
                 Ok(table) => {
                     let table = Arc::new(table);
@@ -896,7 +885,18 @@ mod tests {
         assert!(bag.remove(&[], &row(1)));
         assert!(!bag.remove(&[], &row(1)), "third copy never existed");
         bag.insert(vec![], row(1));
-        let out = bag.snapshot(schema, &[]);
+        let out = bag.snapshot(schema.clone(), &[]);
         assert_eq!(out.len(), 2);
+
+        // Churn leaves no history behind: tombstones are compacted away
+        // and the live rows keep their order.
+        for _ in 0..1_000 {
+            bag.insert(vec![], row(3));
+            assert!(bag.remove(&[], &row(3)));
+        }
+        assert!(bag.entries.len() <= 4, "{} slots", bag.entries.len());
+        assert!(bag.buckets.values().all(|b| b.len() <= 2));
+        let out = bag.snapshot(schema, &[]);
+        assert_eq!(out.rows(), &[row(2), row(1)]);
     }
 }

@@ -33,23 +33,46 @@
 //! exact: a row binding three affected nodes is enumerated up to three
 //! times and counted once.
 //!
-//! `WHERE` comes along for free — the predicate is evaluated on each
-//! enumerated row against the same graph the row was enumerated in — with
-//! one restriction, checked at compile time: no existential pattern
-//! predicate or pattern comprehension anywhere in the query
-//! ([`expr_rescans_graph`]). Those constructs consult parts of the graph
-//! the row does *not* bind, so a change far from a row could flip its
-//! predicate without touching any of its entities, breaking the anchoring
-//! argument. Views containing them fall back to full recomputation.
+//! `WHERE` comes along for free — the predicate runs as the plan's
+//! trailing filter on each enumerated row, against the same graph the row
+//! was enumerated in — with one restriction, checked at compile time: no
+//! existential pattern predicate or pattern comprehension anywhere in the
+//! query ([`expr_rescans_graph`]). Those constructs consult parts of the
+//! graph the row does *not* bind, so a change far from a row could flip
+//! its predicate without touching any of its entities, breaking the
+//! anchoring argument. Views containing them fall back to full
+//! recomputation.
+//!
+//! ## Re-rooting at the anchor
+//!
+//! Enumeration is an ordinary `MATCH` run: per anchor position, the
+//! affected nodes form a one-column driving table named after it,
+//! [`plan_match`] plans the pattern over it and the morsel driver runs
+//! the plan with `WHERE` appended. The planner prices a pre-bound
+//! position at a constant 0.4 rows — below any index seek's 0.6 floor
+//! and any scan that can return a node (only an empty label's is lower)
+//! — so the plan starts there (`Argument`) and expands rightwards, then
+//! leftwards with the written direction reversed; the worst-case-optimal
+//! alternative refuses pre-bound variables. No statistic can flip that
+//! choice, so plans are made per call with no cache, and the work is the
+//! affected nodes' neighbourhoods, never a scan of the base graph.
+//! `Morphism::NodeIsomorphism`, which the driver does not model (a
+//! `MATCH` hands it to the reference matcher), is maintained by full
+//! recomputation instead.
 
+use crate::exec::{run_match, EngineConfig};
+use crate::ops::Collect;
+use crate::plan::PlanStep;
+use crate::planner::{plan_match, PlannedMatch};
+use crate::pushdown::project_visible;
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::PathPattern;
 use cypher_ast::query::{Clause, Query};
 use cypher_core::error::EvalError;
-use cypher_core::expr::truth_of;
-use cypher_core::{match_patterns, EvalContext, Record, Schema, VarLookup};
-use cypher_graph::{NodeId, Tri, Value};
+use cypher_core::{EvalContext, Record, Schema, Table};
+use cypher_graph::{NodeId, PropertyGraph, Value};
 use std::collections::HashSet;
+use std::slice;
 use std::sync::Arc;
 
 /// True when the expression (or any subexpression) re-scans the graph
@@ -208,37 +231,41 @@ impl DeltaPlan {
         &self.visible
     }
 
-    /// Number of anchor positions (distinct node names) — the fan-out
-    /// factor of one delta pass, for `EXPLAIN VIEW`.
-    pub fn anchor_count(&self) -> usize {
-        self.node_names.len()
-    }
-
     /// The rewritten pattern, for `EXPLAIN VIEW` rendering.
     pub fn pattern(&self) -> &PathPattern {
         &self.pattern
     }
 
+    /// One line per anchor position: the plan [`DeltaPlan::affected_rows`]
+    /// runs from it against `graph`, `WHERE` included — for `EXPLAIN VIEW`.
+    pub fn explain_anchors(&self, graph: &PropertyGraph, cfg: &EngineConfig) -> Vec<String> {
+        let where_ = self
+            .where_
+            .iter()
+            .map(|w| PlanStep::FilterExpr { pred: w.clone() });
+        self.node_names
+            .iter()
+            .map(|name| {
+                let mut steps = self.plan(graph, slice::from_ref(name), cfg).plan.steps;
+                steps.extend(where_.clone());
+                let steps: Vec<String> = steps.iter().map(PlanStep::to_string).collect();
+                format!("anchor {}: {}", name.trim_start(), steps.join(" → "))
+            })
+            .collect()
+    }
+
     /// Every binding row of the pattern over the whole graph, `WHERE`
     /// applied — the initial materialization fold.
-    pub fn all_rows(&self, ctx: &EvalContext<'_>) -> Result<Vec<Record>, EvalError> {
-        let rows = match_patterns(
-            ctx,
-            &cypher_core::expr::NoVars,
-            std::slice::from_ref(&self.pattern),
-        )?;
-        let mut out = Vec::with_capacity(rows.len());
-        for pairs in rows {
-            let record = self.assemble(&pairs, None)?;
-            if self.passes_where(ctx, &record)? {
-                out.push(record);
-            }
-        }
-        Ok(out)
+    pub fn all_rows(
+        &self,
+        ctx: &EvalContext<'_>,
+        cfg: &EngineConfig,
+    ) -> Result<Vec<Record>, EvalError> {
+        self.run(ctx, cfg, Table::unit())
     }
 
     /// Every binding row that binds at least one node of `affected`,
-    /// enumerated by anchoring each affected node at each node position
+    /// enumerated by anchoring the affected nodes at each node position
     /// and deduplicated by the complete binding tuple (exact — see the
     /// module docs). Evaluated against `ctx.graph`: call with the
     /// pre-update graph for retractions, the post-update graph for
@@ -246,66 +273,47 @@ impl DeltaPlan {
     pub fn affected_rows(
         &self,
         ctx: &EvalContext<'_>,
+        cfg: &EngineConfig,
         affected: &[NodeId],
     ) -> Result<Vec<Record>, EvalError> {
-        let mut out = Vec::new();
-        let mut seen: HashSet<Vec<(u8, u64)>> = HashSet::new();
-        for &d in affected {
-            if !ctx.graph.contains_node(d) {
-                continue;
-            }
-            for name in &self.node_names {
-                let anchor = Anchor {
-                    name,
-                    value: Value::Node(d),
-                };
-                let rows = match_patterns(ctx, &anchor, std::slice::from_ref(&self.pattern))?;
-                for pairs in rows {
-                    let record = self.assemble(&pairs, Some((name, d)))?;
-                    if !seen.insert(entity_key(&record)) {
-                        continue;
-                    }
-                    if self.passes_where(ctx, &record)? {
-                        out.push(record);
-                    }
-                }
-            }
+        let live: Vec<Record> = affected
+            .iter()
+            .filter(|&&d| ctx.graph.contains_node(d))
+            .map(|&d| Record::new(vec![Value::Node(d)]))
+            .collect();
+        let (mut out, mut seen) = (Vec::new(), HashSet::new());
+        for name in &self.node_names {
+            let anchors = Table::new(Schema::new(vec![name.clone()]), live.clone());
+            let rows = self.run(ctx, cfg, anchors)?.into_iter();
+            out.extend(rows.filter(|r| seen.insert(entity_key(r))));
         }
         Ok(out)
     }
 
-    /// Reassembles a [`cypher_core::matching::MatchRow`] (bindings for the
-    /// positions *not* pre-bound, in traversal order) into a full record
-    /// in schema column order.
-    fn assemble(
-        &self,
-        pairs: &[(String, Value)],
-        anchor: Option<(&str, NodeId)>,
-    ) -> Result<Record, EvalError> {
-        let mut vals: Vec<Value> = Vec::with_capacity(self.schema.len());
-        for col in self.schema.names() {
-            if let Some((name, d)) = anchor {
-                if col == name {
-                    vals.push(Value::Node(d));
-                    continue;
-                }
-            }
-            match pairs.iter().find(|(n, _)| n == col) {
-                Some((_, v)) => vals.push(v.clone()),
-                None => return Err(EvalError::new(format!("delta pass lost binding for {col}"))),
-            }
-        }
-        Ok(Record::new(vals))
+    /// Plans the pattern over driving-table columns `bound`.
+    fn plan(&self, graph: &PropertyGraph, bound: &[String], cfg: &EngineConfig) -> PlannedMatch {
+        plan_match(
+            graph,
+            bound,
+            slice::from_ref(&self.pattern),
+            cfg.planner_options(),
+        )
     }
 
-    fn passes_where(&self, ctx: &EvalContext<'_>, record: &Record) -> Result<bool, EvalError> {
-        match &self.where_ {
-            None => Ok(true),
-            Some(w) => {
-                let b = cypher_core::Bindings::new(&self.schema, record);
-                Ok(truth_of(ctx, &b, w)? == Tri::True)
-            }
-        }
+    /// Runs the pattern (plus `WHERE`) over `input` the way a `MATCH`
+    /// clause runs, returning rows in binding-schema order.
+    fn run(
+        &self,
+        ctx: &EvalContext<'_>,
+        cfg: &EngineConfig,
+        input: Table,
+    ) -> Result<Vec<Record>, EvalError> {
+        let planned = self.plan(ctx.graph, input.schema().names(), cfg);
+        let where_ = self.where_.as_ref();
+        let raw = run_match(
+            ctx, cfg, "MATCH", &planned, where_, input, &Collect, None, None,
+        )?;
+        Ok(project_visible(raw, &self.schema).into_rows())
     }
 }
 
@@ -329,18 +337,6 @@ fn entity_key(record: &Record) -> Vec<(u8, u64)> {
             }
         })
         .collect()
-}
-
-/// A one-name pre-binding: anchors a node position to a concrete node.
-struct Anchor<'a> {
-    name: &'a str,
-    value: Value,
-}
-
-impl VarLookup for Anchor<'_> {
-    fn lookup(&self, n: &str) -> Option<Value> {
-        (n == self.name).then(|| self.value.clone())
-    }
 }
 
 #[cfg(test)]
@@ -378,17 +374,20 @@ mod tests {
     #[test]
     fn affected_rows_match_brute_force_diff() {
         let params = Params::new();
-        let plan = plan_of("MATCH (a)-[r:KNOWS]->(b) WHERE b.v > 0 RETURN a").unwrap();
+        let cfg = EngineConfig::default();
 
         // Old graph: a chain with properties.
         let mut old = PropertyGraph::new();
-        let n: Vec<_> = (0..5)
+        let n: Vec<_> = (0..6)
             .map(|i| old.add_node(&["P"], [("v", Value::int(i - 1))]))
             .collect();
         for w in n.windows(2) {
             old.add_rel(w[0], w[1], "KNOWS", []).unwrap();
         }
-        // New graph: delete one edge (via clone-and-mutate), flip a prop.
+        // New graph: delete one edge (via clone-and-mutate), flip two
+        // props. n4 is affected only through its property, so the 3-node
+        // path's row (n3, n4, n5) binds an affected node in the middle
+        // position alone.
         let mut new = old.clone();
         let changes = {
             let buf = cypher_graph::SharedChangeBuffer::new();
@@ -402,6 +401,7 @@ mod tests {
             new.delete_rel(rid).unwrap();
             let k = new.intern("v");
             new.set_node_prop(n[1], k, Value::int(100)).unwrap();
+            new.set_node_prop(n[4], k, Value::int(-5)).unwrap();
             let _ = new.take_change_sink();
             buf.drain()
         };
@@ -409,31 +409,27 @@ mod tests {
         let affected = cypher_graph::affected_nodes(&changes, &old);
         let octx = EvalContext::new(&old, &params);
         let nctx = EvalContext::new(&new, &params);
+        let keys = |rows: Vec<Record>| rows.iter().map(entity_key).collect::<Vec<_>>();
 
-        // Delta algebra: all_rows(old) − retractions + insertions must be
-        // bag-equal to all_rows(new).
-        let mut rows: Vec<Vec<(u8, u64)>> = plan
-            .all_rows(&octx)
-            .unwrap()
-            .iter()
-            .map(entity_key)
-            .collect();
-        for r in plan.affected_rows(&octx, &affected).unwrap() {
-            let k = entity_key(&r);
-            let pos = rows.iter().position(|x| *x == k).expect("retract unknown");
-            rows.remove(pos);
+        for src in [
+            "MATCH (a)-[r:KNOWS]->(b) WHERE b.v > 0 RETURN a",
+            "MATCH (a)-[r:KNOWS]->(b)-[s:KNOWS]->(c) WHERE b.v > 0 RETURN a",
+        ] {
+            let plan = plan_of(src).unwrap();
+            // Delta algebra: all_rows(old) − retractions + insertions must
+            // be bag-equal to all_rows(new).
+            let mut rows = keys(plan.all_rows(&octx, &cfg).unwrap());
+            let retractions = keys(plan.affected_rows(&octx, &cfg, &affected).unwrap());
+            assert!(!retractions.is_empty(), "{src}");
+            for k in retractions {
+                let pos = rows.iter().position(|x| *x == k).expect("retract unknown");
+                rows.remove(pos);
+            }
+            rows.extend(keys(plan.affected_rows(&nctx, &cfg, &affected).unwrap()));
+            let mut want = keys(plan.all_rows(&nctx, &cfg).unwrap());
+            rows.sort();
+            want.sort();
+            assert_eq!(rows, want, "{src}");
         }
-        for r in plan.affected_rows(&nctx, &affected).unwrap() {
-            rows.push(entity_key(&r));
-        }
-        let mut want: Vec<Vec<(u8, u64)>> = plan
-            .all_rows(&nctx)
-            .unwrap()
-            .iter()
-            .map(entity_key)
-            .collect();
-        rows.sort();
-        want.sort();
-        assert_eq!(rows, want);
     }
 }

@@ -597,7 +597,7 @@ pub fn exec_match<'a>(
 /// are *inclusive* (each stage contains everything beneath it); the
 /// exclusive time reported subtracts the stage immediately below.
 #[allow(clippy::too_many_arguments)]
-fn run_match<S: Sink>(
+pub(crate) fn run_match<S: Sink>(
     ctx: &EvalContext<'_>,
     cfg: &EngineConfig,
     label: &str,

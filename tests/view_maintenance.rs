@@ -5,12 +5,17 @@
 //! aggregates, counted row bags, or the full-recompute fallback) and
 //! whatever the update stream does to the rows they materialized.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * **Generated views × generated update streams** — a fixed panel of
 //!   maintainable and fallback-shaped views plus grammar-generated ones,
 //!   driven by the default update mix and by the delete-heavy churn
-//!   preset, checked against cold re-evaluation after every commit;
+//!   preset, checked against cold re-evaluation after every commit —
+//!   under the default morphism, homomorphism (delta path) and node
+//!   isomorphism (full recomputation);
+//! * **Fold plans and fold work** — `EXPLAIN VIEW` shows one anchored
+//!   plan per node position, and the executor rows one commit's fold
+//!   produces are the same at 1 000 and 4 000 unrelated persons;
 //! * **Concurrent writers × pinned readers** — writer sessions race
 //!   while readers pin snapshots and demand the view at the pinned
 //!   version equals the pinned cold re-evaluation;
@@ -23,7 +28,7 @@
 //! code changes; group commit is a field the tests set themselves.
 
 use cypher::workload::QueryGenerator;
-use cypher::{Database, EngineConfig, Params, Record, Session, Table};
+use cypher::{Database, EngineConfig, Morphism, Params, Record, Session, Table};
 use cypher_client::Client;
 use cypher_server::{Server, ServerConfig};
 use std::time::Duration;
@@ -93,8 +98,34 @@ fn check_view_matches_cold(session: &mut Session, name: &str, query: &str, after
 
 #[test]
 fn generated_views_track_generated_update_streams() {
+    track_update_streams(memory_cfg(), true);
+}
+
+/// Homomorphism stays on the delta path, whose enumeration runs on the
+/// engine's driver like any `MATCH`.
+#[test]
+fn homomorphism_views_track_generated_update_streams() {
+    let mut cfg = memory_cfg();
+    cfg.match_config.morphism = Morphism::Homomorphism;
+    track_update_streams(cfg, true);
+}
+
+/// The driver does not model node isomorphism, so every view falls back
+/// to full recomputation — and stays exact.
+#[test]
+fn node_isomorphism_views_track_generated_update_streams() {
+    let mut cfg = memory_cfg();
+    cfg.match_config.morphism = Morphism::NodeIsomorphism;
+    track_update_streams(cfg, false);
+}
+
+/// The panel and generated views under `cfg`, checked against cold
+/// re-evaluation after every step of the generated update stream.
+/// `delta` says whether the panel's maintainable views are expected to
+/// take the delta path at all under `cfg`.
+fn track_update_streams(cfg: EngineConfig, delta: bool) {
     let params = Params::new();
-    let db = Database::open_with(memory_cfg()).unwrap();
+    let db = Database::open_with(cfg).unwrap();
     let mut session = db.session();
     let mut gen = QueryGenerator::new(0x1ea5);
     for _ in 0..30 {
@@ -109,7 +140,7 @@ fn generated_views_track_generated_update_streams() {
         let explain = db.explain_view(name).unwrap();
         assert_eq!(
             !explain.contains("full recomputation"),
-            incremental,
+            incremental && delta,
             "classifier surprise for {name}:\n{explain}"
         );
         views.push((name.to_string(), query.to_string()));
@@ -321,4 +352,102 @@ fn tcp_subscription_frames_replay_to_the_maintained_table() {
 
     drop(writer);
     server.shutdown();
+}
+
+/// The two view shapes `cybench`'s `read_write_cycle` maintains.
+const BY_V: &str = "MATCH (p:Person) RETURN p.v AS v, count(*) AS c";
+const HEAVY_EDGES: &str =
+    "MATCH (a:Person)-[f:FOLLOWS]->(b:Person) WHERE f.w > 98 RETURN a.i AS a, b.i AS b";
+
+/// `n` persons in `n / 2` disjoint `FOLLOWS` pairs, plus a three-person
+/// gadget cycle (keys -1, -2, -3) no pair touches.
+fn persons_with_gadget(n: i64) -> Database {
+    let mut cfg = memory_cfg();
+    cfg.metrics_enabled = true;
+    let db = Database::open_with(cfg).unwrap();
+    let mut session = db.session();
+    let mut params = Params::new();
+    params.insert("n".into(), cypher::Value::int(n / 2 - 1));
+    session
+        .query(
+            "UNWIND range(0, $n) AS i CREATE (:Person {i: 2 * i, v: i % 7})\
+             -[:FOLLOWS {w: i % 100}]->(:Person {i: 2 * i + 1, v: i % 5})",
+            &params,
+        )
+        .unwrap();
+    session
+        .query(
+            "CREATE (a:Person {i: -1, v: 1})-[:FOLLOWS {w: 50}]->(b:Person {i: -2, v: 2}), \
+             (b)-[:FOLLOWS {w: 99}]->(c:Person {i: -3, v: 1}), (c)-[:FOLLOWS {w: 99}]->(a)",
+            &Params::new(),
+        )
+        .unwrap();
+    drop(session);
+    db
+}
+
+#[test]
+fn explain_view_prints_the_anchored_plans_the_fold_runs() {
+    let db = persons_with_gadget(200);
+    db.create_view("heavy_edges", HEAVY_EDGES).unwrap();
+    let explain = db.explain_view("heavy_edges").unwrap();
+    let anchors: Vec<&str> = explain
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("anchor "))
+        .collect();
+    assert_eq!(anchors.len(), 2, "one plan per node position:\n{explain}");
+    for (line, var) in anchors.iter().zip(["a", "b"]) {
+        let plan = line.strip_prefix(&format!("{var}: ")).unwrap_or_else(|| {
+            panic!("anchor {var} expected:\n{explain}");
+        });
+        assert!(plan.starts_with(&format!("Argument({var})")), "{explain}");
+        for scan in ["NodeIndexScan", "AllNodesScan", "RelScan"] {
+            assert!(!plan.contains(scan), "anchored plan scans:\n{explain}");
+        }
+    }
+}
+
+/// ROADMAP 4a's gate as an exact count: the rows the executor produces
+/// for one commit's view fold are the same at 1 000 and 4 000 unrelated
+/// persons. The commit's own `MATCH` is measured alone first, by the same
+/// pattern as a read, so the difference is the fold's rows.
+#[test]
+fn fold_work_does_not_grow_with_the_base_graph() {
+    let find = "MATCH (a:Person {i: -1})-[f:FOLLOWS]->(b:Person {i: -2})";
+    let fold_rows = |n: i64| {
+        let db = persons_with_gadget(n);
+        db.create_view("by_v", BY_V).unwrap();
+        db.create_view("heavy_edges", HEAVY_EDGES).unwrap();
+        assert!(db
+            .explain_view("by_v")
+            .unwrap()
+            .contains("grouped-aggregate"));
+        assert!(db
+            .explain_view("heavy_edges")
+            .unwrap()
+            .contains("counted-bag"));
+        let rows = || db.exec_metrics().unwrap().rows.get();
+        let recomputes = db.metrics().view_full_recomputes.get();
+        let mut session = db.session();
+        let r0 = rows();
+        session
+            .query(&format!("{find} RETURN f"), &Params::new())
+            .unwrap();
+        let r1 = rows();
+        session
+            .query(&format!("{find} SET f.w = 99"), &Params::new())
+            .unwrap();
+        let commit_rows = rows() - r1;
+        assert_eq!(db.metrics().view_full_recomputes.get(), recomputes);
+        check_view_matches_cold(&mut session, "by_v", BY_V, "gadget SET");
+        check_view_matches_cold(&mut session, "heavy_edges", HEAVY_EDGES, "gadget SET");
+        commit_rows - (r1 - r0)
+    };
+    let small = fold_rows(1_000);
+    assert!(small > 0, "the fold runs on the executor");
+    assert_eq!(
+        small,
+        fold_rows(4_000),
+        "fold rows grew with the base graph"
+    );
 }
