@@ -244,7 +244,9 @@ pub fn apply_projection(
         out = Table::empty(plan.out_schema().clone());
         for u in table.rows() {
             out.push(plan.project_row(ctx, &schema, u)?);
-            sources.push(u.clone());
+            if !ret.order_by.is_empty() {
+                sources.push(u.clone());
+            }
         }
     }
 

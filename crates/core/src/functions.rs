@@ -14,8 +14,6 @@
 use crate::error::{err, EvalError};
 use crate::EvalContext;
 use cypher_graph::{Date, Duration, LocalDateTime, LocalTime, Temporal, Value, ZonedDateTime};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 fn arity(name: &str, args: &[Value], n: usize) -> Result<(), EvalError> {
     if args.len() == n {
@@ -56,7 +54,7 @@ pub fn apply_function(
                     ctx.graph
                         .labels(*n)
                         .iter()
-                        .map(|&l| Value::str(ctx.graph.resolve(l)))
+                        .map(|&l| Value::String(ctx.graph.interner().resolve_arc(l)))
                         .collect(),
                 )),
                 v => err(format!("labels() requires a node, got {}", v.type_name())),
@@ -71,7 +69,7 @@ pub fn apply_function(
                         .graph
                         .rel_type(*r)
                         .ok_or_else(|| EvalError::new("dangling relationship"))?;
-                    Ok(Value::str(ctx.graph.resolve(t)))
+                    Ok(Value::String(ctx.graph.interner().resolve_arc(t)))
                 }
                 v => err(format!(
                     "type() requires a relationship, got {}",
@@ -81,25 +79,19 @@ pub fn apply_function(
         }
         "properties" => {
             arity(name, &args, 1)?;
-            let to_map = |it: Vec<(String, Value)>| {
-                Value::Map(
-                    it.into_iter()
-                        .map(|(k, v)| (Arc::from(k.as_str()), v))
-                        .collect::<BTreeMap<_, _>>(),
-                )
-            };
+            let interner = ctx.graph.interner();
             match &args[0] {
                 Value::Null => Ok(Value::Null),
-                Value::Node(n) => Ok(to_map(
+                Value::Node(n) => Ok(Value::Map(
                     ctx.graph
                         .node_props(*n)
-                        .map(|(k, v)| (ctx.graph.resolve(k).to_string(), v.clone()))
+                        .map(|(k, v)| (interner.resolve_arc(k), v.clone()))
                         .collect(),
                 )),
-                Value::Rel(r) => Ok(to_map(
+                Value::Rel(r) => Ok(Value::Map(
                     ctx.graph
                         .rel_props(*r)
-                        .map(|(k, v)| (ctx.graph.resolve(k).to_string(), v.clone()))
+                        .map(|(k, v)| (interner.resolve_arc(k), v.clone()))
                         .collect(),
                 )),
                 Value::Map(m) => Ok(Value::Map(m.clone())),
@@ -113,13 +105,13 @@ pub fn apply_function(
                 Value::Node(n) => Ok(Value::List(
                     ctx.graph
                         .node_props(*n)
-                        .map(|(k, _)| Value::str(ctx.graph.resolve(k)))
+                        .map(|(k, _)| Value::String(ctx.graph.interner().resolve_arc(k)))
                         .collect(),
                 )),
                 Value::Rel(r) => Ok(Value::List(
                     ctx.graph
                         .rel_props(*r)
-                        .map(|(k, _)| Value::str(ctx.graph.resolve(k)))
+                        .map(|(k, _)| Value::String(ctx.graph.interner().resolve_arc(k)))
                         .collect(),
                 )),
                 Value::Map(m) => Ok(Value::List(

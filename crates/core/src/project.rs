@@ -20,6 +20,7 @@ use crate::table::{Record, Schema, Table};
 use crate::EvalContext;
 use cypher_ast::expr::Expr;
 use cypher_ast::query::{Return, ReturnItem, SortItem};
+use cypher_graph::Symbol;
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -301,8 +302,10 @@ impl ProjectionPlan {
             .all(|p| matches!(&p.expr, Expr::Param(name) if name.starts_with(" agg ")))
     }
 
-    /// Evaluates the non-aggregated projection of one row (the map-only
-    /// path and the per-row half of top-k).
+    /// Evaluates the non-aggregated projection of one row with the
+    /// generic evaluator: the reference path
+    /// ([`crate::clauses::apply_projection`]) that a
+    /// [`BoundProjection`] must equal.
     pub fn project_row(
         &self,
         ctx: &EvalContext<'_>,
@@ -310,11 +313,88 @@ impl ProjectionPlan {
         row: &Record,
     ) -> Result<Record, EvalError> {
         let b = Bindings::new(schema, row);
-        let mut out = Record::empty();
+        let mut out = Vec::with_capacity(self.items.len());
         for p in &self.items {
             out.push(eval_expr(ctx, &b, &p.expr)?);
         }
-        Ok(out)
+        Ok(Record::new(out))
+    }
+
+    /// Binds the items to an input schema and to `ctx`'s snapshot, once
+    /// for many rows: `x` becomes a column, `x.k` a column plus the
+    /// interned key. The result projects rows without per-row name
+    /// lookups or key hashing (the engine's plain-projection and top-k
+    /// sinks).
+    pub fn bind<'a>(&'a self, ctx: &EvalContext<'_>, schema: &'a Schema) -> BoundProjection<'a> {
+        let items = self
+            .items
+            .iter()
+            .map(|p| {
+                let (var, key) = match &p.expr {
+                    Expr::Var(x) => (x, None),
+                    Expr::Prop(base, k) => match &**base {
+                        Expr::Var(x) => (x, Some(k)),
+                        _ => return BoundItem::Eval,
+                    },
+                    _ => return BoundItem::Eval,
+                };
+                match (schema.index_of(var), key) {
+                    (Some(col), None) => BoundItem::Column(col),
+                    (Some(col), Some(k)) => BoundItem::Prop(col, ctx.graph.interner().get(k)),
+                    // Undefined: the evaluator raises the error.
+                    (None, _) => BoundItem::Eval,
+                }
+            })
+            .collect();
+        BoundProjection {
+            plan: self,
+            schema,
+            items,
+        }
+    }
+}
+
+/// How one item of a [`BoundProjection`] reads its row.
+enum BoundItem {
+    /// `x`: a copy of the column.
+    Column(usize),
+    /// `x.k` over a column: read straight off a node or relationship with
+    /// the interned key (`None`: never interned, so no entity carries it);
+    /// any other value goes through the evaluator.
+    Prop(usize, Option<Symbol>),
+    /// Everything else: [`eval_expr`], exactly as unbound.
+    Eval,
+}
+
+/// A [`ProjectionPlan`] bound to one input schema and snapshot
+/// ([`ProjectionPlan::bind`]).
+pub struct BoundProjection<'a> {
+    plan: &'a ProjectionPlan,
+    schema: &'a Schema,
+    items: Vec<BoundItem>,
+}
+
+impl BoundProjection<'_> {
+    /// Evaluates the non-aggregated projection of one row of the bound
+    /// schema; equal, value and error alike, to
+    /// [`ProjectionPlan::project_row`].
+    pub fn project_row(&self, ctx: &EvalContext<'_>, row: &Record) -> Result<Record, EvalError> {
+        let g = ctx.graph;
+        let eval = |e: &Expr| eval_expr(ctx, &Bindings::new(self.schema, row), e);
+        let mut out = Vec::with_capacity(self.items.len());
+        for (item, p) in self.items.iter().zip(&self.plan.items) {
+            out.push(match *item {
+                BoundItem::Column(col) => row.get(col).clone(),
+                BoundItem::Prop(col, key) => match row.get(col) {
+                    Value::Node(n) => key.and_then(|k| g.node_prop(*n, k)).cloned(),
+                    Value::Rel(r) => key.and_then(|k| g.rel_prop(*r, k)).cloned(),
+                    _ => Some(eval(&p.expr)?),
+                }
+                .unwrap_or(Value::Null),
+                BoundItem::Eval => eval(&p.expr)?,
+            });
+        }
+        Ok(Record::new(out))
     }
 }
 
@@ -907,6 +987,67 @@ mod tests {
             ..Return::default()
         };
         assert!(ProjectionPlan::compile(&star, &empty).is_err());
+    }
+
+    /// The bound fast paths equal the generic evaluator (what
+    /// `ProjectionPlan::project_row` runs), value and error text alike,
+    /// on every shape a column can hold.
+    #[test]
+    fn bound_projection_matches_eval_expr() {
+        let mut g = PropertyGraph::new();
+        let a = g.add_node(&["Person"], [("name", Value::str("Ada"))]);
+        let b = g.add_node(&["Person"], []);
+        let r = g
+            .add_rel(a, b, "KNOWS", [("since", Value::int(1985))])
+            .unwrap();
+        let params = Params::new();
+        let ctx = EvalContext::new(&g, &params);
+        let eval =
+            |src: &str, u: &dyn VarLookup| eval_expr(&ctx, u, &parse_expression(src).unwrap());
+        let schema = Schema::new(["n", "r", "m", "t", "z"].map(String::from).to_vec());
+        let row = Record::new(vec![
+            Value::Node(a),
+            Value::Rel(r),
+            eval("{name: 'map', k: 1}", &NoVars).unwrap(),
+            eval("date('2024-02-29')", &NoVars).unwrap(),
+            Value::Null,
+        ]);
+        let cases = [
+            ("n", "column"),
+            ("r", "column"),
+            ("m", "column"),
+            ("t", "column"),
+            ("z", "column"),
+            ("n.name", "prop"),
+            ("r.since", "prop"),
+            ("m.name", "prop"),
+            ("t.year", "prop"),
+            ("z.name", "prop"),
+            // Interned (a relationship carries it), absent on the node.
+            ("n.since", "prop"),
+            ("n.nowhere", "prop"),
+            ("q", "eval"),
+            ("q.name", "eval"),
+            ("t.nowhere", "prop"),
+        ];
+        for (src, shape) in cases {
+            let plan =
+                ProjectionPlan::compile(&ret_of(&format!("RETURN {src} AS c")), &schema).unwrap();
+            let bound = plan.bind(&ctx, &schema);
+            let got = match bound.items[0] {
+                BoundItem::Column(_) => "column",
+                BoundItem::Prop(..) => "prop",
+                BoundItem::Eval => "eval",
+            };
+            assert_eq!(got, shape, "{src} binds as");
+            let fast = bound.project_row(&ctx, &row);
+            let slow = eval(src, &Bindings::new(&schema, &row));
+            match (fast, slow) {
+                (Ok(rec), Ok(v)) => assert_eq!(format!("{:?}", rec.values()), format!("{:?}", [v])),
+                (Err(e1), Err(e2)) => assert_eq!(e1, e2, "{src}"),
+                (fast, slow) => panic!("{src}: bound {fast:?}, generic {slow:?}"),
+            }
+        }
     }
 
     #[test]

@@ -250,7 +250,7 @@ pub static ENGINE_KNOBS: [Knob<EngineConfig>; 10] = [
         field: "partial_agg",
         access: choice!(partial_agg, TRI, PARTIAL_AGG),
         set_by: "CI `exec-matrix` (`force`)",
-        doc: "fold the final aggregate / `DISTINCT` / top-k into the pipeline; `force` also opens the parallel gate on tiny inputs",
+        doc: "run the final aggregate / `DISTINCT` / top-k / plain projection inside the pipeline; `off` keeps all of them, a plain `RETURN` included, on the collect-then-project path; `force` also opens the parallel gate on tiny inputs",
     },
     Knob {
         var: "CYPHER_WCO_JOIN",

@@ -4,9 +4,9 @@
 //! differ only in whether it may touch the graph). Reading clauses
 //! (`MATCH`, `OPTIONAL MATCH`) are compiled by the planner and run by
 //! the morsel driver of [`crate::ops`] into a sink: normally the one
-//! that collects the rows, but the **final** `MATCH` of an aggregating,
-//! `DISTINCT` or `ORDER BY … LIMIT` query folds straight into its
-//! `RETURN` (`pushdown`), so that no match table ever materializes.
+//! that collects the rows, but the **final** `MATCH` runs straight into
+//! its `RETURN` (`pushdown`) unless that is a bare `ORDER BY`, so that no
+//! match table materializes.
 //! Mid-query `WITH` and `UNWIND` reuse the reference semantics of
 //! [`cypher_core`] directly; updating clauses are dispatched to
 //! [`crate::update`].
@@ -174,10 +174,10 @@ impl EngineConfig {
     /// `EXPLAIN` alike: a source-anchored pipeline goes to the worker
     /// pool when its source emits more rows than this. `None` (one
     /// thread) never dispatches; [`PartialAggMode::Force`] opens the
-    /// gate for a `folding` sink so tiny inputs exercise the merge.
-    pub(crate) fn parallel_gate(&self, folding: bool) -> Option<usize> {
+    /// gate for an `evaluating` sink so tiny inputs exercise the merge.
+    pub(crate) fn parallel_gate(&self, evaluating: bool) -> Option<usize> {
         (self.num_threads > 1).then(|| {
-            if folding && self.partial_agg == PartialAggMode::Force {
+            if evaluating && self.partial_agg == PartialAggMode::Force {
                 0
             } else {
                 self.morsel_size.max(1)
@@ -255,10 +255,10 @@ pub struct ClauseProfile {
     /// `"MATCH"` or `"OPTIONAL MATCH"`.
     pub label: String,
     /// Per-operator measurements, in pipeline order; a clause folded
-    /// into the `RETURN` ends with its `PartialAggregate(…)` / `TopK(…)`
-    /// sink. Empty when the clause was delegated to the reference
-    /// matcher (node-isomorphism mode), which has no operator pipeline
-    /// to instrument.
+    /// into the `RETURN` ends with its `PartialAggregate(…)`, `TopK(…)`
+    /// or `Project(…)` sink. Empty when the clause was delegated to the
+    /// reference matcher (node-isomorphism mode), which has no operator
+    /// pipeline to instrument.
     pub operators: Vec<OpProfile>,
     /// Morsels executed (1 for a sequential run).
     pub morsels: u64,
@@ -704,29 +704,23 @@ fn exec_match_memo(
         let mut visible = table.schema().names().to_vec();
         visible.extend(planned.new_vars.iter().cloned());
         let sink = at.and_then(|(sq, i)| select_sink(&ctx, cfg, sq, i, &visible));
-        let sink_label = match (&sink, &profile) {
-            (Some(sink), Some(_)) => Some(sink.label()),
-            _ => None,
-        };
+        let sink_label = profile.as_ref().and(sink.as_ref()).map(FinalSink::label);
+        // `Sink` is not object-safe: one monomorphic call per sink type.
+        macro_rules! run {
+            ($sink:expr) => {
+                run_match(
+                    &ctx, cfg, label, &planned, where_, table, $sink, sink_label, profile,
+                )?
+            };
+        }
         return Ok(match &sink {
-            Some(FinalSink::Fold(s)) => (
-                run_match(
-                    &ctx, cfg, label, &planned, where_, table, s, sink_label, profile,
-                )?,
-                true,
+            Some(FinalSink::Fold(s)) => (run!(s), true),
+            Some(FinalSink::TopK(s)) => (run!(s), true),
+            Some(FinalSink::Map(s)) => (run!(s), true),
+            None => (
+                project_visible(run!(&Collect), &Schema::new(visible)),
+                false,
             ),
-            Some(FinalSink::TopK(s)) => (
-                run_match(
-                    &ctx, cfg, label, &planned, where_, table, s, sink_label, profile,
-                )?,
-                true,
-            ),
-            None => {
-                let raw = run_match(
-                    &ctx, cfg, label, &planned, where_, table, &Collect, None, profile,
-                )?;
-                (project_visible(raw, &Schema::new(visible)), false)
-            }
         });
     }
 
@@ -796,7 +790,7 @@ fn exec_match_memo(
 /// Renders the physical plan of every `MATCH` clause in a query — a
 /// minimal `EXPLAIN` — plus, from the executor's own dispatch gate and
 /// sink selection, whether the worker pool can engage and what a final
-/// `MATCH` folds into (`PartialAggregate(keys=…, aggs=…)` / `TopK(k=…)`),
+/// `MATCH` runs into (`PartialAggregate(…)` / `TopK(k=…)` / `Project(…)`),
 /// against the given snapshot's statistics.
 ///
 /// When the handle carries a version (it came from a pinned
@@ -1109,7 +1103,8 @@ mod tests {
             &q,
             &EngineConfig::default()
                 .with_threads(4)
-                .with_morsel_size(512),
+                .with_morsel_size(512)
+                .with_partial_agg(PartialAggMode::Auto),
         );
         assert!(
             par.contains(

@@ -23,11 +23,11 @@
 //! The **final** projection of a qualifying query is instead the *sink*
 //! the morsel driver folds into: aggregation and `DISTINCT` fold
 //! per-morsel `GroupedAggState`s (the same type the reference semantics
-//! fold through) and `ORDER BY … LIMIT` folds bounded top-k heaps, merged
-//! in morsel order so results stay bit-identical across thread counts and
-//! morsel sizes — surfaced in `EXPLAIN` and `PROFILE` as
-//! `PartialAggregate(…)` / `TopK(k=…)` and controlled by
-//! [`EngineConfig::partial_agg`]. Repeated
+//! fold through), `ORDER BY … LIMIT` folds bounded top-k heaps and a plain
+//! projection maps each batch, merged in morsel order so results stay
+//! bit-identical across thread counts and morsel sizes — surfaced in
+//! `EXPLAIN` and `PROFILE` as `PartialAggregate(…)`, `TopK(k=…)` and
+//! `Project(…)`, controlled by [`EngineConfig::partial_agg`]. Repeated
 //! queries skip planning through a [`PlanMemo`] (see [`cache`]), which
 //! the `cypher::Database` facade wires into an LRU parse+plan cache with
 //! statistics-fingerprint invalidation.

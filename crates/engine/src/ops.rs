@@ -30,7 +30,8 @@ use cypher_core::morphism::Morphism;
 use cypher_core::table::{Record, Schema, Table};
 use cypher_core::EvalContext;
 use cypher_graph::{
-    gallop, Direction, Neighbor, NodeId, Path, RelId, SortedAdjacency, Symbol, Tri, Value,
+    gallop, Direction, Neighbor, NodeId, Path, PropertyGraph, RelId, SortedAdjacency, Symbol, Tri,
+    Value,
 };
 use cypher_metrics::Counter;
 use std::cell::RefCell;
@@ -218,11 +219,11 @@ impl Operator for ProfiledOp<'_> {
 pub(crate) trait Sink: Sync {
     /// One morsel's share of the result.
     type Partial: Send;
-    /// Whether rows are folded away rather than kept. A folding run
+    /// Whether the sink evaluates expressions between batches. Such a run
     /// interleaves its own evaluation with the pipeline's, so its errors
-    /// are not the canonical ones, and
+    /// are not the canonical ones and are answered by a re-run, and
     /// [`crate::exec::PartialAggMode::Force`] drops its work-size gate.
-    const FOLDS: bool;
+    const EVALUATES: bool;
     /// A fresh partial for a pipeline that emits `schema`.
     fn partial(&self, schema: &Arc<Schema>) -> Self::Partial;
     /// Takes in one batch.
@@ -252,7 +253,7 @@ pub(crate) struct Collect;
 
 impl Sink for Collect {
     type Partial = Table;
-    const FOLDS: bool = false;
+    const EVALUATES: bool = false;
 
     fn partial(&self, schema: &Arc<Schema>) -> Table {
         Table::empty(schema.clone())
@@ -306,10 +307,10 @@ impl Sink for Collect {
 /// partials in morsel order. The result is therefore the same for every
 /// `num_threads` and `morsel_size`, not merely the same bag.
 ///
-/// **Canonical errors:** workers race and a folding sink evaluates
-/// between batches, so the first error of a parallel or folding run is
-/// scheduling-dependent. Any such error is discarded and answered by one
-/// sequential re-run through [`Collect`] and [`Sink::materialized`],
+/// **Canonical errors:** workers race and an evaluating sink evaluates
+/// between batches, so the first error of a parallel or evaluating run
+/// is scheduling-dependent. Any such error is discarded and answered by
+/// one sequential re-run through [`Collect`] and [`Sink::materialized`],
 /// which raises what the clause-at-a-time semantics raise.
 pub(crate) fn drive<'a, S: Sink>(
     ctx: &'a EvalContext<'a>,
@@ -333,9 +334,10 @@ pub(crate) fn drive<'a, S: Sink>(
         Some(Some((_, items))) => input.len().saturating_mul(items.len()),
         _ => 0,
     };
-    let first = if cfg.parallel_gate(S::FOLDS).is_some_and(|gate| total > gate) {
+    let gate = cfg.parallel_gate(S::EVALUATES);
+    let first = if gate.is_some_and(|gate| total > gate) {
         run.morsels(&input, total, sink, probe.as_deref_mut())
-    } else if S::FOLDS {
+    } else if S::EVALUATES {
         // Cloned so the re-run still has it: the driving table of a
         // final MATCH is the usually-tiny pre-match context.
         run.whole(input.clone(), sink, probe.as_deref_mut())
@@ -688,7 +690,7 @@ fn attach<'a>(
             Box::new(ExpandOp {
                 ctx,
                 schema: out_schema,
-                child,
+                rows: PerRow::new(child, cap),
                 from_idx,
                 rel_bound,
                 to_bound,
@@ -701,10 +703,6 @@ fn attach<'a>(
                 exclude_idx,
                 props,
                 in_schema: schema,
-                cap,
-                input: None,
-                row_idx: 0,
-                pending: Vec::new(),
             })
         }
         PlanStep::MultiwayIntersect {
@@ -741,16 +739,12 @@ fn attach<'a>(
                 ctx,
                 schema: out_schema,
                 in_schema: schema,
-                child,
+                rows: PerRow::new(child, cap),
                 guards: gstates,
                 label_syms,
                 exclude_idx,
                 adj: ctx.graph.sorted_adjacency(),
                 metrics,
-                cap,
-                input: None,
-                row_idx: 0,
-                pending: Vec::new(),
                 probes: 0,
                 isect: 0,
                 rows_out: 0,
@@ -775,7 +769,7 @@ fn attach<'a>(
             // operator instead of hashing the key string on every row.
             let props = props
                 .iter()
-                .map(|(k, e)| (ctx.graph.interner().get(k), e.clone()))
+                .map(|(k, e)| (ctx.graph.interner().get(k), e.clone(), None))
                 .collect();
             Box::new(PropsFilter {
                 ctx,
@@ -859,6 +853,95 @@ fn dir_of(d: Dir) -> Direction {
         Dir::Out => Direction::Outgoing,
         Dir::In => Direction::Incoming,
         Dir::Both => Direction::Both,
+    }
+}
+
+/// Whether `r`'s type is admissible: `Some(vec![])` = any type;
+/// `Some(list)` = one of; `None` = no admissible type exists.
+fn type_ok(g: &PropertyGraph, syms: &Option<Vec<Symbol>>, r: RelId) -> bool {
+    match syms {
+        None => false,
+        Some(list) => list.is_empty() || list.contains(&g.rel_type(r).expect("live rel")),
+    }
+}
+
+/// Relationship isomorphism: whether `r` is already bound in one of the
+/// `exclude` columns (a relationship, or a variable-length list of them).
+fn rel_excluded(ctx: &EvalContext<'_>, exclude: &[usize], row: &Record, r: RelId) -> bool {
+    ctx.config.morphism.rels_distinct()
+        && exclude.iter().any(|&i| match row.get(i) {
+            Value::Rel(r2) => *r2 == r,
+            Value::List(items) => items
+                .iter()
+                .any(|v| matches!(v, Value::Rel(r2) if *r2 == r)),
+            _ => false,
+        })
+}
+
+/// Whether `r` carries every expected `(key, value)` (`=`, not
+/// equivalence).
+fn props_ok(g: &PropertyGraph, expected: &[(Symbol, Value)], r: RelId) -> bool {
+    expected
+        .iter()
+        .all(|(k, want)| g.rel_prop(r, *k).is_some_and(|v| v.equals(want).is_true()))
+}
+
+/// The input cursor of an operator that maps every input row to a run
+/// of output rows (`Expand`, `MultiwayIntersect`).
+struct PerRow<'a> {
+    child: Box<dyn Operator + 'a>,
+    cap: usize,
+    /// The current input batch and the index of its next row.
+    input: Option<(RowBatch, usize)>,
+    /// The current row's output still awaiting emission (stored
+    /// reversed; popped off the end).
+    pending: Vec<Record>,
+}
+
+impl<'a> PerRow<'a> {
+    fn new(child: Box<dyn Operator + 'a>, cap: usize) -> Self {
+        PerRow {
+            child,
+            cap,
+            input: None,
+            pending: Vec::new(),
+        }
+    }
+
+    /// Moves pending rows into `out`; while `out` has room, steps to the
+    /// next input row and answers `true` for the caller to expand
+    /// [`PerRow::current`] into [`PerRow::expanded`]. `false`: `out` is
+    /// full or the input is exhausted.
+    fn advance(&mut self, out: &mut RowBatch) -> Result<bool, EvalError> {
+        while out.len() < self.cap {
+            if let Some(r) = self.pending.pop() {
+                out.push(r);
+                continue;
+            }
+            match &mut self.input {
+                Some((batch, next)) if *next < batch.len() => {
+                    *next += 1;
+                    return Ok(true);
+                }
+                _ => match self.child.next_batch()? {
+                    Some(b) => self.input = Some((b, 0)),
+                    None => return Ok(false),
+                },
+            }
+        }
+        Ok(false)
+    }
+
+    /// The input row [`PerRow::advance`] stepped to.
+    fn current(&self) -> &Record {
+        let (batch, next) = self.input.as_ref().expect("advanced to a row");
+        &batch.rows()[next - 1]
+    }
+
+    /// Queues the current row's output.
+    fn expanded(&mut self, mut rows: Vec<Record>) {
+        rows.reverse(); // pop() then restores natural order
+        self.pending = rows;
     }
 }
 
@@ -1004,7 +1087,7 @@ struct ExpandOp<'a> {
     ctx: &'a EvalContext<'a>,
     schema: Arc<Schema>,
     in_schema: Arc<Schema>,
-    child: Box<dyn Operator + 'a>,
+    rows: PerRow<'a>,
     from_idx: usize,
     rel_bound: Option<usize>,
     to_bound: Option<usize>,
@@ -1017,58 +1100,19 @@ struct ExpandOp<'a> {
     single: bool,
     reversed: bool,
     exclude_idx: Vec<usize>,
-    /// Per-hop property conditions, keys pre-resolved at build time.
+    /// Per-hop property conditions, keys pre-resolved at build time;
+    /// expected values depend only on the driving row, so they are
+    /// evaluated once per row.
     props: Vec<(Option<Symbol>, Expr)>,
-    cap: usize,
-    /// Current input batch plus cursor, and the expansion of the current
-    /// row still awaiting emission (stored reversed; popped off the end).
-    input: Option<RowBatch>,
-    row_idx: usize,
-    pending: Vec<Record>,
 }
 
 impl ExpandOp<'_> {
-    fn type_ok(&self, r: RelId) -> bool {
-        match &self.type_syms {
-            None => false,
-            Some(list) if list.is_empty() => true,
-            Some(list) => {
-                let t = self.ctx.graph.rel_type(r).expect("live rel");
-                list.contains(&t)
-            }
-        }
-    }
-
-    fn rel_excluded(&self, row: &Record, r: RelId) -> bool {
-        if !self.ctx.config.morphism.rels_distinct() {
-            return false;
-        }
-        for &i in &self.exclude_idx {
-            match row.get(i) {
-                Value::Rel(r2) if *r2 == r => return true,
-                Value::List(items)
-                    if items
-                        .iter()
-                        .any(|v| matches!(v, Value::Rel(r2) if *r2 == r)) =>
-                {
-                    return true;
-                }
-                _ => {}
-            }
-        }
-        false
-    }
-
-    /// Per-hop property conditions (variable-length patterns); expected
-    /// values depend only on the driving row, so they are evaluated once.
-    fn props_ok(&self, expected: &[(Symbol, Value)], r: RelId) -> bool {
-        for (k, want) in expected {
-            match self.ctx.graph.rel_prop(r, *k) {
-                Some(v) if v.equals(want).is_true() => {}
-                _ => return false,
-            }
-        }
-        true
+    /// Whether `r` may be the next hop from `row`.
+    fn hop_ok(&self, row: &Record, expected: &[(Symbol, Value)], r: RelId) -> bool {
+        let g = self.ctx.graph;
+        type_ok(g, &self.type_syms, r)
+            && !rel_excluded(self.ctx, &self.exclude_idx, row, r)
+            && props_ok(g, expected, r)
     }
 
     fn effective_hi(&self) -> u64 {
@@ -1116,7 +1160,7 @@ impl ExpandOp<'_> {
                 return Ok(out);
             }
             for (r, next) in self.ctx.graph.expand(from, self.dir) {
-                if !self.type_ok(r) || self.rel_excluded(row, r) || !self.props_ok(&expected, r) {
+                if !self.hop_ok(row, &expected, r) {
                     continue;
                 }
                 if let Some(ri) = self.rel_bound {
@@ -1193,11 +1237,7 @@ impl ExpandOp<'_> {
         }
         let distinct = self.ctx.config.morphism.rels_distinct();
         for (r, next) in self.ctx.graph.expand(at, self.dir) {
-            if !self.type_ok(r)
-                || self.rel_excluded(row, r)
-                || (distinct && rels.contains(&r))
-                || !self.props_ok(expected, r)
-            {
+            if (distinct && rels.contains(&r)) || !self.hop_ok(row, expected, r) {
                 continue;
             }
             rels.push(r);
@@ -1214,41 +1254,12 @@ impl Operator for ExpandOp<'_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        let mut out = RowBatch::with_capacity(self.cap.min(64));
-        loop {
-            // Drain the current row's expansion first.
-            while out.len() < self.cap {
-                match self.pending.pop() {
-                    Some(r) => out.push(r),
-                    None => break,
-                }
-            }
-            if out.len() >= self.cap {
-                return Ok(Some(out));
-            }
-            // Advance to the next input row.
-            let Some(batch) = self.input.take() else {
-                match self.child.next_batch()? {
-                    Some(b) => {
-                        self.row_idx = 0;
-                        self.input = Some(b);
-                        continue;
-                    }
-                    None => {
-                        return Ok(if out.is_empty() { None } else { Some(out) });
-                    }
-                }
-            };
-            if self.row_idx < batch.len() {
-                let mut exp = self.expand_row(&batch.rows()[self.row_idx])?;
-                exp.reverse(); // pop() then restores natural order
-                self.pending = exp;
-                self.row_idx += 1;
-            }
-            if self.row_idx < batch.len() {
-                self.input = Some(batch);
-            }
+        let mut out = RowBatch::with_capacity(self.rows.cap.min(64));
+        while self.rows.advance(&mut out)? {
+            let exp = self.expand_row(self.rows.current())?;
+            self.rows.expanded(exp);
         }
+        Ok((!out.is_empty()).then_some(out))
     }
 }
 
@@ -1382,19 +1393,13 @@ struct MultiwayIntersectOp<'a> {
     ctx: &'a EvalContext<'a>,
     schema: Arc<Schema>,
     in_schema: Arc<Schema>,
-    child: Box<dyn Operator + 'a>,
+    rows: PerRow<'a>,
     guards: Vec<IntersectGuardState>,
     /// `None` when some label was never interned (matches nothing).
     label_syms: Option<Vec<Symbol>>,
     exclude_idx: Vec<usize>,
     adj: Arc<SortedAdjacency>,
     metrics: Option<&'a ExecMetrics>,
-    cap: usize,
-    /// Current input batch plus cursor, and the expansion of the current
-    /// row still awaiting emission (stored reversed; popped off the end).
-    input: Option<RowBatch>,
-    row_idx: usize,
-    pending: Vec<Record>,
     /// Kernel counters, flushed to `metrics` once at end of stream.
     probes: u64,
     isect: u64,
@@ -1403,47 +1408,6 @@ struct MultiwayIntersectOp<'a> {
 }
 
 impl MultiwayIntersectOp<'_> {
-    fn type_ok(&self, g: &IntersectGuardState, r: RelId) -> bool {
-        match &g.type_syms {
-            None => false,
-            Some(list) if list.is_empty() => true,
-            Some(list) => {
-                let t = self.ctx.graph.rel_type(r).expect("live rel");
-                list.contains(&t)
-            }
-        }
-    }
-
-    fn rel_excluded(&self, row: &Record, r: RelId) -> bool {
-        if !self.ctx.config.morphism.rels_distinct() {
-            return false;
-        }
-        for &i in &self.exclude_idx {
-            match row.get(i) {
-                Value::Rel(r2) if *r2 == r => return true,
-                Value::List(items)
-                    if items
-                        .iter()
-                        .any(|v| matches!(v, Value::Rel(r2) if *r2 == r)) =>
-                {
-                    return true;
-                }
-                _ => {}
-            }
-        }
-        false
-    }
-
-    fn props_ok(&self, expected: &[(Symbol, Value)], r: RelId) -> bool {
-        for (k, want) in expected {
-            match self.ctx.graph.rel_prop(r, *k) {
-                Some(v) if v.equals(want).is_true() => {}
-                _ => return false,
-            }
-        }
-        true
-    }
-
     fn labels_ok(&self, n: NodeId) -> bool {
         match &self.label_syms {
             None => false,
@@ -1530,10 +1494,11 @@ impl MultiwayIntersectOp<'_> {
                     {
                         list.clear();
                         c.rels_at(target, list);
+                        let graph = self.ctx.graph;
                         list.retain(|&r| {
-                            self.type_ok(g, r)
-                                && !self.rel_excluded(row, r)
-                                && self.props_ok(exp, r)
+                            type_ok(graph, &g.type_syms, r)
+                                && !rel_excluded(self.ctx, &self.exclude_idx, row, r)
+                                && props_ok(graph, exp, r)
                         });
                         // Out- and inc-runs were appended back to back;
                         // restore ascending rel order for determinism.
@@ -1609,50 +1574,20 @@ impl Operator for MultiwayIntersectOp<'_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        let mut out = RowBatch::with_capacity(self.cap.min(64));
-        loop {
-            // Drain the current row's expansion first.
-            while out.len() < self.cap {
-                match self.pending.pop() {
-                    Some(r) => out.push(r),
-                    None => break,
-                }
-            }
-            if out.len() >= self.cap {
-                return Ok(Some(out));
-            }
-            // Advance to the next input row.
-            let Some(batch) = self.input.take() else {
-                match self.child.next_batch()? {
-                    Some(b) => {
-                        self.row_idx = 0;
-                        self.input = Some(b);
-                        continue;
-                    }
-                    None => {
-                        if out.is_empty() {
-                            self.flush_metrics();
-                            return Ok(None);
-                        }
-                        return Ok(Some(out));
-                    }
-                }
-            };
-            if self.row_idx < batch.len() {
-                let (mut probes, mut isect) = (0, 0);
-                let mut exp =
-                    self.intersect_row(&batch.rows()[self.row_idx], &mut probes, &mut isect)?;
-                self.probes += probes;
-                self.isect += isect;
-                self.rows_out += exp.len() as u64;
-                exp.reverse(); // pop() then restores natural order
-                self.pending = exp;
-                self.row_idx += 1;
-            }
-            if self.row_idx < batch.len() {
-                self.input = Some(batch);
-            }
+        let mut out = RowBatch::with_capacity(self.rows.cap.min(64));
+        while self.rows.advance(&mut out)? {
+            let (mut probes, mut isect) = (0, 0);
+            let exp = self.intersect_row(self.rows.current(), &mut probes, &mut isect)?;
+            self.probes += probes;
+            self.isect += isect;
+            self.rows_out += exp.len() as u64;
+            self.rows.expanded(exp);
         }
+        if out.is_empty() {
+            self.flush_metrics();
+            return Ok(None);
+        }
+        Ok(Some(out))
     }
 
     fn intersect_stats(&self) -> Option<(u64, u64)> {
@@ -1712,17 +1647,30 @@ struct PropsFilter<'a> {
     schema: Arc<Schema>,
     child: Box<dyn Operator + 'a>,
     idx: usize,
-    /// `(symbol, expected-value expr)`; a `None` symbol is a key that was
-    /// never interned — no entity can carry it.
-    props: Vec<(Option<Symbol>, Expr)>,
+    /// `(symbol, expected-value expr, its value once known)`; a `None`
+    /// symbol is a key that was never interned — no entity can carry it.
+    /// A literal or parameter does not depend on the row: it is evaluated
+    /// on the first row that reaches the filter and reused.
+    props: Vec<(Option<Symbol>, Expr, Option<Value>)>,
 }
 
 impl PropsFilter<'_> {
-    fn keep(&self, row: &Record) -> Result<bool, EvalError> {
+    fn keep(&mut self, row: &Record) -> Result<bool, EvalError> {
         let g = self.ctx.graph;
-        for (sym, e) in &self.props {
-            let b = Bindings::new(&self.schema, row);
-            let want = eval_expr(self.ctx, &b, e)?;
+        for (sym, e, known) in &mut self.props {
+            let fresh;
+            let want = match known {
+                Some(v) => &*v,
+                None => {
+                    let v = eval_expr(self.ctx, &Bindings::new(&self.schema, row), e)?;
+                    if matches!(e, Expr::Lit(_) | Expr::Param(_)) {
+                        &*known.insert(v)
+                    } else {
+                        fresh = v;
+                        &fresh
+                    }
+                }
+            };
             let got = match row.get(self.idx) {
                 Value::Node(n) => sym.and_then(|s| g.node_prop(*n, s)),
                 Value::Rel(r) => sym.and_then(|s| g.rel_prop(*r, s)),
@@ -1730,7 +1678,7 @@ impl PropsFilter<'_> {
                 other => return err(format!("property filter on {}", other.type_name())),
             };
             match got {
-                Some(v) if v.equals(&want).is_true() => {}
+                Some(v) if v.equals(want).is_true() => {}
                 _ => return Ok(false),
             }
         }
@@ -1782,15 +1730,8 @@ impl EndpointFilter<'_> {
             return false;
         };
         let (r, a, b) = (*r, *a, *b);
-        // Type admissibility.
-        match &self.type_syms {
-            None => return false,
-            Some(list) if list.is_empty() => {}
-            Some(list) => {
-                if !list.contains(&g.rel_type(r).expect("live rel")) {
-                    return false;
-                }
-            }
+        if !type_ok(g, &self.type_syms, r) {
+            return false;
         }
         // Endpoint agreement per direction (item (e′) of §4.2).
         let (src, tgt) = (g.src(r).unwrap(), g.tgt(r).unwrap());

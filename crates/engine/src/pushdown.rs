@@ -1,5 +1,5 @@
-//! Partial-aggregation and top-k pushdown: the folding [`Sink`]s of the
-//! final projection.
+//! The final projection's [`Sink`]s: partial aggregation, top-k and
+//! plain projection pushed into the morsel pipeline.
 //!
 //! A `RETURN` that aggregates, deduplicates or sorts is a *pipeline
 //! breaker* when run clause by clause: the match output is collected into
@@ -10,7 +10,7 @@
 //! most expensive clause.
 //!
 //! When the **final** clause of a query is a plannable `MATCH` and the
-//! `RETURN` qualifies ([`select_sink`]), the driver instead folds every
+//! `RETURN` qualifies ([`select_sink`]), the driver instead feeds every
 //! morsel straight into a partial state:
 //!
 //! * aggregating projections and `DISTINCT` fold into a
@@ -18,9 +18,11 @@
 //!   reference semantics use, so there is exactly one grouping
 //!   implementation;
 //! * `ORDER BY … LIMIT k` (no aggregation) folds into a bounded
-//!   [`TopKState`] of `skip + limit` rows per morsel ([`TopK`]).
+//!   [`TopKState`] of `skip + limit` rows per morsel ([`TopK`]);
+//! * a plain projection ([`Map`]) projects each batch as it arrives, so
+//!   the match table is never collected, copied and projected again.
 //!
-//! Both merge their partials in morsel order, and every constituent is
+//! All merge their partials in morsel order, and every constituent is
 //! designed to make that merge reproduce the sequential row-order fold
 //! bit-for-bit — group creation order, distinct first-occurrence order,
 //! `min`/`max` tie-breaking, stable-sort tie-breaking, and (via exact
@@ -37,8 +39,8 @@ use cypher_core::table::{Record, Schema, Table};
 use cypher_core::EvalContext;
 use std::sync::Arc;
 
-/// A final projection compiled for folding: what [`Fold`] and [`TopK`]
-/// share.
+/// A final projection compiled for the pipeline: what [`Fold`], [`TopK`]
+/// and [`Map`] share.
 pub(crate) struct Projection<'q> {
     plan: ProjectionPlan,
     ret: &'q Return,
@@ -55,6 +57,17 @@ impl Projection<'_> {
     fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
         apply_projection(ctx, self.ret, project_visible(raw, &self.visible))
     }
+
+    /// Applies `SKIP`/`LIMIT` to the finished rows.
+    fn bounded(&self, out: Table) -> Result<Table, EvalError> {
+        let (skip, limit) = self.bounds.clone()?;
+        let limit = self.ret.limit.as_ref().map(|_| limit);
+        Ok(if skip > 0 || limit.is_some() {
+            out.slice(skip, limit)
+        } else {
+            out
+        })
+    }
 }
 
 /// Grouped aggregation, or `DISTINCT` as grouping by every item.
@@ -63,12 +76,17 @@ pub(crate) struct Fold<'q>(Projection<'q>);
 /// `ORDER BY … LIMIT` with neither aggregates nor `DISTINCT`.
 pub(crate) struct TopK<'q>(Projection<'q>);
 
-/// What a qualifying final projection folds into.
+/// A plain projection: no aggregates, `DISTINCT` or `ORDER BY`.
+pub(crate) struct Map<'q>(Projection<'q>);
+
+/// What a qualifying final projection runs into.
 pub(crate) enum FinalSink<'q> {
     /// See [`Fold`].
     Fold(Fold<'q>),
     /// See [`TopK`].
     TopK(TopK<'q>),
+    /// See [`Map`].
+    Map(Map<'q>),
 }
 
 impl FinalSink<'_> {
@@ -89,17 +107,20 @@ impl FinalSink<'_> {
                 Ok((skip, limit)) => format!("TopK(k={})", skip.saturating_add(*limit)),
                 Err(_) => "TopK(k=?)".to_string(),
             },
+            FinalSink::Map(Map(p)) => {
+                format!("Project({})", p.plan.out_schema().names().join(", "))
+            }
         }
     }
 }
 
-/// Sink selection, the one place it is decided: clause `i` of `sq` folds
+/// Sink selection, the one place it is decided: clause `i` of `sq` runs
 /// into the query's `RETURN` when it is the final clause, a non-optional
 /// `MATCH` the pipeline runs (node isomorphism delegates matching to the
 /// reference matcher), pushdown is enabled, there is no `RETURN GRAPH`,
-/// and the projection aggregates, deduplicates or sorts under a `LIMIT`
-/// (a bare `ORDER BY` needs its whole input). `visible` names the fields
-/// in scope after the clause. `None` means the rows are collected.
+/// and the projection is not a bare `ORDER BY` (which needs its whole
+/// input). `visible` names the fields in scope after the clause. `None`
+/// means the rows are collected.
 pub(crate) fn select_sink<'q>(
     ctx: &EvalContext<'_>,
     cfg: &EngineConfig,
@@ -124,7 +145,7 @@ pub(crate) fn select_sink<'q>(
         return None;
     }
     let folds = ret.distinct || ret.items.iter().any(|i| i.expr.contains_aggregate());
-    if !folds && (ret.order_by.is_empty() || ret.limit.is_none()) {
+    if !folds && !ret.order_by.is_empty() && ret.limit.is_none() {
         return None;
     }
     let visible = Schema::new(visible.to_vec());
@@ -145,6 +166,8 @@ pub(crate) fn select_sink<'q>(
     };
     Some(if folds {
         FinalSink::Fold(Fold(projection))
+    } else if ret.order_by.is_empty() {
+        FinalSink::Map(Map(projection))
     } else {
         FinalSink::TopK(TopK(projection))
     })
@@ -152,7 +175,7 @@ pub(crate) fn select_sink<'q>(
 
 impl Sink for Fold<'_> {
     type Partial = GroupedAggState;
-    const FOLDS: bool = true;
+    const EVALUATES: bool = true;
 
     fn partial(&self, _schema: &Arc<Schema>) -> GroupedAggState {
         // Aggregation keeps each group's representative row for ORDER BY.
@@ -181,7 +204,6 @@ impl Sink for Fold<'_> {
         mut parts: impl Iterator<Item = GroupedAggState>,
     ) -> Result<Table, EvalError> {
         let Projection { plan, ret, .. } = &self.0;
-        let (skip, limit) = self.0.bounds.clone()?;
         let mut acc = parts.next().expect("a run has at least one morsel");
         for st in parts {
             acc.merge(st, plan);
@@ -199,10 +221,7 @@ impl Sink for Fold<'_> {
             };
             out = apply_order_by_scoped(ctx, &ret.order_by, out, src)?;
         }
-        if skip > 0 || ret.limit.is_some() {
-            out = out.slice(skip, ret.limit.as_ref().map(|_| limit));
-        }
-        Ok(out)
+        self.0.bounded(out)
     }
 
     fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
@@ -212,7 +231,7 @@ impl Sink for Fold<'_> {
 
 impl Sink for TopK<'_> {
     type Partial = TopKState;
-    const FOLDS: bool = true;
+    const EVALUATES: bool = true;
 
     fn partial(&self, _schema: &Arc<Schema>) -> TopKState {
         // Unevaluable bounds keep nothing; `finish` raises them.
@@ -232,8 +251,9 @@ impl Sink for TopK<'_> {
         batch: RowBatch,
     ) -> Result<(), EvalError> {
         let Projection { plan, ret, .. } = &self.0;
+        let bound = plan.bind(ctx, schema);
         for row in batch.rows() {
-            let out_row = plan.project_row(ctx, schema, row)?;
+            let out_row = bound.project_row(ctx, row)?;
             part.feed(
                 ctx,
                 &ret.order_by,
@@ -268,9 +288,52 @@ impl Sink for TopK<'_> {
     }
 }
 
+impl Sink for Map<'_> {
+    type Partial = Vec<Record>;
+    const EVALUATES: bool = true;
+
+    fn partial(&self, _schema: &Arc<Schema>) -> Vec<Record> {
+        Vec::new()
+    }
+
+    fn feed(
+        &self,
+        ctx: &EvalContext<'_>,
+        schema: &Schema,
+        part: &mut Vec<Record>,
+        batch: RowBatch,
+    ) -> Result<(), EvalError> {
+        let bound = self.0.plan.bind(ctx, schema);
+        part.reserve(batch.len());
+        for row in batch.rows() {
+            part.push(bound.project_row(ctx, row)?);
+        }
+        Ok(())
+    }
+
+    /// Concatenates the projected rows in morsel order, then applies
+    /// `SKIP`/`LIMIT`.
+    fn finish(
+        &self,
+        _ctx: &EvalContext<'_>,
+        _schema: &Arc<Schema>,
+        parts: impl Iterator<Item = Vec<Record>>,
+    ) -> Result<Table, EvalError> {
+        let out = Table::new(self.0.plan.out_schema().clone(), parts.flatten().collect());
+        self.0.bounded(out)
+    }
+
+    fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
+        self.0.materialized(ctx, raw)
+    }
+}
+
 /// Projects the pipeline output down to the `visible` fields (dropping
-/// hidden bookkeeping columns).
+/// hidden bookkeeping columns); a table that has none is returned as is.
 pub(crate) fn project_visible(raw: Table, visible: &Arc<Schema>) -> Table {
+    if raw.schema().names() == visible.names() {
+        return raw;
+    }
     let idxs: Vec<usize> = visible
         .names()
         .iter()

@@ -109,6 +109,27 @@ fn parameterized_seeks_agree() {
     assert!(plan.contains("PropertyIndexSeek"), "{plan}");
 }
 
+/// The residual `Filter` behind a seek evaluates a literal or parameter
+/// once, on the first row that reaches it: a seek that finds nothing
+/// never evaluates a missing parameter, and one that finds rows raises
+/// the same error as before.
+#[test]
+fn residual_filter_evaluates_constants_only_when_a_row_arrives() {
+    let params = Params::new();
+    let cfg = EngineConfig::default();
+    let mut g = PropertyGraph::new();
+    let create = "UNWIND range(0, 9) AS i CREATE (:Bot {v: i, w: 1})";
+    run_with(&mut g, create, &params, &cfg).unwrap();
+    let empty = "MATCH (p:Bot {v: 99, w: $w}) RETURN p";
+    let plan = explain(&g, empty).unwrap();
+    assert!(plan.contains("PropertyIndexSeek(p:Bot.v = 99)"), "{plan}");
+    let t = run_read_with(&g, empty, &params, &cfg).expect("no row reaches the filter");
+    assert!(t.is_empty());
+    let found = "MATCH (p:Bot {v: 3, w: $w}) RETURN p";
+    let e = run_read_with(&g, found, &params, &cfg).unwrap_err();
+    assert!(e.to_string().contains("missing parameter: $w"), "{e}");
+}
+
 #[test]
 fn explain_surfaces_index_choice() {
     let params = Params::new();

@@ -60,19 +60,29 @@ const QUERIES: &[&str] = &[
     "MATCH (p:P)-[:R]->(q:Q) RETURN p.x, q.y ORDER BY p.x",
     "MATCH (p:P) RETURN count(p) AS c, sum(p.x) AS s",
     "MATCH (p:P)-[:R]->(q) WHERE q.y > 100 RETURN count(q) AS c",
-    // One query per folding sink: grouped aggregate with keys, DISTINCT,
-    // top-k.
+    // One query per pipeline sink: grouped aggregate with keys, DISTINCT,
+    // top-k, plain projection under SKIP/LIMIT.
     "MATCH (p:P) RETURN p.x % 3 AS k, count(*) AS c",
     "MATCH (p:P)-[:R]->(q:Q) RETURN DISTINCT q.y % 5 AS m",
     "MATCH (p:P) RETURN p.x ORDER BY p.x DESC LIMIT 7",
+    "MATCH (p:P)-[:R]->(q:Q) RETURN p.x AS x, q.y AS y SKIP 3 LIMIT 5",
+    // A plain projection that fails: a node in arithmetic.
+    BAD_PROJECTION,
 ];
+
+const BAD_PROJECTION: &str = "MATCH (p:P) RETURN p.x AS x, p + 1 AS y";
+
+/// Whether a plan line is a sink's.
+fn is_sink(line: &str) -> bool {
+    ["PartialAggregate(", "TopK(", "Project("]
+        .iter()
+        .any(|s| line.starts_with(s))
+}
 
 /// The sink line `EXPLAIN` prints under the final `MATCH` plan, if any.
 fn explained_sink(db: &Database, q: &str) -> Option<String> {
     let plan = db.explain(q).expect("explain");
-    plan.lines()
-        .find(|l| l.starts_with("PartialAggregate(") || l.starts_with("TopK("))
-        .map(str::to_string)
+    plan.lines().find(|l| is_sink(l)).map(str::to_string)
 }
 
 // ---------------------------------------------------------------------
@@ -81,25 +91,60 @@ fn explained_sink(db: &Database, q: &str) -> Option<String> {
 
 /// A profiled query must return exactly the rows of its unprofiled twin
 /// — same multiset, same order — no matter how the executor is
-/// parallelised.
+/// parallelised or whether the projection runs in the pipeline; and a
+/// failing projection fails with the same text everywhere.
 #[test]
 fn profile_results_bit_identical_across_parallel_configs() {
     let params = Params::new();
-    // Per query, the rows every operator reported in the first cell.
-    let mut op_rows: HashMap<&str, Vec<u64>> = HashMap::new();
-    for &(threads, morsel) in &[(1usize, 1024usize), (2, 1), (3, 7), (4, 64), (8, 1024)] {
-        let mut cfg = mem_cfg();
+    // Per query and pushdown on/off, the rows every operator reported in
+    // the first cell.
+    let mut op_rows: HashMap<(&str, bool), Vec<u64>> = HashMap::new();
+    // Per query, the first cell's result (or error text).
+    let mut results: HashMap<&str, Result<cypher::Table, String>> = HashMap::new();
+    let modes = [
+        PartialAggMode::Off,
+        PartialAggMode::Auto,
+        PartialAggMode::Force,
+    ];
+    let cells = [
+        (1usize, 1024usize),
+        (2, 1),
+        (3, 7),
+        (4, 1),
+        (4, 64),
+        (8, 1024),
+    ];
+    for (mode, &(threads, morsel)) in modes
+        .iter()
+        .flat_map(|m| cells.iter().map(move |c| (*m, c)))
+    {
+        let mut cfg = mem_cfg().with_partial_agg(mode);
         cfg.num_threads = threads;
         cfg.morsel_size = morsel;
         let db = Database::open_with(cfg).expect("open");
         seed(&db, 300);
         let mut session = db.session();
+        let cell = format!("threads={threads} morsel={morsel} {mode:?}");
         for q in QUERIES {
-            let plain = session.query(q, &params).expect("plain run");
-            let report = db.profile(q, &params).expect("profiled run");
+            let plain = session.query(q, &params).map_err(|e| e.to_string());
+            let first = results.entry(q).or_insert_with(|| plain.clone());
+            match (&plain, &*first) {
+                (Ok(t), Ok(f)) => assert!(t.ordered_eq(f), "{cell}: rows moved for {q}"),
+                (Err(e), Err(f)) => assert_eq!(e, f, "{cell}: error text moved for {q}"),
+                _ => panic!("{cell}: {q} answered {plain:?}, first cell {first:?}"),
+            }
+            let report = match db.profile(q, &params) {
+                Ok(report) => report,
+                Err(e) => {
+                    let plain = plain.map(|t| t.len());
+                    assert_eq!(Err(e.to_string()), plain, "{cell}: profiled {q}");
+                    continue;
+                }
+            };
+            let plain = plain.expect("the plain run succeeds where PROFILE does");
             assert!(
                 report.result.ordered_eq(&plain),
-                "threads={threads} morsel={morsel}: profiled rows diverged for {q}"
+                "{cell}: profiled rows diverged for {q}"
             );
             assert_eq!(report.profile.rows, plain.len() as u64);
             // The profile is of the plan that ran: a folded query ends
@@ -115,11 +160,9 @@ fn profile_results_bit_identical_across_parallel_configs() {
                 assert_eq!(last.rows, below.rows, "sink rows-in for {q}");
             }
             let rows: Vec<u64> = ops.iter().map(|op| op.rows).collect();
-            let first = op_rows.entry(q).or_insert_with(|| rows.clone());
-            assert_eq!(
-                *first, rows,
-                "threads={threads} morsel={morsel}: operator rows moved for {q}"
-            );
+            let key = (*q, mode == PartialAggMode::Off);
+            let first = op_rows.entry(key).or_insert_with(|| rows.clone());
+            assert_eq!(*first, rows, "{cell}: operator rows moved for {q}");
             // The annotated text names at least one operator and the
             // structured table is one row per operator.
             assert!(!report.profile.clauses.is_empty());
@@ -145,26 +188,33 @@ fn explain_and_profile_name_the_same_sink() {
         seed(&db, 300);
         let mut folded = 0;
         for q in QUERIES {
-            let report = db.profile(q, &params).expect("profiled run");
+            let explained = explained_sink(&db, q);
+            if let Some(sink) = &explained {
+                assert_eq!(
+                    mode,
+                    PartialAggMode::Auto,
+                    "pushdown off, yet {sink} for {q}"
+                );
+                folded += 1;
+            }
+            let Ok(report) = db.profile(q, &params) else {
+                assert_eq!(*q, BAD_PROJECTION, "only the bad projection fails");
+                continue;
+            };
             let ops = &report.profile.clauses.last().expect("a MATCH").operators;
             let last = ops.last().expect("an operator");
-            let is_sink = last.operator.starts_with("PartialAggregate(")
-                || last.operator.starts_with("TopK(");
-            match explained_sink(&db, q) {
-                Some(sink) => {
-                    assert_eq!(
-                        mode,
-                        PartialAggMode::Auto,
-                        "pushdown off, yet {sink} for {q}"
-                    );
-                    assert_eq!(last.operator, sink, "{q}");
-                    folded += 1;
-                }
-                None => assert!(!is_sink, "PROFILE alone shows {} for {q}", last.operator),
+            match explained {
+                Some(sink) => assert_eq!(last.operator, sink, "{q}"),
+                None => assert!(
+                    !is_sink(&last.operator),
+                    "PROFILE alone shows {} for {q}",
+                    last.operator
+                ),
             }
         }
-        // The two `count` queries and the three added for the sinks.
-        assert_eq!(folded, if mode == PartialAggMode::Auto { 5 } else { 0 });
+        // The two `count` queries and the five added for the sinks; a
+        // bare `ORDER BY` is collected.
+        assert_eq!(folded, if mode == PartialAggMode::Auto { 7 } else { 0 });
     }
 
     let db = Database::open_with(mem_cfg().with_partial_agg(PartialAggMode::Auto)).expect("open");
@@ -345,9 +395,13 @@ fn disabled_metrics_freeze_but_do_not_change_results() {
     seed(&on_db, 30);
     let mut on_session = on_db.session();
     for q in QUERIES {
-        let off = session.query(q, &params).expect("metrics-off run");
-        let on = on_session.query(q, &params).expect("metrics-on run");
-        assert!(off.ordered_eq(&on), "metrics toggle changed rows for {q}");
+        match (session.query(q, &params), on_session.query(q, &params)) {
+            (Ok(off), Ok(on)) => {
+                assert!(off.ordered_eq(&on), "metrics toggle changed rows for {q}")
+            }
+            (Err(off), Err(on)) => assert_eq!(off.to_string(), on.to_string(), "{q}"),
+            (off, on) => panic!("metrics toggle changed the outcome of {q}: {off:?} vs {on:?}"),
+        }
     }
     let m = db.metrics();
     assert!(!m.enabled());
@@ -370,7 +424,8 @@ fn metrics_snapshot_text_parses() {
     let mut session = db.session();
     let params = Params::new();
     for q in QUERIES {
-        session.query(q, &params).expect("warm instruments");
+        let warm = session.query(q, &params);
+        assert_eq!(warm.is_err(), *q == BAD_PROJECTION, "warm instruments: {q}");
     }
     let snap = db.metrics_snapshot();
     assert_eq!(snap.version, db.version());
