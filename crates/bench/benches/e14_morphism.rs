@@ -60,26 +60,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| run_reference_with(&g, q_bounded, &params, cfg).unwrap())
     });
     group.finish();
-
-    let mut report = cypher_bench::BenchReport::new("e14");
-    let q_bounded = "MATCH (x)-[:E*1..8]->(y) RETURN count(*) AS c";
-    for (key, morphism) in [
-        ("homomorphism_cap8_us", Morphism::Homomorphism),
-        ("edge_isomorphism_cap8_us", Morphism::EdgeIsomorphism),
-        ("node_isomorphism_cap8_us", Morphism::NodeIsomorphism),
-    ] {
-        let cfg = MatchConfig {
-            morphism,
-            var_length_cap: 8,
-        };
-        report.metric(
-            key,
-            cypher_bench::measure_us(|| {
-                run_reference_with(&g, q_bounded, &params, cfg).unwrap();
-            }),
-        );
-    }
-    report.emit();
 }
 
 criterion_group! {

@@ -14,31 +14,17 @@ const QUERY: &str = "MATCH (svc:Service)<-[:DEPENDS_ON*]-(dep:Service)
 fn bench(c: &mut Criterion) {
     let params = Params::new();
     let mut group = c.benchmark_group("e15_depends_on");
-    let mut report = cypher_bench::BenchReport::new("e15");
     for services in [50usize, 100, 200] {
         let g = datacenter(services, 4, 2, 42);
         group.bench_with_input(BenchmarkId::new("engine", services), &g, |b, g| {
             b.iter(|| run_read(g, QUERY, &params).unwrap())
         });
-        report.metric(
-            &format!("engine_{services}_us"),
-            cypher_bench::measure_us(|| {
-                run_read(&g, QUERY, &params).unwrap();
-            }),
-        );
         if services <= 100 {
             group.bench_with_input(BenchmarkId::new("reference", services), &g, |b, g| {
                 b.iter(|| run_reference(g, QUERY, &params).unwrap())
             });
-            report.metric(
-                &format!("reference_{services}_us"),
-                cypher_bench::measure_us(|| {
-                    run_reference(&g, QUERY, &params).unwrap();
-                }),
-            );
         }
     }
-    report.emit();
     group.finish();
 }
 

@@ -16,25 +16,17 @@ const QUERY: &str = "MATCH (accHolder:AccountHolder)-[:HAS]->(pInfo)
 fn bench(c: &mut Criterion) {
     let params = Params::new();
     let mut group = c.benchmark_group("e16_fraud");
-    let mut report = cypher_bench::BenchReport::new("e16");
     for holders in [100usize, 400, 1600] {
         let g = fraud_rings(holders, holders / 20, 4, 7);
         group.bench_with_input(BenchmarkId::new("engine", holders), &g, |b, g| {
             b.iter(|| run_read(g, QUERY, &params).unwrap())
         });
-        report.metric(
-            &format!("engine_{holders}_us"),
-            cypher_bench::measure_us(|| {
-                run_read(&g, QUERY, &params).unwrap();
-            }),
-        );
         if holders <= 400 {
             group.bench_with_input(BenchmarkId::new("reference", holders), &g, |b, g| {
                 b.iter(|| run_reference(g, QUERY, &params).unwrap())
             });
         }
     }
-    report.emit();
     group.finish();
 }
 

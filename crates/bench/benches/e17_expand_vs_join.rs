@@ -49,22 +49,6 @@ fn bench(c: &mut Criterion) {
         }
     }
     group.finish();
-
-    let mut report = cypher_bench::BenchReport::new("e17");
-    let g = social_network(100, 5, 4, 3);
-    report.metric(
-        "expand_one_hop_100_us",
-        cypher_bench::measure_us(|| {
-            run_read_with(&g, ONE_HOP, &params, &expand).unwrap();
-        }),
-    );
-    report.metric(
-        "cartesian_one_hop_100_us",
-        cypher_bench::measure_us(|| {
-            run_read_with(&g, ONE_HOP, &params, &cartesian).unwrap();
-        }),
-    );
-    report.emit();
 }
 
 criterion_group! {

@@ -42,7 +42,6 @@ const QUERIES: &[(&str, &str)] = &[
 fn bench(c: &mut Criterion) {
     let params = Params::new();
     let mut group = c.benchmark_group("e18_reference_vs_engine");
-    let mut report = cypher_bench::BenchReport::new("e18");
     for pubs in [100usize, 400] {
         let g = citation_network(pubs / 10 + 2, pubs, 2, 42);
         for (name, q) in QUERIES {
@@ -56,17 +55,8 @@ fn bench(c: &mut Criterion) {
                 &g,
                 |b, g| b.iter(|| run_reference(g, q, &params).unwrap()),
             );
-            if pubs == 400 {
-                report.metric(
-                    &format!("engine_{name}_{pubs}_us"),
-                    cypher_bench::measure_us(|| {
-                        run_read(&g, q, &params).unwrap();
-                    }),
-                );
-            }
         }
     }
-    report.emit();
     group.finish();
 }
 

@@ -43,13 +43,6 @@ fn bench(c: &mut Criterion) {
     }
 
     // Scaled-up citation networks: same query shape, growing data.
-    let mut report = cypher_bench::BenchReport::new("e1");
-    report.metric(
-        "figure1_full_query_us",
-        cypher_bench::measure_us(|| {
-            run_read(&fig1, FULL_QUERY, &params).unwrap();
-        }),
-    );
     for pubs in [50usize, 200, 800] {
         let g = citation_network(pubs / 10 + 2, pubs, 2, 42);
         group.bench_with_input(
@@ -57,14 +50,7 @@ fn bench(c: &mut Criterion) {
             &g,
             |b, g| b.iter(|| run_read(g, FULL_QUERY, &params).unwrap()),
         );
-        report.metric(
-            &format!("citation_{pubs}_full_query_us"),
-            cypher_bench::measure_us(|| {
-                run_read(&g, FULL_QUERY, &params).unwrap();
-            }),
-        );
     }
-    report.emit();
     group.finish();
 }
 

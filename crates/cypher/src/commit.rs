@@ -354,7 +354,7 @@ impl<L: Log> Pipeline<L> {
     /// The group-commit leader loop: drain the queue, seal the drained
     /// batches as one group, repeat until the queue is empty, retire.
     /// With group commit off every seal carries exactly one batch — the
-    /// serial baseline the `e24_group_commit` bench compares against.
+    /// serial baseline the multi-writer tests check just as strictly.
     fn run_seal_leader(&self) {
         loop {
             let mut apply = lock(&self.apply);

@@ -89,8 +89,8 @@ pub struct EngineConfig {
     /// transactions into one WAL seal + one published version (group
     /// commit). On by default and deliberately not an environment
     /// variable: off, every transaction seals its own group of one —
-    /// same protocol, no coalescing — which only the `e24_group_commit`
-    /// baseline and the tests that set this field want. Never changes
+    /// same protocol, no coalescing; cybench's `write_commit` workload and
+    /// the tests that set this field are its users. Never changes
     /// per-transaction semantics, only how many fsyncs a burst of
     /// writers pays.
     pub group_commit: bool,

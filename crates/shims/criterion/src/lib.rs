@@ -8,22 +8,17 @@
 //! numbers on stdout in a stable, grep-friendly format:
 //!
 //! ```text
-//! bench: e19_index_seek/full_scan/100000  median 1.234 ms  min 1.201 ms  max 1.299 ms  (20 samples x 8 iters)
+//! bench: e15_depends_on/engine/200  median 1.234 ms  min 1.201 ms  max 1.299 ms  (10 samples x 8 iters)
 //! ```
 
 #![warn(missing_docs)]
 
 use std::fmt::Display;
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Opaque-to-the-optimizer identity function, re-exported from `std`.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
-
-/// Identifies one benchmark within a group: a function name and an
-/// optional parameter rendered as `name/parameter`.
+/// Identifies one benchmark within a group: a function name and a
+/// parameter rendered as `name/parameter`.
 #[derive(Debug, Clone)]
 pub struct BenchmarkId {
     id: String,
@@ -34,13 +29,6 @@ impl BenchmarkId {
     pub fn new(name: impl Into<String>, parameter: impl Display) -> Self {
         BenchmarkId {
             id: format!("{}/{}", name.into(), parameter),
-        }
-    }
-
-    /// A benchmark identified by its parameter alone.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
         }
     }
 }
@@ -72,7 +60,7 @@ impl Bencher<'_> {
         let mut one = Duration::ZERO;
         for _ in 0..3 {
             let t = Instant::now();
-            std_black_box(f());
+            black_box(f());
             one = t.elapsed().max(Duration::from_nanos(1));
         }
         let per_sample = self.cfg.measurement_time / self.cfg.sample_size.max(1) as u32;
@@ -82,7 +70,7 @@ impl Bencher<'_> {
         for _ in 0..self.cfg.sample_size {
             let t = Instant::now();
             for _ in 0..iters {
-                std_black_box(f());
+                black_box(f());
             }
             samples.push(t.elapsed() / iters as u32);
         }
@@ -143,12 +131,6 @@ impl Criterion {
         self
     }
 
-    /// Sets the total measurement budget per benchmark.
-    pub fn measurement_time(mut self, d: Duration) -> Self {
-        self.cfg.measurement_time = d;
-        self
-    }
-
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -156,19 +138,6 @@ impl Criterion {
             name: name.into(),
             _parent: std::marker::PhantomData,
         }
-    }
-
-    /// Runs a standalone benchmark outside any group.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F)
-    where
-        F: FnMut(&mut Bencher<'_>),
-    {
-        let label = id.into().id;
-        let mut b = Bencher {
-            cfg: &self.cfg,
-            label,
-        };
-        f(&mut b);
     }
 }
 
@@ -180,12 +149,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Overrides the group's sample count.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.cfg.sample_size = n;
-        self
-    }
-
     /// Overrides the group's measurement budget.
     pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
         self.cfg.measurement_time = d;
@@ -235,12 +198,6 @@ macro_rules! criterion_group {
             $( $target(&mut c); )+
         }
     };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut c = $crate::Criterion::default();
-            $( $target(&mut c); )+
-        }
-    };
 }
 
 /// Declares the bench binary's `main`, mirroring `criterion_main!`.
@@ -259,10 +216,9 @@ mod tests {
 
     #[test]
     fn measures_something() {
-        let mut c = Criterion::default()
-            .sample_size(3)
-            .measurement_time(Duration::from_millis(10));
+        let mut c = Criterion::default().sample_size(3);
         let mut group = c.benchmark_group("shim");
+        group.measurement_time(Duration::from_millis(10));
         let mut calls = 0u64;
         group.bench_function("noop", |b| b.iter(|| calls += 1));
         group.finish();

@@ -25,7 +25,7 @@ pub use queries::{
     random_cyclic_queries, random_queries, random_updates, QueryGenerator, QueryVocabulary,
 };
 
-/// A scale knob of a test harness or bench, read from environment
+/// A scale knob of a test harness, read from environment
 /// variable `name`: `default` when unset or empty, else the value — which
 /// must be an integer no smaller than `min`. A set-but-malformed value
 /// **panics**: a typo in a CI cell (`CYPHER_RECOVERY_WORKLOADS=5oo`) must

@@ -354,8 +354,8 @@ fn racing_writers_serialize_to_the_oracle_in_commit_version_order() {
 #[test]
 fn serial_commit_mode_matches_the_oracle_too() {
     // `group_commit = false` drives the same protocol with groups of
-    // one — the baseline the e24 bench compares against must be just as
-    // correct under writer contention.
+    // one — the serial baseline must be just as correct under writer
+    // contention.
     let params = Params::new();
     let mut cfg = base_cfg();
     cfg.group_commit = false;

@@ -1,0 +1,299 @@
+//! Heap budgets of the hot read paths, counted exactly.
+//!
+//! A counting allocator installed for this binary only measures, on every
+//! thread, how many allocations a query makes and how far live heap bytes
+//! rise above where they started. Those two numbers are the tripwires for
+//! regressions that change no result and hide in timing noise:
+//!
+//! * **allocations per scanned row** — a point seek on the composite
+//!   index stays far below the node count, and a label scan, a scan with
+//!   a filter and a scan driven by a bound row each stay within a small
+//!   per-row budget (the driven scan catches clone-then-grow emission);
+//! * **peak materialisation** — a pushed-down group-by and top-k keep a
+//!   peak that does not grow with the pre-aggregation row count, while
+//!   the merged-table baseline does;
+//! * **streaming intersection** — a triangle count through the multiway
+//!   intersection join materialises no intermediate.
+//!
+//! Results are checked elsewhere (`index_differential`,
+//! `parallel_differential`, `cyclic_join`); here only enough to know the
+//! measured runs did the work. Every configuration is pinned, so the
+//! numbers do not move with the CI matrix's environment.
+
+use cypher::workload::powerlaw_social;
+use cypher::{
+    run_read_with, EngineConfig, Params, PartialAggMode, PropertyGraph, Table, Value, WcoJoinMode,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+
+/// Counts allocations and tracks live and peak bytes, but only while
+/// [`heap_of`] has the gate open; otherwise an allocation costs one
+/// relaxed load.
+struct GatedCountingAlloc;
+
+impl GatedCountingAlloc {
+    fn note(allocations: u64, grown: i64) {
+        // Relaxed: statistics; they publish no other data.
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCATIONS.fetch_add(allocations, Ordering::Relaxed);
+            let live = LIVE_BYTES.fetch_add(grown, Ordering::Relaxed) + grown;
+            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+        }
+    }
+}
+
+// SAFETY: every operation is forwarded unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are side-effect-free
+// atomic arithmetic that never allocates.
+unsafe impl GlobalAlloc for GatedCountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note(1, layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::note(0, -(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note(1, new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::note(1, layout.size() as i64);
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: GatedCountingAlloc = GatedCountingAlloc;
+
+/// The counters are global and libtest runs tests on parallel threads:
+/// each test holds this lock for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// What one call did to the heap, on this and every other thread.
+struct Heap {
+    /// Allocations and reallocations.
+    allocations: u64,
+    /// Peak growth of live bytes above the level at the start.
+    peak_bytes: u64,
+}
+
+fn heap_of<T>(f: impl FnOnce() -> T) -> (T, Heap) {
+    ALLOCATIONS.store(0, Ordering::Relaxed);
+    LIVE_BYTES.store(0, Ordering::Relaxed);
+    PEAK_BYTES.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let out = f();
+    COUNTING.store(false, Ordering::Relaxed);
+    let heap = Heap {
+        allocations: ALLOCATIONS.load(Ordering::Relaxed),
+        peak_bytes: PEAK_BYTES.load(Ordering::Relaxed) as u64,
+    };
+    (out, heap)
+}
+
+fn mib(bytes: u64) -> f64 {
+    bytes as f64 / (1 << 20) as f64
+}
+
+fn cfg(threads: usize) -> EngineConfig {
+    EngineConfig::default()
+        .with_threads(threads)
+        .with_morsel_size(1024)
+        .with_partial_agg(PartialAggMode::Auto)
+}
+
+fn run(g: &PropertyGraph, q: &str, c: &EngineConfig) -> Table {
+    run_read_with(g, q, &Params::new(), c).unwrap()
+}
+
+const NODES: usize = 100_000;
+
+/// `NODES` accounts with a unique `serial` and a 16-way `shard`.
+fn accounts() -> PropertyGraph {
+    let mut g = PropertyGraph::new();
+    for i in 0..NODES {
+        g.add_node(
+            &["Account"],
+            [
+                ("serial", Value::int(i as i64)),
+                ("shard", Value::int((i % 16) as i64)),
+            ],
+        );
+    }
+    g
+}
+
+/// Scan sources clone the driving record once per emitted row, with room
+/// for the new binding (`Record::cloned_with_extra`), and share one
+/// scanned item list across operators. Clone-then-grow would cost two
+/// allocations per row on a non-empty driving record: the driven scan's
+/// 1.5 per row sits between the two regimes.
+#[test]
+fn seeks_and_scans_stay_within_their_allocation_budgets() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = accounts();
+    let label_only = EngineConfig {
+        use_property_index: false,
+        ..cfg(1)
+    };
+    let per_row = |allocations: u64| allocations as f64 / NODES as f64;
+
+    let point = "MATCH (n:Account {serial: 31337}) RETURN n.shard";
+    let (out, seek) = heap_of(|| run(&g, point, &cfg(1)));
+    assert_eq!(out.len(), 1);
+    let (out, label_scan) = heap_of(|| run(&g, point, &label_only));
+    assert_eq!(out.len(), 1);
+    let filtered = "MATCH (n:Account) WHERE n.serial = 99999 RETURN n.shard";
+    let (out, scan) = heap_of(|| run(&g, filtered, &cfg(1)));
+    assert_eq!(out.len(), 1);
+    // One thread scans in `ItemScan`, four cut the scan into `MorselScan`s.
+    let driven = "MATCH (a:Account {serial: 0}) MATCH (n:Account) \
+                  WHERE n.serial = a.serial + 99999 RETURN n.shard";
+    let driven_scans = [1, 4].map(|threads| {
+        let (out, heap) = heap_of(|| run(&g, driven, &cfg(threads)));
+        assert_eq!(out.len(), 1);
+        (threads, heap)
+    });
+    println!(
+        "allocations: seek {}, label scan {:.2}/row, scan+filter {:.2}/row, \
+         driven scan {:.2}/row on 1 thread and {:.2}/row on 4 ({NODES} rows)",
+        seek.allocations,
+        per_row(label_scan.allocations),
+        per_row(scan.allocations),
+        per_row(driven_scans[0].1.allocations),
+        per_row(driven_scans[1].1.allocations),
+    );
+
+    assert!(
+        seek.allocations < 2_000,
+        "point seek allocation budget blown: {}",
+        seek.allocations
+    );
+    for (name, heap) in [("label scan", &label_scan), ("scan+filter", &scan)] {
+        assert!(
+            per_row(heap.allocations) < 3.0,
+            "{name} allocation budget blown: {} for {NODES} rows",
+            heap.allocations
+        );
+    }
+    for (threads, heap) in &driven_scans {
+        assert!(
+            per_row(heap.allocations) < 1.5,
+            "driven-scan allocation budget blown on {threads} thread(s): {} \
+             for {NODES} rows (clone-then-grow is back?)",
+            heap.allocations
+        );
+    }
+}
+
+/// With the final projection pushed into the pipeline, a group-by's peak
+/// scales with its groups and a top-k's with `k`, never with the rows
+/// entering them. A scan's item list is materialised per source either
+/// way, so a four-row driving table multiplies the same scan fourfold to
+/// separate the row count from the node count.
+#[test]
+fn pushed_down_folds_keep_their_peak_flat_in_the_input_rows() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut g = PropertyGraph::new();
+    for i in 0..NODES {
+        g.add_node(
+            &["R"],
+            [
+                ("v", Value::int((i % 8) as i64)),
+                ("u", Value::int(i as i64)),
+            ],
+        );
+    }
+    for i in 0..4 {
+        g.add_node(&["K"], [("i", Value::int(i))]);
+    }
+    let baseline = cfg(1).with_partial_agg(PartialAggMode::Off);
+    let peak = |q: &str, c: &EngineConfig| heap_of(|| run(&g, q, c)).1.peak_bytes;
+
+    let group_x1 = "MATCH (n:R) RETURN n.v AS g, count(*) AS c, sum(n.u) AS s";
+    let group_x4 = "MATCH (k:K) MATCH (n:R) RETURN n.v AS g, count(*) AS c, sum(n.u) AS s";
+    let base_x1 = peak(group_x1, &baseline);
+    let base_x4 = peak(group_x4, &baseline);
+    let fused_x1 = peak(group_x1, &cfg(1));
+    let fused_x4 = peak(group_x4, &cfg(1));
+    let fused_x4_par = peak(group_x4, &cfg(4));
+    println!(
+        "group-by peak ({NODES} nodes): merged-table 1x {:.1} MiB, 4x {:.1} MiB; \
+         fused 1x {:.1} MiB, 4x {:.1} MiB, 4x on 4 threads {:.1} MiB",
+        mib(base_x1),
+        mib(base_x4),
+        mib(fused_x1),
+        mib(fused_x4),
+        mib(fused_x4_par),
+    );
+    assert!(
+        base_x4 > base_x1 * 2,
+        "the baseline no longer scales with the input rows, so this test \
+         measures nothing ({base_x1} vs {base_x4})"
+    );
+    assert!(
+        fused_x4 < fused_x1 * 3 / 2,
+        "fused group-by peak scales with the input rows: {fused_x1} -> {fused_x4}"
+    );
+    assert!(
+        fused_x4 * 3 < base_x4,
+        "fused group-by materialises too much: {fused_x4} vs merged-table {base_x4}"
+    );
+    assert!(
+        fused_x4_par * 2 < base_x4,
+        "parallel fused group-by materialises too much: {fused_x4_par} vs {base_x4}"
+    );
+
+    let topk_x4 = "MATCH (k:K) MATCH (n:R) RETURN n.u AS u ORDER BY u DESC LIMIT 10";
+    let topk_base = peak(topk_x4, &baseline);
+    let topk_fused = peak(topk_x4, &cfg(1));
+    println!(
+        "top-k peak ({NODES} nodes x 4): full sort {:.1} MiB, bounded heap {:.1} MiB",
+        mib(topk_base),
+        mib(topk_fused),
+    );
+    assert!(
+        topk_fused * 2 < topk_base,
+        "top-k pushdown materialises too much: {topk_fused} vs full sort {topk_base}"
+    );
+}
+
+/// The intersection operator streams batches against a shared immutable
+/// adjacency snapshot: once the snapshot is cached, a full triangle
+/// count grows the heap by a fixed budget at most.
+#[test]
+fn intersection_join_streams_a_triangle_count() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = powerlaw_social(5_000, 8, 27);
+    let triangles = "MATCH (a)-[:FOLLOWS]->(b)-[:FOLLOWS]->(c), (a)-[:FOLLOWS]->(c) \
+                     RETURN count(*) AS n";
+    let force = cfg(1).with_wco_join(WcoJoinMode::Force);
+    // The first run builds and caches the sorted-adjacency snapshot.
+    let first = run(&g, triangles, &force);
+    let (again, heap) = heap_of(|| run(&g, triangles, &force));
+    assert!(again.ordered_eq(&first));
+    let count = again.cell(0, "n").and_then(|v| v.as_int()).unwrap();
+    assert!(count > 0, "the substrate closed no triangles");
+    println!(
+        "{count} triangles over {} rels grew the heap by {:.2} MiB at peak",
+        g.rel_count(),
+        mib(heap.peak_bytes)
+    );
+    assert!(
+        heap.peak_bytes < 64 << 20,
+        "intersection join materialised an intermediate: peak {} bytes",
+        heap.peak_bytes
+    );
+}

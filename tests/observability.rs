@@ -12,6 +12,9 @@
 //!   exactly the amounts the workload implies, histogram counts equal
 //!   the sum of their buckets, and turning metrics off freezes every
 //!   instrument without changing results;
+//! * **metrics are cheap** — metrics-on point reads keep at least 95% of
+//!   the metrics-off throughput (a timing claim, `#[ignore]`d by default
+//!   and run in release by CI's `observability` job);
 //! * **the slow-query log fires on its threshold exactly** — threshold
 //!   0 logs every query (with hash, rows, cache-hit, commit version and
 //!   trace id fields filled truthfully), a huge threshold logs none,
@@ -412,6 +415,69 @@ fn disabled_metrics_freeze_but_do_not_change_results() {
     // The page still renders, and says the registry is off.
     let snap = db.metrics_snapshot();
     assert!(snap.text.contains("cypher_metrics_enabled 0"));
+}
+
+/// The registry's price: in-process point reads against a metrics-on and
+/// a metrics-off database, best of three rounds in alternating order,
+/// keep the on/off throughput ratio at or above 0.95. A timing claim, so
+/// it runs only when asked, in release:
+/// `cargo test --release -p cypher-server --test observability -- --include-ignored`.
+#[test]
+#[ignore = "timing claim: run in release with --include-ignored"]
+fn metrics_cost_at_most_five_percent_of_point_read_throughput() {
+    const KEYS: i64 = 1000;
+    const OPS: usize = 30_000;
+    let open = |metrics: bool| {
+        let mut cfg = mem_cfg();
+        cfg.metrics_enabled = metrics;
+        let db = Database::open_with(cfg).expect("open");
+        db.session()
+            .query(
+                "UNWIND range(0, 999) AS i CREATE (:Load {k: i, v: i * i})",
+                &Params::new(),
+            )
+            .expect("seed");
+        db
+    };
+    let point_reads_per_s = |db: &Database| {
+        let mut session = db.session();
+        let mut state = 0x5EEDu64;
+        let t = std::time::Instant::now();
+        for _ in 0..OPS {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = (state >> 33) as i64 % KEYS;
+            let mut p = Params::new();
+            p.insert("k".to_string(), Value::int(k));
+            let rows = session
+                .query("MATCH (n:Load {k: $k}) RETURN n.v AS v", &p)
+                .expect("point read");
+            assert_eq!(rows.cell(0, "v"), Some(&Value::int(k * k)), "k={k}");
+        }
+        OPS as f64 / t.elapsed().as_secs_f64()
+    };
+    let (mut on_best, mut off_best) = (0.0f64, 0.0f64);
+    for round in 0..3 {
+        let (on, off) = (open(true), open(false));
+        // Alternate the order so warm-up drift cannot favour one side.
+        let (on_qps, off_qps) = if round % 2 == 0 {
+            let on_qps = point_reads_per_s(&on);
+            (on_qps, point_reads_per_s(&off))
+        } else {
+            let off_qps = point_reads_per_s(&off);
+            (point_reads_per_s(&on), off_qps)
+        };
+        println!("round {round}: metrics on {on_qps:.0} q/s, off {off_qps:.0} q/s");
+        on_best = on_best.max(on_qps);
+        off_best = off_best.max(off_qps);
+    }
+    let ratio = on_best / off_best;
+    assert!(
+        ratio >= 0.95,
+        "the metrics registry may cost at most 5% of throughput \
+         (on {on_best:.0} vs off {off_best:.0} q/s, ratio {ratio:.3})"
+    );
 }
 
 /// The rendered exposition parses line by line: every non-comment line

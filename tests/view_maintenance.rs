@@ -410,7 +410,8 @@ fn explain_view_prints_the_anchored_plans_the_fold_runs() {
 /// ROADMAP 4a's gate as an exact count: the rows the executor produces
 /// for one commit's view fold are the same at 1 000 and 4 000 unrelated
 /// persons. The commit's own `MATCH` is measured alone first, by the same
-/// pattern as a read, so the difference is the fold's rows.
+/// pattern as a read, so the difference is the fold's rows. Reading
+/// either view afterwards produces no executor rows at all.
 #[test]
 fn fold_work_does_not_grow_with_the_base_graph() {
     let find = "MATCH (a:Person {i: -1})-[f:FOLLOWS]->(b:Person {i: -2})";
@@ -441,6 +442,12 @@ fn fold_work_does_not_grow_with_the_base_graph() {
         assert_eq!(db.metrics().view_full_recomputes.get(), recomputes);
         check_view_matches_cold(&mut session, "by_v", BY_V, "gadget SET");
         check_view_matches_cold(&mut session, "heavy_edges", HEAVY_EDGES, "gadget SET");
+        // A view read serves the published table: no plan runs.
+        for name in ["by_v", "heavy_edges"] {
+            let before = rows();
+            session.view(name).unwrap();
+            assert_eq!(rows(), before, "reading view {name} ran a plan");
+        }
         commit_rows - (r1 - r0)
     };
     let small = fold_rows(1_000);
