@@ -447,11 +447,6 @@ impl GroupedAggState {
         }
     }
 
-    /// Number of groups so far.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     fn key_hash(key: &[Value]) -> u64 {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         for k in key {

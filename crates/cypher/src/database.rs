@@ -181,9 +181,8 @@ impl Database {
     /// Opens a database as configured: durable when
     /// [`EngineConfig::persistence`] is set (which defaults from the
     /// `CYPHER_DATA_DIR` environment variable), in-memory otherwise.
-    /// Recovery fans large-batch index rebuilds out across
-    /// [`EngineConfig::num_threads`] workers; no thread outlives the
-    /// call (the commit pipeline runs on its writers' threads).
+    /// Opening starts no thread: recovery runs on the calling thread and
+    /// the commit pipeline runs on its writers' threads.
     pub fn open_with(mut cfg: EngineConfig) -> Result<Database, Error> {
         // The metrics registry exists either way (a disabled one is a
         // plain bool gate); the executor's counters are shared with the
@@ -194,7 +193,7 @@ impl Database {
         }
         let (graph, store, recovery) = match &cfg.persistence {
             Some(dir) => {
-                let (store, graph) = Store::open_with_threads(dir, cfg.num_threads)?;
+                let (store, graph) = Store::open(dir)?;
                 let recovery = store.report().clone();
                 (graph, Some(store), recovery)
             }

@@ -65,7 +65,7 @@ use cypher_core::{Bindings, EvalContext, Params, VarLookup};
 use cypher_engine::{DeltaPlan, EngineConfig};
 use cypher_graph::{affected_nodes, Change, GraphView, PropertyGraph, Value, ViewRef};
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -101,14 +101,6 @@ impl ViewSubscription {
     /// timeout or when the view was dropped.
     pub fn next_timeout(&self, timeout: Duration) -> Option<ViewChange> {
         self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Non-blocking poll; `None` when no frame is pending.
-    pub fn try_next(&self) -> Option<ViewChange> {
-        match self.rx.try_recv() {
-            Ok(c) => Some(c),
-            Err(TryRecvError::Empty | TryRecvError::Disconnected) => None,
-        }
     }
 
     /// Blocks up to `timeout`, distinguishing "nothing yet" from "the

@@ -91,11 +91,6 @@ impl SortedAdjacency {
         self.version
     }
 
-    /// Number of shards (diagnostics).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Outgoing `(node, rel)` entries of `n`, sorted by `(node, rel)`.
     /// Nodes added after the build (necessarily without relationships,
     /// since adding one dirties the shard) resolve to the empty slice.

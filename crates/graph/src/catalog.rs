@@ -40,11 +40,6 @@ impl Catalog {
         r
     }
 
-    /// Registers an already-shared graph reference under `name`.
-    pub fn register_ref(&mut self, name: impl Into<String>, g: GraphRef) {
-        self.graphs.insert(name.into(), g);
-    }
-
     /// Looks up a graph by name.
     pub fn get(&self, name: &str) -> Option<GraphRef> {
         self.graphs.get(name).cloned()

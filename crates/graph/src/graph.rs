@@ -304,11 +304,6 @@ impl PropertyGraph {
         &self.interner
     }
 
-    /// Mutable access to the token interner (used when binding queries).
-    pub fn interner_mut(&mut self) -> &mut Interner {
-        &mut self.interner
-    }
-
     /// Interns a token string.
     pub fn intern(&mut self, s: &str) -> Symbol {
         self.interner.intern(s)
@@ -1026,22 +1021,6 @@ impl PropertyGraph {
         self.rels.slot_count()
     }
 
-    /// Enters bulk index-maintenance mode: mutations buffer their index
-    /// upkeep instead of applying it, leaving index lookups and planner
-    /// statistics stale until [`PropertyGraph::finish_bulk_index_maintenance`].
-    /// For mutation-only phases (WAL replay, snapshot restore) — never
-    /// while queries can read this graph.
-    pub fn begin_bulk_index_maintenance(&mut self) {
-        self.indexes.begin_deferred();
-    }
-
-    /// Leaves bulk mode, applying the buffered index maintenance — fanned
-    /// out across posting shards on up to `threads` scoped threads when
-    /// the buffer is large. State-identical to incremental maintenance.
-    pub fn finish_bulk_index_maintenance(&mut self, threads: usize) {
-        self.indexes.finish_deferred(threads);
-    }
-
     /// Exports every live node in id order, tokens resolved to strings.
     pub fn export_nodes(&self) -> Vec<NodeState> {
         self.nodes
@@ -1074,36 +1053,18 @@ impl PropertyGraph {
 
     /// Reconstructs a graph from exported state, validating internal
     /// consistency (replay must be total — corrupt snapshots become a
-    /// structured error, never a panic). Indexes are rebuilt from scratch;
-    /// because posting lists are canonically sorted, the rebuilt index set
-    /// is bit-identical to the incrementally-maintained one of the graph
-    /// that produced the export.
+    /// structured error, never a panic). Indexes are rebuilt from scratch
+    /// through the same hooks a commit runs; because posting lists are
+    /// canonically sorted, the rebuilt index set is bit-identical to the
+    /// incrementally-maintained one of the graph that produced the export.
     pub fn restore(
         node_slots: usize,
         rel_slots: usize,
         nodes: Vec<NodeState>,
         rels: Vec<RelState>,
     ) -> Result<PropertyGraph, GraphError> {
-        Self::restore_with_threads(node_slots, rel_slots, nodes, rels, 1)
-    }
-
-    /// [`PropertyGraph::restore`] with an index-rebuild thread budget:
-    /// with more than one thread the per-node index insertions are
-    /// buffered and fanned out across posting shards at the end, which
-    /// rebuilds the same bit-identical index set (deferred ops preserve
-    /// per-unit order).
-    pub fn restore_with_threads(
-        node_slots: usize,
-        rel_slots: usize,
-        nodes: Vec<NodeState>,
-        rels: Vec<RelState>,
-        threads: usize,
-    ) -> Result<PropertyGraph, GraphError> {
         let bad = |msg: String| GraphError::InvalidSnapshot(msg);
         let mut g = PropertyGraph::new();
-        if threads > 1 {
-            g.indexes.begin_deferred();
-        }
         g.nodes = CowSlots::with_slots(node_slots);
         let mut last_node: Option<u64> = None;
         for ns in nodes {
@@ -1142,9 +1103,6 @@ impl PropertyGraph {
             );
             g.live_nodes += 1;
         }
-        // Relationship restore below never touches node indexes, so the
-        // deferred buffer is complete here.
-        g.finish_bulk_index_maintenance(threads);
         g.rels = CowSlots::with_slots(rel_slots);
         let mut last_rel: Option<u64> = None;
         for rs in rels {

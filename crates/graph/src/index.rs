@@ -165,37 +165,6 @@ impl ValueBuckets {
     }
 }
 
-/// One primitive, fully-resolved index mutation. Bulk (deferred) mode
-/// buffers these instead of touching posting structures, then applies
-/// them grouped by **disjoint target unit** — a label's posting list, or
-/// one `(key, shard)` of a bucket map — preserving per-unit emission
-/// order, which makes the final state identical to incremental
-/// maintenance while letting units apply on different threads.
-#[derive(Debug, Clone, Copy)]
-enum IndexOp {
-    Label {
-        insert: bool,
-        l: Symbol,
-        n: NodeId,
-    },
-    Prop {
-        insert: bool,
-        k: Symbol,
-        bucket: u64,
-        n: NodeId,
-    },
-    Composite {
-        insert: bool,
-        l: Symbol,
-        k: Symbol,
-        bucket: u64,
-        n: NodeId,
-    },
-}
-
-/// Below this many buffered ops the fan-out overhead outweighs the work.
-const PARALLEL_APPLY_MIN_OPS: usize = 2048;
-
 /// The full set of node indexes of one [`crate::graph::PropertyGraph`].
 ///
 /// The store owns exactly one `IndexSet` and routes every node mutation
@@ -216,9 +185,6 @@ pub struct IndexSet {
     /// `(ℓ, k) → value → nodes` — the composite index backing
     /// `PropertyIndexSeek`.
     label_props: FxHashMap<(Symbol, Symbol), Arc<ValueBuckets>>,
-    /// `Some` while in bulk mode: hooks buffer [`IndexOp`]s here instead
-    /// of applying them (see [`IndexSet::begin_deferred`]).
-    deferred: Option<Vec<IndexOp>>,
 }
 
 impl IndexSet {
@@ -232,29 +198,6 @@ impl IndexSet {
     /// A node was created with the given labels and properties. `labels`
     /// must already be deduplicated.
     pub fn on_node_added(&mut self, n: NodeId, labels: &[Symbol], props: &[(Symbol, u64)]) {
-        if let Some(buf) = &mut self.deferred {
-            for &l in labels {
-                buf.push(IndexOp::Label { insert: true, l, n });
-            }
-            for &(k, bucket) in props {
-                buf.push(IndexOp::Prop {
-                    insert: true,
-                    k,
-                    bucket,
-                    n,
-                });
-                for &l in labels {
-                    buf.push(IndexOp::Composite {
-                        insert: true,
-                        l,
-                        k,
-                        bucket,
-                        n,
-                    });
-                }
-            }
-            return;
-        }
         for &l in labels {
             insert_sorted(Arc::make_mut(self.labels.entry(l).or_default()), n);
         }
@@ -269,33 +212,6 @@ impl IndexSet {
     /// A node is being removed; `labels`/`props` describe its state at
     /// removal time.
     pub fn on_node_removed(&mut self, n: NodeId, labels: &[Symbol], props: &[(Symbol, u64)]) {
-        if let Some(buf) = &mut self.deferred {
-            for &l in labels {
-                buf.push(IndexOp::Label {
-                    insert: false,
-                    l,
-                    n,
-                });
-            }
-            for &(k, bucket) in props {
-                buf.push(IndexOp::Prop {
-                    insert: false,
-                    k,
-                    bucket,
-                    n,
-                });
-                for &l in labels {
-                    buf.push(IndexOp::Composite {
-                        insert: false,
-                        l,
-                        k,
-                        bucket,
-                        n,
-                    });
-                }
-            }
-            return;
-        }
         for &l in labels {
             if let Some(list) = self.labels.get_mut(&l) {
                 Arc::make_mut(list).retain(|&x| x != n);
@@ -315,19 +231,6 @@ impl IndexSet {
 
     /// A label was added to a live node with the given current properties.
     pub fn on_label_added(&mut self, n: NodeId, l: Symbol, props: &[(Symbol, u64)]) {
-        if let Some(buf) = &mut self.deferred {
-            buf.push(IndexOp::Label { insert: true, l, n });
-            for &(k, bucket) in props {
-                buf.push(IndexOp::Composite {
-                    insert: true,
-                    l,
-                    k,
-                    bucket,
-                    n,
-                });
-            }
-            return;
-        }
         insert_sorted(Arc::make_mut(self.labels.entry(l).or_default()), n);
         for &(k, bucket) in props {
             Arc::make_mut(self.label_props.entry((l, k)).or_default()).insert(bucket, n);
@@ -337,23 +240,6 @@ impl IndexSet {
     /// A label was removed from a live node with the given current
     /// properties.
     pub fn on_label_removed(&mut self, n: NodeId, l: Symbol, props: &[(Symbol, u64)]) {
-        if let Some(buf) = &mut self.deferred {
-            buf.push(IndexOp::Label {
-                insert: false,
-                l,
-                n,
-            });
-            for &(k, bucket) in props {
-                buf.push(IndexOp::Composite {
-                    insert: false,
-                    l,
-                    k,
-                    bucket,
-                    n,
-                });
-            }
-            return;
-        }
         if let Some(list) = self.labels.get_mut(&l) {
             Arc::make_mut(list).retain(|&x| x != n);
         }
@@ -366,24 +252,6 @@ impl IndexSet {
 
     /// A property value was set on a node carrying `labels`.
     pub fn on_prop_set(&mut self, n: NodeId, labels: &[Symbol], k: Symbol, bucket: u64) {
-        if let Some(buf) = &mut self.deferred {
-            buf.push(IndexOp::Prop {
-                insert: true,
-                k,
-                bucket,
-                n,
-            });
-            for &l in labels {
-                buf.push(IndexOp::Composite {
-                    insert: true,
-                    l,
-                    k,
-                    bucket,
-                    n,
-                });
-            }
-            return;
-        }
         Arc::make_mut(self.props.entry(k).or_default()).insert(bucket, n);
         for &l in labels {
             Arc::make_mut(self.label_props.entry((l, k)).or_default()).insert(bucket, n);
@@ -392,299 +260,12 @@ impl IndexSet {
 
     /// A property value was removed from a node carrying `labels`.
     pub fn on_prop_removed(&mut self, n: NodeId, labels: &[Symbol], k: Symbol, bucket: u64) {
-        if let Some(buf) = &mut self.deferred {
-            buf.push(IndexOp::Prop {
-                insert: false,
-                k,
-                bucket,
-                n,
-            });
-            for &l in labels {
-                buf.push(IndexOp::Composite {
-                    insert: false,
-                    l,
-                    k,
-                    bucket,
-                    n,
-                });
-            }
-            return;
-        }
         if let Some(b) = self.props.get_mut(&k) {
             Arc::make_mut(b).remove(bucket, n);
         }
         for &l in labels {
             if let Some(b) = self.label_props.get_mut(&(l, k)) {
                 Arc::make_mut(b).remove(bucket, n);
-            }
-        }
-    }
-
-    // -- bulk (deferred) maintenance -----------------------------------------
-
-    /// Enters bulk mode: subsequent hooks buffer primitive ops instead of
-    /// touching posting structures. Lookups and statistics are stale until
-    /// [`IndexSet::finish_deferred`] — bulk mode is for mutation-only
-    /// phases (WAL replay, snapshot restore), never for live queries.
-    pub(crate) fn begin_deferred(&mut self) {
-        if self.deferred.is_none() {
-            self.deferred = Some(Vec::new());
-        }
-    }
-
-    /// Leaves bulk mode, applying every buffered op. With `threads > 1`
-    /// and enough ops, application fans out across disjoint posting
-    /// units — per-label lists and per-`(key, shard)` bucket maps — on
-    /// scoped threads; per-unit op order is emission order, so the final
-    /// index state is identical to incremental maintenance.
-    pub(crate) fn finish_deferred(&mut self, threads: usize) {
-        let Some(ops) = self.deferred.take() else {
-            return;
-        };
-        if threads <= 1 || ops.len() < PARALLEL_APPLY_MIN_OPS {
-            for op in ops {
-                self.apply_op(op);
-            }
-            return;
-        }
-        self.apply_deferred_parallel(ops, threads);
-    }
-
-    /// Applies one buffered op exactly as the incremental hook would.
-    fn apply_op(&mut self, op: IndexOp) {
-        match op {
-            IndexOp::Label { insert: true, l, n } => {
-                insert_sorted(Arc::make_mut(self.labels.entry(l).or_default()), n);
-            }
-            IndexOp::Label {
-                insert: false,
-                l,
-                n,
-            } => {
-                if let Some(list) = self.labels.get_mut(&l) {
-                    Arc::make_mut(list).retain(|&x| x != n);
-                }
-            }
-            IndexOp::Prop {
-                insert,
-                k,
-                bucket,
-                n,
-            } => {
-                if insert {
-                    Arc::make_mut(self.props.entry(k).or_default()).insert(bucket, n);
-                } else if let Some(b) = self.props.get_mut(&k) {
-                    Arc::make_mut(b).remove(bucket, n);
-                }
-            }
-            IndexOp::Composite {
-                insert,
-                l,
-                k,
-                bucket,
-                n,
-            } => {
-                if insert {
-                    Arc::make_mut(self.label_props.entry((l, k)).or_default()).insert(bucket, n);
-                } else if let Some(b) = self.label_props.get_mut(&(l, k)) {
-                    Arc::make_mut(b).remove(bucket, n);
-                }
-            }
-        }
-    }
-
-    /// The shard-parallel bulk apply. Ops are grouped by disjoint target
-    /// unit; each unit's postings are lifted out of the maps, mutated on
-    /// a worker thread in emission order, and written back serially. A
-    /// unit mirrors the incremental hook exactly, including when entries
-    /// are created (inserts create, removes never do) and removed (a
-    /// bucket emptied by removal disappears), so the result is
-    /// bit-identical to serial application — the recovery differential's
-    /// canonical dumps witness this.
-    fn apply_deferred_parallel(&mut self, ops: Vec<IndexOp>, threads: usize) {
-        type BucketMap = Arc<FxHashMap<u64, Arc<Vec<NodeId>>>>;
-        enum Unit {
-            Label {
-                l: Symbol,
-                list: Arc<Vec<NodeId>>,
-                ops: Vec<(bool, NodeId)>,
-            },
-            Buckets {
-                /// Identifies the writeback target: props key or
-                /// label_props pair, plus the shard slot.
-                target: BucketTarget,
-                shard: usize,
-                map: BucketMap,
-                ops: Vec<(bool, u64, NodeId)>,
-                delta: isize,
-            },
-        }
-        enum BucketTarget {
-            Prop(Symbol),
-            Composite(Symbol, Symbol),
-        }
-
-        // Group ops by unit, preserving emission order within each.
-        let mut label_ops: FxHashMap<Symbol, Vec<(bool, NodeId)>> = FxHashMap::default();
-        let mut prop_ops: FxHashMap<(Symbol, usize), Vec<(bool, u64, NodeId)>> =
-            FxHashMap::default();
-        let mut comp_ops: FxHashMap<(Symbol, Symbol, usize), Vec<(bool, u64, NodeId)>> =
-            FxHashMap::default();
-        for op in ops {
-            match op {
-                IndexOp::Label { insert, l, n } => {
-                    label_ops.entry(l).or_default().push((insert, n));
-                }
-                IndexOp::Prop {
-                    insert,
-                    k,
-                    bucket,
-                    n,
-                } => {
-                    prop_ops
-                        .entry((k, shard_of(bucket)))
-                        .or_default()
-                        .push((insert, bucket, n));
-                }
-                IndexOp::Composite {
-                    insert,
-                    l,
-                    k,
-                    bucket,
-                    n,
-                } => {
-                    comp_ops
-                        .entry((l, k, shard_of(bucket)))
-                        .or_default()
-                        .push((insert, bucket, n));
-                }
-            }
-        }
-
-        // Lift each unit's target structure out of the maps. Remove-only
-        // units against absent entries stay absent (the incremental hooks
-        // never create an entry on removal).
-        let mut units: Vec<std::sync::Mutex<Unit>> = Vec::new();
-        for (l, ops) in label_ops {
-            if !self.labels.contains_key(&l) && !ops.iter().any(|&(ins, _)| ins) {
-                continue;
-            }
-            let list = self.labels.remove(&l).unwrap_or_default();
-            units.push(std::sync::Mutex::new(Unit::Label { l, list, ops }));
-        }
-        for ((k, si), ops) in prop_ops {
-            if !self.props.contains_key(&k) && !ops.iter().any(|&(ins, _, _)| ins) {
-                continue;
-            }
-            let vb = Arc::make_mut(self.props.entry(k).or_default());
-            let map = std::mem::take(&mut vb.shards[si]);
-            units.push(std::sync::Mutex::new(Unit::Buckets {
-                target: BucketTarget::Prop(k),
-                shard: si,
-                map,
-                ops,
-                delta: 0,
-            }));
-        }
-        for ((l, k, si), ops) in comp_ops {
-            if !self.label_props.contains_key(&(l, k)) && !ops.iter().any(|&(ins, _, _)| ins) {
-                continue;
-            }
-            let vb = Arc::make_mut(self.label_props.entry((l, k)).or_default());
-            let map = std::mem::take(&mut vb.shards[si]);
-            units.push(std::sync::Mutex::new(Unit::Buckets {
-                target: BucketTarget::Composite(l, k),
-                shard: si,
-                map,
-                ops,
-                delta: 0,
-            }));
-        }
-
-        // Units are disjoint, so workers claim them off a shared cursor
-        // and mutate independently; each per-unit mutex is uncontended.
-        fn run_unit(u: &mut Unit) {
-            match u {
-                Unit::Label { list, ops, .. } => {
-                    let list = Arc::make_mut(list);
-                    for &(insert, n) in ops.iter() {
-                        if insert {
-                            insert_sorted(list, n);
-                        } else {
-                            list.retain(|&x| x != n);
-                        }
-                    }
-                }
-                Unit::Buckets {
-                    map, ops, delta, ..
-                } => {
-                    let m = Arc::make_mut(map);
-                    for &(insert, bucket, n) in ops.iter() {
-                        if insert {
-                            insert_sorted(Arc::make_mut(m.entry(bucket).or_default()), n);
-                            *delta += 1;
-                        } else if let Some(list) = m.get_mut(&bucket) {
-                            if let Ok(pos) = list.binary_search(&n) {
-                                Arc::make_mut(list).remove(pos);
-                                *delta -= 1;
-                                if list.is_empty() {
-                                    m.remove(&bucket);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let workers = threads.min(units.len()).max(1);
-        if workers <= 1 {
-            for u in &units {
-                run_unit(&mut u.lock().unwrap());
-            }
-        } else {
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(u) = units.get(i) else { break };
-                        run_unit(&mut u.lock().unwrap());
-                    });
-                }
-            });
-        }
-
-        // Serial writeback: lists and shard maps slot back in; entry
-        // counters absorb each unit's delta.
-        for u in units {
-            match u.into_inner().unwrap() {
-                // Surviving units had a prior entry or an insert op, and
-                // incremental inserts create entries that removals never
-                // delete — so the entry always exists afterwards, even
-                // when its list netted out empty.
-                Unit::Label { l, list, .. } => {
-                    self.labels.insert(l, list);
-                }
-                Unit::Buckets {
-                    target,
-                    shard,
-                    map,
-                    delta,
-                    ..
-                } => {
-                    let vb = match target {
-                        BucketTarget::Prop(k) => {
-                            Arc::make_mut(self.props.get_mut(&k).expect("unit target exists"))
-                        }
-                        BucketTarget::Composite(l, k) => Arc::make_mut(
-                            self.label_props
-                                .get_mut(&(l, k))
-                                .expect("unit target exists"),
-                        ),
-                    };
-                    vb.shards[shard] = map;
-                    vb.entries = (vb.entries as isize + delta) as usize;
-                }
             }
         }
     }
@@ -826,61 +407,6 @@ mod tests {
         assert!(idx.label_prop_candidates(person, name, bucket).is_empty());
         assert!(idx.prop_candidates(name, bucket).is_empty());
         assert_eq!(idx.label_cardinality(person), 0);
-    }
-
-    #[test]
-    fn deferred_bulk_apply_is_bit_identical_to_incremental() {
-        // Drive the same pseudorandom hook stream through an incremental
-        // IndexSet and a deferred one applied on 4 threads; the canonical
-        // dumps (posting lists verbatim) and statistics must coincide.
-        let mut lcg = 0x2545F4914F6CDD1Du64;
-        let mut next = move || {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            lcg >> 33
-        };
-        let resolve = |s: Symbol| format!("s{}", s.0);
-        let mut serial = IndexSet::new();
-        let mut bulk = IndexSet::new();
-        bulk.begin_deferred();
-        for i in 0..4000u64 {
-            let n = NodeId(next() % 64);
-            let labels = [sym((next() % 4) as u32)];
-            let props = [(sym(4 + (next() % 3) as u32), next() % 8)];
-            for idx in [&mut serial, &mut bulk] {
-                match i % 5 {
-                    0 => idx.on_node_added(n, &labels, &props),
-                    1 => idx.on_prop_set(n, &labels, props[0].0, props[0].1),
-                    2 => idx.on_label_added(n, labels[0], &props),
-                    3 => idx.on_prop_removed(n, &labels, props[0].0, props[0].1),
-                    _ => idx.on_node_removed(n, &labels, &props),
-                }
-            }
-        }
-        bulk.finish_deferred(4);
-        let (mut a, mut b) = (String::new(), String::new());
-        serial.canonical_dump(&resolve, &mut a);
-        bulk.canonical_dump(&resolve, &mut b);
-        assert_eq!(a, b, "bulk apply diverged from incremental maintenance");
-        for l in 0..4 {
-            assert_eq!(
-                serial.label_cardinality(sym(l)),
-                bulk.label_cardinality(sym(l))
-            );
-        }
-        for k in 4..7 {
-            assert_eq!(
-                serial.prop_cardinality(sym(k)),
-                bulk.prop_cardinality(sym(k))
-            );
-            for l in 0..4 {
-                assert_eq!(
-                    serial.label_prop_cardinality(sym(l), sym(k)),
-                    bulk.label_prop_cardinality(sym(l), sym(k))
-                );
-            }
-        }
     }
 
     #[test]

@@ -153,16 +153,6 @@ impl Store {
     /// Opens (creating if necessary) the store at `dir` and recovers the
     /// graph it holds: latest valid snapshot plus replayed WAL tail.
     pub fn open(dir: impl AsRef<Path>) -> Result<(Store, PropertyGraph), StorageError> {
-        Store::open_with_threads(dir, 1)
-    }
-
-    /// [`Store::open`] with an index-maintenance thread budget for
-    /// replay: large WAL tails fan index upkeep out across shards (see
-    /// [`wal::replay_with_threads`]).
-    pub fn open_with_threads(
-        dir: impl AsRef<Path>,
-        threads: usize,
-    ) -> Result<(Store, PropertyGraph), StorageError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         // Single-writer rule; released on drop (including every error
@@ -204,7 +194,7 @@ impl Store {
         let path = wal_path(&dir, generation);
         let mut upgrade = false;
         let wal = if path.exists() {
-            let summary = wal::replay_with_threads(&path, &mut graph, threads)?;
+            let summary = wal::replay(&path, &mut graph)?;
             report.batches_replayed = summary.batches_applied;
             report.groups_replayed = summary.groups_applied;
             report.changes_replayed = summary.changes_applied;

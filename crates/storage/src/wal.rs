@@ -365,21 +365,10 @@ pub struct ReplaySummary {
 /// id) is a hard [`StorageError`]; everything after the last intact
 /// group record is treated as a crash artifact and truncated away —
 /// commit groups are all-or-nothing, so a crash mid-group discards every
-/// member batch, never a prefix of one.
+/// member batch, never a prefix of one. Changes apply through the
+/// graph's ordinary mutators, so indexes are kept by the same hooks a
+/// live commit runs.
 pub fn replay(path: &Path, graph: &mut PropertyGraph) -> Result<ReplaySummary, StorageError> {
-    replay_with_threads(path, graph, 1)
-}
-
-/// [`replay`] with an index-maintenance thread budget: large replays
-/// defer index upkeep and fan it out across shards at the end (see
-/// `PropertyGraph::finish_bulk_index_maintenance`), which is
-/// state-identical to incremental maintenance because deferred ops are
-/// applied per disjoint posting unit in emission order.
-pub fn replay_with_threads(
-    path: &Path,
-    graph: &mut PropertyGraph,
-    threads: usize,
-) -> Result<ReplaySummary, StorageError> {
     let buf = std::fs::read(path)?;
     let mut summary = ReplaySummary::default();
     if buf.len() < WAL_MAGIC.len() {
@@ -394,10 +383,6 @@ pub fn replay_with_threads(
     let version = check_magic(&buf)?;
     summary.format_version = version;
 
-    let bulk = threads > 1;
-    if bulk {
-        graph.begin_bulk_index_maintenance();
-    }
     let mut pos = WAL_MAGIC.len();
     let mut last_sealed_end = pos;
     let mut pending: Vec<Change> = Vec::new();
@@ -518,9 +503,6 @@ pub fn replay_with_threads(
             last_sealed_end = end;
         }
         pos = end;
-    }
-    if bulk {
-        graph.finish_bulk_index_maintenance(threads);
     }
 
     summary.discarded_changes = pending.len() + staged.iter().map(|(_, c)| c.len()).sum::<usize>();

@@ -388,3 +388,153 @@ fn recovered_database_keeps_assigning_fresh_ids() {
     assert_eq!(db.graph().node_slot_count(), 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Index statistics the planner reads, keyed by name (interner symbols
+/// differ between an oracle and a recovered graph). The canonical dump
+/// renders posting lists but not the running `entries` totals, so these
+/// are compared separately.
+fn index_stats(g: &PropertyGraph, labels: &[&str], keys: &[&str]) -> Vec<String> {
+    let sym = |s: &str| g.interner().get(s);
+    let mut out = Vec::new();
+    for &l in labels {
+        let n = sym(l).map_or(0, |l| g.label_cardinality(l));
+        out.push(format!("label {l}: {n}"));
+        for &k in keys {
+            let c = sym(l)
+                .zip(sym(k))
+                .map(|(l, k)| g.label_prop_index_cardinality(l, k))
+                .unwrap_or_default();
+            out.push(format!("composite {l}/{k}: {c:?}"));
+        }
+    }
+    for &k in keys {
+        let c = sym(k)
+            .map(|k| g.prop_index_cardinality(k))
+            .unwrap_or_default();
+        out.push(format!("prop {k}: {c:?}"));
+    }
+    out
+}
+
+#[test]
+fn large_wal_tail_replays_and_restores_bit_identical_indexes() {
+    // A tail far beyond the generated workloads: thousands of node-level
+    // changes across every index hook (node add/remove, label add/remove,
+    // property set/remove), replayed from the WAL and then restored from
+    // a snapshot, must rebuild the live graph's indexes and statistics.
+    const LABELS: [&str; 3] = ["A", "B", "C"];
+    const KEYS: [&str; 3] = ["k", "v", "w"];
+    let params = Params::new();
+    let dir = fresh_dir("large-tail");
+    let cfg = durable_cfg(&dir, u64::MAX);
+    let mut db = Database::open_with(cfg.clone()).unwrap();
+    let mut oracle = PropertyGraph::new();
+    let buffer = SharedChangeBuffer::new();
+    oracle.set_change_sink(Box::new(buffer.clone()));
+
+    let mut stmts = Vec::new();
+    for lo in (0..900).step_by(100) {
+        let hi = lo + 100;
+        let window = format!("n.v >= {lo} AND n.v < {hi}");
+        stmts.push(format!(
+            "UNWIND range({lo}, {}) AS i CREATE (:A:B {{k: i % 7, v: i}})",
+            hi - 1
+        ));
+        stmts.push(format!(
+            "UNWIND range({lo}, {}) AS i MATCH (a:A {{v: i}}), (b:A {{v: i + 1}}) \
+             CREATE (a)-[:R]->(b)",
+            hi - 2
+        ));
+        stmts.push(format!(
+            "MATCH (n:A) WHERE {window} AND n.v % 3 = 0 SET n.k = n.k + 100"
+        ));
+        stmts.push(format!(
+            "MATCH (n:B) WHERE {window} AND n.v % 5 = 1 SET n = {{k: 1, w: n.v}}"
+        ));
+        stmts.push(format!(
+            "MATCH (n:A) WHERE {window} AND n.v % 2 = 0 SET n:C"
+        ));
+        stmts.push(format!(
+            "MATCH (n:C) WHERE {window} AND n.v % 4 = 0 REMOVE n:C"
+        ));
+        stmts.push(format!(
+            "MATCH (n:A) WHERE {window} AND n.v % 7 = 3 REMOVE n.k"
+        ));
+        stmts.push(format!(
+            "MATCH (n:A) WHERE {window} AND n.v % 4 = 2 DETACH DELETE n"
+        ));
+    }
+    for s in &stmts {
+        cypher::run(&mut oracle, s, &params).unwrap_or_else(|e| panic!("{s}: {e}"));
+        db.query(s, &params).unwrap_or_else(|e| panic!("{s}: {e}"));
+    }
+
+    // Every node-level change fires at least one index hook on replay.
+    let changes = buffer.drain();
+    let mut kinds = std::collections::BTreeSet::new();
+    let mut node_changes = 0usize;
+    for c in &changes {
+        let kind = match c {
+            Change::AddRel { .. } | Change::DeleteRel { .. } | Change::SetRelProp { .. } => {
+                continue
+            }
+            Change::AddNode { .. } => "add-node",
+            Change::DeleteNode { .. } => "delete-node",
+            Change::SetNodeProp { .. } => "set-prop",
+            Change::RemoveNodeProp { .. } => "remove-prop",
+            Change::ReplaceNodeProps { .. } => "replace-props",
+            Change::AddLabel { .. } => "add-label",
+            Change::RemoveLabel { .. } => "remove-label",
+        };
+        kinds.insert(kind);
+        node_changes += 1;
+    }
+    assert_eq!(kinds.len(), 7, "workload misses a hook: {kinds:?}");
+    assert!(
+        node_changes > 2048,
+        "tail too small: {node_changes} node changes"
+    );
+
+    let want_dump = oracle.canonical_dump();
+    let want_stats = index_stats(&oracle, &LABELS, &KEYS);
+    assert_eq!(
+        db.graph().canonical_dump(),
+        want_dump,
+        "live graph diverged"
+    );
+    db.close().unwrap();
+
+    // Reopen: the whole history replays from one WAL.
+    let mut db = Database::open_with(cfg.clone()).unwrap();
+    assert_eq!(db.recovery().snapshot_generation, 0);
+    assert_eq!(db.recovery().changes_replayed, changes.len());
+    assert_eq!(
+        db.graph().canonical_dump(),
+        want_dump,
+        "WAL replay diverged"
+    );
+    assert_eq!(
+        index_stats(&db.graph(), &LABELS, &KEYS),
+        want_stats,
+        "WAL replay index statistics diverged"
+    );
+
+    // Checkpoint and reopen: the state now comes back through restore.
+    db.checkpoint().unwrap();
+    db.close().unwrap();
+    let db = Database::open_with(cfg).unwrap();
+    assert!(db.recovery().snapshot_generation > 0);
+    assert_eq!(db.recovery().changes_replayed, 0);
+    assert_eq!(
+        db.graph().canonical_dump(),
+        want_dump,
+        "snapshot restore diverged"
+    );
+    assert_eq!(
+        index_stats(&db.graph(), &LABELS, &KEYS),
+        want_stats,
+        "snapshot restore index statistics diverged"
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
