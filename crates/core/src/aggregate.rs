@@ -325,7 +325,9 @@ struct DistinctSlot {
 /// the end. That makes full retraction order-transparent: inserting a
 /// value, draining every copy of it, and inserting it again yields the
 /// same visible sequence as if the drained copies were never inserted —
-/// the property the incremental-view retraction path relies on.
+/// the property the incremental-view retraction path relies on. Once
+/// tombstones are half the slots they are dropped, so a set churned for a
+/// million commits costs what its live values cost — not its history.
 #[derive(Clone, Debug, Default)]
 pub struct DistinctSet {
     slots: Vec<DistinctSlot>,
@@ -375,11 +377,25 @@ impl DistinctSet {
             return false;
         };
         self.slots[i].live -= 1;
-        if self.slots[i].live == 0 {
-            self.distinct -= 1;
-            true
-        } else {
-            false
+        if self.slots[i].live > 0 {
+            return false;
+        }
+        self.distinct -= 1;
+        if 2 * (self.slots.len() - self.distinct) >= self.slots.len() {
+            self.compact();
+        }
+        true
+    }
+
+    /// Drops the tombstones, keeping the live slots in order.
+    fn compact(&mut self) {
+        self.slots.retain(|s| s.live > 0);
+        self.buckets.clear();
+        for (i, s) in self.slots.iter().enumerate() {
+            self.buckets
+                .entry(Self::hash_of(&s.value))
+                .or_default()
+                .push(i);
         }
     }
 
@@ -1382,6 +1398,20 @@ mod tests {
         let shown: Vec<String> = s.values().map(|v| v.to_string()).collect();
         assert_eq!(shown, ["1", "3", "2"]);
         assert_eq!(s.into_values().len(), 3);
+    }
+
+    #[test]
+    fn distinct_set_compacts_retracted_values() {
+        let mut s = DistinctSet::new();
+        s.insert(Value::int(0));
+        for i in 0..10_000i64 {
+            s.remove(&Value::int(i % 2));
+            s.insert(Value::int((i + 1) % 2));
+        }
+        assert_eq!(s.len(), 1);
+        assert!(s.slots.len() <= 2 * s.len() + 1, "{} slots", s.slots.len());
+        assert!(s.buckets.values().map(Vec::len).sum::<usize>() <= 2 * s.len() + 1);
+        assert_eq!(s.values().collect::<Vec<_>>(), [&Value::int(0)]);
     }
 
     #[test]

@@ -412,7 +412,8 @@ struct Group {
     /// tombstone: it keeps its slot (bucket entries index into `groups`)
     /// but is invisible to lookup and finalization, and a re-fed key takes
     /// a fresh slot at the end — so full retraction is order-transparent,
-    /// exactly like [`crate::aggregate::DistinctSet`] slots.
+    /// exactly like [`crate::aggregate::DistinctSet`] slots, and compacted
+    /// by the same rule.
     live: u64,
 }
 
@@ -429,6 +430,8 @@ use cypher_graph::Value;
 pub struct GroupedAggState {
     groups: Vec<Group>,
     buckets: HashMap<u64, Vec<usize>>,
+    /// Tombstones in `groups`.
+    dead: usize,
     /// Keep per-group representative source rows (needed only when an
     /// `ORDER BY` may reference the pre-projection scope).
     keep_repr: bool,
@@ -443,6 +446,7 @@ impl GroupedAggState {
         GroupedAggState {
             groups: Vec::new(),
             buckets: HashMap::new(),
+            dead: 0,
             keep_repr,
         }
     }
@@ -565,7 +569,26 @@ impl GroupedAggState {
             agg.retract(v);
         }
         group.live -= 1;
+        if group.live == 0 {
+            self.dead += 1;
+            if 2 * self.dead >= self.groups.len() {
+                self.compact();
+            }
+        }
         Ok(true)
+    }
+
+    /// Drops the tombstones, keeping the live groups in order.
+    fn compact(&mut self) {
+        self.groups.retain(|g| g.live > 0);
+        self.buckets.clear();
+        self.dead = 0;
+        for (gi, g) in self.groups.iter().enumerate() {
+            self.buckets
+                .entry(Self::key_hash(&g.key))
+                .or_default()
+                .push(gi);
+        }
     }
 
     /// Folds a sibling state covering **later** rows into this one. Group
@@ -702,6 +725,7 @@ impl GroupedAggState {
                 })
                 .collect(),
             buckets: HashMap::new(),
+            dead: 0,
             keep_repr: false,
         };
         let (out, _) = snapshot.finalize(ctx, plan, src_schema)?;
@@ -1085,6 +1109,31 @@ mod tests {
                 "chunk={chunk}\nbase:\n{base}\nmerged:\n{merged}"
             );
         }
+    }
+
+    #[test]
+    fn grouped_state_compacts_retracted_groups() {
+        let g = PropertyGraph::new();
+        let params = Params::new();
+        let ctx = EvalContext::new(&g, &params);
+        let ret = ret_of("RETURN v AS v, count(*) AS c");
+        let schema = Schema::new(vec!["v".into()]);
+        let plan = ProjectionPlan::compile(&ret, &schema).unwrap();
+        let row = |v: i64| Record::new(vec![Value::int(v)]);
+        let mut st = GroupedAggState::new(true);
+        st.feed(&ctx, &plan, &schema, &row(0)).unwrap();
+        for i in 0..10_000i64 {
+            assert!(st.retract(&ctx, &plan, &schema, &row(i % 2)).unwrap());
+            st.feed(&ctx, &plan, &schema, &row((i + 1) % 2)).unwrap();
+        }
+        let live = st.groups.iter().filter(|g| g.live > 0).count();
+        assert_eq!(live, 1);
+        assert!(st.groups.len() <= 2 * live + 1, "{} slots", st.groups.len());
+        assert!(st.buckets.values().map(Vec::len).sum::<usize>() <= 2 * live + 1);
+        let (out, _) = st.finalize(&ctx, &plan, &schema).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out.cell(0, "v"), Some(&Value::int(0)));
+        assert_eq!(out.cell(0, "c"), Some(&Value::int(1)));
     }
 
     #[test]

@@ -267,11 +267,6 @@ impl<L: Log> Pipeline<L> {
         }
     }
 
-    /// Whether a log backs this pipeline.
-    pub(crate) fn durable(&self) -> bool {
-        self.mirror.durable
-    }
-
     /// Batches committed over the log's lifetime (`None` in memory).
     pub(crate) fn batches_committed(&self) -> Option<u64> {
         self.mirror.read(&self.mirror.batches)

@@ -7,9 +7,10 @@
 //!
 //! * Any number of [`Session`]s (cheap handles onto one shared database)
 //!   run **read queries concurrently**, each against a frozen
-//!   [`GraphView`]. Reader admission is lock-free (a few atomics — see
-//!   `cypher_graph::version`), so an in-flight writer never blocks
-//!   readers and readers never block the writer.
+//!   [`GraphView`]. Reader admission is one `Arc` clone under the
+//!   store's leaf publication lock (see `cypher_graph::version`); a
+//!   write transaction executes on its own copy-on-write clone, not
+//!   under that lock, so an in-flight writer never blocks readers.
 //! * **Write execution is serialized**; durability and visibility are
 //!   decoupled from it by the commit pipeline ([`crate::commit`]), which
 //!   seals concurrently-arriving transactions as one WAL group and
@@ -53,9 +54,9 @@ use std::time::Instant;
 
 /// What readers see, and the commit pipeline's [`Publisher`]: the
 /// published versions and the standing-query registry kept atomic with
-/// them. `views` is a leaf lock (taken by the publisher with no other
-/// lock held, and under the apply lock by view registration and the
-/// write path's has-views probe).
+/// them. `views` is taken by the publisher with no other lock held and
+/// under the apply lock by view registration; the only lock ever taken
+/// under it is the store's leaf publication lock.
 pub(crate) struct Readers {
     pub(crate) versioned: VersionedGraph,
     pub(crate) views: Mutex<ViewRegistry>,

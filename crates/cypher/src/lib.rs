@@ -47,7 +47,7 @@ pub use cypher_engine::{
 };
 pub use cypher_graph::{
     Catalog, Change, Direction, GraphView, NodeId, Path, PropertyGraph, RelId, SharedChangeBuffer,
-    Symbol, Temporal, Tri, Value, VersionedGraph, ViewRef, WriteTxn,
+    Symbol, Temporal, Tri, Value, VersionedGraph, ViewRef,
 };
 pub use cypher_metrics as metrics;
 pub use cypher_parser::{parse_expression, parse_pattern, parse_query, ParseError};

@@ -262,22 +262,17 @@ impl DbInner {
         // pinned there. Quiet: this query's cache outcome was already
         // counted.
         let memo = self.plans.resolve(text, &self.cfg, &base, false)?.1;
-        // Change records are collected for the WAL batch (durable
-        // databases) and for standing-view delta folds — an in-memory
-        // database installs the sink only while views are registered
-        // (view creation quiesces the pipeline, so the flag cannot flip
-        // under an admitted transaction).
-        let track_changes = pipeline.durable() || !lock(&self.readers.views).is_empty();
+        // Change records feed the WAL batch (durable databases) and the
+        // standing-view delta folds, and their presence is the one
+        // did-anything-mutate detector.
         let mut graph = (**base.graph_arc()).clone();
-        if track_changes {
-            // Discard anything a previous transaction left behind: a
-            // query that *panicked* mid-execution aborted its clone but
-            // could not drain the records it had already emitted —
-            // sealing them into this batch would write mutations to disk
-            // that no published version ever contained.
-            let _stale = txn.buffer().drain();
-            graph.set_change_sink(Box::new(txn.buffer().clone()));
-        }
+        // Discard anything a previous transaction left behind: a query
+        // that *panicked* mid-execution aborted its clone but could not
+        // drain the records it had already emitted — sealing them into
+        // this batch would write mutations to disk that no published
+        // version ever contained.
+        let _stale = txn.buffer().drain();
+        graph.set_change_sink(Box::new(txn.buffer().clone()));
         let result =
             cypher_engine::execute_cached(&mut graph, q, params, &self.cfg, memo.as_deref())
                 .map_err(Error::from);
@@ -285,25 +280,11 @@ impl DbInner {
         // did apply before failing — Cypher has no rollback, so the
         // already-executed clauses are real and must be durable; they
         // become visible to readers atomically like any other batch.
-        let changes = if track_changes {
-            txn.buffer().drain()
-        } else {
-            Vec::new()
-        };
+        let changes = txn.buffer().drain();
         graph.take_change_sink();
-        let mutated = if track_changes {
-            !changes.is_empty()
-        } else {
-            // Without views, in-memory databases skip the sink entirely
-            // (no records to seal); the mutation counter is their
-            // did-anything-mutate detector. A *failed* mutation attempt
-            // bumps the counter without changing state; publishing that
-            // content-identical version is harmless.
-            graph.version() != base.graph().version()
-        };
-        if !mutated {
-            // No mutator ran (e.g. a SET whose MATCH bound nothing):
-            // nothing to publish.
+        if changes.is_empty() {
+            // No mutator changed anything (e.g. a SET whose MATCH bound
+            // nothing): nothing to publish.
             return result;
         }
         let settled = txn.admit(graph, changes, trace);
@@ -576,8 +557,17 @@ mod tests {
             None,
             "no-op updates commit nothing"
         );
-        s.query("CREATE (:N {v: 2})", &params).unwrap();
+        s.query("CREATE (:N {v: 2})-[:R]->(:N)", &params).unwrap();
         assert_eq!(s.last_commit_version(), Some(2));
+        // A mutator that fails before changing anything publishes
+        // nothing, in memory as on disk.
+        s.query("MATCH (n:N {v: 2}) DELETE n", &params).unwrap_err();
+        assert_eq!(
+            s.last_commit_version(),
+            None,
+            "failed no-op commits nothing"
+        );
+        assert_eq!(db.version(), 2);
     }
 
     #[test]

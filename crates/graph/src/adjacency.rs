@@ -11,7 +11,7 @@
 //! Layout and invalidation:
 //!
 //! * Node slots are grouped into fixed-width **shards** of
-//!   [`SHARD_SLOTS`] slots. Each shard stores its `out` and `inc`
+//!   [`SHARD_NODES`] slots. Each shard stores its `out` and `inc`
 //!   neighbour lists in one CSR block (`offsets` + flat `Neighbor` data),
 //!   sorted by `(node, rel)` per slot, behind an `Arc`.
 //! * The graph records a per-shard **epoch** bumped by every mutation
@@ -36,7 +36,7 @@ use std::sync::Arc;
 /// Node slots per adjacency shard. A power of two, sized so a point
 /// commit touching a handful of nodes dirties a handful of shards while
 /// a 100k-node graph still builds with ~25 parallelizable units.
-pub const SHARD_SLOTS: usize = 4096;
+pub const SHARD_NODES: usize = 4096;
 
 /// One sorted adjacency entry: the neighbour reached and the relationship
 /// traversed. Ordered by `(node, rel)` so equal-node runs are contiguous
@@ -77,7 +77,7 @@ pub struct AdjacencyShard {
 }
 
 /// The sorted-adjacency cache of one graph version: an `Arc`'d shard per
-/// [`SHARD_SLOTS`] node slots. Obtained from
+/// [`SHARD_NODES`] node slots. Obtained from
 /// [`crate::PropertyGraph::sorted_adjacency`]; immutable once built.
 #[derive(Debug)]
 pub struct SortedAdjacency {
@@ -106,10 +106,10 @@ impl SortedAdjacency {
 
     fn side(&self, n: NodeId, incoming: bool) -> &[Neighbor] {
         let slot = n.0 as usize;
-        match self.shards.get(slot / SHARD_SLOTS) {
+        match self.shards.get(slot / SHARD_NODES) {
             Some(shard) => {
                 let csr = if incoming { &shard.inc } else { &shard.out };
-                csr.slice(slot % SHARD_SLOTS)
+                csr.slice(slot % SHARD_NODES)
             }
             None => &[],
         }
@@ -131,7 +131,7 @@ pub(crate) fn rebuild<F>(
 where
     F: Fn(usize, &mut Vec<Neighbor>, &mut Vec<Neighbor>) + Sync,
 {
-    let n_shards = slot_count.div_ceil(SHARD_SLOTS);
+    let n_shards = slot_count.div_ceil(SHARD_NODES);
     let epoch_of = |s: usize| epochs.get(s).copied().unwrap_or(0);
     // Partition into reusable and dirty shards. A trailing shard that
     // only grew by relationship-free nodes keeps its epoch and is safely
@@ -146,8 +146,8 @@ where
     let dirty: Vec<usize> = (0..n_shards).filter(|&s| shards[s].is_none()).collect();
 
     let build_one = |s: usize| -> Arc<AdjacencyShard> {
-        let base = s * SHARD_SLOTS;
-        let slots = SHARD_SLOTS.min(slot_count - base);
+        let base = s * SHARD_NODES;
+        let slots = SHARD_NODES.min(slot_count - base);
         let mut out = Vec::new();
         let mut inc = Vec::new();
         let mut out_offsets = Vec::with_capacity(slots + 1);

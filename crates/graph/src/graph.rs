@@ -215,9 +215,9 @@ pub struct RelState {
 /// All bulk structures — the node/relationship tables (`CowSlots`) and
 /// the index posting lists — are `Arc`-shared copy-on-write, so cloning a
 /// graph is cheap (O(chunks + index keys), no entity data copied) and the
-/// clone is a frozen snapshot: this is the versioned-core primitive that
-/// [`crate::version::VersionedGraph`] publishes one immutable
-/// [`crate::version::GraphView`] per committed write batch from.
+/// clone is a frozen snapshot: a writer mutates its own clone, and
+/// [`crate::version::VersionedGraph::publish_view`] publishes it as one
+/// immutable [`crate::version::GraphView`] per committed write batch.
 #[derive(Default)]
 pub struct PropertyGraph {
     nodes: CowSlots<NodeData>,
@@ -241,7 +241,7 @@ pub struct PropertyGraph {
     version: u64,
     /// Per-shard adjacency epochs (see [`crate::adjacency`]): bumped by
     /// every mutation that changes some node's incident-relationship
-    /// lists, indexed by node slot / [`adjacency::SHARD_SLOTS`].
+    /// lists, indexed by node slot / [`adjacency::SHARD_NODES`].
     adj_epochs: Vec<u64>,
     /// The lazily built sorted-adjacency cache for the current version
     /// (interior mutability: building it is not a graph mutation).
@@ -361,7 +361,7 @@ impl PropertyGraph {
     /// list; pure node add/delete needs no bump (a node without
     /// relationships has empty adjacency either way).
     fn touch_adjacency(&mut self, n: NodeId) {
-        let shard = n.0 as usize / adjacency::SHARD_SLOTS;
+        let shard = n.0 as usize / adjacency::SHARD_NODES;
         if self.adj_epochs.len() <= shard {
             self.adj_epochs.resize(shard + 1, 0);
         }

@@ -24,9 +24,10 @@
 //! * [`Catalog`] — a registry of multiple named graphs (Cypher 10,
 //!   Section 6 of the paper),
 //! * [`Path`] — the path values `path(n₁, r₁, …, nₘ)` of Section 4.1,
-//! * [`GraphView`] / [`VersionedGraph`] — multi-version concurrency: one
-//!   writer prepares the next copy-on-write version while any number of
-//!   readers execute against frozen, immutable published snapshots.
+//! * [`GraphView`] / [`VersionedGraph`] — multi-version concurrency: a
+//!   writer prepares the next copy-on-write version off to the side while
+//!   any number of readers execute against frozen, immutable snapshots,
+//!   and one leaf lock publishes each new version.
 
 #![warn(missing_docs)]
 
@@ -54,4 +55,4 @@ pub use interner::{Interner, Symbol};
 pub use path::Path;
 pub use temporal::{Date, Duration, LocalDateTime, LocalTime, Temporal, ZonedDateTime};
 pub use value::{Tri, Value};
-pub use version::{GraphView, VersionedGraph, ViewRef, WriteTxn};
+pub use version::{GraphView, VersionedGraph, ViewRef};

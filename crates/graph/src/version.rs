@@ -1,6 +1,7 @@
-//! Multi-version concurrency control for [`PropertyGraph`]: a single
-//! writer prepares the next copy-on-write version while any number of
-//! readers execute against frozen, immutable published snapshots.
+//! Multi-version concurrency control for [`PropertyGraph`]: writers
+//! prepare the next copy-on-write version off to the side while any
+//! number of readers execute against frozen, immutable published
+//! snapshots.
 //!
 //! ## The protocol
 //!
@@ -9,49 +10,31 @@
 //!   **transaction id** of the batch that produced it (for durable
 //!   databases this is the WAL batch sequence number, so the in-memory
 //!   version history and the on-disk log speak the same ids).
-//! * [`VersionedGraph::begin_write`] hands the (sole) writer a private
-//!   copy-on-write clone of the latest version. Cloning is cheap —
-//!   `Arc`-shared chunks and posting lists, no entity data copied (see
-//!   `crate::slots`) — and the clone is invisible to readers until
-//!   [`WriteTxn::commit`] publishes it. A query batch is therefore
-//!   **atomic to readers**: they observe either none of its mutations or
-//!   all of them, never a torn mid-batch state.
-//! * [`VersionedGraph::latest`] admits a reader to the current version
-//!   without any `RwLock` — admission is a few atomic operations on a
-//!   slot ring (below), so an in-flight writer never blocks readers and
-//!   readers never block the writer.
+//! * A writer executes on a private copy-on-write clone of the latest
+//!   version. Cloning is cheap — `Arc`-shared chunks and posting lists,
+//!   no entity data copied (see `crate::slots`) — and the clone is
+//!   invisible to readers until [`VersionedGraph::publish_view`] makes it
+//!   the latest version. A query batch is therefore **atomic to
+//!   readers**: they observe either none of its mutations or all of them,
+//!   never a torn mid-batch state.
+//! * Publication is one lock around the latest view. [`VersionedGraph::latest`]
+//!   clones an `Arc` under it and `publish_view` swaps one; the lock is a
+//!   leaf, never held across a call, so an in-flight write transaction
+//!   (which runs on its own clone, not under this lock) never blocks
+//!   readers. A reader is served some version published between its
+//!   admission and its first read.
 //!
-//! ## Reader admission and epoch-based retirement
+//! ## Eager retirement
 //!
-//! Published versions live in a fixed ring of `SLOTS` epoch slots.
-//! Publishing advances a `current` cursor to the next slot, then
-//! **eagerly retires** the superseded slot: once its reader pins drain
-//! (the nanosecond-scale admission window), its `Arc` is dropped, so
-//! the store itself pins only the latest version. Retirement never
-//! frees memory out from under a reader: a [`GraphView`] is itself a
-//! strong `Arc`, so each version's memory is reclaimed exactly when the
-//! last view of it drops — readers pin precisely what they hold, for as
-//! long as they hold it.
-//!
-//! Admission is the classic Dekker handshake: a reader increments the
-//! slot's `readers` count **then** re-checks that the slot is still
-//! current; the writer makes a slot non-current **then** waits for its
-//! `readers` count to drain before rewriting it. With sequentially
-//! consistent ordering on those four operations, either the reader sees
-//! the cursor moved (and retries on the new slot) or the writer sees the
-//! reader's pin (and spins the nanoseconds until the clone completes).
+//! The store holds only the latest version: a publish drops the store's
+//! reference to the superseded one. That never frees memory out from
+//! under a reader: a [`GraphView`] is itself a strong `Arc`, so each
+//! version's memory is reclaimed exactly when the last view of it drops
+//! — readers pin precisely what they hold, for as long as they hold it.
 
 use crate::graph::PropertyGraph;
-use std::cell::UnsafeCell;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Size of the epoch slot ring. Slots exist for the admission
-/// handshake, not for history — superseded versions are retired eagerly
-/// — but a roomy ring means a reader parked inside the ~4-instruction
-/// admission window stalls a publisher only after the cursor laps it.
-const SLOTS: usize = 64;
 
 /// An immutable snapshot of the graph at one committed version.
 ///
@@ -149,44 +132,10 @@ impl<'a> From<&'a GraphView> for ViewRef<'a> {
     }
 }
 
-/// Waits for a slot's reader pins to drain. The window being waited on
-/// is ~4 instructions, so pins drain in nanoseconds — except when a
-/// reader is *preempted* inside it: after a short spin burst, yield the
-/// core so an oversubscribed scheduler can run that reader instead of
-/// letting the writer burn its quantum spinning (it holds the writer
-/// token, so every queued write would stall behind the spin).
-fn drain_pins(readers: &AtomicUsize) {
-    let mut spins = 0u32;
-    while readers.load(Ordering::SeqCst) != 0 {
-        spins += 1;
-        if spins > 64 {
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-/// One epoch slot of the publication ring.
-struct Slot {
-    /// Readers currently inside the admission window for this slot.
-    readers: AtomicUsize,
-    /// The published view. Written only by the single writer, and only
-    /// while the slot is not current and `readers == 0`; read only by
-    /// readers that have pinned the slot and re-verified it is current.
-    view: UnsafeCell<Option<GraphView>>,
-}
-
-// Safety: access to `view` follows the admission/publication handshake
-// documented on the module — the writer has exclusive access when it
-// writes (slot non-current, readers drained), and readers only read
-// while their pin prevents exactly that rewrite. `GraphView` itself is
-// `Send + Sync` (it is an `Arc` of a frozen graph).
-unsafe impl Sync for Slot {}
-
-/// The multi-version store: a publication ring plus the writer token.
+/// The multi-version store: the latest published view behind one lock.
 ///
 /// ```
+/// use std::sync::Arc;
 /// use cypher_graph::{PropertyGraph, Value, VersionedGraph};
 ///
 /// let mut g = PropertyGraph::new();
@@ -194,29 +143,22 @@ unsafe impl Sync for Slot {}
 /// let vg = VersionedGraph::new(g, 0);
 ///
 /// let before = vg.latest(); // frozen at version 0
-/// let mut txn = vg.begin_write();
-/// txn.graph_mut().add_node(&["New"], [("v", Value::int(1))]);
-/// assert_eq!(before.node_count(), 1, "uncommitted writes are invisible");
-/// let after = txn.commit();
+/// let mut next = before.graph().clone(); // the writer's private COW clone
+/// next.add_node(&["New"], [("v", Value::int(1))]);
+/// assert_eq!(vg.latest().node_count(), 1, "unpublished writes are invisible");
+/// let after = vg.publish_view(Arc::new(next), 1);
 /// assert_eq!(after.version(), 1);
 /// assert_eq!(before.node_count(), 1, "old views are frozen forever");
 /// assert_eq!(vg.latest().node_count(), 2);
 /// ```
 pub struct VersionedGraph {
-    slots: Vec<Slot>,
-    /// Index of the slot holding the latest published version.
-    current: AtomicUsize,
-    /// Version of the latest published view (monotonic; readable without
-    /// admission for cheap staleness checks).
-    version: AtomicU64,
-    /// The single-writer token; holds nothing, exists to be locked.
-    writer: Mutex<()>,
+    latest: Mutex<GraphView>,
 }
 
 impl std::fmt::Debug for VersionedGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VersionedGraph")
-            .field("version", &self.version.load(Ordering::Relaxed))
+            .field("version", &self.latest_version())
             .finish_non_exhaustive()
     }
 }
@@ -228,193 +170,52 @@ impl VersionedGraph {
         // Published versions never mutate, so they must not hold a change
         // sink (and clones drop it anyway); strip defensively.
         let _ = graph.take_change_sink();
-        let mut slots = Vec::with_capacity(SLOTS);
-        for _ in 0..SLOTS {
-            slots.push(Slot {
-                readers: AtomicUsize::new(0),
-                view: UnsafeCell::new(None),
-            });
+        VersionedGraph {
+            latest: Mutex::new(GraphView::new(Arc::new(graph), initial_version)),
         }
-        let vg = VersionedGraph {
-            slots,
-            current: AtomicUsize::new(0),
-            version: AtomicU64::new(initial_version),
-            writer: Mutex::new(()),
-        };
-        // No readers can exist yet; plain initialization of slot 0.
-        unsafe {
-            *vg.slots[0].view.get() = Some(GraphView::new(Arc::new(graph), initial_version));
-        }
-        vg
+    }
+
+    fn lock_latest(&self) -> MutexGuard<'_, GraphView> {
+        self.latest.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The version of the latest published view. Cheaper than
     /// [`VersionedGraph::latest`] when only the id is needed.
     pub fn latest_version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        self.lock_latest().version()
     }
 
-    /// Admits a reader to the latest published version. Lock-free: a few
-    /// atomic operations, never blocked by an in-flight write transaction
-    /// (the writer touches the ring only for the pointer-swap instant of
-    /// a publish). The returned view is frozen for its whole lifetime.
+    /// Admits a reader to the latest published version: one `Arc` clone
+    /// under the leaf lock. The returned view is frozen for its whole
+    /// lifetime.
     pub fn latest(&self) -> GraphView {
-        loop {
-            let idx = self.current.load(Ordering::SeqCst);
-            let slot = &self.slots[idx];
-            // Pin first, then re-check: the Dekker handshake with the
-            // publisher (see module docs).
-            slot.readers.fetch_add(1, Ordering::SeqCst);
-            if self.current.load(Ordering::SeqCst) == idx {
-                // Safety: our pin plus the re-check guarantee the writer
-                // is not rewriting this slot (it drains `readers` after
-                // making a slot non-current, and this slot is current).
-                let view = unsafe { (*slot.view.get()).clone() };
-                slot.readers.fetch_sub(1, Ordering::SeqCst);
-                return view.expect("current slot always holds a published view");
-            }
-            // A publish recycled the cursor under us; retry on the new
-            // current slot.
-            slot.readers.fetch_sub(1, Ordering::SeqCst);
-            std::hint::spin_loop();
-        }
+        self.lock_latest().clone()
     }
 
-    /// Starts the (single) write transaction: takes the writer token and
-    /// hands back a private copy-on-write clone of the latest version.
-    /// Readers continue to be admitted to published versions throughout.
-    pub fn begin_write(&self) -> WriteTxn<'_> {
-        let guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let base = self.latest();
-        let graph = base.graph().clone();
-        WriteTxn {
-            store: self,
-            _token: guard,
-            graph,
-            base_version: base.version(),
-        }
-    }
-
-    /// Publishes an externally prepared frozen graph as `version`,
-    /// taking the writer token internally. The group-commit pipeline
-    /// uses this instead of [`WriteTxn`]: transactions there execute
-    /// serialized by the commit queue's own apply lock, and their
-    /// pre-built `Arc` snapshots are published in seal order by the
-    /// group's seal leader — a different thread than the one that
-    /// executed all but its own. `graph` must not carry a change sink, and
-    /// `version` must be strictly newer than the latest published one.
+    /// Publishes a frozen graph as `version`. Transactions execute on
+    /// their own copy-on-write clones, serialized by the commit pipeline's
+    /// apply lock, and the group's seal leader publishes their snapshots
+    /// in seal order. `graph` must not carry a change sink, and `version`
+    /// must be strictly newer than the latest published one.
     pub fn publish_view(&self, graph: Arc<PropertyGraph>, version: u64) -> GraphView {
-        let _token = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(
-            version > self.version.load(Ordering::Relaxed),
-            "versions are monotonic: {} !> {}",
-            version,
-            self.version.load(Ordering::Relaxed)
-        );
         debug_assert!(!graph.has_change_sink(), "published graphs are frozen");
         let view = GraphView::new(graph, version);
-        self.publish(view.clone());
+        let superseded = {
+            let mut latest = self.lock_latest();
+            assert!(
+                version > latest.version(),
+                "versions are monotonic: {} !> {}",
+                version,
+                latest.version()
+            );
+            std::mem::replace(&mut *latest, view.clone())
+        };
+        // Eager retirement, outside the lock: if no reader holds the
+        // superseded version, its last reference (and every COW chunk
+        // only it shares) is freed here.
+        drop(superseded);
         view
     }
-
-    /// Publishes `view` as the new latest version. Caller must hold the
-    /// writer token and pass a strictly newer version id.
-    fn publish(&self, view: GraphView) {
-        debug_assert!(view.version() > self.version.load(Ordering::Relaxed));
-        let cur = self.current.load(Ordering::Relaxed);
-        let next = (cur + 1) % SLOTS;
-        let slot = &self.slots[next];
-        // Drain stragglers still inside the admission window of the
-        // epoch this slot last served.
-        drain_pins(&slot.readers);
-        // Safety: slot is not current and has no pinned readers; the
-        // writer token makes us the only publisher.
-        unsafe {
-            *slot.view.get() = Some(view.clone());
-        }
-        self.current.store(next, Ordering::SeqCst);
-        // The advisory version counter is stored *after* the cursor so
-        // it lags rather than leads: once `latest_version()` reports N,
-        // `latest()` is guaranteed to serve at least N (the reverse
-        // order would let a reader see version() == N yet pin N-1).
-        self.version.store(view.version(), Ordering::Release);
-        // Eagerly retire the superseded version: readers keep whatever
-        // they hold alive through their own `GraphView` Arcs, so the
-        // ring itself need not pin back-versions — without this, the
-        // store would keep the last SLOTS versions (and all the COW'd
-        // structure between them) alive even with zero readers. The
-        // drain is the same nanosecond-scale admission-window wait as
-        // above: stragglers admitted to `cur` before the cursor moved
-        // finish their Arc clone and unpin.
-        let old = &self.slots[cur];
-        drain_pins(&old.readers);
-        // Safety: `cur` is no longer current (readers now retry onto
-        // `next`) and its pins are drained; we hold the writer token.
-        unsafe {
-            *old.view.get() = None;
-        }
-    }
-}
-
-/// The writer's private, not-yet-published next version.
-///
-/// Holds the writer token for its lifetime, serializing writers; readers
-/// are unaffected. Dropping the transaction without calling
-/// [`WriteTxn::commit`] aborts it — the clone is discarded and nothing
-/// was ever visible.
-pub struct WriteTxn<'a> {
-    store: &'a VersionedGraph,
-    _token: MutexGuard<'a, ()>,
-    graph: PropertyGraph,
-    base_version: u64,
-}
-
-impl WriteTxn<'_> {
-    /// The version this transaction is based on (what the writer sees
-    /// before its own mutations).
-    pub fn base_version(&self) -> u64 {
-        self.base_version
-    }
-
-    /// Read access to the transaction's private graph (own writes
-    /// visible).
-    pub fn graph(&self) -> &PropertyGraph {
-        &self.graph
-    }
-
-    /// Mutable access to the transaction's private graph.
-    pub fn graph_mut(&mut self) -> &mut PropertyGraph {
-        &mut self.graph
-    }
-
-    /// Commits at the next version id (`base + 1`).
-    pub fn commit(self) -> GraphView {
-        let v = self.base_version + 1;
-        self.commit_as(v)
-    }
-
-    /// Commits, publishing the transaction's graph as `version` (strictly
-    /// greater than the base). Durable callers pass the WAL batch
-    /// sequence number here *after* the batch is sealed on disk —
-    /// "WAL-seal, then version-publish" — so a version is visible to
-    /// readers only once it is recoverable.
-    pub fn commit_as(mut self, version: u64) -> GraphView {
-        assert!(
-            version > self.base_version,
-            "versions are monotonic: {} !> {}",
-            version,
-            self.base_version
-        );
-        // Published graphs are frozen; they must not drag a change sink
-        // (and the buffer it feeds) along.
-        let _ = self.graph.take_change_sink();
-        let view = GraphView::new(Arc::new(self.graph), version);
-        self.store.publish(view.clone());
-        view
-    }
-
-    /// Discards the transaction; equivalent to dropping it.
-    pub fn abort(self) {}
 }
 
 #[cfg(test)]
@@ -423,6 +224,15 @@ mod tests {
     use crate::value::Value;
 
     fn assert_send_sync<T: Send + Sync>() {}
+
+    /// The writer's side of a commit: clone the latest version, add one
+    /// `N` node, publish at the next version id.
+    fn commit_one_node(vg: &VersionedGraph, i: usize) -> GraphView {
+        let base = vg.latest();
+        let mut next = base.graph().clone();
+        next.add_node(&["N"], [("i", Value::int(i as i64))]);
+        vg.publish_view(Arc::new(next), base.version() + 1)
+    }
 
     #[test]
     fn handles_are_send_sync() {
@@ -439,13 +249,13 @@ mod tests {
         let v7 = vg.latest();
         assert_eq!(v7.version(), 7);
 
-        let mut txn = vg.begin_write();
-        let a = txn.graph_mut().add_node(&["A"], []);
-        txn.graph_mut().add_rel(seed, a, "X", []).unwrap();
+        let mut next = v7.graph().clone();
+        let a = next.add_node(&["A"], []);
+        next.add_rel(seed, a, "X", []).unwrap();
         // Mid-batch state is invisible: latest() still serves version 7.
         assert_eq!(vg.latest().version(), 7);
         assert_eq!(vg.latest().node_count(), 1);
-        let v8 = txn.commit();
+        let v8 = vg.publish_view(Arc::new(next), 8);
         assert_eq!(v8.version(), 8);
         assert_eq!(v8.node_count(), 2);
         assert_eq!(v8.rel_count(), 1);
@@ -456,36 +266,26 @@ mod tests {
     }
 
     #[test]
-    fn abort_discards_everything() {
-        let mut g = PropertyGraph::new();
-        g.add_node(&["Seed"], []);
-        let vg = VersionedGraph::new(g, 0);
-        let mut txn = vg.begin_write();
-        txn.graph_mut().add_node(&["Gone"], []);
-        txn.abort();
-        assert_eq!(vg.latest_version(), 0);
-        assert_eq!(vg.latest().node_count(), 1);
+    #[should_panic(expected = "versions are monotonic")]
+    fn publishing_a_version_that_is_not_newer_panics() {
+        let vg = VersionedGraph::new(PropertyGraph::new(), 3);
+        vg.publish_view(Arc::new(PropertyGraph::new()), 3);
     }
 
     #[test]
-    fn old_views_survive_ring_retirement() {
+    fn old_views_survive_eager_retirement() {
         let mut g = PropertyGraph::new();
         g.add_node(&["Seed"], []);
         let vg = VersionedGraph::new(g, 0);
         let pinned = vg.latest();
-        // Cycle the ring several times over: slots are recycled and
-        // superseded versions eagerly retired, but the pinned view
-        // stays valid throughout.
-        for i in 0..(SLOTS * 3) {
-            let mut txn = vg.begin_write();
-            txn.graph_mut()
-                .add_node(&["N"], [("i", Value::int(i as i64))]);
-            txn.commit();
+        const PUBLISHES: usize = 192;
+        for i in 0..PUBLISHES {
+            commit_one_node(&vg, i);
         }
         assert_eq!(pinned.version(), 0);
         assert_eq!(pinned.node_count(), 1);
-        assert_eq!(vg.latest().node_count(), 1 + SLOTS * 3);
-        assert_eq!(vg.latest_version(), (SLOTS * 3) as u64);
+        assert_eq!(vg.latest().node_count(), 1 + PUBLISHES);
+        assert_eq!(vg.latest_version(), PUBLISHES as u64);
         // Eager retirement: the store dropped its reference to version 0
         // at the very next publish — this pin is the only thing keeping
         // it alive.
@@ -497,15 +297,14 @@ mod tests {
         // A writer streams commits while readers hammer latest(); every
         // admitted view must be internally consistent: version v ⇔
         // exactly 1 + v nodes (each commit adds one node).
+        use std::sync::atomic::{AtomicBool, Ordering};
         let mut g = PropertyGraph::new();
         g.add_node(&["Seed"], []);
-        let vg = std::sync::Arc::new(VersionedGraph::new(g, 0));
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let vg = VersionedGraph::new(g, 0);
+        let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             for _ in 0..3 {
-                let vg = std::sync::Arc::clone(&vg);
-                let stop = std::sync::Arc::clone(&stop);
-                s.spawn(move || {
+                s.spawn(|| {
                     let mut last = 0u64;
                     while !stop.load(Ordering::Relaxed) {
                         let view = vg.latest();
@@ -520,10 +319,7 @@ mod tests {
                 });
             }
             for i in 0..200 {
-                let mut txn = vg.begin_write();
-                txn.graph_mut()
-                    .add_node(&["N"], [("i", Value::int(i as i64))]);
-                txn.commit();
+                commit_one_node(&vg, i);
             }
             stop.store(true, Ordering::Relaxed);
         });

@@ -49,7 +49,8 @@ use std::fmt;
 /// multi-version store ([`cypher_graph::VersionedGraph`]): the graph
 /// state containing batches `0..=i` is published as version `i + 1`
 /// (version 0 is the empty/initial state). The `Database` facade seals a
-/// batch in the WAL *first* and publishes the version *second*, so any
+/// batch in the WAL *first* and publishes the version *second* (through
+/// [`cypher_graph::VersionedGraph::publish_view`]), so any
 /// version a reader can ever pin is, by construction, recoverable from
 /// disk.
 pub type TxnId = u64;
