@@ -17,7 +17,7 @@ use crate::aggregate::{AggKind, Aggregator};
 use crate::error::{err, EvalError};
 use crate::expr::{eval_expr, Bindings, NoVars, VarLookup};
 use crate::table::{Record, Schema, Table};
-use crate::EvalContext;
+use crate::{EvalContext, Params};
 use cypher_ast::expr::Expr;
 use cypher_ast::query::{Return, ReturnItem, SortItem};
 use cypher_graph::Symbol;
@@ -654,16 +654,14 @@ impl GroupedAggState {
                 out.push(Record::new(group.key));
                 continue;
             }
-            // Placeholder params carry this group's aggregate results.
-            let mut params = ctx.params.clone();
-            for (agg, spec) in group.aggs.into_iter().zip(&plan.specs) {
-                params.insert(spec.placeholder.clone(), agg.finish()?);
+            let mut results = Vec::with_capacity(group.aggs.len());
+            for agg in group.aggs {
+                results.push(agg.finish()?);
             }
-            let group_ctx = EvalContext {
-                graph: ctx.graph,
-                params: &params,
-                config: ctx.config,
-            };
+            // Placeholder params carry this group's aggregate results to
+            // an item that is more than a bare aggregate — over a copy of
+            // the query's parameters, made only for such an item.
+            let mut params: Option<Params> = None;
             let mut row = Record::empty();
             let mut key_iter = group.key.into_iter();
             let repr_ok = group
@@ -671,23 +669,39 @@ impl GroupedAggState {
                 .as_ref()
                 .is_some_and(|r| r.values().len() == src_schema.len());
             for p in &plan.items {
-                if p.aggregated {
-                    // Non-key parts of an aggregated item are evaluated on
-                    // the group's representative row (the fabricated empty
-                    // group of an all-aggregate projection has none).
-                    let v = if repr_ok {
-                        eval_expr(
-                            &group_ctx,
-                            &Bindings::new(src_schema, group.repr.as_ref().unwrap()),
-                            &p.expr,
-                        )?
-                    } else {
-                        eval_expr(&group_ctx, &NoVars, &p.expr)?
-                    };
-                    row.push(v);
-                } else {
+                if !p.aggregated {
                     row.push(key_iter.next().expect("key arity"));
+                    continue;
                 }
+                let bare = plan
+                    .specs
+                    .iter()
+                    .position(|s| matches!(&p.expr, Expr::Param(name) if *name == s.placeholder));
+                if let Some(i) = bare {
+                    row.push(results[i].clone());
+                    continue;
+                }
+                let params = params.get_or_insert_with(|| {
+                    let mut params = ctx.params.clone();
+                    for (spec, result) in plan.specs.iter().zip(&results) {
+                        params.insert(spec.placeholder.clone(), result.clone());
+                    }
+                    params
+                });
+                let group_ctx = EvalContext {
+                    graph: ctx.graph,
+                    params,
+                    config: ctx.config,
+                };
+                // Non-key parts of an aggregated item are evaluated on the
+                // group's representative row (the fabricated empty group
+                // of an all-aggregate projection has none).
+                row.push(if repr_ok {
+                    let repr = group.repr.as_ref().expect("repr_ok");
+                    eval_expr(&group_ctx, &Bindings::new(src_schema, repr), &p.expr)?
+                } else {
+                    eval_expr(&group_ctx, &NoVars, &p.expr)?
+                });
             }
             out.push(row);
             if self.keep_repr {

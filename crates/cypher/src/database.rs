@@ -517,11 +517,6 @@ impl Database {
         self.inner.read_view(name, &at)
     }
 
-    /// The registered view names, in creation order.
-    pub fn view_names(&self) -> Vec<String> {
-        lock(&self.inner.readers.views).names()
-    }
-
     /// Renders view `name`'s maintenance plan (same text as
     /// `EXPLAIN VIEW <name>`).
     pub fn explain_view(&self, name: &str) -> Result<String, Error> {

@@ -733,11 +733,6 @@ impl ViewRegistry {
         }
     }
 
-    /// The registered view names, in creation order.
-    pub(crate) fn names(&self) -> Vec<String> {
-        self.entries.iter().map(|e| e.name.clone()).collect()
-    }
-
     pub(crate) fn explain(&self, name: &str, at: &GraphView) -> Result<String, Error> {
         match self.entry(name) {
             Some(e) => Ok(e.explain(at, &self.cfg)),

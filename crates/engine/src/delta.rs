@@ -60,7 +60,7 @@
 //! `MATCH` hands it to the reference matcher), is maintained by full
 //! recomputation instead.
 
-use crate::exec::{run_match, EngineConfig};
+use crate::exec::{EngineConfig, Segment};
 use crate::ops::Collect;
 use crate::plan::PlanStep;
 use crate::planner::{plan_match, PlannedMatch};
@@ -309,10 +309,9 @@ impl DeltaPlan {
         input: Table,
     ) -> Result<Vec<Record>, EvalError> {
         let planned = self.plan(ctx.graph, input.schema().names(), cfg);
-        let where_ = self.where_.as_ref();
-        let raw = run_match(
-            ctx, cfg, "MATCH", &planned, where_, input, &Collect, None, None,
-        )?;
+        let mut seg = Segment::new(input.schema().clone());
+        seg.push_match("MATCH", &planned, self.where_.as_ref());
+        let raw = seg.run(ctx, cfg, input, &Collect, None, None)?;
         Ok(project_visible(raw, &self.schema).into_rows())
     }
 }

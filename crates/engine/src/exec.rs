@@ -1,32 +1,36 @@
-//! The clause-by-clause executor.
+//! The clause interpreter.
 //!
-//! One loop walks a query's clauses ([`execute`] and [`execute_read`]
-//! differ only in whether it may touch the graph). Reading clauses
-//! (`MATCH`, `OPTIONAL MATCH`) are compiled by the planner and run by
-//! the morsel driver of [`crate::ops`] into a sink: normally the one
-//! that collects the rows, but the **final** `MATCH` runs straight into
-//! its `RETURN` (`pushdown`) unless that is a bare `ORDER BY`, so that no
-//! match table materializes.
-//! Mid-query `WITH` and `UNWIND` reuse the reference semantics of
-//! [`cypher_core`] directly; updating clauses are dispatched to
-//! [`crate::update`].
+//! One loop walks a query's clauses for every entry point ([`execute`],
+//! [`execute_read`], [`profile_read`], [`explain`] and the catalog
+//! composition of [`crate::multigraph`]). Each run of streamable clauses
+//! — non-optional `MATCH`, the `WHERE` filters, a `WITH` that projects
+//! row by row, `UNWIND` — is compiled into one *segment*: a step list the
+//! morsel driver of [`crate::ops`] runs without building a table between
+//! clauses. Every other clause ends the segment. One that ends at a `WITH`
+//! or the `RETURN` runs into that projection's sink (`pushdown.rs`);
+//! `OPTIONAL MATCH`, a node-isomorphism `MATCH` (the reference matcher),
+//! `FROM GRAPH` and the updating clauses ([`crate::update`]) apply to the
+//! collected table.
 
-use crate::cache::{plan_match_memo, MemoSite, PlanMemo};
+use crate::cache::{plan_match_memo, PlanMemo};
+use crate::multigraph::{construct_graph, view_named, Graphs};
 use crate::ops::{drive, Collect, PlanProfile, Sink};
 use crate::plan::PlanStep;
-use crate::planner::{plan_match, PlannedMatch, PlannerMode, PlannerOptions, WcoJoinMode};
-use crate::pushdown::{project_visible, select_sink, FinalSink};
+use crate::planner::{PlannedMatch, PlannerMode, PlannerOptions, WcoJoinMode};
+use crate::pushdown::{project, project_visible, select_sink, FinalSink};
 use crate::update;
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::PathPattern;
-use cypher_ast::query::{Clause, Query, SingleQuery};
-use cypher_core::clauses::{apply_projection, apply_unwind, apply_where};
+use cypher_ast::query::{Clause, Query, Return, SingleQuery};
+use cypher_core::clauses::{apply_match, apply_optional_match};
 use cypher_core::error::{err, EvalError};
 use cypher_core::morphism::Morphism;
 use cypher_core::project::ProjectionPlan;
 use cypher_core::table::{Record, Schema, Table};
 use cypher_core::{EvalContext, MatchConfig, Params};
 use cypher_graph::{PropertyGraph, Value, ViewRef};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Engine configuration: pattern-matching semantics, the plan strategy,
 /// which secondary indexes the planner may exploit, the batch/thread
@@ -74,9 +78,10 @@ pub struct EngineConfig {
     /// bytes, the `Database` facade checkpoints (snapshot + WAL truncate).
     /// Defaults to 4 MiB; override with `CYPHER_WAL_COMPACT_BYTES`.
     pub wal_compact_bytes: u64,
-    /// Whether the final aggregating/`DISTINCT`/`ORDER BY … LIMIT`
-    /// projection is pushed down into the morsel pipeline (partial
-    /// aggregation / top-k). Defaults to [`PartialAggMode::Auto`];
+    /// Whether the aggregating/`DISTINCT`/`ORDER BY … LIMIT`/plain
+    /// projection that ends a segment is pushed down into the morsel
+    /// pipeline (partial aggregation / top-k / per-batch projection).
+    /// Defaults to [`PartialAggMode::Auto`];
     /// override with `CYPHER_PARTIAL_AGG` (`off` / `auto`).
     /// Never changes results — only where the folding happens.
     pub partial_agg: PartialAggMode,
@@ -121,14 +126,15 @@ pub const DEFAULT_WAL_COMPACT_BYTES: u64 = 4 * 1024 * 1024;
 /// Default capacity of the `Database` parse+plan cache.
 pub const DEFAULT_PLAN_CACHE_SIZE: usize = 128;
 
-/// When the executor pushes the final projection into the morsel workers.
+/// When the executor pushes a segment's closing projection into the
+/// morsel workers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PartialAggMode {
-    /// Never push down: always materialize the match output and project
+    /// Never push down: always collect the segment's output and project
     /// it sequentially (the pre-pushdown behaviour; differential
     /// baseline).
     Off,
-    /// Push down whenever the final clause qualifies; dispatch to the
+    /// Push down whenever the projection qualifies; dispatch to the
     /// worker pool under the same work-size gate as the scan pipeline
     /// (one row at `morsel_size = 1`, so every multi-row input takes the
     /// partial merge path there).
@@ -235,14 +241,16 @@ pub struct OpProfile {
     pub isect: u64,
 }
 
-/// The measured execution of one `MATCH` clause.
+/// The measured execution of one segment: a run of streamable clauses
+/// driven as one pipeline.
 #[derive(Clone, Debug)]
 pub struct ClauseProfile {
-    /// `"MATCH"` or `"OPTIONAL MATCH"`.
+    /// The keywords of the clauses the segment covers, e.g. `"MATCH"`,
+    /// `"OPTIONAL MATCH"` or `"MATCH WITH MATCH"`.
     pub label: String,
-    /// Per-operator measurements, in pipeline order; a clause folded
-    /// into the `RETURN` ends with its `PartialAggregate(…)`, `TopK(…)`
-    /// or `Project(…)` sink. Empty when the clause was delegated to the
+    /// Per-operator measurements, in pipeline order; a segment folded
+    /// into a projection ends with its `PartialAggregate(…)`, `TopK(…)`
+    /// or `Project(…)` sink. Empty when a `MATCH` was delegated to the
     /// reference matcher (node-isomorphism mode), which has no operator
     /// pipeline to instrument.
     pub operators: Vec<OpProfile>,
@@ -257,8 +265,8 @@ pub struct ClauseProfile {
 /// rendered with [`QueryProfile::render`].
 #[derive(Clone, Debug, Default)]
 pub struct QueryProfile {
-    /// One entry per executed `MATCH` clause, in execution order
-    /// (including clauses on both sides of a `UNION`).
+    /// One entry per executed segment, in execution order (including
+    /// both sides of a `UNION`).
     pub clauses: Vec<ClauseProfile>,
     /// Rows of the final result.
     pub rows: u64,
@@ -326,22 +334,16 @@ pub fn profile_read<'a>(
     cfg: &EngineConfig,
 ) -> Result<(Table, QueryProfile), EvalError> {
     let t0 = std::time::Instant::now();
-    let mut clauses: Vec<ClauseProfile> = Vec::new();
-    let mut access = Access::Read(view.into());
-    let t = exec_query(
-        &mut access,
-        q,
-        params,
-        cfg,
-        None,
-        &mut 0,
-        Some(&mut clauses),
-    )?;
+    let mut exec = Exec {
+        profile: Some(Vec::new()),
+        ..Exec::new(params, cfg, None)
+    };
+    let t = exec.query(&mut Access::Read(view.into()), q)?;
     let rows = t.len() as u64;
     Ok((
         t,
         QueryProfile {
-            clauses,
+            clauses: exec.profile.unwrap_or_default(),
             rows,
             elapsed_us: t0.elapsed().as_micros() as u64,
         },
@@ -372,8 +374,7 @@ pub fn execute_read_cached<'a>(
     cfg: &EngineConfig,
     memo: Option<&PlanMemo>,
 ) -> Result<Table, EvalError> {
-    let mut access = Access::Read(view.into());
-    exec_query(&mut access, q, params, cfg, memo, &mut 0, None)
+    Exec::new(params, cfg, memo).query(&mut Access::Read(view.into()), q)
 }
 
 /// Executes any query, including updating clauses, against a mutable
@@ -397,15 +398,24 @@ pub fn execute_cached(
     cfg: &EngineConfig,
     memo: Option<&PlanMemo>,
 ) -> Result<Table, EvalError> {
-    exec_query(
-        &mut Access::Write(graph),
-        q,
-        params,
-        cfg,
-        memo,
-        &mut 0,
-        None,
-    )
+    Exec::new(params, cfg, memo).query(&mut Access::Write(graph), q)
+}
+
+/// Executes a query over the named graphs of a catalog, starting on its
+/// default graph; a `RETURN GRAPH` leaves its graph in `graphs.built`.
+pub(crate) fn execute_on_graphs(
+    graphs: &mut Graphs<'_>,
+    q: &Query,
+    params: &Params,
+    cfg: &EngineConfig,
+) -> Result<Table, EvalError> {
+    let mut access = Access::Read(graphs.default);
+    let catalog = Some(graphs);
+    Exec {
+        catalog,
+        ..Exec::new(params, cfg, None)
+    }
+    .query(&mut access, q)
 }
 
 /// What the clause loop may do with the graph it runs against.
@@ -432,440 +442,503 @@ impl Access<'_> {
     }
 }
 
-/// `branch` numbers the single queries of a `UNION` left to right (the
-/// plan memo's site key); `profile` collects one entry per `MATCH`.
-fn exec_query(
-    access: &mut Access<'_>,
-    q: &Query,
-    params: &Params,
-    cfg: &EngineConfig,
-    memo: Option<&PlanMemo>,
-    branch: &mut usize,
-    mut profile: Option<&mut Vec<ClauseProfile>>,
-) -> Result<Table, EvalError> {
-    match q {
-        Query::Single(sq) => {
-            let b = *branch;
-            *branch += 1;
-            exec_single(access, sq, params, cfg, memo, b, profile)
+/// A run of streamable clauses compiled into one step list for
+/// [`drive`]: non-optional `MATCH` plans, `WHERE` filters, plain `WITH`
+/// projections and `UNWIND`s. Any other clause ends it.
+pub(crate) struct Segment {
+    /// The keywords of the clauses it covers (EXPLAIN and PROFILE).
+    label: Cow<'static, str>,
+    steps: Vec<PlanStep>,
+    /// The cost model's estimate after each step; `None` for the `WHERE`
+    /// filter of a `MATCH`, which EXPLAIN does not list.
+    estimates: Vec<Option<f64>>,
+    /// The estimated output of the steps so far.
+    estimated_rows: f64,
+    /// The fields in scope after the steps, in order.
+    visible: Arc<Schema>,
+    /// Hidden columns bound since the last projection, which a later
+    /// `MATCH` must not reuse.
+    hidden: Vec<String>,
+}
+
+impl Segment {
+    /// An empty segment over a driving table with schema `visible`.
+    pub(crate) fn new(visible: Arc<Schema>) -> Segment {
+        Segment {
+            label: Cow::Borrowed(""),
+            steps: Vec::new(),
+            estimates: Vec::new(),
+            estimated_rows: 1.0,
+            visible,
+            hidden: Vec::new(),
         }
-        Query::Union { all, left, right } => {
-            let profile_l = profile.as_deref_mut();
-            let l = exec_query(access, left, params, cfg, memo, branch, profile_l)?;
-            let r = exec_query(access, right, params, cfg, memo, branch, profile)?;
-            if !l.schema().same_fields(r.schema()) {
-                return err(format!(
-                    "UNION requires identical field sets: {:?} vs {:?}",
-                    l.schema().names(),
-                    r.schema().names()
+    }
+
+    /// The columns a `MATCH` appended now is planned against.
+    fn fields(&self) -> Vec<String> {
+        [self.visible.names(), &self.hidden].concat()
+    }
+
+    fn push(&mut self, keyword: &'static str, step: PlanStep, estimate: Option<f64>) {
+        if self.label.is_empty() {
+            self.label = Cow::Borrowed(keyword);
+        } else if !keyword.is_empty() {
+            self.label = Cow::Owned(format!("{} {keyword}", self.label));
+        }
+        self.steps.push(step);
+        self.estimates.push(estimate);
+    }
+
+    /// Appends a planned `MATCH` and its `WHERE`.
+    pub(crate) fn push_match(
+        &mut self,
+        label: &'static str,
+        planned: &PlannedMatch,
+        pred: Option<&Expr>,
+    ) {
+        let (plan, before) = (&planned.plan, self.estimated_rows);
+        for (i, step) in plan.steps.iter().enumerate() {
+            let est = plan.step_estimates.get(i).unwrap_or(&plan.estimated_rows);
+            self.push(
+                if i == 0 { label } else { "" },
+                step.clone(),
+                Some(before * est),
+            );
+        }
+        self.estimated_rows = before * plan.estimated_rows;
+        self.visible = Schema::new([self.visible.names(), &planned.new_vars].concat());
+        self.hidden.extend(planned.hidden.iter().cloned());
+        if let Some(pred) = pred {
+            self.push("", PlanStep::FilterExpr { pred: pred.clone() }, None);
+        }
+    }
+
+    /// Appends the `WHERE` of a `WITH` (or, opening a segment, of the
+    /// clause that broke the previous one).
+    fn push_where(&mut self, pred: Option<&Expr>) {
+        if let Some(pred) = pred {
+            let keyword = if self.label.is_empty() { "WHERE" } else { "" };
+            let step = PlanStep::FilterExpr { pred: pred.clone() };
+            self.push(keyword, step, Some(self.estimated_rows));
+        }
+    }
+
+    /// Appends a plain `WITH` projection, compiled against the fields in
+    /// scope (so a bad projection fails whether or not rows arrive).
+    fn push_project(&mut self, ret: &Return) -> Result<(), EvalError> {
+        let plan = ProjectionPlan::compile(ret, &self.visible)?;
+        let step = PlanStep::Project {
+            ret: ret.clone(),
+            scope: self.visible.names().to_vec(),
+        };
+        self.visible = plan.out_schema().clone();
+        self.hidden.clear();
+        self.push("WITH", step, Some(self.estimated_rows));
+        Ok(())
+    }
+
+    fn push_unwind(&mut self, expr: &Expr, alias: &str) -> Result<(), EvalError> {
+        if self.visible.contains(alias) {
+            return err(format!("UNWIND alias {alias} shadows an existing field"));
+        }
+        self.visible = self.visible.with_field(alias);
+        let step = PlanStep::Unwind {
+            expr: expr.clone(),
+            alias: alias.to_string(),
+        };
+        self.push("UNWIND", step, Some(self.estimated_rows));
+        Ok(())
+    }
+
+    /// Runs the steps over `input` into `sink`. When profiling, the run
+    /// is probed and its profile recorded: step text + estimate + the
+    /// measured actuals, with `sink_label` naming a folding sink's row.
+    /// Probe timings are *inclusive* (each stage contains everything
+    /// beneath it); the exclusive time reported subtracts the stage
+    /// immediately below.
+    pub(crate) fn run<S: Sink>(
+        &self,
+        ctx: &EvalContext<'_>,
+        cfg: &EngineConfig,
+        input: Table,
+        sink: &S,
+        sink_label: Option<String>,
+        profile: Option<&mut Vec<ClauseProfile>>,
+    ) -> Result<Table, EvalError> {
+        let Some(profile) = profile else {
+            return drive(ctx, &self.steps, input, cfg, sink, None);
+        };
+        let mut prof = PlanProfile::default();
+        let out = drive(ctx, &self.steps, input, cfg, sink, Some(&mut prof))?;
+        let names = self.steps.iter().map(|s| s.to_string()).chain(sink_label);
+        // An unestimated step (and the sink) shows the estimate above it.
+        let mut est = self.estimated_rows;
+        let estimates = self.estimates.iter().chain(std::iter::repeat(&None));
+        let mut below = 0;
+        let operators = names
+            .zip(estimates)
+            .zip(&prof.stages)
+            .map(|((operator, e), st)| {
+                est = e.unwrap_or(est);
+                let time_us = st.nanos.saturating_sub(below) / 1_000;
+                below = st.nanos;
+                OpProfile {
+                    operator,
+                    estimated_rows: est,
+                    rows: st.rows,
+                    batches: st.batches,
+                    time_us,
+                    probes: st.probes,
+                    isect: st.isect,
+                }
+            })
+            .collect();
+        profile.push(ClauseProfile {
+            label: self.label.to_string(),
+            operators,
+            morsels: prof.morsels,
+            parallel: prof.parallel,
+        });
+        Ok(out)
+    }
+
+    /// The EXPLAIN block: the estimated steps, whether the worker pool
+    /// can engage, and the `sink` the segment runs into.
+    fn render(&self, cfg: &EngineConfig, sink: Option<String>, out: &mut String) {
+        out.push_str(&format!("{} plan:\n", self.label));
+        let listed = self.steps.iter().zip(&self.estimates);
+        let listed = listed.filter_map(|(s, e)| Some((s, (*e)?)));
+        for (i, (s, e)) in listed.enumerate() {
+            out.push_str(&format!("{:i$}{s}  (est rows: {e:.1})\n", ""));
+        }
+        out.push_str(&format!("(estimated rows: {:.1})\n", self.estimated_rows));
+        if let Some(gate) = cfg.parallel_gate() {
+            if self.steps.first().is_some_and(|s| s.is_source()) {
+                out.push_str(&format!(
+                    "(parallel: {} threads, morsel size {}; engages when \
+                     driving rows × scanned items exceed {gate})\n",
+                    cfg.num_threads,
+                    cfg.morsel_size.max(1)
                 ));
+            } else {
+                out.push_str("(sequential: source is pre-bound)\n");
             }
-            let u = l.bag_union(r);
-            Ok(if *all { u } else { u.dedup() })
+        }
+        if let Some(sink) = sink {
+            out.push_str(&sink);
+            out.push('\n');
         }
     }
 }
 
-fn exec_single(
-    access: &mut Access<'_>,
-    sq: &SingleQuery,
-    params: &Params,
-    cfg: &EngineConfig,
-    memo: Option<&PlanMemo>,
+/// Whether a `WITH` projects row by row, and so streams inside a segment.
+fn streams(ret: &Return) -> bool {
+    !ret.distinct
+        && ret.order_by.is_empty()
+        && ret.skip.is_none()
+        && ret.limit.is_none()
+        && !ret.items.iter().any(|i| i.expr.contains_aggregate())
+}
+
+/// One execution of a query — the clause loop every entry point runs.
+struct Exec<'e, 'g> {
+    params: &'e Params,
+    cfg: &'e EngineConfig,
+    memo: Option<&'e PlanMemo>,
+    /// The single query being run, numbered left to right across a
+    /// `UNION` (the plan memo's site is `(branch, clause index)`).
     branch: usize,
-    mut profile: Option<&mut Vec<ClauseProfile>>,
-) -> Result<Table, EvalError> {
-    let mut t = Table::unit();
-    for (i, clause) in sq.clauses.iter().enumerate() {
-        t = match clause {
-            Clause::Match {
-                optional,
-                patterns,
-                where_,
-            } => {
-                let (out, folded) = exec_match_memo(
-                    access.view(),
-                    params,
-                    cfg,
-                    patterns,
-                    where_.as_ref(),
-                    *optional,
-                    t,
-                    memo.map(|m| (m, (branch, i))),
-                    Some((sq, i)),
-                    profile.as_deref_mut(),
-                )?;
-                if folded {
-                    return Ok(out);
-                }
+    /// The named graphs of a catalog run (`FROM GRAPH`, `RETURN GRAPH`).
+    catalog: Option<&'e mut Graphs<'g>>,
+    /// One entry per segment run, when profiling.
+    profile: Option<Vec<ClauseProfile>>,
+    /// The rendered segments, when explaining: segments render instead
+    /// of running, and updating clauses are skipped.
+    explain: Option<String>,
+}
+
+impl<'e, 'g> Exec<'e, 'g> {
+    fn new(params: &'e Params, cfg: &'e EngineConfig, memo: Option<&'e PlanMemo>) -> Self {
+        Exec {
+            params,
+            cfg,
+            memo,
+            branch: 0,
+            catalog: None,
+            profile: None,
+            explain: None,
+        }
+    }
+
+    fn query(&mut self, access: &mut Access<'g>, q: &Query) -> Result<Table, EvalError> {
+        match q {
+            Query::Single(sq) => {
+                let out = self.single(access, sq);
+                self.branch += 1;
                 out
             }
-            Clause::With { ret, where_ } => {
-                let ctx =
-                    EvalContext::new(access.view().graph(), params).with_config(cfg.match_config);
-                let projected = apply_projection(&ctx, ret, t)?;
-                match where_ {
-                    Some(p) => apply_where(&ctx, p, projected)?,
-                    None => projected,
+            Query::Union { all, left, right } => {
+                let single = |q: &Query| matches!(q, Query::Single(sq) if sq.ret_graph.is_some());
+                if single(left) || single(right) {
+                    return err("RETURN GRAPH cannot be combined with UNION");
                 }
+                let l = self.query(access, left)?;
+                let r = self.query(access, right)?;
+                if !l.schema().same_fields(r.schema()) {
+                    return err(format!(
+                        "UNION requires identical field sets: {:?} vs {:?}",
+                        l.schema().names(),
+                        r.schema().names()
+                    ));
+                }
+                let u = l.bag_union(r);
+                Ok(if *all { u } else { u.dedup() })
             }
-            Clause::Unwind { expr, alias } => {
-                let ctx =
-                    EvalContext::new(access.view().graph(), params).with_config(cfg.match_config);
-                apply_unwind(&ctx, expr, alias, t)?
-            }
-            Clause::FromGraph { .. } => {
-                return err("FROM GRAPH requires a catalog; use the multigraph executor")
-            }
-            Clause::Create { patterns } => {
-                update::exec_create(access.graph_mut()?, params, cfg, patterns, t)?
-            }
-            Clause::Merge {
-                pattern,
-                on_create,
-                on_match,
-            } => update::exec_merge(
-                access.graph_mut()?,
-                params,
-                cfg,
-                pattern,
-                on_create,
-                on_match,
-                t,
-            )?,
-            Clause::Delete { detach, exprs } => {
-                update::exec_delete(access.graph_mut()?, params, cfg, *detach, exprs, t)?
-            }
-            Clause::Set { items } => update::exec_set(access.graph_mut()?, params, cfg, items, t)?,
-            Clause::Remove { items } => {
-                update::exec_remove(access.graph_mut()?, params, cfg, items, t)?
-            }
-        };
-    }
-    if sq.ret_graph.is_some() {
-        return err("RETURN GRAPH requires a catalog; use the multigraph executor");
-    }
-    match &sq.ret {
-        Some(ret) => {
-            if ret.star && ret.items.is_empty() && t.schema().is_empty() {
-                return err("RETURN * requires at least one field");
-            }
-            let ctx = EvalContext::new(access.view().graph(), params).with_config(cfg.match_config);
-            apply_projection(&ctx, ret, t)
         }
-        // Update-only query: no rows, no fields.
-        None => Ok(Table::empty(Schema::empty())),
     }
-}
 
-/// Executes one `[OPTIONAL] MATCH … [WHERE …]` clause through the planned
-/// pipeline, against a frozen snapshot.
-pub fn exec_match<'a>(
-    view: impl Into<ViewRef<'a>>,
-    params: &Params,
-    cfg: &EngineConfig,
-    patterns: &[PathPattern],
-    where_: Option<&Expr>,
-    optional: bool,
-    table: Table,
-) -> Result<Table, EvalError> {
-    let view = view.into();
-    exec_match_memo(
-        view, params, cfg, patterns, where_, optional, table, None, None, None,
-    )
-    .map(|(t, _)| t)
-}
-
-/// Runs a planned `MATCH` (plus its `WHERE`, as a trailing filter step)
-/// over `input` into `sink`. When profiling, the run is probed and its
-/// profile recorded: plan-step text + cost-model estimate + the measured
-/// actuals, with `sink_label` naming a folding sink's row. Probe timings
-/// are *inclusive* (each stage contains everything beneath it); the
-/// exclusive time reported subtracts the stage immediately below.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_match<S: Sink>(
-    ctx: &EvalContext<'_>,
-    cfg: &EngineConfig,
-    label: &str,
-    planned: &PlannedMatch,
-    where_: Option<&Expr>,
-    input: Table,
-    sink: &S,
-    sink_label: Option<String>,
-    profile: Option<&mut Vec<ClauseProfile>>,
-) -> Result<Table, EvalError> {
-    let plan = &planned.plan;
-    let mut steps = plan.steps.clone();
-    if let Some(p) = where_ {
-        steps.push(PlanStep::FilterExpr { pred: p.clone() });
+    fn ctx<'v>(&self, view: ViewRef<'v>) -> EvalContext<'v>
+    where
+        'e: 'v,
+    {
+        EvalContext::new(view.graph(), self.params).with_config(self.cfg.match_config)
     }
-    let Some(profile) = profile else {
-        return drive(ctx, &steps, input, cfg, sink, None);
-    };
-    let mut prof = PlanProfile::default();
-    let out = drive(ctx, &steps, input, cfg, sink, Some(&mut prof))?;
-    // Neither the appended WHERE filter nor the sink has a planner
-    // entry; their estimate is the plan's final cardinality.
-    let names = steps.iter().map(|s| s.to_string()).chain(sink_label);
-    let mut below = 0;
-    let operators = names
-        .zip(&prof.stages)
-        .enumerate()
-        .map(|(i, (operator, st))| {
-            let time_us = st.nanos.saturating_sub(below) / 1_000;
-            below = st.nanos;
-            OpProfile {
-                operator,
-                estimated_rows: *plan.step_estimates.get(i).unwrap_or(&plan.estimated_rows),
-                rows: st.rows,
-                batches: st.batches,
-                time_us,
-                probes: st.probes,
-                isect: st.isect,
-            }
-        })
-        .collect();
-    profile.push(ClauseProfile {
-        label: label.to_string(),
-        operators,
-        morsels: prof.morsels,
-        parallel: prof.parallel,
-    });
-    Ok(out)
-}
 
-/// [`exec_match`] with an optional plan-memo site, an optional profile
-/// to record into, and the clause's position `(query, index)` when it is
-/// one [`select_sink`] may fold into the `RETURN` — in which case the
-/// table returned is the query's result and the flag is set.
-#[allow(clippy::too_many_arguments)]
-fn exec_match_memo(
-    view: ViewRef<'_>,
-    params: &Params,
-    cfg: &EngineConfig,
-    patterns: &[PathPattern],
-    where_: Option<&Expr>,
-    optional: bool,
-    table: Table,
-    memo: Option<(&PlanMemo, MemoSite)>,
-    at: Option<(&SingleQuery, usize)>,
-    profile: Option<&mut Vec<ClauseProfile>>,
-) -> Result<(Table, bool), EvalError> {
-    let graph = view.graph();
-    let label = if optional { "OPTIONAL MATCH" } else { "MATCH" };
-    let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-    // Node isomorphism needs global node tracking that the pipeline does
-    // not model; delegate to the reference matcher (documented fallback).
-    if cfg.match_config.morphism == Morphism::NodeIsomorphism {
-        if let Some(prof_out) = profile {
-            // No operator pipeline to instrument; record the clause so
-            // the profile still mirrors the query's shape.
-            prof_out.push(ClauseProfile {
-                label: label.to_string(),
-                operators: Vec::new(),
-                morsels: 0,
-                parallel: false,
-            });
+    /// Streamable clauses extend the current segment; every other clause
+    /// runs it (into the projection of a breaking `WITH`) and then
+    /// applies itself to the resulting table.
+    fn single(&mut self, access: &mut Access<'g>, sq: &SingleQuery) -> Result<Table, EvalError> {
+        if let Some(graphs) = &self.catalog {
+            *access = Access::Read(graphs.default);
         }
-        let out = if optional {
-            cypher_core::clauses::apply_optional_match(&ctx, patterns, where_, table)?
+        // Node isomorphism needs global node tracking that the pipeline
+        // does not model: its `MATCH` is the reference matcher's
+        // (documented fallback).
+        let pipelined = self.cfg.match_config.morphism != Morphism::NodeIsomorphism;
+        let mut t = Table::unit();
+        let mut seg = Segment::new(t.schema().clone());
+        for (i, clause) in sq.clauses.iter().enumerate() {
+            match clause {
+                Clause::Match {
+                    optional: false,
+                    patterns,
+                    where_,
+                } if pipelined => {
+                    let site = self.memo.map(|m| (m, (self.branch, i)));
+                    let opts = self.cfg.planner_options();
+                    let planned =
+                        plan_match_memo(site, access.view(), &seg.fields(), patterns, opts);
+                    seg.push_match("MATCH", &planned, where_.as_ref());
+                    continue;
+                }
+                Clause::With { ret, where_ } if streams(ret) => {
+                    seg.push_project(ret)?;
+                    seg.push_where(where_.as_ref());
+                    continue;
+                }
+                Clause::Unwind { expr, alias } => {
+                    seg.push_unwind(expr, alias)?;
+                    continue;
+                }
+                _ => {}
+            }
+            let ret = match clause {
+                Clause::With { ret, .. } => Some(ret),
+                _ => None,
+            };
+            t = self.finish(access.view(), &seg, t, ret)?;
+            // A breaking `WITH`'s or reference `MATCH`'s `WHERE` opens
+            // the next segment.
+            let mut carried = None;
+            t = match clause {
+                Clause::With { where_, .. } => {
+                    carried = where_.as_ref();
+                    t
+                }
+                Clause::Match {
+                    optional: true,
+                    patterns,
+                    where_,
+                } if pipelined => {
+                    self.optional_match(access.view(), i, patterns, where_.as_ref(), t)?
+                }
+                Clause::Match {
+                    optional,
+                    patterns,
+                    where_,
+                } => {
+                    let label = if *optional { "OPTIONAL MATCH" } else { "MATCH" };
+                    if let Some(profile) = &mut self.profile {
+                        profile.push(ClauseProfile {
+                            label: label.to_string(),
+                            operators: Vec::new(),
+                            morsels: 0,
+                            parallel: false,
+                        });
+                    }
+                    if let Some(out) = &mut self.explain {
+                        out.push_str(&format!(
+                            "{label} plan:\n(reference matcher: no operator pipeline)\n"
+                        ));
+                    }
+                    let ctx = self.ctx(access.view());
+                    if *optional {
+                        apply_optional_match(&ctx, patterns, where_.as_ref(), t)?
+                    } else {
+                        carried = where_.as_ref();
+                        apply_match(&ctx, patterns, t)?
+                    }
+                }
+                Clause::FromGraph { name, .. } => {
+                    let Some(graphs) = &self.catalog else {
+                        return err("FROM GRAPH requires a catalog; use the multigraph executor");
+                    };
+                    *access = Access::Read(view_named(&graphs.views, name)?);
+                    t
+                }
+                _ if self.explain.is_some() => t,
+                _ => update::apply(access.graph_mut()?, self.params, self.cfg, clause, t)?,
+            };
+            seg = Segment::new(t.schema().clone());
+            seg.push_where(carried);
+        }
+        let ret = sq.ret.as_ref();
+        if ret.is_some_and(|r| r.star && r.items.is_empty()) && seg.visible.is_empty() {
+            return err("RETURN * requires at least one field");
+        }
+        let t = self.finish(access.view(), &seg, t, ret)?;
+        if let Some((name, patterns)) = &sq.ret_graph {
+            let Some(graphs) = self.catalog.as_deref_mut() else {
+                return err("RETURN GRAPH requires a catalog; use the multigraph executor");
+            };
+            let g = construct_graph(access.view().graph(), self.params, self.cfg, patterns, &t)?;
+            graphs.built = Some((name.clone(), g));
+        }
+        // `RETURN GRAPH` and update-only queries answer no rows, no fields.
+        Ok(if ret.is_some() {
+            t
         } else {
-            let m = cypher_core::clauses::apply_match(&ctx, patterns, table)?;
-            match where_ {
-                Some(p) => apply_where(&ctx, p, m)?,
-                None => m,
-            }
-        };
-        return Ok((out, false));
+            Table::empty(Schema::empty())
+        })
     }
 
-    if !optional {
-        let planned = plan_match_memo(
-            memo,
-            view,
-            table.schema().names(),
-            patterns,
-            cfg.planner_options(),
-        );
-        let mut visible = table.schema().names().to_vec();
-        visible.extend(planned.new_vars.iter().cloned());
-        let sink = at.and_then(|(sq, i)| select_sink(&ctx, cfg, sq, i, &visible));
-        let sink_label = profile.as_ref().and(sink.as_ref()).map(FinalSink::label);
+    /// Runs `seg` over `input` into the projection `ret` — its pushed-down
+    /// sink when [`select_sink`] picks one — or, without one, collects the
+    /// visible fields. Explaining renders the segment instead and answers
+    /// an empty table of the same schema.
+    fn finish(
+        &mut self,
+        view: ViewRef<'_>,
+        seg: &Segment,
+        input: Table,
+        ret: Option<&Return>,
+    ) -> Result<Table, EvalError> {
+        if seg.steps.is_empty() && ret.is_none() {
+            return Ok(input);
+        }
+        let ctx = self.ctx(view);
+        let visible = seg.visible.clone();
+        let sink = ret.and_then(|ret| select_sink(&ctx, self.cfg, ret, &visible));
+        let shown = self.profile.is_some() || self.explain.is_some();
+        let sink_label = sink.as_ref().filter(|_| shown).map(FinalSink::label);
+        if let Some(out) = &mut self.explain {
+            if !seg.steps.is_empty() {
+                seg.render(self.cfg, sink_label, out);
+            }
+            let schema = match ret {
+                Some(ret) => ProjectionPlan::compile(ret, &visible)?.out_schema().clone(),
+                None => visible,
+            };
+            return Ok(Table::empty(schema));
+        }
+        let profile = self.profile.as_mut().filter(|_| !seg.steps.is_empty());
         // `Sink` is not object-safe: one monomorphic call per sink type.
         macro_rules! run {
             ($sink:expr) => {
-                run_match(
-                    &ctx, cfg, label, &planned, where_, table, $sink, sink_label, profile,
-                )?
+                seg.run(&ctx, self.cfg, input, $sink, sink_label, profile)?
             };
         }
-        return Ok(match &sink {
-            Some(FinalSink::Fold(s)) => (run!(s), true),
-            Some(FinalSink::TopK(s)) => (run!(s), true),
-            Some(FinalSink::Map(s)) => (run!(s), true),
-            None => (
-                project_visible(run!(&Collect), &Schema::new(visible)),
-                false,
-            ),
-        });
-    }
-
-    // OPTIONAL MATCH: tag each driving row with a hidden index, run the
-    // pipeline (including the WHERE, per Figure 7), then null-pad inputs
-    // that produced nothing.
-    let idx_col = " opt_idx".to_string();
-    let mut tagged_schema = table.schema().clone();
-    tagged_schema = tagged_schema.with_field(idx_col.clone());
-    let mut tagged = Table::empty(tagged_schema.clone());
-    for (i, r) in table.rows().iter().enumerate() {
-        let mut row = r.clone();
-        row.push(Value::int(i as i64));
-        tagged.push(row);
-    }
-    let planned = plan_match_memo(
-        memo,
-        view,
-        tagged_schema.names(),
-        patterns,
-        cfg.planner_options(),
-    );
-    let raw = run_match(
-        &ctx, cfg, label, &planned, where_, tagged, &Collect, None, profile,
-    )?;
-
-    // Group pipeline outputs by input index.
-    let idx_pos = raw.schema().index_of(&idx_col).expect("hidden idx kept");
-    let mut by_input: Vec<Vec<&Record>> = vec![Vec::new(); table.len()];
-    for r in raw.rows() {
-        let Value::Integer(i) = r.get(idx_pos) else {
-            unreachable!("index column holds integers")
-        };
-        by_input[*i as usize].push(r);
-    }
-
-    let mut out_schema = table.schema().clone();
-    for v in &planned.new_vars {
-        out_schema = out_schema.with_field(v.clone());
-    }
-    let mut out = Table::empty(out_schema);
-    let var_pos: Vec<usize> = planned
-        .new_vars
-        .iter()
-        .map(|v| raw.schema().index_of(v).expect("pipeline binds new vars"))
-        .collect();
-    for (i, input_row) in table.rows().iter().enumerate() {
-        if by_input[i].is_empty() {
-            let mut row = input_row.clone();
-            for _ in &planned.new_vars {
-                row.push(Value::Null);
-            }
-            out.push(row);
-        } else {
-            for m in &by_input[i] {
-                let mut row = input_row.clone();
-                for &p in &var_pos {
-                    row.push(m.get(p).clone());
+        Ok(match &sink {
+            Some(FinalSink::Fold(s)) => run!(s),
+            Some(FinalSink::TopK(s)) => run!(s),
+            Some(FinalSink::Map(s)) => run!(s),
+            None => {
+                let raw = run!(&Collect);
+                match ret {
+                    Some(ret) => project(&ctx, ret, raw, &visible)?,
+                    None => project_visible(raw, &visible),
                 }
-                out.push(row);
+            }
+        })
+    }
+
+    /// `OPTIONAL MATCH`: tags each driving row with its index, runs the
+    /// pattern and its `WHERE` (per Figure 7) as a segment of their own,
+    /// then null-pads the inputs that produced nothing. The segment keeps
+    /// driving-row order, so each input's matches arrive together.
+    fn optional_match(
+        &mut self,
+        view: ViewRef<'_>,
+        i: usize,
+        patterns: &[PathPattern],
+        where_: Option<&Expr>,
+        table: Table,
+    ) -> Result<Table, EvalError> {
+        let width = table.schema().len();
+        let tagged = table.schema().with_field(" opt_idx".to_string());
+        let site = self.memo.map(|m| (m, (self.branch, i)));
+        let opts = self.cfg.planner_options();
+        let planned = plan_match_memo(site, view, tagged.names(), patterns, opts);
+        let mut seg = Segment::new(tagged.clone());
+        seg.push_match("OPTIONAL MATCH", &planned, where_);
+        let rows = table.rows().iter().enumerate();
+        let rows = rows.map(|(k, r)| Record::new([r.values(), &[Value::int(k as i64)]].concat()));
+        let raw = self.finish(view, &seg, Table::new(tagged, rows.collect()), None)?;
+        let schema = Schema::new([table.schema().names(), &planned.new_vars].concat());
+        let nulls = vec![Value::Null; planned.new_vars.len()];
+        let (mut matches, mut out) = (raw.into_rows().into_iter().peekable(), Vec::new());
+        for (k, row) in table.into_rows().into_iter().enumerate() {
+            let padded = out.len();
+            let ours = |m: &Record| matches!(m.get(width), Value::Integer(j) if *j == k as i64);
+            while let Some(m) = matches.next_if(ours) {
+                out.push(Record::new(
+                    [&m.values()[..width], &m.values()[width + 1..]].concat(),
+                ));
+            }
+            if out.len() == padded {
+                out.push(Record::new([row.values(), &nulls].concat()));
             }
         }
+        Ok(Table::new(schema, out))
     }
-    Ok((out, false))
 }
 
-/// Renders the physical plan of every `MATCH` clause in a query — a
-/// minimal `EXPLAIN` — plus, from the executor's own dispatch gate and
-/// sink selection, whether the worker pool can engage and what a final
-/// `MATCH` runs into (`PartialAggregate(…)` / `TopK(k=…)` / `Project(…)`),
-/// against the given snapshot's statistics.
+/// Renders the compiled segments of a query — a minimal `EXPLAIN`: each
+/// segment's estimated steps (a `MATCH`'s own `WHERE` filter carries no
+/// estimate and is not listed), whether the worker pool can engage, and the projection
+/// sink it runs into (`PartialAggregate(…)` / `TopK(k=…)` /
+/// `Project(…)`), against the given snapshot's statistics. Nothing runs;
+/// rendering stops at a clause that fails to compile.
 ///
 /// When the handle carries a version (it came from a pinned
 /// `GraphView`), the output opens with a `snapshot version N` line —
 /// the witness of *which* committed state the statistics (and therefore
 /// the plan choices) were read from.
 pub fn explain<'a>(view: impl Into<ViewRef<'a>>, q: &Query, cfg: &EngineConfig) -> String {
-    fn go(view: ViewRef<'_>, q: &Query, cfg: &EngineConfig, out: &mut String) {
-        match q {
-            Query::Single(sq) => {
-                // Best effort without the caller's parameters (a `LIMIT
-                // $n` renders as `TopK(k=?)`).
-                let params = Params::new();
-                let ctx = EvalContext::new(view.graph(), &params).with_config(cfg.match_config);
-                let mut fields: Vec<String> = Vec::new();
-                for (i, clause) in sq.clauses.iter().enumerate() {
-                    match clause {
-                        Clause::Match {
-                            patterns, optional, ..
-                        } => {
-                            let PlannedMatch { plan, new_vars } =
-                                plan_match(view, &fields, patterns, cfg.planner_options());
-                            out.push_str(if *optional {
-                                "OPTIONAL MATCH plan:\n"
-                            } else {
-                                "MATCH plan:\n"
-                            });
-                            out.push_str(&plan.to_string());
-                            out.push('\n');
-                            fields.extend(new_vars);
-                            let sink = select_sink(&ctx, cfg, sq, i, &fields);
-                            if let Some(gate) = cfg.parallel_gate() {
-                                if plan.steps.first().is_some_and(|s| s.is_source()) {
-                                    out.push_str(&format!(
-                                        "(parallel: {} threads, morsel size {}; engages when \
-                                         driving rows × scanned items exceed {gate})\n",
-                                        cfg.num_threads,
-                                        cfg.morsel_size.max(1)
-                                    ));
-                                } else {
-                                    out.push_str("(sequential: source is pre-bound)\n");
-                                }
-                            }
-                            if let Some(sink) = sink {
-                                out.push_str(&sink.label());
-                                out.push('\n');
-                            }
-                        }
-                        // Projection replaces the visible schema; UNWIND
-                        // appends its alias — mirrored here so later plans
-                        // (and the sink line) see the schema the executor
-                        // actually runs with.
-                        Clause::With { ret, .. } => {
-                            let distinct_names = fields
-                                .iter()
-                                .collect::<std::collections::HashSet<_>>()
-                                .len()
-                                == fields.len();
-                            fields = if distinct_names {
-                                match ProjectionPlan::compile(ret, &Schema::new(fields.clone())) {
-                                    Ok(plan) => plan.out_schema().names().to_vec(),
-                                    Err(_) => Vec::new(),
-                                }
-                            } else {
-                                Vec::new()
-                            };
-                        }
-                        Clause::Unwind { alias, .. } => {
-                            if !fields.contains(alias) {
-                                fields.push(alias.clone());
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            Query::Union { left, right, .. } => {
-                go(view, left, cfg, out);
-                go(view, right, cfg, out);
-            }
-        }
-    }
     let view = view.into();
     let mut s = String::new();
     if let Some(v) = view.version() {
         s.push_str(&format!("snapshot version {v}\n"));
     }
-    go(view, q, cfg, &mut s);
-    s
+    // Best effort without the caller's parameters (a `LIMIT $n` renders
+    // as `TopK(k=?)`).
+    let params = Params::new();
+    let mut exec = Exec {
+        explain: Some(s),
+        ..Exec::new(&params, cfg, None)
+    };
+    let _ = exec.query(&mut Access::Read(view), q);
+    exec.explain.unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -1064,18 +1137,22 @@ mod tests {
             g.add_node(&["N"], [("v", Value::int(i))]);
         }
         let params = Params::new();
-        // `+` on a node is an evaluation error raised mid-pipeline.
-        let q = parse_query("MATCH (n:N) WHERE n + 1 = 2 RETURN n").unwrap();
-        let seq_err =
-            execute_read(&g, &q, &params, &EngineConfig::default().with_threads(1)).unwrap_err();
-        let par_err = execute_read(
-            &g,
-            &q,
-            &params,
-            &EngineConfig::default().with_threads(4).with_morsel_size(4),
-        )
-        .unwrap_err();
-        assert_eq!(seq_err, par_err, "parallel error is the canonical one");
+        // `+` on a node is an evaluation error raised mid-pipeline: in a
+        // `WHERE`, and in a `WITH` projection inside a chain.
+        for src in [
+            "MATCH (n:N) WHERE n + 1 = 2 RETURN n",
+            "MATCH (n:N) WITH n, n + 1 AS bad MATCH (n)-->(m) RETURN count(m) AS c",
+        ] {
+            let q = parse_query(src).unwrap();
+            let seq = EngineConfig::default().with_threads(1);
+            let seq_err = execute_read(&g, &q, &params, &seq).unwrap_err();
+            let par = EngineConfig::default().with_threads(4).with_morsel_size(4);
+            let par_err = execute_read(&g, &q, &params, &par).unwrap_err();
+            assert_eq!(
+                seq_err, par_err,
+                "parallel error is the canonical one: {src}"
+            );
+        }
     }
 
     #[test]

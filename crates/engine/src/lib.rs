@@ -16,18 +16,17 @@
 //! * **multiple named graphs and query composition** (Cypher 10,
 //!   [`multigraph`]).
 //!
-//! `WITH`/`UNWIND` (and mid-query projection generally) reuse the
-//! reference semantics of [`cypher_core`] — the two implementations share
-//! exactly the behaviour the paper defines once, and differ (and are
-//! differentially tested) on pattern matching, where the planner matters.
-//! The **final** projection of a qualifying query is instead the *sink*
-//! the morsel driver folds into: aggregation and `DISTINCT` fold
-//! per-morsel `GroupedAggState`s (the same type the reference semantics
-//! fold through), `ORDER BY … LIMIT` folds bounded top-k heaps and a plain
-//! projection maps each batch, merged in morsel order so results stay
-//! bit-identical across thread counts and morsel sizes — surfaced in
-//! `EXPLAIN` and `PROFILE` as `PartialAggregate(…)`, `TopK(k=…)` and
-//! `Project(…)`, controlled by [`EngineConfig::partial_agg`]. Repeated
+//! One clause interpreter ([`exec`]) serves every entry point: each run
+//! of streamable clauses (`MATCH`, `WHERE`, a row-by-row `WITH`,
+//! `UNWIND`) is one step list for the morsel driver, and the projection
+//! that ends it is the *sink* the driver folds into: aggregation and
+//! `DISTINCT` fold per-morsel `GroupedAggState`s (the same type the
+//! reference semantics fold through), `ORDER BY … LIMIT` folds bounded
+//! top-k heaps and a plain projection maps each batch, merged in morsel
+//! order so results stay bit-identical across thread counts and morsel
+//! sizes — surfaced in `EXPLAIN` and `PROFILE` as `PartialAggregate(…)`,
+//! `TopK(k=…)` and `Project(…)`, controlled by
+//! [`EngineConfig::partial_agg`]. Repeated
 //! queries skip planning through a [`PlanMemo`] (see [`cache`]), which
 //! the `cypher::Database` facade wires into an LRU parse+plan cache with
 //! statistics-fingerprint invalidation.

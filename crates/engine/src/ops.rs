@@ -27,6 +27,7 @@ use cypher_ast::pattern::Dir;
 use cypher_core::error::{err, EvalError};
 use cypher_core::expr::{eval_expr, truth_of, Bindings};
 use cypher_core::morphism::Morphism;
+use cypher_core::project::ProjectionPlan;
 use cypher_core::table::{Record, Schema, Table};
 use cypher_core::EvalContext;
 use cypher_graph::{
@@ -34,6 +35,7 @@ use cypher_graph::{
     Value,
 };
 use cypher_metrics::Counter;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -291,8 +293,9 @@ impl Sink for Collect {
     }
 }
 
-/// Executes a compiled `MATCH` plan over a driving table into `sink` —
-/// the only way a plan is run. The dispatch decision is made once: a
+/// Executes a compiled segment — the steps of a run of `MATCH`, plain
+/// `WITH`, `WHERE` and `UNWIND` clauses — over a driving table into
+/// `sink`: the only way a plan is run. The dispatch decision is made once: a
 /// plan anchored on a source whose output (`driving rows × scanned
 /// items`) exceeds [`EngineConfig::parallel_gate`] is cut into morsels
 /// claimed by `cfg.num_threads` workers; anything else is one morsel on
@@ -309,8 +312,9 @@ impl Sink for Collect {
 /// **Canonical errors:** workers race and an evaluating sink evaluates
 /// between batches, so the first error of a parallel or evaluating run
 /// is scheduling-dependent. Any such error is discarded and answered by
-/// one sequential re-run through [`Collect`] and [`Sink::materialized`],
-/// which raises what the clause-at-a-time semantics raise.
+/// one sequential re-run through [`Collect`] and [`Sink::materialized`]:
+/// the canonical error is the first one the sequential run of the
+/// segment raises, in row order.
 pub(crate) fn drive<'a, S: Sink>(
     ctx: &'a EvalContext<'a>,
     steps: &[PlanStep],
@@ -337,13 +341,13 @@ pub(crate) fn drive<'a, S: Sink>(
     let first = if gate.is_some_and(|gate| total > gate) {
         run.morsels(&input, total, sink, probe.as_deref_mut())
     } else if S::EVALUATES {
-        // Cloned so the re-run still has it: the driving table of a
-        // final MATCH is the usually-tiny pre-match context.
-        run.whole(input.clone(), sink, probe.as_deref_mut())
+        // Borrowed so the re-run still has it: one copy of the driving
+        // table, whose rows are cloned a batch at a time.
+        run.whole(Cow::Borrowed(&input), sink, probe.as_deref_mut())
     } else {
-        return run.whole(input, sink, probe);
+        return run.whole(Cow::Owned(input), sink, probe);
     };
-    first.or_else(|_| sink.materialized(ctx, run.whole(input, &Collect, probe)?))
+    first.or_else(|_| sink.materialized(ctx, run.whole(Cow::Owned(input), &Collect, probe)?))
 }
 
 /// What every execution of one plan — whole, per morsel, or the
@@ -372,7 +376,7 @@ impl<'p> Run<'p> {
     /// The whole input as one morsel on the calling thread.
     fn whole<S: Sink>(
         &self,
-        input: Table,
+        input: Cow<'_, Table>,
         sink: &S,
         probe: Option<&mut PlanProfile>,
     ) -> Result<Table, EvalError> {
@@ -752,30 +756,29 @@ fn attach<'a>(
         }
         PlanStep::FilterLabels { var, labels } => {
             let idx = col_idx(&schema, var)?;
+            // `None`: a label never interned, so nothing matches (the
+            // child still drains, so upstream errors surface).
             let syms: Option<Vec<Symbol>> =
                 labels.iter().map(|l| ctx.graph.interner().get(l)).collect();
-            Box::new(LabelFilter {
-                ctx,
-                schema,
-                child,
-                idx,
-                syms,
+            filter(schema, child, move |row| match (&syms, row.get(idx)) {
+                (None, _) | (_, Value::Null) => Ok(false),
+                (Some(syms), Value::Node(n)) => {
+                    Ok(syms.iter().all(|&l| ctx.graph.has_label(*n, l)))
+                }
+                (_, other) => err(format!("label filter on non-node {}", other.type_name())),
             })
         }
         PlanStep::FilterProps { var, props } => {
             let idx = col_idx(&schema, var)?;
             // Property keys are interned symbols; resolve them once per
             // operator instead of hashing the key string on every row.
-            let props = props
+            let mut props: Vec<_> = props
                 .iter()
                 .map(|(k, e)| (ctx.graph.interner().get(k), e.clone(), None))
                 .collect();
-            Box::new(PropsFilter {
-                ctx,
-                schema,
-                child,
-                idx,
-                props,
+            let s = schema.clone();
+            filter(schema, child, move |row| {
+                props_keep(ctx, &s, idx, &mut props, row)
             })
         }
         PlanStep::FilterEndpoints {
@@ -786,33 +789,46 @@ fn attach<'a>(
             types,
             exclude,
         } => {
-            let rel_idx = col_idx(&schema, rel)?;
-            let from_idx = col_idx(&schema, from)?;
-            let to_idx = col_idx(&schema, to)?;
-            let exclude_idx: Vec<usize> = exclude
+            let (rel, from, to) = (
+                col_idx(&schema, rel)?,
+                col_idx(&schema, from)?,
+                col_idx(&schema, to)?,
+            );
+            let exclude: Vec<usize> = exclude
                 .iter()
                 .map(|c| col_idx(&schema, c))
                 .collect::<Result<_, _>>()?;
-            Box::new(EndpointFilter {
-                ctx,
-                schema,
-                child,
-                rel_idx,
-                from_idx,
-                to_idx,
-                dir: *dir,
-                type_syms: resolve_types(ctx, types),
-                exclude_idx,
+            let (dir, types) = (*dir, resolve_types(ctx, types));
+            let g = ctx.graph;
+            filter(schema, child, move |row| {
+                let (Value::Rel(r), Value::Node(a), Value::Node(b)) =
+                    (row.get(rel), row.get(from), row.get(to))
+                else {
+                    return Ok(false);
+                };
+                if !type_ok(g, &types, *r) {
+                    return Ok(false);
+                }
+                // Endpoint agreement per direction (item (e′) of §4.2).
+                let (src, tgt) = (g.src(*r).expect("live rel"), g.tgt(*r).expect("live rel"));
+                let ends = match dir {
+                    Dir::Out => src == *a && tgt == *b,
+                    Dir::In => src == *b && tgt == *a,
+                    Dir::Both => (src == *a && tgt == *b) || (src == *b && tgt == *a),
+                };
+                // Relationship isomorphism between scanned rel columns.
+                let reused = |i: &usize| matches!(row.get(*i), Value::Rel(r2) if r2 == r);
+                Ok(ends && !(ctx.config.morphism.rels_distinct() && exclude.iter().any(reused)))
             })
         }
-        PlanStep::FilterExpr { pred } => Box::new(ExprFilter {
-            ctx,
-            schema,
-            child,
-            pred: pred.clone(),
-        }),
+        PlanStep::FilterExpr { pred } => {
+            let (s, pred) = (schema.clone(), pred.clone());
+            filter(schema, child, move |row| {
+                Ok(truth_of(ctx, &Bindings::new(&s, row), &pred)? == Tri::True)
+            })
+        }
         PlanStep::PathBind { var, elements } => {
-            let resolved: Vec<(bool, bool, usize)> = elements
+            let elements: Vec<(bool, bool, usize)> = elements
                 .iter()
                 .map(|e| match e {
                     PathElem::Node(c) => Ok((true, false, col_idx(&schema, c)?)),
@@ -820,13 +836,28 @@ fn attach<'a>(
                     PathElem::RelList(c) => Ok((false, true, col_idx(&schema, c)?)),
                 })
                 .collect::<Result<_, EvalError>>()?;
-            Box::new(PathBindOp {
-                ctx,
-                schema: schema.with_field(var.clone()),
-                child,
-                elements: resolved,
+            stage(schema.with_field(var.clone()), child, move |batch| {
+                let rows = batch.into_rows().into_iter();
+                let rows = rows.map(|row| bind_path(ctx, &elements, row));
+                Ok(RowBatch::from_rows(rows.collect::<Result<_, _>>()?))
             })
         }
+        PlanStep::Project { ret, scope } => {
+            let plan = ProjectionPlan::compile(ret, &Schema::new(scope.clone()))?;
+            // Bound once per batch, as the final plain projection binds.
+            stage(plan.out_schema().clone(), child, move |batch| {
+                let bound = plan.bind(ctx, &schema);
+                let rows = batch.rows().iter().map(|r| bound.project_row(ctx, r));
+                Ok(RowBatch::from_rows(rows.collect::<Result<_, _>>()?))
+            })
+        }
+        PlanStep::Unwind { expr, alias } => Box::new(UnwindOp {
+            ctx,
+            schema: schema.with_field(alias.clone()),
+            in_schema: schema,
+            rows: PerRow::new(child, cap),
+            expr: expr.clone(),
+        }),
     })
 }
 
@@ -886,24 +917,24 @@ fn props_ok(g: &PropertyGraph, expected: &[(Symbol, Value)], r: RelId) -> bool {
 }
 
 /// The input cursor of an operator that maps every input row to a run
-/// of output rows (`Expand`, `MultiwayIntersect`).
-struct PerRow<'a> {
+/// of output rows (`Expand`, `MultiwayIntersect`, `Unwind`); `P` yields
+/// one row's run.
+struct PerRow<'a, P = std::vec::IntoIter<Record>> {
     child: Box<dyn Operator + 'a>,
     cap: usize,
     /// The current input batch and the index of its next row.
     input: Option<(RowBatch, usize)>,
-    /// The current row's output still awaiting emission (stored
-    /// reversed; popped off the end).
-    pending: Vec<Record>,
+    /// The current row's output still awaiting emission.
+    pending: P,
 }
 
-impl<'a> PerRow<'a> {
+impl<'a, P: Iterator<Item = Record> + Default> PerRow<'a, P> {
     fn new(child: Box<dyn Operator + 'a>, cap: usize) -> Self {
         PerRow {
             child,
             cap,
             input: None,
-            pending: Vec::new(),
+            pending: P::default(),
         }
     }
 
@@ -913,7 +944,7 @@ impl<'a> PerRow<'a> {
     /// full or the input is exhausted.
     fn advance(&mut self, out: &mut RowBatch) -> Result<bool, EvalError> {
         while out.len() < self.cap {
-            if let Some(r) = self.pending.pop() {
+            if let Some(r) = self.pending.next() {
                 out.push(r);
                 continue;
             }
@@ -938,8 +969,7 @@ impl<'a> PerRow<'a> {
     }
 
     /// Queues the current row's output.
-    fn expanded(&mut self, mut rows: Vec<Record>) {
-        rows.reverse(); // pop() then restores natural order
+    fn expanded(&mut self, rows: P) {
         self.pending = rows;
     }
 }
@@ -948,35 +978,44 @@ impl<'a> PerRow<'a> {
 // Sources
 // ---------------------------------------------------------------------------
 
-struct TableScan {
+/// The driving table as a source: its rows moved out, or cloned one
+/// batch at a time from a borrowed table that the error re-run reads again.
+struct TableScan<'d> {
     schema: Arc<Schema>,
-    rows: std::vec::IntoIter<Record>,
+    rows: Cow<'d, [Record]>,
+    next: usize,
     cap: usize,
 }
 
-impl TableScan {
-    fn new(t: Table, cap: usize) -> Self {
+impl<'d> TableScan<'d> {
+    fn new(t: Cow<'d, Table>, cap: usize) -> Self {
         let schema = t.schema().clone();
+        let rows = match t {
+            Cow::Owned(t) => Cow::Owned(t.into_rows()),
+            Cow::Borrowed(t) => Cow::Borrowed(t.rows()),
+        };
         TableScan {
             schema,
-            rows: t.into_rows().into_iter(),
+            rows,
+            next: 0,
             cap,
         }
     }
 }
 
-impl Operator for TableScan {
+impl Operator for TableScan<'_> {
     fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        let rows: Vec<Record> = self.rows.by_ref().take(self.cap).collect();
-        Ok(if rows.is_empty() {
-            None
-        } else {
-            Some(RowBatch::from_rows(rows))
-        })
+        let range = self.next..(self.next + self.cap).min(self.rows.len());
+        self.next = range.end;
+        let rows: Vec<Record> = match &mut self.rows {
+            Cow::Owned(rows) => rows[range].iter_mut().map(std::mem::take).collect(),
+            Cow::Borrowed(rows) => rows[range].to_vec(),
+        };
+        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
     }
 }
 
@@ -1256,7 +1295,7 @@ impl Operator for ExpandOp<'_> {
         let mut out = RowBatch::with_capacity(self.rows.cap.min(64));
         while self.rows.advance(&mut out)? {
             let exp = self.expand_row(self.rows.current())?;
-            self.rows.expanded(exp);
+            self.rows.expanded(exp.into_iter());
         }
         Ok((!out.is_empty()).then_some(out))
     }
@@ -1580,7 +1619,7 @@ impl Operator for MultiwayIntersectOp<'_> {
             self.probes += probes;
             self.isect += isect;
             self.rows_out += exp.len() as u64;
-            self.rows.expanded(exp);
+            self.rows.expanded(exp.into_iter());
         }
         if out.is_empty() {
             self.flush_metrics();
@@ -1595,44 +1634,25 @@ impl Operator for MultiwayIntersectOp<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Filters
+// Filters, path materialization and projection
 // ---------------------------------------------------------------------------
 
-struct LabelFilter<'a> {
-    ctx: &'a EvalContext<'a>,
+/// The operator of every step that maps a batch to a batch — the
+/// filters, `ProjectPath` and `Project` — skipping batches left empty.
+struct Stage<'a, F> {
     schema: Arc<Schema>,
     child: Box<dyn Operator + 'a>,
-    idx: usize,
-    /// `None` when some label was never interned (matches nothing).
-    syms: Option<Vec<Symbol>>,
+    f: F,
 }
 
-impl Operator for LabelFilter<'_> {
+impl<F: FnMut(RowBatch) -> Result<RowBatch, EvalError>> Operator for Stage<'_, F> {
     fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        // A never-interned label can match nothing, but upstream
-        // evaluation errors must still surface: drain the child rather
-        // than ending the stream outright.
-        let Some(syms) = &self.syms else {
-            while self.child.next_batch()?.is_some() {}
-            return Ok(None);
-        };
         while let Some(batch) = self.child.next_batch()? {
-            let mut out = RowBatch::with_capacity(batch.len());
-            for row in batch.into_rows() {
-                match row.get(self.idx) {
-                    Value::Node(n) => {
-                        if syms.iter().all(|&l| self.ctx.graph.has_label(*n, l)) {
-                            out.push(row);
-                        }
-                    }
-                    Value::Null => {}
-                    other => return err(format!("label filter on non-node {}", other.type_name())),
-                }
-            }
+            let out = (self.f)(batch)?;
             if !out.is_empty() {
                 return Ok(Some(out));
             }
@@ -1641,240 +1661,183 @@ impl Operator for LabelFilter<'_> {
     }
 }
 
-struct PropsFilter<'a> {
-    ctx: &'a EvalContext<'a>,
+fn stage<'a>(
     schema: Arc<Schema>,
     child: Box<dyn Operator + 'a>,
-    idx: usize,
-    /// `(symbol, expected-value expr, its value once known)`; a `None`
-    /// symbol is a key that was never interned — no entity can carry it.
-    /// A literal or parameter does not depend on the row: it is evaluated
-    /// on the first row that reaches the filter and reused.
-    props: Vec<(Option<Symbol>, Expr, Option<Value>)>,
+    f: impl FnMut(RowBatch) -> Result<RowBatch, EvalError> + 'a,
+) -> Box<dyn Operator + 'a> {
+    Box::new(Stage { schema, child, f })
 }
 
-impl PropsFilter<'_> {
-    fn keep(&mut self, row: &Record) -> Result<bool, EvalError> {
-        let g = self.ctx.graph;
-        for (sym, e, known) in &mut self.props {
-            let fresh;
-            let want = match known {
-                Some(v) => &*v,
-                None => {
-                    let v = eval_expr(self.ctx, &Bindings::new(&self.schema, row), e)?;
-                    if matches!(e, Expr::Lit(_) | Expr::Param(_)) {
-                        &*known.insert(v)
-                    } else {
-                        fresh = v;
-                        &fresh
-                    }
-                }
-            };
-            let got = match row.get(self.idx) {
-                Value::Node(n) => sym.and_then(|s| g.node_prop(*n, s)),
-                Value::Rel(r) => sym.and_then(|s| g.rel_prop(*r, s)),
-                Value::Null => return Ok(false),
-                other => return err(format!("property filter on {}", other.type_name())),
-            };
-            match got {
-                Some(v) if v.equals(want).is_true() => {}
-                _ => return Ok(false),
-            }
-        }
-        Ok(true)
-    }
-}
-
-impl Operator for PropsFilter<'_> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        while let Some(batch) = self.child.next_batch()? {
-            let mut out = RowBatch::with_capacity(batch.len());
-            for row in batch.into_rows() {
-                if self.keep(&row)? {
-                    out.push(row);
-                }
-            }
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
-        }
-        Ok(None)
-    }
-}
-
-struct EndpointFilter<'a> {
-    ctx: &'a EvalContext<'a>,
+/// A [`Stage`] keeping the rows `keep` accepts.
+fn filter<'a>(
     schema: Arc<Schema>,
     child: Box<dyn Operator + 'a>,
-    rel_idx: usize,
-    from_idx: usize,
-    to_idx: usize,
-    dir: Dir,
-    type_syms: Option<Vec<Symbol>>,
-    exclude_idx: Vec<usize>,
-}
-
-impl EndpointFilter<'_> {
-    fn keep(&self, row: &Record) -> bool {
-        let g = self.ctx.graph;
-        let (Value::Rel(r), Value::Node(a), Value::Node(b)) = (
-            row.get(self.rel_idx),
-            row.get(self.from_idx),
-            row.get(self.to_idx),
-        ) else {
-            return false;
-        };
-        let (r, a, b) = (*r, *a, *b);
-        if !type_ok(g, &self.type_syms, r) {
-            return false;
-        }
-        // Endpoint agreement per direction (item (e′) of §4.2).
-        let (src, tgt) = (g.src(r).unwrap(), g.tgt(r).unwrap());
-        let ok = match self.dir {
-            Dir::Out => src == a && tgt == b,
-            Dir::In => src == b && tgt == a,
-            Dir::Both => (src == a && tgt == b) || (src == b && tgt == a),
-        };
-        if !ok {
-            return false;
-        }
-        // Relationship isomorphism between scanned rel columns.
-        if self.ctx.config.morphism.rels_distinct() {
-            for &i in &self.exclude_idx {
-                if let Value::Rel(r2) = row.get(i) {
-                    if *r2 == r {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-}
-
-impl Operator for EndpointFilter<'_> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        while let Some(batch) = self.child.next_batch()? {
-            let mut out = RowBatch::with_capacity(batch.len());
-            for row in batch.into_rows() {
-                if self.keep(&row) {
-                    out.push(row);
-                }
-            }
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
-        }
-        Ok(None)
-    }
-}
-
-struct ExprFilter<'a> {
-    ctx: &'a EvalContext<'a>,
-    schema: Arc<Schema>,
-    child: Box<dyn Operator + 'a>,
-    pred: Expr,
-}
-
-impl Operator for ExprFilter<'_> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        while let Some(batch) = self.child.next_batch()? {
-            let mut out = RowBatch::with_capacity(batch.len());
-            for row in batch.into_rows() {
-                let b = Bindings::new(&self.schema, &row);
-                if truth_of(self.ctx, &b, &self.pred)? == Tri::True {
-                    out.push(row);
-                }
-            }
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
-        }
-        Ok(None)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Path materialization
-// ---------------------------------------------------------------------------
-
-struct PathBindOp<'a> {
-    ctx: &'a EvalContext<'a>,
-    schema: Arc<Schema>,
-    child: Box<dyn Operator + 'a>,
-    /// `(is_node, is_list, column)` triples in path order.
-    elements: Vec<(bool, bool, usize)>,
-}
-
-impl PathBindOp<'_> {
-    fn bind(&self, mut row: Record) -> Result<Record, EvalError> {
-        let g = self.ctx.graph;
-        let mut path: Option<Path> = None;
-        let mut current: Option<NodeId> = None;
-        let extend = |path: &mut Option<Path>, current: &mut Option<NodeId>, r: RelId| {
-            let cur = current.expect("path starts with a node");
-            let next = g.other_end(r, cur).expect("live rel endpoint");
-            path.as_mut().expect("path initialized").push(r, next);
-            *current = Some(next);
-        };
-        for &(is_node, is_list, idx) in &self.elements {
-            if is_node {
-                if path.is_none() {
-                    let Value::Node(n) = row.get(idx) else {
-                        return err("path element is not a node");
-                    };
-                    path = Some(Path::single(*n));
-                    current = Some(*n);
-                }
-                // Interior node columns are consistency-checked by the
-                // matcher; the walk itself determines them.
-            } else if is_list {
-                let Value::List(items) = row.get(idx).clone() else {
-                    return err("variable-length path element is not a list");
-                };
-                for v in items {
-                    let Value::Rel(r) = v else {
-                        return err("path relationship list holds a non-relationship");
-                    };
-                    extend(&mut path, &mut current, r);
-                }
-            } else {
-                let Value::Rel(r) = row.get(idx) else {
-                    return err("path element is not a relationship");
-                };
-                extend(&mut path, &mut current, *r);
-            }
-        }
-        row.push(Value::Path(path.expect("non-empty path pattern")));
-        Ok(row)
-    }
-}
-
-impl Operator for PathBindOp<'_> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        let Some(batch) = self.child.next_batch()? else {
-            return Ok(None);
-        };
+    mut keep: impl FnMut(&Record) -> Result<bool, EvalError> + 'a,
+) -> Box<dyn Operator + 'a> {
+    stage(schema, child, move |batch| {
         let mut out = RowBatch::with_capacity(batch.len());
         for row in batch.into_rows() {
-            out.push(self.bind(row)?);
+            if keep(&row)? {
+                out.push(row);
+            }
         }
-        Ok(Some(out))
+        Ok(out)
+    })
+}
+
+/// Whether the entity in column `idx` carries every pattern property.
+/// `props` holds `(symbol, expected-value expr, its value once known)`;
+/// a `None` symbol is a key that was never interned — no entity can
+/// carry it. A literal or parameter does not depend on the row: it is
+/// evaluated on the first row that reaches the filter and reused.
+fn props_keep(
+    ctx: &EvalContext<'_>,
+    schema: &Schema,
+    idx: usize,
+    props: &mut [(Option<Symbol>, Expr, Option<Value>)],
+    row: &Record,
+) -> Result<bool, EvalError> {
+    let g = ctx.graph;
+    for (sym, e, known) in props {
+        let fresh;
+        let want = match known {
+            Some(v) => &*v,
+            None => {
+                let v = eval_expr(ctx, &Bindings::new(schema, row), e)?;
+                if matches!(e, Expr::Lit(_) | Expr::Param(_)) {
+                    &*known.insert(v)
+                } else {
+                    fresh = v;
+                    &fresh
+                }
+            }
+        };
+        let got = match row.get(idx) {
+            Value::Node(n) => sym.and_then(|s| g.node_prop(*n, s)),
+            Value::Rel(r) => sym.and_then(|s| g.rel_prop(*r, s)),
+            Value::Null => return Ok(false),
+            other => return err(format!("property filter on {}", other.type_name())),
+        };
+        match got {
+            Some(v) if v.equals(want).is_true() => {}
+            _ => return Ok(false),
+        }
+    }
+    Ok(true)
+}
+
+/// Appends the named path walked through `elements` — `(is_node,
+/// is_list, column)` triples in path order — to `row`.
+fn bind_path(
+    ctx: &EvalContext<'_>,
+    elements: &[(bool, bool, usize)],
+    mut row: Record,
+) -> Result<Record, EvalError> {
+    let g = ctx.graph;
+    let mut path: Option<Path> = None;
+    let mut current: Option<NodeId> = None;
+    let extend = |path: &mut Option<Path>, current: &mut Option<NodeId>, r: RelId| {
+        let cur = current.expect("path starts with a node");
+        let next = g.other_end(r, cur).expect("live rel endpoint");
+        path.as_mut().expect("path initialized").push(r, next);
+        *current = Some(next);
+    };
+    for &(is_node, is_list, idx) in elements {
+        if is_node {
+            if path.is_none() {
+                let Value::Node(n) = row.get(idx) else {
+                    return err("path element is not a node");
+                };
+                path = Some(Path::single(*n));
+                current = Some(*n);
+            }
+            // Interior node columns are consistency-checked by the
+            // matcher; the walk itself determines them.
+        } else if is_list {
+            let Value::List(items) = row.get(idx).clone() else {
+                return err("variable-length path element is not a list");
+            };
+            for v in items {
+                let Value::Rel(r) = v else {
+                    return err("path relationship list holds a non-relationship");
+                };
+                extend(&mut path, &mut current, r);
+            }
+        } else {
+            let Value::Rel(r) = row.get(idx) else {
+                return err("path element is not a relationship");
+            };
+            extend(&mut path, &mut current, *r);
+        }
+    }
+    row.push(Value::Path(path.expect("non-empty path pattern")));
+    Ok(row)
+}
+
+// ---------------------------------------------------------------------------
+// UNWIND
+// ---------------------------------------------------------------------------
+
+/// One driving row's `UNWIND` output, made lazily: the row extended by
+/// each element in turn, so a long list is never a table.
+#[derive(Default)]
+struct Unwound<'a> {
+    row: Record,
+    items: Cow<'a, [Value]>,
+    next: usize,
+}
+
+impl Iterator for Unwound<'_> {
+    type Item = Record;
+
+    fn next(&mut self) -> Option<Record> {
+        let item = self.items.get(self.next)?.clone();
+        self.next += 1;
+        let mut r = self.row.cloned_with_extra(1);
+        r.push(item);
+        Some(r)
+    }
+}
+
+/// `UNWIND`: a list yields one row per element (none for the empty
+/// list), any other value — `null` included — a single row (Figure 7).
+struct UnwindOp<'a> {
+    ctx: &'a EvalContext<'a>,
+    schema: Arc<Schema>,
+    in_schema: Arc<Schema>,
+    rows: PerRow<'a, Unwound<'a>>,
+    expr: Expr,
+}
+
+impl Operator for UnwindOp<'_> {
+    fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
+        let ctx = self.ctx;
+        let mut out = RowBatch::with_capacity(self.rows.cap.min(64));
+        while self.rows.advance(&mut out)? {
+            let row = self.rows.current().clone();
+            // A parameter's list is read in place rather than copied.
+            let param = match &self.expr {
+                Expr::Param(p) => ctx.params.get(p),
+                _ => None,
+            };
+            let items = match param {
+                Some(Value::List(items)) => Cow::Borrowed(items.as_slice()),
+                _ => match eval_expr(ctx, &Bindings::new(&self.in_schema, &row), &self.expr)? {
+                    Value::List(items) => Cow::Owned(items),
+                    other => Cow::Owned(vec![other]),
+                },
+            };
+            self.rows.expanded(Unwound {
+                row,
+                items,
+                next: 0,
+            });
+        }
+        Ok((!out.is_empty()).then_some(out))
     }
 }

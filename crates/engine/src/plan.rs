@@ -1,4 +1,5 @@
-//! Physical plan representation for `MATCH` pipelines.
+//! Physical plan representation for `MATCH` pipelines and the plain
+//! `WITH` / `UNWIND` steps that stream between them.
 //!
 //! The paper (Section 2, "Neo4j implementation") describes execution plans
 //! that "contain largely the same operators as in relational database
@@ -10,6 +11,9 @@
 
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::Dir;
+use cypher_ast::query::Return;
+use cypher_core::project::ProjectionPlan;
+use cypher_core::table::Schema;
 use std::fmt;
 
 /// Where a step's output column comes from / goes to. Columns whose name
@@ -166,6 +170,22 @@ pub enum PlanStep {
         /// The alternating element columns.
         elements: Vec<PathElem>,
     },
+    /// Replace every row by a plain `WITH` projection of it (no
+    /// aggregate, `DISTINCT`, `ORDER BY`, `SKIP` or `LIMIT`).
+    Project {
+        /// The projection body.
+        ret: Return,
+        /// The fields in scope, in order (what `*` expands to).
+        scope: Vec<Col>,
+    },
+    /// `UNWIND expr AS alias`: one row per list element, a single row
+    /// for any other value (`null` included).
+    Unwind {
+        /// The unwound expression.
+        expr: Expr,
+        /// The output column.
+        alias: Col,
+    },
 }
 
 /// One edge closed by a [`PlanStep::MultiwayIntersect`]: the bound node
@@ -224,8 +244,7 @@ pub struct MatchPlan {
     pub estimated_rows: f64,
     /// The cost model's running estimate *after* each step — one entry
     /// per step, printed on the step's EXPLAIN line and compared against
-    /// actual counts by PROFILE. Empty for hand-built plans; `Display`
-    /// then omits the per-line annotation.
+    /// actual counts by PROFILE.
     pub step_estimates: Vec<f64>,
 }
 
@@ -314,19 +333,13 @@ impl fmt::Display for PlanStep {
             }
             PlanStep::FilterExpr { pred } => write!(f, "Filter({pred})"),
             PlanStep::PathBind { var, .. } => write!(f, "ProjectPath({var})"),
-        }
-    }
-}
-
-impl fmt::Display for MatchPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, s) in self.steps.iter().enumerate() {
-            match self.step_estimates.get(i) {
-                Some(e) => writeln!(f, "{:indent$}{s}  (est rows: {e:.1})", "", indent = i)?,
-                None => writeln!(f, "{:indent$}{s}", "", indent = i)?,
+            PlanStep::Project { ret, scope } => {
+                let plan = ProjectionPlan::compile(ret, &Schema::new(scope.clone()));
+                let names = plan.map(|p| p.out_schema().names().join(", "));
+                write!(f, "Project({})", names.unwrap_or_default())
             }
+            PlanStep::Unwind { expr, alias } => write!(f, "Unwind({expr} AS {alias})"),
         }
-        write!(f, "(estimated rows: {:.1})", self.estimated_rows)
     }
 }
 

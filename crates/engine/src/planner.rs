@@ -113,6 +113,8 @@ pub struct PlannedMatch {
     pub plan: MatchPlan,
     /// New visible columns appended to the driving table.
     pub new_vars: Vec<String>,
+    /// New hidden columns (anonymous pattern elements).
+    pub hidden: Vec<String>,
 }
 
 struct PlanCtx<'a> {
@@ -154,10 +156,16 @@ impl PlanCtx<'_> {
         }
     }
 
+    /// A hidden name no driving field holds (an earlier `MATCH` of the
+    /// same segment may have bound ` anon0`).
     fn fresh_anon(&mut self) -> String {
-        let n = format!(" anon{}", self.anon_counter);
-        self.anon_counter += 1;
-        n
+        loop {
+            let n = format!(" anon{}", self.anon_counter);
+            self.anon_counter += 1;
+            if !self.is_bound(&n) {
+                return n;
+            }
+        }
     }
 
     fn label_cardinality(&self, label: &str) -> usize {
@@ -363,12 +371,12 @@ pub fn plan_match<'a>(
 /// Packages a finished planning context, separating the visible new
 /// variables from hidden (space-prefixed) columns.
 fn finish_plan(ctx: PlanCtx<'_>, driving_fields: &[String]) -> PlannedMatch {
-    let new_vars: Vec<String> = ctx
+    let (hidden, new_vars) = ctx
         .bound
         .iter()
-        .filter(|v| !driving_fields.contains(v) && !v.starts_with(' '))
+        .filter(|v| !driving_fields.contains(v))
         .cloned()
-        .collect();
+        .partition(|v| v.starts_with(' '));
     PlannedMatch {
         plan: MatchPlan {
             steps: ctx.steps,
@@ -376,6 +384,7 @@ fn finish_plan(ctx: PlanCtx<'_>, driving_fields: &[String]) -> PlannedMatch {
             step_estimates: ctx.step_est,
         },
         new_vars,
+        hidden,
     }
 }
 
@@ -1183,7 +1192,7 @@ mod tests {
         let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
         assert!(
             matches!(&planned.plan.steps[0], PlanStep::PropertyIndexSeek { var, .. } if var == "b"),
-            "plan: {}",
+            "plan: {:?}",
             planned.plan
         );
     }
@@ -1209,7 +1218,7 @@ mod tests {
             }
             other => panic!("expected property seek, got {other}"),
         }
-        assert!(planned.plan.estimated_rows <= 2.0, "{}", planned.plan);
+        assert!(planned.plan.estimated_rows <= 2.0, "{:?}", planned.plan);
     }
 
     #[test]
@@ -1223,7 +1232,7 @@ mod tests {
         let planned = plan_match(&g, &[], &[p], opts);
         assert!(
             matches!(&planned.plan.steps[0], PlanStep::NodeIndexScan { .. }),
-            "plan: {}",
+            "plan: {:?}",
             planned.plan
         );
         // Property conditions survive as residual filters.
@@ -1246,7 +1255,7 @@ mod tests {
         let planned = plan_match(&g, &[], &[p], opts);
         assert!(
             matches!(&planned.plan.steps[0], PlanStep::AllNodesScan { .. }),
-            "plan: {}",
+            "plan: {:?}",
             planned.plan
         );
         assert!(planned
@@ -1293,7 +1302,7 @@ mod tests {
             .iter()
             .filter(|s| matches!(s, PlanStep::MultiwayIntersect { .. }))
             .collect();
-        assert_eq!(isect.len(), 1, "plan: {}", planned.plan);
+        assert_eq!(isect.len(), 1, "plan: {:?}", planned.plan);
         let PlanStep::MultiwayIntersect { to, guards, .. } = isect[0] else {
             unreachable!()
         };
@@ -1333,7 +1342,7 @@ mod tests {
                 .steps
                 .iter()
                 .any(|s| matches!(s, PlanStep::MultiwayIntersect { .. })),
-            "plan: {}",
+            "plan: {:?}",
             planned.plan
         );
         // Sparse (a chain, avg degree ≈ 1): estimates tie at the anchor
@@ -1345,7 +1354,7 @@ mod tests {
                 .steps
                 .iter()
                 .any(|s| matches!(s, PlanStep::MultiwayIntersect { .. })),
-            "plan: {}",
+            "plan: {:?}",
             planned.plan
         );
     }
@@ -1365,7 +1374,7 @@ mod tests {
                     .steps
                     .iter()
                     .any(|s| matches!(s, PlanStep::MultiwayIntersect { .. })),
-                "plan: {}",
+                "plan: {:?}",
                 planned.plan
             );
         };
@@ -1407,7 +1416,7 @@ mod tests {
             .iter()
             .find(|s| matches!(s, PlanStep::MultiwayIntersect { .. }))
         else {
-            panic!("expected intersection, plan: {}", planned.plan)
+            panic!("expected intersection, plan: {:?}", planned.plan)
         };
         assert_eq!(to, "b");
         // Both guards hang off `a`; directions follow the pattern as

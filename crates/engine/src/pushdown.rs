@@ -1,17 +1,18 @@
-//! The final projection's [`Sink`]s: partial aggregation, top-k and
-//! plain projection pushed into the morsel pipeline.
+//! The projection [`Sink`]s a segment ends in: partial aggregation,
+//! top-k and plain projection pushed into the morsel pipeline.
 //!
-//! A `RETURN` that aggregates, deduplicates or sorts is a *pipeline
-//! breaker* when run clause by clause: the match output is collected into
-//! one table and grouping/sorting runs single-threaded over it. For the
+//! A projection that aggregates, deduplicates or sorts is a *pipeline
+//! breaker*: collected first, a segment's output is one table and
+//! grouping/sorting runs single-threaded over it. For the
 //! analytic queries Section 3 of the paper centers on (implicit grouping
 //! keys, `count`, `collect`, ordered projections) that table *is* the
 //! cost — it scales with the pre-aggregation row count and serializes the
 //! most expensive clause.
 //!
-//! When the **final** clause of a query is a plannable `MATCH` and the
-//! `RETURN` qualifies ([`select_sink`]), the driver instead feeds every
-//! morsel straight into a partial state:
+//! When the projection that ends a segment — the `RETURN`, or a `WITH`
+//! that aggregates, deduplicates, sorts or slices — qualifies
+//! ([`select_sink`]), the driver instead feeds every morsel of the
+//! segment straight into a partial state:
 //!
 //! * aggregating projections and `DISTINCT` fold into a
 //!   [`GroupedAggState`] ([`Fold`]) — the *same* type the sequential
@@ -30,22 +31,21 @@
 
 use crate::exec::{EngineConfig, PartialAggMode};
 use crate::ops::{RowBatch, Sink};
-use cypher_ast::query::{Clause, Return, SingleQuery};
+use cypher_ast::query::Return;
 use cypher_core::clauses::{apply_order_by_scoped, apply_projection, eval_count};
 use cypher_core::error::EvalError;
-use cypher_core::morphism::Morphism;
 use cypher_core::project::{GroupedAggState, ProjectionPlan, TopKState};
 use cypher_core::table::{Record, Schema, Table};
 use cypher_core::EvalContext;
 use std::sync::Arc;
 
-/// A final projection compiled for the pipeline: what [`Fold`], [`TopK`]
-/// and [`Map`] share.
+/// A segment's closing projection compiled for the pipeline: what
+/// [`Fold`], [`TopK`] and [`Map`] share.
 pub(crate) struct Projection<'q> {
     plan: ProjectionPlan,
     ret: &'q Return,
-    /// The schema the projection is written against: driving fields plus
-    /// the match's new variables. (The pipeline's raw schema is a
+    /// The schema the projection is written against: the fields in scope
+    /// at the end of the segment. (The pipeline's raw schema is a
     /// superset with hidden columns; expressions resolve by name, so
     /// feeding raw rows is equivalent — and saves a per-row projection.)
     visible: Arc<Schema>,
@@ -54,10 +54,6 @@ pub(crate) struct Projection<'q> {
 }
 
 impl Projection<'_> {
-    fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
-        apply_projection(ctx, self.ret, project_visible(raw, &self.visible))
-    }
-
     /// Applies `SKIP`/`LIMIT` to the finished rows.
     fn bounded(&self, out: Table) -> Result<Table, EvalError> {
         let (skip, limit) = self.bounds.clone()?;
@@ -79,7 +75,7 @@ pub(crate) struct TopK<'q>(Projection<'q>);
 /// A plain projection: no aggregates, `DISTINCT` or `ORDER BY`.
 pub(crate) struct Map<'q>(Projection<'q>);
 
-/// What a qualifying final projection runs into.
+/// What a qualifying projection runs into.
 pub(crate) enum FinalSink<'q> {
     /// See [`Fold`].
     Fold(Fold<'q>),
@@ -114,43 +110,27 @@ impl FinalSink<'_> {
     }
 }
 
-/// Sink selection, the one place it is decided: clause `i` of `sq` runs
-/// into the query's `RETURN` when it is the final clause, a non-optional
-/// `MATCH` the pipeline runs (node isomorphism delegates matching to the
-/// reference matcher), pushdown is enabled, there is no `RETURN GRAPH`,
-/// and the projection is not a bare `ORDER BY` (which needs its whole
-/// input). `visible` names the fields in scope after the clause. `None`
-/// means the rows are collected.
+/// Sink selection, the one place it is decided: a segment that ends at
+/// the projection `ret` (a `RETURN`, or a `WITH` that breaks the stream)
+/// runs into it when pushdown is enabled and the projection is not a
+/// bare `ORDER BY` (which needs its whole input). `visible` names the
+/// fields in scope at the end of the segment. `None` means the rows are
+/// collected and [`project`]ed.
 pub(crate) fn select_sink<'q>(
     ctx: &EvalContext<'_>,
     cfg: &EngineConfig,
-    sq: &'q SingleQuery,
-    i: usize,
-    visible: &[String],
+    ret: &'q Return,
+    visible: &Arc<Schema>,
 ) -> Option<FinalSink<'q>> {
-    let ret = sq.ret.as_ref()?;
-    let final_match = i + 1 == sq.clauses.len()
-        && matches!(
-            sq.clauses[i],
-            Clause::Match {
-                optional: false,
-                ..
-            }
-        );
-    if !final_match
-        || cfg.partial_agg == PartialAggMode::Off
-        || cfg.match_config.morphism == Morphism::NodeIsomorphism
-        || sq.ret_graph.is_some()
-    {
+    if cfg.partial_agg == PartialAggMode::Off {
         return None;
     }
     let folds = ret.distinct || ret.items.iter().any(|i| i.expr.contains_aggregate());
     if !folds && !ret.order_by.is_empty() && ret.limit.is_none() {
         return None;
     }
-    let visible = Schema::new(visible.to_vec());
     // A projection that does not compile is the collecting path's error.
-    let plan = ProjectionPlan::compile(ret, &visible).ok()?;
+    let plan = ProjectionPlan::compile(ret, visible).ok()?;
     let bounds = eval_count(ctx, ret.skip.as_ref(), "SKIP").and_then(|skip| {
         let limit = match &ret.limit {
             Some(_) => eval_count(ctx, ret.limit.as_ref(), "LIMIT")?,
@@ -161,7 +141,7 @@ pub(crate) fn select_sink<'q>(
     let projection = Projection {
         plan,
         ret,
-        visible,
+        visible: visible.clone(),
         bounds,
     };
     Some(if folds {
@@ -225,7 +205,7 @@ impl Sink for Fold<'_> {
     }
 
     fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
-        self.0.materialized(ctx, raw)
+        project(ctx, self.0.ret, raw, &self.0.visible)
     }
 }
 
@@ -284,7 +264,7 @@ impl Sink for TopK<'_> {
     }
 
     fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
-        self.0.materialized(ctx, raw)
+        project(ctx, self.0.ret, raw, &self.0.visible)
     }
 }
 
@@ -324,8 +304,19 @@ impl Sink for Map<'_> {
     }
 
     fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
-        self.0.materialized(ctx, raw)
+        project(ctx, self.0.ret, raw, &self.0.visible)
     }
+}
+
+/// The projection `ret` of the collected pipeline output `raw` over the
+/// `visible` fields: the definition every sink agrees with.
+pub(crate) fn project(
+    ctx: &EvalContext<'_>,
+    ret: &Return,
+    raw: Table,
+    visible: &Arc<Schema>,
+) -> Result<Table, EvalError> {
+    apply_projection(ctx, ret, project_visible(raw, visible))
 }
 
 /// Projects the pipeline output down to the `visible` fields (dropping

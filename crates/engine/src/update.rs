@@ -21,13 +21,35 @@
 use crate::exec::EngineConfig;
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::{Dir, PathPattern};
-use cypher_ast::query::{RemoveItem, SetItem};
+use cypher_ast::query::{Clause, RemoveItem, SetItem};
 use cypher_core::error::{err, EvalError};
 use cypher_core::expr::{eval_expr, Bindings};
 use cypher_core::matching::{match_patterns, unbound_free_vars};
 use cypher_core::table::{Record, Table};
 use cypher_core::{EvalContext, Params};
 use cypher_graph::{NodeId, PropertyGraph, RelId, Symbol, Value};
+
+/// Applies an updating clause to the driving table.
+pub(crate) fn apply(
+    g: &mut PropertyGraph,
+    params: &Params,
+    cfg: &EngineConfig,
+    clause: &Clause,
+    t: Table,
+) -> Result<Table, EvalError> {
+    match clause {
+        Clause::Create { patterns } => exec_create(g, params, cfg, patterns, t),
+        Clause::Merge {
+            pattern,
+            on_create,
+            on_match,
+        } => exec_merge(g, params, cfg, pattern, on_create, on_match, t),
+        Clause::Delete { detach, exprs } => exec_delete(g, params, cfg, *detach, exprs, t),
+        Clause::Set { items } => exec_set(g, params, cfg, items, t),
+        Clause::Remove { items } => exec_remove(g, params, cfg, items, t),
+        _ => err("not an updating clause"),
+    }
+}
 
 /// `CREATE pattern_tuple`: instantiates the patterns once per driving row.
 pub fn exec_create(

@@ -305,11 +305,6 @@ impl Server {
         self.shared.metrics.pinned.get() as usize
     }
 
-    /// Requests answered over the server's lifetime.
-    pub fn requests_served(&self) -> u64 {
-        self.shared.metrics.requests.get()
-    }
-
     /// The same counters a remote `Stats` request returns.
     pub fn stats(&self) -> ServerStats {
         self.shared.stats()

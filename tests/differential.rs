@@ -44,6 +44,17 @@ const CORPUS: &[&str] = &[
     "MATCH (a) RETURN [x IN range(0, a.v) WHERE x % 2 = 0 | x] AS evens ORDER BY a.i LIMIT 5",
     "MATCH (a)-[rs:X*1..3]->(b) RETURN count(*) AS walks",
     "MATCH (a)-[:X]->(b), (b)-[:Y]->(c) RETURN a.i, b.i, c.i",
+    // Streamed chains: every clause below runs inside one segment.
+    "MATCH (a:A) WITH a WHERE a.v > 3 MATCH (a)-[:X]->(b) RETURN a.i, b.i",
+    "UNWIND [0, 1, 2, 3, 4] AS x WITH x WHERE x % 2 = 0 MATCH (a {i: x}) RETURN x, a.v",
+    "MATCH (a)-[:X]->(b) WITH * RETURN a.i, b.i",
+    "MATCH (a)-[:X]->(b) WITH b AS a, a AS b RETURN a.i, b.i",
+    "MATCH (a)-[:X]->(b) WITH b AS a MATCH (a)-[:Y]->(c) RETURN a.i, c.i",
+    "UNWIND [null, 1, [2, [3]]] AS x UNWIND x AS y RETURN x, y",
+    "UNWIND null AS x UNWIND 7 AS y RETURN x, y",
+    "MATCH p = (a:A)-[:X*1..2]->(b) WITH p, b MATCH (b)-[:Y]->(c) RETURN length(p) AS len, c.i",
+    "MATCH (a)-[:X]->() MATCH (b)-[:Y]->() WHERE a.i < b.i RETURN a.i, b.i",
+    "MATCH (a:Nope) WITH nosuchvar AS x RETURN x",
 ];
 
 fn check_graph(g: &PropertyGraph, label: &str) {

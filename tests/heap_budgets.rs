@@ -13,7 +13,10 @@
 //!   peak that does not grow with the pre-aggregation row count, while
 //!   the merged-table baseline does;
 //! * **streaming intersection** — a triangle count through the multiway
-//!   intersection join materialises no intermediate.
+//!   intersection join materialises no intermediate;
+//! * **streamed clause chains** — `MATCH`, plain `WITH`, `WHERE` and
+//!   `UNWIND` run as one segment, so a chain peaks where its one-clause
+//!   twin does and an unwound list never becomes a table.
 //!
 //! Results are checked elsewhere (`index_differential`,
 //! `parallel_differential`, `cyclic_join`); here only enough to know the
@@ -120,10 +123,10 @@ fn run(g: &PropertyGraph, q: &str, c: &EngineConfig) -> Table {
 
 const NODES: usize = 100_000;
 
-/// `NODES` accounts with a unique `serial` and a 16-way `shard`.
-fn accounts() -> PropertyGraph {
+/// `n` accounts with a unique `serial` and a 16-way `shard`.
+fn accounts(n: usize) -> PropertyGraph {
     let mut g = PropertyGraph::new();
-    for i in 0..NODES {
+    for i in 0..n {
         g.add_node(
             &["Account"],
             [
@@ -143,7 +146,7 @@ fn accounts() -> PropertyGraph {
 #[test]
 fn seeks_and_scans_stay_within_their_allocation_budgets() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    let g = accounts();
+    let g = accounts(NODES);
     let label_only = EngineConfig {
         use_property_index: false,
         ..cfg(1)
@@ -158,8 +161,10 @@ fn seeks_and_scans_stay_within_their_allocation_budgets() {
     let filtered = "MATCH (n:Account) WHERE n.serial = 99999 RETURN n.shard";
     let (out, scan) = heap_of(|| run(&g, filtered, &cfg(1)));
     assert_eq!(out.len(), 1);
-    // One thread scans in `ItemScan`, four cut the scan into `MorselScan`s.
-    let driven = "MATCH (a:Account {serial: 0}) MATCH (n:Account) \
+    // One thread scans in `ItemScan`, four cut the scan into `MorselScan`s
+    // (the `DISTINCT` ends the seek's segment, so the scan anchors the
+    // next one and the worker pool engages).
+    let driven = "MATCH (a:Account {serial: 0}) WITH DISTINCT a MATCH (n:Account) \
                   WHERE n.serial = a.serial + 99999 RETURN n.shard";
     let driven_scans = [1, 4].map(|threads| {
         let (out, heap) = heap_of(|| run(&g, driven, &cfg(threads)));
@@ -223,7 +228,10 @@ fn pushed_down_folds_keep_their_peak_flat_in_the_input_rows() {
     let peak = |q: &str, c: &EngineConfig| heap_of(|| run(&g, q, c)).1.peak_bytes;
 
     let group_x1 = "MATCH (n:R) RETURN n.v AS g, count(*) AS c, sum(n.u) AS s";
-    let group_x4 = "MATCH (k:K) MATCH (n:R) RETURN n.v AS g, count(*) AS c, sum(n.u) AS s";
+    // The `DISTINCT` ends the first segment, so four threads cut the
+    // second scan into morsels.
+    let group_x4 = "MATCH (k:K) WITH DISTINCT k MATCH (n:R) \
+                    RETURN n.v AS g, count(*) AS c, sum(n.u) AS s";
     let base_x1 = peak(group_x1, &baseline);
     let base_x4 = peak(group_x4, &baseline);
     let fused_x1 = peak(group_x1, &cfg(1));
@@ -295,5 +303,72 @@ fn intersection_join_streams_a_triangle_count() {
         heap.peak_bytes < 64 << 20,
         "intersection join materialised an intermediate: peak {} bytes",
         heap.peak_bytes
+    );
+}
+
+/// A chain of `MATCH`, plain `WITH`, `WHERE` and `UNWIND` clauses runs as
+/// one segment of the morsel driver, so no table is built between its
+/// clauses: its peak matches its one-clause twin's, and an unwound list
+/// (a parameter, allocated before the measurement) never becomes a
+/// table. Exact numbers are asserted at one thread; four threads are
+/// printed.
+#[test]
+fn streamed_chains_keep_the_peak_of_their_one_clause_twins() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let measure = |g: &PropertyGraph, q: &str, params: &Params, threads: usize| {
+        let (out, heap) = heap_of(|| run_read_with(g, q, params, &cfg(threads)).unwrap());
+        let count = out.cell(0, "c").and_then(Value::as_int).unwrap();
+        println!(
+            "{threads} thread(s): {count} rows, {} allocations, peak {:.2} MiB: {q}",
+            heap.allocations,
+            mib(heap.peak_bytes)
+        );
+        (count, heap.peak_bytes)
+    };
+    let no_params = Params::new();
+
+    let unwind = "UNWIND $xs AS x WITH x WHERE x % 2 = 0 RETURN count(*) AS c";
+    let empty = PropertyGraph::new();
+    let [small, large] = [20_000i64, 200_000].map(|n| {
+        let mut params = Params::new();
+        params.insert("xs".into(), Value::List((0..n).map(Value::int).collect()));
+        measure(&empty, unwind, &params, 4);
+        let (count, peak) = measure(&empty, unwind, &params, 1);
+        assert_eq!(count, n / 2);
+        peak
+    });
+    assert!(
+        large * 4 <= small * 5,
+        "an unwound list is materialised: peak {small} -> {large} bytes"
+    );
+
+    let g = accounts(2 * NODES);
+    let chain = "MATCH (a:Account) WITH a WHERE a.shard = 3 RETURN count(*) AS c";
+    let twin = "MATCH (a:Account) WHERE a.shard = 3 RETURN count(*) AS c";
+    let g_chain = measure(&g, chain, &no_params, 1);
+    let g_twin = measure(&g, twin, &no_params, 1);
+    measure(&g, chain, &no_params, 4);
+    assert_eq!(g_chain.0, g_twin.0);
+    assert!(
+        g_chain.1 * 10 <= g_twin.1 * 11,
+        "WITH … WHERE materialises: peak {} vs one-clause {} bytes",
+        g_chain.1,
+        g_twin.1
+    );
+    drop(g);
+
+    let g = powerlaw_social(80_000, 4, 1);
+    let chain = "MATCH (a:Person) WITH a MATCH (a)-[:FOLLOWS]->(b) RETURN count(*) AS c";
+    let twin = "MATCH (a:Person)-[:FOLLOWS]->(b) RETURN count(*) AS c";
+    let g_chain = measure(&g, chain, &no_params, 1);
+    let g_twin = measure(&g, twin, &no_params, 1);
+    measure(&g, chain, &no_params, 4);
+    assert_eq!(g_chain.0, g_twin.0);
+    assert!(g_chain.0 > 0, "the substrate has no follows");
+    assert!(
+        g_chain.1 * 10 <= g_twin.1 * 11,
+        "WITH between MATCHes materialises: peak {} vs one-MATCH {} bytes",
+        g_chain.1,
+        g_twin.1
     );
 }

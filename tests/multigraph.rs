@@ -3,7 +3,7 @@
 //! network, then compose a follow-up query that joins it with a citizen
 //! register.
 
-use cypher::{run_on_catalog, Catalog, MultiResult, Params, PropertyGraph, Value};
+use cypher::{run_on_catalog, run_read, Catalog, MultiResult, Params, PropertyGraph, Value};
 
 /// A social network in which a–b share friend c, and d is isolated; plus a
 /// register assigning cities.
@@ -164,4 +164,65 @@ fn replacing_a_graph_updates_catalog() {
     )
     .unwrap();
     assert_eq!(cat.get("only_a").unwrap().read().node_count(), 4);
+}
+
+/// The catalog path and the single-graph read path run the same clause
+/// loop, so the same query gets the same answer (rows compared as bags)
+/// or the same error text through either.
+#[test]
+fn catalog_and_single_graph_paths_answer_alike() {
+    let mut cat = Catalog::new();
+    for (name, range) in [("g", 0..6), ("h", 10..13)] {
+        let mut g = PropertyGraph::new();
+        for i in range {
+            g.add_node(&["P"], [("i", Value::int(i))]);
+        }
+        cat.register(name, g);
+    }
+    let params = Params::new();
+    let catalog = |cat: &mut Catalog, q: &str| match run_on_catalog(cat, "g", q, &params) {
+        Ok(MultiResult::Table(t)) => Ok(t),
+        Ok(MultiResult::Graph(name)) => panic!("{q} built graph {name}"),
+        Err(e) => Err(e.to_string()),
+    };
+    let (g, h) = (cat.get("g").unwrap(), cat.get("h").unwrap());
+    let read =
+        |graph: &PropertyGraph, q: &str| run_read(graph, q, &params).map_err(|e| e.to_string());
+    for q in [
+        "RETURN *",
+        "MATCH (a:P) RETURN a.i AS i UNION MATCH (a:P) RETURN a.i AS i",
+        "MATCH (a:P) WITH a.i % 2 AS k, count(*) AS c \
+         MATCH (b:P) WHERE b.i % 2 = k RETURN k, c, b.i AS i",
+    ] {
+        match (catalog(&mut cat, q), read(&g.read(), q)) {
+            (Ok(c), Ok(r)) => assert!(c.bag_eq(&r), "{q}\ncatalog:\n{c}\nread:\n{r}"),
+            (Err(c), Err(r)) => assert_eq!(c, r, "{q}"),
+            (c, r) => panic!("{q}: catalog {c:?}, read {r:?}"),
+        }
+    }
+
+    // Each `FROM GRAPH` branch reads its own graph.
+    let both = catalog(
+        &mut cat,
+        "FROM GRAPH g MATCH (a:P) RETURN a.i AS i \
+         UNION ALL FROM GRAPH h MATCH (a:P) RETURN a.i AS i",
+    )
+    .unwrap();
+    let branch = "MATCH (a:P) RETURN a.i AS i";
+    let apart = read(&g.read(), branch)
+        .unwrap()
+        .bag_union(read(&h.read(), branch).unwrap());
+    assert!(both.bag_eq(&apart), "catalog:\n{both}\nbranches:\n{apart}");
+
+    let err = catalog(
+        &mut cat,
+        "MATCH (a:P) RETURN GRAPH loops OF (a)-[:SELF]->(a) \
+         UNION MATCH (a:P) RETURN a.i AS i",
+    )
+    .unwrap_err();
+    assert!(
+        err.contains("RETURN GRAPH cannot be combined with UNION"),
+        "{err}"
+    );
+    assert!(!cat.contains("loops"));
 }

@@ -231,6 +231,50 @@ fn explain_and_profile_name_the_same_sink() {
     assert!(report.text.contains(&sink.operator), "{}", report.text);
 }
 
+/// A chain of streamable clauses is one segment: `PROFILE` measures one
+/// pipeline whose operators cover both `MATCH` plans and the `WITH`
+/// projection and end in the sink, and `EXPLAIN` renders the same block.
+#[test]
+fn a_streamed_chain_profiles_as_one_segment() {
+    let db = Database::open_with(mem_cfg().with_partial_agg(PartialAggMode::Auto)).expect("open");
+    seed(&db, 300);
+    let q = "MATCH (p:P) WITH p MATCH (p)-[:R]->(q) RETURN count(*) AS c";
+    let report = db.profile(q, &Params::new()).expect("profiled run");
+    assert_eq!(report.result.cell(0, "c"), Some(&Value::int(300)));
+    let [segment] = report.profile.clauses.as_slice() else {
+        panic!("one segment: {}", report.text)
+    };
+    assert_eq!(segment.label, "MATCH WITH MATCH");
+    let ops: Vec<&str> = segment
+        .operators
+        .iter()
+        .map(|op| op.operator.as_str())
+        .collect();
+    assert_eq!(
+        ops,
+        [
+            "NodeIndexScan(p:P)",
+            "Project(p)",
+            "Argument(p)",
+            "Expand(p)->[ anon0:R](q)",
+            "PartialAggregate(keys=[], aggs=[count(*)])",
+        ],
+        "{}",
+        report.text
+    );
+    assert!(
+        segment.operators.iter().all(|op| op.rows == 300),
+        "{}",
+        report.text
+    );
+    let plan = db.explain(q).expect("explain");
+    assert_eq!(plan.matches(" plan:").count(), 1, "{plan}");
+    assert!(
+        plan.contains("MATCH WITH MATCH plan:") && plan.contains(" Project(p)"),
+        "{plan}"
+    );
+}
+
 /// `PROFILE` is read-only: an update under it must refuse rather than
 /// commit as a side effect of being observed. The prefix itself is
 /// accepted and stripped by [`Database::profile`].
