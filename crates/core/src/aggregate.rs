@@ -224,10 +224,8 @@ impl ExactFloatSum {
             if !self.pos_sat && !grow_expansion(&mut self.pos, x) {
                 self.pos_sat = true;
             }
-        } else if x < 0.0 {
-            if !self.neg_sat && !grow_expansion(&mut self.neg, x) {
-                self.neg_sat = true;
-            }
+        } else if x < 0.0 && !self.neg_sat && !grow_expansion(&mut self.neg, x) {
+            self.neg_sat = true;
         }
         // x == ±0.0 contributes nothing.
     }

@@ -218,7 +218,7 @@ pub fn apply_projection(
     let mut sources: Vec<Record> = Vec::new();
 
     if plan.is_aggregating() {
-        let mut state = GroupedAggState::new(true);
+        let mut state = GroupedAggState::default();
         for u in table.rows() {
             state.feed(ctx, &plan, &schema, u)?;
         }
@@ -234,7 +234,7 @@ pub fn apply_projection(
     } else if ret.distinct {
         // A DISTINCT projection is grouping by every item with no
         // aggregates: first occurrence kept, original row order preserved.
-        let mut state = GroupedAggState::new(false);
+        let mut state = GroupedAggState::default();
         for u in table.rows() {
             state.feed(ctx, &plan, &schema, u)?;
         }

@@ -20,8 +20,8 @@ use crate::table::{Record, Schema, Table};
 use crate::{EvalContext, Params};
 use cypher_ast::expr::Expr;
 use cypher_ast::query::{Return, ReturnItem, SortItem};
+use cypher_graph::fxhash::{FxHashMap, FxHasher};
 use cypher_graph::Symbol;
-use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -184,6 +184,12 @@ pub struct ProjectionPlan {
     specs: Vec<AggSpec>,
     out_schema: Arc<Schema>,
     any_agg: bool,
+    /// Whether each group keeps its first source row, cloned once when
+    /// the group is created. Only where the projection reads it: an
+    /// aggregated item that is not a bare aggregate (`a.v + count(*)`)
+    /// evaluates over it, and so does an `ORDER BY` key that is not an
+    /// output column (when no `DISTINCT` drops the pre-projection scope).
+    keep_repr: bool,
 }
 
 impl ProjectionPlan {
@@ -227,12 +233,22 @@ impl ProjectionPlan {
             });
         }
         let out_schema = Schema::new(proj.iter().map(|p| p.name.clone()).collect());
-        Ok(ProjectionPlan {
+        // An `ORDER BY` key that is not an output column falls through to
+        // the pre-projection scope, unless `DISTINCT` drops that scope.
+        let sorts_on_source = !ret.distinct
+            && ret
+                .order_by
+                .iter()
+                .any(|s| !matches!(&s.expr, Expr::Var(n) if out_schema.contains(n)));
+        let mut plan = ProjectionPlan {
             items: proj,
             specs,
             out_schema,
             any_agg,
-        })
+            keep_repr: false,
+        };
+        plan.keep_repr = any_agg && (sorts_on_source || !plan.aggregated_items_are_bare());
+        Ok(plan)
     }
 
     /// True when any item contains an aggregate (the projection groups).
@@ -302,6 +318,14 @@ impl ProjectionPlan {
             .all(|p| matches!(&p.expr, Expr::Param(name) if name.starts_with(" agg ")))
     }
 
+    /// One empty aggregator per aggregate call: a new group's.
+    fn fresh_aggs(&self) -> Vec<Aggregator> {
+        self.specs
+            .iter()
+            .map(|s| Aggregator::new(s.kind, s.distinct))
+            .collect()
+    }
+
     /// Evaluates the non-aggregated projection of one row with the
     /// generic evaluator: the reference path
     /// ([`crate::clauses::apply_projection`]) that a
@@ -320,41 +344,27 @@ impl ProjectionPlan {
         Ok(Record::new(out))
     }
 
-    /// Binds the items to an input schema and to `ctx`'s snapshot, once
-    /// for many rows: `x` becomes a column, `x.k` a column plus the
-    /// interned key. The result projects rows without per-row name
-    /// lookups or key hashing (the engine's plain-projection and top-k
-    /// sinks).
+    /// Binds the items, and every aggregate's arguments, to an input
+    /// schema and to `ctx`'s snapshot, once for many rows: `x` becomes a
+    /// column, `x.k` a column plus the interned key. The result projects
+    /// and folds rows without per-row name lookups or key hashing (the
+    /// engine's projecting sinks).
     pub fn bind<'a>(&'a self, ctx: &EvalContext<'_>, schema: &'a Schema) -> BoundProjection<'a> {
-        let items = self
-            .items
-            .iter()
-            .map(|p| {
-                let (var, key) = match &p.expr {
-                    Expr::Var(x) => (x, None),
-                    Expr::Prop(base, k) => match &**base {
-                        Expr::Var(x) => (x, Some(k)),
-                        _ => return BoundItem::Eval,
-                    },
-                    _ => return BoundItem::Eval,
-                };
-                match (schema.index_of(var), key) {
-                    (Some(col), None) => BoundItem::Column(col),
-                    (Some(col), Some(k)) => BoundItem::Prop(col, ctx.graph.interner().get(k)),
-                    // Undefined: the evaluator raises the error.
-                    (None, _) => BoundItem::Eval,
-                }
-            })
-            .collect();
+        let bind = |e: &Expr| BoundItem::of(ctx, schema, e);
         BoundProjection {
             plan: self,
             schema,
-            items,
+            items: self.items.iter().map(|p| bind(&p.expr)).collect(),
+            args: self
+                .specs
+                .iter()
+                .map(|s| [&s.arg, &s.aux].map(|e| e.as_ref().map_or(BoundItem::Eval, bind)))
+                .collect(),
         }
     }
 }
 
-/// How one item of a [`BoundProjection`] reads its row.
+/// How one expression of a [`BoundProjection`] reads its row.
 enum BoundItem {
     /// `x`: a copy of the column.
     Column(usize),
@@ -366,12 +376,56 @@ enum BoundItem {
     Eval,
 }
 
+impl BoundItem {
+    fn of(ctx: &EvalContext<'_>, schema: &Schema, e: &Expr) -> BoundItem {
+        let (var, key) = match e {
+            Expr::Var(x) => (x, None),
+            Expr::Prop(base, k) => match &**base {
+                Expr::Var(x) => (x, Some(k)),
+                _ => return BoundItem::Eval,
+            },
+            _ => return BoundItem::Eval,
+        };
+        match (schema.index_of(var), key) {
+            (Some(col), None) => BoundItem::Column(col),
+            (Some(col), Some(k)) => BoundItem::Prop(col, ctx.graph.interner().get(k)),
+            // Undefined: the evaluator raises the error.
+            (None, _) => BoundItem::Eval,
+        }
+    }
+
+    /// `e`, the expression this was bound from, on one row of `schema`;
+    /// equal, value and error alike, to [`eval_expr`].
+    fn eval(
+        &self,
+        ctx: &EvalContext<'_>,
+        schema: &Schema,
+        row: &Record,
+        e: &Expr,
+    ) -> Result<Value, EvalError> {
+        let g = ctx.graph;
+        let prop = match *self {
+            BoundItem::Column(col) => return Ok(row.get(col).clone()),
+            BoundItem::Prop(col, key) => match row.get(col) {
+                Value::Node(n) => key.and_then(|k| g.node_prop(*n, k)),
+                Value::Rel(r) => key.and_then(|k| g.rel_prop(*r, k)),
+                _ => return eval_expr(ctx, &Bindings::new(schema, row), e),
+            },
+            BoundItem::Eval => return eval_expr(ctx, &Bindings::new(schema, row), e),
+        };
+        Ok(prop.cloned().unwrap_or(Value::Null))
+    }
+}
+
 /// A [`ProjectionPlan`] bound to one input schema and snapshot
 /// ([`ProjectionPlan::bind`]).
 pub struct BoundProjection<'a> {
     plan: &'a ProjectionPlan,
     schema: &'a Schema,
+    /// One per item.
     items: Vec<BoundItem>,
+    /// One `[argument, second argument]` pair per aggregate call.
+    args: Vec<[BoundItem; 2]>,
 }
 
 impl BoundProjection<'_> {
@@ -379,20 +433,9 @@ impl BoundProjection<'_> {
     /// schema; equal, value and error alike, to
     /// [`ProjectionPlan::project_row`].
     pub fn project_row(&self, ctx: &EvalContext<'_>, row: &Record) -> Result<Record, EvalError> {
-        let g = ctx.graph;
-        let eval = |e: &Expr| eval_expr(ctx, &Bindings::new(self.schema, row), e);
         let mut out = Vec::with_capacity(self.items.len());
         for (item, p) in self.items.iter().zip(&self.plan.items) {
-            out.push(match *item {
-                BoundItem::Column(col) => row.get(col).clone(),
-                BoundItem::Prop(col, key) => match row.get(col) {
-                    Value::Node(n) => key.and_then(|k| g.node_prop(*n, k)).cloned(),
-                    Value::Rel(r) => key.and_then(|k| g.rel_prop(*r, k)).cloned(),
-                    _ => Some(eval(&p.expr)?),
-                }
-                .unwrap_or(Value::Null),
-                BoundItem::Eval => eval(&p.expr)?,
-            });
+            out.push(item.eval(ctx, self.schema, row, &p.expr)?);
         }
         Ok(Record::new(out))
     }
@@ -405,8 +448,8 @@ impl BoundProjection<'_> {
 struct Group {
     key: Vec<Value>,
     aggs: Vec<Aggregator>,
-    /// The group's first source row (`None` for key-only/distinct states
-    /// that will never need a pre-projection scope).
+    /// The group's first source row (`None` unless the projection reads
+    /// it: see `ProjectionPlan::keep_repr`).
     repr: Option<Record>,
     /// Rows currently folded in. A group retracted down to zero becomes a
     /// tombstone: it keeps its slot (bucket entries index into `groups`)
@@ -427,32 +470,23 @@ use cypher_graph::Value;
 /// the state degenerates to ordered duplicate elimination — exactly the
 /// semantics of a `DISTINCT` projection (first occurrence kept, original
 /// row order preserved).
+///
+/// Folding a row into an existing group allocates nothing: the key is
+/// evaluated into a buffer the state reuses and probed by slice, and it
+/// is copied, with the representative row, only into a new group.
+#[derive(Default)]
 pub struct GroupedAggState {
     groups: Vec<Group>,
-    buckets: HashMap<u64, Vec<usize>>,
+    buckets: FxHashMap<u64, Vec<usize>>,
     /// Tombstones in `groups`.
     dead: usize,
-    /// Keep per-group representative source rows (needed only when an
-    /// `ORDER BY` may reference the pre-projection scope).
-    keep_repr: bool,
+    /// The grouping key of the row being folded.
+    key: Vec<Value>,
 }
 
 impl GroupedAggState {
-    /// An empty state. `keep_repr` retains each group's first source row
-    /// so `ORDER BY` can reference non-projected variables; pass `false`
-    /// for `DISTINCT` projections (whose ORDER BY only sees projected
-    /// columns).
-    pub fn new(keep_repr: bool) -> GroupedAggState {
-        GroupedAggState {
-            groups: Vec::new(),
-            buckets: HashMap::new(),
-            dead: 0,
-            keep_repr,
-        }
-    }
-
     fn key_hash(key: &[Value]) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        let mut hasher = FxHasher::default();
         for k in key {
             k.hash_equivalent(&mut hasher);
         }
@@ -470,27 +504,9 @@ impl GroupedAggState {
         })
     }
 
-    fn group_index(
-        &mut self,
-        key: Vec<Value>,
-        plan: &ProjectionPlan,
-        repr: Option<Record>,
-    ) -> usize {
-        if let Some(gi) = self.find_live(&key) {
-            return gi;
-        }
-        let h = Self::key_hash(&key);
-        let aggs = plan
-            .specs
-            .iter()
-            .map(|s| Aggregator::new(s.kind, s.distinct))
-            .collect();
-        self.groups.push(Group {
-            key,
-            aggs,
-            repr,
-            live: 0,
-        });
+    fn push_group(&mut self, group: Group) -> usize {
+        let h = Self::key_hash(&group.key);
+        self.groups.push(group);
         self.buckets
             .entry(h)
             .or_default()
@@ -498,8 +514,29 @@ impl GroupedAggState {
         self.groups.len() - 1
     }
 
-    /// Folds one source row in: evaluates the grouping keys, finds or
-    /// creates the group, and feeds every aggregator.
+    /// Evaluates the grouping key of `row` into the reusable buffer,
+    /// through `bound` or (`None`) with the generic evaluator.
+    fn eval_key(
+        &mut self,
+        ctx: &EvalContext<'_>,
+        plan: &ProjectionPlan,
+        schema: &Schema,
+        row: &Record,
+        bound: Option<&BoundProjection<'_>>,
+    ) -> Result<(), EvalError> {
+        self.key.clear();
+        for (i, p) in plan.items.iter().enumerate() {
+            if !p.aggregated {
+                let item = bound.map_or(&BoundItem::Eval, |b| &b.items[i]);
+                self.key.push(item.eval(ctx, schema, row, &p.expr)?);
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds one source row in with the generic evaluator (the reference
+    /// path): evaluates the grouping keys, finds or creates the group,
+    /// and feeds every aggregator.
     pub fn feed(
         &mut self,
         ctx: &EvalContext<'_>,
@@ -507,28 +544,48 @@ impl GroupedAggState {
         schema: &Schema,
         row: &Record,
     ) -> Result<(), EvalError> {
-        let b = Bindings::new(schema, row);
-        let mut key = Vec::with_capacity(plan.items.len());
-        for p in plan.items.iter().filter(|p| !p.aggregated) {
-            key.push(eval_expr(ctx, &b, &p.expr)?);
-        }
-        let repr = if self.keep_repr {
-            Some(row.clone())
-        } else {
-            None
+        self.fold(ctx, plan, schema, row, None)
+    }
+
+    /// [`GroupedAggState::feed`] through a binding of the plan: the same
+    /// fold, value and error alike, without per-row name lookups.
+    pub fn feed_bound(
+        &mut self,
+        ctx: &EvalContext<'_>,
+        bound: &BoundProjection<'_>,
+        row: &Record,
+    ) -> Result<(), EvalError> {
+        self.fold(ctx, bound.plan, bound.schema, row, Some(bound))
+    }
+
+    fn fold(
+        &mut self,
+        ctx: &EvalContext<'_>,
+        plan: &ProjectionPlan,
+        schema: &Schema,
+        row: &Record,
+        bound: Option<&BoundProjection<'_>>,
+    ) -> Result<(), EvalError> {
+        self.eval_key(ctx, plan, schema, row, bound)?;
+        let gi = match self.find_live(&self.key) {
+            Some(gi) => gi,
+            None => self.push_group(Group {
+                key: self.key.clone(),
+                aggs: plan.fresh_aggs(),
+                repr: plan.keep_repr.then(|| row.clone()),
+                live: 0,
+            }),
         };
-        let gi = self.group_index(key, plan, repr);
         let group = &mut self.groups[gi];
         group.live += 1;
-        for (agg, spec) in group.aggs.iter_mut().zip(&plan.specs) {
-            let v = match &spec.arg {
-                Some(argexpr) => eval_expr(ctx, &Bindings::new(schema, row), argexpr)?,
+        for (i, (agg, spec)) in group.aggs.iter_mut().zip(&plan.specs).enumerate() {
+            let [arg, aux] = bound.map_or(&[BoundItem::Eval, BoundItem::Eval], |b| &b.args[i]);
+            agg.push(match &spec.arg {
+                Some(e) => arg.eval(ctx, schema, row, e)?,
                 None => Value::Null,
-            };
-            agg.push(v);
-            if let Some(aux) = &spec.aux {
-                let av = eval_expr(ctx, &Bindings::new(schema, row), aux)?;
-                agg.push_aux(av);
+            });
+            if let Some(e) = &spec.aux {
+                agg.push_aux(aux.eval(ctx, schema, row, e)?);
             }
         }
         Ok(())
@@ -552,12 +609,8 @@ impl GroupedAggState {
         schema: &Schema,
         row: &Record,
     ) -> Result<bool, EvalError> {
-        let b = Bindings::new(schema, row);
-        let mut key = Vec::with_capacity(plan.items.len());
-        for p in plan.items.iter().filter(|p| !p.aggregated) {
-            key.push(eval_expr(ctx, &b, &p.expr)?);
-        }
-        let Some(gi) = self.find_live(&key) else {
+        self.eval_key(ctx, plan, schema, row, None)?;
+        let Some(gi) = self.find_live(&self.key) else {
             return Ok(false);
         };
         let group = &mut self.groups[gi];
@@ -595,21 +648,20 @@ impl GroupedAggState {
     /// creation order, representative rows and every aggregator reproduce
     /// the row-order fold, so merging states in morsel order yields the
     /// bit-identical sequential result.
-    pub fn merge(&mut self, other: GroupedAggState, plan: &ProjectionPlan) {
+    pub fn merge(&mut self, other: GroupedAggState) {
         for g in other.groups {
             if g.live == 0 {
                 // Tombstoned in the sibling: nothing left to contribute.
                 continue;
             }
-            let gi = self.group_index(g.key, plan, g.repr);
+            let Some(gi) = self.find_live(&g.key) else {
+                self.push_group(g);
+                continue;
+            };
             let group = &mut self.groups[gi];
             group.live += g.live;
-            if group.aggs.is_empty() {
-                group.aggs = g.aggs;
-            } else {
-                for (mine, theirs) in group.aggs.iter_mut().zip(g.aggs) {
-                    mine.merge(theirs);
-                }
+            for (mine, theirs) in group.aggs.iter_mut().zip(g.aggs) {
+                mine.merge(theirs);
             }
         }
     }
@@ -629,14 +681,9 @@ impl GroupedAggState {
         let has_keys = plan.items.iter().any(|p| !p.aggregated);
         let any_live = self.groups.iter().any(|g| g.live > 0);
         if !any_live && !has_keys && plan.any_agg {
-            let aggs = plan
-                .specs
-                .iter()
-                .map(|s| Aggregator::new(s.kind, s.distinct))
-                .collect();
             self.groups.push(Group {
                 key: Vec::new(),
-                aggs,
+                aggs: plan.fresh_aggs(),
                 repr: None,
                 live: 1,
             });
@@ -704,7 +751,7 @@ impl GroupedAggState {
                 });
             }
             out.push(row);
-            if self.keep_repr {
+            if plan.keep_repr {
                 sources.push(if repr_ok {
                     group.repr.unwrap()
                 } else {
@@ -738,9 +785,7 @@ impl GroupedAggState {
                     live: g.live,
                 })
                 .collect(),
-            buckets: HashMap::new(),
-            dead: 0,
-            keep_repr: false,
+            ..GroupedAggState::default()
         };
         let (out, _) = snapshot.finalize(ctx, plan, src_schema)?;
         Ok(out)
@@ -828,7 +873,7 @@ impl TopKState {
             let matches = e.keys.len() == keys.len()
                 && e.keys.iter().zip(keys).all(|(a, b)| a.equivalent(b))
                 && e.row.equivalent(row);
-            if matches && best.map_or(true, |b| self.heap[b].seq < e.seq) {
+            if matches && best.is_none_or(|b| self.heap[b].seq < e.seq) {
                 best = Some(i);
             }
         }
@@ -1022,9 +1067,18 @@ mod tests {
         assert!(ProjectionPlan::compile(&star, &empty).is_err());
     }
 
+    fn shape(item: &BoundItem) -> &'static str {
+        match item {
+            BoundItem::Column(_) => "column",
+            BoundItem::Prop(..) => "prop",
+            BoundItem::Eval => "eval",
+        }
+    }
+
     /// The bound fast paths equal the generic evaluator (what
-    /// `ProjectionPlan::project_row` runs), value and error text alike,
-    /// on every shape a column can hold.
+    /// `ProjectionPlan::project_row` and `GroupedAggState::feed` run),
+    /// value and error text alike, on every shape a column can hold: as a
+    /// projected item, as a grouping key and as an aggregate's argument.
     #[test]
     fn bound_projection_matches_eval_expr() {
         let mut g = PropertyGraph::new();
@@ -1063,16 +1117,11 @@ mod tests {
             ("q.name", "eval"),
             ("t.nowhere", "prop"),
         ];
-        for (src, shape) in cases {
+        for (src, want) in cases {
             let plan =
                 ProjectionPlan::compile(&ret_of(&format!("RETURN {src} AS c")), &schema).unwrap();
             let bound = plan.bind(&ctx, &schema);
-            let got = match bound.items[0] {
-                BoundItem::Column(_) => "column",
-                BoundItem::Prop(..) => "prop",
-                BoundItem::Eval => "eval",
-            };
-            assert_eq!(got, shape, "{src} binds as");
+            assert_eq!(shape(&bound.items[0]), want, "{src} binds as");
             let fast = bound.project_row(&ctx, &row);
             let slow = eval(src, &Bindings::new(&schema, &row));
             match (fast, slow) {
@@ -1080,6 +1129,67 @@ mod tests {
                 (Err(e1), Err(e2)) => assert_eq!(e1, e2, "{src}"),
                 (fast, slow) => panic!("{src}: bound {fast:?}, generic {slow:?}"),
             }
+        }
+
+        // Folds `ret` over the row twice (a new group, then a hit), bound
+        // and generic, and compares the finished tables or errors.
+        let fold_both = |ret: &str, check: &dyn Fn(&BoundProjection<'_>)| {
+            let plan = ProjectionPlan::compile(&ret_of(ret), &schema).unwrap();
+            let bound = plan.bind(&ctx, &schema);
+            check(&bound);
+            let (mut fast, mut slow) = (GroupedAggState::default(), GroupedAggState::default());
+            let run = |st: &mut GroupedAggState, bound: Option<&BoundProjection<'_>>| {
+                for _ in 0..2 {
+                    match bound {
+                        Some(b) => st.feed_bound(&ctx, b, &row)?,
+                        None => st.feed(&ctx, &plan, &schema, &row)?,
+                    }
+                }
+                Ok::<_, EvalError>(())
+            };
+            let fast =
+                run(&mut fast, Some(&bound)).and_then(|()| fast.finalize(&ctx, &plan, &schema));
+            let slow = run(&mut slow, None).and_then(|()| slow.finalize(&ctx, &plan, &schema));
+            match (fast, slow) {
+                (Ok((t1, _)), Ok((t2, _))) => {
+                    assert_eq!(
+                        format!("{:?}", t1.rows()),
+                        format!("{:?}", t2.rows()),
+                        "{ret}"
+                    )
+                }
+                (Err(e1), Err(e2)) => assert_eq!(e1, e2, "{ret}"),
+                (fast, slow) => panic!("{ret}: bound {fast:?}, generic {slow:?}"),
+            }
+        };
+        for (src, want) in cases {
+            fold_both(&format!("RETURN {src} AS k, count(*) AS c"), &|b| {
+                assert_eq!(shape(&b.items[0]), want, "key {src} binds as")
+            });
+        }
+        let args = [
+            ("collect(n.name)", "prop", "eval"),
+            ("sum(r.since)", "prop", "eval"),
+            ("collect(n.nowhere)", "prop", "eval"),
+            ("count(z)", "column", "eval"),
+            ("collect(z.name)", "prop", "eval"),
+            ("collect(m)", "column", "eval"),
+            ("collect(m.name)", "prop", "eval"),
+            ("count(q)", "eval", "eval"),
+            // A string cannot be summed: the error surfaces at finish.
+            ("sum(n.name)", "prop", "eval"),
+            ("avg(m)", "column", "eval"),
+            ("percentileCont(r.since, 0.5)", "prop", "eval"),
+            ("percentileCont(r.since, m.k)", "prop", "prop"),
+            ("percentileDisc(r.since, z)", "prop", "column"),
+            ("percentileCont(r.since, n.name)", "prop", "prop"),
+            ("percentileCont(r.since, n.nowhere)", "prop", "prop"),
+        ];
+        for (call, arg, aux) in args {
+            fold_both(&format!("RETURN n.name AS k, {call} AS a"), &|b| {
+                let [a, x] = &b.args[0];
+                assert_eq!((shape(a), shape(x)), (arg, aux), "{call} binds as")
+            });
         }
     }
 
@@ -1102,20 +1212,20 @@ mod tests {
         let schema = table.schema().clone();
         let plan = ProjectionPlan::compile(&ret, &schema).unwrap();
 
-        let mut whole = GroupedAggState::new(true);
+        let mut whole = GroupedAggState::default();
         for r in table.rows() {
             whole.feed(&ctx, &plan, &schema, r).unwrap();
         }
         let (base, _) = whole.finalize(&ctx, &plan, &schema).unwrap();
 
         for chunk in [1usize, 2, 3] {
-            let mut acc = GroupedAggState::new(true);
+            let mut acc = GroupedAggState::default();
             for part in table.rows().chunks(chunk) {
-                let mut s = GroupedAggState::new(true);
+                let mut s = GroupedAggState::default();
                 for r in part {
                     s.feed(&ctx, &plan, &schema, r).unwrap();
                 }
-                acc.merge(s, &plan);
+                acc.merge(s);
             }
             let (merged, _) = acc.finalize(&ctx, &plan, &schema).unwrap();
             assert!(
@@ -1134,7 +1244,7 @@ mod tests {
         let schema = Schema::new(vec!["v".into()]);
         let plan = ProjectionPlan::compile(&ret, &schema).unwrap();
         let row = |v: i64| Record::new(vec![Value::int(v)]);
-        let mut st = GroupedAggState::new(true);
+        let mut st = GroupedAggState::default();
         st.feed(&ctx, &plan, &schema, &row(0)).unwrap();
         for i in 0..10_000i64 {
             assert!(st.retract(&ctx, &plan, &schema, &row(i % 2)).unwrap());
@@ -1158,7 +1268,7 @@ mod tests {
         let ret = ret_of("RETURN count(*) AS c");
         let schema = Schema::new(vec!["n".into()]);
         let plan = ProjectionPlan::compile(&ret, &schema).unwrap();
-        let st = GroupedAggState::new(true);
+        let st = GroupedAggState::default();
         let (out, _) = st.finalize(&ctx, &plan, &schema).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.cell(0, "c"), Some(&Value::int(0)));

@@ -180,7 +180,7 @@ impl Fold {
     /// Empties the state and folds in every row of `ctx`'s graph.
     fn rebuild(&mut self, ctx: &EvalContext<'_>, cfg: &EngineConfig) -> Result<(), EvalError> {
         match &mut self.state {
-            FoldState::Agg(state) => *state = GroupedAggState::new(false),
+            FoldState::Agg(state) => *state = GroupedAggState::default(),
             FoldState::Rows(bag) => bag.clear(),
         }
         for row in self.delta.all_rows(ctx, cfg)? {
@@ -490,7 +490,7 @@ impl ViewEntry {
             {
                 return None;
             }
-            FoldState::Agg(GroupedAggState::new(false))
+            FoldState::Agg(GroupedAggState::default())
         } else {
             FoldState::Rows(CountedBag::default())
         };

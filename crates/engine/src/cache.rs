@@ -28,12 +28,15 @@ use std::sync::{Arc, Mutex};
 /// Where in a query a `MATCH` clause sits: `(union branch, clause index)`.
 pub(crate) type MemoSite = (usize, usize);
 
+/// The memoized plans, by site and driving fields.
+type MemoSlots = HashMap<(MemoSite, Vec<String>), Arc<PlannedMatch>>;
+
 /// A per-query cache of compiled `MATCH` plans. Cheap to create; shared
 /// behind an `Arc` by `cypher::Database`'s LRU entry and every execution
 /// of the cached query.
 #[derive(Debug, Default)]
 pub struct PlanMemo {
-    slots: Mutex<HashMap<(MemoSite, Vec<String>), Arc<PlannedMatch>>>,
+    slots: Mutex<MemoSlots>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
 }

@@ -158,8 +158,8 @@ impl Sink for Fold<'_> {
     const EVALUATES: bool = true;
 
     fn partial(&self, _schema: &Arc<Schema>) -> GroupedAggState {
-        // Aggregation keeps each group's representative row for ORDER BY.
-        GroupedAggState::new(self.0.plan.is_aggregating())
+        // Whether groups keep a representative row is the plan's to say.
+        GroupedAggState::default()
     }
 
     fn feed(
@@ -169,8 +169,9 @@ impl Sink for Fold<'_> {
         part: &mut GroupedAggState,
         batch: RowBatch,
     ) -> Result<(), EvalError> {
+        let bound = self.0.plan.bind(ctx, schema);
         for row in batch.rows() {
-            part.feed(ctx, &self.0.plan, schema, row)?;
+            part.feed_bound(ctx, &bound, row)?;
         }
         Ok(())
     }
@@ -185,20 +186,14 @@ impl Sink for Fold<'_> {
     ) -> Result<Table, EvalError> {
         let Projection { plan, ret, .. } = &self.0;
         let mut acc = parts.next().expect("a run has at least one morsel");
-        for st in parts {
-            acc.merge(st, plan);
-        }
+        parts.for_each(|st| acc.merge(st));
         let (mut out, mut sources) = acc.finalize(ctx, plan, schema)?;
         if ret.distinct && plan.is_aggregating() {
             out = out.dedup();
             sources.clear();
         }
         if !ret.order_by.is_empty() {
-            let src = if sources.is_empty() {
-                None
-            } else {
-                Some((schema.clone(), sources))
-            };
+            let src = (!sources.is_empty()).then(|| (schema.clone(), sources));
             out = apply_order_by_scoped(ctx, &ret.order_by, out, src)?;
         }
         self.0.bounded(out)

@@ -267,12 +267,9 @@ pub fn intersect_nodes(lists: &[&[Neighbor]], out: &mut Vec<NodeId>) -> u64 {
         return probes;
     }
     let mut pos = vec![0usize; lists.len()];
-    'outer: loop {
-        // The current frontier: the maximum of the lists' current nodes.
-        let mut target = match lists[0].get(pos[0]) {
-            Some(e) => e.node,
-            None => break,
-        };
+    // The current frontier: the maximum of the lists' current nodes.
+    'outer: while let Some(first) = lists[0].get(pos[0]) {
+        let mut target = first.node;
         loop {
             let mut all_equal = true;
             for (i, list) in lists.iter().enumerate() {

@@ -110,7 +110,7 @@ impl<T: Clone> CowSlots<T> {
     /// Appends a live slot, returning its index.
     pub(crate) fn push(&mut self, v: T) -> usize {
         let i = self.len;
-        if i % CHUNK == 0 {
+        if i.is_multiple_of(CHUNK) {
             let mut fresh = Vec::with_capacity(CHUNK);
             fresh.push(Some(Arc::new(v)));
             self.chunks.push(Arc::new(fresh));

@@ -33,6 +33,12 @@ const CORPUS: &[&str] = &[
     "MATCH (a) WHERE NOT (a)-[:X]->() RETURN a.i",
     "MATCH (a) RETURN DISTINCT a.v AS v ORDER BY v",
     "MATCH (a) RETURN a.v AS v, count(*) AS c ORDER BY v, c",
+    // A group keeps its first source row only where it is read: by an
+    // aggregated item that is not bare, or by a sort key that is not an
+    // output column (and never after DISTINCT).
+    "MATCH (a) RETURN a.v AS g, a.v + count(*) AS x ORDER BY g",
+    "MATCH (a) RETURN a.v AS g, count(*) AS c ORDER BY a.i DESC",
+    "MATCH (a) RETURN DISTINCT a.v AS g ORDER BY g DESC",
     "MATCH (a)-[:X]->(b) WITH a, count(b) AS deg WHERE deg > 1 RETURN a.i, deg",
     "MATCH (a) WITH a.v AS v, collect(a.i) AS is RETURN v, size(is) AS n ORDER BY v",
     "MATCH (a) RETURN sum(a.v) AS s, min(a.v) AS lo, max(a.v) AS hi, avg(a.v) AS mean",

@@ -203,14 +203,9 @@ fn seeks_and_scans_stay_within_their_allocation_budgets() {
     }
 }
 
-/// With the final projection pushed into the pipeline, a group-by's peak
-/// scales with its groups and a top-k's with `k`, never with the rows
-/// entering them. A scan's item list is materialised per source either
-/// way, so a four-row driving table multiplies the same scan fourfold to
-/// separate the row count from the node count.
-#[test]
-fn pushed_down_folds_keep_their_peak_flat_in_the_input_rows() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+/// `NODES` `:R` nodes with an 8-way `v` and a unique `u`, plus four `:K`
+/// nodes.
+fn grouping_graph() -> PropertyGraph {
     let mut g = PropertyGraph::new();
     for i in 0..NODES {
         g.add_node(
@@ -224,6 +219,46 @@ fn pushed_down_folds_keep_their_peak_flat_in_the_input_rows() {
     for i in 0..4 {
         g.add_node(&["K"], [("i", Value::int(i))]);
     }
+    g
+}
+
+/// A grouped fold allocates nothing per row that joins an existing group:
+/// the key is probed from a reused buffer and, like the representative
+/// row, copied only into a new group. What is left per input row is the
+/// scan's record (a plain projection adds its output row on top).
+#[test]
+fn grouped_folds_allocate_only_the_scanned_row() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = grouping_graph();
+    let per_row = |q: &str| {
+        let (out, heap) = heap_of(|| run(&g, q, &cfg(1)));
+        assert!(!out.is_empty(), "{q}");
+        heap.allocations as f64 / NODES as f64
+    };
+    let map = per_row("MATCH (n:R) RETURN n.v AS g");
+    for q in [
+        "MATCH (n:R) RETURN n.v AS g, count(*) AS c, sum(n.u) AS s",
+        "MATCH (n:R) RETURN n.v AS g, count(*) AS c, sum(n.u) AS s ORDER BY g",
+    ] {
+        let fold = per_row(q);
+        println!("allocations per input row: fold {fold:.2}, plain projection {map:.2}: {q}");
+        assert!(
+            fold < 1.1,
+            "grouped fold allocation budget blown: {fold:.2} per row \
+             (a per-row key or source-row copy is back?): {q}"
+        );
+    }
+}
+
+/// With the final projection pushed into the pipeline, a group-by's peak
+/// scales with its groups and a top-k's with `k`, never with the rows
+/// entering them. A scan's item list is materialised per source either
+/// way, so a four-row driving table multiplies the same scan fourfold to
+/// separate the row count from the node count.
+#[test]
+fn pushed_down_folds_keep_their_peak_flat_in_the_input_rows() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = grouping_graph();
     let baseline = cfg(1).with_partial_agg(PartialAggMode::Off);
     let peak = |q: &str, c: &EngineConfig| heap_of(|| run(&g, q, c)).1.peak_bytes;
 

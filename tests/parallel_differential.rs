@@ -212,6 +212,27 @@ fn generated_queries_agree_after_graph_mutations() {
     }
 }
 
+/// Grouped projections whose groups keep their first source row (a
+/// non-bare aggregated item, a sort key outside the output columns) and
+/// one whose groups do not (`DISTINCT`): the representative row must be
+/// the sequential fold's at every thread count and morsel size.
+const REPRESENTATIVE_ROWS: &[&str] = &[
+    "MATCH (a) RETURN a.v AS g, a.v + count(*) AS x ORDER BY g",
+    "MATCH (a) RETURN a.v AS g, count(*) AS c ORDER BY a.i DESC",
+    "MATCH (a) RETURN DISTINCT a.v AS g ORDER BY g DESC",
+];
+
+#[test]
+fn representative_rows_agree_across_pushdown_configs() {
+    let params = Params::new();
+    for seed in 0..4u64 {
+        let g = random_graph(22, 40, &["A", "B"], &["X", "Y"], 300 + seed);
+        for q in REPRESENTATIVE_ROWS {
+            assert!(!check_aggregate_query(&g, q, &params).is_empty(), "{q}");
+        }
+    }
+}
+
 /// Chains of `MATCH`, plain `WITH`, `WHERE` and `UNWIND` run as one
 /// segment of the morsel driver; their rows must keep the sequential
 /// order at every thread count and morsel size.

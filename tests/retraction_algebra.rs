@@ -135,10 +135,10 @@ fn fold_grouped(
     include_extras: bool,
 ) -> GroupedAggState {
     let schema = src_schema();
-    let mut states = vec![GroupedAggState::new(false)];
+    let mut states = vec![GroupedAggState::default()];
     for (i, (extra, g, n)) in rows.iter().enumerate() {
         if splits.get(i).copied().unwrap_or(false) {
-            states.push(GroupedAggState::new(false));
+            states.push(GroupedAggState::default());
         }
         if *extra && !include_extras {
             continue;
@@ -152,7 +152,7 @@ fn fold_grouped(
     let mut it = states.into_iter();
     let mut acc = it.next().unwrap();
     for s in it {
-        acc.merge(s, plan);
+        acc.merge(s);
     }
     acc
 }
