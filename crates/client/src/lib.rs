@@ -368,7 +368,7 @@ pub struct Subscription {
 impl Subscription {
     /// Blocks for the next change frame. `Ok(None)` means the stream
     /// ended cleanly (the view was dropped or the server stopped).
-    pub fn next(&mut self) -> Result<Option<ViewChangeFrame>, ClientError> {
+    pub fn next_frame(&mut self) -> Result<Option<ViewChangeFrame>, ClientError> {
         self.reader
             .get_ref()
             .set_read_timeout(None)

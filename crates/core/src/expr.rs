@@ -10,7 +10,7 @@
 use crate::error::{err, EvalError};
 use crate::functions::apply_function;
 use crate::matching;
-use crate::table::{Record, Schema};
+use crate::table::{Record, RowBatch, Schema};
 use crate::EvalContext;
 use cypher_ast::expr::{is_aggregate_fn, ArithOp, CmpOp, Expr, Literal, Quantifier};
 use cypher_graph::{Temporal, Tri, Value};
@@ -41,6 +41,43 @@ impl<'a> Bindings<'a> {
 impl VarLookup for Bindings<'_> {
     fn lookup(&self, name: &str) -> Option<Value> {
         self.schema.index_of(name).map(|i| self.row.get(i).clone())
+    }
+}
+
+/// One row of a [`RowBatch`] viewed through its schema: the assignment
+/// the engine's column-at-a-time operators evaluate under.
+pub struct ColumnBindings<'a> {
+    /// Field names.
+    pub schema: &'a Schema,
+    /// The rows, one column per field.
+    pub batch: &'a RowBatch,
+    /// The row.
+    pub row: usize,
+}
+
+impl ColumnBindings<'_> {
+    /// The row as a record (a row leaving the columns).
+    pub fn record(&self) -> Record {
+        let cols = self.batch.columns();
+        Record::new(cols.iter().map(|c| c[self.row].clone()).collect())
+    }
+}
+
+impl VarLookup for ColumnBindings<'_> {
+    fn lookup(&self, name: &str) -> Option<Value> {
+        let i = self.schema.index_of(name)?;
+        Some(self.batch.at(i, self.row).clone())
+    }
+}
+
+impl RowBatch {
+    /// Row `row` as an assignment over `schema`.
+    pub fn row<'a>(&'a self, schema: &'a Schema, row: usize) -> ColumnBindings<'a> {
+        ColumnBindings {
+            schema,
+            batch: self,
+            row,
+        }
     }
 }
 

@@ -558,7 +558,8 @@ impl<'a> MatchState<'a> {
     }
 }
 
-fn dir_of(d: Dir) -> Direction {
+/// The graph direction a pattern arrow walks.
+pub fn dir_of(d: Dir) -> Direction {
     match d {
         Dir::Out => Direction::Outgoing,
         Dir::In => Direction::Incoming,

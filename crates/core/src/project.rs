@@ -16,12 +16,13 @@
 use crate::aggregate::{AggKind, Aggregator};
 use crate::error::{err, EvalError};
 use crate::expr::{eval_expr, Bindings, NoVars, VarLookup};
-use crate::table::{Record, Schema, Table};
+use crate::table::{Record, RowBatch, Schema, Table};
 use crate::{EvalContext, Params};
 use cypher_ast::expr::Expr;
 use cypher_ast::query::{Return, ReturnItem, SortItem};
 use cypher_graph::fxhash::{FxHashMap, FxHasher};
 use cypher_graph::Symbol;
+use std::borrow::Cow;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -346,9 +347,9 @@ impl ProjectionPlan {
 
     /// Binds the items, and every aggregate's arguments, to an input
     /// schema and to `ctx`'s snapshot, once for many rows: `x` becomes a
-    /// column, `x.k` a column plus the interned key. The result projects
-    /// and folds rows without per-row name lookups or key hashing (the
-    /// engine's projecting sinks).
+    /// column, `x.k` a column plus the interned key. The result evaluates
+    /// them a column at a time, without per-row name lookups or key
+    /// hashing (the engine's `WITH` step and projecting sinks).
     pub fn bind<'a>(&'a self, ctx: &EvalContext<'_>, schema: &'a Schema) -> BoundProjection<'a> {
         let bind = |e: &Expr| BoundItem::of(ctx, schema, e);
         BoundProjection {
@@ -364,7 +365,7 @@ impl ProjectionPlan {
     }
 }
 
-/// How one expression of a [`BoundProjection`] reads its row.
+/// How one expression of a [`BoundProjection`] reads its rows.
 enum BoundItem {
     /// `x`: a copy of the column.
     Column(usize),
@@ -377,6 +378,14 @@ enum BoundItem {
 }
 
 impl BoundItem {
+    /// The column a bare `x` copies.
+    fn as_column(&self) -> Option<usize> {
+        match self {
+            BoundItem::Column(c) => Some(*c),
+            _ => None,
+        }
+    }
+
     fn of(ctx: &EvalContext<'_>, schema: &Schema, e: &Expr) -> BoundItem {
         let (var, key) = match e {
             Expr::Var(x) => (x, None),
@@ -394,26 +403,41 @@ impl BoundItem {
         }
     }
 
-    /// `e`, the expression this was bound from, on one row of `schema`;
-    /// equal, value and error alike, to [`eval_expr`].
-    fn eval(
+    /// `e`, the expression this was bound from, over the rows of `batch`
+    /// (of `schema`): the column of its values, equal to [`eval_expr`]'s,
+    /// or the first row on which it fails and its error.
+    fn column(
         &self,
         ctx: &EvalContext<'_>,
         schema: &Schema,
-        row: &Record,
+        batch: &RowBatch,
         e: &Expr,
-    ) -> Result<Value, EvalError> {
+    ) -> Result<Vec<Value>, (usize, EvalError)> {
+        let eval = |row| eval_expr(ctx, &batch.row(schema, row), e).map_err(|x| (row, x));
         let g = ctx.graph;
-        let prop = match *self {
-            BoundItem::Column(col) => return Ok(row.get(col).clone()),
-            BoundItem::Prop(col, key) => match row.get(col) {
-                Value::Node(n) => key.and_then(|k| g.node_prop(*n, k)),
-                Value::Rel(r) => key.and_then(|k| g.rel_prop(*r, k)),
-                _ => return eval_expr(ctx, &Bindings::new(schema, row), e),
-            },
-            BoundItem::Eval => return eval_expr(ctx, &Bindings::new(schema, row), e),
-        };
-        Ok(prop.cloned().unwrap_or(Value::Null))
+        let mut out = Vec::with_capacity(batch.len());
+        match *self {
+            BoundItem::Column(col) => out.extend_from_slice(&batch.columns()[col]),
+            BoundItem::Prop(col, key) => {
+                for (row, v) in batch.columns()[col].iter().enumerate() {
+                    let prop = match v {
+                        Value::Node(n) => key.and_then(|k| g.node_prop(*n, k)),
+                        Value::Rel(r) => key.and_then(|k| g.rel_prop(*r, k)),
+                        _ => {
+                            out.push(eval(row)?);
+                            continue;
+                        }
+                    };
+                    out.push(prop.cloned().unwrap_or(Value::Null));
+                }
+            }
+            BoundItem::Eval => {
+                for row in 0..batch.len() {
+                    out.push(eval(row)?);
+                }
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -429,15 +453,70 @@ pub struct BoundProjection<'a> {
 }
 
 impl BoundProjection<'_> {
-    /// Evaluates the non-aggregated projection of one row of the bound
-    /// schema; equal, value and error alike, to
-    /// [`ProjectionPlan::project_row`].
-    pub fn project_row(&self, ctx: &EvalContext<'_>, row: &Record) -> Result<Record, EvalError> {
+    /// Evaluates the non-aggregated projection of a batch of the bound
+    /// schema, one output column per item; equal, value and error alike,
+    /// to [`ProjectionPlan::project_row`] on each row in turn. An item
+    /// that is a bare column of an owned batch takes the column itself
+    /// where no later item reads it.
+    pub fn project_batch(
+        &self,
+        ctx: &EvalContext<'_>,
+        batch: Cow<'_, RowBatch>,
+    ) -> Result<RowBatch, EvalError> {
+        let items = || self.items.iter().zip(&self.plan.items);
+        // A bare column cannot fail, so leaving it out keeps the error.
+        let exprs = items().filter(|(b, _)| b.as_column().is_none());
         let mut out = Vec::with_capacity(self.items.len());
-        for (item, p) in self.items.iter().zip(&self.plan.items) {
-            out.push(item.eval(ctx, self.schema, row, &p.expr)?);
+        self.columns(ctx, exprs.map(|(b, p)| (b, &p.expr)), &batch, &mut out)?;
+        let len = batch.len();
+        let mut cols = match batch {
+            Cow::Owned(batch) => Cow::Owned(batch.into_columns()),
+            Cow::Borrowed(batch) => Cow::Borrowed(batch.columns()),
+        };
+        for (i, (b, _)) in items().enumerate() {
+            let Some(c) = b.as_column() else {
+                continue;
+            };
+            let read_later = items().skip(i + 1).any(|(b, _)| b.as_column() == Some(c));
+            out.insert(
+                i,
+                match &mut cols {
+                    Cow::Owned(cols) if !read_later => std::mem::take(&mut cols[c]),
+                    cols => cols[c].clone(),
+                },
+            );
         }
-        Ok(Record::new(out))
+        Ok(RowBatch::new(len, out))
+    }
+
+    /// The one entry that evaluates bound expressions: each of `exprs`
+    /// over the rows of `batch`, a column at a time, appended to `out`. A
+    /// row-at-a-time evaluation would raise the first error in row-major
+    /// order, so a failure is answered with that error: the rows up to
+    /// the failing one are evaluated again, row by row, and the first
+    /// error found is raised, whichever column failed first.
+    fn columns<'e>(
+        &self,
+        ctx: &EvalContext<'_>,
+        exprs: impl Iterator<Item = (&'e BoundItem, &'e Expr)> + Clone,
+        batch: &RowBatch,
+        out: &mut Vec<Vec<Value>>,
+    ) -> Result<(), EvalError> {
+        let schema = self.schema;
+        for (item, e) in exprs.clone() {
+            match item.column(ctx, schema, batch, e) {
+                Ok(col) => out.push(col),
+                Err((failed, error)) => {
+                    for row in 0..=failed {
+                        for (_, e) in exprs.clone() {
+                            eval_expr(ctx, &batch.row(schema, row), e)?;
+                        }
+                    }
+                    return Err(error);
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -514,24 +593,37 @@ impl GroupedAggState {
         self.groups.len() - 1
     }
 
-    /// Evaluates the grouping key of `row` into the reusable buffer,
-    /// through `bound` or (`None`) with the generic evaluator.
+    /// Evaluates the grouping key of `row` into the reusable buffer.
     fn eval_key(
         &mut self,
         ctx: &EvalContext<'_>,
         plan: &ProjectionPlan,
         schema: &Schema,
         row: &Record,
-        bound: Option<&BoundProjection<'_>>,
     ) -> Result<(), EvalError> {
         self.key.clear();
-        for (i, p) in plan.items.iter().enumerate() {
-            if !p.aggregated {
-                let item = bound.map_or(&BoundItem::Eval, |b| &b.items[i]);
-                self.key.push(item.eval(ctx, schema, row, &p.expr)?);
-            }
+        let b = Bindings::new(schema, row);
+        for p in plan.items.iter().filter(|p| !p.aggregated) {
+            self.key.push(eval_expr(ctx, &b, &p.expr)?);
         }
         Ok(())
+    }
+
+    /// The live group of the key in the buffer, created with the source
+    /// row `repr` when there is none, with one more row counted in.
+    fn group_of(&mut self, plan: &ProjectionPlan, repr: impl FnOnce() -> Record) -> &mut Group {
+        let gi = match self.find_live(&self.key) {
+            Some(gi) => gi,
+            None => self.push_group(Group {
+                key: self.key.clone(),
+                aggs: plan.fresh_aggs(),
+                repr: plan.keep_repr.then(repr),
+                live: 0,
+            }),
+        };
+        let group = &mut self.groups[gi];
+        group.live += 1;
+        group
     }
 
     /// Folds one source row in with the generic evaluator (the reference
@@ -544,48 +636,59 @@ impl GroupedAggState {
         schema: &Schema,
         row: &Record,
     ) -> Result<(), EvalError> {
-        self.fold(ctx, plan, schema, row, None)
-    }
-
-    /// [`GroupedAggState::feed`] through a binding of the plan: the same
-    /// fold, value and error alike, without per-row name lookups.
-    pub fn feed_bound(
-        &mut self,
-        ctx: &EvalContext<'_>,
-        bound: &BoundProjection<'_>,
-        row: &Record,
-    ) -> Result<(), EvalError> {
-        self.fold(ctx, bound.plan, bound.schema, row, Some(bound))
-    }
-
-    fn fold(
-        &mut self,
-        ctx: &EvalContext<'_>,
-        plan: &ProjectionPlan,
-        schema: &Schema,
-        row: &Record,
-        bound: Option<&BoundProjection<'_>>,
-    ) -> Result<(), EvalError> {
-        self.eval_key(ctx, plan, schema, row, bound)?;
-        let gi = match self.find_live(&self.key) {
-            Some(gi) => gi,
-            None => self.push_group(Group {
-                key: self.key.clone(),
-                aggs: plan.fresh_aggs(),
-                repr: plan.keep_repr.then(|| row.clone()),
-                live: 0,
-            }),
-        };
-        let group = &mut self.groups[gi];
-        group.live += 1;
-        for (i, (agg, spec)) in group.aggs.iter_mut().zip(&plan.specs).enumerate() {
-            let [arg, aux] = bound.map_or(&[BoundItem::Eval, BoundItem::Eval], |b| &b.args[i]);
+        self.eval_key(ctx, plan, schema, row)?;
+        let b = Bindings::new(schema, row);
+        let group = self.group_of(plan, || row.clone());
+        for (agg, spec) in group.aggs.iter_mut().zip(&plan.specs) {
             agg.push(match &spec.arg {
-                Some(e) => arg.eval(ctx, schema, row, e)?,
+                Some(e) => eval_expr(ctx, &b, e)?,
                 None => Value::Null,
             });
             if let Some(e) = &spec.aux {
-                agg.push_aux(aux.eval(ctx, schema, row, e)?);
+                agg.push_aux(eval_expr(ctx, &b, e)?);
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds a batch of the bound schema in: the fold of
+    /// [`GroupedAggState::feed`] on each row in turn, value and error
+    /// alike, with every grouping key and aggregate argument evaluated as
+    /// a column ([`BoundProjection`]). A row that joins an existing group
+    /// allocates nothing.
+    pub fn feed_batch(
+        &mut self,
+        ctx: &EvalContext<'_>,
+        bound: &BoundProjection<'_>,
+        batch: &RowBatch,
+    ) -> Result<(), EvalError> {
+        let plan = bound.plan;
+        let items = bound.items.iter().zip(&plan.items);
+        let keys = items
+            .filter(|(_, p)| !p.aggregated)
+            .map(|(b, p)| (b, &p.expr));
+        let args = bound.args.iter().zip(&plan.specs);
+        let args = args.flat_map(|([a, x], s)| [(a, &s.arg), (x, &s.aux)]);
+        let exprs = keys
+            .clone()
+            .chain(args.filter_map(|(b, e)| Some((b, e.as_ref()?))));
+        let mut columns = Vec::with_capacity(exprs.clone().count());
+        bound.columns(ctx, exprs, batch, &mut columns)?;
+        let (keys, args) = columns.split_at_mut(keys.count());
+        let take = |col: &mut Vec<Value>, row: usize| std::mem::replace(&mut col[row], Value::Null);
+        for row in 0..batch.len() {
+            self.key.clear();
+            self.key.extend(keys.iter_mut().map(|c| take(c, row)));
+            let group = self.group_of(plan, || batch.row(bound.schema, row).record());
+            let mut args = args.iter_mut();
+            for (agg, spec) in group.aggs.iter_mut().zip(&plan.specs) {
+                agg.push(match spec.arg {
+                    Some(_) => take(args.next().expect("argument column"), row),
+                    None => Value::Null,
+                });
+                if spec.aux.is_some() {
+                    agg.push_aux(take(args.next().expect("argument column"), row));
+                }
             }
         }
         Ok(())
@@ -609,7 +712,7 @@ impl GroupedAggState {
         schema: &Schema,
         row: &Record,
     ) -> Result<bool, EvalError> {
-        self.eval_key(ctx, plan, schema, row, None)?;
+        self.eval_key(ctx, plan, schema, row)?;
         let Some(gi) = self.find_live(&self.key) else {
             return Ok(false);
         };
@@ -826,15 +929,15 @@ pub struct TopKState {
 /// Two-layer assignment for sort keys: projected columns shadow the
 /// pre-projection row (the `RETURN a.i ORDER BY a.x` scoping rule).
 struct TopKScope<'a> {
-    projected: Bindings<'a>,
-    source: Option<Bindings<'a>>,
+    projected: &'a dyn VarLookup,
+    source: Option<&'a dyn VarLookup>,
 }
 
 impl VarLookup for TopKScope<'_> {
     fn lookup(&self, name: &str) -> Option<Value> {
         self.projected
             .lookup(name)
-            .or_else(|| self.source.as_ref().and_then(|s| s.lookup(name)))
+            .or_else(|| self.source.and_then(|s| s.lookup(name)))
     }
 }
 
@@ -904,42 +1007,49 @@ impl TopKState {
         self.cmp_keys(&a.keys, &b.keys).then(a.seq.cmp(&b.seq))
     }
 
-    /// Evaluates the sort keys of one projected row (with its optional
-    /// source row for the pre-projection scope) and offers it.
-    #[allow(clippy::too_many_arguments)]
+    /// Evaluates the sort keys of one projected row (`projected`, with
+    /// its optional source row for the pre-projection scope) and offers
+    /// it; `row` builds the projected row only when the state keeps it.
     pub fn feed(
         &mut self,
         ctx: &EvalContext<'_>,
         keys: &[SortItem],
-        out_schema: &Schema,
-        out_row: Record,
-        src_schema: &Schema,
-        src_row: Option<&Record>,
+        projected: &dyn VarLookup,
+        source: Option<&dyn VarLookup>,
+        row: impl FnOnce() -> Record,
     ) -> Result<(), EvalError> {
-        let scope = TopKScope {
-            projected: Bindings::new(out_schema, &out_row),
-            source: src_row.map(|r| Bindings::new(src_schema, r)),
-        };
+        let scope = TopKScope { projected, source };
         let mut ks = Vec::with_capacity(keys.len());
         for k in keys {
             ks.push(eval_expr(ctx, &scope, &k.expr)?);
         }
-        self.offer(ks, out_row);
+        if self.admits(&ks) {
+            self.offer(ks, row());
+        } else {
+            self.next_seq += 1;
+        }
         Ok(())
+    }
+
+    /// Whether a row with sort keys `keys`, offered next, is kept. A
+    /// later row with equal keys never displaces the worst entry.
+    fn admits(&self, keys: &[Value]) -> bool {
+        self.heap.len() < self.k
+            || (self.k > 0 && self.cmp_keys(keys, &self.heap[0].keys) == std::cmp::Ordering::Less)
     }
 
     /// Offers a row with pre-computed sort keys.
     pub fn offer(&mut self, keys: Vec<Value>, row: Record) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.k == 0 {
+        if !self.admits(&keys) {
             return;
         }
         let entry = TopKEntry { keys, seq, row };
         if self.heap.len() < self.k {
             self.heap.push(entry);
             self.sift_up(self.heap.len() - 1);
-        } else if self.cmp_entries(&entry, &self.heap[0]) == std::cmp::Ordering::Less {
+        } else {
             self.heap[0] = entry;
             self.sift_down(0);
         }
@@ -1099,6 +1209,8 @@ mod tests {
             eval("date('2024-02-29')", &NoVars).unwrap(),
             Value::Null,
         ]);
+        // The row as a one-row batch.
+        let batch = RowBatch::from_table(Table::new(schema.clone(), vec![row.clone()]));
         let cases = [
             ("n", "column"),
             ("r", "column"),
@@ -1122,10 +1234,12 @@ mod tests {
                 ProjectionPlan::compile(&ret_of(&format!("RETURN {src} AS c")), &schema).unwrap();
             let bound = plan.bind(&ctx, &schema);
             assert_eq!(shape(&bound.items[0]), want, "{src} binds as");
-            let fast = bound.project_row(&ctx, &row);
+            let fast = bound.project_batch(&ctx, Cow::Borrowed(&batch));
             let slow = eval(src, &Bindings::new(&schema, &row));
             match (fast, slow) {
-                (Ok(rec), Ok(v)) => assert_eq!(format!("{:?}", rec.values()), format!("{:?}", [v])),
+                (Ok(out), Ok(v)) => {
+                    assert_eq!(format!("{:?}", out.columns()), format!("{:?}", [[v]]))
+                }
                 (Err(e1), Err(e2)) => assert_eq!(e1, e2, "{src}"),
                 (fast, slow) => panic!("{src}: bound {fast:?}, generic {slow:?}"),
             }
@@ -1141,7 +1255,7 @@ mod tests {
             let run = |st: &mut GroupedAggState, bound: Option<&BoundProjection<'_>>| {
                 for _ in 0..2 {
                     match bound {
-                        Some(b) => st.feed_bound(&ctx, b, &row)?,
+                        Some(b) => st.feed_batch(&ctx, b, &batch)?,
                         None => st.feed(&ctx, &plan, &schema, &row)?,
                     }
                 }
@@ -1293,8 +1407,8 @@ mod tests {
             // Single state.
             let mut st = TopKState::new(k, &keys);
             for r in &rows {
-                st.feed(&ctx, &keys, &schema, r.clone(), &schema, None)
-                    .unwrap();
+                let b = Bindings::new(&schema, r);
+                st.feed(&ctx, &keys, &b, None, || r.clone()).unwrap();
             }
             let got = TopKState::merge_sorted(vec![st], &keys, skip, limit, schema.clone());
             // Oracle: stable sort + slice.
@@ -1311,8 +1425,8 @@ mod tests {
                 for part in rows.chunks(chunk) {
                     let mut s = TopKState::new(k, &keys);
                     for r in part {
-                        s.feed(&ctx, &keys, &schema, r.clone(), &schema, None)
-                            .unwrap();
+                        let b = Bindings::new(&schema, r);
+                        s.feed(&ctx, &keys, &b, None, || r.clone()).unwrap();
                     }
                     states.push(s);
                 }

@@ -170,20 +170,6 @@ impl Record {
         self.values.push(v);
     }
 
-    /// Clones this record with spare capacity for `extra` appended values.
-    ///
-    /// The scan and expand operators of the engine clone a driving record
-    /// and immediately push one or two new bindings onto it; a plain
-    /// `clone()` allocates exactly `len` slots, so the push pays a second,
-    /// growth allocation per emitted row. This constructor folds both into
-    /// a single allocation — on a 100k-row scan that halves the allocator
-    /// traffic of the hot loop.
-    pub fn cloned_with_extra(&self, extra: usize) -> Record {
-        let mut values = Vec::with_capacity(self.values.len() + extra);
-        values.extend_from_slice(&self.values);
-        Record { values }
-    }
-
     /// Record concatenation `(u, u′)` of the paper.
     pub fn concat(&self, other: &Record) -> Record {
         let mut values = self.values.clone();
@@ -200,6 +186,91 @@ impl Record {
                 .iter()
                 .zip(&other.values)
                 .all(|(a, b)| a.equivalent(b))
+    }
+}
+
+/// Rows stored a column at a time: one vector of values per schema field,
+/// each `len` long. The currency of the engine's operator pipeline, which
+/// the projection machinery ([`crate::project`]) evaluates over directly.
+#[derive(Clone, Debug, Default)]
+pub struct RowBatch {
+    len: usize,
+    cols: Vec<Vec<Value>>,
+}
+
+impl RowBatch {
+    /// A batch of `len` rows over `cols`, one column per schema field.
+    pub fn new(len: usize, cols: Vec<Vec<Value>>) -> RowBatch {
+        debug_assert!(cols.iter().all(|c| c.len() == len), "ragged batch");
+        RowBatch { len, cols }
+    }
+
+    /// A table's rows as columns.
+    pub fn from_table(t: Table) -> RowBatch {
+        let len = t.len();
+        let mut cols: Vec<Vec<Value>> = (0..t.schema.len())
+            .map(|_| Vec::with_capacity(len))
+            .collect();
+        for r in t.rows {
+            for (col, v) in cols.iter_mut().zip(r.values) {
+                col.push(v);
+            }
+        }
+        RowBatch { len, cols }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the batch holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The columns, in schema order.
+    pub fn columns(&self) -> &[Vec<Value>] {
+        &self.cols
+    }
+
+    /// Moves the columns out.
+    pub fn into_columns(self) -> Vec<Vec<Value>> {
+        self.cols
+    }
+
+    /// The value in column `col` of row `row`.
+    pub fn at(&self, col: usize, row: usize) -> &Value {
+        &self.cols[col][row]
+    }
+
+    /// Appends a column (paired with [`Schema::with_field`]).
+    pub fn push_column(&mut self, col: Vec<Value>) {
+        assert_eq!(col.len(), self.len, "column length does not match batch");
+        self.cols.push(col);
+    }
+
+    /// Keeps the rows `keep` marks, compacting every column in place.
+    pub fn retain(&mut self, keep: &[bool]) {
+        for col in &mut self.cols {
+            let mut row = 0;
+            col.retain(|_| {
+                row += 1;
+                keep[row - 1]
+            });
+        }
+        self.len = keep.iter().filter(|&&k| k).count();
+    }
+
+    /// The rows as records, in order.
+    pub fn into_records(self) -> impl Iterator<Item = Record> {
+        let mut cols = self.cols;
+        (0..self.len).map(move |row| {
+            let values = cols
+                .iter_mut()
+                .map(|c| std::mem::replace(&mut c[row], Value::Null));
+            Record::new(values.collect())
+        })
     }
 }
 
@@ -548,19 +619,6 @@ mod tests {
         let c = table_of(&["x", "y"], vec![vec![Value::int(1), Value::str("a")]]);
         let d = table_of(&["y", "x"], vec![vec![Value::str("a"), Value::int(1)]]);
         assert!(c.ordered_eq(&d));
-    }
-
-    #[test]
-    fn cloned_with_extra_matches_clone() {
-        let r = Record::new(vec![Value::int(1), Value::str("a")]);
-        let mut c = r.cloned_with_extra(2);
-        assert!(c.equivalent(&r));
-        // The reserved headroom is usable: pushing `extra` values must
-        // leave the original untouched and extend the clone.
-        c.push(Value::int(2));
-        c.push(Value::int(3));
-        assert_eq!(c.values().len(), 4);
-        assert_eq!(r.values().len(), 2);
     }
 
     #[test]

@@ -174,9 +174,10 @@ impl Database {
     /// Opens (creating if necessary) a durable database at `dir`,
     /// recovering whatever a previous process committed there.
     pub fn open(dir: impl AsRef<Path>) -> Result<Database, Error> {
-        let mut cfg = EngineConfig::default();
-        cfg.persistence = Some(dir.as_ref().to_path_buf());
-        Database::open_with(cfg)
+        Database::open_with(EngineConfig {
+            persistence: Some(dir.as_ref().to_path_buf()),
+            ..EngineConfig::default()
+        })
     }
 
     /// Opens a database as configured: durable when
@@ -231,8 +232,10 @@ impl Database {
     /// An in-memory database (no files, no WAL); mostly for tests and as
     /// the oracle half of differential harnesses.
     pub fn in_memory() -> Database {
-        let mut cfg = EngineConfig::default();
-        cfg.persistence = None;
+        let cfg = EngineConfig {
+            persistence: None,
+            ..EngineConfig::default()
+        };
         Database::open_with(cfg).expect("in-memory open cannot fail")
     }
 

@@ -8,6 +8,10 @@ use cypher_metrics::{fmt_counter, fmt_gauge};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+/// A resolved text: the query, its plan memo (`None` with the cache off)
+/// and whether the lookup was a full hit.
+type Resolved = (Arc<Query>, Option<Arc<PlanMemo>>, bool);
+
 /// Counters of the `Database` parse+plan cache. All zeros when the cache
 /// is disabled (`EngineConfig::plan_cache_size == 0`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -177,7 +181,7 @@ impl SharedPlanCache {
         cfg: &EngineConfig,
         view: &GraphView,
         count: bool,
-    ) -> Result<(Arc<Query>, Option<Arc<PlanMemo>>, bool), Error> {
+    ) -> Result<Resolved, Error> {
         let capacity = cfg.plan_cache_size;
         if capacity == 0 {
             return Ok((Arc::new(crate::parse_query(text)?), None, false));

@@ -1138,20 +1138,27 @@ mod tests {
         }
         let params = Params::new();
         // `+` on a node is an evaluation error raised mid-pipeline: in a
-        // `WHERE`, and in a `WITH` projection inside a chain.
+        // `WHERE`, and in a `WITH` projection inside a chain. Then items
+        // whose second fails at an earlier row than its first (`1 / (n.v -
+        // 5)` at v = 5, a property read on the integer `n.v` at v = 2):
+        // evaluated a column at a time the first fails first, yet the error
+        // is the oracle's row-major one, in a `WITH` stage and a `RETURN`.
         for src in [
             "MATCH (n:N) WHERE n + 1 = 2 RETURN n",
             "MATCH (n:N) WITH n, n + 1 AS bad MATCH (n)-->(m) RETURN count(m) AS c",
+            "MATCH (n:N) WITH n, 1 / (n.v - 5) AS a, CASE WHEN n.v = 2 THEN n.v.k END AS b \
+             RETURN count(*) AS c",
+            "MATCH (n:N) RETURN 1 / (n.v - 5) AS a, CASE WHEN n.v = 2 THEN n.v.k END AS b",
         ] {
             let q = parse_query(src).unwrap();
-            let seq = EngineConfig::default().with_threads(1);
-            let seq_err = execute_read(&g, &q, &params, &seq).unwrap_err();
-            let par = EngineConfig::default().with_threads(4).with_morsel_size(4);
-            let par_err = execute_read(&g, &q, &params, &par).unwrap_err();
-            assert_eq!(
-                seq_err, par_err,
-                "parallel error is the canonical one: {src}"
-            );
+            let oracle = cypher_core::eval_query(&EvalContext::new(&g, &params), &q).unwrap_err();
+            let by_row = !src.contains("CASE") || oracle.to_string().contains("property");
+            assert!(by_row, "{src}: {oracle}");
+            for (threads, morsel) in [(1, 1), (1, 1024), (4, 1), (4, 4), (4, 1024)] {
+                let cfg = EngineConfig::default().with_threads(threads);
+                let got = execute_read(&g, &q, &params, &cfg.with_morsel_size(morsel)).unwrap_err();
+                assert_eq!(got, oracle, "{src} at threads={threads}, morsel={morsel}");
+            }
         }
     }
 

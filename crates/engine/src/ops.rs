@@ -1,11 +1,12 @@
-//! Batch-at-a-time (morsel-driven) physical operators.
+//! Batch-at-a-time (morsel-driven) physical operators, run a column at a
+//! time.
 //!
 //! The paper (Section 2): "The final query compilation uses either a
 //! simple tuple-at-a-time iterator-based execution model, or compiles the
 //! query to Java bytecode". The original executor here implemented the
 //! tuple-at-a-time model; this module is its batch refactor: every
 //! operator exposes `next_batch()`, pulling a [`RowBatch`] of up to
-//! `morsel_size` records at a time from its child. Batching amortizes the
+//! `morsel_size` rows at a time from its child. Batching amortizes the
 //! per-row virtual dispatch of the Volcano model and — more importantly —
 //! gives the executor a natural unit of parallelism: the *morsel*
 //! (Leis et al., "Morsel-driven parallelism"). `drive` — the one way a
@@ -16,6 +17,25 @@
 //! 1, which bypasses dispatch entirely and reproduces the classic
 //! single-threaded execution bit-for-bit.
 //!
+//! **The currency is columns.** A batch holds one `Vec<Value>` per schema
+//! field, and every step works on a whole column: a scan pushes the label
+//! index's id slice straight into a new column; `Expand`, variable-length
+//! expand, `MultiwayIntersect` and `UNWIND` record, per output row, the
+//! input row it extends (a parent-index column, the one-level factorised
+//! representation of Kimelfeld, Martens and Niewerth) and gather the input
+//! columns by it once per batch (`Gather`); a filter computes a keep-mask
+//! and compacts every column in place; a projection evaluates each item
+//! as a column. A `Record` is built only where a row leaves the
+//! pipeline: into a collected table, a group's representative row or a
+//! top-k entry.
+//!
+//! **Errors stay row-major.** A step that evaluates several expressions
+//! over a batch evaluates them a column at a time, so the first failure
+//! it meets need not be the first one a row-at-a-time run raises. When a
+//! column fails, the rows up to the failing one are evaluated again row by
+//! row and the first error found is raised (see
+//! `cypher_core::project::BoundProjection`).
+//!
 //! `Expand` still exploits the native adjacency of [`cypher_graph`]: "it
 //! utilizes the fact that the data representation contains direct
 //! references from each node via its edges to the related nodes".
@@ -25,10 +45,12 @@ use crate::plan::{PathElem, PlanStep};
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::Dir;
 use cypher_core::error::{err, EvalError};
-use cypher_core::expr::{eval_expr, truth_of, Bindings};
+use cypher_core::expr::{eval_expr, truth_of, ColumnBindings};
+use cypher_core::matching::dir_of;
 use cypher_core::morphism::Morphism;
 use cypher_core::project::ProjectionPlan;
-use cypher_core::table::{Record, Schema, Table};
+pub use cypher_core::table::RowBatch;
+use cypher_core::table::{Schema, Table};
 use cypher_core::EvalContext;
 use cypher_graph::{
     gallop, Direction, Neighbor, NodeId, Path, PropertyGraph, RelId, SortedAdjacency, Symbol, Tri,
@@ -37,6 +59,7 @@ use cypher_graph::{
 use cypher_metrics::Counter;
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,51 +68,52 @@ use std::time::Instant;
 /// The default number of rows per batch (morsel).
 pub const DEFAULT_MORSEL_SIZE: usize = 1024;
 
-/// A batch of records flowing between operators — the unit of work of the
-/// morsel-driven executor. Sources cap batches at the configured morsel
-/// size; intermediate operators may shrink (filters) or grow (expands)
-/// them, re-chunking at the next cap check.
-#[derive(Debug, Default)]
-pub struct RowBatch {
-    rows: Vec<Record>,
+/// An output batch under construction by an operator that extends input
+/// rows (a scan, an expand, an `UNWIND`): each output row names the input
+/// row it extends (its *parent*), the operator pushes its new values onto
+/// the trailing columns, and [`Gather::settle`] gathers the input columns
+/// by parent index once per input batch.
+struct Gather {
+    /// The input's `in_width` columns, then the new ones.
+    cols: Vec<Vec<Value>>,
+    in_width: usize,
+    /// The parents of the rows added since the last [`Gather::settle`]
+    /// (none kept when the input has no columns to gather).
+    parents: Vec<usize>,
+    len: usize,
 }
 
-impl RowBatch {
-    /// An empty batch with room for `n` rows.
-    pub fn with_capacity(n: usize) -> RowBatch {
-        RowBatch {
-            rows: Vec::with_capacity(n),
+impl Gather {
+    fn new(in_width: usize, width: usize, capacity: usize) -> Gather {
+        Gather {
+            cols: (0..in_width + width)
+                .map(|_| Vec::with_capacity(capacity))
+                .collect(),
+            in_width,
+            parents: Vec::with_capacity(if in_width > 0 { capacity } else { 0 }),
+            len: 0,
         }
     }
 
-    /// Wraps a row vector.
-    pub fn from_rows(rows: Vec<Record>) -> RowBatch {
-        RowBatch { rows }
+    /// Adds `n` rows extending row `parent` of the current input batch.
+    fn extend(&mut self, parent: usize, n: usize) {
+        if self.in_width > 0 {
+            self.parents.extend(std::iter::repeat_n(parent, n));
+        }
+        self.len += n;
     }
 
-    /// Appends a row.
-    pub fn push(&mut self, r: Record) {
-        self.rows.push(r);
+    /// Gathers the input columns of the rows added since the last call
+    /// from `input`, the batch their parents index.
+    fn settle(&mut self, input: &RowBatch) {
+        for (out, col) in self.cols.iter_mut().zip(input.columns()) {
+            out.extend(self.parents.iter().map(|&p| col[p].clone()));
+        }
+        self.parents.clear();
     }
 
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The rows, in order.
-    pub fn rows(&self) -> &[Record] {
-        &self.rows
-    }
-
-    /// Moves the rows out.
-    pub fn into_rows(self) -> Vec<Record> {
-        self.rows
+    fn finish(self) -> Option<RowBatch> {
+        (self.len > 0).then(|| RowBatch::new(self.len, self.cols))
     }
 }
 
@@ -267,7 +291,7 @@ impl Sink for Collect {
         part: &mut Table,
         batch: RowBatch,
     ) -> Result<(), EvalError> {
-        for r in batch.into_rows() {
+        for r in batch.into_records() {
             part.push(r);
         }
         Ok(())
@@ -295,12 +319,14 @@ impl Sink for Collect {
 
 /// Executes a compiled segment — the steps of a run of `MATCH`, plain
 /// `WITH`, `WHERE` and `UNWIND` clauses — over a driving table into
-/// `sink`: the only way a plan is run. The dispatch decision is made once: a
-/// plan anchored on a source whose output (`driving rows × scanned
-/// items`) exceeds [`EngineConfig::parallel_gate`] is cut into morsels
-/// claimed by `cfg.num_threads` workers; anything else is one morsel on
-/// the calling thread. `probe`, when given, wraps every operator and the
-/// sink in measurement and receives the totals.
+/// `sink`: the only way a plan is run. The driving table enters as one
+/// column batch, and every step runs a column at a time. The dispatch
+/// decision is made once: a plan anchored on a source whose output
+/// (`driving rows × scanned items`) exceeds
+/// [`EngineConfig::parallel_gate`] is cut into morsels claimed by
+/// `cfg.num_threads` workers; anything else is one morsel on the calling
+/// thread. `probe`, when given, wraps every operator and the sink in
+/// measurement and receives the totals.
 ///
 /// **Determinism:** morsel `k` covers rows `[k·m, (k+1)·m)` of the
 /// source's row-major product (driving row outer, scanned item inner) —
@@ -314,7 +340,9 @@ impl Sink for Collect {
 /// is scheduling-dependent. Any such error is discarded and answered by
 /// one sequential re-run through [`Collect`] and [`Sink::materialized`]:
 /// the canonical error is the first one the sequential run of the
-/// segment raises, in row order.
+/// segment raises, in row order. A step that evaluates several
+/// expressions a column at a time raises the first error of their
+/// row-major evaluation, so column order never shows.
 pub(crate) fn drive<'a, S: Sink>(
     ctx: &'a EvalContext<'a>,
     steps: &[PlanStep],
@@ -326,28 +354,32 @@ pub(crate) fn drive<'a, S: Sink>(
     // Resolve every source once; all morsels and the re-run share the
     // lists (a second scan inside the pipeline — a disconnected pattern —
     // is not re-collected per morsel).
-    let prepared = prepare_sources(ctx, steps)?;
+    let prepared = steps.iter().map(|s| source_items(ctx, s));
+    let prepared = prepared.collect::<Result<Vec<_>, _>>()?;
+    let anchor = prepared.first().and_then(Option::as_ref);
     let run = Run {
         ctx,
         steps,
         prepared: &prepared,
         cfg,
+        schema: match anchor {
+            Some((var, _)) => input.schema().with_field(var.clone()),
+            None => input.schema().clone(),
+        },
     };
-    let total = match prepared.first() {
-        Some(Some((_, items))) => input.len().saturating_mul(items.len()),
-        _ => 0,
-    };
+    let driving = RowBatch::from_table(input);
+    let total = anchor.map_or(0, |(_, items)| driving.len().saturating_mul(items.len()));
     let gate = cfg.parallel_gate();
     let first = if gate.is_some_and(|gate| total > gate) {
-        run.morsels(&input, total, sink, probe.as_deref_mut())
+        run.morsels(&driving, total, sink, probe.as_deref_mut())
     } else if S::EVALUATES {
         // Borrowed so the re-run still has it: one copy of the driving
         // table, whose rows are cloned a batch at a time.
-        run.whole(Cow::Borrowed(&input), sink, probe.as_deref_mut())
+        run.whole(Cow::Borrowed(&driving), sink, probe.as_deref_mut())
     } else {
-        return run.whole(Cow::Owned(input), sink, probe);
+        return run.whole(Cow::Owned(driving), sink, probe);
     };
-    first.or_else(|_| sink.materialized(ctx, run.whole(Cow::Owned(input), &Collect, probe)?))
+    first.or_else(|_| sink.materialized(ctx, run.whole(Cow::Owned(driving), &Collect, probe)?))
 }
 
 /// What every execution of one plan — whole, per morsel, or the
@@ -355,8 +387,10 @@ pub(crate) fn drive<'a, S: Sink>(
 struct Run<'p> {
     ctx: &'p EvalContext<'p>,
     steps: &'p [PlanStep],
-    prepared: &'p [PreparedSource],
+    prepared: &'p [PreparedSource<'p>],
     cfg: &'p EngineConfig,
+    /// The schema of the anchor scan's rows.
+    schema: Arc<Schema>,
 }
 
 /// One pipeline drained into one partial.
@@ -373,15 +407,39 @@ impl<'p> Run<'p> {
         self.cfg.morsel_size.max(1)
     }
 
+    /// The anchor scan over rows `range` (all when `None`) of the product
+    /// of the driving rows and the first step's items (or of the driving
+    /// rows alone, when the first step is no source), with the number of
+    /// steps it stands for.
+    fn anchor<'x>(
+        &'x self,
+        driving: Cow<'x, RowBatch>,
+        range: Option<Range<usize>>,
+    ) -> (Box<dyn Operator + 'x>, usize) {
+        let items = self.prepared.first().and_then(Option::as_ref);
+        let items = items.map(|(_, items)| items);
+        let range = range.unwrap_or(0..driving.len() * items.map_or(1, Items::len));
+        let scan = Scan {
+            schema: self.schema.clone(),
+            child: None,
+            input: driving,
+            items,
+            next: range.start,
+            end: range.end,
+            cap: self.cap(),
+        };
+        (Box::new(scan), usize::from(items.is_some()))
+    }
+
     /// The whole input as one morsel on the calling thread.
     fn whole<S: Sink>(
         &self,
-        input: Cow<'_, Table>,
+        driving: Cow<'_, RowBatch>,
         sink: &S,
         probe: Option<&mut PlanProfile>,
     ) -> Result<Table, EvalError> {
-        let source = Box::new(TableScan::new(input, self.cap()));
-        let m = self.pump(source, 0, sink, probe.is_some())?;
+        let (source, attached) = self.anchor(driving, None);
+        let m = self.pump(source, attached, sink, probe.is_some())?;
         self.merge(m, std::iter::empty(), false, sink, probe)
     }
 
@@ -389,23 +447,17 @@ impl<'p> Run<'p> {
     /// claimed by the worker pool.
     fn morsels<S: Sink>(
         &self,
-        driving: &Table,
+        driving: &RowBatch,
         total: usize,
         sink: &S,
         probe: Option<&mut PlanProfile>,
     ) -> Result<Table, EvalError> {
         let cap = self.cap();
-        let (var, items) = self.prepared[0].as_ref().expect("source-anchored");
-        let schema = driving.schema().with_field(var.clone());
         let probing = probe.is_some();
         let mut done = parallel_morsels(self.cfg.num_threads, total.div_ceil(cap), |k| {
-            let source = Box::new(MorselScan {
-                schema: schema.clone(),
-                driving,
-                items: Arc::clone(items),
-                range: k * cap..((k + 1) * cap).min(total),
-            });
-            self.pump(source, 1, sink, probing)
+            let range = k * cap..((k + 1) * cap).min(total);
+            let (source, attached) = self.anchor(Cow::Borrowed(driving), Some(range));
+            self.pump(source, attached, sink, probing)
         })?
         .into_iter();
         let first = done.next().expect("a run has at least one morsel");
@@ -549,43 +601,51 @@ where
     slots.into_inner().unwrap().into_iter().flatten().collect()
 }
 
-/// A source step's resolved scan list: the bound column plus the
-/// `Arc`-shared items, or `None` for non-source steps.
-type PreparedSource = Option<(String, Arc<[Value]>)>;
-
-/// Resolves every source step of a plan to its scan list.
-fn prepare_sources(
-    ctx: &EvalContext<'_>,
-    steps: &[PlanStep],
-) -> Result<Vec<PreparedSource>, EvalError> {
-    steps
-        .iter()
-        .map(|s| Ok(source_items(ctx, s)?.map(|(var, items)| (var, items.into()))))
-        .collect()
+/// What a source step scans: node ids — the label index's own slice, or
+/// a list collected once per run — or relationship ids. A scan pushes
+/// them straight into its new column.
+enum Items<'g> {
+    Nodes(Cow<'g, [NodeId]>),
+    Rels(Vec<RelId>),
 }
 
-/// Materializes the item list a source step scans — the node or
-/// relationship bindings it would push onto every driving row — or `None`
-/// when the step is not a source.
-fn source_items(
-    ctx: &EvalContext<'_>,
-    step: &PlanStep,
-) -> Result<Option<(String, Vec<Value>)>, EvalError> {
-    Ok(match step {
-        PlanStep::AllNodesScan { var } => {
-            Some((var.clone(), ctx.graph.nodes().map(Value::Node).collect()))
+impl Items<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Items::Nodes(ids) => ids.len(),
+            Items::Rels(ids) => ids.len(),
         }
+    }
+
+    /// Appends items `range` to `col`.
+    fn push_range(&self, range: Range<usize>, col: &mut Vec<Value>) {
+        match self {
+            Items::Nodes(ids) => col.extend(ids[range].iter().map(|&n| Value::Node(n))),
+            Items::Rels(ids) => col.extend(ids[range].iter().map(|&r| Value::Rel(r))),
+        }
+    }
+}
+
+/// A source step's bound column and scanned items, or `None` for
+/// non-source steps.
+type PreparedSource<'g> = Option<(String, Items<'g>)>;
+
+/// The items a source step scans — the node or relationship bindings it
+/// would push onto every driving row — or `None` when the step is not a
+/// source.
+fn source_items<'g>(
+    ctx: &EvalContext<'g>,
+    step: &PlanStep,
+) -> Result<PreparedSource<'g>, EvalError> {
+    let graph = ctx.graph;
+    let (var, items) = match step {
+        PlanStep::AllNodesScan { var } => (var, Items::Nodes(graph.nodes().collect())),
         PlanStep::NodeIndexScan { var, label } => {
-            let nodes = match ctx.graph.interner().get(label) {
-                Some(sym) => ctx
-                    .graph
-                    .nodes_with_label(sym)
-                    .iter()
-                    .map(|&n| Value::Node(n))
-                    .collect(),
-                None => Vec::new(),
+            let nodes = match graph.interner().get(label) {
+                Some(sym) => graph.nodes_with_label(sym),
+                None => &[],
             };
-            Some((var.clone(), nodes))
+            (var, Items::Nodes(Cow::Borrowed(nodes)))
         }
         PlanStep::PropertyIndexSeek {
             var,
@@ -597,7 +657,7 @@ fn source_items(
             let v = eval_expr(ctx, &cypher_core::expr::NoVars, value)?;
             // `{k: null}` never matches (`=` with null is not true), and
             // the index only answers equivalence queries — guard it out.
-            let interner = ctx.graph.interner();
+            let interner = graph.interner();
             let nodes = if v.is_null() {
                 Vec::new()
             } else {
@@ -605,20 +665,19 @@ fn source_items(
                     (_, None) => Vec::new(),
                     // Composite (label, key, value) seek.
                     (Some(l), Some(k)) => match interner.get(l) {
-                        Some(l) => ctx.graph.nodes_with_label_prop(l, k, &v),
+                        Some(l) => graph.nodes_with_label_prop(l, k, &v),
                         None => Vec::new(),
                     },
                     // Key-only seek.
-                    (None, Some(k)) => ctx.graph.nodes_with_prop(k, &v),
+                    (None, Some(k)) => graph.nodes_with_prop(k, &v),
                 }
             };
-            Some((var.clone(), nodes.into_iter().map(Value::Node).collect()))
+            (var, Items::Nodes(Cow::Owned(nodes)))
         }
-        PlanStep::RelScan { var } => {
-            Some((var.clone(), ctx.graph.rels().map(Value::Rel).collect()))
-        }
-        _ => None,
-    })
+        PlanStep::RelScan { var } => (var, Items::Rels(graph.rels().collect())),
+        _ => return Ok(None),
+    };
+    Ok(Some((var.clone(), items)))
 }
 
 fn col_idx(schema: &Schema, name: &str) -> Result<usize, EvalError> {
@@ -630,21 +689,21 @@ fn col_idx(schema: &Schema, name: &str) -> Result<usize, EvalError> {
 fn attach<'a>(
     ctx: &'a EvalContext<'a>,
     step: &PlanStep,
-    prep: &PreparedSource,
+    prep: &'a PreparedSource<'a>,
     child: Box<dyn Operator + 'a>,
     cap: usize,
     metrics: Option<&'a ExecMetrics>,
 ) -> Result<Box<dyn Operator + 'a>, EvalError> {
     let schema = child.schema().clone();
     if let Some((var, items)) = prep {
-        return Ok(Box::new(ItemScan {
+        return Ok(Box::new(Scan {
             schema: schema.with_field(var.clone()),
-            child,
-            items: Arc::clone(items),
+            child: Some(child),
+            input: Cow::Owned(RowBatch::default()),
+            items: Some(items),
+            next: 0,
+            end: 0,
             cap,
-            input: None,
-            row_idx: 0,
-            item_idx: 0,
         }));
     }
     Ok(match step {
@@ -690,10 +749,8 @@ fn attach<'a>(
                 .iter()
                 .map(|(k, e)| (ctx.graph.interner().get(k), e.clone()))
                 .collect();
-            Box::new(ExpandOp {
+            let expand = ExpandOp {
                 ctx,
-                schema: out_schema,
-                rows: PerRow::new(child, cap),
                 from_idx,
                 rel_bound,
                 to_bound,
@@ -706,7 +763,8 @@ fn attach<'a>(
                 exclude_idx,
                 props,
                 in_schema: schema,
-            })
+            };
+            Box::new(Fanout::new(out_schema, child, cap, expand))
         }
         PlanStep::MultiwayIntersect {
             to,
@@ -738,11 +796,9 @@ fn attach<'a>(
                 .collect::<Result<_, _>>()?;
             let label_syms: Option<Vec<Symbol>> =
                 labels.iter().map(|l| ctx.graph.interner().get(l)).collect();
-            Box::new(MultiwayIntersectOp {
+            let intersect = MultiwayIntersectOp {
                 ctx,
-                schema: out_schema,
                 in_schema: schema,
-                rows: PerRow::new(child, cap),
                 guards: gstates,
                 label_syms,
                 exclude_idx,
@@ -751,8 +807,8 @@ fn attach<'a>(
                 probes: 0,
                 isect: 0,
                 rows_out: 0,
-                flushed: false,
-            })
+            };
+            Box::new(Fanout::new(out_schema, child, cap, intersect))
         }
         PlanStep::FilterLabels { var, labels } => {
             let idx = col_idx(&schema, var)?;
@@ -760,7 +816,7 @@ fn attach<'a>(
             // child still drains, so upstream errors surface).
             let syms: Option<Vec<Symbol>> =
                 labels.iter().map(|l| ctx.graph.interner().get(l)).collect();
-            filter(schema, child, move |row| match (&syms, row.get(idx)) {
+            filter(schema, child, move |b, row| match (&syms, b.at(idx, row)) {
                 (None, _) | (_, Value::Null) => Ok(false),
                 (Some(syms), Value::Node(n)) => {
                     Ok(syms.iter().all(|&l| ctx.graph.has_label(*n, l)))
@@ -777,8 +833,8 @@ fn attach<'a>(
                 .map(|(k, e)| (ctx.graph.interner().get(k), e.clone(), None))
                 .collect();
             let s = schema.clone();
-            filter(schema, child, move |row| {
-                props_keep(ctx, &s, idx, &mut props, row)
+            filter(schema, child, move |b, row| {
+                props_keep(ctx, &mut props, &b.row(&s, row), b.at(idx, row))
             })
         }
         PlanStep::FilterEndpoints {
@@ -800,9 +856,9 @@ fn attach<'a>(
                 .collect::<Result<_, _>>()?;
             let (dir, types) = (*dir, resolve_types(ctx, types));
             let g = ctx.graph;
-            filter(schema, child, move |row| {
-                let (Value::Rel(r), Value::Node(a), Value::Node(b)) =
-                    (row.get(rel), row.get(from), row.get(to))
+            filter(schema, child, move |b, row| {
+                let (Value::Rel(r), Value::Node(a), Value::Node(c)) =
+                    (b.at(rel, row), b.at(from, row), b.at(to, row))
                 else {
                     return Ok(false);
                 };
@@ -812,19 +868,19 @@ fn attach<'a>(
                 // Endpoint agreement per direction (item (e′) of §4.2).
                 let (src, tgt) = (g.src(*r).expect("live rel"), g.tgt(*r).expect("live rel"));
                 let ends = match dir {
-                    Dir::Out => src == *a && tgt == *b,
-                    Dir::In => src == *b && tgt == *a,
-                    Dir::Both => (src == *a && tgt == *b) || (src == *b && tgt == *a),
+                    Dir::Out => src == *a && tgt == *c,
+                    Dir::In => src == *c && tgt == *a,
+                    Dir::Both => (src == *a && tgt == *c) || (src == *c && tgt == *a),
                 };
                 // Relationship isomorphism between scanned rel columns.
-                let reused = |i: &usize| matches!(row.get(*i), Value::Rel(r2) if r2 == r);
+                let reused = |i: &usize| matches!(b.at(*i, row), Value::Rel(r2) if r2 == r);
                 Ok(ends && !(ctx.config.morphism.rels_distinct() && exclude.iter().any(reused)))
             })
         }
         PlanStep::FilterExpr { pred } => {
             let (s, pred) = (schema.clone(), pred.clone());
-            filter(schema, child, move |row| {
-                Ok(truth_of(ctx, &Bindings::new(&s, row), &pred)? == Tri::True)
+            filter(schema, child, move |b, row| {
+                Ok(truth_of(ctx, &b.row(&s, row), &pred)? == Tri::True)
             })
         }
         PlanStep::PathBind { var, elements } => {
@@ -836,28 +892,36 @@ fn attach<'a>(
                     PathElem::RelList(c) => Ok((false, true, col_idx(&schema, c)?)),
                 })
                 .collect::<Result<_, EvalError>>()?;
-            stage(schema.with_field(var.clone()), child, move |batch| {
-                let rows = batch.into_rows().into_iter();
-                let rows = rows.map(|row| bind_path(ctx, &elements, row));
-                Ok(RowBatch::from_rows(rows.collect::<Result<_, _>>()?))
+            stage(schema.with_field(var.clone()), child, move |mut batch| {
+                let mut paths = Vec::with_capacity(batch.len());
+                for row in 0..batch.len() {
+                    paths.push(Value::Path(bind_path(ctx, &elements, &batch, row)?));
+                }
+                batch.push_column(paths);
+                Ok(batch)
             })
         }
         PlanStep::Project { ret, scope } => {
             let plan = ProjectionPlan::compile(ret, &Schema::new(scope.clone()))?;
             // Bound once per batch, as the final plain projection binds.
             stage(plan.out_schema().clone(), child, move |batch| {
-                let bound = plan.bind(ctx, &schema);
-                let rows = batch.rows().iter().map(|r| bound.project_row(ctx, r));
-                Ok(RowBatch::from_rows(rows.collect::<Result<_, _>>()?))
+                plan.bind(ctx, &schema)
+                    .project_batch(ctx, Cow::Owned(batch))
             })
         }
-        PlanStep::Unwind { expr, alias } => Box::new(UnwindOp {
-            ctx,
-            schema: schema.with_field(alias.clone()),
-            in_schema: schema,
-            rows: PerRow::new(child, cap),
-            expr: expr.clone(),
-        }),
+        PlanStep::Unwind { expr, alias } => {
+            let unwind = UnwindOp {
+                ctx,
+                in_schema: schema.clone(),
+                expr: expr.clone(),
+            };
+            Box::new(Fanout::new(
+                schema.with_field(alias.clone()),
+                child,
+                cap,
+                unwind,
+            ))
+        }
     })
 }
 
@@ -878,14 +942,6 @@ fn resolve_types(ctx: &EvalContext<'_>, types: &[String]) -> Option<Vec<Symbol>>
     }
 }
 
-fn dir_of(d: Dir) -> Direction {
-    match d {
-        Dir::Out => Direction::Outgoing,
-        Dir::In => Direction::Incoming,
-        Dir::Both => Direction::Both,
-    }
-}
-
 /// Whether `r`'s type is admissible: `Some(vec![])` = any type;
 /// `Some(list)` = one of; `None` = no admissible type exists.
 fn type_ok(g: &PropertyGraph, syms: &Option<Vec<Symbol>>, r: RelId) -> bool {
@@ -895,17 +951,54 @@ fn type_ok(g: &PropertyGraph, syms: &Option<Vec<Symbol>>, r: RelId) -> bool {
     }
 }
 
-/// Relationship isomorphism: whether `r` is already bound in one of the
-/// `exclude` columns (a relationship, or a variable-length list of them).
-fn rel_excluded(ctx: &EvalContext<'_>, exclude: &[usize], row: &Record, r: RelId) -> bool {
+/// Relationship isomorphism: whether `r` is already bound, in row `row`
+/// of `input`, in one of the `exclude` columns (a relationship, or a
+/// variable-length list of them).
+fn rel_excluded(
+    ctx: &EvalContext<'_>,
+    exclude: &[usize],
+    input: &RowBatch,
+    row: usize,
+    r: RelId,
+) -> bool {
     ctx.config.morphism.rels_distinct()
-        && exclude.iter().any(|&i| match row.get(i) {
+        && exclude.iter().any(|&i| match input.at(i, row) {
             Value::Rel(r2) => *r2 == r,
             Value::List(items) => items
                 .iter()
                 .any(|v| matches!(v, Value::Rel(r2) if *r2 == r)),
             _ => false,
         })
+}
+
+/// The node a hop starts from, `None` for `null` (no hops).
+fn hop_source(v: &Value) -> Result<Option<NodeId>, EvalError> {
+    match v {
+        Value::Node(n) => Ok(Some(*n)),
+        Value::Null => Ok(None),
+        other => err(format!(
+            "Expand source must be a node, got {}",
+            other.type_name()
+        )),
+    }
+}
+
+/// The expected values of per-hop property conditions, evaluated once per
+/// row (keys were resolved once per operator), and whether every key was
+/// interned: a key that never was makes no hop satisfy them.
+fn expected_props(
+    ctx: &EvalContext<'_>,
+    props: &[(Option<Symbol>, Expr)],
+    row: &ColumnBindings<'_>,
+) -> Result<(Vec<(Symbol, Value)>, bool), EvalError> {
+    let mut expected = Vec::with_capacity(props.len());
+    for (sym, e) in props {
+        if let Some(sym) = sym {
+            expected.push((*sym, eval_expr(ctx, row, e)?));
+        }
+    }
+    let known = expected.len() == props.len();
+    Ok((expected, known))
 }
 
 /// Whether `r` carries every expected `(key, value)` (`=`, not
@@ -916,204 +1009,199 @@ fn props_ok(g: &PropertyGraph, expected: &[(Symbol, Value)], r: RelId) -> bool {
         .all(|(k, want)| g.rel_prop(r, *k).is_some_and(|v| v.equals(want).is_true()))
 }
 
-/// The input cursor of an operator that maps every input row to a run
-/// of output rows (`Expand`, `MultiwayIntersect`, `Unwind`); `P` yields
-/// one row's run.
-struct PerRow<'a, P = std::vec::IntoIter<Record>> {
-    child: Box<dyn Operator + 'a>,
+// ---------------------------------------------------------------------------
+// The scan
+// ---------------------------------------------------------------------------
+
+/// The one scan, behind the driving table and `AllNodesScan`,
+/// `NodeIndexScan`, `PropertyIndexSeek` and `RelScan`: rows `next..end`
+/// of the row-major product of the driving rows and the scanned `items`,
+/// up to `cap` at a time. The driving rows are the driving table (no
+/// `child`: the whole run, or one morsel's range of it) or each batch a
+/// child emits (a source inside a pipeline); without `items` the driving
+/// rows pass through. The items are *not* copied per operator: parallel
+/// workers and re-built pipelines share one list.
+struct Scan<'a> {
+    schema: Arc<Schema>,
+    child: Option<Box<dyn Operator + 'a>>,
+    input: Cow<'a, RowBatch>,
+    items: Option<&'a Items<'a>>,
+    next: usize,
+    end: usize,
     cap: usize,
-    /// The current input batch and the index of its next row.
-    input: Option<(RowBatch, usize)>,
-    /// The current row's output still awaiting emission.
-    pending: P,
 }
 
-impl<'a, P: Iterator<Item = Record> + Default> PerRow<'a, P> {
-    fn new(child: Box<dyn Operator + 'a>, cap: usize) -> Self {
-        PerRow {
+impl Operator for Scan<'_> {
+    fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
+        let n = self.items.map_or(1, Items::len);
+        while self.next >= self.end {
+            // An empty item list still drains the child, so upstream
+            // evaluation errors surface.
+            let Some(child) = &mut self.child else {
+                return Ok(None);
+            };
+            let Some(batch) = child.next_batch()? else {
+                return Ok(None);
+            };
+            (self.next, self.end) = (0, batch.len() * n);
+            self.input = Cow::Owned(batch);
+        }
+        let range = self.next..(self.next + self.cap).min(self.end);
+        self.next = range.end;
+        let Some(items) = self.items else {
+            return Ok(Some(match &mut self.input {
+                Cow::Owned(input) if range.len() == input.len() => std::mem::take(input),
+                input => {
+                    let cols = input.columns().iter().map(|c| c[range.clone()].to_vec());
+                    RowBatch::new(range.len(), cols.collect())
+                }
+            }));
+        };
+        let in_width = self.schema.len() - 1;
+        let mut out = Gather::new(in_width, 1, range.len());
+        let mut p = range.start;
+        while p < range.end {
+            // The rest of driving row `p / n`'s run, within the range.
+            let (row, i) = (p / n, p % n);
+            let m = (n - i).min(range.end - p);
+            items.push_range(i..i + m, &mut out.cols[in_width]);
+            out.extend(row, m);
+            p += m;
+        }
+        out.settle(&self.input);
+        Ok(out.finish())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Operators that extend each input row by a run of output rows
+// ---------------------------------------------------------------------------
+
+/// What a [`Fanout`] runs: the step that maps one input row to a run of
+/// output rows (`Expand`, `MultiwayIntersect`, `UNWIND`).
+trait Expander<'a> {
+    /// Fills `run`, an empty buffer, with the new values of `row`'s
+    /// output rows, in order and row-major (or replaces it, an `UNWIND`
+    /// by its list), and answers how many rows that is.
+    fn expand(
+        &mut self,
+        input: &RowBatch,
+        row: usize,
+        run: &mut Cow<'a, [Value]>,
+    ) -> Result<usize, EvalError>;
+
+    /// See [`Operator::intersect_stats`].
+    fn intersect_stats(&self) -> Option<(u64, u64)> {
+        None
+    }
+
+    /// Called at end of stream.
+    fn finish(&mut self) {}
+}
+
+/// The operator of every step that maps each input row to a run of
+/// output rows: it asks its [`Expander`] for one input row's run at a
+/// time and cuts the runs into batches of `cap` rows, each output row
+/// recorded by its parent so the input columns are gathered once per
+/// input batch ([`Gather`]). A run longer than a batch continues in the
+/// next one.
+struct Fanout<'a, E> {
+    schema: Arc<Schema>,
+    child: Box<dyn Operator + 'a>,
+    cap: usize,
+    /// The input's columns, and the new columns per output row.
+    in_width: usize,
+    width: usize,
+    /// The input batch and the index of its next row.
+    input: RowBatch,
+    next: usize,
+    /// The input row whose run is pending, the run's new values, its
+    /// rows and how many of them were emitted.
+    current: usize,
+    run: Cow<'a, [Value]>,
+    rows: usize,
+    taken: usize,
+    /// The previous batch's length: the next one's capacity.
+    hint: usize,
+    expander: E,
+}
+
+impl<'a, E: Expander<'a>> Fanout<'a, E> {
+    fn new(schema: Arc<Schema>, child: Box<dyn Operator + 'a>, cap: usize, expander: E) -> Self {
+        let in_width = child.schema().len();
+        Fanout {
+            width: schema.len() - in_width,
+            schema,
             child,
             cap,
-            input: None,
-            pending: P::default(),
-        }
-    }
-
-    /// Moves pending rows into `out`; while `out` has room, steps to the
-    /// next input row and answers `true` for the caller to expand
-    /// [`PerRow::current`] into [`PerRow::expanded`]. `false`: `out` is
-    /// full or the input is exhausted.
-    fn advance(&mut self, out: &mut RowBatch) -> Result<bool, EvalError> {
-        while out.len() < self.cap {
-            if let Some(r) = self.pending.next() {
-                out.push(r);
-                continue;
-            }
-            match &mut self.input {
-                Some((batch, next)) if *next < batch.len() => {
-                    *next += 1;
-                    return Ok(true);
-                }
-                _ => match self.child.next_batch()? {
-                    Some(b) => self.input = Some((b, 0)),
-                    None => return Ok(false),
-                },
-            }
-        }
-        Ok(false)
-    }
-
-    /// The input row [`PerRow::advance`] stepped to.
-    fn current(&self) -> &Record {
-        let (batch, next) = self.input.as_ref().expect("advanced to a row");
-        &batch.rows()[next - 1]
-    }
-
-    /// Queues the current row's output.
-    fn expanded(&mut self, rows: P) {
-        self.pending = rows;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sources
-// ---------------------------------------------------------------------------
-
-/// The driving table as a source: its rows moved out, or cloned one
-/// batch at a time from a borrowed table that the error re-run reads again.
-struct TableScan<'d> {
-    schema: Arc<Schema>,
-    rows: Cow<'d, [Record]>,
-    next: usize,
-    cap: usize,
-}
-
-impl<'d> TableScan<'d> {
-    fn new(t: Cow<'d, Table>, cap: usize) -> Self {
-        let schema = t.schema().clone();
-        let rows = match t {
-            Cow::Owned(t) => Cow::Owned(t.into_rows()),
-            Cow::Borrowed(t) => Cow::Borrowed(t.rows()),
-        };
-        TableScan {
-            schema,
-            rows,
+            in_width,
+            input: RowBatch::default(),
             next: 0,
-            cap,
+            current: 0,
+            run: Cow::Borrowed(&[]),
+            rows: 0,
+            taken: 0,
+            hint: 0,
+            expander,
         }
     }
 }
 
-impl Operator for TableScan<'_> {
+impl<'a, E: Expander<'a>> Operator for Fanout<'a, E> {
     fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        let range = self.next..(self.next + self.cap).min(self.rows.len());
-        self.next = range.end;
-        let rows: Vec<Record> = match &mut self.rows {
-            Cow::Owned(rows) => rows[range].iter_mut().map(std::mem::take).collect(),
-            Cow::Borrowed(rows) => rows[range].to_vec(),
-        };
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
-    }
-}
-
-/// The one scan operator behind `AllNodesScan`, `NodeIndexScan`,
-/// `PropertyIndexSeek` and `RelScan`: for every driving row, emit one
-/// output row per item of a pre-materialized, `Arc`-shared list. The items
-/// are *not* cloned per operator — parallel workers and re-built pipelines
-/// share one allocation.
-struct ItemScan<'a> {
-    schema: Arc<Schema>,
-    child: Box<dyn Operator + 'a>,
-    items: Arc<[Value]>,
-    cap: usize,
-    /// The input batch currently being multiplied, with its cursors.
-    input: Option<RowBatch>,
-    row_idx: usize,
-    item_idx: usize,
-}
-
-impl Operator for ItemScan<'_> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        if self.items.is_empty() {
-            // No output is possible, but upstream evaluation *errors*
-            // must still surface: drain the child instead of ending the
-            // stream outright.
-            while self.child.next_batch()?.is_some() {}
-            return Ok(None);
-        }
-        loop {
-            let Some(batch) = self.input.take() else {
-                match self.child.next_batch()? {
-                    None => return Ok(None),
-                    Some(b) => {
-                        self.row_idx = 0;
-                        self.item_idx = 0;
-                        self.input = Some(b);
-                        continue;
+        let mut out = Gather::new(self.in_width, self.width, self.hint);
+        while out.len < self.cap {
+            if self.taken < self.rows {
+                let n = (self.rows - self.taken).min(self.cap - out.len);
+                let vals = self.taken * self.width..(self.taken + n) * self.width;
+                let new = &mut out.cols[self.in_width..];
+                if let Cow::Owned(run) = &mut self.run {
+                    for (i, v) in run[vals].iter_mut().enumerate() {
+                        new[i % self.width].push(std::mem::replace(v, Value::Null));
+                    }
+                } else {
+                    for (i, v) in self.run[vals].iter().enumerate() {
+                        new[i % self.width].push(v.clone());
                     }
                 }
-            };
-            let remaining = (batch.len() - self.row_idx)
-                .saturating_mul(self.items.len())
-                .saturating_sub(self.item_idx);
-            let mut out = RowBatch::with_capacity(self.cap.min(remaining));
-            while self.row_idx < batch.len() && out.len() < self.cap {
-                let row = &batch.rows()[self.row_idx];
-                while self.item_idx < self.items.len() && out.len() < self.cap {
-                    let mut r = row.cloned_with_extra(1);
-                    r.push(self.items[self.item_idx].clone());
-                    out.push(r);
-                    self.item_idx += 1;
+                out.extend(self.current, n);
+                self.taken += n;
+            } else if self.next < self.input.len() {
+                (self.current, self.taken) = (self.next, 0);
+                self.next += 1;
+                match &mut self.run {
+                    Cow::Owned(buf) => buf.clear(),
+                    run => *run = Cow::Owned(Vec::new()),
                 }
-                if self.item_idx == self.items.len() {
-                    self.item_idx = 0;
-                    self.row_idx += 1;
+                let run = &mut self.run;
+                self.rows = self.expander.expand(&self.input, self.current, run)?;
+            } else {
+                out.settle(&self.input);
+                match self.child.next_batch()? {
+                    Some(batch) => (self.input, self.next) = (batch, 0),
+                    None => break,
                 }
-            }
-            if self.row_idx < batch.len() {
-                self.input = Some(batch); // morsel boundary mid-batch
-            }
-            if !out.is_empty() {
-                return Ok(Some(out));
             }
         }
-    }
-}
-
-/// The anchor scan of one parallel morsel: rows `range` of the row-major
-/// `driving × items` product — the order [`ItemScan`] emits them in — as
-/// one batch (a morsel is at most the batch cap; they are the same knob).
-struct MorselScan<'d> {
-    schema: Arc<Schema>,
-    driving: &'d Table,
-    items: Arc<[Value]>,
-    range: std::ops::Range<usize>,
-}
-
-impl Operator for MorselScan<'_> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
+        out.settle(&self.input);
+        self.hint = out.len;
+        let out = out.finish();
+        if out.is_none() {
+            self.expander.finish();
+        }
+        Ok(out)
     }
 
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        if self.range.is_empty() {
-            return Ok(None);
-        }
-        let per_row = self.items.len();
-        let mut out = RowBatch::with_capacity(self.range.len());
-        for idx in std::mem::take(&mut self.range) {
-            let mut r = self.driving.rows()[idx / per_row].cloned_with_extra(1);
-            r.push(self.items[idx % per_row].clone());
-            out.push(r);
-        }
-        Ok(Some(out))
+    fn intersect_stats(&self) -> Option<(u64, u64)> {
+        self.expander.intersect_stats()
     }
 }
 
@@ -1123,9 +1211,7 @@ impl Operator for MorselScan<'_> {
 
 struct ExpandOp<'a> {
     ctx: &'a EvalContext<'a>,
-    schema: Arc<Schema>,
     in_schema: Arc<Schema>,
-    rows: PerRow<'a>,
     from_idx: usize,
     rel_bound: Option<usize>,
     to_bound: Option<usize>,
@@ -1144,12 +1230,15 @@ struct ExpandOp<'a> {
     props: Vec<(Option<Symbol>, Expr)>,
 }
 
+/// One input row of an expand: its batch and index.
+type Row<'r> = (&'r RowBatch, usize);
+
 impl ExpandOp<'_> {
     /// Whether `r` may be the next hop from `row`.
-    fn hop_ok(&self, row: &Record, expected: &[(Symbol, Value)], r: RelId) -> bool {
+    fn hop_ok(&self, (input, row): Row<'_>, expected: &[(Symbol, Value)], r: RelId) -> bool {
         let g = self.ctx.graph;
         type_ok(g, &self.type_syms, r)
-            && !rel_excluded(self.ctx, &self.exclude_idx, row, r)
+            && !rel_excluded(self.ctx, &self.exclude_idx, input, row, r)
             && props_ok(g, expected, r)
     }
 
@@ -1163,86 +1252,67 @@ impl ExpandOp<'_> {
         }
     }
 
-    /// Computes all expansions for one input row.
-    fn expand_row(&self, row: &Record) -> Result<Vec<Record>, EvalError> {
-        let mut out = Vec::new();
-        let from = match row.get(self.from_idx) {
-            Value::Node(n) => *n,
-            Value::Null => return Ok(out),
-            other => {
-                return err(format!(
-                    "Expand source must be a node, got {}",
-                    other.type_name()
-                ))
-            }
+    /// Appends the new values of every expansion of one input row to
+    /// `out`, answering how many there are.
+    fn expand_row(&self, at: Row<'_>, out: &mut Vec<Value>) -> Result<usize, EvalError> {
+        let (input, row) = at;
+        let Some(from) = hop_source(input.at(self.from_idx, row))? else {
+            return Ok(0);
         };
         // Type/property conditions apply per traversed hop; when the type
         // or a property key was never interned no hop can satisfy them —
         // but a zero-hop (`*0..`) acceptance is still valid, its hop
         // conditions being vacuous.
-        let mut hops_possible = self.type_syms.is_some();
-        // Evaluate expected per-hop property values once per row (the
-        // keys were resolved once per operator at build time).
-        let mut expected: Vec<(Symbol, Value)> = Vec::with_capacity(self.props.len());
-        for (sym, e) in &self.props {
-            let Some(sym) = sym else {
-                hops_possible = false;
-                continue;
-            };
-            let b = Bindings::new(&self.in_schema, row);
-            expected.push((*sym, eval_expr(self.ctx, &b, e)?));
-        }
+        let (expected, keys_known) =
+            expected_props(self.ctx, &self.props, &input.row(&self.in_schema, row))?;
+        let hops_possible = keys_known && self.type_syms.is_some();
 
-        if self.single {
-            if !hops_possible {
-                return Ok(out);
-            }
-            for (r, next) in self.ctx.graph.expand(from, self.dir) {
-                if !self.hop_ok(row, &expected, r) {
-                    continue;
-                }
-                if let Some(ri) = self.rel_bound {
-                    if !row.get(ri).equivalent(&Value::Rel(r)) {
-                        continue;
-                    }
-                }
-                if let Some(ti) = self.to_bound {
-                    if !row.get(ti).equivalent(&Value::Node(next)) {
-                        continue;
-                    }
-                }
-                let mut rec = row.cloned_with_extra(2);
-                if self.rel_bound.is_none() {
-                    rec.push(Value::Rel(r));
-                }
-                if self.to_bound.is_none() {
-                    rec.push(Value::Node(next));
-                }
-                out.push(rec);
-            }
-        } else {
+        if !self.single {
             let hi = if hops_possible {
                 self.effective_hi()
             } else {
                 0
             };
-            let mut stack_rels: Vec<RelId> = Vec::new();
-            self.var_dfs(row, &expected, from, 0, hi, &mut stack_rels, &mut out)?;
+            return Ok(self.var_dfs(at, &expected, from, 0, hi, &mut Vec::new(), out));
         }
-        Ok(out)
+        if !hops_possible {
+            return Ok(0);
+        }
+        let hops = self.ctx.graph.expand(from, self.dir);
+        let hops = hops.filter(|&(r, _)| self.hop_ok(at, &expected, r));
+        Ok(hops
+            .map(|(r, next)| self.emit(at, Value::Rel(r), next, out))
+            .sum())
+    }
+
+    /// Appends the new values of a match ending at `node` over `rel` (a
+    /// relationship or, variable-length, their list) unless a bound column
+    /// disagrees; answers the rows appended.
+    fn emit(&self, (input, row): Row<'_>, rel: Value, node: NodeId, out: &mut Vec<Value>) -> usize {
+        let node = Value::Node(node);
+        let disagrees = |bound: Option<usize>, v: &Value| {
+            bound.is_some_and(|i| !input.at(i, row).equivalent(v))
+        };
+        if disagrees(self.rel_bound, &rel) || disagrees(self.to_bound, &node) {
+            return 0;
+        }
+        out.extend(self.rel_bound.is_none().then_some(rel));
+        out.extend(self.to_bound.is_none().then_some(node));
+        1
     }
 
     #[allow(clippy::too_many_arguments)]
     fn var_dfs(
         &self,
-        row: &Record,
+        at: Row<'_>,
         expected: &[(Symbol, Value)],
-        at: NodeId,
+        node: NodeId,
         k: u64,
         hi: u64,
         rels: &mut Vec<RelId>,
-        out: &mut Vec<Record>,
-    ) -> Result<(), EvalError> {
+        out: &mut Vec<Value>,
+    ) -> usize {
+        let mut rows = 0;
         if k >= self.lo {
             // The DFS collects relationships in traversal order; a
             // reversed step must bind them in pattern order (Section 4.2
@@ -1252,52 +1322,32 @@ impl ExpandOp<'_> {
             } else {
                 Value::List(rels.iter().map(|&r| Value::Rel(r)).collect())
             };
-            let mut emit = true;
-            if let Some(ri) = self.rel_bound {
-                emit &= row.get(ri).equivalent(&list);
-            }
-            if let Some(ti) = self.to_bound {
-                emit &= row.get(ti).equivalent(&Value::Node(at));
-            }
-            if emit {
-                let mut rec = row.cloned_with_extra(2);
-                if self.rel_bound.is_none() {
-                    rec.push(list);
-                }
-                if self.to_bound.is_none() {
-                    rec.push(Value::Node(at));
-                }
-                out.push(rec);
-            }
+            rows += self.emit(at, list, node, out);
         }
         if k >= hi {
-            return Ok(());
+            return rows;
         }
         let distinct = self.ctx.config.morphism.rels_distinct();
-        for (r, next) in self.ctx.graph.expand(at, self.dir) {
-            if (distinct && rels.contains(&r)) || !self.hop_ok(row, expected, r) {
+        for (r, next) in self.ctx.graph.expand(node, self.dir) {
+            if (distinct && rels.contains(&r)) || !self.hop_ok(at, expected, r) {
                 continue;
             }
             rels.push(r);
-            self.var_dfs(row, expected, next, k + 1, hi, rels, out)?;
+            rows += self.var_dfs(at, expected, next, k + 1, hi, rels, out);
             rels.pop();
         }
-        Ok(())
+        rows
     }
 }
 
-impl Operator for ExpandOp<'_> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        let mut out = RowBatch::with_capacity(self.rows.cap.min(64));
-        while self.rows.advance(&mut out)? {
-            let exp = self.expand_row(self.rows.current())?;
-            self.rows.expanded(exp.into_iter());
-        }
-        Ok((!out.is_empty()).then_some(out))
+impl<'a> Expander<'a> for ExpandOp<'a> {
+    fn expand(
+        &mut self,
+        input: &RowBatch,
+        row: usize,
+        run: &mut Cow<'a, [Value]>,
+    ) -> Result<usize, EvalError> {
+        self.expand_row((input, row), run.to_mut())
     }
 }
 
@@ -1429,9 +1479,7 @@ impl<'s> GuardCursor<'s> {
 /// the sequential row sequence at any thread count.
 struct MultiwayIntersectOp<'a> {
     ctx: &'a EvalContext<'a>,
-    schema: Arc<Schema>,
     in_schema: Arc<Schema>,
-    rows: PerRow<'a>,
     guards: Vec<IntersectGuardState>,
     /// `None` when some label was never interned (matches nothing).
     label_syms: Option<Vec<Symbol>>,
@@ -1442,7 +1490,6 @@ struct MultiwayIntersectOp<'a> {
     probes: u64,
     isect: u64,
     rows_out: u64,
-    flushed: bool,
 }
 
 impl MultiwayIntersectOp<'_> {
@@ -1453,14 +1500,10 @@ impl MultiwayIntersectOp<'_> {
         }
     }
 
-    /// Computes all bindings of the target variable for one input row.
-    fn intersect_row(
-        &self,
-        row: &Record,
-        probes: &mut u64,
-        isect: &mut u64,
-    ) -> Result<Vec<Record>, EvalError> {
-        let mut out = Vec::new();
+    /// Appends the new values of every binding of the target variable for
+    /// one input row to `out`, answering how many there are.
+    fn intersect_row(&mut self, at: Row<'_>, out: &mut Vec<Value>) -> Result<usize, EvalError> {
+        let (input, row) = at;
         // Resolve every guard's bound endpoint and evaluate its expected
         // relationship property values (once per row, like `ExpandOp`; a
         // never-interned key or type makes the guard unsatisfiable but
@@ -1470,31 +1513,17 @@ impl MultiwayIntersectOp<'_> {
         let mut expected: Vec<Vec<(Symbol, Value)>> = Vec::with_capacity(self.guards.len());
         let mut possible = true;
         for g in &self.guards {
-            let from = match row.get(g.from_idx) {
-                Value::Node(n) => *n,
-                Value::Null => return Ok(out),
-                other => {
-                    return err(format!(
-                        "Expand source must be a node, got {}",
-                        other.type_name()
-                    ))
-                }
+            let Some(from) = hop_source(input.at(g.from_idx, row))? else {
+                return Ok(0);
             };
             froms.push(from);
-            possible &= g.type_syms.is_some();
-            let mut exp = Vec::with_capacity(g.props.len());
-            for (sym, e) in &g.props {
-                let Some(sym) = sym else {
-                    possible = false;
-                    continue;
-                };
-                let b = Bindings::new(&self.in_schema, row);
-                exp.push((*sym, eval_expr(self.ctx, &b, e)?));
-            }
+            let (exp, keys_known) =
+                expected_props(self.ctx, &g.props, &input.row(&self.in_schema, row))?;
+            possible &= keys_known && g.type_syms.is_some();
             expected.push(exp);
         }
         if !possible {
-            return Ok(out);
+            return Ok(0);
         }
         let mut cursors: Vec<GuardCursor<'_>> = self
             .guards
@@ -1506,13 +1535,14 @@ impl MultiwayIntersectOp<'_> {
         // the same node it is adjacent to every guard.
         let mut target = match cursors[0].current() {
             Some(n) => n,
-            None => return Ok(out),
+            None => return Ok(0),
         };
+        let (mut rows, mut probes, mut isect) = (0, 0, 0);
         let mut rel_lists: Vec<Vec<RelId>> = vec![Vec::new(); self.guards.len()];
         'outer: loop {
             let mut all_equal = true;
             for c in cursors.iter_mut() {
-                match c.seek(target, probes) {
+                match c.seek(target, &mut probes) {
                     None => break 'outer,
                     Some(n) if n > target => {
                         target = n;
@@ -1522,7 +1552,7 @@ impl MultiwayIntersectOp<'_> {
                 }
             }
             if all_equal {
-                *isect += 1;
+                isect += 1;
                 if self.labels_ok(target) {
                     let mut any_empty = false;
                     for ((list, c), (g, exp)) in rel_lists
@@ -1535,7 +1565,7 @@ impl MultiwayIntersectOp<'_> {
                         let graph = self.ctx.graph;
                         list.retain(|&r| {
                             type_ok(graph, &g.type_syms, r)
-                                && !rel_excluded(self.ctx, &self.exclude_idx, row, r)
+                                && !rel_excluded(self.ctx, &self.exclude_idx, input, row, r)
                                 && props_ok(graph, exp, r)
                         });
                         // Out- and inc-runs were appended back to back;
@@ -1545,7 +1575,7 @@ impl MultiwayIntersectOp<'_> {
                     }
                     if !any_empty {
                         let mut chosen = Vec::with_capacity(self.guards.len());
-                        self.emit_combos(row, target, &rel_lists, 0, &mut chosen, &mut out);
+                        rows += self.emit_combos(target, &rel_lists, &mut chosen, out);
                     }
                 }
                 for c in cursors.iter_mut() {
@@ -1557,79 +1587,62 @@ impl MultiwayIntersectOp<'_> {
                 }
             }
         }
-        Ok(out)
+        self.probes += probes;
+        self.isect += isect;
+        self.rows_out += rows as u64;
+        Ok(rows)
     }
 
-    /// Emits one output row per combination of admissible relationships,
+    /// Appends one output row per combination of admissible relationships,
     /// ascending-lexicographic, honouring relationship-uniqueness among
     /// the combination itself (`exclude_idx` covered the columns bound
-    /// before this operator).
+    /// before this operator); answers how many.
     fn emit_combos(
         &self,
-        row: &Record,
         v: NodeId,
         lists: &[Vec<RelId>],
-        depth: usize,
         chosen: &mut Vec<RelId>,
-        out: &mut Vec<Record>,
-    ) {
-        if depth == lists.len() {
-            let mut rec = row.cloned_with_extra(chosen.len() + 1);
-            for &r in chosen.iter() {
-                rec.push(Value::Rel(r));
-            }
-            rec.push(Value::Node(v));
-            out.push(rec);
-            return;
-        }
+        out: &mut Vec<Value>,
+    ) -> usize {
+        let Some(list) = lists.get(chosen.len()) else {
+            out.extend(chosen.iter().map(|&r| Value::Rel(r)));
+            out.push(Value::Node(v));
+            return 1;
+        };
         let distinct = self.ctx.config.morphism.rels_distinct();
-        for &r in &lists[depth] {
+        let mut rows = 0;
+        for &r in list {
             if distinct && chosen.contains(&r) {
                 continue;
             }
             chosen.push(r);
-            self.emit_combos(row, v, lists, depth + 1, chosen, out);
+            rows += self.emit_combos(v, lists, chosen, out);
             chosen.pop();
         }
+        rows
+    }
+}
+
+impl<'a> Expander<'a> for MultiwayIntersectOp<'a> {
+    fn expand(
+        &mut self,
+        input: &RowBatch,
+        row: usize,
+        run: &mut Cow<'a, [Value]>,
+    ) -> Result<usize, EvalError> {
+        self.intersect_row((input, row), run.to_mut())
     }
 
-    fn flush_metrics(&mut self) {
-        if self.flushed {
-            return;
-        }
-        self.flushed = true;
+    fn intersect_stats(&self) -> Option<(u64, u64)> {
+        Some((self.probes, self.isect))
+    }
+
+    fn finish(&mut self) {
         if let Some(m) = self.metrics {
             m.intersect_probes.add(self.probes);
             m.intersect_nodes.add(self.isect);
             m.intersect_rows.add(self.rows_out);
         }
-    }
-}
-
-impl Operator for MultiwayIntersectOp<'_> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
-        let mut out = RowBatch::with_capacity(self.rows.cap.min(64));
-        while self.rows.advance(&mut out)? {
-            let (mut probes, mut isect) = (0, 0);
-            let exp = self.intersect_row(self.rows.current(), &mut probes, &mut isect)?;
-            self.probes += probes;
-            self.isect += isect;
-            self.rows_out += exp.len() as u64;
-            self.rows.expanded(exp.into_iter());
-        }
-        if out.is_empty() {
-            self.flush_metrics();
-            return Ok(None);
-        }
-        Ok(Some(out))
-    }
-
-    fn intersect_stats(&self) -> Option<(u64, u64)> {
-        Some((self.probes, self.isect))
     }
 }
 
@@ -1669,34 +1682,34 @@ fn stage<'a>(
     Box::new(Stage { schema, child, f })
 }
 
-/// A [`Stage`] keeping the rows `keep` accepts.
+/// A [`Stage`] keeping the rows `keep` accepts: a keep-mask per batch,
+/// then every column compacted in place.
 fn filter<'a>(
     schema: Arc<Schema>,
     child: Box<dyn Operator + 'a>,
-    mut keep: impl FnMut(&Record) -> Result<bool, EvalError> + 'a,
+    mut keep: impl FnMut(&RowBatch, usize) -> Result<bool, EvalError> + 'a,
 ) -> Box<dyn Operator + 'a> {
-    stage(schema, child, move |batch| {
-        let mut out = RowBatch::with_capacity(batch.len());
-        for row in batch.into_rows() {
-            if keep(&row)? {
-                out.push(row);
-            }
+    stage(schema, child, move |mut batch| {
+        let mut mask = Vec::with_capacity(batch.len());
+        for row in 0..batch.len() {
+            mask.push(keep(&batch, row)?);
         }
-        Ok(out)
+        batch.retain(&mask);
+        Ok(batch)
     })
 }
 
-/// Whether the entity in column `idx` carries every pattern property.
-/// `props` holds `(symbol, expected-value expr, its value once known)`;
-/// a `None` symbol is a key that was never interned — no entity can
-/// carry it. A literal or parameter does not depend on the row: it is
-/// evaluated on the first row that reaches the filter and reused.
+/// Whether the entity `entity` (the filtered column's value in the row
+/// `row`) carries every pattern property. `props` holds `(symbol,
+/// expected-value expr, its value once known)`; a `None` symbol is a key
+/// that was never interned — no entity can carry it. A literal or
+/// parameter does not depend on the row: it is evaluated on the first
+/// row that reaches the filter and reused.
 fn props_keep(
     ctx: &EvalContext<'_>,
-    schema: &Schema,
-    idx: usize,
     props: &mut [(Option<Symbol>, Expr, Option<Value>)],
-    row: &Record,
+    row: &ColumnBindings<'_>,
+    entity: &Value,
 ) -> Result<bool, EvalError> {
     let g = ctx.graph;
     for (sym, e, known) in props {
@@ -1704,7 +1717,7 @@ fn props_keep(
         let want = match known {
             Some(v) => &*v,
             None => {
-                let v = eval_expr(ctx, &Bindings::new(schema, row), e)?;
+                let v = eval_expr(ctx, row, e)?;
                 if matches!(e, Expr::Lit(_) | Expr::Param(_)) {
                     &*known.insert(v)
                 } else {
@@ -1713,7 +1726,7 @@ fn props_keep(
                 }
             }
         };
-        let got = match row.get(idx) {
+        let got = match entity {
             Value::Node(n) => sym.and_then(|s| g.node_prop(*n, s)),
             Value::Rel(r) => sym.and_then(|s| g.rel_prop(*r, s)),
             Value::Null => return Ok(false),
@@ -1727,13 +1740,14 @@ fn props_keep(
     Ok(true)
 }
 
-/// Appends the named path walked through `elements` — `(is_node,
-/// is_list, column)` triples in path order — to `row`.
+/// The named path walked through `elements` — `(is_node, is_list,
+/// column)` triples in path order — in row `row` of `batch`.
 fn bind_path(
     ctx: &EvalContext<'_>,
     elements: &[(bool, bool, usize)],
-    mut row: Record,
-) -> Result<Record, EvalError> {
+    batch: &RowBatch,
+    row: usize,
+) -> Result<Path, EvalError> {
     let g = ctx.graph;
     let mut path: Option<Path> = None;
     let mut current: Option<NodeId> = None;
@@ -1746,7 +1760,7 @@ fn bind_path(
     for &(is_node, is_list, idx) in elements {
         if is_node {
             if path.is_none() {
-                let Value::Node(n) = row.get(idx) else {
+                let Value::Node(n) = batch.at(idx, row) else {
                     return err("path element is not a node");
                 };
                 path = Some(Path::single(*n));
@@ -1755,89 +1769,57 @@ fn bind_path(
             // Interior node columns are consistency-checked by the
             // matcher; the walk itself determines them.
         } else if is_list {
-            let Value::List(items) = row.get(idx).clone() else {
+            let Value::List(items) = batch.at(idx, row) else {
                 return err("variable-length path element is not a list");
             };
             for v in items {
                 let Value::Rel(r) = v else {
                     return err("path relationship list holds a non-relationship");
                 };
-                extend(&mut path, &mut current, r);
+                extend(&mut path, &mut current, *r);
             }
         } else {
-            let Value::Rel(r) = row.get(idx) else {
+            let Value::Rel(r) = batch.at(idx, row) else {
                 return err("path element is not a relationship");
             };
             extend(&mut path, &mut current, *r);
         }
     }
-    row.push(Value::Path(path.expect("non-empty path pattern")));
-    Ok(row)
+    Ok(path.expect("non-empty path pattern"))
 }
 
 // ---------------------------------------------------------------------------
 // UNWIND
 // ---------------------------------------------------------------------------
 
-/// One driving row's `UNWIND` output, made lazily: the row extended by
-/// each element in turn, so a long list is never a table.
-#[derive(Default)]
-struct Unwound<'a> {
-    row: Record,
-    items: Cow<'a, [Value]>,
-    next: usize,
-}
-
-impl Iterator for Unwound<'_> {
-    type Item = Record;
-
-    fn next(&mut self) -> Option<Record> {
-        let item = self.items.get(self.next)?.clone();
-        self.next += 1;
-        let mut r = self.row.cloned_with_extra(1);
-        r.push(item);
-        Some(r)
-    }
-}
-
 /// `UNWIND`: a list yields one row per element (none for the empty
-/// list), any other value — `null` included — a single row (Figure 7).
+/// list), any other value — `null` included — a single row (Figure 7). A
+/// parameter's list is read in place, so a long list is never copied.
 struct UnwindOp<'a> {
     ctx: &'a EvalContext<'a>,
-    schema: Arc<Schema>,
     in_schema: Arc<Schema>,
-    rows: PerRow<'a, Unwound<'a>>,
     expr: Expr,
 }
 
-impl Operator for UnwindOp<'_> {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RowBatch>, EvalError> {
+impl<'a> Expander<'a> for UnwindOp<'a> {
+    fn expand(
+        &mut self,
+        input: &RowBatch,
+        row: usize,
+        run: &mut Cow<'a, [Value]>,
+    ) -> Result<usize, EvalError> {
         let ctx = self.ctx;
-        let mut out = RowBatch::with_capacity(self.rows.cap.min(64));
-        while self.rows.advance(&mut out)? {
-            let row = self.rows.current().clone();
-            // A parameter's list is read in place rather than copied.
-            let param = match &self.expr {
-                Expr::Param(p) => ctx.params.get(p),
-                _ => None,
-            };
-            let items = match param {
-                Some(Value::List(items)) => Cow::Borrowed(items.as_slice()),
-                _ => match eval_expr(ctx, &Bindings::new(&self.in_schema, &row), &self.expr)? {
-                    Value::List(items) => Cow::Owned(items),
-                    other => Cow::Owned(vec![other]),
-                },
-            };
-            self.rows.expanded(Unwound {
-                row,
-                items,
-                next: 0,
-            });
-        }
-        Ok((!out.is_empty()).then_some(out))
+        let param = match &self.expr {
+            Expr::Param(p) => ctx.params.get(p),
+            _ => None,
+        };
+        *run = match param {
+            Some(Value::List(items)) => Cow::Borrowed(items.as_slice()),
+            _ => match eval_expr(ctx, &input.row(&self.in_schema, row), &self.expr)? {
+                Value::List(items) => Cow::Owned(items),
+                other => Cow::Owned(vec![other]),
+            },
+        };
+        Ok(run.len())
     }
 }

@@ -30,13 +30,14 @@
 //! float summation) `sum`/`avg` bits.
 
 use crate::exec::{EngineConfig, PartialAggMode};
-use crate::ops::{RowBatch, Sink};
+use crate::ops::Sink;
 use cypher_ast::query::Return;
 use cypher_core::clauses::{apply_order_by_scoped, apply_projection, eval_count};
 use cypher_core::error::EvalError;
 use cypher_core::project::{GroupedAggState, ProjectionPlan, TopKState};
-use cypher_core::table::{Record, Schema, Table};
+use cypher_core::table::{Record, RowBatch, Schema, Table};
 use cypher_core::EvalContext;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A segment's closing projection compiled for the pipeline: what
@@ -170,10 +171,7 @@ impl Sink for Fold<'_> {
         batch: RowBatch,
     ) -> Result<(), EvalError> {
         let bound = self.0.plan.bind(ctx, schema);
-        for row in batch.rows() {
-            part.feed_bound(ctx, &bound, row)?;
-        }
-        Ok(())
+        part.feed_batch(ctx, &bound, &batch)
     }
 
     /// Merges the groups, then applies the tail of the projection
@@ -227,16 +225,13 @@ impl Sink for TopK<'_> {
     ) -> Result<(), EvalError> {
         let Projection { plan, ret, .. } = &self.0;
         let bound = plan.bind(ctx, schema);
-        for row in batch.rows() {
-            let out_row = bound.project_row(ctx, row)?;
-            part.feed(
-                ctx,
-                &ret.order_by,
-                plan.out_schema(),
-                out_row,
-                schema,
-                Some(row),
-            )?;
+        let out = bound.project_batch(ctx, Cow::Borrowed(&batch))?;
+        for row in 0..batch.len() {
+            let projected = out.row(plan.out_schema(), row);
+            let source = batch.row(schema, row);
+            part.feed(ctx, &ret.order_by, &projected, Some(&source), || {
+                projected.record()
+            })?;
         }
         Ok(())
     }
@@ -279,10 +274,7 @@ impl Sink for Map<'_> {
         batch: RowBatch,
     ) -> Result<(), EvalError> {
         let bound = self.0.plan.bind(ctx, schema);
-        part.reserve(batch.len());
-        for row in batch.rows() {
-            part.push(bound.project_row(ctx, row)?);
-        }
+        part.extend(bound.project_batch(ctx, Cow::Owned(batch))?.into_records());
         Ok(())
     }
 

@@ -366,7 +366,6 @@ mod tests {
             assert!(out.windows(2).all(|w| w[0] <= w[1]), "sorted out list");
             let mut expect: Vec<(NodeId, RelId)> = g
                 .expand(node, Direction::Outgoing)
-                .into_iter()
                 .map(|(r, m)| (m, r))
                 .collect();
             expect.sort_unstable();
@@ -376,7 +375,6 @@ mod tests {
             assert!(inc.windows(2).all(|w| w[0] <= w[1]), "sorted inc list");
             let mut expect: Vec<(NodeId, RelId)> = g
                 .expand(node, Direction::Incoming)
-                .into_iter()
                 .map(|(r, m)| (m, r))
                 .collect();
             expect.sort_unstable();

@@ -759,36 +759,23 @@ impl PropertyGraph {
     }
 
     /// All `(rel, neighbour)` pairs reachable from `n` in the given
-    /// direction. A self-loop appears once for `Outgoing`/`Incoming` and
-    /// twice for `Both` (once per orientation), matching the undirected
-    /// pattern semantics in §4.2 item (e′).
-    pub fn expand(&self, n: NodeId, dir: Direction) -> Vec<(RelId, NodeId)> {
-        let mut v = Vec::new();
-        match dir {
-            Direction::Outgoing => {
-                for &r in self.out_rels(n) {
-                    v.push((r, self.tgt(r).unwrap()));
-                }
-            }
-            Direction::Incoming => {
-                for &r in self.in_rels(n) {
-                    v.push((r, self.src(r).unwrap()));
-                }
-            }
-            Direction::Both => {
-                for &r in self.out_rels(n) {
-                    v.push((r, self.tgt(r).unwrap()));
-                }
-                for &r in self.in_rels(n) {
-                    // Skip self-loops here: already emitted from `out`.
-                    let s = self.src(r).unwrap();
-                    if s != n || self.tgt(r) != Some(n) {
-                        v.push((r, s));
-                    }
-                }
-            }
-        }
-        v
+    /// direction, walked without collecting them. A self-loop appears once
+    /// for `Outgoing`/`Incoming` and twice for `Both` (once per
+    /// orientation), matching the undirected pattern semantics in §4.2
+    /// item (e′).
+    pub fn expand(&self, n: NodeId, dir: Direction) -> impl Iterator<Item = (RelId, NodeId)> + '_ {
+        let (out, inc) = match dir {
+            Direction::Outgoing => (self.out_rels(n), &[][..]),
+            Direction::Incoming => (&[][..], self.in_rels(n)),
+            Direction::Both => (self.out_rels(n), self.in_rels(n)),
+        };
+        let both = dir == Direction::Both;
+        let out = out.iter().map(move |&r| (r, self.tgt(r).unwrap()));
+        // Under `Both`, skip self-loops here: already emitted from `out`.
+        out.chain(inc.iter().filter_map(move |&r| {
+            let s = self.src(r).unwrap();
+            (!both || s != n || self.tgt(r) != Some(n)).then_some((r, s))
+        }))
     }
 
     /// Degree in the given direction.
@@ -1234,9 +1221,10 @@ mod tests {
         let (g, a, b, r) = sample();
         assert_eq!(g.out_rels(a), &[r]);
         assert_eq!(g.in_rels(b), &[r]);
-        assert_eq!(g.expand(a, Direction::Outgoing), vec![(r, b)]);
-        assert_eq!(g.expand(b, Direction::Incoming), vec![(r, a)]);
-        assert_eq!(g.expand(a, Direction::Both), vec![(r, b)]);
+        let hops = |n, dir| g.expand(n, dir).collect::<Vec<_>>();
+        assert_eq!(hops(a, Direction::Outgoing), vec![(r, b)]);
+        assert_eq!(hops(b, Direction::Incoming), vec![(r, a)]);
+        assert_eq!(hops(a, Direction::Both), vec![(r, b)]);
         assert_eq!(g.degree(a, Direction::Both), 1);
         assert_eq!(g.degree(a, Direction::Incoming), 0);
     }
@@ -1248,7 +1236,7 @@ mod tests {
         let r = g.add_rel(n, n, "SELF", []).unwrap();
         assert_eq!(g.degree(n, Direction::Both), 1);
         // Both-direction expand yields the loop once.
-        assert_eq!(g.expand(n, Direction::Both), vec![(r, n)]);
+        assert_eq!(g.expand(n, Direction::Both).collect::<Vec<_>>(), [(r, n)]);
         assert_eq!(g.other_end(r, n), Some(n));
     }
 

@@ -224,8 +224,10 @@ fn grouping_graph() -> PropertyGraph {
 
 /// A grouped fold allocates nothing per row that joins an existing group:
 /// the key is probed from a reused buffer and, like the representative
-/// row, copied only into a new group. What is left per input row is the
-/// scan's record (a plain projection adds its output row on top).
+/// row, copied only into a new group. The scan pushes its ids into one
+/// column per batch and the keys and arguments are evaluated a column per
+/// batch, so what is left is a few allocations per batch, not per row (a
+/// plain projection adds its output record per row).
 #[test]
 fn grouped_folds_allocate_only_the_scanned_row() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
@@ -247,14 +249,43 @@ fn grouped_folds_allocate_only_the_scanned_row() {
             "grouped fold allocation budget blown: {fold:.2} per row \
              (a per-row key or source-row copy is back?): {q}"
         );
+        assert!(
+            fold < 0.05,
+            "grouped fold allocates per row: {fold:.3} per row \
+             (a per-row record is back?): {q}"
+        );
     }
+}
+
+/// A five-hop chain of `Expand`s and label filters folds into `count(*)`
+/// allocating per batch, not per row: each expand records the input row
+/// of every output row and gathers the input columns by that index once
+/// per batch, and each filter compacts its columns in place.
+#[test]
+fn chained_expands_allocate_per_batch_not_per_row() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = powerlaw_social(300, 4, 1);
+    let q = "MATCH (p:Person)-[:FOLLOWS]->(:Person)-[:FOLLOWS]->(:Person)-[:FOLLOWS]->(:Person)\
+             -[:FOLLOWS]->(:Person)-[:FOLLOWS]->(f:Person) RETURN count(*) AS c";
+    let (out, heap) = heap_of(|| run(&g, q, &cfg(1)));
+    let rows = out.cell(0, "c").and_then(Value::as_int).unwrap();
+    let per_row = heap.allocations as f64 / rows as f64;
+    println!(
+        "five-hop chain: {rows} rows, {} allocations, {per_row:.4} per output row",
+        heap.allocations
+    );
+    assert!(rows > 100_000, "the substrate is too small: {rows} paths");
+    assert!(
+        per_row < 0.05,
+        "chained expands allocate per row: {per_row:.3} per output row \
+         (a per-row record is back?)"
+    );
 }
 
 /// With the final projection pushed into the pipeline, a group-by's peak
 /// scales with its groups and a top-k's with `k`, never with the rows
-/// entering them. A scan's item list is materialised per source either
-/// way, so a four-row driving table multiplies the same scan fourfold to
-/// separate the row count from the node count.
+/// entering them. A four-row driving table multiplies the same scan
+/// fourfold to separate the row count from the node count.
 #[test]
 fn pushed_down_folds_keep_their_peak_flat_in_the_input_rows() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
