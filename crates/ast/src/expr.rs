@@ -4,6 +4,7 @@
 //! and parameters.
 
 use crate::pattern::PathPattern;
+use std::sync::Arc;
 
 /// A literal value occurring in query text.
 #[derive(Clone, PartialEq, Debug)]
@@ -16,8 +17,8 @@ pub enum Literal {
     Integer(i64),
     /// A float literal.
     Float(f64),
-    /// A string literal.
-    String(String),
+    /// A string literal, shared by every value it evaluates to.
+    String(Arc<str>),
 }
 
 /// Comparison operators (`inequalities` row of Figure 5).
@@ -184,7 +185,7 @@ impl Expr {
     }
 
     /// String literal shorthand.
-    pub fn str(s: impl Into<String>) -> Expr {
+    pub fn str(s: impl Into<Arc<str>>) -> Expr {
         Expr::Lit(Literal::String(s.into()))
     }
 

@@ -250,11 +250,7 @@ pub fn eval_expr(
                     return eval_expr(ctx, u, &args[0]);
                 }
             }
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_expr(ctx, u, a)?);
-            }
-            apply_function(ctx, name, vals)
+            call_function(ctx, u, name, args)
         }
         Expr::CountStar => err("count(*) not allowed in this context"),
         Expr::HasLabels(e, labels) => {
@@ -465,13 +461,37 @@ pub fn truth_of(ctx: &EvalContext<'_>, u: &dyn VarLookup, e: &Expr) -> Result<Tr
     }
 }
 
+/// Evaluates up to three arguments into a stack array, so a call
+/// allocates no argument vector per row; longer calls keep a `Vec`.
+/// Out of line, to keep the array out of `eval_expr`'s recursive frame.
+#[inline(never)]
+fn call_function(
+    ctx: &EvalContext<'_>,
+    u: &dyn VarLookup,
+    name: &str,
+    args: &[Expr],
+) -> Result<Value, EvalError> {
+    if args.len() <= 3 {
+        let mut vals = [Value::Null, Value::Null, Value::Null];
+        for (slot, a) in vals.iter_mut().zip(args) {
+            *slot = eval_expr(ctx, u, a)?;
+        }
+        return apply_function(ctx, name, &mut vals[..args.len()]);
+    }
+    let mut vals = args
+        .iter()
+        .map(|a| eval_expr(ctx, u, a))
+        .collect::<Result<Vec<_>, _>>()?;
+    apply_function(ctx, name, &mut vals)
+}
+
 fn eval_literal(l: &Literal) -> Value {
     match l {
         Literal::Null => Value::Null,
         Literal::Bool(b) => Value::Bool(*b),
         Literal::Integer(i) => Value::Integer(*i),
         Literal::Float(f) => Value::Float(*f),
-        Literal::String(s) => Value::str(s),
+        Literal::String(s) => Value::String(Arc::clone(s)),
     }
 }
 

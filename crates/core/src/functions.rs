@@ -26,16 +26,17 @@ fn arity(name: &str, args: &[Value], n: usize) -> Result<(), EvalError> {
     }
 }
 
-/// Applies a scalar function from `F` to evaluated arguments.
+/// Applies a scalar function from `F` to evaluated arguments, which it
+/// may move out of (`coalesce` takes its winner).
 pub fn apply_function(
     ctx: &EvalContext<'_>,
     name: &str,
-    args: Vec<Value>,
+    args: &mut [Value],
 ) -> Result<Value, EvalError> {
     match name {
         // -- entity inspection ------------------------------------------------
         "id" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Node(n) => Ok(Value::int(n.0 as i64)),
@@ -47,7 +48,7 @@ pub fn apply_function(
             }
         }
         "labels" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Node(n) => Ok(Value::List(
@@ -61,7 +62,7 @@ pub fn apply_function(
             }
         }
         "type" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Rel(r) => {
@@ -78,7 +79,7 @@ pub fn apply_function(
             }
         }
         "properties" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             let interner = ctx.graph.interner();
             match &args[0] {
                 Value::Null => Ok(Value::Null),
@@ -99,7 +100,7 @@ pub fn apply_function(
             }
         }
         "keys" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Node(n) => Ok(Value::List(
@@ -121,11 +122,11 @@ pub fn apply_function(
             }
         }
         "exists" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             Ok(Value::Bool(!args[0].is_null()))
         }
         "startnode" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Rel(r) => ctx
@@ -140,7 +141,7 @@ pub fn apply_function(
             }
         }
         "endnode" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Rel(r) => ctx
@@ -156,7 +157,7 @@ pub fn apply_function(
         }
         // -- paths ------------------------------------------------------------
         "nodes" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Path(p) => Ok(Value::List(
@@ -166,7 +167,7 @@ pub fn apply_function(
             }
         }
         "relationships" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Path(p) => Ok(Value::List(p.rels().into_iter().map(Value::Rel).collect())),
@@ -177,7 +178,7 @@ pub fn apply_function(
             }
         }
         "length" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Path(p) => Ok(Value::int(p.len() as i64)),
@@ -188,7 +189,7 @@ pub fn apply_function(
         }
         // -- collections --------------------------------------------------------
         "size" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::List(items) => Ok(Value::int(items.len() as i64)),
@@ -198,7 +199,7 @@ pub fn apply_function(
             }
         }
         "head" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::List(items) => Ok(items.first().cloned().unwrap_or(Value::Null)),
@@ -206,7 +207,7 @@ pub fn apply_function(
             }
         }
         "last" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::List(items) => Ok(items.last().cloned().unwrap_or(Value::Null)),
@@ -214,7 +215,7 @@ pub fn apply_function(
             }
         }
         "tail" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::List(items) => Ok(Value::List(items.iter().skip(1).cloned().collect())),
@@ -222,7 +223,7 @@ pub fn apply_function(
             }
         }
         "reverse" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::List(items) => Ok(Value::List(items.iter().rev().cloned().collect())),
@@ -260,12 +261,12 @@ pub fn apply_function(
             Ok(Value::List(out))
         }
         "coalesce" => Ok(args
-            .into_iter()
+            .iter_mut()
             .find(|v| !v.is_null())
-            .unwrap_or(Value::Null)),
+            .map_or(Value::Null, |v| std::mem::replace(v, Value::Null))),
         // -- conversions ---------------------------------------------------------
         "tostring" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::String(s) => Ok(Value::str(s.as_ref())),
@@ -273,7 +274,7 @@ pub fn apply_function(
             }
         }
         "tointeger" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Integer(i) => Ok(Value::int(*i)),
@@ -287,7 +288,7 @@ pub fn apply_function(
             }
         }
         "tofloat" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Integer(i) => Ok(Value::float(*i as f64)),
@@ -301,7 +302,7 @@ pub fn apply_function(
             }
         }
         "toboolean" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Bool(b) => Ok(Value::Bool(*b)),
@@ -315,7 +316,7 @@ pub fn apply_function(
         }
         // -- numeric ---------------------------------------------------------------
         "abs" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Integer(i) => Ok(Value::int(i.abs())),
@@ -324,7 +325,7 @@ pub fn apply_function(
             }
         }
         "sign" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             match &args[0] {
                 Value::Null => Ok(Value::Null),
                 Value::Integer(i) => Ok(Value::int(i.signum())),
@@ -338,28 +339,28 @@ pub fn apply_function(
                 v => err(format!("sign() requires a number, got {}", v.type_name())),
             }
         }
-        "ceil" => float_fn(name, &args, f64::ceil),
-        "floor" => float_fn(name, &args, f64::floor),
-        "round" => float_fn(name, &args, f64::round),
-        "sqrt" => float_fn(name, &args, f64::sqrt),
-        "exp" => float_fn(name, &args, f64::exp),
-        "log" => float_fn(name, &args, f64::ln),
-        "log10" => float_fn(name, &args, f64::log10),
-        "sin" => float_fn(name, &args, f64::sin),
-        "cos" => float_fn(name, &args, f64::cos),
-        "tan" => float_fn(name, &args, f64::tan),
+        "ceil" => float_fn(name, args, f64::ceil),
+        "floor" => float_fn(name, args, f64::floor),
+        "round" => float_fn(name, args, f64::round),
+        "sqrt" => float_fn(name, args, f64::sqrt),
+        "exp" => float_fn(name, args, f64::exp),
+        "log" => float_fn(name, args, f64::ln),
+        "log10" => float_fn(name, args, f64::log10),
+        "sin" => float_fn(name, args, f64::sin),
+        "cos" => float_fn(name, args, f64::cos),
+        "tan" => float_fn(name, args, f64::tan),
         "pi" => {
-            arity(name, &args, 0)?;
+            arity(name, args, 0)?;
             Ok(Value::float(std::f64::consts::PI))
         }
         // -- strings -----------------------------------------------------------------
-        "toupper" => string_fn(name, &args, |s| s.to_uppercase()),
-        "tolower" => string_fn(name, &args, |s| s.to_lowercase()),
-        "trim" => string_fn(name, &args, |s| s.trim().to_string()),
-        "ltrim" => string_fn(name, &args, |s| s.trim_start().to_string()),
-        "rtrim" => string_fn(name, &args, |s| s.trim_end().to_string()),
+        "toupper" => string_fn(name, args, |s| s.to_uppercase()),
+        "tolower" => string_fn(name, args, |s| s.to_lowercase()),
+        "trim" => string_fn(name, args, |s| s.trim().to_string()),
+        "ltrim" => string_fn(name, args, |s| s.trim_start().to_string()),
+        "rtrim" => string_fn(name, args, |s| s.trim_end().to_string()),
         "replace" => {
-            arity(name, &args, 3)?;
+            arity(name, args, 3)?;
             match (&args[0], &args[1], &args[2]) {
                 (Value::Null, _, _) | (_, Value::Null, _) | (_, _, Value::Null) => Ok(Value::Null),
                 (Value::String(s), Value::String(find), Value::String(rep)) => {
@@ -369,7 +370,7 @@ pub fn apply_function(
             }
         }
         "split" => {
-            arity(name, &args, 2)?;
+            arity(name, args, 2)?;
             match (&args[0], &args[1]) {
                 (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                 (Value::String(s), Value::String(delim)) => Ok(Value::List(
@@ -397,7 +398,7 @@ pub fn apply_function(
             Ok(Value::str(chars[start..end].iter().collect::<String>()))
         }
         "left" => {
-            arity(name, &args, 2)?;
+            arity(name, args, 2)?;
             if args.iter().any(Value::is_null) {
                 return Ok(Value::Null);
             }
@@ -406,7 +407,7 @@ pub fn apply_function(
             Ok(Value::str(s.chars().take(n).collect::<String>()))
         }
         "right" => {
-            arity(name, &args, 2)?;
+            arity(name, args, 2)?;
             if args.iter().any(Value::is_null) {
                 return Ok(Value::Null);
             }
@@ -418,31 +419,31 @@ pub fn apply_function(
         }
         // -- temporal (Cypher 10, paper §6) ------------------------------------------
         "date" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             temporal_ctor(&args[0], |s| Date::parse(s).map(Temporal::Date))
         }
         "localtime" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             temporal_ctor(&args[0], |s| LocalTime::parse(s).map(Temporal::LocalTime))
         }
         "localdatetime" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             temporal_ctor(&args[0], |s| {
                 LocalDateTime::parse(s).map(Temporal::LocalDateTime)
             })
         }
         "datetime" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             temporal_ctor(&args[0], |s| {
                 ZonedDateTime::parse(s).map(Temporal::DateTime)
             })
         }
         "duration" => {
-            arity(name, &args, 1)?;
+            arity(name, args, 1)?;
             temporal_ctor(&args[0], |s| Duration::parse(s).map(Temporal::Duration))
         }
         "durationbetween" => {
-            arity(name, &args, 2)?;
+            arity(name, args, 2)?;
             match (&args[0], &args[1]) {
                 (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                 (Value::Temporal(Temporal::Date(a)), Value::Temporal(Temporal::Date(b))) => Ok(
@@ -527,9 +528,9 @@ mod tests {
         (g, Params::new())
     }
 
-    fn call(g: &PropertyGraph, p: &Params, name: &str, args: Vec<Value>) -> Value {
+    fn call(g: &PropertyGraph, p: &Params, name: &str, mut args: Vec<Value>) -> Value {
         let ctx = EvalContext::new(g, p);
-        apply_function(&ctx, name, args).unwrap()
+        apply_function(&ctx, name, &mut args).unwrap()
     }
 
     #[test]
@@ -703,6 +704,6 @@ mod tests {
     fn unknown_function_is_error() {
         let (g, p) = ctx_graph();
         let ctx = EvalContext::new(&g, &p);
-        assert!(apply_function(&ctx, "frobnicate", vec![]).is_err());
+        assert!(apply_function(&ctx, "frobnicate", &mut []).is_err());
     }
 }

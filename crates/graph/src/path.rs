@@ -18,10 +18,7 @@ pub struct Path {
 impl Path {
     /// The zero-length path `path(n)`.
     pub fn single(n: NodeId) -> Path {
-        Path {
-            start: n,
-            steps: Vec::new(),
-        }
+        Path::new(n, Vec::new())
     }
 
     /// Builds a path from a start node and steps.
@@ -103,26 +100,16 @@ impl Path {
         if self.end() != other.start {
             return None;
         }
-        let mut steps = self.steps.clone();
-        steps.extend_from_slice(&other.steps);
-        Some(Path {
-            start: self.start,
-            steps,
-        })
+        let steps = [&self.steps[..], &other.steps].concat();
+        Some(Path::new(self.start, steps))
     }
 
     /// The reverse path (traversing the same relationships backwards).
     pub fn reverse(&self) -> Path {
         let nodes = self.nodes();
-        let rels = self.rels();
-        let mut steps = Vec::with_capacity(rels.len());
-        for i in (0..rels.len()).rev() {
-            steps.push((rels[i], nodes[i]));
-        }
-        Path {
-            start: self.end(),
-            steps,
-        }
+        let steps = self.steps.iter().enumerate().rev();
+        let steps = steps.map(|(i, &(r, _))| (r, nodes[i])).collect();
+        Path::new(self.end(), steps)
     }
 }
 

@@ -26,7 +26,7 @@ use std::sync::Arc;
 const CHUNK: usize = 1024;
 
 /// A chunked, `Arc`-shared, tombstoning slot vector. See the module docs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct CowSlots<T> {
     chunks: Vec<Arc<Vec<Option<Arc<T>>>>>,
     /// Total slots, live and tombstoned (the next id to assign).
@@ -42,33 +42,11 @@ impl<T> Default for CowSlots<T> {
     }
 }
 
-impl<T> Clone for CowSlots<T> {
-    fn clone(&self) -> Self {
-        CowSlots {
-            chunks: self.chunks.clone(),
-            len: self.len,
-        }
-    }
-}
-
 impl<T: Clone> CowSlots<T> {
-    /// An empty store.
-    #[allow(dead_code)]
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// A store of `n` empty (tombstoned) slots, for snapshot restore.
     pub(crate) fn with_slots(n: usize) -> Self {
-        let full = n / CHUNK;
-        let rest = n % CHUNK;
-        let mut chunks = Vec::with_capacity(full + 1);
-        for _ in 0..full {
-            chunks.push(Arc::new(vec![None; CHUNK]));
-        }
-        if rest > 0 {
-            chunks.push(Arc::new(vec![None; rest]));
-        }
+        let chunk = |start: usize| Arc::new(vec![None; CHUNK.min(n - start)]);
+        let chunks = (0..n).step_by(CHUNK).map(chunk).collect();
         CowSlots { chunks, len: n }
     }
 
@@ -146,7 +124,7 @@ mod tests {
 
     #[test]
     fn push_get_take_roundtrip() {
-        let mut s: CowSlots<u32> = CowSlots::new();
+        let mut s: CowSlots<u32> = CowSlots::default();
         for i in 0..2500u32 {
             assert_eq!(s.push(i), i as usize);
         }
@@ -163,7 +141,7 @@ mod tests {
 
     #[test]
     fn clone_shares_until_written() {
-        let mut a: CowSlots<u32> = CowSlots::new();
+        let mut a: CowSlots<u32> = CowSlots::default();
         for i in 0..3000u32 {
             a.push(i);
         }

@@ -114,15 +114,6 @@ impl<'a> From<&'a PropertyGraph> for ViewRef<'a> {
     }
 }
 
-impl<'a> From<&'a mut PropertyGraph> for ViewRef<'a> {
-    fn from(graph: &'a mut PropertyGraph) -> ViewRef<'a> {
-        ViewRef {
-            graph,
-            version: None,
-        }
-    }
-}
-
 impl<'a> From<&'a GraphView> for ViewRef<'a> {
     fn from(view: &'a GraphView) -> ViewRef<'a> {
         ViewRef {

@@ -806,7 +806,7 @@ impl Parser {
             }
             Some(Token::Str(s)) => {
                 self.bump();
-                Ok(Expr::Lit(Literal::String(s)))
+                Ok(Expr::Lit(Literal::String(s.into())))
             }
             Some(Token::Dollar) => {
                 self.bump();

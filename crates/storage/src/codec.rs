@@ -9,12 +9,16 @@
 //! before any allocation, UTF-8 is verified, and value-tree nesting is
 //! depth-limited, so corrupt input produces [`StorageError::Corrupt`] and
 //! never a panic, over-allocation or stack overflow.
+//! A message may opt into a [`StringTable`] that sends a repeated string
+//! once; the WAL and snapshots never do, and their readers reject its tags.
 
 use crate::StorageError;
 use cypher_graph::change::Change;
+use cypher_graph::fxhash::FxHashMap;
 use cypher_graph::graph::{NodeState, RelState};
 use cypher_graph::temporal::{Date, Duration, LocalDateTime, LocalTime, Temporal, ZonedDateTime};
 use cypher_graph::{NodeId, Path, RelId, Value};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Maximum [`Value`] nesting depth the decoder accepts. Honest data never
@@ -120,8 +124,61 @@ fn put_props(buf: &mut Vec<u8>, props: &[(Arc<str>, Value)]) {
     }
 }
 
+/// Value tags of a string sent in full and registered at the next index
+/// of the message's [`StringTable`], and of a `u32` index into it.
+const TAG_STR_REGISTER: u8 = 11;
+const TAG_STR_REF: u8 = 12;
+
+/// A string table scoped to one message, built in value order on both
+/// sides. The encoder tracks strings by `Arc` address, and only those with
+/// `Arc::strong_count > 1` (a string nothing else holds cannot repeat): a
+/// string goes in full (tag 4) at its first occurrence, registered (tag
+/// 11) at its second, and as a reference (tag 12) afterwards, which the
+/// decoder answers with a clone of the registered `Arc`. A message in
+/// which no string repeats encodes exactly as without a table.
+#[derive(Default)]
+pub struct StringTable {
+    /// Encoder: each tracked address → its index once registered.
+    sent: FxHashMap<usize, Option<u32>>,
+    /// The registered strings, by index.
+    registered: Vec<Arc<str>>,
+}
+
+/// Appends a string value, through `strings` when the message has one.
+fn put_string(buf: &mut Vec<u8>, s: &Arc<str>, strings: Option<&mut StringTable>) {
+    let mut tag = 4;
+    if let Some(t) = strings.filter(|_| Arc::strong_count(s) > 1) {
+        match t.sent.entry(Arc::as_ptr(s) as *const u8 as usize) {
+            Entry::Vacant(first) => drop(first.insert(None)),
+            Entry::Occupied(mut seen) => match *seen.get() {
+                Some(i) => {
+                    buf.push(TAG_STR_REF);
+                    put_u32(buf, i);
+                    return;
+                }
+                None => {
+                    seen.insert(Some(t.registered.len() as u32));
+                    t.registered.push(Arc::clone(s));
+                    tag = TAG_STR_REGISTER;
+                }
+            },
+        }
+    }
+    buf.push(tag);
+    put_str(buf, s);
+}
+
 /// Appends an encoded [`Value`] tree.
 pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
+    put_value_in(buf, v, None)
+}
+
+/// [`put_value`] through the message's `strings` table.
+pub fn put_shared_value(buf: &mut Vec<u8>, v: &Value, strings: &mut StringTable) {
+    put_value_in(buf, v, Some(strings))
+}
+
+fn put_value_in(buf: &mut Vec<u8>, v: &Value, mut strings: Option<&mut StringTable>) {
     match v {
         Value::Null => buf.push(0),
         Value::Bool(b) => {
@@ -136,15 +193,12 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
             buf.push(3);
             put_u64(buf, f.to_bits());
         }
-        Value::String(s) => {
-            buf.push(4);
-            put_str(buf, s);
-        }
+        Value::String(s) => put_string(buf, s, strings),
         Value::List(items) => {
             buf.push(5);
             put_u32(buf, items.len() as u32);
             for item in items {
-                put_value(buf, item);
+                put_value_in(buf, item, strings.as_deref_mut());
             }
         }
         Value::Map(m) => {
@@ -152,7 +206,7 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
             put_u32(buf, m.len() as u32);
             for (k, item) in m {
                 put_str(buf, k);
-                put_value(buf, item);
+                put_value_in(buf, item, strings.as_deref_mut());
             }
         }
         Value::Node(n) => {
@@ -399,10 +453,19 @@ impl<'a> Reader<'a> {
 
     /// Reads an encoded [`Value`] tree.
     pub fn value(&mut self) -> Result<Value, StorageError> {
-        self.value_at(0)
+        self.value_at(0, None)
     }
 
-    fn value_at(&mut self, depth: u32) -> Result<Value, StorageError> {
+    /// Reads a [`Value`] tree written by [`put_shared_value`].
+    pub fn shared_value(&mut self, strings: &mut StringTable) -> Result<Value, StorageError> {
+        self.value_at(0, Some(strings))
+    }
+
+    fn value_at(
+        &mut self,
+        depth: u32,
+        mut t: Option<&mut StringTable>,
+    ) -> Result<Value, StorageError> {
         if depth > MAX_VALUE_DEPTH {
             return Err(self.corrupt("value nesting too deep"));
         }
@@ -416,11 +479,20 @@ impl<'a> Reader<'a> {
             2 => Ok(Value::Integer(self.i64()?)),
             3 => Ok(Value::Float(f64::from_bits(self.u64()?))),
             4 => Ok(Value::String(self.str()?)),
+            TAG_STR_REGISTER if t.is_some() => {
+                let s = self.str()?;
+                t.unwrap().registered.push(Arc::clone(&s));
+                Ok(Value::String(s))
+            }
+            TAG_STR_REF if t.is_some() => match t.unwrap().registered.get(self.u32()? as usize) {
+                Some(s) => Ok(Value::String(Arc::clone(s))),
+                None => Err(self.corrupt("unregistered string reference")),
+            },
             5 => {
                 let n = self.count()?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(self.value_at(depth + 1)?);
+                    items.push(self.value_at(depth + 1, t.as_deref_mut())?);
                 }
                 Ok(Value::List(items))
             }
@@ -429,7 +501,7 @@ impl<'a> Reader<'a> {
                 let mut m = std::collections::BTreeMap::new();
                 for _ in 0..n {
                     let k = self.str()?;
-                    let v = self.value_at(depth + 1)?;
+                    let v = self.value_at(depth + 1, t.as_deref_mut())?;
                     m.insert(k, v);
                 }
                 Ok(Value::Map(m))
@@ -490,13 +562,8 @@ impl<'a> Reader<'a> {
     pub fn change(&mut self) -> Result<Change, StorageError> {
         match self.u8()? {
             0 => {
-                let id = NodeId(self.u64()?);
-                let n = self.count()?;
-                let mut labels = Vec::with_capacity(n);
-                for _ in 0..n {
-                    labels.push(self.str()?);
-                }
-                let props = self.props()?;
+                // A node record is encoded exactly as a snapshot node row.
+                let NodeState { id, labels, props } = self.node_state()?;
                 Ok(Change::AddNode { id, labels, props })
             }
             1 => {

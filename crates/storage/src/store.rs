@@ -79,12 +79,9 @@ pub struct Store {
 ///
 /// * **stale locks cannot exist** — the kernel releases the lock the
 ///   instant the holding process dies, however it dies, so takeover of a
-///   dead holder is automatic and race-free (the earlier protocol
-///   checked the recorded pid against `/proc` and then rewrote the file
-///   non-atomically: two processes could both judge the holder dead and
-///   both claim the lock — and even an atomic rename-away-then-recreate
-///   claim can be raced by a contender that read the stale pid just
-///   before the winner's new lock appeared, stealing a *live* lock);
+///   dead holder is automatic and race-free, where judging a recorded
+///   pid dead and rewriting the file can be raced into stealing a live
+///   lock;
 /// * **partial content cannot mislead** — the pid in the file is only
 ///   ever read to decorate the `Locked` error; an unreadable pid
 ///   degrades the message, never the exclusion.
@@ -654,25 +651,9 @@ mod tests {
     /// `CYWAL001`, commit records, no group records) holding `n`
     /// single-change batches.
     fn write_v1_wal(dir: &Path, n: u64) {
-        use crate::codec::{put_change, put_u32, put_u64};
         std::fs::create_dir_all(dir).unwrap();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(wal::WAL_MAGIC_V1);
-        let mut payload = Vec::new();
-        for i in 0..n {
-            for c in &add_node_batch(i) {
-                payload.clear();
-                payload.push(wal::KIND_CHANGE);
-                put_change(&mut payload, c);
-                buf.extend_from_slice(&wal::frame_record(&payload));
-            }
-            payload.clear();
-            payload.push(wal::KIND_COMMIT);
-            put_u64(&mut payload, i);
-            put_u32(&mut payload, 1);
-            buf.extend_from_slice(&wal::frame_record(&payload));
-        }
-        std::fs::write(wal_path(dir, 0), &buf).unwrap();
+        let batches: Vec<Vec<Change>> = (0..n).map(add_node_batch).collect();
+        wal::tests::write_v1_log(&wal_path(dir, 0), &batches);
     }
 
     #[test]

@@ -60,20 +60,16 @@ pub const WAL_MAGIC_V1: &[u8; 8] = b"CYWAL001";
 /// least the 8 magic bytes.
 fn check_magic(buf: &[u8]) -> Result<u32, StorageError> {
     let magic = &buf[..WAL_MAGIC.len()];
-    if magic == WAL_MAGIC {
-        return Ok(2);
-    }
-    if magic == WAL_MAGIC_V1 {
-        return Ok(1);
-    }
-    if let Some(v) = magic
+    let version = magic
         .strip_prefix(b"CYWAL")
         .and_then(|digits| std::str::from_utf8(digits).ok())
-        .and_then(|digits| digits.parse::<u32>().ok())
-    {
-        return Err(StorageError::UnsupportedVersion(v));
+        .and_then(|digits| digits.parse::<u32>().ok());
+    match version {
+        Some(2) if magic == WAL_MAGIC => Ok(2),
+        Some(1) if magic == WAL_MAGIC_V1 => Ok(1),
+        Some(v) => Err(StorageError::UnsupportedVersion(v)),
+        None => Err(StorageError::corrupt("wal: bad magic", 0)),
     }
-    Err(StorageError::corrupt("wal: bad magic", 0))
 }
 
 /// Payload kind byte: one change record.
@@ -654,7 +650,7 @@ pub fn scan(path: &Path) -> Result<Vec<WalRecordInfo>, StorageError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cypher_graph::Value;
     use std::sync::Arc;
@@ -895,7 +891,7 @@ mod tests {
     /// Hand-writes a version-1 log: magic `CYWAL001`, then for each
     /// batch its change records followed by a commit record — no group
     /// records (they did not exist in v1).
-    fn write_v1_log(path: &Path, batches: &[Vec<Change>]) {
+    pub(crate) fn write_v1_log(path: &Path, batches: &[Vec<Change>]) {
         let mut buf = Vec::new();
         buf.extend_from_slice(WAL_MAGIC_V1);
         let mut payload = Vec::new();

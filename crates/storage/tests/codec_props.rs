@@ -7,8 +7,11 @@
 //! mis-decoded.
 
 use cypher_graph::temporal::{Date, Duration, LocalDateTime, LocalTime, Temporal, ZonedDateTime};
-use cypher_graph::{NodeId, Path, RelId, Value};
-use cypher_storage::codec::{put_value, Reader};
+use cypher_graph::{NodeId, Path, PropertyGraph, RelId, Value};
+use cypher_storage::codec::{
+    crc32, put_shared_value, put_str, put_u64, put_value, Reader, StringTable,
+};
+use cypher_storage::snapshot;
 use cypher_storage::wal::{frame_record, read_frame};
 use cypher_storage::StorageError;
 use proptest::prelude::*;
@@ -105,6 +108,24 @@ proptest! {
         prop_assert!(exactly_equal(&v, &back), "{v:?} != {back:?}");
     }
 
+    // Three clones of one tree share every string `Arc`, so through one
+    // message's string table the second copy registers its strings and
+    // the third refers to them; each decodes exactly.
+    #[test]
+    fn shared_values_roundtrip_exactly(v in arb_value()) {
+        let copies = [v.clone(), v.clone(), v.clone()];
+        let (mut buf, mut strings) = (Vec::new(), StringTable::default());
+        for copy in &copies {
+            put_shared_value(&mut buf, copy, &mut strings);
+        }
+        let (mut r, mut strings) = (Reader::new(&buf, "prop"), StringTable::default());
+        for _ in 0..3 {
+            let back = r.shared_value(&mut strings).unwrap();
+            prop_assert!(exactly_equal(&v, &back), "{v:?} != {back:?}");
+        }
+        prop_assert!(r.is_empty(), "decoder consumed everything");
+    }
+
     #[test]
     fn every_truncation_errors(v in arb_value()) {
         let mut buf = Vec::new();
@@ -140,5 +161,41 @@ proptest! {
                 "flip at byte {idx} (mask {mask:#x}) undetected"
             );
         }
+    }
+}
+
+/// The string-table tags belong to wire replies: the WAL's change reader
+/// and the snapshot reader reject a registration (tag 11) and a reference
+/// (tag 12) as invalid value tags.
+#[test]
+fn durable_readers_reject_string_table_tags() {
+    let is_invalid_tag = |e: StorageError| e.to_string().contains("invalid value tag");
+    let mut g = PropertyGraph::new();
+    g.add_node(&["N"], [("k", Value::str("snapvalue"))]);
+    let snap = snapshot::encode(&g, 1, 0);
+    let mut plain = vec![4u8];
+    put_str(&mut plain, "snapvalue");
+    let at = snap
+        .windows(plain.len())
+        .position(|w| w == plain)
+        .expect("the snapshot holds the property value");
+    for value in [
+        [&[11u8, 1, 0, 0, 0][..], b"x"].concat(),
+        vec![12u8, 0, 0, 0, 0],
+    ] {
+        // A WAL change record: `SetNodeProp { id: 1, key: "k", value }`.
+        let mut change = vec![4u8];
+        put_u64(&mut change, 1);
+        put_str(&mut change, "k");
+        change.extend_from_slice(&value);
+        let err = Reader::new(&change, "wal payload").change().unwrap_err();
+        assert!(is_invalid_tag(err));
+        // The snapshot with the property value replaced, CRC recomputed.
+        let mut bad = snap.clone();
+        bad.splice(at..at + plain.len(), value.iter().copied());
+        let body_end = bad.len() - 4;
+        let crc = crc32(&bad[8..body_end]).to_le_bytes();
+        bad[body_end..].copy_from_slice(&crc);
+        assert!(is_invalid_tag(snapshot::decode(&bad).unwrap_err()));
     }
 }

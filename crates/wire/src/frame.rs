@@ -3,12 +3,13 @@
 
 use cypher_storage::codec::crc32;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
-/// The 8-byte handshake each side sends on connect. The trailing `01` is
-/// the protocol version: a server that reads any other `CYWIRE0x` magic
-/// refuses the connection instead of misparsing frames.
-pub const HANDSHAKE_MAGIC: &[u8; 8] = b"CYWIRE01";
+/// The 8-byte handshake each side sends on connect. The trailing `02` is
+/// the protocol version (02: reply-scoped string tables): a side that
+/// reads any other `CYWIRE0x` magic refuses the connection instead of
+/// misparsing frames.
+pub const HANDSHAKE_MAGIC: &[u8; 8] = b"CYWIRE02";
 
 /// Default cap on a frame's payload length (8 MiB). Both sides reject an
 /// advertised length above their cap *before* allocating — the defense
@@ -59,16 +60,32 @@ impl From<cypher_storage::StorageError> for WireError {
     }
 }
 
-/// Writes one frame: `len · payload · crc32(payload)`. The caller
-/// flushes (frames are usually followed by a blocking read anyway).
+/// Writes one frame: `len · payload · crc32(payload)`, as one vectored
+/// write of the three parts. Through a `BufWriter` a frame that fits its
+/// buffer is buffered whole, and a larger one goes to the socket in one
+/// `writev` rather than as a 4-byte length segment ahead of the payload.
+/// The caller flushes (frames are usually followed by a blocking read
+/// anyway).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
     let len = u32::try_from(payload.len()).map_err(|_| WireError::FrameTooLarge {
         len: payload.len() as u64,
         max: u32::MAX as u64,
     })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
+    let (len, crc) = (len.to_le_bytes(), crc32(payload).to_le_bytes());
+    let mut parts = [
+        IoSlice::new(&len),
+        IoSlice::new(payload),
+        IoSlice::new(&crc),
+    ];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(WireError::Io(ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(WireError::Io(e)),
+        }
+    }
     Ok(())
 }
 
@@ -183,6 +200,55 @@ mod tests {
         }
     }
 
+    /// A recording writer that takes at most `cap` bytes per call.
+    struct Recorder {
+        cap: usize,
+        calls: usize,
+        out: Vec<u8>,
+    }
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let before = self.out.len();
+            for b in bufs {
+                let room = self.cap - (self.out.len() - before);
+                self.out.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.out.len() - before)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write_and_survives_short_writes() {
+        let payload = vec![0xA5u8; 100_000];
+        let mut whole = Vec::new();
+        write_frame(&mut whole, &payload).unwrap();
+        let mut one = Recorder {
+            cap: usize::MAX,
+            calls: 0,
+            out: Vec::new(),
+        };
+        write_frame(&mut one, &payload).unwrap();
+        assert_eq!((one.calls, &one.out), (1, &whole));
+        // Short writes that end inside the header, the payload and the
+        // CRC resume where the last one stopped.
+        let mut short = Recorder {
+            cap: 3,
+            calls: 0,
+            out: Vec::new(),
+        };
+        write_frame(&mut short, b"payload").unwrap();
+        let mut expected = Vec::new();
+        write_frame(&mut expected, b"payload").unwrap();
+        assert_eq!((short.calls, short.out), (5, expected));
+    }
+
     #[test]
     fn handshake_rejects_wrong_magic() {
         struct Duplex {
@@ -202,14 +268,26 @@ mod tests {
                 Ok(())
             }
         }
-        let mut s = Duplex {
-            input: Cursor::new(b"CYWAL002".to_vec()),
-            output: Vec::new(),
-        };
-        assert!(matches!(
-            server_handshake(&mut s),
-            Err(WireError::Protocol(_))
-        ));
-        assert!(s.output.is_empty(), "no answer to a wrong-protocol peer");
+        // A foreign magic, and the previous protocol version, whose
+        // replies carry no string tables.
+        for theirs in [b"CYWAL002", b"CYWIRE01"] {
+            let mut s = Duplex {
+                input: Cursor::new(theirs.to_vec()),
+                output: Vec::new(),
+            };
+            assert!(matches!(
+                server_handshake(&mut s),
+                Err(WireError::Protocol(_))
+            ));
+            assert!(s.output.is_empty(), "no answer to a wrong-protocol peer");
+            let mut c = Duplex {
+                input: Cursor::new(theirs.to_vec()),
+                output: Vec::new(),
+            };
+            assert!(matches!(
+                client_handshake(&mut c),
+                Err(WireError::Protocol(_))
+            ));
+        }
     }
 }

@@ -10,10 +10,21 @@
 //! ## Layering
 //!
 //! ```text
-//! handshake  := 8 magic bytes each way ("CYWIRE01"; last byte = version)
+//! handshake  := 8 magic bytes each way ("CYWIRE02"; last byte = version)
 //! frame      := len:u32 LE · payload[len] · crc:u32 LE   (CRC-32/IEEE of payload)
+//!               written as one vectored write
 //! payload    := one encoded Request (client→server) or Response (server→client)
+//! table      := the values of a reply's tables, through one string table
+//!               per reply: a shared string repeats as a 5-byte reference
 //! ```
+//!
+//! The string table is the storage codec's
+//! [`StringTable`](cypher_storage::codec::StringTable): a string some
+//! other owner also holds (`Arc::strong_count > 1`, e.g. an interned
+//! label) goes in full at its first occurrence, is registered (value tag
+//! 11) at its second, and is a `u32` reference (tag 12) afterwards, which
+//! decodes to the registered `Arc`. A reply in which no string repeats
+//! encodes exactly as without a table.
 //!
 //! ## Totality and bounded allocation
 //!

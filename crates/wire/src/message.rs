@@ -8,10 +8,17 @@
 //! table costs at least one payload byte per row — a hostile row count
 //! can never make the decoder allocate more than a small constant
 //! multiple of the bytes actually on the wire.
+//!
+//! Every reply that carries tables (`Rows`, `ViewRows`, `ViewChange`)
+//! encodes their values through one [`StringTable`] scoped to that reply,
+//! so a string shared across rows (a label, a repeated literal) crosses
+//! the wire in full twice at most and as a 5-byte reference afterwards.
 
 use crate::frame::WireError;
 use cypher_core::{Params, Record, Schema, Table};
-use cypher_storage::codec::{put_str, put_u32, put_u64, put_value, Reader};
+use cypher_storage::codec::{
+    put_shared_value, put_str, put_u32, put_u64, put_value, Reader, StringTable,
+};
 
 /// Structured error classes a server reports to its clients. The numeric
 /// value is the wire encoding and is stable across releases (new codes
@@ -274,7 +281,7 @@ fn read_params(r: &mut Reader<'_>) -> Result<Params, WireError> {
     Ok(params)
 }
 
-fn put_table(buf: &mut Vec<u8>, committed: Option<u64>, table: &Table) {
+fn put_table(buf: &mut Vec<u8>, committed: Option<u64>, table: &Table, strings: &mut StringTable) {
     match committed {
         None => buf.push(0),
         Some(v) => {
@@ -282,10 +289,10 @@ fn put_table(buf: &mut Vec<u8>, committed: Option<u64>, table: &Table) {
             put_u64(buf, v);
         }
     }
-    put_bare_table(buf, table);
+    put_bare_table(buf, table, strings);
 }
 
-fn put_bare_table(buf: &mut Vec<u8>, table: &Table) {
+fn put_bare_table(buf: &mut Vec<u8>, table: &Table, strings: &mut StringTable) {
     let names = table.schema().names();
     put_u32(buf, names.len() as u32);
     for n in names {
@@ -295,21 +302,24 @@ fn put_bare_table(buf: &mut Vec<u8>, table: &Table) {
     for row in table.rows() {
         buf.push(1); // row marker: ≥ 1 byte per row, even with 0 columns
         for v in row.values() {
-            put_value(buf, v);
+            put_shared_value(buf, v, strings);
         }
     }
 }
 
-fn read_table(r: &mut Reader<'_>) -> Result<(Option<u64>, Table), WireError> {
+fn read_table(
+    r: &mut Reader<'_>,
+    strings: &mut StringTable,
+) -> Result<(Option<u64>, Table), WireError> {
     let committed = match r.u8()? {
         0 => None,
         1 => Some(r.u64()?),
         _ => return Err(WireError::Protocol("invalid committed flag".to_string())),
     };
-    Ok((committed, read_bare_table(r)?))
+    Ok((committed, read_bare_table(r, strings)?))
 }
 
-fn read_bare_table(r: &mut Reader<'_>) -> Result<Table, WireError> {
+fn read_bare_table(r: &mut Reader<'_>, strings: &mut StringTable) -> Result<Table, WireError> {
     let n_cols = checked_count(r)?;
     let mut names = Vec::with_capacity(n_cols);
     for _ in 0..n_cols {
@@ -330,7 +340,7 @@ fn read_bare_table(r: &mut Reader<'_>) -> Result<Table, WireError> {
         }
         let mut values = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
-            values.push(r.value()?);
+            values.push(r.shared_value(strings)?);
         }
         table.push(Record::new(values));
     }
@@ -436,13 +446,15 @@ impl Request {
 }
 
 impl Response {
-    /// Encodes this response as one frame payload.
+    /// Encodes this response as one frame payload, its tables through one
+    /// string table.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        let mut strings = StringTable::default();
         match self {
             Response::Rows { committed, table } => {
                 buf.push(1);
-                put_table(&mut buf, *committed, table);
+                put_table(&mut buf, *committed, table, &mut strings);
             }
             Response::Error { code, message } => {
                 buf.push(2);
@@ -492,7 +504,7 @@ impl Response {
             Response::ViewRows { version, table } => {
                 buf.push(13);
                 put_u64(&mut buf, *version);
-                put_bare_table(&mut buf, table);
+                put_bare_table(&mut buf, table, &mut strings);
             }
             Response::Subscribed => buf.push(14),
             Response::ViewChange {
@@ -504,8 +516,8 @@ impl Response {
                 buf.push(15);
                 put_str(&mut buf, name);
                 put_u64(&mut buf, *version);
-                put_bare_table(&mut buf, added);
-                put_bare_table(&mut buf, removed);
+                put_bare_table(&mut buf, added, &mut strings);
+                put_bare_table(&mut buf, removed, &mut strings);
             }
         }
         buf
@@ -514,9 +526,10 @@ impl Response {
     /// Decodes a frame payload. Total, like [`Request::decode`].
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
         let mut r = Reader::new(payload, "response");
+        let mut strings = StringTable::default();
         let resp = match r.u8()? {
             1 => {
-                let (committed, table) = read_table(&mut r)?;
+                let (committed, table) = read_table(&mut r, &mut strings)?;
                 Response::Rows { committed, table }
             }
             2 => {
@@ -555,14 +568,14 @@ impl Response {
             12 => Response::ViewDropped,
             13 => Response::ViewRows {
                 version: r.u64()?,
-                table: read_bare_table(&mut r)?,
+                table: read_bare_table(&mut r, &mut strings)?,
             },
             14 => Response::Subscribed,
             15 => Response::ViewChange {
                 name: r.str()?.to_string(),
                 version: r.u64()?,
-                added: read_bare_table(&mut r)?,
-                removed: read_bare_table(&mut r)?,
+                added: read_bare_table(&mut r, &mut strings)?,
+                removed: read_bare_table(&mut r, &mut strings)?,
             },
             t => return Err(WireError::Protocol(format!("unknown response tag {t}"))),
         };
@@ -581,6 +594,7 @@ mod tests {
     use super::*;
     use cypher_core::table_of;
     use cypher_graph::Value;
+    use std::sync::Arc;
 
     #[test]
     fn request_roundtrip() {
@@ -728,5 +742,120 @@ mod tests {
             Response::decode(&buf),
             Err(WireError::Protocol(_))
         ));
+    }
+
+    fn rows_of(resp: Response) -> Table {
+        match resp {
+            Response::Rows { table, .. } => table,
+            other => panic!("expected Rows, got {other:?}"),
+        }
+    }
+
+    /// A `Rows` reply as it was encoded before string tables existed.
+    fn encoded_without_table(committed: Option<u64>, table: &Table) -> Vec<u8> {
+        let mut buf = vec![1u8];
+        match committed {
+            None => buf.push(0),
+            Some(v) => {
+                buf.push(1);
+                put_u64(&mut buf, v);
+            }
+        }
+        let names = table.schema().names();
+        put_u32(&mut buf, names.len() as u32);
+        for n in names {
+            put_str(&mut buf, n);
+        }
+        put_u32(&mut buf, table.len() as u32);
+        for row in table.rows() {
+            buf.push(1);
+            row.values().iter().for_each(|v| put_value(&mut buf, v));
+        }
+        buf
+    }
+
+    /// `labels(p)` over many rows: the interned label strings go in full
+    /// at their first occurrence, are registered at their second, and
+    /// every later occurrence decodes to the registered `Arc` itself.
+    #[test]
+    fn repeated_strings_decode_to_their_registration() {
+        let (person, bot): (Arc<str>, Arc<str>) = (Arc::from("Person"), Arc::from("Bot"));
+        let labels = Value::List(vec![Value::String(person), Value::String(bot)]);
+        let rows = (0..4).map(|i| vec![Value::int(i), labels.clone()]);
+        let table = table_of(&["i", "l"], rows.collect());
+        let bytes = Response::Rows {
+            committed: None,
+            table: table.clone(),
+        }
+        .encode();
+        // Rows 2 and 3 send each label as a 5-byte reference instead of
+        // its tag, length and bytes.
+        let saved = 2 * ((5 + 6) + (5 + 3) - 2 * 5);
+        assert_eq!(
+            bytes.len() + saved,
+            encoded_without_table(None, &table).len()
+        );
+        let back = rows_of(Response::decode(&bytes).unwrap());
+        assert!(back.bag_eq(&table));
+        let label = |row: usize, k: usize| match &back.rows()[row].values()[1] {
+            Value::List(l) => match &l[k] {
+                Value::String(s) => Arc::clone(s),
+                other => panic!("expected a string, got {other:?}"),
+            },
+            other => panic!("expected a list, got {other:?}"),
+        };
+        for k in 0..2 {
+            assert!(!Arc::ptr_eq(&label(0, k), &label(1, k)));
+            for row in 2..4 {
+                assert!(Arc::ptr_eq(&label(row, k), &label(1, k)), "row {row}");
+            }
+        }
+    }
+
+    /// Shared strings that occur once, and equal strings in distinct
+    /// `Arc`s, encode exactly as they did before string tables existed.
+    #[test]
+    fn a_reply_without_repeats_encodes_as_without_a_table() {
+        let stored: Vec<Arc<str>> = (0..50).map(|i| Arc::from(format!("s{i}"))).collect();
+        let rows = stored.iter().map(|s| {
+            let mut m = std::collections::BTreeMap::new();
+            m.insert(Arc::from("k"), Value::str("fresh"));
+            vec![Value::String(Arc::clone(s)), Value::Map(m)]
+        });
+        let table = table_of(&["s", "m"], rows.collect());
+        let expected = encoded_without_table(Some(7), &table);
+        let resp = Response::Rows {
+            committed: Some(7),
+            table,
+        };
+        assert_eq!(resp.encode(), expected);
+    }
+
+    /// A reference at or beyond the registered strings, including one
+    /// before any registration, is a protocol error.
+    #[test]
+    fn unregistered_string_references_are_protocol_errors() {
+        let reply = |cells: &[&[u8]]| {
+            let mut buf = vec![1u8, 0];
+            put_u32(&mut buf, 1);
+            put_str(&mut buf, "s");
+            put_u32(&mut buf, cells.len() as u32);
+            for cell in cells {
+                buf.push(1);
+                buf.extend_from_slice(cell);
+            }
+            buf
+        };
+        let register = [&[11u8, 1, 0, 0, 0][..], b"x"].concat();
+        let (ref0, ref1) = ([12u8, 0, 0, 0, 0], [12u8, 1, 0, 0, 0]);
+        assert!(Response::decode(&reply(&[&register, &ref0])).is_ok());
+        for cells in [&[&ref0[..]][..], &[&register, &ref1], &[&ref1, &register]] {
+            match Response::decode(&reply(cells)) {
+                Err(WireError::Protocol(m)) => {
+                    assert!(m.contains("unregistered string reference"), "{m}")
+                }
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
     }
 }

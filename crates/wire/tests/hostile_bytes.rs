@@ -11,7 +11,9 @@ use cypher_wire::{
     read_exact_frame, write_frame, ErrorCode, Request, Response, ServerStats,
     DEFAULT_MAX_FRAME_BYTES,
 };
+use std::collections::BTreeMap;
 use std::io::Cursor;
+use std::sync::Arc;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -36,6 +38,25 @@ fn sample_table() -> Table {
     let mut t = Table::empty(Schema::new(vec!["a".to_string(), "b".to_string()]));
     t.push(Record::new(vec![Value::int(1), Value::from("x")]));
     t.push(Record::new(vec![Value::Float(f64::NAN), Value::Null]));
+    t
+}
+
+/// Shared strings (clones of one `Arc`, as `labels(n)` returns the
+/// interner's) repeating across rows inside a list and inside a map, so
+/// the reply carries full, registered and referenced strings.
+fn shared_string_table() -> Table {
+    let (person, bot): (Arc<str>, Arc<str>) = (Arc::from("Person"), Arc::from("Bot"));
+    let mut t = Table::empty(Schema::new(vec!["l".to_string(), "m".to_string()]));
+    for i in 0..4 {
+        let labels = vec![
+            Value::String(Arc::clone(&person)),
+            Value::String(Arc::clone(&bot)),
+        ];
+        let mut m = BTreeMap::new();
+        m.insert(Arc::from("kind"), Value::String(Arc::clone(&bot)));
+        m.insert(Arc::from("i"), Value::int(i));
+        t.push(Record::new(vec![Value::List(labels), Value::Map(m)]));
+    }
     t
 }
 
@@ -72,6 +93,10 @@ fn every_response() -> Vec<Response> {
         Response::Rows {
             committed: None,
             table: Table::empty(Schema::new(vec![])),
+        },
+        Response::Rows {
+            committed: None,
+            table: shared_string_table(),
         },
         Response::Error {
             code: ErrorCode::Eval,
@@ -237,4 +262,42 @@ fn row_count_claims_are_bounded_by_payload_size() {
         err.to_string().contains("count"),
         "rejection should name the count: {err}"
     );
+}
+
+/// The shared-string exemplar really exercises the string table: it
+/// decodes to the same rows, in fewer bytes than the same rows whose
+/// strings are all distinct `Arc`s (which no table can share).
+#[test]
+fn the_shared_string_exemplar_uses_references() {
+    let shared = shared_string_table();
+    let mut fresh = Table::empty(shared.schema().clone());
+    fn copy(v: &Value) -> Value {
+        match v {
+            Value::String(s) => Value::from(&**s),
+            Value::List(l) => Value::List(l.iter().map(copy).collect()),
+            Value::Map(m) => Value::Map(m.iter().map(|(k, v)| (k.clone(), copy(v))).collect()),
+            other => other.clone(),
+        }
+    }
+    for row in shared.rows() {
+        fresh.push(Record::new(row.values().iter().map(copy).collect()));
+    }
+    let encode = |table: &Table| {
+        Response::Rows {
+            committed: None,
+            table: table.clone(),
+        }
+        .encode()
+    };
+    let (bytes, fresh_bytes) = (encode(&shared), encode(&fresh));
+    assert!(
+        bytes.len() < fresh_bytes.len(),
+        "{} vs {}",
+        bytes.len(),
+        fresh_bytes.len()
+    );
+    match Response::decode(&bytes).unwrap() {
+        Response::Rows { table, .. } => assert!(table.bag_eq(&shared)),
+        other => panic!("expected Rows, got {other:?}"),
+    }
 }

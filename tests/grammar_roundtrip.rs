@@ -127,7 +127,7 @@ fn arb_literal() -> impl Strategy<Value = Expr> {
         any::<bool>().prop_map(|b| Expr::Lit(Literal::Bool(b))),
         (-1000i64..1000).prop_map(|i| Expr::Lit(Literal::Integer(i))),
         (0u32..1000).prop_map(|i| Expr::Lit(Literal::Float(i as f64 / 8.0))),
-        "[a-z ]{0,6}".prop_map(|s| Expr::Lit(Literal::String(s))),
+        "[a-z ]{0,6}".prop_map(|s| Expr::Lit(Literal::String(s.into()))),
         "[a-z][a-z0-9]{0,4}".prop_map(Expr::Var),
         "[a-z][a-z0-9]{0,4}".prop_map(Expr::Param),
     ]

@@ -203,6 +203,42 @@ fn seeks_and_scans_stay_within_their_allocation_budgets() {
     }
 }
 
+/// A function call evaluates up to three arguments into a stack array,
+/// and a string literal evaluates to a clone of its one `Arc<str>`, so
+/// neither allocates per row: each column costs no more per row than a
+/// second property read.
+#[test]
+fn function_calls_and_string_literals_allocate_like_a_property_read() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = accounts(NODES);
+    let allocations = |q: &str| {
+        let (out, heap) = heap_of(|| run(&g, q, &cfg(1)));
+        assert_eq!(out.len(), NODES, "{q}");
+        heap.allocations
+    };
+    let read = allocations("MATCH (n:Account) RETURN n.serial, n.shard");
+    let call = allocations("MATCH (n:Account) RETURN n.serial, id(n)");
+    let literal = allocations("MATCH (n:Account) RETURN n.serial, 'x' AS t");
+    let per_row = |a: u64| a as f64 / NODES as f64;
+    println!(
+        "allocations per row: property {:.3}, id(n) {:.3}, string literal {:.3}",
+        per_row(read),
+        per_row(call),
+        per_row(literal)
+    );
+    // Parsing and planning a different text may differ by a few
+    // allocations per query; a per-row allocation adds one per row.
+    let extra = |a: u64| per_row(a.saturating_sub(read));
+    assert!(
+        extra(call) < 0.01,
+        "a function call allocates per row: {call} vs {read} (an argument vector is back?)"
+    );
+    assert!(
+        extra(literal) < 0.01,
+        "a string literal allocates per row: {literal} vs {read} (a per-row string copy is back?)"
+    );
+}
+
 /// `NODES` `:R` nodes with an 8-way `v` and a unique `u`, plus four `:K`
 /// nodes.
 fn grouping_graph() -> PropertyGraph {

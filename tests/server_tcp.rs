@@ -25,7 +25,7 @@ use cypher::{Database, EngineConfig, Params, Value};
 use cypher_client::{Client, ClientError};
 use cypher_server::{Server, ServerConfig};
 use cypher_wire::{
-    client_handshake, read_exact_frame, write_frame, ErrorCode, Request, Response,
+    client_handshake, read_exact_frame, write_frame, ErrorCode, Request, Response, WireError,
     DEFAULT_MAX_FRAME_BYTES,
 };
 use std::collections::HashSet;
@@ -665,6 +665,32 @@ fn connection_limit_answers_limit_error() {
     drop(second);
     first.ping().expect("first connection unaffected");
     first.goodbye().expect("goodbye");
+}
+
+/// A client capped below a reply's size refuses it with a structured
+/// `FrameTooLarge` from the length prefix alone, and the server keeps
+/// answering: a second connection gets the same reply in full.
+#[test]
+fn client_frame_cap_refuses_a_larger_reply() {
+    let server = start(mem_cfg(true), ServerConfig::default());
+    let big = "RETURN range(1, 6600) AS r"; // one list of 6 600 integers
+    let mut capped = connect(&server).with_max_frame_bytes(16 * 1024);
+    match capped.query(big, &Params::new()) {
+        Err(ClientError::Wire(WireError::FrameTooLarge { len, max })) => {
+            assert_eq!(max, 16 * 1024);
+            assert!((55_000..65_000).contains(&len), "a ~60 KB reply: {len}");
+        }
+        other => panic!("wanted FrameTooLarge, got {other:?}"),
+    }
+    drop(capped);
+    let mut second = connect(&server);
+    let rows = second.query(big, &Params::new()).expect("uncapped reply");
+    assert_eq!(
+        rows.table.cell(0, "r"),
+        Some(&Value::List((1..=6600).map(Value::int).collect()))
+    );
+    second.ping().expect("the server keeps answering");
+    second.goodbye().expect("goodbye");
 }
 
 /// `shutdown` while clients are mid-request must hand the database back
