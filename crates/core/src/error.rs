@@ -26,6 +26,12 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
+impl From<cypher_graph::GraphError> for EvalError {
+    fn from(e: cypher_graph::GraphError) -> Self {
+        EvalError::new(e.to_string())
+    }
+}
+
 /// Shorthand for `Err(EvalError::new(…))`.
 pub fn err<T>(msg: impl Into<String>) -> Result<T, EvalError> {
     Err(EvalError::new(msg))

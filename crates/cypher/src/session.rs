@@ -151,19 +151,6 @@ impl DbInner {
         );
         let mut operators = Table::empty(schema);
         for c in &profile.clauses {
-            if c.operators.is_empty() {
-                // Clause answered by the reference matcher (node
-                // isomorphism): no operator pipeline to report.
-                operators.push(Record::new(vec![
-                    Value::str(c.label.as_str()),
-                    Value::str("ReferenceMatcher"),
-                    Value::float(0.0),
-                    Value::int(0),
-                    Value::int(0),
-                    Value::int(0),
-                ]));
-                continue;
-            }
             for op in &c.operators {
                 operators.push(Record::new(vec![
                     Value::str(c.label.as_str()),

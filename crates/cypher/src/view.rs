@@ -29,9 +29,7 @@
 //!   refcounted bag of projected rows (plus their precomputed `ORDER BY`
 //!   keys); a refresh adjusts counts — O(changed rows) — and re-sorts at
 //!   publication.
-//! * **Full recomputation** — everything else, and every view under
-//!   `Morphism::NodeIsomorphism`, which the driver does not model. The
-//!   view stays correct (the query is re-run against each published
+//! * **Full recomputation** — everything else. The view stays correct (the query is re-run against each published
 //!   version) but pays full evaluation per commit;
 //!   `cypher_view_full_recomputes_total` counts these so operators can
 //!   see which standing queries missed the fast path.
@@ -59,7 +57,6 @@ use cypher_ast::expr::Expr;
 use cypher_ast::query::{Query, SortItem};
 use cypher_core::clauses::apply_order_by_scoped;
 use cypher_core::error::EvalError;
-use cypher_core::morphism::Morphism;
 use cypher_core::project::{GroupedAggState, ProjectionPlan};
 use cypher_core::{Bindings, EvalContext, Params, VarLookup};
 use cypher_engine::{DeltaPlan, EngineConfig};
@@ -425,7 +422,7 @@ impl ViewEntry {
         at: &GraphView,
         cfg: &EngineConfig,
     ) -> Result<ViewEntry, Error> {
-        let mut fold = Self::classify(&query, cfg);
+        let mut fold = Self::classify(&query);
         let initial = match &mut fold {
             None => cold_eval(at, &query, cfg)?,
             Some(fold) => {
@@ -452,12 +449,7 @@ impl ViewEntry {
     /// recomputation) for anything outside the delta-foldable fragment —
     /// a correct, if slower, view; genuinely invalid queries fail at the
     /// initial materialization instead.
-    fn classify(query: &Query, cfg: &EngineConfig) -> Option<Fold> {
-        // The driver the delta pass runs on does not model node
-        // isomorphism (a `MATCH` hands it to the reference matcher).
-        if cfg.match_config.morphism == Morphism::NodeIsomorphism {
-            return None;
-        }
+    fn classify(query: &Query) -> Option<Fold> {
         let delta = DeltaPlan::compile(query)?;
         let Query::Single(sq) = query else {
             return None;

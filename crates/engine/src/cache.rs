@@ -19,6 +19,7 @@
 use crate::exec::EngineConfig;
 use crate::planner::{plan_match, PlannedMatch, PlannerMode, PlannerOptions, WcoJoinMode};
 use cypher_ast::pattern::PathPattern;
+use cypher_core::morphism::Morphism;
 use cypher_graph::{PropertyGraph, ViewRef};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -140,8 +141,8 @@ pub fn stats_fingerprint(g: &PropertyGraph) -> u64 {
 
 impl EngineConfig {
     /// A fingerprint of the configuration slice that shapes plans (the
-    /// planner mode and index toggles). Cached plans keyed by query text
-    /// are only reused under an identical fingerprint.
+    /// planner mode, index toggles, join policy and morphism). Cached plans
+    /// keyed by query text are only reused under an identical fingerprint.
     pub fn plan_fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
         let mode: u8 = match self.planner_mode {
@@ -157,6 +158,12 @@ impl EngineConfig {
             WcoJoinMode::Force => 2,
         };
         wco.hash(&mut h);
+        let morphism: u8 = match self.match_config.morphism {
+            Morphism::EdgeIsomorphism => 0,
+            Morphism::NodeIsomorphism => 1,
+            Morphism::Homomorphism => 2,
+        };
+        morphism.hash(&mut h);
         h.finish()
     }
 }
@@ -214,5 +221,9 @@ mod tests {
         let e = base().with_wco_join(WcoJoinMode::Force);
         assert_ne!(a.plan_fingerprint(), e.plan_fingerprint());
         assert_ne!(d.plan_fingerprint(), e.plan_fingerprint());
+        // So does the morphism: node isomorphism ends plans in a filter.
+        let mut f = base();
+        f.match_config.morphism = Morphism::NodeIsomorphism;
+        assert_ne!(a.plan_fingerprint(), f.plan_fingerprint());
     }
 }

@@ -55,10 +55,10 @@
 //! leftwards with the written direction reversed; the worst-case-optimal
 //! alternative refuses pre-bound variables. No statistic can flip that
 //! choice, so plans are made per call with no cache, and the work is the
-//! affected nodes' neighbourhoods, never a scan of the base graph.
-//! `Morphism::NodeIsomorphism`, which the driver does not model (a
-//! `MATCH` hands it to the reference matcher), is maintained by full
-//! recomputation instead.
+//! affected nodes' neighbourhoods, never a scan of the base graph. Under
+//! `Morphism::NodeIsomorphism` each plan ends in the `DistinctNodes`
+//! filter, which reads only the row's own bindings, so the anchoring
+//! argument holds unchanged.
 
 use crate::exec::{EngineConfig, Segment};
 use crate::ops::Collect;

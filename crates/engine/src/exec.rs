@@ -8,9 +8,8 @@
 //! morsel driver of [`crate::ops`] runs without building a table between
 //! clauses. Every other clause ends the segment. One that ends at a `WITH`
 //! or the `RETURN` runs into that projection's sink (`pushdown.rs`);
-//! `OPTIONAL MATCH`, a node-isomorphism `MATCH` (the reference matcher),
-//! `FROM GRAPH` and the updating clauses ([`crate::update`]) apply to the
-//! collected table.
+//! `OPTIONAL MATCH`, `FROM GRAPH` and the updating clauses
+//! ([`crate::update`]) apply to the collected table.
 
 use crate::cache::{plan_match_memo, PlanMemo};
 use crate::multigraph::{construct_graph, view_named, Graphs};
@@ -22,9 +21,7 @@ use crate::update;
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::PathPattern;
 use cypher_ast::query::{Clause, Query, Return, SingleQuery};
-use cypher_core::clauses::{apply_match, apply_optional_match};
 use cypher_core::error::{err, EvalError};
-use cypher_core::morphism::Morphism;
 use cypher_core::project::ProjectionPlan;
 use cypher_core::table::{Record, Schema, Table};
 use cypher_core::{EvalContext, MatchConfig, Params};
@@ -166,6 +163,7 @@ impl EngineConfig {
             use_label_index: self.use_label_index,
             use_property_index: self.use_property_index,
             wco_join: self.wco_join,
+            nodes_distinct: self.match_config.morphism.nodes_distinct(),
         }
     }
 
@@ -250,9 +248,7 @@ pub struct ClauseProfile {
     pub label: String,
     /// Per-operator measurements, in pipeline order; a segment folded
     /// into a projection ends with its `PartialAggregate(…)`, `TopK(…)`
-    /// or `Project(…)` sink. Empty when a `MATCH` was delegated to the
-    /// reference matcher (node-isomorphism mode), which has no operator
-    /// pipeline to instrument.
+    /// or `Project(…)` sink.
     pub operators: Vec<OpProfile>,
     /// Morsels executed (1 for a sequential run).
     pub morsels: u64,
@@ -287,9 +283,6 @@ impl QueryProfile {
                 ));
             } else {
                 s.push_str(&format!("{} plan:\n", c.label));
-            }
-            if c.operators.is_empty() {
-                s.push_str("(reference matcher: no operator pipeline)\n");
             }
             for (i, op) in c.operators.iter().enumerate() {
                 // Intersection kernel counters only where they exist, so
@@ -711,10 +704,6 @@ impl<'e, 'g> Exec<'e, 'g> {
         if let Some(graphs) = &self.catalog {
             *access = Access::Read(graphs.default);
         }
-        // Node isomorphism needs global node tracking that the pipeline
-        // does not model: its `MATCH` is the reference matcher's
-        // (documented fallback).
-        let pipelined = self.cfg.match_config.morphism != Morphism::NodeIsomorphism;
         let mut t = Table::unit();
         let mut seg = Segment::new(t.schema().clone());
         for (i, clause) in sq.clauses.iter().enumerate() {
@@ -723,7 +712,7 @@ impl<'e, 'g> Exec<'e, 'g> {
                     optional: false,
                     patterns,
                     where_,
-                } if pipelined => {
+                } => {
                     let site = self.memo.map(|m| (m, (self.branch, i)));
                     let opts = self.cfg.planner_options();
                     let planned =
@@ -747,8 +736,7 @@ impl<'e, 'g> Exec<'e, 'g> {
                 _ => None,
             };
             t = self.finish(access.view(), &seg, t, ret)?;
-            // A breaking `WITH`'s or reference `MATCH`'s `WHERE` opens
-            // the next segment.
+            // A breaking `WITH`'s `WHERE` opens the next segment.
             let mut carried = None;
             t = match clause {
                 Clause::With { where_, .. } => {
@@ -756,45 +744,22 @@ impl<'e, 'g> Exec<'e, 'g> {
                     t
                 }
                 Clause::Match {
-                    optional: true,
-                    patterns,
-                    where_,
-                } if pipelined => {
-                    self.optional_match(access.view(), i, patterns, where_.as_ref(), t)?
-                }
-                Clause::Match {
-                    optional,
-                    patterns,
-                    where_,
-                } => {
-                    let label = if *optional { "OPTIONAL MATCH" } else { "MATCH" };
-                    if let Some(profile) = &mut self.profile {
-                        profile.push(ClauseProfile {
-                            label: label.to_string(),
-                            operators: Vec::new(),
-                            morsels: 0,
-                            parallel: false,
-                        });
-                    }
-                    if let Some(out) = &mut self.explain {
-                        out.push_str(&format!(
-                            "{label} plan:\n(reference matcher: no operator pipeline)\n"
-                        ));
-                    }
-                    let ctx = self.ctx(access.view());
-                    if *optional {
-                        apply_optional_match(&ctx, patterns, where_.as_ref(), t)?
-                    } else {
-                        carried = where_.as_ref();
-                        apply_match(&ctx, patterns, t)?
-                    }
-                }
+                    patterns, where_, ..
+                } => self.optional_match(access.view(), i, patterns, where_.as_ref(), t)?,
                 Clause::FromGraph { name, .. } => {
                     let Some(graphs) = &self.catalog else {
                         return err("FROM GRAPH requires a catalog; use the multigraph executor");
                     };
                     *access = Access::Read(view_named(&graphs.views, name)?);
                     t
+                }
+                Clause::Merge { pattern, .. } if self.explain.is_some() => {
+                    let (planned, out) =
+                        update::merge_plan(access.view(), t.schema(), pattern, self.cfg);
+                    let mut merge = Segment::new(t.schema().clone());
+                    merge.push_match("MERGE", &planned, None);
+                    merge.render(self.cfg, None, self.explain.as_mut().expect("explaining"));
+                    Table::empty(out)
                 }
                 _ if self.explain.is_some() => t,
                 _ => update::apply(access.graph_mut()?, self.params, self.cfg, clause, t)?,

@@ -17,15 +17,13 @@
 //! (not a combined table-graphs value).
 
 use crate::exec::{execute_on_graphs, EngineConfig};
-use cypher_ast::expr::Expr;
-use cypher_ast::pattern::{Dir, PathPattern};
+use crate::update::Builder;
+use cypher_ast::pattern::PathPattern;
 use cypher_ast::query::Query;
 use cypher_core::error::{err, EvalError};
-use cypher_core::expr::Bindings;
-use cypher_core::table::{Schema, Table};
-use cypher_core::{EvalContext, Params, VarLookup};
-use cypher_graph::fxhash::FxHashMap;
-use cypher_graph::{Catalog, NodeId, PropertyGraph, Symbol, Value, ViewRef};
+use cypher_core::table::Table;
+use cypher_core::Params;
+use cypher_graph::{Catalog, PropertyGraph, ViewRef};
 
 /// The outcome of a composed query: a table (ordinary `RETURN`) or the
 /// name of a newly constructed graph (`RETURN GRAPH`).
@@ -109,87 +107,12 @@ pub(crate) fn construct_graph(
     patterns: &[PathPattern],
     table: &Table,
 ) -> Result<PropertyGraph, EvalError> {
-    let ctx = EvalContext::new(src, params).with_config(cfg.match_config);
     let mut out = PropertyGraph::new();
-    let mut copied: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-    let schema: &Schema = table.schema();
-
-    let mut copy_node = |out: &mut PropertyGraph, n: NodeId| -> NodeId {
-        if let Some(&m) = copied.get(&n) {
-            return m;
-        }
-        let labels = src.labels(n).iter();
-        let labels = labels.map(|&l| out.intern(src.resolve(l))).collect();
-        let props = src.node_props(n);
-        let props = props
-            .map(|(k, v)| (out.intern(src.resolve(k)), v.clone()))
-            .collect();
-        let m = out.add_node_syms(labels, props);
-        copied.insert(n, m);
-        m
-    };
-
+    let mut build = Builder::new(params, cfg, Some(src));
     for row in table.rows() {
-        for pat in patterns {
-            let b = Bindings::new(schema, row);
-            let mut current =
-                resolve_constructed_node(&ctx, &pat.start, &b, &mut copy_node, &mut out)?;
-            for (rho, chi) in &pat.steps {
-                if !rho.range.is_single() || rho.types.len() != 1 {
-                    return err("RETURN GRAPH requires single typed relationships");
-                }
-                let target = resolve_constructed_node(&ctx, chi, &b, &mut copy_node, &mut out)?;
-                let (s, t) = match rho.dir {
-                    Dir::Out => (current, target),
-                    Dir::In => (target, current),
-                    Dir::Both => return err("RETURN GRAPH requires directed relationships"),
-                };
-                let ty = out.intern(&rho.types[0]);
-                let props = eval_props(&ctx, &b, &rho.props, &mut out)?;
-                out.add_rel_syms(s, t, ty, props)
-                    .map_err(|e| EvalError::new(e.to_string()))?;
-                current = target;
-            }
-        }
+        build.row(&mut out, patterns, table.schema(), row, &[])?;
     }
     Ok(out)
-}
-
-/// A pattern element's property map evaluated over one row, its keys
-/// interned into `out`.
-fn eval_props(
-    ctx: &EvalContext<'_>,
-    b: &Bindings<'_>,
-    props: &[(String, Expr)],
-    out: &mut PropertyGraph,
-) -> Result<Vec<(Symbol, Value)>, EvalError> {
-    let eval = |(k, e): &(String, Expr)| Ok((out.intern(k), cypher_core::eval_expr(ctx, b, e)?));
-    props.iter().map(eval).collect()
-}
-
-fn resolve_constructed_node(
-    ctx: &EvalContext<'_>,
-    chi: &cypher_ast::pattern::NodePattern,
-    b: &Bindings<'_>,
-    copy_node: &mut impl FnMut(&mut PropertyGraph, NodeId) -> NodeId,
-    out: &mut PropertyGraph,
-) -> Result<NodeId, EvalError> {
-    if let Some(name) = &chi.name {
-        if let Some(v) = b.lookup(name) {
-            return match v {
-                Value::Node(n) => Ok(copy_node(out, n)),
-                other => err(format!(
-                    "RETURN GRAPH variable {name} must be a node, got {}",
-                    other.type_name()
-                )),
-            };
-        }
-    }
-    // Unbound: create a fresh node per row with the pattern's labels and
-    // properties.
-    let labels = chi.labels.iter().map(|l| out.intern(l)).collect();
-    let props = eval_props(ctx, b, &chi.props, out)?;
-    Ok(out.add_node_syms(labels, props))
 }
 
 #[cfg(test)]

@@ -708,8 +708,27 @@ fn attach<'a>(
     }
     Ok(match step {
         PlanStep::Argument { var } => {
-            col_idx(&schema, var)?; // validated; pass-through
-            child
+            // A pre-bound node position: `null` matches nothing and any
+            // other non-node is an error, as in the reference semantics. A
+            // batch of nodes only, the usual case, passes untouched.
+            let (idx, var) = (col_idx(&schema, var)?, var.clone());
+            stage(schema, child, move |mut batch| {
+                let col = &batch.columns()[idx];
+                if col.iter().all(|v| matches!(v, Value::Node(_))) {
+                    return Ok(batch);
+                }
+                let keep = col.iter().map(|v| match v {
+                    Value::Node(_) => Ok(true),
+                    Value::Null => Ok(false),
+                    other => err(format!(
+                        "variable {var} is bound to {} but used as a node pattern",
+                        other.type_name()
+                    )),
+                });
+                let keep = keep.collect::<Result<Vec<_>, _>>()?;
+                batch.retain(&keep);
+                Ok(batch)
+            })
         }
         PlanStep::AllNodesScan { .. }
         | PlanStep::NodeIndexScan { .. }
@@ -762,6 +781,7 @@ fn attach<'a>(
                 reversed: *reversed,
                 exclude_idx,
                 props,
+                nodes_distinct: ctx.config.morphism.nodes_distinct(),
                 in_schema: schema,
             };
             Box::new(Fanout::new(out_schema, child, cap, expand))
@@ -883,19 +903,30 @@ fn attach<'a>(
                 Ok(truth_of(ctx, &b.row(&s, row), &pred)? == Tri::True)
             })
         }
+        PlanStep::DistinctNodes { paths } => {
+            let paths = paths.iter().map(|p| path_columns(&schema, p));
+            let paths = paths.collect::<Result<Vec<_>, _>>()?;
+            let mut seen = Vec::new();
+            filter(schema, child, move |b, row| {
+                seen.clear();
+                for elements in &paths {
+                    walk_path(ctx, elements, b, row, |_, n| seen.push(n))?;
+                }
+                seen.sort_unstable();
+                Ok(seen.windows(2).all(|w| w[0] != w[1]))
+            })
+        }
         PlanStep::PathBind { var, elements } => {
-            let elements: Vec<(bool, bool, usize)> = elements
-                .iter()
-                .map(|e| match e {
-                    PathElem::Node(c) => Ok((true, false, col_idx(&schema, c)?)),
-                    PathElem::Rel(c) => Ok((false, false, col_idx(&schema, c)?)),
-                    PathElem::RelList(c) => Ok((false, true, col_idx(&schema, c)?)),
-                })
-                .collect::<Result<_, EvalError>>()?;
+            let elements = path_columns(&schema, elements)?;
             stage(schema.with_field(var.clone()), child, move |mut batch| {
                 let mut paths = Vec::with_capacity(batch.len());
                 for row in 0..batch.len() {
-                    paths.push(Value::Path(bind_path(ctx, &elements, &batch, row)?));
+                    let mut path: Option<Path> = None;
+                    walk_path(ctx, &elements, &batch, row, |r, n| match (&mut path, r) {
+                        (Some(path), Some(r)) => path.push(r, n),
+                        _ => path = Some(Path::single(n)),
+                    })?;
+                    paths.push(Value::Path(path.expect("non-empty path pattern")));
                 }
                 batch.push_column(paths);
                 Ok(batch)
@@ -1228,6 +1259,10 @@ struct ExpandOp<'a> {
     /// expected values depend only on the driving row, so they are
     /// evaluated once per row.
     props: Vec<(Option<Symbol>, Expr)>,
+    /// Node isomorphism: a variable-length traversal never steps back
+    /// onto one of its own nodes (the `DistinctNodes` filter closing the
+    /// plan checks the rest of the clause).
+    nodes_distinct: bool,
 }
 
 /// One input row of an expand: its batch and index.
@@ -1273,7 +1308,9 @@ impl ExpandOp<'_> {
             } else {
                 0
             };
-            return Ok(self.var_dfs(at, &expected, from, 0, hi, &mut Vec::new(), out));
+            let mut nodes: Vec<NodeId> = self.nodes_distinct.then_some(from).into_iter().collect();
+            let (rels, nodes) = (&mut Vec::new(), &mut nodes);
+            return Ok(self.var_dfs(at, &expected, from, 0, hi, rels, nodes, out));
         }
         if !hops_possible {
             return Ok(0);
@@ -1301,6 +1338,9 @@ impl ExpandOp<'_> {
         1
     }
 
+    /// The traversals from `node`, `k` hops in over `rels`. Under node
+    /// isomorphism `nodes` holds the nodes visited, start included, and no
+    /// hop returns to one; otherwise it stays empty.
     #[allow(clippy::too_many_arguments)]
     fn var_dfs(
         &self,
@@ -1310,6 +1350,7 @@ impl ExpandOp<'_> {
         k: u64,
         hi: u64,
         rels: &mut Vec<RelId>,
+        nodes: &mut Vec<NodeId>,
         out: &mut Vec<Value>,
     ) -> usize {
         let mut rows = 0;
@@ -1329,12 +1370,19 @@ impl ExpandOp<'_> {
         }
         let distinct = self.ctx.config.morphism.rels_distinct();
         for (r, next) in self.ctx.graph.expand(node, self.dir) {
-            if (distinct && rels.contains(&r)) || !self.hop_ok(at, expected, r) {
+            let reused = distinct && rels.contains(&r);
+            if reused || nodes.contains(&next) || !self.hop_ok(at, expected, r) {
                 continue;
             }
             rels.push(r);
-            rows += self.var_dfs(at, expected, next, k + 1, hi, rels, out);
+            if self.nodes_distinct {
+                nodes.push(next);
+            }
+            rows += self.var_dfs(at, expected, next, k + 1, hi, rels, nodes, out);
             rels.pop();
+            if self.nodes_distinct {
+                nodes.pop();
+            }
         }
         rows
     }
@@ -1740,52 +1788,58 @@ fn props_keep(
     Ok(true)
 }
 
-/// The named path walked through `elements` — `(is_node, is_list,
-/// column)` triples in path order — in row `row` of `batch`.
-fn bind_path(
+/// A path pattern's element columns as `(is_node, is_list, column)`
+/// triples, in path order.
+fn path_columns(schema: &Schema, elements: &[PathElem]) -> Result<Vec<PathCol>, EvalError> {
+    let col = |e: &PathElem| match e {
+        PathElem::Node(c) => Ok((true, false, col_idx(schema, c)?)),
+        PathElem::Rel(c) => Ok((false, false, col_idx(schema, c)?)),
+        PathElem::RelList(c) => Ok((false, true, col_idx(schema, c)?)),
+    };
+    elements.iter().map(col).collect()
+}
+
+/// One element of a path: `(is_node, is_list, column)`.
+type PathCol = (bool, bool, usize);
+
+/// Walks the path through `elements` in row `row` of `batch`: `visit`
+/// sees the start node, then every relationship with the node it
+/// reaches. Interior node columns are consistency-checked by the
+/// matcher; the walk itself determines them, so a zero-hop step adds no
+/// node.
+fn walk_path(
     ctx: &EvalContext<'_>,
-    elements: &[(bool, bool, usize)],
+    elements: &[PathCol],
     batch: &RowBatch,
     row: usize,
-) -> Result<Path, EvalError> {
-    let g = ctx.graph;
-    let mut path: Option<Path> = None;
+    mut visit: impl FnMut(Option<RelId>, NodeId),
+) -> Result<(), EvalError> {
     let mut current: Option<NodeId> = None;
-    let extend = |path: &mut Option<Path>, current: &mut Option<NodeId>, r: RelId| {
-        let cur = current.expect("path starts with a node");
-        let next = g.other_end(r, cur).expect("live rel endpoint");
-        path.as_mut().expect("path initialized").push(r, next);
-        *current = Some(next);
-    };
     for &(is_node, is_list, idx) in elements {
-        if is_node {
-            if path.is_none() {
-                let Value::Node(n) = batch.at(idx, row) else {
-                    return err("path element is not a node");
-                };
-                path = Some(Path::single(*n));
+        let rels = match batch.at(idx, row) {
+            _ if is_node && current.is_some() => continue,
+            Value::Node(n) if is_node => {
+                visit(None, *n);
                 current = Some(*n);
+                continue;
             }
-            // Interior node columns are consistency-checked by the
-            // matcher; the walk itself determines them.
-        } else if is_list {
-            let Value::List(items) = batch.at(idx, row) else {
-                return err("variable-length path element is not a list");
+            _ if is_node => return err("path element is not a node"),
+            Value::List(items) if is_list => items.as_slice(),
+            _ if is_list => return err("variable-length path element is not a list"),
+            r @ Value::Rel(_) => std::slice::from_ref(r),
+            _ => return err("path element is not a relationship"),
+        };
+        for v in rels {
+            let Value::Rel(r) = v else {
+                return err("path relationship list holds a non-relationship");
             };
-            for v in items {
-                let Value::Rel(r) = v else {
-                    return err("path relationship list holds a non-relationship");
-                };
-                extend(&mut path, &mut current, *r);
-            }
-        } else {
-            let Value::Rel(r) = batch.at(idx, row) else {
-                return err("path element is not a relationship");
-            };
-            extend(&mut path, &mut current, *r);
+            let cur = current.expect("path starts with a node");
+            let next = ctx.graph.other_end(*r, cur).expect("live rel endpoint");
+            visit(Some(*r), next);
+            current = Some(next);
         }
     }
-    Ok(path.expect("non-empty path pattern"))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

@@ -60,8 +60,8 @@ pub enum PlanStep {
         /// Output column.
         var: Col,
     },
-    /// The start node is already bound by the driving table; no-op marker
-    /// kept for EXPLAIN readability.
+    /// The start node is already bound by the driving table: a `null`
+    /// matches nothing, and any other non-node value is an error.
     Argument {
         /// The pre-bound column.
         var: Col,
@@ -162,6 +162,14 @@ pub enum PlanStep {
     FilterExpr {
         /// The predicate.
         pred: Expr,
+    },
+    /// Node isomorphism: keep rows whose paths, walked through their
+    /// alternating element columns (the spec `PathBind` takes) and taken
+    /// together, visit no node twice. A zero-hop step's endpoint is its
+    /// start's position, not a second one.
+    DistinctNodes {
+        /// Each path pattern's element columns.
+        paths: Vec<Vec<PathElem>>,
     },
     /// Materialize a named path (`π/a`) from its bound elements.
     PathBind {
@@ -332,6 +340,18 @@ impl fmt::Display for PlanStep {
                 write!(f, "FilterEndpoints({from})-[{rel}]-({to})")
             }
             PlanStep::FilterExpr { pred } => write!(f, "Filter({pred})"),
+            PlanStep::DistinctNodes { paths } => {
+                let path = |els: &Vec<PathElem>| {
+                    let el = |e: &PathElem| match e {
+                        PathElem::Node(c) => format!("({c})"),
+                        PathElem::Rel(c) => format!("-[{c}]-"),
+                        PathElem::RelList(c) => format!("-[{c}*]-"),
+                    };
+                    els.iter().map(el).collect::<String>()
+                };
+                let paths: Vec<String> = paths.iter().map(path).collect();
+                write!(f, "DistinctNodes({})", paths.join(", "))
+            }
             PlanStep::PathBind { var, .. } => write!(f, "ProjectPath({var})"),
             PlanStep::Project { ret, scope } => {
                 let plan = ProjectionPlan::compile(ret, &Schema::new(scope.clone()));

@@ -83,6 +83,8 @@ pub struct PlannerOptions {
     pub use_property_index: bool,
     /// Worst-case-optimal join policy for cyclic patterns.
     pub wco_join: WcoJoinMode,
+    /// Node isomorphism: every plan ends in a `DistinctNodes` filter.
+    pub nodes_distinct: bool,
 }
 
 impl Default for PlannerOptions {
@@ -92,6 +94,7 @@ impl Default for PlannerOptions {
             use_label_index: true,
             use_property_index: true,
             wco_join: WcoJoinMode::default(),
+            nodes_distinct: false,
         }
     }
 }
@@ -124,6 +127,8 @@ struct PlanCtx<'a> {
     steps: Vec<PlanStep>,
     step_est: Vec<f64>,
     rel_cols: Vec<String>,
+    /// Each path's element columns, kept under node isomorphism only.
+    paths: Vec<Vec<PathElem>>,
     anon_counter: usize,
     est_rows: f64,
 }
@@ -322,6 +327,7 @@ pub fn plan_match<'a>(
         steps: Vec::new(),
         step_est: Vec::new(),
         rel_cols: Vec::new(),
+        paths: Vec::new(),
         anon_counter: 0,
         est_rows: 1.0,
     };
@@ -369,8 +375,13 @@ pub fn plan_match<'a>(
 }
 
 /// Packages a finished planning context, separating the visible new
-/// variables from hidden (space-prefixed) columns.
-fn finish_plan(ctx: PlanCtx<'_>, driving_fields: &[String]) -> PlannedMatch {
+/// variables from hidden (space-prefixed) columns. Under node isomorphism
+/// the plan ends in the filter over every path's nodes.
+fn finish_plan(mut ctx: PlanCtx<'_>, driving_fields: &[String]) -> PlannedMatch {
+    if !ctx.paths.is_empty() {
+        let paths = std::mem::take(&mut ctx.paths);
+        ctx.emit(PlanStep::DistinctNodes { paths });
+    }
     let (hidden, new_vars) = ctx
         .bound
         .iter()
@@ -531,15 +542,9 @@ fn emit_expand(
     });
     ctx.rel_cols.push(rel_col.to_string());
     ctx.bind(rel_col);
-    let newly_bound_to = !ctx.is_bound(to_col);
     ctx.bind(to_col);
-    if newly_bound_to {
-        emit_node_filters(ctx, to_col, chi_to, None);
-    } else {
-        // Expand-into: the node is already constrained; still check
-        // labels/props in case this occurrence adds them.
-        emit_node_filters(ctx, to_col, chi_to, None);
-    }
+    // On an expand-into as well: this occurrence may add labels/props.
+    emit_node_filters(ctx, to_col, chi_to, None);
     // Relationship property conditions apply per traversed hop and are
     // evaluated inside the Expand operator via FilterProps on single hops.
     if !rho.props.is_empty() && rho.range.is_single() {
@@ -641,13 +646,14 @@ fn plan_path_cartesian(ctx: &mut PlanCtx<'_>, pat: &PathPattern) {
     emit_path_bind(ctx, pat, &node_cols, &rel_cols);
 }
 
+/// Records the path's alternating element columns for the node-isomorphism
+/// filter and, when the path is named, binds it.
 fn emit_path_bind(
     ctx: &mut PlanCtx<'_>,
     pat: &PathPattern,
     node_cols: &[String],
     rel_cols: &[String],
 ) {
-    let Some(path_name) = &pat.name else { return };
     let mut elements = vec![PathElem::Node(node_cols[0].clone())];
     for (i, (rho, _)) in pat.steps.iter().enumerate() {
         if rho.range.is_single() {
@@ -657,6 +663,10 @@ fn emit_path_bind(
         }
         elements.push(PathElem::Node(node_cols[i + 1].clone()));
     }
+    if ctx.opts.nodes_distinct {
+        ctx.paths.push(elements.clone());
+    }
+    let Some(path_name) = &pat.name else { return };
     ctx.emit(PlanStep::PathBind {
         var: path_name.clone(),
         elements,
@@ -751,12 +761,15 @@ fn wco_join_graph<'p>(
     let mut edges: Vec<WcoEdge<'p>> = Vec::new();
     for pat in patterns {
         let mut prev = intern_vertex(ctx, &mut vertices, &pat.start);
+        let mut elements = vec![PathElem::Node(vertices[prev].col.clone())];
         for (rho, chi) in &pat.steps {
             let cur = intern_vertex(ctx, &mut vertices, chi);
             let rel_col = match &rho.name {
                 Some(n) => n.clone(),
                 None => ctx.fresh_anon(),
             };
+            elements.push(PathElem::Rel(rel_col.clone()));
+            elements.push(PathElem::Node(vertices[cur].col.clone()));
             edges.push(WcoEdge {
                 u: prev,
                 v: cur,
@@ -764,6 +777,9 @@ fn wco_join_graph<'p>(
                 rho,
             });
             prev = cur;
+        }
+        if ctx.opts.nodes_distinct {
+            ctx.paths.push(elements);
         }
     }
 

@@ -19,15 +19,21 @@
 //! (`tests/index_differential.rs`) exercises.
 
 use crate::exec::EngineConfig;
+use crate::ops::{drive, Collect};
+use crate::planner::{plan_match, PlannedMatch};
+use crate::pushdown::project_visible;
 use cypher_ast::expr::Expr;
-use cypher_ast::pattern::{Dir, PathPattern};
+use cypher_ast::pattern::{Dir, NodePattern, PathPattern};
 use cypher_ast::query::{Clause, RemoveItem, SetItem};
 use cypher_core::error::{err, EvalError};
 use cypher_core::expr::{eval_expr, Bindings};
-use cypher_core::matching::{match_patterns, unbound_free_vars};
-use cypher_core::table::{Record, Table};
+use cypher_core::matching::unbound_free_vars;
+use cypher_core::table::{Record, Schema, Table};
 use cypher_core::{EvalContext, Params};
-use cypher_graph::{NodeId, PropertyGraph, RelId, Symbol, Value};
+use cypher_graph::fxhash::FxHashMap;
+use cypher_graph::{NodeId, PropertyGraph, RelId, Symbol, Value, ViewRef};
+use std::slice;
+use std::sync::Arc;
 
 /// Applies an updating clause to the driving table.
 pub(crate) fn apply(
@@ -61,172 +67,235 @@ pub fn exec_create(
 ) -> Result<Table, EvalError> {
     let schema = table.schema().clone();
     let new_vars = unbound_free_vars(patterns, &|n| schema.contains(n));
-    let mut out_schema = schema.clone();
-    for v in &new_vars {
-        out_schema = out_schema.with_field(v.clone());
-    }
-    let mut out = Table::empty(out_schema);
+    let mut out = Table::empty(Schema::new([schema.names(), &new_vars].concat()));
+    let mut build = Builder::new(params, cfg, None);
     for row in table.rows() {
-        let mut bindings: Vec<(String, Value)> = Vec::new();
-        for pat in patterns {
-            create_pattern(graph, params, cfg, pat, &schema, row, &mut bindings)?;
-        }
-        let mut new_row = row.clone();
-        for v in &new_vars {
-            let val = bindings
-                .iter()
-                .find(|(n, _)| n == v)
-                .map(|(_, val)| val.clone())
-                .unwrap_or(Value::Null);
-            new_row.push(val);
-        }
-        out.push(new_row);
+        out.push(build.row(graph, patterns, &schema, row, &new_vars)?);
     }
     Ok(out)
 }
 
+/// A driving row: its schema and values.
+type Row<'r> = (&'r Schema, &'r Record);
+
+/// The names a row's patterns created so far, with what they bound.
+type Made = Vec<(String, Value)>;
+
 struct RowView<'a> {
-    schema: &'a cypher_core::Schema,
-    row: &'a Record,
-    extra: &'a [(String, Value)],
+    row: Row<'a>,
+    made: &'a [(String, Value)],
 }
 
 impl cypher_core::VarLookup for RowView<'_> {
     fn lookup(&self, name: &str) -> Option<Value> {
-        self.extra
+        let (schema, row) = self.row;
+        self.made
             .iter()
             .rev()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.clone())
-            .or_else(|| self.schema.index_of(name).map(|i| self.row.get(i).clone()))
+            .or_else(|| schema.index_of(name).map(|i| row.get(i).clone()))
     }
 }
 
-fn eval_props(
-    graph: &PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    props: &[(String, Expr)],
-    view: &RowView<'_>,
-) -> Result<Vec<(String, Value)>, EvalError> {
-    let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-    let mut out = Vec::with_capacity(props.len());
-    for (k, e) in props {
-        out.push((k.clone(), eval_expr(&ctx, view, e)?));
-    }
-    Ok(out)
+/// The one pattern-construction walker, behind `CREATE`, `MERGE`'s create
+/// branch and `RETURN GRAPH`: it builds a pattern tuple once per row into
+/// a graph, and a name it creates denotes that entity for the rest of the
+/// row.
+pub(crate) struct Builder<'s> {
+    params: &'s Params,
+    cfg: &'s EngineConfig,
+    /// How a node variable bound by the driving row resolves. `None`
+    /// (`CREATE`, `MERGE`): it is that node, and expressions read the
+    /// graph being built. `Some` (`RETURN GRAPH`): a copy of the node from
+    /// this source graph, made once per node; expressions read the source.
+    copy: Option<(&'s PropertyGraph, FxHashMap<NodeId, NodeId>)>,
 }
 
-fn create_pattern(
-    graph: &mut PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    pat: &PathPattern,
-    schema: &cypher_core::Schema,
-    row: &Record,
-    bindings: &mut Vec<(String, Value)>,
-) -> Result<(), EvalError> {
-    if pat.name.is_some() {
-        return err("CREATE cannot bind a path name");
+impl<'s> Builder<'s> {
+    pub(crate) fn new(
+        params: &'s Params,
+        cfg: &'s EngineConfig,
+        copy_from: Option<&'s PropertyGraph>,
+    ) -> Self {
+        let copy = copy_from.map(|src| (src, FxHashMap::default()));
+        Builder { params, cfg, copy }
     }
-    // Resolve or create the start node, then walk the steps.
-    let mut current =
-        resolve_or_create_node(graph, params, cfg, &pat.start, schema, row, bindings)?;
-    for (rho, chi) in &pat.steps {
-        if !rho.range.is_single() {
-            return err("CREATE requires single relationships (no variable length)");
+
+    /// Builds `patterns` into `g` for `row` and answers the row extended
+    /// by the values of `new_vars` (`null` for a name nothing bound).
+    pub(crate) fn row(
+        &mut self,
+        g: &mut PropertyGraph,
+        patterns: &[PathPattern],
+        schema: &Schema,
+        row: &Record,
+        new_vars: &[String],
+    ) -> Result<Record, EvalError> {
+        let mut made = Made::new();
+        for pat in patterns {
+            self.path(g, pat, (schema, row), &mut made)?;
         }
-        let target = resolve_or_create_node(graph, params, cfg, chi, schema, row, bindings)?;
-        let (src, tgt) = match rho.dir {
-            Dir::Out => (current, target),
-            Dir::In => (target, current),
-            Dir::Both => return err("CREATE requires a directed relationship"),
-        };
-        if rho.types.len() != 1 {
-            return err("CREATE requires exactly one relationship type");
+        let mut out = row.clone();
+        for v in new_vars {
+            let val = made.iter().find(|(n, _)| n == v).map(|(_, val)| val);
+            out.push(val.cloned().unwrap_or(Value::Null));
         }
-        let props = {
-            let view = RowView {
-                schema,
-                row,
-                extra: bindings,
+        Ok(out)
+    }
+
+    fn path(
+        &mut self,
+        g: &mut PropertyGraph,
+        pat: &PathPattern,
+        row: Row<'_>,
+        made: &mut Made,
+    ) -> Result<(), EvalError> {
+        let create = self.copy.is_none();
+        if create && pat.name.is_some() {
+            return err("CREATE cannot bind a path name");
+        }
+        let mut current = self.node(g, &pat.start, row, made)?;
+        for (rho, chi) in &pat.steps {
+            if create && !rho.range.is_single() {
+                return err("CREATE requires single relationships (no variable length)");
+            } else if !create && (!rho.range.is_single() || rho.types.len() != 1) {
+                return err("RETURN GRAPH requires single typed relationships");
+            }
+            let target = self.node(g, chi, row, made)?;
+            let (src, tgt) = match rho.dir {
+                Dir::Out => (current, target),
+                Dir::In => (target, current),
+                Dir::Both if create => return err("CREATE requires a directed relationship"),
+                Dir::Both => return err("RETURN GRAPH requires directed relationships"),
             };
-            eval_props(graph, params, cfg, &rho.props, &view)?
-        };
-        let t = graph.intern(&rho.types[0]);
-        let prop_syms: Vec<(Symbol, Value)> = props
-            .into_iter()
-            .map(|(k, v)| (graph.intern(&k), v))
-            .collect();
-        let r = graph
-            .add_rel_syms(src, tgt, t, prop_syms)
-            .map_err(|e| EvalError::new(e.to_string()))?;
-        if let Some(name) = &rho.name {
-            bindings.push((name.clone(), Value::Rel(r)));
+            if rho.types.len() != 1 {
+                return err("CREATE requires exactly one relationship type");
+            }
+            let vals = self.eval(g, &rho.props, row, made)?;
+            let t = g.intern(&rho.types[0]);
+            let props = keyed(g, &rho.props, vals);
+            let r = g.add_rel_syms(src, tgt, t, props)?;
+            if let Some(name) = &rho.name {
+                made.push((name.clone(), Value::Rel(r)));
+            }
+            current = target;
         }
-        current = target;
+        Ok(())
     }
-    Ok(())
-}
 
-fn resolve_or_create_node(
-    graph: &mut PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    chi: &cypher_ast::pattern::NodePattern,
-    schema: &cypher_core::Schema,
-    row: &Record,
-    bindings: &mut Vec<(String, Value)>,
-) -> Result<NodeId, EvalError> {
-    // A bound name reuses the existing node (and must not restate labels
-    // or properties, as in Cypher).
-    if let Some(name) = &chi.name {
-        let view = RowView {
-            schema,
-            row,
-            extra: bindings,
-        };
-        if let Some(v) = cypher_core::VarLookup::lookup(&view, name) {
-            return match v {
-                Value::Node(n) => {
-                    if !chi.labels.is_empty() || !chi.props.is_empty() {
-                        err(format!(
-                            "CREATE cannot add labels/properties to the bound variable {name}"
-                        ))
-                    } else {
+    fn node(
+        &mut self,
+        g: &mut PropertyGraph,
+        chi: &NodePattern,
+        row: Row<'_>,
+        made: &mut Made,
+    ) -> Result<NodeId, EvalError> {
+        if let Some(name) = &chi.name {
+            let own = made.iter().any(|(n, _)| n == name);
+            let view = RowView { row, made };
+            if let Some(v) = cypher_core::VarLookup::lookup(&view, name) {
+                return match (&mut self.copy, v) {
+                    // A node this row built is reused as it is.
+                    (Some(_), Value::Node(n)) if own => Ok(n),
+                    (Some((src, copied)), Value::Node(n)) => Ok(copy_node(src, copied, g, n)),
+                    (Some(_), other) => err(format!(
+                        "RETURN GRAPH variable {name} must be a node, got {}",
+                        other.type_name()
+                    )),
+                    (None, Value::Node(n)) if chi.labels.is_empty() && chi.props.is_empty() => {
                         Ok(n)
                     }
-                }
-                Value::Null => err(format!("cannot CREATE with null variable {name}")),
-                other => err(format!(
-                    "variable {name} is bound to {}, expected a node",
-                    other.type_name()
-                )),
-            };
+                    (None, Value::Node(_)) => err(format!(
+                        "CREATE cannot add labels/properties to the bound variable {name}"
+                    )),
+                    (None, Value::Null) => err(format!("cannot CREATE with null variable {name}")),
+                    (None, other) => err(format!(
+                        "variable {name} is bound to {}, expected a node",
+                        other.type_name()
+                    )),
+                };
+            }
         }
+        let vals = self.eval(g, &chi.props, row, made)?;
+        let labels = chi.labels.iter().map(|l| g.intern(l)).collect();
+        let props = keyed(g, &chi.props, vals);
+        let n = g.add_node_syms(labels, props);
+        if let Some(name) = &chi.name {
+            made.push((name.clone(), Value::Node(n)));
+        }
+        Ok(n)
     }
-    let props = {
-        let view = RowView {
-            schema,
-            row,
-            extra: bindings,
-        };
-        eval_props(graph, params, cfg, &chi.props, &view)?
-    };
-    let labels: Vec<Symbol> = chi.labels.iter().map(|l| graph.intern(l)).collect();
-    let prop_syms: Vec<(Symbol, Value)> = props
-        .into_iter()
-        .map(|(k, v)| (graph.intern(&k), v))
-        .collect();
-    let n = graph.add_node_syms(labels, prop_syms);
-    if let Some(name) = &chi.name {
-        bindings.push((name.clone(), Value::Node(n)));
+
+    /// A property map's values over the row.
+    fn eval(
+        &self,
+        g: &PropertyGraph,
+        props: &[(String, Expr)],
+        row: Row<'_>,
+        made: &[(String, Value)],
+    ) -> Result<Vec<Value>, EvalError> {
+        let graph = self.copy.as_ref().map_or(g, |(src, _)| *src);
+        let ctx = EvalContext::new(graph, self.params).with_config(self.cfg.match_config);
+        let view = RowView { row, made };
+        props
+            .iter()
+            .map(|(_, e)| eval_expr(&ctx, &view, e))
+            .collect()
     }
-    Ok(n)
+}
+
+/// A property map's keys, interned into `g`, paired with their values.
+fn keyed(
+    g: &mut PropertyGraph,
+    props: &[(String, Expr)],
+    vals: Vec<Value>,
+) -> Vec<(Symbol, Value)> {
+    props
+        .iter()
+        .zip(vals)
+        .map(|((k, _), v)| (g.intern(k), v))
+        .collect()
+}
+
+/// The copy in `out` of the source node `n` (labels and properties),
+/// made on first use.
+fn copy_node(
+    src: &PropertyGraph,
+    copied: &mut FxHashMap<NodeId, NodeId>,
+    out: &mut PropertyGraph,
+    n: NodeId,
+) -> NodeId {
+    *copied.entry(n).or_insert_with(|| {
+        let labels = src.labels(n).iter();
+        let labels = labels.map(|&l| out.intern(src.resolve(l))).collect();
+        let props = src.node_props(n);
+        let props = props.map(|(k, v)| (out.intern(src.resolve(k)), v.clone()));
+        let props = props.collect();
+        out.add_node_syms(labels, props)
+    })
+}
+
+/// `MERGE`'s match plan — its pattern planned once over the driving
+/// `schema`, whose columns are pre-bound — and the schema of its rows: the
+/// driving fields, then the pattern's new names in binding order.
+pub(crate) fn merge_plan(
+    view: ViewRef<'_>,
+    schema: &Arc<Schema>,
+    pattern: &PathPattern,
+    cfg: &EngineConfig,
+) -> (PlannedMatch, Arc<Schema>) {
+    let pats = slice::from_ref(pattern);
+    let new_vars = unbound_free_vars(pats, &|n| schema.contains(n));
+    let planned = plan_match(view, schema.names(), pats, cfg.planner_options());
+    (planned, Schema::new([schema.names(), &new_vars].concat()))
 }
 
 /// `MERGE pattern [ON CREATE SET …] [ON MATCH SET …]`: per driving row,
 /// bind all matches of the pattern, or create it when there are none.
+/// The match plan runs per row against the graph as earlier rows left it,
+/// so MERGE sees its own creations; `ON MATCH` applies to the matches in
+/// the plan's row order.
 pub fn exec_merge(
     graph: &mut PropertyGraph,
     params: &Params,
@@ -237,51 +306,55 @@ pub fn exec_merge(
     table: Table,
 ) -> Result<Table, EvalError> {
     let schema = table.schema().clone();
-    let pats = std::slice::from_ref(pattern);
-    let new_vars = unbound_free_vars(pats, &|n| schema.contains(n));
-    let mut out_schema = schema.clone();
-    for v in &new_vars {
-        out_schema = out_schema.with_field(v.clone());
-    }
+    let (planned, out_schema) = merge_plan(ViewRef::from(&*graph), &schema, pattern, cfg);
+    let new_vars = &out_schema.names()[schema.len()..];
+    let mut build = Builder::new(params, cfg, None);
     let mut out = Table::empty(out_schema.clone());
     for row in table.rows() {
-        // Try to match first (read-only borrow scope).
-        let matches = {
-            let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-            let b = Bindings::new(&schema, row);
-            match_patterns(&ctx, &b, pats)?
-        };
+        let one = Table::new(schema.clone(), vec![row.clone()]);
+        let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
+        let matches = drive(&ctx, &planned.plan.steps, one, cfg, &Collect, None)?;
+        let matches = project_visible(matches, &out_schema).into_rows();
         if matches.is_empty() {
-            let mut bindings: Vec<(String, Value)> = Vec::new();
-            create_pattern(graph, params, cfg, pattern, &schema, row, &mut bindings)?;
-            let mut new_row = row.clone();
-            for v in &new_vars {
-                let val = bindings
-                    .iter()
-                    .find(|(n, _)| n == v)
-                    .map(|(_, val)| val.clone())
-                    .unwrap_or(Value::Null);
-                new_row.push(val);
-            }
+            let pats = slice::from_ref(pattern);
+            let new_row = build.row(graph, pats, &schema, row, new_vars)?;
             apply_set_items(graph, params, cfg, on_create, &out_schema, &new_row)?;
             out.push(new_row);
-        } else {
-            for m in matches {
-                let mut new_row = row.clone();
-                for v in &new_vars {
-                    let val = m
-                        .iter()
-                        .find(|(n, _)| n == v)
-                        .map(|(_, val)| val.clone())
-                        .expect("match binds all free vars");
-                    new_row.push(val);
-                }
-                apply_set_items(graph, params, cfg, on_match, &out_schema, &new_row)?;
-                out.push(new_row);
-            }
+        }
+        for m in matches {
+            apply_set_items(graph, params, cfg, on_match, &out_schema, &m)?;
+            out.push(m);
         }
     }
     Ok(out)
+}
+
+/// The value of `e` over one driving row.
+fn eval_at(
+    g: &PropertyGraph,
+    params: &Params,
+    cfg: &EngineConfig,
+    (schema, row): Row<'_>,
+    e: &Expr,
+) -> Result<Value, EvalError> {
+    let ctx = EvalContext::new(g, params).with_config(cfg.match_config);
+    eval_expr(&ctx, &Bindings::new(schema, row), e)
+}
+
+/// The node `var` binds in one driving row for `SET`/`REMOVE var:Label`
+/// (`clause`), `None` for `null`.
+fn label_target(
+    g: &PropertyGraph,
+    params: &Params,
+    cfg: &EngineConfig,
+    at: Row<'_>,
+    (clause, var): (&str, &str),
+) -> Result<Option<NodeId>, EvalError> {
+    match eval_at(g, params, cfg, at, &Expr::var(var.to_string()))? {
+        Value::Node(n) => Ok(Some(n)),
+        Value::Null => Ok(None),
+        _ => err(format!("{clause} {var}:Label requires a node")),
+    }
 }
 
 /// `SET` items applied to one row.
@@ -290,25 +363,19 @@ fn apply_set_items(
     params: &Params,
     cfg: &EngineConfig,
     items: &[SetItem],
-    schema: &cypher_core::Schema,
+    schema: &Schema,
     row: &Record,
 ) -> Result<(), EvalError> {
+    let at = (schema, row);
     for item in items {
         match item {
             SetItem::Prop(base, key, value) => {
-                let (target, v) = {
-                    let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-                    let b = Bindings::new(schema, row);
-                    (eval_expr(&ctx, &b, base)?, eval_expr(&ctx, &b, value)?)
-                };
+                let target = eval_at(graph, params, cfg, at, base)?;
+                let v = eval_at(graph, params, cfg, at, value)?;
                 let k = graph.intern(key);
                 match target {
-                    Value::Node(n) => graph
-                        .set_node_prop(n, k, v)
-                        .map_err(|e| EvalError::new(e.to_string()))?,
-                    Value::Rel(r) => graph
-                        .set_rel_prop(r, k, v)
-                        .map_err(|e| EvalError::new(e.to_string()))?,
+                    Value::Node(n) => graph.set_node_prop(n, k, v)?,
+                    Value::Rel(r) => graph.set_rel_prop(r, k, v)?,
                     Value::Null => {} // SET on null is a no-op
                     other => {
                         return err(format!(
@@ -319,27 +386,19 @@ fn apply_set_items(
                 }
             }
             SetItem::Replace(var, value) | SetItem::Merge(var, value) => {
-                let additive = matches!(item, SetItem::Merge(_, _));
-                let (target, v) = {
-                    let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-                    let b = Bindings::new(schema, row);
-                    (
-                        eval_expr(&ctx, &b, &Expr::var(var.clone()))?,
-                        eval_expr(&ctx, &b, value)?,
-                    )
-                };
+                let target = eval_at(graph, params, cfg, at, &Expr::var(var.clone()))?;
+                let v = eval_at(graph, params, cfg, at, value)?;
                 let Value::Node(n) = target else {
                     if target.is_null() {
                         continue;
                     }
                     return err(format!("SET {var} = map requires a node"));
                 };
-                let props: Vec<(String, Value)> = match v {
-                    Value::Map(m) => m.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-                    Value::Node(src) => graph
-                        .node_props(src)
-                        .map(|(k, v)| (graph.resolve(k).to_string(), v.clone()))
-                        .collect(),
+                let props: Vec<(Symbol, Value)> = match v {
+                    Value::Map(m) => m.into_iter().map(|(k, v)| (graph.intern(&k), v)).collect(),
+                    Value::Node(src) => {
+                        graph.node_props(src).map(|(k, v)| (k, v.clone())).collect()
+                    }
                     other => {
                         return err(format!(
                             "SET {var} = requires a map or node, got {}",
@@ -347,39 +406,21 @@ fn apply_set_items(
                         ))
                     }
                 };
-                let prop_syms: Vec<(Symbol, Value)> = props
-                    .into_iter()
-                    .map(|(k, v)| (graph.intern(&k), v))
-                    .collect();
-                if additive {
-                    for (k, v) in prop_syms {
-                        graph
-                            .set_node_prop(n, k, v)
-                            .map_err(|e| EvalError::new(e.to_string()))?;
+                if matches!(item, SetItem::Merge(..)) {
+                    for (k, v) in props {
+                        graph.set_node_prop(n, k, v)?;
                     }
                 } else {
-                    graph
-                        .replace_node_props(n, prop_syms)
-                        .map_err(|e| EvalError::new(e.to_string()))?;
+                    graph.replace_node_props(n, props)?;
                 }
             }
             SetItem::Labels(var, labels) => {
-                let target = {
-                    let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-                    let b = Bindings::new(schema, row);
-                    eval_expr(&ctx, &b, &Expr::var(var.clone()))?
-                };
-                let Value::Node(n) = target else {
-                    if target.is_null() {
-                        continue;
-                    }
-                    return err(format!("SET {var}:Label requires a node"));
+                let Some(n) = label_target(graph, params, cfg, at, ("SET", var))? else {
+                    continue;
                 };
                 for l in labels {
                     let sym = graph.intern(l);
-                    graph
-                        .add_label(n, sym)
-                        .map_err(|e| EvalError::new(e.to_string()))?;
+                    graph.add_label(n, sym)?;
                 }
             }
         }
@@ -395,9 +436,8 @@ pub fn exec_set(
     items: &[SetItem],
     table: Table,
 ) -> Result<Table, EvalError> {
-    let schema = table.schema().clone();
     for row in table.rows() {
-        apply_set_items(graph, params, cfg, items, &schema, row)?;
+        apply_set_items(graph, params, cfg, items, table.schema(), row)?;
     }
     Ok(table)
 }
@@ -410,28 +450,18 @@ pub fn exec_remove(
     items: &[RemoveItem],
     table: Table,
 ) -> Result<Table, EvalError> {
-    let schema = table.schema().clone();
     for row in table.rows() {
+        let at = (&**table.schema(), row);
         for item in items {
             match item {
                 RemoveItem::Prop(base, key) => {
-                    let target = {
-                        let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-                        let b = Bindings::new(&schema, row);
-                        eval_expr(&ctx, &b, base)?
-                    };
+                    let target = eval_at(graph, params, cfg, at, base)?;
                     let Some(k) = graph.interner().get(key) else {
                         continue;
                     };
                     match target {
-                        Value::Node(n) => graph
-                            .remove_node_prop(n, k)
-                            .map_err(|e| EvalError::new(e.to_string()))?,
-                        Value::Rel(r) => {
-                            graph
-                                .set_rel_prop(r, k, Value::Null)
-                                .map_err(|e| EvalError::new(e.to_string()))?;
-                        }
+                        Value::Node(n) => graph.remove_node_prop(n, k)?,
+                        Value::Rel(r) => graph.set_rel_prop(r, k, Value::Null)?,
                         Value::Null => {}
                         other => {
                             return err(format!(
@@ -442,22 +472,12 @@ pub fn exec_remove(
                     }
                 }
                 RemoveItem::Labels(var, labels) => {
-                    let target = {
-                        let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-                        let b = Bindings::new(&schema, row);
-                        eval_expr(&ctx, &b, &Expr::var(var.clone()))?
-                    };
-                    let Value::Node(n) = target else {
-                        if target.is_null() {
-                            continue;
-                        }
-                        return err(format!("REMOVE {var}:Label requires a node"));
+                    let Some(n) = label_target(graph, params, cfg, at, ("REMOVE", var))? else {
+                        continue;
                     };
                     for l in labels {
                         if let Some(sym) = graph.interner().get(l) {
-                            graph
-                                .remove_label(n, sym)
-                                .map_err(|e| EvalError::new(e.to_string()))?;
+                            graph.remove_label(n, sym)?;
                         }
                     }
                 }
@@ -479,17 +499,11 @@ pub fn exec_delete(
     exprs: &[Expr],
     table: Table,
 ) -> Result<Table, EvalError> {
-    let schema = table.schema().clone();
     let mut nodes: Vec<NodeId> = Vec::new();
     let mut rels: Vec<RelId> = Vec::new();
     for row in table.rows() {
         for e in exprs {
-            let v = {
-                let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-                let b = Bindings::new(&schema, row);
-                eval_expr(&ctx, &b, e)?
-            };
-            match v {
+            match eval_at(graph, params, cfg, (table.schema(), row), e)? {
                 Value::Null => {}
                 Value::Node(n) => nodes.push(n),
                 Value::Rel(r) => rels.push(r),
@@ -512,9 +526,7 @@ pub fn exec_delete(
     nodes.dedup();
     for r in rels {
         if graph.contains_rel(r) {
-            graph
-                .delete_rel(r)
-                .map_err(|e| EvalError::new(e.to_string()))?;
+            graph.delete_rel(r)?;
         }
     }
     for n in nodes {
@@ -522,13 +534,9 @@ pub fn exec_delete(
             continue;
         }
         if detach {
-            graph
-                .detach_delete_node(n)
-                .map_err(|e| EvalError::new(e.to_string()))?;
+            graph.detach_delete_node(n)?;
         } else {
-            graph
-                .delete_node(n)
-                .map_err(|e| EvalError::new(e.to_string()))?;
+            graph.delete_node(n)?;
         }
     }
     Ok(table)

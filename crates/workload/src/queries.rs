@@ -234,8 +234,9 @@ impl QueryGenerator {
     ///   oracle is well-defined;
     /// * `collect` is the only order-sensitive aggregate emitted, and the
     ///   harness canonicalizes list cells before comparing against the
-    ///   oracle (engines feed rows in a different order than the
-    ///   reference matcher; engine-vs-engine stays exact).
+    ///   oracle (the engine's pipelines feed aggregation in a different
+    ///   row order than the reference evaluator; engine-vs-engine stays
+    ///   exact).
     pub fn next_aggregate_query(&mut self) -> String {
         let mut vars: Vec<String> = Vec::new();
         let mut rel_vars: Vec<String> = Vec::new();

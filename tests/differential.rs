@@ -5,10 +5,20 @@
 //!
 //! The paper's Section 4 argues a formal semantics "paves a way to a
 //! reference implementation against which others will be compared"; this
-//! file is that comparison.
+//! file is that comparison — under each of the three morphisms of
+//! Section 8, which parameterise the matching semantics.
 
 use cypher::workload::random_graph;
-use cypher::{run_read_with, run_reference, EngineConfig, Params, PlannerMode, PropertyGraph};
+use cypher::{
+    run_read_with, run_reference, run_reference_with, EngineConfig, MatchConfig, Morphism, Params,
+    PlannerMode, PropertyGraph,
+};
+
+const MORPHISMS: [Morphism; 3] = [
+    Morphism::EdgeIsomorphism,
+    Morphism::NodeIsomorphism,
+    Morphism::Homomorphism,
+];
 
 /// The query corpus: read queries over labels A/B and types X/Y exercising
 /// matching, optional matching, variable-length patterns, filtering,
@@ -64,11 +74,25 @@ const CORPUS: &[&str] = &[
 ];
 
 fn check_graph(g: &PropertyGraph, label: &str) {
+    for morphism in MORPHISMS {
+        check_graph_under(g, &format!("{label}, {morphism:?}"), morphism);
+    }
+}
+
+fn check_graph_under(g: &PropertyGraph, label: &str, morphism: Morphism) {
     let params = Params::new();
+    let match_config = MatchConfig {
+        morphism,
+        ..MatchConfig::default()
+    };
+    let engine = EngineConfig {
+        match_config,
+        ..EngineConfig::default()
+    };
     for q in CORPUS {
-        let reference = run_reference(g, q, &params)
+        let reference = run_reference_with(g, q, &params, match_config)
             .unwrap_or_else(|e| panic!("[{label}] reference failed on {q}: {e}"));
-        let expand = run_read_with(g, q, &params, &EngineConfig::default())
+        let expand = run_read_with(g, q, &params, &engine)
             .unwrap_or_else(|e| panic!("[{label}] engine failed on {q}: {e}"));
         assert!(
             expand.bag_eq(&reference),
@@ -80,7 +104,7 @@ fn check_graph(g: &PropertyGraph, label: &str) {
             &params,
             &EngineConfig {
                 planner_mode: PlannerMode::CartesianJoin,
-                ..EngineConfig::default()
+                ..engine.clone()
             },
         )
         .unwrap_or_else(|e| panic!("[{label}] cartesian engine failed on {q}: {e}"));

@@ -7,8 +7,8 @@
 //! queries choose; this suite pins the behaviour of all three modes.
 
 use cypher::{
-    run_read_with, run_reference_with, EngineConfig, MatchConfig, Morphism, Params, PropertyGraph,
-    Value,
+    run_read_with, run_reference_with, Database, EngineConfig, MatchConfig, Morphism, Params,
+    PropertyGraph, Value,
 };
 
 fn self_loop() -> PropertyGraph {
@@ -123,9 +123,9 @@ fn e14_node_isomorphism_strictest() {
 }
 
 #[test]
-fn e14_engine_delegates_node_isomorphism() {
-    // The planner engine falls back to the reference matcher for node
-    // isomorphism; results must agree.
+fn e14_engine_matches_node_isomorphism() {
+    // The planner engine matches node isomorphism itself — its plans end
+    // in the `DistinctNodes` filter — and must agree with the reference.
     let mut g = PropertyGraph::new();
     let a = g.add_node(&["P"], []);
     let b = g.add_node(&["P"], []);
@@ -174,4 +174,108 @@ fn e14_morphisms_agree_on_acyclic_simple_graphs() {
         results.windows(2).all(|w| w[0].equivalent(&w[1])),
         "{results:?}"
     );
+}
+
+/// The triangle a→b→c→a plus the tail edge c→d.
+const TRIANGLE_WITH_TAIL: &str = "CREATE (a:P {i: 0})-[:E]->(b:P {i: 1})-[:E]->(c:P {i: 2}), \
+     (c)-[:E]->(a), (c)-[:E]->(d:P {i: 3})";
+
+fn engine_cfg(morphism: Morphism) -> EngineConfig {
+    EngineConfig {
+        match_config: cfg(morphism, 8),
+        ..EngineConfig::default()
+    }
+}
+
+/// The positional rule of node isomorphism, engine against oracle: the
+/// node sequences of one clause's paths, taken together, repeat no node;
+/// a zero-hop step's endpoint is its start's position; separate clauses
+/// are separate matches.
+#[test]
+fn e14_node_isomorphism_probe_shapes() {
+    let mut g = PropertyGraph::new();
+    let params = Params::new();
+    cypher::run(&mut g, TRIANGLE_WITH_TAIL, &params).unwrap();
+    for (pattern, want) in [
+        ("MATCH (x)-->(y)-->(z)", 4),
+        ("MATCH (x)-->(y), (y)-->(z)", 0),
+        ("MATCH (x)-->(y) MATCH (y)-->(z)", 4),
+        ("MATCH (x)-[*0..2]->(y)", 12),
+        ("MATCH (x)-[*0..0]->(y)", 4),
+        ("MATCH (x)-[*1..3]->(x)", 0),
+        ("MATCH (x)-[*0..2]->(y)-->(z)", 9),
+    ] {
+        let q = format!("{pattern} RETURN count(*) AS c");
+        let want = Some(Value::int(want));
+        let oracle = run_reference_with(&g, &q, &params, cfg(Morphism::NodeIsomorphism, 8));
+        assert_eq!(oracle.unwrap().cell(0, "c"), want.as_ref(), "oracle on {q}");
+        for (threads, morsel) in [(1, 1024), (1, 1), (4, 1), (4, 1024)] {
+            let c = engine_cfg(Morphism::NodeIsomorphism)
+                .with_threads(threads)
+                .with_morsel_size(morsel);
+            let engine = run_read_with(&g, &q, &params, &c).unwrap();
+            assert_eq!(
+                engine.cell(0, "c"),
+                want.as_ref(),
+                "{q} at {threads}×{morsel}"
+            );
+        }
+    }
+}
+
+/// The pruning check: under node isomorphism the variable-length
+/// `Expand` never steps back onto its own traversal, so it emits exactly
+/// the node-simple paths (9 here: 4 + 4 + a→b→c→d) and the closing
+/// `DistinctNodes` filter drops nothing; under edge isomorphism it also
+/// walks the three 3-cycles.
+#[test]
+fn e14_variable_length_expand_emits_only_node_simple_paths() {
+    let q = "MATCH (x)-[*1..3]->(y) RETURN count(*) AS c";
+    let rows = |morphism| {
+        let mut config = engine_cfg(morphism);
+        config.persistence = None;
+        let db = Database::open_with(config).unwrap();
+        db.session()
+            .query(TRIANGLE_WITH_TAIL, &Params::new())
+            .unwrap();
+        let report = db.profile(q, &Params::new()).unwrap();
+        let ops = &report.profile.clauses[0].operators;
+        let rows_of = |name: &str| {
+            let op = ops.iter().find(|o| o.operator.starts_with(name));
+            op.unwrap_or_else(|| panic!("no {name} in\n{}", report.text))
+                .rows
+        };
+        let expand = rows_of("Expand");
+        let kept = ops.iter().any(|o| o.operator.starts_with("DistinctNodes"));
+        assert_eq!(
+            kept,
+            morphism == Morphism::NodeIsomorphism,
+            "{}",
+            report.text
+        );
+        if kept {
+            assert_eq!(rows_of("DistinctNodes"), expand, "{}", report.text);
+        }
+        assert_eq!(report.result.cell(0, "c"), Some(&Value::int(expand as i64)));
+        expand
+    };
+    assert_eq!(rows(Morphism::NodeIsomorphism), 9);
+    assert_eq!(rows(Morphism::EdgeIsomorphism), 12);
+}
+
+/// `EXPLAIN` under node isomorphism shows the operator pipeline, closed by
+/// the filter over the clause's paths.
+#[test]
+fn e14_node_isomorphism_explains_the_distinct_nodes_filter() {
+    let mut g = PropertyGraph::new();
+    cypher::run(&mut g, TRIANGLE_WITH_TAIL, &Params::new()).unwrap();
+    let q = cypher::parse_query("MATCH (x)-[r]->(y), (y)-[*0..2]->(z) RETURN x").unwrap();
+    let plan = cypher_engine::explain(&g, &q, &engine_cfg(Morphism::NodeIsomorphism));
+    assert!(plan.contains("Expand"), "{plan}");
+    assert!(
+        plan.contains("DistinctNodes((x)-[r]-(y), (y)-[ anon0*]-(z))"),
+        "{plan}"
+    );
+    let edge = cypher_engine::explain(&g, &q, &engine_cfg(Morphism::EdgeIsomorphism));
+    assert!(!edge.contains("DistinctNodes"), "{edge}");
 }

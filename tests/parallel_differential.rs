@@ -11,8 +11,8 @@
 
 use cypher::workload::{random_graph, QueryGenerator};
 use cypher::{
-    run_read_with, run_reference, EngineConfig, Params, PartialAggMode, PropertyGraph, Record,
-    Table, Value,
+    run_read_with, run_reference, run_reference_with, EngineConfig, MatchConfig, Morphism, Params,
+    PartialAggMode, PropertyGraph, Record, Table, Value,
 };
 
 fn cfg(threads: usize, morsel: usize) -> EngineConfig {
@@ -24,10 +24,27 @@ fn cfg(threads: usize, morsel: usize) -> EngineConfig {
 /// Runs one query under every configuration, cross-checks the results,
 /// and returns the sequential table.
 fn check_query(g: &PropertyGraph, q: &str, params: &Params) -> Table {
-    let seq = run_read_with(g, q, params, &cfg(1, 1024))
+    let cells = [(4, 8), (2, 1), (3, 1024)];
+    check_query_with(g, q, params, MatchConfig::default(), &cells)
+}
+
+/// [`check_query`] under `match_config`, at the `(threads, morsel)`
+/// cells given besides the sequential one.
+fn check_query_with(
+    g: &PropertyGraph,
+    q: &str,
+    params: &Params,
+    match_config: MatchConfig,
+    cells: &[(usize, usize)],
+) -> Table {
+    let at = |threads, morsel| EngineConfig {
+        match_config,
+        ..cfg(threads, morsel)
+    };
+    let seq = run_read_with(g, q, params, &at(1, 1024))
         .unwrap_or_else(|e| panic!("sequential engine failed on {q}: {e}"));
-    for (threads, morsel) in [(4, 8), (2, 1), (3, 1024)] {
-        let par = run_read_with(g, q, params, &cfg(threads, morsel)).unwrap_or_else(|e| {
+    for &(threads, morsel) in cells {
+        let par = run_read_with(g, q, params, &at(threads, morsel)).unwrap_or_else(|e| {
             panic!("parallel engine (threads={threads}, morsel={morsel}) failed on {q}: {e}")
         });
         // Exact row-sequence equality — which subsumes multiset equality.
@@ -37,8 +54,8 @@ fn check_query(g: &PropertyGraph, q: &str, params: &Params) -> Table {
              sequential:\n{seq}\nparallel:\n{par}"
         );
     }
-    let oracle =
-        run_reference(g, q, params).unwrap_or_else(|e| panic!("reference failed on {q}: {e}"));
+    let oracle = run_reference_with(g, q, params, match_config)
+        .unwrap_or_else(|e| panic!("reference failed on {q}: {e}"));
     assert!(
         seq.bag_eq(&oracle),
         "engine diverges from the reference oracle on {q}\nengine:\n{seq}\nreference:\n{oracle}"
@@ -264,5 +281,34 @@ fn streamed_chains_agree_across_thread_counts() {
     assert!(
         nonempty * 2 >= STREAMED_CHAINS.len() * 4,
         "chains too vacuous: {nonempty} non-empty results"
+    );
+}
+
+/// Node isomorphism is one more cell of the matrix: generated queries at
+/// threads ∈ {1, 4} × morsel ∈ {1, 1024} keep one row sequence, and its
+/// bag is the oracle's under the same morphism.
+#[test]
+fn node_isomorphism_agrees_across_thread_counts() {
+    let params = Params::new();
+    let node_iso = MatchConfig {
+        morphism: Morphism::NodeIsomorphism,
+        ..MatchConfig::default()
+    };
+    let (mut total, mut nonempty) = (0, 0);
+    for seed in 0..3u64 {
+        let g = random_graph(22, 40, &["A", "B"], &["X", "Y"], 400 + seed);
+        let mut gen = QueryGenerator::new(5000 + seed);
+        for _ in 0..100 {
+            let q = gen.next_query();
+            let cells = [(1, 1), (4, 1), (4, 1024)];
+            total += 1;
+            if !check_query_with(&g, &q, &params, node_iso, &cells).is_empty() {
+                nonempty += 1;
+            }
+        }
+    }
+    assert!(
+        nonempty * 2 >= total,
+        "workload too vacuous: {nonempty}/{total} queries returned rows"
     );
 }

@@ -11,8 +11,8 @@
 //!   maintainable and fallback-shaped views plus grammar-generated ones,
 //!   driven by the default update mix and by the delete-heavy churn
 //!   preset, checked against cold re-evaluation after every commit —
-//!   under the default morphism, homomorphism (delta path) and node
-//!   isomorphism (full recomputation);
+//!   under the default morphism, homomorphism and node isomorphism, all
+//!   three on the delta path;
 //! * **Fold plans and fold work** — `EXPLAIN VIEW` shows one anchored
 //!   plan per node position, and the executor rows one commit's fold
 //!   produces are the same at 1 000 and 4 000 unrelated persons;
@@ -110,13 +110,14 @@ fn homomorphism_views_track_generated_update_streams() {
     track_update_streams(cfg, true);
 }
 
-/// The driver does not model node isomorphism, so every view falls back
-/// to full recomputation — and stays exact.
+/// Node isomorphism stays on the delta path too: every anchored plan
+/// ends in the `DistinctNodes` filter, which reads only the row's own
+/// bindings.
 #[test]
 fn node_isomorphism_views_track_generated_update_streams() {
     let mut cfg = memory_cfg();
     cfg.match_config.morphism = Morphism::NodeIsomorphism;
-    track_update_streams(cfg, false);
+    track_update_streams(cfg, true);
 }
 
 /// The panel and generated views under `cfg`, checked against cold
@@ -361,8 +362,9 @@ const HEAVY_EDGES: &str =
 
 /// `n` persons in `n / 2` disjoint `FOLLOWS` pairs, plus a three-person
 /// gadget cycle (keys -1, -2, -3) no pair touches.
-fn persons_with_gadget(n: i64) -> Database {
+fn persons_with_gadget(n: i64, morphism: Morphism) -> Database {
     let mut cfg = memory_cfg();
+    cfg.match_config.morphism = morphism;
     cfg.metrics_enabled = true;
     let db = Database::open_with(cfg).unwrap();
     let mut session = db.session();
@@ -388,7 +390,7 @@ fn persons_with_gadget(n: i64) -> Database {
 
 #[test]
 fn explain_view_prints_the_anchored_plans_the_fold_runs() {
-    let db = persons_with_gadget(200);
+    let db = persons_with_gadget(200, Morphism::default());
     db.create_view("heavy_edges", HEAVY_EDGES).unwrap();
     let explain = db.explain_view("heavy_edges").unwrap();
     let anchors: Vec<&str> = explain
@@ -409,14 +411,21 @@ fn explain_view_prints_the_anchored_plans_the_fold_runs() {
 
 /// ROADMAP 4a's gate as an exact count: the rows the executor produces
 /// for one commit's view fold are the same at 1 000 and 4 000 unrelated
-/// persons. The commit's own `MATCH` is measured alone first, by the same
-/// pattern as a read, so the difference is the fold's rows. Reading
-/// either view afterwards produces no executor rows at all.
+/// persons, under edge and under node isomorphism, and no fold falls back
+/// to full recomputation. The commit's own `MATCH` is measured alone
+/// first, by the same pattern as a read, so the difference is the fold's
+/// rows. Reading either view afterwards produces no executor rows at all.
 #[test]
 fn fold_work_does_not_grow_with_the_base_graph() {
+    for morphism in [Morphism::EdgeIsomorphism, Morphism::NodeIsomorphism] {
+        fold_work_is_flat_under(morphism);
+    }
+}
+
+fn fold_work_is_flat_under(morphism: Morphism) {
     let find = "MATCH (a:Person {i: -1})-[f:FOLLOWS]->(b:Person {i: -2})";
     let fold_rows = |n: i64| {
-        let db = persons_with_gadget(n);
+        let db = persons_with_gadget(n, morphism);
         db.create_view("by_v", BY_V).unwrap();
         db.create_view("heavy_edges", HEAVY_EDGES).unwrap();
         assert!(db
@@ -440,6 +449,10 @@ fn fold_work_does_not_grow_with_the_base_graph() {
             .unwrap();
         let commit_rows = rows() - r1;
         assert_eq!(db.metrics().view_full_recomputes.get(), recomputes);
+        assert_eq!(
+            recomputes, 0,
+            "a view was recomputed in full ({morphism:?})"
+        );
         check_view_matches_cold(&mut session, "by_v", BY_V, "gadget SET");
         check_view_matches_cold(&mut session, "heavy_edges", HEAVY_EDGES, "gadget SET");
         // A view read serves the published table: no plan runs.
@@ -451,10 +464,10 @@ fn fold_work_does_not_grow_with_the_base_graph() {
         commit_rows - (r1 - r0)
     };
     let small = fold_rows(1_000);
-    assert!(small > 0, "the fold runs on the executor");
+    assert!(small > 0, "the fold runs on the executor ({morphism:?})");
     assert_eq!(
         small,
         fold_rows(4_000),
-        "fold rows grew with the base graph"
+        "fold rows grew with the base graph ({morphism:?})"
     );
 }
