@@ -26,10 +26,10 @@
 //!   variants keep the distinct set (hash-indexed, first-occurrence
 //!   order) and fold it at finish time, so merging never double-counts.
 
+use crate::bag::CountedMap;
 use crate::error::{err, EvalError};
 use cypher_graph::Value;
-use std::collections::HashMap;
-use std::hash::Hasher;
+use std::slice;
 
 /// Which aggregate a call denotes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -305,33 +305,14 @@ impl ExactFloatSum {
 // Distinct sets
 // ---------------------------------------------------------------------------
 
-/// One slot of a [`DistinctSet`]: the value plus how many live copies it
-/// currently represents (`0` = tombstone).
-#[derive(Clone, Debug)]
-struct DistinctSlot {
-    value: Value,
-    live: u64,
-}
-
 /// A refcounted multiset of [`Value`]s under Cypher *equivalence*
-/// (`null ≡ null`, `1 ≡ 1.0`), hash-indexed so membership is O(1)
-/// expected, that exposes its **live** distinct values in
-/// first-live-insertion order.
-///
-/// Removal tombstones a slot rather than shifting the slot vector (bucket
-/// entries index into it), and a re-inserted value takes a **new** slot at
-/// the end. That makes full retraction order-transparent: inserting a
-/// value, draining every copy of it, and inserting it again yields the
-/// same visible sequence as if the drained copies were never inserted —
-/// the property the incremental-view retraction path relies on. Once
-/// tombstones are half the slots they are dropped, so a set churned for a
-/// million commits costs what its live values cost — not its history.
+/// (`null ≡ null`, `1 ≡ 1.0`) that exposes its **live** distinct values in
+/// first-live-insertion order: a [`CountedMap`] keyed by one value, so
+/// draining a value and inserting it again yields the same visible
+/// sequence as if the drained copies were never inserted — the property
+/// the incremental-view retraction path relies on.
 #[derive(Clone, Debug, Default)]
-pub struct DistinctSet {
-    slots: Vec<DistinctSlot>,
-    buckets: HashMap<u64, Vec<usize>>,
-    distinct: usize,
-}
+pub struct DistinctSet(CountedMap<[Value; 1], ()>);
 
 impl DistinctSet {
     /// An empty set.
@@ -339,104 +320,43 @@ impl DistinctSet {
         DistinctSet::default()
     }
 
-    fn hash_of(v: &Value) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        v.hash_equivalent(&mut h);
-        h.finish()
-    }
-
-    fn live_slot(&self, h: u64, v: &Value) -> Option<usize> {
-        self.buckets.get(&h)?.iter().copied().find(|&i| {
-            let s = &self.slots[i];
-            s.live > 0 && s.value.equivalent(v)
-        })
-    }
-
     /// Inserts one copy; returns `true` when the value was not yet live
     /// (it became visible by this insertion).
     pub fn insert(&mut self, v: Value) -> bool {
-        let h = Self::hash_of(&v);
-        if let Some(i) = self.live_slot(h, &v) {
-            self.slots[i].live += 1;
-            return false;
-        }
-        self.buckets.entry(h).or_default().push(self.slots.len());
-        self.slots.push(DistinctSlot { value: v, live: 1 });
-        self.distinct += 1;
-        true
+        self.0.add([v])
     }
 
     /// Removes one copy; returns `true` when this removed the **last**
     /// live copy (the value became invisible). Removing an absent value is
     /// a no-op returning `false`.
     pub fn remove(&mut self, v: &Value) -> bool {
-        let h = Self::hash_of(v);
-        let Some(i) = self.live_slot(h, v) else {
-            return false;
-        };
-        self.slots[i].live -= 1;
-        if self.slots[i].live > 0 {
-            return false;
-        }
-        self.distinct -= 1;
-        if 2 * (self.slots.len() - self.distinct) >= self.slots.len() {
-            self.compact();
-        }
-        true
-    }
-
-    /// Drops the tombstones, keeping the live slots in order.
-    fn compact(&mut self) {
-        self.slots.retain(|s| s.live > 0);
-        self.buckets.clear();
-        for (i, s) in self.slots.iter().enumerate() {
-            self.buckets
-                .entry(Self::hash_of(&s.value))
-                .or_default()
-                .push(i);
-        }
+        self.0.remove(slice::from_ref(v)) == Some(true)
     }
 
     /// The live distinct values in first-live-insertion order.
     pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.slots.iter().filter(|s| s.live > 0).map(|s| &s.value)
+        self.0.iter().map(|([v], _, _)| v)
     }
 
     /// Moves the live values out (first-live-insertion order).
     pub fn into_values(self) -> Vec<Value> {
-        self.slots
-            .into_iter()
-            .filter(|s| s.live > 0)
-            .map(|s| s.value)
-            .collect()
+        self.0.into_live().map(|([v], _, _)| v).collect()
     }
 
     /// Number of live distinct values.
     pub fn len(&self) -> usize {
-        self.distinct
+        self.0.len()
     }
 
     /// True when no value is live.
     pub fn is_empty(&self) -> bool {
-        self.distinct == 0
+        self.0.is_empty()
     }
 
     /// Unions another set in — copy counts add — keeping first-occurrence
     /// order (this set's occurrences count as earlier).
     pub fn merge(&mut self, other: DistinctSet) {
-        for s in other.slots {
-            if s.live == 0 {
-                continue;
-            }
-            let h = Self::hash_of(&s.value);
-            if let Some(i) = self.live_slot(h, &s.value) {
-                self.slots[i].live += s.live;
-            } else {
-                self.buckets.entry(h).or_default().push(self.slots.len());
-                self.slots.push(s);
-                self.distinct += 1;
-            }
-        }
+        self.0.merge(other.0, |_, _| {});
     }
 }
 
@@ -1407,8 +1327,7 @@ mod tests {
             s.insert(Value::int((i + 1) % 2));
         }
         assert_eq!(s.len(), 1);
-        assert!(s.slots.len() <= 2 * s.len() + 1, "{} slots", s.slots.len());
-        assert!(s.buckets.values().map(Vec::len).sum::<usize>() <= 2 * s.len() + 1);
+        assert!(s.0.slots() <= 2 * s.len() + 1, "{} slots", s.0.slots());
         assert_eq!(s.values().collect::<Vec<_>>(), [&Value::int(0)]);
     }
 

@@ -16,9 +16,9 @@
 //! the reference evaluator covers the read core formalized by the paper.
 
 use crate::error::{err, EvalError};
-use crate::expr::{eval_expr, truth_of, Bindings, NoVars};
+use crate::expr::{eval_expr, truth_of, Bindings, NoVars, VarLookup};
 use crate::matching::{match_patterns, unbound_free_vars};
-use crate::project::{GroupedAggState, ProjectionPlan};
+use crate::project::{cmp_sort_keys, sort_keys, GroupedAggState, ProjectionPlan};
 use crate::table::{Record, Schema, Table};
 use crate::EvalContext;
 use cypher_ast::expr::Expr;
@@ -295,20 +295,6 @@ pub fn apply_order_by(
     apply_order_by_scoped(ctx, keys, table, None)
 }
 
-/// Two-layer assignment: projected columns shadow the pre-projection row.
-struct SortScope<'a> {
-    projected: Bindings<'a>,
-    source: Option<Bindings<'a>>,
-}
-
-impl crate::expr::VarLookup for SortScope<'_> {
-    fn lookup(&self, name: &str) -> Option<Value> {
-        self.projected
-            .lookup(name)
-            .or_else(|| self.source.as_ref().and_then(|s| s.lookup(name)))
-    }
-}
-
 /// [`apply_order_by`] with an optional pre-projection scope: `sources[i]`
 /// is the source record of output row `i` over `src.0`. Public because
 /// the engine's aggregation pushdown sorts its merged group rows through
@@ -325,26 +311,13 @@ pub fn apply_order_by_scoped(
     // before the sort comparator runs.
     let mut decorated: Vec<(Vec<Value>, Record)> = Vec::with_capacity(table.len());
     for (i, u) in table.rows().iter().enumerate() {
-        let scope = SortScope {
-            projected: Bindings::new(&schema, u),
-            source: src.as_ref().map(|(ss, rows)| Bindings::new(ss, &rows[i])),
-        };
+        let source = src.as_ref().map(|(ss, rows)| Bindings::new(ss, &rows[i]));
+        let source = source.as_ref().map(|s| s as &dyn VarLookup);
         let mut ks = Vec::with_capacity(keys.len());
-        for k in keys {
-            ks.push(eval_expr(ctx, &scope, &k.expr)?);
-        }
+        sort_keys(ctx, keys, &Bindings::new(&schema, u), source, &mut ks)?;
         decorated.push((ks, u.clone()));
     }
-    decorated.sort_by(|(ka, _), (kb, _)| {
-        for (i, key) in keys.iter().enumerate() {
-            let ord = ka[i].cmp_order(&kb[i]);
-            let ord = if key.ascending { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    decorated.sort_by(|(ka, _), (kb, _)| cmp_sort_keys(keys.iter().map(|k| k.ascending), ka, kb));
     let mut out = Table::empty(schema);
     for (_, r) in decorated {
         out.push(r);

@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod bag;
 pub mod clauses;
 pub mod error;
 pub mod expr;

@@ -10,6 +10,7 @@
 //! [`Table::bag_union`]) and `ε` (duplicate elimination,
 //! [`Table::dedup`]), the latter using Cypher *equivalence* (null ≡ null).
 
+use crate::bag::CountedMap;
 use cypher_graph::Value;
 use std::fmt;
 use std::sync::Arc;
@@ -158,6 +159,11 @@ impl Record {
     /// The values in schema order.
     pub fn values(&self) -> &[Value] {
         &self.values
+    }
+
+    /// Moves the values out, in schema order.
+    pub fn into_values(self) -> Vec<Value> {
+        self.values
     }
 
     /// The value at a position.
@@ -383,33 +389,14 @@ impl Table {
         self
     }
 
-    /// Duplicate elimination `ε(T)`: each equivalent row kept once. Uses a
-    /// sort by the total orderability order, so runs in `O(n log n)`.
+    /// Duplicate elimination `ε(T)`: the first of each class of
+    /// equivalent rows kept, in row order.
     pub fn dedup(mut self) -> Table {
-        let idx: Vec<usize> = (0..self.rows.len()).collect();
-        let mut sorted = idx;
-        sorted.sort_by(|&a, &b| cmp_records(&self.rows[a], &self.rows[b]));
-        let mut keep = vec![false; self.rows.len()];
-        let mut prev: Option<usize> = None;
-        for &i in &sorted {
-            match prev {
-                Some(p) if self.rows[p].equivalent(&self.rows[i]) => {}
-                _ => {
-                    keep[i] = true;
-                    prev = Some(i);
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(self.rows.len());
-        for (i, r) in self.rows.drain(..).enumerate() {
-            if keep[i] {
-                out.push(r);
-            }
-        }
-        Table {
-            schema: self.schema,
-            rows: out,
-        }
+        let mut seen = CountedMap::<&[Value], ()>::default();
+        let keep: Vec<bool> = self.rows.iter().map(|r| seen.add(r.values())).collect();
+        let mut keep = keep.into_iter();
+        self.rows.retain(|_| keep.next() == Some(true));
+        self
     }
 
     /// True iff both tables contain the same bag of records over the same

@@ -26,13 +26,17 @@
 //!   anchored at the changed nodes ([`DeltaPlan::affected_rows`]).
 //! * **Counted-bag projection** — same match half, but a plain
 //!   (non-aggregating, non-`DISTINCT`) projection. The state is a
-//!   refcounted bag of projected rows (plus their precomputed `ORDER BY`
-//!   keys); a refresh adjusts counts — O(changed rows) — and re-sorts at
-//!   publication.
+//!   [`CountedMap`] of projected rows, each keyed by its precomputed
+//!   `ORDER BY` keys followed by its values; a refresh adjusts counts —
+//!   O(changed rows) — and re-sorts at publication.
 //! * **Full recomputation** — everything else. The view stays correct (the query is re-run against each published
 //!   version) but pays full evaluation per commit;
 //!   `cypher_view_full_recomputes_total` counts these so operators can
 //!   see which standing queries missed the fast path.
+//!
+//! The grouped fold's groups, the counted bag and the bag difference of
+//! subscriber frames all count rows in the one [`CountedMap`], so they
+//! share its equivalence, tombstone and compaction rules.
 //!
 //! A delta fold that cannot find a row it must retract (which would mean
 //! the maintained state diverged) falls back to a one-off full
@@ -55,13 +59,14 @@ use crate::registry::DatabaseMetrics;
 use crate::{Error, Record, Schema, Table};
 use cypher_ast::expr::Expr;
 use cypher_ast::query::{Query, SortItem};
+use cypher_core::bag::CountedMap;
 use cypher_core::clauses::apply_order_by_scoped;
 use cypher_core::error::EvalError;
-use cypher_core::project::{GroupedAggState, ProjectionPlan};
-use cypher_core::{Bindings, EvalContext, Params, VarLookup};
+use cypher_core::project::{cmp_sort_keys, sort_keys, GroupedAggState, ProjectionPlan};
+use cypher_core::{Bindings, EvalContext, Params};
 use cypher_engine::{DeltaPlan, EngineConfig};
 use cypher_graph::{affected_nodes, Change, GraphView, PropertyGraph, Value, ViewRef};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -136,7 +141,7 @@ struct Fold {
 enum FoldState {
     /// Aggregation and/or `DISTINCT` folded with exact retraction support.
     Agg(GroupedAggState),
-    /// Refcounted bag of projected rows for plain projections.
+    /// Counted bag of projected rows for plain projections.
     Rows(CountedBag),
 }
 
@@ -153,9 +158,7 @@ impl Fold {
         match &mut self.state {
             FoldState::Agg(state) => state.feed(ctx, &self.proj, self.delta.schema(), row),
             FoldState::Rows(bag) => {
-                let (keys, out) =
-                    project_with_keys(ctx, &self.proj, &self.delta, &self.order, row)?;
-                bag.insert(keys, out);
+                bag.add(bag_key(ctx, &self.proj, &self.delta, &self.order, row)?);
                 Ok(())
             }
         }
@@ -167,9 +170,8 @@ impl Fold {
         match &mut self.state {
             FoldState::Agg(state) => state.retract(ctx, &self.proj, self.delta.schema(), row),
             FoldState::Rows(bag) => {
-                let (keys, out) =
-                    project_with_keys(ctx, &self.proj, &self.delta, &self.order, row)?;
-                Ok(bag.remove(&keys, &out))
+                let key = bag_key(ctx, &self.proj, &self.delta, &self.order, row)?;
+                Ok(bag.remove(&key).is_some())
             }
         }
     }
@@ -196,7 +198,7 @@ impl Fold {
                 }
                 apply_order_by_scoped(ctx, &self.order, out, None)
             }
-            FoldState::Rows(bag) => Ok(bag.snapshot(self.proj.out_schema().clone(), &self.order)),
+            FoldState::Rows(bag) => Ok(expand(bag, self.proj.out_schema().clone(), &self.order)),
         }
     }
 
@@ -249,143 +251,22 @@ impl Fold {
     }
 }
 
-/// One refcounted row of a counted-bag view: the precomputed sort keys,
-/// the projected output row, and how many copies are live. Entries
-/// retracted to zero become tombstones (bucket indices stay stable)
-/// until [`CountedBag::remove`] compacts; re-inserted rows take a fresh
-/// slot.
-struct BagEntry {
-    keys: Vec<Value>,
-    row: Record,
-    count: u64,
-}
+/// The persistent state of a `Rows` view: its projected rows, counted,
+/// each keyed by its precomputed `ORDER BY` keys followed by its values.
+type CountedBag = CountedMap<Vec<Value>, ()>;
 
-/// A hash-bucketed bag of `(sort keys, projected row)` pairs with
-/// multiplicities — the persistent state of a `Rows` view.
-#[derive(Default)]
-struct CountedBag {
-    entries: Vec<BagEntry>,
-    buckets: HashMap<u64, Vec<usize>>,
-    /// Tombstones in `entries`.
-    dead: usize,
-}
-
-impl CountedBag {
-    fn hash_of(keys: &[Value], row: &Record) -> u64 {
-        use std::hash::Hasher;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for k in keys {
-            k.hash_equivalent(&mut h);
-        }
-        for v in row.values() {
-            v.hash_equivalent(&mut h);
-        }
-        h.finish()
-    }
-
-    fn find_live(&self, h: u64, keys: &[Value], row: &Record) -> Option<usize> {
-        self.buckets.get(&h)?.iter().copied().find(|&i| {
-            let e = &self.entries[i];
-            e.count > 0
-                && e.keys.len() == keys.len()
-                && e.keys.iter().zip(keys).all(|(a, b)| a.equivalent(b))
-                && e.row.equivalent(row)
-        })
-    }
-
-    fn insert(&mut self, keys: Vec<Value>, row: Record) {
-        let h = Self::hash_of(&keys, &row);
-        if let Some(i) = self.find_live(h, &keys, &row) {
-            self.entries[i].count += 1;
-            return;
-        }
-        self.entries.push(BagEntry {
-            keys,
-            row,
-            count: 1,
-        });
-        self.buckets
-            .entry(h)
-            .or_default()
-            .push(self.entries.len() - 1);
-    }
-
-    /// Removes one copy; `false` when no live entry matches (the caller
-    /// falls back to full recomputation). Once tombstones are half the
-    /// entries they are dropped, so a bag churned for a million commits
-    /// costs what its live rows cost — not its history.
-    fn remove(&mut self, keys: &[Value], row: &Record) -> bool {
-        let h = Self::hash_of(keys, row);
-        let Some(i) = self.find_live(h, keys, row) else {
-            return false;
-        };
-        self.entries[i].count -= 1;
-        if self.entries[i].count == 0 {
-            self.dead += 1;
-            if 2 * self.dead >= self.entries.len() {
-                self.compact();
-            }
-        }
-        true
-    }
-
-    /// Drops the tombstones, keeping the live entries in order.
-    fn compact(&mut self) {
-        self.entries.retain(|e| e.count > 0);
-        self.buckets.clear();
-        self.dead = 0;
-        for (i, e) in self.entries.iter().enumerate() {
-            let h = Self::hash_of(&e.keys, &e.row);
-            self.buckets.entry(h).or_default().push(i);
+/// Expands the live rows of `bag` into an output table, stably sorted by
+/// their precomputed keys per `order` (slot order among equal keys).
+fn expand(bag: &CountedBag, schema: Arc<Schema>, order: &[SortItem]) -> Table {
+    let mut live: Vec<_> = bag.iter().collect();
+    live.sort_by(|(a, ..), (b, ..)| cmp_sort_keys(order.iter().map(|k| k.ascending), a, b));
+    let mut out = Table::empty(schema);
+    for (key, count, _) in live {
+        for _ in 0..count {
+            out.push(Record::new(key[order.len()..].to_vec()));
         }
     }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.buckets.clear();
-        self.dead = 0;
-    }
-
-    /// Expands the live entries into an output table, sorted by the
-    /// precomputed keys per `order` (entry order among equal keys).
-    fn snapshot(&self, schema: Arc<Schema>, order: &[SortItem]) -> Table {
-        let mut live: Vec<&BagEntry> = self.entries.iter().filter(|e| e.count > 0).collect();
-        if !order.is_empty() {
-            live.sort_by(|a, b| {
-                for (i, key) in order.iter().enumerate() {
-                    let ord = a.keys[i].cmp_order(&b.keys[i]);
-                    let ord = if key.ascending { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        let mut out = Table::empty(schema);
-        for e in live {
-            for _ in 0..e.count {
-                out.push(e.row.clone());
-            }
-        }
-        out
-    }
-}
-
-/// Two-layer `ORDER BY` scope for fold-time key computation: projected
-/// columns shadow the pre-projection match row (the same precedence
-/// [`apply_order_by_scoped`] gives a cold evaluation).
-struct FoldSortScope<'a> {
-    projected: Bindings<'a>,
-    source: Bindings<'a>,
-}
-
-impl VarLookup for FoldSortScope<'_> {
-    fn lookup(&self, name: &str) -> Option<Value> {
-        self.projected
-            .lookup(name)
-            .or_else(|| self.source.lookup(name))
-    }
+    out
 }
 
 /// True when `e` is a plain variable reference to one of `schema`'s
@@ -585,27 +466,26 @@ impl ViewEntry {
     }
 }
 
-/// Projects one match row and computes its `ORDER BY` keys under the
-/// two-layer scope (projected columns shadow the match row).
-fn project_with_keys(
+/// The counted-bag key of one match row: its `ORDER BY` keys, computed
+/// under the two-layer scope (projected columns shadow the match row),
+/// followed by the projected row's values.
+fn bag_key(
     ctx: &EvalContext<'_>,
     proj: &ProjectionPlan,
     delta: &DeltaPlan,
     order: &[SortItem],
     row: &Record,
-) -> Result<(Vec<Value>, Record), EvalError> {
+) -> Result<Vec<Value>, EvalError> {
     let out = proj.project_row(ctx, delta.schema(), row)?;
-    let mut keys = Vec::with_capacity(order.len());
-    if !order.is_empty() {
-        let scope = FoldSortScope {
-            projected: Bindings::new(proj.out_schema(), &out),
-            source: Bindings::new(delta.schema(), row),
-        };
-        for k in order {
-            keys.push(cypher_core::eval_expr(ctx, &scope, &k.expr)?);
-        }
+    if order.is_empty() {
+        return Ok(out.into_values());
     }
-    Ok((keys, out))
+    let mut key = Vec::with_capacity(order.len() + out.values().len());
+    let projected = Bindings::new(proj.out_schema(), &out);
+    let source = Bindings::new(delta.schema(), row);
+    sort_keys(ctx, order, &projected, Some(&source), &mut key)?;
+    key.extend(out.into_values());
+    Ok(key)
 }
 
 /// Cold evaluation of a view query against a published version or a
@@ -626,42 +506,20 @@ pub(crate) fn cold_eval<'a>(
 
 /// The bag difference `new − old` / `old − new`, for subscriber frames.
 fn bag_diff(old: &Table, new: &Table) -> (Table, Table) {
-    use std::hash::Hasher;
-    let hash_row = |r: &Record| {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for v in r.values() {
-            v.hash_equivalent(&mut h);
-        }
-        h.finish()
-    };
-    // Collision-safe counted index over the old rows.
-    let mut counts: HashMap<u64, Vec<(&Record, i64)>> = HashMap::new();
+    let mut counts = CountedMap::<&[Value], ()>::default();
     for r in old.rows() {
-        let h = hash_row(r);
-        let bucket = counts.entry(h).or_default();
-        match bucket.iter_mut().find(|(e, _)| e.equivalent(r)) {
-            Some((_, n)) => *n += 1,
-            None => bucket.push((r, 1)),
-        }
+        counts.add(r.values());
     }
     let mut added = Table::empty(new.schema().clone());
     for r in new.rows() {
-        let h = hash_row(r);
-        let surplus = counts
-            .get_mut(&h)
-            .and_then(|b| b.iter_mut().find(|(e, _)| e.equivalent(r)))
-            .filter(|(_, n)| *n > 0);
-        match surplus {
-            Some((_, n)) => *n -= 1,
-            None => added.push(r.clone()),
+        if counts.remove(r.values()).is_none() {
+            added.push(r.clone());
         }
     }
     let mut removed = Table::empty(old.schema().clone());
-    for bucket in counts.values() {
-        for (r, n) in bucket {
-            for _ in 0..*n {
-                removed.push((*r).clone());
-            }
+    for (r, n, _) in counts.iter() {
+        for _ in 0..n {
+            removed.push(Record::new(r.to_vec()));
         }
     }
     (added, removed)
@@ -850,32 +708,5 @@ mod tests {
         };
         assert!(has(&added, 3, 1) && has(&added, 4, 1));
         assert!(has(&removed, 1, 1) && has(&removed, 2, 1));
-    }
-
-    #[test]
-    fn counted_bag_retraction_is_order_transparent() {
-        let mut bag = CountedBag::default();
-        let schema = Schema::new(vec!["x".into()]);
-        let row = |v: i64| Record::new(vec![Value::int(v)]);
-        bag.insert(vec![], row(1));
-        bag.insert(vec![], row(2));
-        bag.insert(vec![], row(1));
-        assert!(bag.remove(&[], &row(1)));
-        assert!(bag.remove(&[], &row(1)));
-        assert!(!bag.remove(&[], &row(1)), "third copy never existed");
-        bag.insert(vec![], row(1));
-        let out = bag.snapshot(schema.clone(), &[]);
-        assert_eq!(out.len(), 2);
-
-        // Churn leaves no history behind: tombstones are compacted away
-        // and the live rows keep their order.
-        for _ in 0..1_000 {
-            bag.insert(vec![], row(3));
-            assert!(bag.remove(&[], &row(3)));
-        }
-        assert!(bag.entries.len() <= 4, "{} slots", bag.entries.len());
-        assert!(bag.buckets.values().all(|b| b.len() <= 2));
-        let out = bag.snapshot(schema, &[]);
-        assert_eq!(out.rows(), &[row(2), row(1)]);
     }
 }

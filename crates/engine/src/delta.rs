@@ -68,10 +68,10 @@ use crate::pushdown::project_visible;
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::PathPattern;
 use cypher_ast::query::{Clause, Query};
+use cypher_core::bag::CountedMap;
 use cypher_core::error::EvalError;
 use cypher_core::{EvalContext, Record, Schema, Table};
 use cypher_graph::{NodeId, PropertyGraph, Value};
-use std::collections::HashSet;
 use std::slice;
 use std::sync::Arc;
 
@@ -281,11 +281,11 @@ impl DeltaPlan {
             .filter(|&&d| ctx.graph.contains_node(d))
             .map(|&d| Record::new(vec![Value::Node(d)]))
             .collect();
-        let (mut out, mut seen) = (Vec::new(), HashSet::new());
+        let (mut out, mut seen) = (Vec::new(), CountedMap::<Vec<Value>, ()>::default());
         for name in &self.node_names {
             let anchors = Table::new(Schema::new(vec![name.clone()]), live.clone());
             let rows = self.run(ctx, cfg, anchors)?.into_iter();
-            out.extend(rows.filter(|r| seen.insert(entity_key(r))));
+            out.extend(rows.filter(|r| seen.add(r.values().to_vec())));
         }
         Ok(out)
     }
@@ -314,28 +314,6 @@ impl DeltaPlan {
         let raw = seg.run(ctx, cfg, input, &Collect, None, None)?;
         Ok(project_visible(raw, &self.schema).into_rows())
     }
-}
-
-/// The dedup key of a binding row: every column is an entity (node or
-/// relationship) by construction, keyed by its id.
-fn entity_key(record: &Record) -> Vec<(u8, u64)> {
-    record
-        .values()
-        .iter()
-        .map(|v| match v {
-            Value::Node(n) => (0u8, n.0),
-            Value::Rel(r) => (1u8, r.0),
-            // Unreachable for a compiled DeltaPlan (all positions bind
-            // entities); keep total rather than panic in release.
-            other => {
-                debug_assert!(false, "non-entity binding {other:?}");
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                use std::hash::Hasher;
-                other.hash_equivalent(&mut h);
-                (2u8, h.finish())
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -408,7 +386,7 @@ mod tests {
         let affected = cypher_graph::affected_nodes(&changes, &old);
         let octx = EvalContext::new(&old, &params);
         let nctx = EvalContext::new(&new, &params);
-        let keys = |rows: Vec<Record>| rows.iter().map(entity_key).collect::<Vec<_>>();
+        let keys = |rows: Vec<Record>| rows.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>();
 
         for src in [
             "MATCH (a)-[r:KNOWS]->(b) WHERE b.v > 0 RETURN a",

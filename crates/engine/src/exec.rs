@@ -645,8 +645,10 @@ struct Exec<'e, 'g> {
     catalog: Option<&'e mut Graphs<'g>>,
     /// One entry per segment run, when profiling.
     profile: Option<Vec<ClauseProfile>>,
-    /// The rendered segments, when explaining: segments render instead
-    /// of running, and updating clauses are skipped.
+    /// The rendered plan, when explaining: segments and updating clauses
+    /// render instead of running — a segment as its block, or its sink
+    /// line alone when it has no steps; an updating clause as one line,
+    /// and MERGE also as its match plan.
     explain: Option<String>,
 }
 
@@ -753,15 +755,25 @@ impl<'e, 'g> Exec<'e, 'g> {
                     *access = Access::Read(view_named(&graphs.views, name)?);
                     t
                 }
-                Clause::Merge { pattern, .. } if self.explain.is_some() => {
-                    let (planned, out) =
-                        update::merge_plan(access.view(), t.schema(), pattern, self.cfg);
-                    let mut merge = Segment::new(t.schema().clone());
-                    merge.push_match("MERGE", &planned, None);
-                    merge.render(self.cfg, None, self.explain.as_mut().expect("explaining"));
-                    Table::empty(out)
+                // Explaining, an updating clause renders one line (and
+                // MERGE its match plan) and answers the schema it would.
+                _ if self.explain.is_some() => {
+                    let out = self.explain.as_mut().expect("explaining");
+                    out.push_str(&format!("{clause}\n"));
+                    Table::empty(match clause {
+                        Clause::Create { patterns } => update::extended(t.schema(), patterns),
+                        Clause::Merge { pattern, .. } => {
+                            let view = access.view();
+                            let (planned, rows) =
+                                update::merge_plan(view, t.schema(), pattern, self.cfg);
+                            let mut merge = Segment::new(t.schema().clone());
+                            merge.push_match("MERGE", &planned, None);
+                            merge.render(self.cfg, None, out);
+                            rows
+                        }
+                        _ => t.schema().clone(),
+                    })
                 }
-                _ if self.explain.is_some() => t,
                 _ => update::apply(access.graph_mut()?, self.params, self.cfg, clause, t)?,
             };
             seg = Segment::new(t.schema().clone());
@@ -807,8 +819,10 @@ impl<'e, 'g> Exec<'e, 'g> {
         let shown = self.profile.is_some() || self.explain.is_some();
         let sink_label = sink.as_ref().filter(|_| shown).map(FinalSink::label);
         if let Some(out) = &mut self.explain {
-            if !seg.steps.is_empty() {
-                seg.render(self.cfg, sink_label, out);
+            match sink_label {
+                _ if !seg.steps.is_empty() => seg.render(self.cfg, sink_label, out),
+                Some(sink) => out.push_str(&format!("{sink}\n")),
+                None => {}
             }
             let schema = match ret {
                 Some(ret) => ProjectionPlan::compile(ret, &visible)?.out_schema().clone(),

@@ -66,13 +66,21 @@ pub fn exec_create(
     table: Table,
 ) -> Result<Table, EvalError> {
     let schema = table.schema().clone();
-    let new_vars = unbound_free_vars(patterns, &|n| schema.contains(n));
-    let mut out = Table::empty(Schema::new([schema.names(), &new_vars].concat()));
+    let out_schema = extended(&schema, patterns);
+    let new_vars = &out_schema.names()[schema.len()..];
+    let mut out = Table::empty(out_schema.clone());
     let mut build = Builder::new(params, cfg, None);
     for row in table.rows() {
-        out.push(build.row(graph, patterns, &schema, row, &new_vars)?);
+        out.push(build.row(graph, patterns, &schema, row, new_vars)?);
     }
     Ok(out)
+}
+
+/// The schema of the rows `CREATE` or `MERGE` of `patterns` answers: the
+/// driving fields, then the patterns' new names in binding order.
+pub(crate) fn extended(schema: &Schema, patterns: &[PathPattern]) -> Arc<Schema> {
+    let new_vars = unbound_free_vars(patterns, &|n| schema.contains(n));
+    Schema::new([schema.names(), &new_vars].concat())
 }
 
 /// A driving row: its schema and values.
@@ -277,8 +285,7 @@ fn copy_node(
 }
 
 /// `MERGE`'s match plan — its pattern planned once over the driving
-/// `schema`, whose columns are pre-bound — and the schema of its rows: the
-/// driving fields, then the pattern's new names in binding order.
+/// `schema`, whose columns are pre-bound — and the schema of its rows.
 pub(crate) fn merge_plan(
     view: ViewRef<'_>,
     schema: &Arc<Schema>,
@@ -286,16 +293,16 @@ pub(crate) fn merge_plan(
     cfg: &EngineConfig,
 ) -> (PlannedMatch, Arc<Schema>) {
     let pats = slice::from_ref(pattern);
-    let new_vars = unbound_free_vars(pats, &|n| schema.contains(n));
     let planned = plan_match(view, schema.names(), pats, cfg.planner_options());
-    (planned, Schema::new([schema.names(), &new_vars].concat()))
+    (planned, extended(schema, pats))
 }
 
 /// `MERGE pattern [ON CREATE SET …] [ON MATCH SET …]`: per driving row,
 /// bind all matches of the pattern, or create it when there are none.
 /// The match plan runs per row against the graph as earlier rows left it,
 /// so MERGE sees its own creations; `ON MATCH` applies to the matches in
-/// the plan's row order.
+/// the plan's row order. A row's match runs on the calling thread: one
+/// row's plan is too small to pay for starting the worker pool.
 pub fn exec_merge(
     graph: &mut PropertyGraph,
     params: &Params,
@@ -310,10 +317,11 @@ pub fn exec_merge(
     let new_vars = &out_schema.names()[schema.len()..];
     let mut build = Builder::new(params, cfg, None);
     let mut out = Table::empty(out_schema.clone());
+    let one_thread = cfg.clone().with_threads(1);
     for row in table.rows() {
         let one = Table::new(schema.clone(), vec![row.clone()]);
         let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-        let matches = drive(&ctx, &planned.plan.steps, one, cfg, &Collect, None)?;
+        let matches = drive(&ctx, &planned.plan.steps, one, &one_thread, &Collect, None)?;
         let matches = project_visible(matches, &out_schema).into_rows();
         if matches.is_empty() {
             let pats = slice::from_ref(pattern);

@@ -18,8 +18,8 @@
 use cypher::ast::pattern::PathPattern;
 use cypher::workload::random_graph;
 use cypher::{
-    parse_query, run_reference_with, run_with, EngineConfig, EvalContext, MatchConfig, Morphism,
-    Params, PropertyGraph, Record, Table, Value,
+    parse_query, run_reference_with, run_with, Database, EngineConfig, EvalContext, MatchConfig,
+    Morphism, Params, PropertyGraph, Record, Table, Value,
 };
 use cypher_core::expr::Bindings;
 use cypher_core::matching::{match_patterns, unbound_free_vars};
@@ -285,4 +285,36 @@ fn explain_shows_the_merge_match_plan() {
     let steps: Vec<&str> = merge.unwrap_or_default().lines().collect();
     assert!(steps[0].starts_with("Argument(a)  "), "{path}");
     assert!(steps[1].starts_with(" Expand(a)->[r:R](b)  "), "{path}");
+}
+
+/// `MERGE` runs each driving row's match plan on the calling thread: a
+/// per-row scan over 4 000 `:P` nodes is far above the parallel gate, yet
+/// starting the worker pool once per row costs more than it saves. At 4
+/// threads the statement engages no parallel run and leaves the graph the
+/// 1-thread run leaves.
+#[test]
+fn merge_matches_each_driving_row_on_the_calling_thread() {
+    let params = Params::new();
+    let dump = |num_threads: usize| {
+        let mut db = Database::open_with(EngineConfig {
+            persistence: None,
+            num_threads,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        db.query("UNWIND range(1, 4000) AS i CREATE (:P {k: i})", &params)
+            .unwrap();
+        let runs = |db: &Database| {
+            db.exec_metrics()
+                .expect("metrics are on")
+                .parallel_runs
+                .get()
+        };
+        let before = runs(&db);
+        db.query("UNWIND range(0, 199) AS i MERGE (n:P {k: i})", &params)
+            .unwrap();
+        assert_eq!(runs(&db), before, "parallel runs at {num_threads} threads");
+        db.graph().canonical_dump()
+    };
+    assert_eq!(dump(4), dump(1));
 }

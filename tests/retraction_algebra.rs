@@ -9,8 +9,11 @@
 //!
 //! Covered states: [`GroupedAggState`] (count/sum/avg/stdev/stdevp and
 //! the DISTINCT min/max family), [`TopKState`] (unbounded, as view
-//! maintenance uses it), and [`DistinctSet`] (counted multiplicity and
-//! full-retraction order transparency).
+//! maintenance uses it), [`DistinctSet`] (counted multiplicity and
+//! full-retraction order transparency), and the [`CountedMap`] all of
+//! them count rows in, against a naive ordered-list model (first-live
+//! insertion order, counts, fresh slots after full retraction, merges,
+//! and bounded slots under churn).
 //!
 //! Output-row *order* of a grouped state is first-group-appearance
 //! order, which retracted rows legitimately influence (a group opened
@@ -22,6 +25,7 @@
 
 use cypher::{parse_query, Params, PropertyGraph, Record, Schema, Table, Value};
 use cypher_core::aggregate::DistinctSet;
+use cypher_core::bag::CountedMap;
 use cypher_core::project::{GroupedAggState, ProjectionPlan, TopKState};
 use cypher_core::EvalContext;
 use proptest::prelude::*;
@@ -338,5 +342,138 @@ proptest! {
         let got: Vec<String> = set.values().map(|v| format!("{v:?}")).collect();
         let want: Vec<String> = oracle.values().map(|v| format!("{v:?}")).collect();
         prop_assert_eq!(got, want, "full retraction must be order-transparent");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The counted multiset, against a naive model
+// ---------------------------------------------------------------------
+
+/// One operation on a counted map: `0` adds with a payload bump
+/// (`add_with`), `1` adds (`add`), `2` removes one copy.
+type MapOp = (u8, Vec<Value>);
+
+/// Keys of one or two values from a domain with equivalent members
+/// (`1 ≡ 1.0`, `null ≡ null`), so lookups must hash and compare under
+/// Cypher equivalence.
+fn arb_map_ops() -> BoxedStrategy<Vec<MapOp>> {
+    let domain = || {
+        (0u8..6).prop_map(|i| match i {
+            0 => Value::int(0),
+            1 => Value::int(1),
+            2 => Value::float(1.0),
+            3 => Value::int(2),
+            4 => Value::Null,
+            _ => Value::str("a"),
+        })
+    };
+    let key = proptest::collection::vec(domain(), 1..3);
+    proptest::collection::vec((0u8..3, key), 0..64).boxed()
+}
+
+/// The model: live entries in first-live-insertion order, each with its
+/// copy count and payload (the `add_with` calls that reached it).
+#[derive(Default)]
+struct NaiveBag(Vec<(Vec<Value>, u64, u64)>);
+
+impl NaiveBag {
+    fn find(&self, key: &[Value]) -> Option<usize> {
+        self.0.iter().position(|(k, ..)| {
+            k.len() == key.len() && k.iter().zip(key).all(|(a, b)| a.equivalent(b))
+        })
+    }
+
+    /// Adds `n` copies carrying `bumps` payload; `true` when `key` was
+    /// not live.
+    fn add(&mut self, key: &[Value], n: u64, bumps: u64) -> bool {
+        match self.find(key) {
+            Some(i) => {
+                self.0[i].1 += n;
+                self.0[i].2 += bumps;
+                false
+            }
+            None => {
+                self.0.push((key.to_vec(), n, bumps));
+                true
+            }
+        }
+    }
+
+    fn remove(&mut self, key: &[Value]) -> Option<bool> {
+        let i = self.find(key)?;
+        self.0[i].1 -= 1;
+        let last = self.0[i].1 == 0;
+        if last {
+            self.0.remove(i);
+        }
+        Some(last)
+    }
+}
+
+/// Runs `ops` on a map and the model side by side, checking every
+/// answer, the live contents and the slot bound after each step.
+fn run_map_ops(map: &mut CountedMap<Vec<Value>, u64>, model: &mut NaiveBag, ops: &[MapOp]) {
+    for (op, key) in ops {
+        match op {
+            0 => {
+                *map.add_with(key, || (key.clone(), 0)) += 1;
+                model.add(key, 1, 1);
+            }
+            1 => assert_eq!(map.add(key.clone()), model.add(key, 1, 0)),
+            _ => assert_eq!(map.remove(key), model.remove(key), "remove {:?}", key),
+        }
+        check_map(map, model);
+    }
+}
+
+fn check_map(map: &CountedMap<Vec<Value>, u64>, model: &NaiveBag) {
+    let shown = |k: &[Value], n: u64, p: u64| format!("{k:?} x{n} p{p}");
+    let got: Vec<String> = map.iter().map(|(k, n, p)| shown(k, n, *p)).collect();
+    let want: Vec<String> = model.0.iter().map(|(k, n, p)| shown(k, *n, *p)).collect();
+    assert_eq!(got, want);
+    assert_eq!(map.len(), model.0.len());
+    // Tombstones never outnumber the live keys: compaction keeps a
+    // churned map at the size of what is live, not of its history.
+    assert!(
+        map.slots() <= 2 * map.len(),
+        "{} slots for {} live keys",
+        map.slots(),
+        map.len()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn counted_map_matches_a_naive_multiset(
+        ops in arb_map_ops(),
+        later in arb_map_ops(),
+        churn in 0u64..200,
+    ) {
+        let mut map = CountedMap::default();
+        let mut model = NaiveBag::default();
+        run_map_ops(&mut map, &mut model, &ops);
+
+        // A sibling covering later rows merges its live slots in its
+        // order: into this map's live slot of the key, or at the end.
+        let mut sibling = CountedMap::default();
+        let mut sibling_model = NaiveBag::default();
+        run_map_ops(&mut sibling, &mut sibling_model, &later);
+        map.merge(sibling, |mine, theirs| *mine += theirs);
+        for (k, n, p) in &sibling_model.0 {
+            model.add(k, *n, *p);
+        }
+        check_map(&map, &model);
+
+        // Churning a key in and out leaves no history and keeps the live
+        // order; draining it and adding it back takes a fresh slot.
+        let key = vec![Value::str("churn")];
+        for _ in 0..churn {
+            prop_assert!(map.add(key.clone()));
+            prop_assert_eq!(map.remove(&key), Some(true));
+            check_map(&map, &model);
+        }
+        run_map_ops(&mut map, &mut model, &ops);
     }
 }

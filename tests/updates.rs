@@ -258,3 +258,32 @@ fn create_rejects_invalid_patterns() {
     // Typeless relationship cannot be created.
     assert!(run(&mut g, "CREATE (:A)-[]->(:B)", &params).is_err());
 }
+
+/// `EXPLAIN` renders every clause of an updating statement: one line per
+/// updating clause (and `MERGE`'s match plan), and the clauses after it
+/// planned over the names it binds, down to the closing projection.
+#[test]
+fn explain_renders_the_clauses_around_updates() {
+    let (mut g, params) = fresh();
+    run(
+        &mut g,
+        "UNWIND range(1, 50) AS i CREATE (:P {k: i})",
+        &params,
+    )
+    .unwrap();
+    let explain = |q: &str| cypher::explain(&g, q).unwrap();
+    assert_eq!(
+        explain("CREATE (n:P {k: 1}) RETURN n.k AS k"),
+        "CREATE (n:P {k: 1})\nProject(k)\n"
+    );
+    let set = explain("MATCH (a:P {k: 1}) SET a.v = 2 RETURN a.v");
+    assert!(set.starts_with("MATCH plan:\n"), "{set}");
+    assert!(set.ends_with(")\nSET a.v = 2\nProject(a.v)\n"), "{set}");
+    let merge = explain("MATCH (a:P {k: 1}) MERGE (a)-[r:R]->(b:Q) RETURN r");
+    let (matched, merged) = merge
+        .split_once("MERGE (a)-[r:R]->(b:Q)\nMERGE plan:\n")
+        .unwrap();
+    assert!(matched.starts_with("MATCH plan:\n"), "{merge}");
+    assert!(merged.contains("(estimated rows: "), "{merge}");
+    assert!(merged.ends_with(")\nProject(r)\n"), "{merge}");
+}
