@@ -907,45 +907,6 @@ impl TopKState {
         }
     }
 
-    /// An **unbounded** accumulator: retains every offered row (no
-    /// eviction), which is what makes [`TopKState::retract`] sound — a
-    /// bounded state cannot un-evict. The final order/slice still comes
-    /// from [`TopKState::merge_sorted`].
-    pub fn new_unbounded(keys: &[SortItem]) -> TopKState {
-        TopKState::new(usize::MAX, keys)
-    }
-
-    /// Removes the most recently offered entry whose sort keys and row
-    /// both match (under Cypher equivalence). Only valid on unbounded
-    /// states. Returns `false` when nothing matches.
-    ///
-    /// Sequence numbers of the surviving entries are untouched; they
-    /// remain strictly increasing in offer order, so tie-breaking — and
-    /// therefore the sorted output — is bit-identical to a state that was
-    /// never fed the retracted row.
-    pub fn retract(&mut self, keys: &[Value], row: &Record) -> bool {
-        debug_assert_eq!(self.k, usize::MAX, "retract on a bounded top-k state");
-        let mut best: Option<usize> = None;
-        for (i, e) in self.heap.iter().enumerate() {
-            let matches = e.keys.len() == keys.len()
-                && e.keys.iter().zip(keys).all(|(a, b)| a.equivalent(b))
-                && e.row.equivalent(row);
-            if matches && best.is_none_or(|b| self.heap[b].seq < e.seq) {
-                best = Some(i);
-            }
-        }
-        match best {
-            Some(i) => {
-                // The heap invariant is irrelevant while unbounded (no
-                // eviction comparisons ever run; `into_sorted` re-sorts),
-                // so a positional removal is fine.
-                self.heap.remove(i);
-                true
-            }
-            None => false,
-        }
-    }
-
     fn cmp_keys(&self, a: &[Value], b: &[Value]) -> Ordering {
         cmp_sort_keys(self.ascending.iter().copied(), a, b)
     }
@@ -1329,7 +1290,7 @@ mod tests {
         let schema = Schema::new(vec!["k".into(), "tag".into()]);
         // Ties on k; stability must keep the earlier tag.
         let rows: Vec<Record> = (0..40)
-            .map(|i| Record::new(vec![Value::int((i % 7) as i64), Value::int(i)]))
+            .map(|i| Record::new(vec![Value::int(i % 7), Value::int(i)]))
             .collect();
         for (skip, limit) in [(0usize, 5usize), (3, 4), (0, 40), (10, 100)] {
             let k = skip + limit;

@@ -584,9 +584,11 @@ mod tests {
     fn compaction_trigger_snapshots_and_truncates() {
         let dir = tmpdir("compact");
         let params = Params::new();
-        let mut cfg = EngineConfig::default();
-        cfg.persistence = Some(dir.clone());
-        cfg.wal_compact_bytes = 512; // tiny: trigger quickly
+        let cfg = EngineConfig {
+            persistence: Some(dir.clone()),
+            wal_compact_bytes: 512, // tiny: trigger quickly
+            ..EngineConfig::default()
+        };
         let mut db = Database::open_with(cfg.clone()).unwrap();
         for i in 0..50 {
             db.query(&format!("CREATE (:N {{i: {i}}})"), &params)
@@ -664,9 +666,11 @@ mod tests {
     fn sync_mode_fsync_failure_poisons_exactly_its_group() {
         let dir = tmpdir("sync-fail");
         let params = Params::new();
-        let mut cfg = EngineConfig::default();
-        cfg.persistence = Some(dir.clone());
-        cfg.fsync_mode = FsyncMode::Sync;
+        let mut cfg = EngineConfig {
+            persistence: Some(dir.clone()),
+            fsync_mode: FsyncMode::Sync,
+            ..EngineConfig::default()
+        };
         {
             let mut db = Database::open_with(cfg.clone()).unwrap();
             db.query("CREATE (:N {v: 1})", &params).unwrap();
@@ -768,9 +772,11 @@ mod tests {
     #[test]
     fn unmaintainable_views_fall_back_to_full_recompute() {
         let params = Params::new();
-        let mut cfg = EngineConfig::default();
-        cfg.persistence = None;
-        cfg.metrics_enabled = true;
+        let cfg = EngineConfig {
+            persistence: None,
+            metrics_enabled: true,
+            ..EngineConfig::default()
+        };
         let mut db = Database::open_with(cfg).unwrap();
         db.query("CREATE (:A)-[:R]->(:B)", &params).unwrap();
         // Variable-length paths are outside the delta fragment.

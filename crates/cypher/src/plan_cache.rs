@@ -265,9 +265,11 @@ mod tests {
     #[test]
     fn sessions_share_one_graph_and_one_plan_cache() {
         let params = Params::new();
-        let mut cfg = EngineConfig::default();
-        cfg.persistence = None;
-        cfg.plan_cache_size = 16;
+        let cfg = EngineConfig {
+            persistence: None,
+            plan_cache_size: 16,
+            ..EngineConfig::default()
+        };
         let db = Database::open_with(cfg).unwrap();
         let mut a = db.session();
         let mut b = db.session();

@@ -560,9 +560,11 @@ mod tests {
     #[test]
     fn concurrent_writers_share_groups_and_all_commit() {
         let params = Params::new();
-        let mut cfg = EngineConfig::default();
-        cfg.persistence = None;
-        cfg.plan_cache_size = 0;
+        let cfg = EngineConfig {
+            persistence: None,
+            plan_cache_size: 0,
+            ..EngineConfig::default()
+        };
         let db = Database::open_with(cfg).unwrap();
         const WRITERS: usize = 4;
         const EACH: usize = 25;

@@ -938,15 +938,18 @@ mod tests {
     }
 
     fn run(g: &PropertyGraph, src: &str) -> Table {
-        let params = Params::new();
-        let q = parse_query(src).unwrap();
-        execute_read(g, &q, &params, &EngineConfig::default()).unwrap()
+        run_at(g, src, &EngineConfig::default())
     }
 
+    fn run_at(g: &PropertyGraph, src: &str, cfg: &EngineConfig) -> Table {
+        execute_read(g, &parse_query(src).unwrap(), &Params::new(), cfg).unwrap()
+    }
+
+    /// This crate's own smoke check against the oracle; the integration
+    /// tests run these queries at every cell of `cypher_tck::diff`.
     #[test]
     fn engine_matches_reference_on_figure4() {
-        let g = figure4();
-        let params = Params::new();
+        let (g, params) = (figure4(), Params::new());
         for src in [
             "MATCH (x:Teacher) RETURN x",
             "MATCH (x:Teacher)-[:KNOWS*2]->(y) RETURN x, y",
@@ -958,33 +961,22 @@ mod tests {
             "MATCH (a), (b:Student) RETURN a, b",
         ] {
             let q = parse_query(src).unwrap();
-            let engine = execute_read(&g, &q, &params, &EngineConfig::default()).unwrap();
-            let ctx = EvalContext::new(&g, &params);
-            let reference = cypher_core::eval_query(&ctx, &q).unwrap();
-            assert!(
-                engine.bag_eq(&reference),
-                "{src}\nengine:\n{engine}\nreference:\n{reference}"
-            );
+            let reference = cypher_core::eval_query(&EvalContext::new(&g, &params), &q);
+            let engine = run(&g, src);
+            assert!(engine.bag_eq(&reference.unwrap()), "{src}\n{engine}");
         }
     }
 
+    const TEACHER_PAIRS: &str = "MATCH (x:Teacher)-[:KNOWS]->(y) RETURN x, y";
+
     #[test]
     fn cartesian_baseline_agrees_with_expand() {
-        let g = figure4();
-        let params = Params::new();
-        let q = parse_query("MATCH (x:Teacher)-[:KNOWS]->(y) RETURN x, y").unwrap();
-        let fast = execute_read(&g, &q, &params, &EngineConfig::default()).unwrap();
-        let slow = execute_read(
-            &g,
-            &q,
-            &params,
-            &EngineConfig {
-                planner_mode: PlannerMode::CartesianJoin,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(fast.bag_eq(&slow));
+        let cartesian = EngineConfig {
+            planner_mode: PlannerMode::CartesianJoin,
+            ..EngineConfig::default()
+        };
+        let (g, expand) = (figure4(), run(&figure4(), TEACHER_PAIRS));
+        assert!(run_at(&g, TEACHER_PAIRS, &cartesian).bag_eq(&expand));
     }
 
     #[test]
@@ -1073,75 +1065,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_matches_sequential_row_for_row() {
-        // 200 nodes so every morsel size below actually chunks the scan.
-        let mut g = PropertyGraph::new();
-        let mut prev = None;
-        for i in 0..200 {
-            let labels: &[&str] = if i % 3 == 0 { &["Hub"] } else { &["Leaf"] };
-            let n = g.add_node(labels, [("i", Value::int(i))]);
-            if let Some(p) = prev {
-                g.add_rel(p, n, "NEXT", []).unwrap();
-            }
-            prev = Some(n);
-        }
-        let params = Params::new();
-        let seq = EngineConfig::default().with_threads(1);
-        for src in [
-            "MATCH (n:Hub) RETURN n",
-            "MATCH (n) WHERE n.i > 100 RETURN n.i AS i",
-            "MATCH (a:Hub)-[:NEXT]->(b) RETURN a.i AS x, b.i AS y",
-            "MATCH (a)-[:NEXT*1..2]->(b:Hub) RETURN a, b",
-            "MATCH (x:Hub) OPTIONAL MATCH (x)-[:NEXT]->(y:Hub) RETURN x, y",
-        ] {
-            let q = parse_query(src).unwrap();
-            let base = execute_read(&g, &q, &params, &seq).unwrap();
-            for (threads, morsel) in [(2, 1), (3, 7), (4, 64), (8, 1024)] {
-                let cfg = seq.clone().with_threads(threads).with_morsel_size(morsel);
-                let par = execute_read(&g, &q, &params, &cfg).unwrap();
-                // Identical row *sequence*, not merely the same bag:
-                // morsels are merged in claim-index order.
-                assert!(
-                    par.ordered_eq(&base),
-                    "{src} (threads={threads}, morsel={morsel})\nseq:\n{base}\npar:\n{par}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_errors_match_sequential_errors() {
-        let mut g = PropertyGraph::new();
-        for i in 0..50 {
-            g.add_node(&["N"], [("v", Value::int(i))]);
-        }
-        let params = Params::new();
-        // `+` on a node is an evaluation error raised mid-pipeline: in a
-        // `WHERE`, and in a `WITH` projection inside a chain. Then items
-        // whose second fails at an earlier row than its first (`1 / (n.v -
-        // 5)` at v = 5, a property read on the integer `n.v` at v = 2):
-        // evaluated a column at a time the first fails first, yet the error
-        // is the oracle's row-major one, in a `WITH` stage and a `RETURN`.
-        for src in [
-            "MATCH (n:N) WHERE n + 1 = 2 RETURN n",
-            "MATCH (n:N) WITH n, n + 1 AS bad MATCH (n)-->(m) RETURN count(m) AS c",
-            "MATCH (n:N) WITH n, 1 / (n.v - 5) AS a, CASE WHEN n.v = 2 THEN n.v.k END AS b \
-             RETURN count(*) AS c",
-            "MATCH (n:N) RETURN 1 / (n.v - 5) AS a, CASE WHEN n.v = 2 THEN n.v.k END AS b",
-        ] {
-            let q = parse_query(src).unwrap();
-            let oracle = cypher_core::eval_query(&EvalContext::new(&g, &params), &q).unwrap_err();
-            let by_row = !src.contains("CASE") || oracle.to_string().contains("property");
-            assert!(by_row, "{src}: {oracle}");
-            for (threads, morsel) in [(1, 1), (1, 1024), (4, 1), (4, 4), (4, 1024)] {
-                let cfg = EngineConfig::default().with_threads(threads);
-                let got = execute_read(&g, &q, &params, &cfg.with_morsel_size(morsel)).unwrap_err();
-                assert_eq!(got, oracle, "{src} at threads={threads}, morsel={morsel}");
-            }
-        }
-    }
-
-    #[test]
     fn explain_shows_parallelism() {
         let g = figure4();
         let q = parse_query("MATCH (x:Teacher)-[:KNOWS]->(y) RETURN x").unwrap();
@@ -1166,12 +1089,7 @@ mod tests {
 
     #[test]
     fn index_toggles_do_not_change_results() {
-        let g = figure4();
-        let params = Params::new();
-        let q = parse_query("MATCH (x:Teacher)-[:KNOWS]->(y) RETURN x, y").unwrap();
-        let on = execute_read(&g, &q, &params, &EngineConfig::default()).unwrap();
-        let off =
-            execute_read(&g, &q, &params, &EngineConfig::default().without_indexes()).unwrap();
-        assert!(on.bag_eq(&off));
+        let (g, off) = (figure4(), EngineConfig::default().without_indexes());
+        assert!(run_at(&g, TEACHER_PAIRS, &off).bag_eq(&run(&g, TEACHER_PAIRS)));
     }
 }

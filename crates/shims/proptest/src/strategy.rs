@@ -280,8 +280,19 @@ mod tests {
             .prop_recursive(3, 16, 3, |inner| {
                 crate::collection::vec(inner, 0..3).prop_map(Tree::Node)
             });
+        // At most `depth` levels of `Node` above the leaves, whose values
+        // stay in the base strategy's range.
+        fn depth(t: &Tree) -> u32 {
+            match t {
+                Tree::Leaf(v) => {
+                    assert!((0..10).contains(v));
+                    0
+                }
+                Tree::Node(kids) => 1 + kids.iter().map(depth).max().unwrap_or(0),
+            }
+        }
         for _ in 0..100 {
-            let _ = s.generate(&mut r); // must not hang or overflow
+            assert!(depth(&s.generate(&mut r)) <= 3);
         }
     }
 }

@@ -23,16 +23,18 @@
 //! are Cypher literal expressions). `THEN ORDERED` demands the rows
 //! *in the given order* — the determinism obligation of `ORDER BY` (and
 //! of `SKIP`/`LIMIT` after it). `THEN ERROR` asserts that evaluation
-//! fails. Every scenario is run against **three** evaluators — the
-//! sequential planner engine, the same engine under a 4-thread
-//! morsel-parallel configuration (2-row morsels, so even tiny graphs
-//! split), and the reference semantics — so the corpus doubles as a
-//! differential suite for both the planner and the parallel runtime; the
-//! parallel run must additionally reproduce the sequential row sequence
-//! exactly, whatever the expectation style.
+//! fails. Every scenario's `WHEN` runs through [`diff`], the differential
+//! harness behind every engine-vs-oracle check of the test suite, at its
+//! [`diff::LIGHT`] cells; the sequential cell's outcome is then compared
+//! with the expectation.
 
 #![warn(missing_docs)]
 
+pub mod diff;
 pub mod runner;
+
+// The harness's self-test compiles a repro as printed, crate path included.
+#[cfg(test)]
+extern crate self as cypher_tck;
 
 pub use runner::{parse_scenarios, run_scenario, run_scenarios, Scenario, TckError};

@@ -1,9 +1,7 @@
 //! Scenario parser and runner.
 
-use cypher::{
-    parse_expression, run, run_read, run_read_with, run_reference, EngineConfig, EvalContext,
-    Params, PropertyGraph, Record, Schema, Table,
-};
+use crate::diff::{self, Diff};
+use cypher::{parse_expression, run, EvalContext, Params, PropertyGraph, Record, Schema, Table};
 use cypher_core::expr::NoVars;
 use std::fmt;
 
@@ -53,107 +51,53 @@ impl std::error::Error for TckError {}
 
 /// Parses a scenario corpus from its textual form.
 pub fn parse_scenarios(src: &str) -> Result<Vec<Scenario>, String> {
-    #[derive(PartialEq)]
-    enum Section {
-        None,
-        Given,
-        When,
-        Then,
-    }
     let mut out: Vec<Scenario> = Vec::new();
-    let mut current: Option<Scenario> = None;
-    let mut section = Section::None;
-    let mut expect_error = false;
-
-    for raw in src.lines() {
-        let line = raw.trim();
+    let mut section = "";
+    for line in src.lines().map(str::trim) {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         if let Some(name) = line.strip_prefix("SCENARIO:") {
-            if let Some(mut s) = current.take() {
-                if expect_error {
-                    s.then = None;
-                }
-                out.push(s);
-            }
-            current = Some(Scenario {
+            let then = ExpectedTable {
+                header: Vec::new(),
+                rows: Vec::new(),
+            };
+            out.push(Scenario {
                 name: name.trim().to_string(),
                 given: Vec::new(),
                 when: String::new(),
-                then: Some(ExpectedTable {
-                    header: Vec::new(),
-                    rows: Vec::new(),
-                }),
+                then: Some(then),
                 ordered: false,
             });
-            section = Section::None;
-            expect_error = false;
+            section = "";
             continue;
         }
-        let Some(s) = current.as_mut() else {
+        let Some(s) = out.last_mut() else {
             return Err(format!("content before first SCENARIO: {line}"));
         };
-        match line {
-            "GIVEN" => {
-                section = Section::Given;
-                continue;
-            }
-            "WHEN" => {
-                section = Section::When;
-                continue;
-            }
-            "THEN" => {
-                section = Section::Then;
-                continue;
-            }
-            "THEN ERROR" => {
-                section = Section::Then;
-                expect_error = true;
-                continue;
-            }
-            "THEN ORDERED" => {
-                section = Section::Then;
-                s.ordered = true;
-                continue;
-            }
-            _ => {}
-        }
-        match section {
-            Section::Given => s.given.push(line.to_string()),
-            Section::When => {
-                if !s.when.is_empty() {
-                    s.when.push(' ');
-                }
-                s.when.push_str(line);
-            }
-            Section::Then => {
-                if expect_error {
+        match (line, section) {
+            ("GIVEN" | "WHEN" | "THEN", _) => section = line,
+            ("THEN ERROR", _) => (section, s.then) = ("THEN", None),
+            ("THEN ORDERED", _) => (section, s.ordered) = ("THEN", true),
+            (_, "GIVEN") => s.given.push(line.to_string()),
+            (_, "WHEN") if s.when.is_empty() => s.when = line.to_string(),
+            (_, "WHEN") => s.when = format!("{} {line}", s.when),
+            (_, "THEN") => {
+                let Some(table) = s.then.as_mut() else {
                     return Err(format!("rows after THEN ERROR in '{}'", s.name));
-                }
-                let cells: Vec<String> = line
-                    .trim_matches('|')
-                    .split('|')
-                    .map(|c| c.trim().to_string())
-                    .collect();
-                let table = s.then.as_mut().expect("then table present");
+                };
+                let cells = line.trim_matches('|').split('|');
+                let cells: Vec<String> = cells.map(|c| c.trim().to_string()).collect();
                 if table.header.is_empty() {
                     table.header = cells;
-                } else {
-                    if cells.len() != table.header.len() {
-                        return Err(format!("row width mismatch in '{}': {line}", s.name));
-                    }
+                } else if cells.len() == table.header.len() {
                     table.rows.push(cells);
+                } else {
+                    return Err(format!("row width mismatch in '{}': {line}", s.name));
                 }
             }
             _ => return Err(format!("line outside any section in '{}': {line}", s.name)),
         }
-    }
-    if let Some(mut s) = current.take() {
-        if expect_error {
-            s.then = None;
-        }
-        out.push(s);
     }
     Ok(out)
 }
@@ -177,82 +121,35 @@ fn expected_to_table(exp: &ExpectedTable) -> Result<Table, String> {
     Ok(Table::new(schema, rows))
 }
 
-/// The parallel configuration every scenario is additionally run under: a
-/// 4-thread pool with deliberately tiny (2-row) morsels, so even the small
-/// TCK graphs split into several units of parallel work.
-fn parallel_config() -> EngineConfig {
-    EngineConfig::default().with_threads(4).with_morsel_size(2)
-}
-
-/// Runs one scenario against the sequential engine, the morsel-parallel
-/// engine, and the reference evaluator. Returns `Err` on the first
-/// divergence from the expectation (row-for-row for `THEN ORDERED`
-/// scenarios, bag equality otherwise). The parallel run must always
-/// reproduce the sequential row sequence exactly.
+/// Runs one scenario through the differential harness at
+/// [`diff::LIGHT`] (the oracle's row sequence too for `THEN ORDERED`),
+/// then compares the sequential built-in cell's outcome with the
+/// expectation: row for row for `THEN ORDERED`, as a bag otherwise.
 pub fn run_scenario(s: &Scenario) -> Result<(), TckError> {
     let fail = |message: String| TckError {
         scenario: s.name.clone(),
         message,
     };
-    let params = Params::new();
     let mut g = PropertyGraph::new();
     for stmt in &s.given {
-        run(&mut g, stmt, &params).map_err(|e| fail(format!("GIVEN failed: {e}")))?;
+        run(&mut g, stmt, &Params::new()).map_err(|e| fail(format!("GIVEN failed: {e}")))?;
     }
-    let engine_result = run_read(&g, &s.when, &params);
-    let parallel_result = run_read_with(&g, &s.when, &params, &parallel_config());
-    let reference_result = run_reference(&g, &s.when, &params);
-    match &s.then {
-        None => {
-            if engine_result.is_ok() {
-                return Err(fail("expected an error from the engine".into()));
-            }
-            if parallel_result.is_ok() {
-                return Err(fail("expected an error from the parallel engine".into()));
-            }
-            if reference_result.is_ok() {
-                return Err(fail("expected an error from the reference".into()));
-            }
-            Ok(())
-        }
-        Some(exp) => {
+    let diff = match s.ordered {
+        true => Diff::new(diff::LIGHT).total_order_by(),
+        false => Diff::new(diff::LIGHT),
+    };
+    match (&s.then, diff.outcome(&g, &s.when).map_err(&fail)?) {
+        (None, Err(_)) => Ok(()),
+        (None, Ok(got)) => Err(fail(format!("expected an error, got:\n{got}"))),
+        (Some(_), Err(e)) => Err(fail(format!("evaluation failed: {e}"))),
+        (Some(exp), Ok(got)) => {
             let want = expected_to_table(exp).map_err(&fail)?;
-            let engine = engine_result.map_err(|e| fail(format!("engine failed: {e}")))?;
-            let parallel =
-                parallel_result.map_err(|e| fail(format!("parallel engine failed: {e}")))?;
-            let reference = reference_result.map_err(|e| fail(format!("reference failed: {e}")))?;
-            let matches = |got: &Table| {
-                if s.ordered {
-                    got.ordered_eq(&want)
-                } else {
-                    got.bag_eq(&want)
-                }
+            let msg = match s.ordered {
+                true if !got.ordered_eq(&want) => "result differs (ordered)",
+                false if !got.bag_eq(&want) => "result differs",
+                _ => return Ok(()),
             };
-            let mode = if s.ordered { " (ordered)" } else { "" };
-            if !matches(&engine) {
-                return Err(fail(format!(
-                    "engine result differs{mode}\nexpected:\n{want}\ngot:\n{engine}"
-                )));
-            }
-            if !matches(&parallel) {
-                return Err(fail(format!(
-                    "parallel engine result differs{mode}\nexpected:\n{want}\ngot:\n{parallel}"
-                )));
-            }
-            if !matches(&reference) {
-                return Err(fail(format!(
-                    "reference result differs{mode}\nexpected:\n{want}\ngot:\n{reference}"
-                )));
-            }
-            // Independent of the expectation style, parallel execution
-            // must reproduce the sequential row sequence exactly.
-            if !parallel.ordered_eq(&engine) {
-                return Err(fail(format!(
-                    "parallel row order drifted from sequential\nsequential:\n{engine}\
-                     parallel:\n{parallel}"
-                )));
-            }
-            Ok(())
+            Err(fail(format!("{msg}\nexpected:\n{want}\ngot:\n{got}")))
         }
     }
 }

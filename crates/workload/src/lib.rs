@@ -10,10 +10,11 @@
 //! All generators are seeded and reproducible; they substitute for the
 //! production datasets the paper's deployments run on.
 //!
-//! Besides graphs, [`queries`] generates random *queries* from a small
-//! grammar — the workload side of the parallel differential harness
-//! (`tests/parallel_differential.rs`), which replays each one at several
-//! thread counts and against the reference oracle.
+//! Besides graphs, [`queries`] generates random *queries* and updates
+//! from a small grammar — the workload side of the differential harness
+//! (`cypher_tck::diff`), which checks each read at a table of engine
+//! configurations against the reference oracle, and minimises a
+//! divergent stream to a paste-ready test.
 
 #![warn(missing_docs)]
 

@@ -49,10 +49,11 @@ fn reader_count() -> usize {
 /// the exact-sequence assertion needs. Plan-cache sharing across
 /// sessions has its own suite (`tests/plan_cache.rs`).
 fn conc_cfg() -> EngineConfig {
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = None;
-    cfg.plan_cache_size = 0;
-    cfg
+    EngineConfig {
+        persistence: None,
+        plan_cache_size: 0,
+        ..EngineConfig::default()
+    }
 }
 
 /// One reader observation: the pinned version, the query, and what the
@@ -395,7 +396,7 @@ fn readers_complete_while_one_write_batch_is_open() {
             // One query = one write batch: thousands of CREATEs inside a
             // single open transaction.
             writer
-                .query("UNWIND range(1, 20000) AS i CREATE (:Bulk {i: i})", &params)
+                .query("UNWIND range(1, 20000) AS i CREATE (:Bulk {i: i})", params)
                 .unwrap();
             done.store(true, Ordering::SeqCst);
         });
@@ -407,7 +408,7 @@ fn readers_complete_while_one_write_batch_is_open() {
         while !done.load(Ordering::SeqCst) {
             let v = reader.begin_read();
             let t = reader
-                .query("MATCH (n:Bulk) RETURN count(*) AS c", &params)
+                .query("MATCH (n:Bulk) RETURN count(*) AS c", params)
                 .unwrap();
             let still_open = started.load(Ordering::SeqCst) && !done.load(Ordering::SeqCst);
             reader.commit();
@@ -442,7 +443,7 @@ fn readers_complete_while_one_write_batch_is_open() {
     assert_eq!(db.version(), base + 1);
     let mut check = db.session();
     let t = check
-        .query("MATCH (n:Bulk) RETURN count(*) AS c", &params)
+        .query("MATCH (n:Bulk) RETURN count(*) AS c", params)
         .unwrap();
     assert_eq!(format!("{:?}", t.cell(0, "c").unwrap()), "Integer(20000)");
 }

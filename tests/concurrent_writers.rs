@@ -82,10 +82,11 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// `group_commit` / `fsync_mode` stay at whatever `EngineConfig::default`
 /// resolved — i.e. the CI matrix cell's env vars.
 fn base_cfg() -> EngineConfig {
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = None;
-    cfg.plan_cache_size = 0;
-    cfg
+    EngineConfig {
+        persistence: None,
+        plan_cache_size: 0,
+        ..EngineConfig::default()
+    }
 }
 
 /// One committed write: the version the ticket acknowledged, the
@@ -157,17 +158,16 @@ fn run_workload(seed: u64, writers: usize, readers: usize, cfg: &EngineConfig, p
                     barrier.wait();
                     for stmt in stream {
                         let ok = session.query(stmt, params).is_ok();
-                        match session.last_commit_version() {
-                            Some(v) => committed.lock().unwrap().push(Committed {
+                        // A statement that commits nothing must not have
+                        // mutated anything — only a clean no-op (e.g. SET
+                        // on an empty MATCH) or a query that errored
+                        // before its first mutation.
+                        if let Some(v) = session.last_commit_version() {
+                            committed.lock().unwrap().push(Committed {
                                 version: v,
                                 stmt: stmt.clone(),
                                 ok,
-                            }),
-                            // A statement that commits nothing must not
-                            // have mutated anything — only a clean no-op
-                            // (e.g. SET on an empty MATCH) or a query
-                            // that errored before its first mutation.
-                            None => {}
+                            });
                         }
                     }
                 })

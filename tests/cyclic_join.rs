@@ -10,63 +10,17 @@
 //!   reference oracle — intersection and expand plans bind variables in
 //!   different orders, so only bag equality is meaningful across plans.
 //!
+//! Both are the differential harness's contract (`cypher_tck::diff`) over
+//! its [`CYCLIC`] cells.
+//!
 //! Substrates: the uniform `random_graph` the other differential suites
 //! fuzz on, and the preferential-attachment `powerlaw_social` graph whose
 //! dense core is the workload the intersection join exists for. A third
 //! test churns the graph with generated updates between corpus slices, so
 //! the sorted-adjacency snapshot cache must invalidate correctly.
 
-use cypher::workload::{powerlaw_social, random_graph, QueryGenerator, QueryVocabulary};
-use cypher::{
-    run_read_with, run_reference, EngineConfig, Params, PropertyGraph, Table, WcoJoinMode,
-};
-
-fn cfg(threads: usize, morsel: usize, wco: WcoJoinMode) -> EngineConfig {
-    EngineConfig::default()
-        .with_threads(threads)
-        .with_morsel_size(morsel)
-        .with_wco_join(wco)
-}
-
-/// Runs one cyclic query under the full plan-policy × parallelism matrix,
-/// cross-checks everything, and returns the forced-intersection table.
-fn check_cyclic_query(g: &PropertyGraph, q: &str, params: &Params) -> Table {
-    let modes = [WcoJoinMode::Force, WcoJoinMode::Off, WcoJoinMode::Auto];
-    let mut baselines: Vec<Table> = Vec::new();
-    for mode in modes {
-        let seq = run_read_with(g, q, params, &cfg(1, 1024, mode))
-            .unwrap_or_else(|e| panic!("sequential ({mode:?}) failed on {q}: {e}"));
-        // 4 threads × 1-row morsels is the worst-case interleaving; the
-        // merge must still reproduce the sequential sequence exactly.
-        for (threads, morsel) in [(4, 1), (2, 8), (3, 1024)] {
-            let par = run_read_with(g, q, params, &cfg(threads, morsel, mode)).unwrap_or_else(
-                |e| panic!("parallel ({mode:?}, threads={threads}, morsel={morsel}) failed on {q}: {e}"),
-            );
-            assert!(
-                par.ordered_eq(&seq),
-                "parallel result drifted ({mode:?}, threads={threads}, morsel={morsel}) on {q}\n\
-                 sequential:\n{seq}\nparallel:\n{par}"
-            );
-        }
-        baselines.push(seq);
-    }
-    let force = &baselines[0];
-    for (mode, other) in modes.iter().zip(&baselines).skip(1) {
-        assert!(
-            force.bag_eq(other),
-            "intersection and expand plans disagree ({mode:?}) on {q}\n\
-             force:\n{force}\n{mode:?}:\n{other}"
-        );
-    }
-    let oracle =
-        run_reference(g, q, params).unwrap_or_else(|e| panic!("reference failed on {q}: {e}"));
-    assert!(
-        force.bag_eq(&oracle),
-        "intersection join diverges from the reference oracle on {q}\n\
-         engine:\n{force}\nreference:\n{oracle}"
-    );
-    baselines.swap_remove(0)
-}
+use cypher::workload::{powerlaw_social, QueryGenerator, QueryVocabulary};
+use cypher_tck::diff::{generated, Diff, Sweep, CYCLIC};
 
 fn social_vocabulary() -> QueryVocabulary {
     QueryVocabulary {
@@ -78,20 +32,13 @@ fn social_vocabulary() -> QueryVocabulary {
 
 #[test]
 fn cyclic_corpus_agrees_across_plans_threads_and_oracle() {
-    let params = Params::new();
-    let mut total = 0usize;
-    let mut nonempty = 0usize;
-    for seed in 0..3u64 {
-        let g = random_graph(20, 60, &["A", "B"], &["X", "Y"], 400 + seed);
-        let mut gen = QueryGenerator::new(5000 + seed);
-        for _ in 0..50 {
-            let q = gen.next_cyclic_query();
-            total += 1;
-            if !check_cyclic_query(&g, &q, &params).is_empty() {
-                nonempty += 1;
-            }
-        }
-    }
+    let rows: Vec<usize> = (0..3u64)
+        .flat_map(|seed| {
+            let stream = generated(None, 5000 + seed, 1, 50, QueryGenerator::next_cyclic_query);
+            Diff::new(CYCLIC).sweep(Sweep::new(20, 60, 400 + seed, stream))
+        })
+        .collect();
+    let (total, nonempty) = (rows.len(), rows.iter().filter(|&&n| n > 0).count());
     assert!(total >= 150, "only {total} cyclic queries generated");
     // Dense 20-node substrates close plenty of cycles: the corpus must
     // exercise real intersections, not prove that empty equals empty.
@@ -103,14 +50,13 @@ fn cyclic_corpus_agrees_across_plans_threads_and_oracle() {
 
 #[test]
 fn powerlaw_corpus_agrees_across_plans_threads_and_oracle() {
-    let params = Params::new();
     let mut nonempty = 0usize;
     for seed in 0..2u64 {
         let g = powerlaw_social(60, 3, 600 + seed);
         let mut gen = QueryGenerator::with_vocabulary(6000 + seed, social_vocabulary());
         for _ in 0..40 {
             let q = gen.next_cyclic_query();
-            if !check_cyclic_query(&g, &q, &params).is_empty() {
+            if !Diff::new(CYCLIC).rows(&g, &q).is_empty() {
                 nonempty += 1;
             }
         }
@@ -125,16 +71,6 @@ fn powerlaw_corpus_agrees_across_plans_threads_and_oracle() {
 fn cyclic_corpus_agrees_after_graph_mutations() {
     // Updates bump the graph version; the sorted-adjacency snapshot the
     // intersection operators read must be rebuilt, never served stale.
-    let params = Params::new();
-    let mut g = random_graph(18, 50, &["A", "B"], &["X", "Y"], 123);
-    let mut ugen = QueryGenerator::new(7777);
-    for step in 0..6u64 {
-        let u = ugen.next_update();
-        cypher::run(&mut g, &u, &params).unwrap_or_else(|e| panic!("update failed ({u}): {e}"));
-        let mut gen = QueryGenerator::new(8000 + step);
-        for _ in 0..12 {
-            let q = gen.next_cyclic_query();
-            check_cyclic_query(&g, &q, &params);
-        }
-    }
+    let stream = generated(Some(7777), 8000, 6, 12, QueryGenerator::next_cyclic_query);
+    Diff::new(CYCLIC).sweep(Sweep::new(18, 50, 123, stream));
 }

@@ -4,29 +4,18 @@
 //! logic, inequalities) plus the function library `F`.
 
 use cypher::workload::figure1;
-use cypher::{run_read, run_reference, Params, PropertyGraph, Value};
+use cypher::{Params, PropertyGraph, Value};
+use cypher_tck::diff::{error, rows, Diff, LIGHT};
 
-/// Runs `RETURN <expr> AS x` on an empty graph through both evaluators and
-/// returns the single cell.
+/// `RETURN <expr> AS x` on an empty graph, through the differential
+/// harness: its single cell.
 fn eval(expr: &str) -> Value {
-    let g = PropertyGraph::new();
-    let params = Params::new();
-    let q = format!("RETURN {expr} AS x");
-    let a = run_read(&g, &q, &params).unwrap();
-    let b = run_reference(&g, &q, &params).unwrap();
-    assert!(a.bag_eq(&b), "evaluator divergence on {expr}");
-    a.cell(0, "x").unwrap().clone()
+    let t = rows(&PropertyGraph::new(), &format!("RETURN {expr} AS x"));
+    t.cell(0, "x").unwrap().clone()
 }
 
 fn eval_err(expr: &str) {
-    let g = PropertyGraph::new();
-    let params = Params::new();
-    let q = format!("RETURN {expr} AS x");
-    assert!(run_read(&g, &q, &params).is_err(), "expected error: {expr}");
-    assert!(
-        run_reference(&g, &q, &params).is_err(),
-        "expected reference error: {expr}"
-    );
+    error(&PropertyGraph::new(), &format!("RETURN {expr} AS x"));
 }
 
 #[test]
@@ -164,14 +153,11 @@ fn case_forms() {
 #[test]
 fn exists_function() {
     let g = figure1();
-    let params = Params::new();
     let q = "MATCH (r:Researcher)
              RETURN r.name AS n, exists(r.name) AS has_name,
                     exists(r.nothing) AS has_nothing,
                     exists((r)-[:SUPERVISES]->()) AS supervises";
-    let a = run_read(&g, q, &params).unwrap();
-    let b = run_reference(&g, q, &params).unwrap();
-    assert!(a.bag_eq(&b));
+    let a = rows(&g, q);
     for row in a.rows() {
         assert_eq!(row.get(1), &Value::Bool(true));
         assert_eq!(row.get(2), &Value::Bool(false));
@@ -184,14 +170,11 @@ fn exists_function() {
 #[test]
 fn entity_functions_in_queries() {
     let g = figure1();
-    let params = Params::new();
     let q = "MATCH (r:Researcher)-[a:AUTHORS]->(p)
              RETURN id(r) >= 0 AS has_id, type(a) AS t,
                     labels(p) AS ls, keys(p) AS ks,
                     startNode(a) = r AS s, endNode(a) = p AS e";
-    let out = run_read(&g, q, &params).unwrap();
-    let reference = run_reference(&g, q, &params).unwrap();
-    assert!(out.bag_eq(&reference));
+    let out = rows(&g, q);
     for row in out.rows() {
         assert_eq!(row.get(0), &Value::Bool(true));
         assert_eq!(row.get(1), &Value::str("AUTHORS"));
@@ -215,7 +198,6 @@ fn comparison_chaining_and_in() {
 #[test]
 fn aggregates_with_expressions() {
     let g = figure1();
-    let params = Params::new();
     for (q, expect) in [
         (
             "MATCH (p:Publication) RETURN percentileDisc(p.acmid, 0.5) AS x",
@@ -234,9 +216,7 @@ fn aggregates_with_expressions() {
             Value::int(10),
         ),
     ] {
-        let a = run_read(&g, q, &params).unwrap();
-        let b = run_reference(&g, q, &params).unwrap();
-        assert!(a.bag_eq(&b), "divergence on {q}");
+        let a = rows(&g, q);
         assert_eq!(a.cell(0, "x"), Some(&expect), "{q}");
     }
 }
@@ -254,24 +234,19 @@ fn parameters_everywhere() {
     let q = "MATCH (r:Researcher {name: $name})-[:AUTHORS]->(p)
              WHERE p.acmid IN $list
              RETURN count(p) >= $min AS ok";
-    let a = run_read(&g, q, &params).unwrap();
+    let a = Diff::new(LIGHT).params(params).rows(&g, q);
     assert_eq!(a.cell(0, "ok"), Some(&Value::Bool(true)));
-    let b = run_reference(&g, q, &params).unwrap();
-    assert!(a.bag_eq(&b));
 }
 
 #[test]
 fn pattern_comprehensions() {
     let g = figure1();
-    let params = Params::new();
     // Names of students supervised by each researcher, as a list.
     let q = "MATCH (r:Researcher)
              RETURN r.name AS n,
                     [(r)-[:SUPERVISES]->(s) | s.name] AS students,
                     size([(r)-[:AUTHORS]->(p) WHERE p.acmid > 230 | p.acmid]) AS recent";
-    let a = run_read(&g, q, &params).unwrap();
-    let b = run_reference(&g, q, &params).unwrap();
-    assert!(a.bag_eq(&b));
+    let a = rows(&g, q);
     let by_name = |name: &str| -> (String, i64) {
         let row = a
             .rows()

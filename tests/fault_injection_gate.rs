@@ -15,10 +15,12 @@ fn fault_injection_is_inert_without_the_env_guard() {
     );
     let dir = std::env::temp_dir().join(format!("cypher-fault-gate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = Some(dir.clone());
-    cfg.group_commit = false;
-    cfg.fsync_mode = FsyncMode::Sync;
+    let cfg = EngineConfig {
+        persistence: Some(dir.clone()),
+        group_commit: false,
+        fsync_mode: FsyncMode::Sync,
+        ..EngineConfig::default()
+    };
     let db = Database::open_with(cfg).expect("open durable");
     let params = Params::new();
 

@@ -7,17 +7,17 @@
 //! The incremental-maintenance obligation mirrors *Answering FO+MOD
 //! queries under updates* (Berkholz et al.): each `CREATE`/`DELETE`/`SET`
 //! must leave the index answers equal to recomputation from scratch. Here
-//! "recomputation" is the index-free engine and the reference oracle.
+//! "recomputation" is the index-free engine and the reference oracle, as
+//! the differential harness (`cypher_tck::diff`) compares them.
 
 use cypher::workload::random_graph;
-use cypher::{
-    explain, run_read_with, run_reference, run_with, EngineConfig, Params, PropertyGraph, Value,
-};
+use cypher::{explain, run_read_with, EngineConfig, Params, Value};
+use cypher_tck::diff::{graph, Diff, Stmt, Sweep, PLANS};
 
 /// Read queries whose anchors exercise every index family: label scans,
 /// key-only property seeks, composite label+property seeks, multi-label
-/// and multi-property patterns, and seeks under OPTIONAL MATCH / MERGE
-/// driving rows.
+/// and multi-property patterns, seeks under OPTIONAL MATCH / MERGE
+/// driving rows, and a label only `MERGE` creates.
 const READ_CORPUS: &[&str] = &[
     "MATCH (n) RETURN count(*) AS c",
     "MATCH (n:A) RETURN n",
@@ -32,67 +32,53 @@ const READ_CORPUS: &[&str] = &[
     "MATCH (n:A) WHERE n.v > 2 RETURN n.v AS v ORDER BY v",
     "OPTIONAL MATCH (n:A {v: 9}) RETURN n",
     "MATCH (a:A) OPTIONAL MATCH (a)-[:X]->(b:B {v: 1}) RETURN a, b",
+    "MATCH (m:Marker {slot: 1}) RETURN m",
+    "MATCH (m:Marker) RETURN count(*) AS c",
 ];
 
-/// Asserts the three evaluation strategies agree on `q` over `g`.
-fn assert_agree(g: &PropertyGraph, q: &str, params: &Params) {
-    let with_idx = run_read_with(g, q, params, &EngineConfig::default())
-        .unwrap_or_else(|e| panic!("indexed engine failed on {q}: {e}"));
-    let without_idx = run_read_with(g, q, params, &EngineConfig::default().without_indexes())
-        .unwrap_or_else(|e| panic!("index-free engine failed on {q}: {e}"));
-    let oracle =
-        run_reference(g, q, params).unwrap_or_else(|e| panic!("reference failed on {q}: {e}"));
-    assert!(
-        with_idx.bag_eq(&without_idx),
-        "indexes changed the result of {q}\nwith:\n{with_idx}\nwithout:\n{without_idx}"
-    );
-    assert!(
-        with_idx.bag_eq(&oracle),
-        "engine diverges from reference on {q}\nengine:\n{with_idx}\nreference:\n{oracle}"
-    );
+/// The corpus under [`PLANS`] (indexes on and off, and the cartesian
+/// baseline) after each statement of `setup`.
+fn sweep(seed: u64, nodes: usize, rels: usize, setup: &[&str]) {
+    let reads = || READ_CORPUS.iter().map(|q| Stmt::Read(q.to_string()));
+    let mut stream: Vec<Stmt> = reads().collect();
+    for step in setup {
+        stream.push(Stmt::Update(step.to_string()));
+        stream.extend(reads());
+    }
+    Diff::new(PLANS).sweep(Sweep::new(nodes, rels, seed, stream));
 }
 
 #[test]
 fn corpus_agrees_on_random_graphs() {
-    let params = Params::new();
     for seed in 0..8 {
-        let g = random_graph(30, 60, &["A", "B"], &["X", "Y"], seed);
-        for q in READ_CORPUS {
-            assert_agree(&g, q, &params);
-        }
+        sweep(seed, 30, 60, &[]);
     }
 }
 
 #[test]
 fn corpus_agrees_after_interleaved_updates() {
-    let params = Params::new();
     for seed in 0..4 {
-        let mut g = random_graph(20, 30, &["A", "B"], &["X", "Y"], seed);
         // Each step mutates labels, properties or topology through the
         // Cypher surface; after each one every index family must still
         // agree with the scan-based plans and the oracle.
-        let steps: &[&str] = &[
-            "CREATE (:A {v: 3, fresh: true})-[:X]->(:B {v: 3})",
-            "MATCH (n:A {v: 3}) SET n.v = 4",
-            "MATCH (n:B) WHERE n.v = 3 SET n:A",
-            "MATCH (n:A {v: 4}) REMOVE n:A",
-            "MATCH (n {fresh: true}) SET n = {v: 5, recycled: true}",
-            "MATCH (n:A {v: 1}) SET n.v = null",
-            "MATCH (a:A)-[r:X]->(b:B {v: 2}) DELETE r",
-            "MATCH (n {recycled: true}) DETACH DELETE n",
-            "MERGE (m:Marker {slot: 1}) ON CREATE SET m.created = true",
-            "MERGE (m:Marker {slot: 1}) ON MATCH SET m.matched = true",
-            "MATCH (m:Marker) REMOVE m.slot",
-        ];
-        for step in steps {
-            run_with(&mut g, step, &params, &EngineConfig::default())
-                .unwrap_or_else(|e| panic!("update step failed ({step}): {e}"));
-            for q in READ_CORPUS {
-                assert_agree(&g, q, &params);
-            }
-            assert_agree(&g, "MATCH (m:Marker {slot: 1}) RETURN m", &params);
-            assert_agree(&g, "MATCH (m:Marker) RETURN count(*) AS c", &params);
-        }
+        sweep(
+            seed,
+            20,
+            30,
+            &[
+                "CREATE (:A {v: 3, fresh: true})-[:X]->(:B {v: 3})",
+                "MATCH (n:A {v: 3}) SET n.v = 4",
+                "MATCH (n:B) WHERE n.v = 3 SET n:A",
+                "MATCH (n:A {v: 4}) REMOVE n:A",
+                "MATCH (n {fresh: true}) SET n = {v: 5, recycled: true}",
+                "MATCH (n:A {v: 1}) SET n.v = null",
+                "MATCH (a:A)-[r:X]->(b:B {v: 2}) DELETE r",
+                "MATCH (n {recycled: true}) DETACH DELETE n",
+                "MERGE (m:Marker {slot: 1}) ON CREATE SET m.created = true",
+                "MERGE (m:Marker {slot: 1}) ON MATCH SET m.matched = true",
+                "MATCH (m:Marker) REMOVE m.slot",
+            ],
+        );
     }
 }
 
@@ -104,7 +90,7 @@ fn parameterized_seeks_agree() {
     // A parameter is a planning-time constant: the seek must use it and
     // agree with the oracle.
     let q = "MATCH (n:A {v: $wanted}) RETURN n";
-    assert_agree(&g, q, &params);
+    Diff::new(PLANS).params(params).rows(&g, q);
     let plan = explain(&g, q).unwrap();
     assert!(plan.contains("PropertyIndexSeek"), "{plan}");
 }
@@ -115,11 +101,8 @@ fn parameterized_seeks_agree() {
 /// the same error as before.
 #[test]
 fn residual_filter_evaluates_constants_only_when_a_row_arrives() {
-    let params = Params::new();
-    let cfg = EngineConfig::default();
-    let mut g = PropertyGraph::new();
-    let create = "UNWIND range(0, 9) AS i CREATE (:Bot {v: i, w: 1})";
-    run_with(&mut g, create, &params, &cfg).unwrap();
+    let (params, cfg) = (Params::new(), EngineConfig::default());
+    let g = graph(&["UNWIND range(0, 9) AS i CREATE (:Bot {v: i, w: 1})"]);
     let empty = "MATCH (p:Bot {v: 99, w: $w}) RETURN p";
     let plan = explain(&g, empty).unwrap();
     assert!(plan.contains("PropertyIndexSeek(p:Bot.v = 99)"), "{plan}");
@@ -132,15 +115,8 @@ fn residual_filter_evaluates_constants_only_when_a_row_arrives() {
 
 #[test]
 fn explain_surfaces_index_choice() {
-    let params = Params::new();
-    let mut g = PropertyGraph::new();
-    run_with(
-        &mut g,
-        "CREATE (:Person {name: 'Ada'}), (:Person {name: 'Bo'}), (:Bot {name: 'Ada'})",
-        &params,
-        &EngineConfig::default(),
-    )
-    .unwrap();
+    let g =
+        graph(&["CREATE (:Person {name: 'Ada'}), (:Person {name: 'Bo'}), (:Bot {name: 'Ada'})"]);
     let plan = explain(&g, "MATCH (n:Person {name: 'Ada'}) RETURN n").unwrap();
     assert!(
         plan.contains("PropertyIndexSeek(n:Person.name = 'Ada')"),
@@ -157,23 +133,8 @@ fn explain_surfaces_index_choice() {
 fn seeks_respect_equality_semantics_on_numerics() {
     // 1 and 1.0 are *equivalent* (same index bucket) and also `=`-equal;
     // the seek plus residual filter must return both, like the oracle.
-    let params = Params::new();
-    let mut g = PropertyGraph::new();
-    run_with(
-        &mut g,
-        "CREATE (:N {v: 1}), (:N {v: 1.0}), (:N {v: 2})",
-        &params,
-        &EngineConfig::default(),
-    )
-    .unwrap();
-    assert_agree(&g, "MATCH (n:N {v: 1}) RETURN count(*) AS c", &params);
-    assert_agree(&g, "MATCH (n:N {v: 1.0}) RETURN count(*) AS c", &params);
-    let t = run_read_with(
-        &g,
-        "MATCH (n:N {v: 1}) RETURN count(*) AS c",
-        &params,
-        &EngineConfig::default(),
-    )
-    .unwrap();
+    let g = graph(&["CREATE (:N {v: 1}), (:N {v: 1.0}), (:N {v: 2})"]);
+    let t = Diff::new(PLANS).rows(&g, "MATCH (n:N {v: 1}) RETURN count(*) AS c");
     assert_eq!(t.cell(0, "c"), Some(&Value::int(2)));
+    Diff::new(PLANS).rows(&g, "MATCH (n:N {v: 1.0}) RETURN count(*) AS c");
 }

@@ -4,21 +4,19 @@
 //! synthetic workload generators and cross-checked between evaluators.
 
 use cypher::workload::{datacenter, fraud_rings};
-use cypher::{run_read, run_reference, Params, Value};
+use cypher::Value;
+use cypher_tck::diff::rows;
 
 #[test]
 fn e15_network_management_top_dependency() {
     // "The query returns the component that is depended upon — both
     //  directly and indirectly — by the largest number of entities."
     let g = datacenter(120, 4, 2, 42);
-    let params = Params::new();
     let q = "MATCH (svc:Service)<-[:DEPENDS_ON*]-(dep:Service)
              RETURN svc.name AS svc, count(DISTINCT dep) AS dependents
              ORDER BY dependents DESC
              LIMIT 1";
-    let engine = run_read(&g, q, &params).unwrap();
-    let reference = run_reference(&g, q, &params).unwrap();
-    assert!(engine.bag_eq(&reference));
+    let engine = rows(&g, q);
     assert_eq!(engine.len(), 1);
     // The hub must be shared infrastructure from the lowest layer.
     let name = engine.cell(0, "svc").unwrap().as_str().unwrap().to_string();
@@ -37,21 +35,16 @@ fn e15_network_management_top_dependency() {
 #[test]
 fn e15_transitive_closure_exceeds_direct() {
     let g = datacenter(80, 4, 2, 7);
-    let params = Params::new();
-    let direct = run_read(
+    let direct = rows(
         &g,
         "MATCH (s:Service)<-[:DEPENDS_ON]-(d:Service)
          RETURN s.name AS n, count(DISTINCT d) AS c ORDER BY c DESC LIMIT 1",
-        &params,
-    )
-    .unwrap();
-    let transitive = run_read(
+    );
+    let transitive = rows(
         &g,
         "MATCH (s:Service)<-[:DEPENDS_ON*]-(d:Service)
          RETURN s.name AS n, count(DISTINCT d) AS c ORDER BY c DESC LIMIT 1",
-        &params,
-    )
-    .unwrap();
+    );
     let d = direct.cell(0, "c").unwrap().as_int().unwrap();
     let t = transitive.cell(0, "c").unwrap().as_int().unwrap();
     assert!(t >= d, "transitive closure dominates direct dependents");
@@ -62,7 +55,6 @@ fn e16_fraud_ring_detection() {
     // Section 3's second example: account holders sharing SSN, phone
     // number or address. The generator plants exactly 3 rings of size 4.
     let g = fraud_rings(40, 3, 4, 99);
-    let params = Params::new();
     let q = "MATCH (accHolder:AccountHolder)-[:HAS]->(pInfo)
              WHERE pInfo:SSN OR pInfo:PhoneNumber OR pInfo:Address
              WITH pInfo,
@@ -72,9 +64,7 @@ fn e16_fraud_ring_detection() {
              RETURN accountHolders,
                     labels(pInfo) AS personalInformation,
                     fraudRingCount";
-    let engine = run_read(&g, q, &params).unwrap();
-    let reference = run_reference(&g, q, &params).unwrap();
-    assert!(engine.bag_eq(&reference));
+    let engine = rows(&g, q);
     assert_eq!(engine.len(), 3, "exactly the planted rings surface");
     for row in engine.rows() {
         let count = row
@@ -92,11 +82,10 @@ fn e16_fraud_ring_detection() {
 #[test]
 fn e16_no_false_positives_without_rings() {
     let g = fraud_rings(40, 0, 4, 99);
-    let params = Params::new();
     let q = "MATCH (a:AccountHolder)-[:HAS]->(p)
              WITH p, count(*) AS c WHERE c > 1
              RETURN count(*) AS rings";
-    let t = run_read(&g, q, &params).unwrap();
+    let t = rows(&g, q);
     assert_eq!(t.cell(0, "rings"), Some(&Value::int(0)));
 }
 
@@ -106,14 +95,11 @@ fn collect_and_labels_functions_from_paper() {
     //  by the expression, and the labels function returns a list
     //  containing all the labels of a node."
     let g = fraud_rings(10, 1, 3, 5);
-    let params = Params::new();
-    let t = run_read(
+    let t = rows(
         &g,
         "MATCH (h:AccountHolder)-[:HAS]->(p:Address)
          RETURN labels(p) AS ls, collect(h.uniqueId) AS ids",
-        &params,
-    )
-    .unwrap();
+    );
     assert_eq!(t.len(), 1);
     let Value::List(ls) = t.cell(0, "ls").unwrap() else {
         panic!()

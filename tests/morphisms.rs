@@ -6,17 +6,8 @@
 //! exactly twice. Section 8 ("Configurable morphisms") envisions letting
 //! queries choose; this suite pins the behaviour of all three modes.
 
-use cypher::{
-    run_read_with, run_reference_with, Database, EngineConfig, MatchConfig, Morphism, Params,
-    PropertyGraph, Value,
-};
-
-fn self_loop() -> PropertyGraph {
-    let mut g = PropertyGraph::new();
-    let n = g.add_node(&[], []);
-    g.add_rel(n, n, "LOOP", []).unwrap();
-    g
-}
+use cypher::{Database, EngineConfig, MatchConfig, Morphism, Params, PropertyGraph, Value};
+use cypher_tck::diff::{graph, Diff, LIGHT, PARALLEL};
 
 fn cfg(morphism: Morphism, cap: u64) -> MatchConfig {
     MatchConfig {
@@ -25,26 +16,21 @@ fn cfg(morphism: Morphism, cap: u64) -> MatchConfig {
     }
 }
 
+/// The `count(*)` of `q` on `g` under `morphism` with `∞` clamped to
+/// `cap`, through the differential harness.
+fn count(g: &PropertyGraph, q: &str, morphism: Morphism, cap: u64) -> Value {
+    let t = Diff::new(LIGHT).matching(cfg(morphism, cap)).rows(g, q);
+    t.cell(0, "c").unwrap().clone()
+}
+
 #[test]
 fn e14_self_loop_edge_isomorphism_yields_two() {
     // "two matches will be returned: one for traversing the unique edge
     //  zero times, one for traversing it a single time."
-    let g = self_loop();
-    let params = Params::new();
     let q = "MATCH (x)-[*0..]->(x) RETURN count(*) AS c";
-    let reference = run_reference_with(&g, q, &params, cfg(Morphism::EdgeIsomorphism, 64)).unwrap();
-    assert_eq!(reference.cell(0, "c"), Some(&Value::int(2)));
-    let engine = run_read_with(
-        &g,
-        q,
-        &params,
-        &EngineConfig {
-            match_config: cfg(Morphism::EdgeIsomorphism, 64),
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(engine.cell(0, "c"), Some(&Value::int(2)));
+    let g = graph(&["CREATE (n)-[:LOOP]->(n)"]);
+    let c = count(&g, q, Morphism::EdgeIsomorphism, 64);
+    assert_eq!(c, Value::int(2));
 }
 
 #[test]
@@ -52,28 +38,11 @@ fn e14_homomorphism_grows_with_the_cap() {
     // Under homomorphism the same pattern denotes unboundedly many walks;
     // the matcher clamps ∞ to the configured cap, and the count grows
     // linearly with it (cap + 1 walks: 0..=cap traversals).
-    let g = self_loop();
-    let params = Params::new();
+    let g = graph(&["CREATE (n)-[:LOOP]->(n)"]);
     let q = "MATCH (x)-[*0..]->(x) RETURN count(*) AS c";
     for cap in [1u64, 4, 16] {
-        let reference =
-            run_reference_with(&g, q, &params, cfg(Morphism::Homomorphism, cap)).unwrap();
-        assert_eq!(
-            reference.cell(0, "c"),
-            Some(&Value::int(cap as i64 + 1)),
-            "cap {cap}"
-        );
-        let engine = run_read_with(
-            &g,
-            q,
-            &params,
-            &EngineConfig {
-                match_config: cfg(Morphism::Homomorphism, cap),
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(engine.bag_eq(&reference), "engine/reference at cap {cap}");
+        let c = count(&g, q, Morphism::Homomorphism, cap);
+        assert_eq!(c, Value::int(cap as i64 + 1), "cap {cap}");
     }
 }
 
@@ -81,16 +50,12 @@ fn e14_homomorphism_grows_with_the_cap() {
 fn e14_homomorphism_exponential_on_parallel_edges() {
     // Two parallel self-loops: k-hop homomorphic walks number 2^k, while
     // edge isomorphism caps at walks using each edge at most once.
-    let mut g = PropertyGraph::new();
-    let n = g.add_node(&[], []);
-    g.add_rel(n, n, "L", []).unwrap();
-    g.add_rel(n, n, "L", []).unwrap();
-    let params = Params::new();
+    let g = graph(&["CREATE (n)-[:L]->(n), (n)-[:L]->(n)"]);
     let q = "MATCH (x)-[*2..2]->(x) RETURN count(*) AS c";
-    let homo = run_reference_with(&g, q, &params, cfg(Morphism::Homomorphism, 8)).unwrap();
-    assert_eq!(homo.cell(0, "c"), Some(&Value::int(4))); // 2^2
-    let edge = run_reference_with(&g, q, &params, cfg(Morphism::EdgeIsomorphism, 8)).unwrap();
-    assert_eq!(edge.cell(0, "c"), Some(&Value::int(2))); // the 2 orderings
+    let homo = count(&g, q, Morphism::Homomorphism, 8);
+    assert_eq!(homo, Value::int(4)); // 2^2
+    let edge = count(&g, q, Morphism::EdgeIsomorphism, 8);
+    assert_eq!(edge, Value::int(2)); // the 2 orderings
 }
 
 #[test]
@@ -98,26 +63,13 @@ fn e14_node_isomorphism_strictest() {
     // Path a→b→c→a (triangle): 3-hop cycles exist under edge isomorphism
     // but not under node isomorphism; homomorphism adds back-and-forth
     // walks on top.
-    let mut g = PropertyGraph::new();
-    let a = g.add_node(&[], []);
-    let b = g.add_node(&[], []);
-    let c = g.add_node(&[], []);
-    g.add_rel(a, b, "E", []).unwrap();
-    g.add_rel(b, c, "E", []).unwrap();
-    g.add_rel(c, a, "E", []).unwrap();
-    let params = Params::new();
+    let g = graph(&["CREATE (a)-[:E]->(b)-[:E]->(c)-[:E]->(a)"]);
     let q = "MATCH (x)-[*3..3]->(x) RETURN count(*) AS c";
-
-    let edge = run_reference_with(&g, q, &params, cfg(Morphism::EdgeIsomorphism, 8)).unwrap();
-    assert_eq!(edge.cell(0, "c"), Some(&Value::int(3)));
-
-    let node = run_reference_with(&g, q, &params, cfg(Morphism::NodeIsomorphism, 8)).unwrap();
-    assert_eq!(node.cell(0, "c"), Some(&Value::int(0)));
-
-    let homo = run_reference_with(&g, q, &params, cfg(Morphism::Homomorphism, 8)).unwrap();
+    assert_eq!(count(&g, q, Morphism::EdgeIsomorphism, 8), Value::int(3));
+    assert_eq!(count(&g, q, Morphism::NodeIsomorphism, 8), Value::int(0));
     assert_eq!(
-        homo.cell(0, "c"),
-        Some(&Value::int(3)),
+        count(&g, q, Morphism::Homomorphism, 8),
+        Value::int(3),
         "triangle has no 3-walk besides the cycles"
     );
 }
@@ -126,31 +78,13 @@ fn e14_node_isomorphism_strictest() {
 fn e14_engine_matches_node_isomorphism() {
     // The planner engine matches node isomorphism itself — its plans end
     // in the `DistinctNodes` filter — and must agree with the reference.
-    let mut g = PropertyGraph::new();
-    let a = g.add_node(&["P"], []);
-    let b = g.add_node(&["P"], []);
-    let c = g.add_node(&["P"], []);
-    g.add_rel(a, b, "E", []).unwrap();
-    g.add_rel(b, c, "E", []).unwrap();
-    g.add_rel(c, a, "E", []).unwrap();
-    let params = Params::new();
+    let g = graph(&["CREATE (a:P)-[:E]->(b:P)-[:E]->(c:P)-[:E]->(a)"]);
+    let node_iso = Diff::new(LIGHT).matching(cfg(Morphism::NodeIsomorphism, 8));
     for q in [
         "MATCH (x)-[]->(y)-[]->(z) RETURN count(*) AS c",
         "MATCH (x:P) OPTIONAL MATCH (x)-[]->(y)-[]->(x) RETURN x, y",
     ] {
-        let config = cfg(Morphism::NodeIsomorphism, 8);
-        let reference = run_reference_with(&g, q, &params, config).unwrap();
-        let engine = run_read_with(
-            &g,
-            q,
-            &params,
-            &EngineConfig {
-                match_config: config,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(engine.bag_eq(&reference), "node-iso divergence on {q}");
+        node_iso.rows(&g, q);
     }
 }
 
@@ -159,7 +93,6 @@ fn e14_morphisms_agree_on_acyclic_simple_graphs() {
     // On a DAG without parallel edges and patterns shorter than the
     // shortest cycle, all three morphisms coincide.
     let g = cypher::workload::chain(6);
-    let params = Params::new();
     let q = "MATCH (a)-[:NEXT*1..3]->(b) RETURN count(*) AS c";
     let mut results = Vec::new();
     for m in [
@@ -167,8 +100,7 @@ fn e14_morphisms_agree_on_acyclic_simple_graphs() {
         Morphism::NodeIsomorphism,
         Morphism::Homomorphism,
     ] {
-        let t = run_reference_with(&g, q, &params, cfg(m, 16)).unwrap();
-        results.push(t.cell(0, "c").unwrap().clone());
+        results.push(count(&g, q, m, 16));
     }
     assert!(
         results.windows(2).all(|w| w[0].equivalent(&w[1])),
@@ -193,9 +125,8 @@ fn engine_cfg(morphism: Morphism) -> EngineConfig {
 /// are separate matches.
 #[test]
 fn e14_node_isomorphism_probe_shapes() {
-    let mut g = PropertyGraph::new();
-    let params = Params::new();
-    cypher::run(&mut g, TRIANGLE_WITH_TAIL, &params).unwrap();
+    let g = graph(&[TRIANGLE_WITH_TAIL]);
+    let node_iso = Diff::new(PARALLEL).matching(cfg(Morphism::NodeIsomorphism, 8));
     for (pattern, want) in [
         ("MATCH (x)-->(y)-->(z)", 4),
         ("MATCH (x)-->(y), (y)-->(z)", 0),
@@ -206,20 +137,8 @@ fn e14_node_isomorphism_probe_shapes() {
         ("MATCH (x)-[*0..2]->(y)-->(z)", 9),
     ] {
         let q = format!("{pattern} RETURN count(*) AS c");
-        let want = Some(Value::int(want));
-        let oracle = run_reference_with(&g, &q, &params, cfg(Morphism::NodeIsomorphism, 8));
-        assert_eq!(oracle.unwrap().cell(0, "c"), want.as_ref(), "oracle on {q}");
-        for (threads, morsel) in [(1, 1024), (1, 1), (4, 1), (4, 1024)] {
-            let c = engine_cfg(Morphism::NodeIsomorphism)
-                .with_threads(threads)
-                .with_morsel_size(morsel);
-            let engine = run_read_with(&g, &q, &params, &c).unwrap();
-            assert_eq!(
-                engine.cell(0, "c"),
-                want.as_ref(),
-                "{q} at {threads}×{morsel}"
-            );
-        }
+        let t = node_iso.rows(&g, &q);
+        assert_eq!(t.cell(0, "c"), Some(&Value::int(want)), "{q}");
     }
 }
 
@@ -267,8 +186,7 @@ fn e14_variable_length_expand_emits_only_node_simple_paths() {
 /// the filter over the clause's paths.
 #[test]
 fn e14_node_isomorphism_explains_the_distinct_nodes_filter() {
-    let mut g = PropertyGraph::new();
-    cypher::run(&mut g, TRIANGLE_WITH_TAIL, &Params::new()).unwrap();
+    let g = graph(&[TRIANGLE_WITH_TAIL]);
     let q = cypher::parse_query("MATCH (x)-[r]->(y), (y)-[*0..2]->(z) RETURN x").unwrap();
     let plan = cypher_engine::explain(&g, &q, &engine_cfg(Morphism::NodeIsomorphism));
     assert!(plan.contains("Expand"), "{plan}");

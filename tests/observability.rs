@@ -33,9 +33,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 fn mem_cfg() -> EngineConfig {
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = None;
-    cfg
+    EngineConfig {
+        persistence: None,
+        ..EngineConfig::default()
+    }
 }
 
 /// Seeds a small two-label graph with enough rows for parallel scans to

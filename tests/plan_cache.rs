@@ -7,9 +7,11 @@ use cypher::{Database, EngineConfig, Params, Value, WcoJoinMode};
 /// An in-memory database with an explicit cache capacity (immune to the
 /// CI matrix's environment overrides).
 fn db_with_cache(capacity: usize) -> Database {
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = None;
-    cfg.plan_cache_size = capacity;
+    let cfg = EngineConfig {
+        persistence: None,
+        plan_cache_size: capacity,
+        ..EngineConfig::default()
+    };
     Database::open_with(cfg).unwrap()
 }
 
@@ -122,11 +124,13 @@ fn statistics_drift_flips_intersect_and_expand_plans() {
     // flip must ride the statistics-fingerprint invalidation protocol
     // and be witnessed through EXPLAIN.
     let params = Params::new();
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = None;
-    cfg.plan_cache_size = 16;
-    // Pin Auto explicitly: immune to the CI matrix's CYPHER_WCO_JOIN.
-    cfg.wco_join = WcoJoinMode::Auto;
+    let cfg = EngineConfig {
+        persistence: None,
+        plan_cache_size: 16,
+        // Pin Auto explicitly: immune to the CI matrix's CYPHER_WCO_JOIN.
+        wco_join: WcoJoinMode::Auto,
+        ..EngineConfig::default()
+    };
     let mut db = Database::open_with(cfg).unwrap();
     let with_ij = |i: i64, j: i64| {
         let mut p = Params::new();
@@ -372,11 +376,13 @@ fn cached_aggregate_queries_stay_correct_under_pushdown() {
     // The plan cache composes with the partial-aggregation pushdown: the
     // fused path plans through the same memo.
     let params = Params::new();
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = None;
-    cfg.plan_cache_size = 8;
-    cfg.num_threads = 4;
-    cfg.morsel_size = 2;
+    let cfg = EngineConfig {
+        persistence: None,
+        plan_cache_size: 8,
+        num_threads: 4,
+        morsel_size: 2,
+        ..EngineConfig::default()
+    };
     let mut db = Database::open_with(cfg).unwrap();
     for i in 0..40 {
         db.query(&format!("CREATE (:P {{v: {}, i: {i}}})", i % 4), &params)

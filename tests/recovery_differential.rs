@@ -18,7 +18,7 @@
 use cypher::storage::wal;
 use cypher::workload::{harness_knob, harness_override, QueryGenerator};
 use cypher::{Change, Database, EngineConfig, Params, PropertyGraph, SharedChangeBuffer, Store};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("cypher-recovery-{}-{tag}", std::process::id()));
@@ -26,11 +26,12 @@ fn fresh_dir(tag: &str) -> PathBuf {
     d
 }
 
-fn durable_cfg(dir: &PathBuf, compact_bytes: u64) -> EngineConfig {
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = Some(dir.clone());
-    cfg.wal_compact_bytes = compact_bytes;
-    cfg
+fn durable_cfg(dir: &Path, compact_bytes: u64) -> EngineConfig {
+    EngineConfig {
+        persistence: Some(dir.to_path_buf()),
+        wal_compact_bytes: compact_bytes,
+        ..EngineConfig::default()
+    }
 }
 
 /// One mixed workload: two update statements for every read query, drawn

@@ -1,7 +1,8 @@
 //! Regression suite: each test pins a bug found (and fixed) during the
 //! development of this reproduction, so it stays fixed.
 
-use cypher::{run_read, run_reference, Params, PropertyGraph, Value};
+use cypher::{PropertyGraph, Value};
+use cypher_tck::diff::{error, graph, rows};
 
 /// Zero-hop variable-length patterns must accept even when the
 /// relationship type (or a property key) was never interned in the graph:
@@ -9,13 +10,9 @@ use cypher::{run_read, run_reference, Params, PropertyGraph, Value};
 /// Expand operator used to bail out entirely.)
 #[test]
 fn zero_hop_accepts_with_unknown_type() {
-    let mut g = PropertyGraph::new();
-    g.add_node(&["A"], [("i", Value::int(0))]);
-    let params = Params::new();
+    let g = graph(&["CREATE (:A {i: 0})"]);
     let q = "MATCH (a)-[rs:NEVER_USED*0..2]->(b) RETURN a.i, size(rs) AS hops, b.i";
-    let engine = run_read(&g, q, &params).unwrap();
-    let reference = run_reference(&g, q, &params).unwrap();
-    assert!(engine.bag_eq(&reference));
+    let engine = rows(&g, q);
     assert_eq!(engine.len(), 1);
     assert_eq!(engine.cell(0, "hops"), Some(&Value::int(0)));
 }
@@ -24,16 +21,9 @@ fn zero_hop_accepts_with_unknown_type() {
 /// resulting boolean for null-ness (which made every `exists` true).
 #[test]
 fn exists_of_non_matching_pattern_is_false() {
-    let mut g = PropertyGraph::new();
-    g.add_node(&["A"], []);
-    let params = Params::new();
-    let q = "MATCH (a:A) RETURN exists((a)-[:NOPE]->()) AS e";
-    for t in [
-        run_read(&g, q, &params).unwrap(),
-        run_reference(&g, q, &params).unwrap(),
-    ] {
-        assert_eq!(t.cell(0, "e"), Some(&Value::Bool(false)));
-    }
+    let g = graph(&["CREATE (:A)"]);
+    let t = rows(&g, "MATCH (a:A) RETURN exists((a)-[:NOPE]->()) AS e");
+    assert_eq!(t.cell(0, "e"), Some(&Value::Bool(false)));
 }
 
 /// `ORDER BY` must be able to reference pre-projection variables
@@ -41,21 +31,12 @@ fn exists_of_non_matching_pattern_is_false() {
 /// taking precedence on collision.
 #[test]
 fn order_by_sees_pre_projection_scope() {
-    let mut g = PropertyGraph::new();
-    g.add_node(&["P"], [("i", Value::int(1)), ("w", Value::int(9))]);
-    g.add_node(&["P"], [("i", Value::int(2)), ("w", Value::int(8))]);
-    let params = Params::new();
-    let q = "MATCH (p:P) RETURN p.i AS i ORDER BY p.w";
-    for t in [
-        run_read(&g, q, &params).unwrap(),
-        run_reference(&g, q, &params).unwrap(),
-    ] {
-        assert_eq!(t.rows()[0].get(0), &Value::int(2));
-        assert_eq!(t.rows()[1].get(0), &Value::int(1));
-    }
+    let g = graph(&["CREATE (:P {i: 1, w: 9}), (:P {i: 2, w: 8})"]);
+    let t = rows(&g, "MATCH (p:P) RETURN p.i AS i ORDER BY p.w");
+    assert_eq!(t.rows()[0].get(0), &Value::int(2));
+    assert_eq!(t.rows()[1].get(0), &Value::int(1));
     // After DISTINCT, only projected columns are addressable.
-    let bad = "MATCH (p:P) RETURN DISTINCT p.i AS i ORDER BY p.w";
-    assert!(run_read(&g, bad, &params).is_err());
+    error(&g, "MATCH (p:P) RETURN DISTINCT p.i AS i ORDER BY p.w");
 }
 
 /// Negative numeric literals must round-trip through render/parse
@@ -75,101 +56,60 @@ fn negative_literal_roundtrip() {
 /// `1..3` must lex as integer–range–integer, not as the float `1.` etc.
 #[test]
 fn slice_bounds_not_floats() {
-    assert_eq!(
-        run_read(
-            &PropertyGraph::new(),
-            "RETURN [9, 8, 7][1..3] AS s",
-            &Params::new()
-        )
-        .unwrap()
-        .cell(0, "s")
-        .unwrap()
-        .to_string(),
-        "[8, 7]"
-    );
+    let t = rows(&PropertyGraph::new(), "RETURN [9, 8, 7][1..3] AS s");
+    assert_eq!(t.cell(0, "s").unwrap().to_string(), "[8, 7]");
 }
 
 /// A duplicate output name in a projection is an error, not a panic.
 #[test]
 fn duplicate_projection_names_error_cleanly() {
-    let g = PropertyGraph::new();
-    let params = Params::new();
-    assert!(run_read(&g, "RETURN 1 AS x, 2 AS x", &params).is_err());
+    error(&PropertyGraph::new(), "RETURN 1 AS x, 2 AS x");
 }
 
 /// An aggregate inside `WHERE` is an error even when rows exist.
 #[test]
 fn aggregate_in_where_is_error() {
-    let mut g = PropertyGraph::new();
-    g.add_node(&[], []);
-    let params = Params::new();
-    assert!(run_read(&g, "MATCH (n) WHERE count(n) > 0 RETURN n", &params).is_err());
+    let g = graph(&["CREATE ()"]);
+    error(&g, "MATCH (n) WHERE count(n) > 0 RETURN n");
 }
 
 /// Expanding from a null-bound variable yields no matches (and no error):
 /// chaining MATCH after a failed OPTIONAL MATCH drops those rows.
 #[test]
 fn match_from_null_binding_drops_row() {
-    let mut g = PropertyGraph::new();
-    g.add_node(&["A"], []);
-    let params = Params::new();
+    let g = graph(&["CREATE (:A)"]);
     let q = "MATCH (a:A)
              OPTIONAL MATCH (a)-[:X]->(b)
              MATCH (b)-[:Y]->(c)
              RETURN count(*) AS n";
-    for t in [
-        run_read(&g, q, &params).unwrap(),
-        run_reference(&g, q, &params).unwrap(),
-    ] {
-        assert_eq!(t.cell(0, "n"), Some(&Value::int(0)));
-    }
+    let t = rows(&g, q);
+    assert_eq!(t.cell(0, "n"), Some(&Value::int(0)));
 }
 
 /// Self-loops appear exactly once in undirected expansion (not once per
 /// orientation).
 #[test]
 fn self_loop_undirected_multiplicity() {
-    let mut g = PropertyGraph::new();
-    let n = g.add_node(&[], []);
-    g.add_rel(n, n, "L", []).unwrap();
-    let params = Params::new();
-    let q = "MATCH (a)-[r:L]-(b) RETURN count(*) AS c";
-    for t in [
-        run_read(&g, q, &params).unwrap(),
-        run_reference(&g, q, &params).unwrap(),
-    ] {
-        assert_eq!(t.cell(0, "c"), Some(&Value::int(1)));
-    }
+    let g = graph(&["CREATE (n)-[:L]->(n)"]);
+    let t = rows(&g, "MATCH (a)-[r:L]-(b) RETURN count(*) AS c");
+    assert_eq!(t.cell(0, "c"), Some(&Value::int(1)));
 }
 
 /// The property-index scan must not match `{k: null}` (equality with null
 /// is never true, even though null ≡ null under equivalence).
 #[test]
 fn null_property_pattern_never_matches() {
-    let mut g = PropertyGraph::new();
-    g.add_node(&["P"], []); // no k at all
-    let params = Params::new();
-    let q = "MATCH (p:P {k: null}) RETURN count(*) AS c";
-    for t in [
-        run_read(&g, q, &params).unwrap(),
-        run_reference(&g, q, &params).unwrap(),
-    ] {
-        assert_eq!(t.cell(0, "c"), Some(&Value::int(0)));
-    }
+    let g = graph(&["CREATE (:P)"]); // no k at all
+    let t = rows(&g, "MATCH (p:P {k: null}) RETURN count(*) AS c");
+    assert_eq!(t.cell(0, "c"), Some(&Value::int(0)));
 }
 
 /// Property-index lookups respect numeric equivalence (1 vs 1.0) while
 /// the residual filter keeps `=` exactness.
 #[test]
 fn property_index_numeric_equivalence() {
-    let mut g = PropertyGraph::new();
-    g.add_node(&["P"], [("k", Value::int(1))]);
-    g.add_node(&["P"], [("k", Value::float(1.0))]);
-    let params = Params::new();
-    let q = "MATCH (p:P {k: 1}) RETURN count(*) AS c";
-    let engine = run_read(&g, q, &params).unwrap();
-    let reference = run_reference(&g, q, &params).unwrap();
-    assert!(engine.bag_eq(&reference));
+    let g = graph(&["CREATE (:P {k: 1}), (:P {k: 1.0})"]);
+    let engine = rows(&g, "MATCH (p:P {k: 1}) RETURN count(*) AS c");
     assert_eq!(engine.cell(0, "c"), Some(&Value::int(2)), "1 = 1.0 is true");
 }
 
@@ -177,11 +117,7 @@ fn property_index_numeric_equivalence() {
 /// by the projection rewriter (`collect(x)[..3]` used to error).
 #[test]
 fn aggregates_nested_in_composite_expressions() {
-    let mut g = PropertyGraph::new();
-    for i in 1..=5 {
-        g.add_node(&["P"], [("v", Value::int(i))]);
-    }
-    let params = Params::new();
+    let g = graph(&["UNWIND range(1, 5) AS i CREATE (:P {v: i})"]);
     for (q, expect) in [
         (
             "MATCH (p:P) WITH p.v AS v ORDER BY v RETURN collect(v)[..2] AS x",
@@ -195,9 +131,7 @@ fn aggregates_nested_in_composite_expressions() {
         ("MATCH (p:P) RETURN (sum(p.v) IN [15]) AS x", "true"),
         ("MATCH (p:P) RETURN {total: sum(p.v)}.total AS x", "15"),
     ] {
-        let a = run_read(&g, q, &params).unwrap();
-        let b = run_reference(&g, q, &params).unwrap();
-        assert!(a.bag_eq(&b), "divergence on {q}");
+        let a = rows(&g, q);
         assert_eq!(a.cell(0, "x").unwrap().to_string(), expect, "{q}");
     }
 }
@@ -209,23 +143,10 @@ fn aggregates_nested_in_composite_expressions() {
 /// pinned node. Found by the grammar-driven parallel differential harness.
 #[test]
 fn var_length_to_prebound_endpoint_keeps_long_paths() {
-    let mut g = PropertyGraph::new();
-    let a = g.add_node(&["A"], [("i", Value::int(0))]);
-    let b = g.add_node(&["B"], [("i", Value::int(1))]);
-    let c = g.add_node(&["A"], [("i", Value::int(2))]);
-    let d = g.add_node(&["B"], [("i", Value::int(3))]);
-    g.add_rel(a, b, "X", []).unwrap();
-    g.add_rel(b, c, "X", []).unwrap();
-    g.add_rel(c, d, "Y", []).unwrap();
-    let params = Params::new();
+    let g = graph(&["CREATE (:A {i: 0})-[:X]->(:B {i: 1})-[:X]->(:A {i: 2})-[:Y]->(:B {i: 3})"]);
     // n0 is bound by the first pattern before the var-length pattern runs.
     let q = "MATCH (n0), (n1)<-[r*1..3]-(n0) RETURN n0.i AS s, n1.i AS t, size(r) AS hops";
-    let engine = run_read(&g, q, &params).unwrap();
-    let reference = run_reference(&g, q, &params).unwrap();
-    assert!(
-        engine.bag_eq(&reference),
-        "engine:\n{engine}reference:\n{reference}"
-    );
+    let engine = rows(&g, q);
     // Chain of 3 relationships: 3 one-hop + 2 two-hop + 1 three-hop paths.
     assert_eq!(engine.len(), 6);
 }
@@ -237,26 +158,15 @@ fn var_length_to_prebound_endpoint_keeps_long_paths() {
 /// engine used to bind it in traversal order, i.e. reversed.
 #[test]
 fn reversed_var_length_expand_binds_rels_in_pattern_order() {
-    let mut g = PropertyGraph::new();
-    let a = g.add_node(&["A"], []);
-    let b = g.add_node(&["B"], []);
-    let c = g.add_node(&["C"], []);
-    g.add_rel(a, b, "X", [("ord", Value::int(1))]).unwrap();
-    g.add_rel(b, c, "X", [("ord", Value::int(2))]).unwrap();
-    let params = Params::new();
+    let g = graph(&["CREATE (:A)-[:X {ord: 1}]->(:B)-[:X {ord: 2}]->(:C)"]);
     // n2 (the right end) is pre-bound, so the expand runs right-to-left.
     let q = "MATCH (n2:C) MATCH (n0)-[r*2]->(n2) RETURN r[0].ord AS first, r[1].ord AS second";
-    let engine = run_read(&g, q, &params).unwrap();
-    let reference = run_reference(&g, q, &params).unwrap();
-    assert!(
-        engine.bag_eq(&reference),
-        "engine:\n{engine}reference:\n{reference}"
-    );
+    let engine = rows(&g, q);
     assert_eq!(engine.cell(0, "first"), Some(&Value::int(1)));
     assert_eq!(engine.cell(0, "second"), Some(&Value::int(2)));
     // And the named-path projection over the same shape must not panic.
     let p = "MATCH (n2:C) MATCH p = (n0)-[*2]->(n2) RETURN length(p) AS l";
-    let t = run_read(&g, p, &params).unwrap();
+    let t = rows(&g, p);
     assert_eq!(t.cell(0, "l"), Some(&Value::int(2)));
 }
 
@@ -266,17 +176,10 @@ fn reversed_var_length_expand_binds_rels_in_pattern_order() {
 /// evaluates the erroring expression regardless.
 #[test]
 fn impossible_filters_still_surface_upstream_errors() {
-    let mut g = PropertyGraph::new();
-    let a = g.add_node(&["A"], []);
-    let b = g.add_node(&["A"], []);
-    g.add_rel(a, b, "X", [("w", Value::int(1))]).unwrap();
-    let params = Params::new();
+    let g = graph(&["CREATE (:A)-[:X {w: 1}]->(:A)"]);
     // The per-hop property expression `a + 1` errors (node + integer);
     // `:Zzz` was never interned, so the label filter downstream of the
     // expand matches nothing — but must not swallow the error.
     let q = "MATCH (a:A), (b:A) MATCH (a)-[*1..2 {w: a + 1}]->(b:Zzz) RETURN a";
-    let engine = run_read(&g, q, &params);
-    let reference = run_reference(&g, q, &params);
-    assert!(engine.is_err(), "engine must propagate the upstream error");
-    assert!(reference.is_err(), "oracle errors on the same expression");
+    error(&g, q);
 }

@@ -8,8 +8,7 @@
 //! fold splits the stream at random chunk boundaries and merges).
 //!
 //! Covered states: [`GroupedAggState`] (count/sum/avg/stdev/stdevp and
-//! the DISTINCT min/max family), [`TopKState`] (unbounded, as view
-//! maintenance uses it), [`DistinctSet`] (counted multiplicity and
+//! the DISTINCT min/max family), [`DistinctSet`] (counted multiplicity and
 //! full-retraction order transparency), and the [`CountedMap`] all of
 //! them count rows in, against a naive ordered-list model (first-live
 //! insertion order, counts, fresh slots after full retraction, merges,
@@ -19,14 +18,12 @@
 //! order, which retracted rows legitimately influence (a group opened
 //! by a retracted row and later joined by a kept row survives in its
 //! original slot) — so grouped outputs compare as sorted row sets; the
-//! cells themselves must match bit-for-bit. `TopKState` promises more
-//! (sequence-number tie-breaking survives retraction) and is compared
-//! as an exact row sequence.
+//! cells themselves must match bit-for-bit.
 
 use cypher::{parse_query, Params, PropertyGraph, Record, Schema, Table, Value};
 use cypher_core::aggregate::DistinctSet;
 use cypher_core::bag::CountedMap;
-use cypher_core::project::{GroupedAggState, ProjectionPlan, TopKState};
+use cypher_core::project::{GroupedAggState, ProjectionPlan};
 use cypher_core::EvalContext;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -231,51 +228,6 @@ proptest! {
             "RETURN count(x) AS c, sum(x) AS s, stdev(x) AS sd",
             &rows, &[], order_seed,
         );
-    }
-
-    #[test]
-    fn topk_feed_then_retract_is_identity(
-        rows in arb_rows(),
-        order_seed in any::<u64>(),
-        ascending in any::<bool>(),
-    ) {
-        let q = parse_query(&format!(
-            "MATCH (g) RETURN x AS x ORDER BY x {}",
-            if ascending { "ASC" } else { "DESC" }
-        )).unwrap();
-        let cypher::ast::query::Query::Single(sq) = q else { panic!() };
-        let keys = sq.ret.unwrap().order_by;
-        let out_schema = Schema::new(vec!["x".to_string()]);
-
-        let mut state = TopKState::new_unbounded(&keys);
-        let mut oracle = TopKState::new_unbounded(&keys);
-        for (extra, _, n) in &rows {
-            let row = Record::new(vec![n.value()]);
-            state.offer(vec![n.value()], row.clone());
-            if !*extra {
-                oracle.offer(vec![n.value()], row);
-            }
-        }
-        let mut extras: Vec<&(bool, u8, Num)> =
-            rows.iter().filter(|(e, _, _)| *e).collect();
-        shuffle(&mut extras, order_seed);
-        for (_, _, n) in extras {
-            let row = Record::new(vec![n.value()]);
-            prop_assert!(
-                state.retract(&[n.value()], &row),
-                "retracting an offered row must match an entry"
-            );
-        }
-
-        let got = TopKState::merge_sorted(
-            vec![state], &keys, 0, usize::MAX, out_schema.clone());
-        let want = TopKState::merge_sorted(
-            vec![oracle], &keys, 0, usize::MAX, out_schema);
-        // Sequence-number tie-breaking must survive retraction: the
-        // comparison is the exact row sequence, not a sorted bag.
-        let got_rows: Vec<String> = got.rows().iter().map(row_fingerprint).collect();
-        let want_rows: Vec<String> = want.rows().iter().map(row_fingerprint).collect();
-        prop_assert_eq!(got_rows, want_rows);
     }
 
     #[test]

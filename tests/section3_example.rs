@@ -9,29 +9,23 @@
 //! exact bag the paper prints.
 
 use cypher::workload::figure1;
-use cypher::{run_read, run_reference, table_of, NodeId, Params, Table, Value};
+use cypher::{table_of, NodeId, Table, Value};
+use cypher_tck::diff::rows;
+
+/// `query` on the Figure 1 graph, through the differential harness.
+fn fig1(query: &str) -> Table {
+    rows(&figure1(), query)
+}
 
 fn node(i: u64) -> Value {
     // Figure 1's n1..n10 are NodeId(0)..NodeId(9) in insertion order.
     Value::Node(NodeId(i - 1))
 }
 
-fn both(query: &str) -> (Table, Table) {
-    let g = figure1();
-    let params = Params::new();
-    let engine = run_read(&g, query, &params).unwrap();
-    let reference = run_reference(&g, query, &params).unwrap();
-    assert!(
-        engine.bag_eq(&reference),
-        "engine and reference disagree on {query}\nengine:\n{engine}\nreference:\n{reference}"
-    );
-    (engine, reference)
-}
-
 #[test]
 fn e2_figure_2a_optional_match_bindings() {
     // Lines 1–2: MATCH researchers, OPTIONAL MATCH supervised students.
-    let (out, _) = both(
+    let out = fig1(
         "MATCH (r:Researcher)
          OPTIONAL MATCH (r)-[:SUPERVISES]->(s:Student)
          RETURN r, s",
@@ -51,7 +45,7 @@ fn e2_figure_2a_optional_match_bindings() {
 #[test]
 fn e3_figure_2b_with_aggregation() {
     // Line 3: WITH r, count(s) — grouping on r, counting non-null s.
-    let (out, _) = both(
+    let out = fig1(
         "MATCH (r:Researcher)
          OPTIONAL MATCH (r)-[:SUPERVISES]->(s:Student)
          WITH r, count(s) AS studentsSupervised
@@ -71,7 +65,7 @@ fn e3_figure_2b_with_aggregation() {
 #[test]
 fn e4_line4_authors_drops_thor() {
     // Line 4: Thor (n10) authored nothing, so no row with n10 survives.
-    let (out, _) = both(
+    let out = fig1(
         "MATCH (r:Researcher)
          OPTIONAL MATCH (r)-[:SUPERVISES]->(s:Student)
          WITH r, count(s) AS studentsSupervised
@@ -94,7 +88,7 @@ fn e5_line5_variable_length_with_duplicates() {
     // Line 5: the variable-length CITES* match. n9 reaches n2 through two
     // distinct paths (via n5 and via n4), producing the duplicate rows
     // marked † in the paper; n9 itself is cited by nothing → null.
-    let (out, _) = both(
+    let out = fig1(
         "MATCH (r:Researcher)
          OPTIONAL MATCH (r)-[:SUPERVISES]->(s:Student)
          WITH r, count(s) AS studentsSupervised
@@ -119,7 +113,7 @@ fn e5_line5_variable_length_with_duplicates() {
 #[test]
 fn e1_final_result_table() {
     // Lines 6–7: the output the paper prints — Nils 0 3, Elin 2 1.
-    let (out, _) = both(
+    let out = fig1(
         "MATCH (r:Researcher)
          OPTIONAL MATCH (r)-[:SUPERVISES]->(s:Student)
          WITH r, count(s) AS studentsSupervised
@@ -150,7 +144,7 @@ fn e1_final_result_table() {
 #[test]
 fn line1_initial_bindings() {
     // The very first clause: three researcher bindings n1, n6, n10.
-    let (out, _) = both("MATCH (r:Researcher) RETURN r");
+    let out = fig1("MATCH (r:Researcher) RETURN r");
     let expected = table_of(&["r"], vec![vec![node(1)], vec![node(6)], vec![node(10)]]);
     out.assert_bag_eq(&expected);
 }

@@ -3,16 +3,9 @@
 //! queries and property-based over randomized tables.
 
 use cypher::workload::{figure1, random_graph};
-use cypher::{run_read, run_reference, table_of, Params, Record, Schema, Table, Value};
+use cypher::{run_read, table_of, Params, Record, Schema, Table, Value};
+use cypher_tck::diff::rows;
 use proptest::prelude::*;
-
-fn both(g: &cypher::PropertyGraph, q: &str) -> Table {
-    let params = Params::new();
-    let engine = run_read(g, q, &params).unwrap();
-    let reference = run_reference(g, q, &params).unwrap();
-    assert!(engine.bag_eq(&reference), "divergence on {q}");
-    engine
-}
 
 // ---------------------------------------------------------------------------
 // Figure 6 laws
@@ -22,8 +15,8 @@ fn both(g: &cypher::PropertyGraph, q: &str) -> Table {
 fn return_star_is_identity() {
     // [[RETURN ∗]](T) = T (T has at least one field).
     let g = figure1();
-    let plain = both(&g, "MATCH (r:Researcher) RETURN r");
-    let star = both(&g, "MATCH (r:Researcher) RETURN *");
+    let plain = rows(&g, "MATCH (r:Researcher) RETURN r");
+    let star = rows(&g, "MATCH (r:Researcher) RETURN *");
     assert!(plain.bag_eq(&star));
 }
 
@@ -31,8 +24,8 @@ fn return_star_is_identity() {
 fn return_star_plus_items_prepends_fields() {
     // [[RETURN ∗, e AS a]](T) = [[RETURN b₁ AS b₁, …, e AS a]](T).
     let g = figure1();
-    let star = both(&g, "MATCH (r:Researcher) RETURN *, r.name AS n");
-    let explicit = both(&g, "MATCH (r:Researcher) RETURN r AS r, r.name AS n");
+    let star = rows(&g, "MATCH (r:Researcher) RETURN *, r.name AS n");
+    let explicit = rows(&g, "MATCH (r:Researcher) RETURN r AS r, r.name AS n");
     assert!(star.bag_eq(&explicit));
 }
 
@@ -40,9 +33,9 @@ fn return_star_plus_items_prepends_fields() {
 fn union_all_is_bag_union() {
     // [[Q₁ UNION ALL Q₂]](T) = [[Q₁]](T) ⊎ [[Q₂]](T).
     let g = figure1();
-    let left = both(&g, "MATCH (r:Researcher) RETURN r.name AS n");
-    let right = both(&g, "MATCH (s:Student) RETURN s.name AS n");
-    let union = both(
+    let left = rows(&g, "MATCH (r:Researcher) RETURN r.name AS n");
+    let right = rows(&g, "MATCH (s:Student) RETURN s.name AS n");
+    let union = rows(
         &g,
         "MATCH (r:Researcher) RETURN r.name AS n
          UNION ALL
@@ -55,13 +48,13 @@ fn union_all_is_bag_union() {
 fn union_is_dedup_of_union_all() {
     // [[Q₁ UNION Q₂]](T) = ε([[Q₁]](T) ∪ [[Q₂]](T)).
     let g = figure1();
-    let all = both(
+    let all = rows(
         &g,
         "MATCH (:Publication)-[:CITES]->(p) RETURN p AS x
          UNION ALL
          MATCH (p:Publication) RETURN p AS x",
     );
-    let set = both(
+    let set = rows(
         &g,
         "MATCH (:Publication)-[:CITES]->(p) RETURN p AS x
          UNION
@@ -75,11 +68,11 @@ fn clause_composition_is_function_composition() {
     // [[C Q]](T) = [[Q]]([[C]](T)): splitting a pipeline at a WITH leaves
     // the result unchanged.
     let g = figure1();
-    let fused = both(
+    let fused = rows(
         &g,
         "MATCH (r:Researcher)-[:AUTHORS]->(p) RETURN r.name AS n, count(p) AS c",
     );
-    let split = both(
+    let split = rows(
         &g,
         "MATCH (r:Researcher)-[:AUTHORS]->(p)
          WITH r, p
@@ -96,11 +89,11 @@ fn clause_composition_is_function_composition() {
 fn optional_match_defaults_to_where_true() {
     // [[OPTIONAL MATCH π̄]] = [[OPTIONAL MATCH π̄ WHERE true]].
     let g = figure1();
-    let bare = both(
+    let bare = rows(
         &g,
         "MATCH (r:Researcher) OPTIONAL MATCH (r)-[:SUPERVISES]->(s) RETURN r, s",
     );
-    let with_true = both(
+    let with_true = rows(
         &g,
         "MATCH (r:Researcher) OPTIONAL MATCH (r)-[:SUPERVISES]->(s) WHERE true RETURN r, s",
     );
@@ -111,8 +104,8 @@ fn optional_match_defaults_to_where_true() {
 fn match_where_equals_where_after_match() {
     // [[MATCH π̄ WHERE e]] = [[WHERE e]] ∘ [[MATCH π̄]].
     let g = figure1();
-    let fused = both(&g, "MATCH (p:Publication) WHERE p.acmid > 230 RETURN p");
-    let split = both(
+    let fused = rows(&g, "MATCH (p:Publication) WHERE p.acmid > 230 RETURN p");
+    let split = rows(
         &g,
         "MATCH (p:Publication) WITH * WHERE p.acmid > 230 RETURN p",
     );
@@ -124,7 +117,7 @@ fn where_keeps_only_true_rows() {
     // Rows whose predicate is null (not just false) are dropped.
     let g = figure1();
     // s.name is null for non-Student nodes → comparison is null → dropped.
-    let out = both(&g, "MATCH (s) WHERE s.name > 'S' RETURN s.name AS n");
+    let out = rows(&g, "MATCH (s) WHERE s.name > 'S' RETURN s.name AS n");
     // Names > 'S': Sten, Thor (researchers/students with names; pubs have
     // no name → null → dropped).
     let expected = table_of(
@@ -138,17 +131,17 @@ fn where_keeps_only_true_rows() {
 fn unwind_figure7_cases() {
     let g = figure1();
     // list(v₀, …) → one row per element.
-    let list = both(&g, "UNWIND [10, 20] AS x RETURN x");
+    let list = rows(&g, "UNWIND [10, 20] AS x RETURN x");
     assert_eq!(list.len(), 2);
     // list() → no rows.
-    let empty = both(&g, "UNWIND [] AS x RETURN x");
+    let empty = rows(&g, "UNWIND [] AS x RETURN x");
     assert_eq!(empty.len(), 0);
     // otherwise → the single value (paper-exact, including null).
-    let null = both(&g, "UNWIND null AS x RETURN x");
+    let null = rows(&g, "UNWIND null AS x RETURN x");
     assert_eq!(null.len(), 1);
     assert!(null.rows()[0].get(0).is_null());
     // Nested per driving row.
-    let per_row = both(
+    let per_row = rows(
         &g,
         "MATCH (r:Researcher) UNWIND [1, 2] AS x RETURN r.name, x",
     );
@@ -158,8 +151,8 @@ fn unwind_figure7_cases() {
 #[test]
 fn with_star_is_identity() {
     let g = figure1();
-    let a = both(&g, "MATCH (r:Researcher) WITH * RETURN r");
-    let b = both(&g, "MATCH (r:Researcher) RETURN r");
+    let a = rows(&g, "MATCH (r:Researcher) WITH * RETURN r");
+    let b = rows(&g, "MATCH (r:Researcher) RETURN r");
     assert!(a.bag_eq(&b));
 }
 

@@ -35,8 +35,10 @@ use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
 fn mem_cfg(plan_cache: bool) -> EngineConfig {
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = None;
+    let mut cfg = EngineConfig {
+        persistence: None,
+        ..EngineConfig::default()
+    };
     if !plan_cache {
         // Row order becomes a pure function of the pinned version when
         // every query is planned against its own snapshot's statistics
@@ -477,10 +479,12 @@ fn poisoned_write_path_answers_unavailable_not_a_dropped_connection() {
     std::env::set_var("CYPHER_TEST_FAULTS", "1");
     let dir = std::env::temp_dir().join(format!("cypher-server-poison-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = Some(dir.clone());
-    cfg.group_commit = false;
-    cfg.fsync_mode = cypher::FsyncMode::Sync;
+    let cfg = EngineConfig {
+        persistence: Some(dir.clone()),
+        group_commit: false,
+        fsync_mode: cypher::FsyncMode::Sync,
+        ..EngineConfig::default()
+    };
     let server = start(cfg, ServerConfig::default());
     let mut client = connect(&server);
     let params = Params::new();
@@ -649,8 +653,10 @@ fn abrupt_disconnect_releases_session_and_pinned_version() {
 /// connections keep their service.
 #[test]
 fn connection_limit_answers_limit_error() {
-    let mut cfg = ServerConfig::default();
-    cfg.max_connections = 1;
+    let cfg = ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    };
     let server = start(mem_cfg(true), cfg);
     let mut first = connect(&server);
     first.ping().expect("first connection serves");
@@ -701,8 +707,10 @@ fn client_frame_cap_refuses_a_larger_reply() {
 #[test]
 fn shutdown_under_load_joins_every_connection_thread() {
     const CLIENTS: usize = 8;
-    let mut cfg = ServerConfig::default();
-    cfg.max_connections = CLIENTS;
+    let cfg = ServerConfig {
+        max_connections: CLIENTS,
+        ..ServerConfig::default()
+    };
     for round in 0..200 {
         let server = start(mem_cfg(true), cfg.clone());
         let addr = server.local_addr();
@@ -729,8 +737,10 @@ fn shutdown_under_load_joins_every_connection_thread() {
 /// letting one client grow server memory without bound.
 #[test]
 fn prepared_statement_cap_answers_limit_error() {
-    let mut cfg = ServerConfig::default();
-    cfg.max_prepared = 4;
+    let cfg = ServerConfig {
+        max_prepared: 4,
+        ..ServerConfig::default()
+    };
     let server = start(mem_cfg(true), cfg);
     let mut client = connect(&server);
     let ids: Vec<u32> = (0..4)
@@ -754,8 +764,10 @@ fn prepared_statement_cap_answers_limit_error() {
 fn durable_writes_over_tcp_survive_shutdown_and_reopen() {
     let dir = std::env::temp_dir().join(format!("cypher-server-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = Some(dir.clone());
+    let cfg = EngineConfig {
+        persistence: Some(dir.clone()),
+        ..EngineConfig::default()
+    };
     let server = start(cfg, ServerConfig::default());
     let params = Params::new();
     let mut client = connect(&server);

@@ -2,33 +2,26 @@
 //! "Temporal types") exercised through full queries: construction,
 //! component access, comparison, arithmetic and ordering.
 
-use cypher::{run, run_read, run_reference, Params, PropertyGraph, Value};
+use cypher::{PropertyGraph, Value};
+use cypher_tck::diff::{error, graph, rows};
 
-fn event_graph() -> (PropertyGraph, Params) {
-    let mut g = PropertyGraph::new();
-    let params = Params::new();
-    run(
-        &mut g,
-        "CREATE (:Event {name: 'kickoff',  on: date('2018-06-10')}),
+fn event_graph() -> PropertyGraph {
+    graph(
+        &["CREATE (:Event {name: 'kickoff',  on: date('2018-06-10')}),
                 (:Event {name: 'review',   on: date('2018-06-12')}),
                 (:Event {name: 'retro',    on: date('2018-07-01')}),
-                (:Event {name: 'undated'})",
-        &params,
+                (:Event {name: 'undated'})"],
     )
-    .unwrap();
-    (g, params)
 }
 
 #[test]
 fn dates_compare_in_where() {
-    let (g, params) = event_graph();
-    let t = run_read(
+    let g = event_graph();
+    let t = rows(
         &g,
         "MATCH (e:Event) WHERE e.on < date('2018-06-15')
          RETURN e.name AS n ORDER BY n",
-        &params,
-    )
-    .unwrap();
+    );
     assert_eq!(t.len(), 2);
     assert_eq!(t.cell(0, "n"), Some(&Value::str("kickoff")));
     assert_eq!(t.cell(1, "n"), Some(&Value::str("review")));
@@ -36,13 +29,8 @@ fn dates_compare_in_where() {
 
 #[test]
 fn date_ordering_and_null_last() {
-    let (g, params) = event_graph();
-    let t = run_read(
-        &g,
-        "MATCH (e:Event) RETURN e.name AS n ORDER BY e.on",
-        &params,
-    )
-    .unwrap();
+    let g = event_graph();
+    let t = rows(&g, "MATCH (e:Event) RETURN e.name AS n ORDER BY e.on");
     // undated sorts last (null greatest in ascending order).
     assert_eq!(t.cell(3, "n"), Some(&Value::str("undated")));
     assert_eq!(t.cell(0, "n"), Some(&Value::str("kickoff")));
@@ -50,30 +38,26 @@ fn date_ordering_and_null_last() {
 
 #[test]
 fn duration_arithmetic_in_queries() {
-    let (g, params) = event_graph();
-    let t = run_read(
+    let g = event_graph();
+    let t = rows(
         &g,
         "MATCH (e:Event {name: 'kickoff'})
          RETURN e.on + duration('P1M') AS moved,
                 (e.on + duration('P10D')).month AS m",
-        &params,
-    )
-    .unwrap();
+    );
     assert_eq!(t.cell(0, "moved").unwrap().to_string(), "2018-07-10");
     assert_eq!(t.cell(0, "m"), Some(&Value::int(6)));
 }
 
 #[test]
 fn duration_between_dates() {
-    let (g, params) = event_graph();
-    let t = run_read(
+    let g = event_graph();
+    let t = rows(
         &g,
         "MATCH (a:Event {name: 'kickoff'}), (b:Event {name: 'retro'})
          RETURN durationBetween(a.on, b.on) AS gap,
                 durationBetween(a.on, b.on).days AS days",
-        &params,
-    )
-    .unwrap();
+    );
     assert_eq!(t.cell(0, "gap").unwrap().to_string(), "P21D");
     assert_eq!(t.cell(0, "days"), Some(&Value::int(21)));
 }
@@ -81,21 +65,14 @@ fn duration_between_dates() {
 #[test]
 fn datetime_zones_normalize_for_comparison() {
     let g = PropertyGraph::new();
-    let params = Params::new();
-    let t = run_read(
-        &g,
-        "RETURN datetime('2018-06-10T12:00:00+02:00') < datetime('2018-06-10T11:00:00Z') AS earlier",
-        &params,
-    )
-    .unwrap();
+    let t = rows(&g, "RETURN datetime('2018-06-10T12:00:00+02:00') < datetime('2018-06-10T11:00:00Z') AS earlier");
     assert_eq!(t.cell(0, "earlier"), Some(&Value::Bool(true)));
 }
 
 #[test]
 fn temporal_components() {
     let g = PropertyGraph::new();
-    let params = Params::new();
-    let t = run_read(
+    let t = rows(
         &g,
         "RETURN date('2018-06-10').year AS y,
                 date('2018-06-10').weekday AS wd,
@@ -103,9 +80,7 @@ fn temporal_components() {
                 localtime('14:30:15.5').nanosecond AS ns,
                 localdatetime('2018-06-10T14:30:15').hour AS h,
                 duration('P1Y2M3DT4H').months AS months",
-        &params,
-    )
-    .unwrap();
+    );
     assert_eq!(t.cell(0, "y"), Some(&Value::int(2018)));
     assert_eq!(t.cell(0, "wd"), Some(&Value::int(7))); // Sunday
     assert_eq!(t.cell(0, "min"), Some(&Value::int(30)));
@@ -116,15 +91,13 @@ fn temporal_components() {
 
 #[test]
 fn temporal_values_group_and_dedup() {
-    let (g, params) = event_graph();
+    let g = event_graph();
     // Two events share June; DISTINCT on month gives 2 groups.
-    let t = run_read(
+    let t = rows(
         &g,
         "MATCH (e:Event) WHERE e.on IS NOT NULL
          RETURN e.on.month AS m, count(*) AS c ORDER BY m",
-        &params,
-    )
-    .unwrap();
+    );
     assert_eq!(t.len(), 2);
     assert_eq!(t.cell(0, "c"), Some(&Value::int(2)));
     assert_eq!(t.cell(1, "c"), Some(&Value::int(1)));
@@ -133,22 +106,19 @@ fn temporal_values_group_and_dedup() {
 #[test]
 fn invalid_temporal_literals_error() {
     let g = PropertyGraph::new();
-    let params = Params::new();
-    assert!(run_read(&g, "RETURN date('2018-02-30') AS d", &params).is_err());
-    assert!(run_read(&g, "RETURN duration('xyz') AS d", &params).is_err());
-    assert!(run_read(&g, "RETURN localtime('25:00') AS t", &params).is_err());
+    error(&g, "RETURN date('2018-02-30') AS d");
+    error(&g, "RETURN duration('xyz') AS d");
+    error(&g, "RETURN localtime('25:00') AS t");
 }
 
 #[test]
 fn engines_agree_on_temporal_queries() {
-    let (g, params) = event_graph();
+    let g = event_graph();
     for q in [
         "MATCH (e:Event) WHERE e.on >= date('2018-06-12') RETURN e.name",
         "MATCH (e:Event) RETURN min(e.on) AS first, max(e.on) AS last",
         "MATCH (e:Event) WHERE e.on IS NOT NULL RETURN e.on + duration('P1D') AS next ORDER BY next",
     ] {
-        let a = run_read(&g, q, &params).unwrap();
-        let b = run_reference(&g, q, &params).unwrap();
-        assert!(a.bag_eq(&b), "temporal divergence on {q}");
+        rows(&g, q);
     }
 }

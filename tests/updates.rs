@@ -2,7 +2,8 @@
 //! `CREATE`, `DELETE` / `DETACH DELETE`, `SET`, `REMOVE`, and `MERGE`'s
 //! match-or-create semantics.
 
-use cypher::{run, run_read, Params, PropertyGraph, Value};
+use cypher::{run, Params, PropertyGraph, Value};
+use cypher_tck::diff::{rows, Diff, LIGHT};
 
 fn fresh() -> (PropertyGraph, Params) {
     (PropertyGraph::new(), Params::new())
@@ -20,12 +21,10 @@ fn create_nodes_and_relationships() {
     .unwrap();
     assert_eq!(g.node_count(), 3);
     assert_eq!(g.rel_count(), 2);
-    let t = run_read(
+    let t = rows(
         &g,
         "MATCH (:Person {name: 'Ada'})-[r:KNOWS]->(x) RETURN x.name AS n ORDER BY n",
-        &params,
-    )
-    .unwrap();
+    );
     assert_eq!(t.len(), 2);
     assert_eq!(t.cell(0, "n"), Some(&Value::str("Bo")));
 }
@@ -40,7 +39,7 @@ fn create_per_driving_row() {
     )
     .unwrap();
     assert_eq!(g.node_count(), 3);
-    let t = run_read(&g, "MATCH (x:Item) RETURN sum(x.rank) AS s", &params).unwrap();
+    let t = rows(&g, "MATCH (x:Item) RETURN sum(x.rank) AS s");
     assert_eq!(t.cell(0, "s"), Some(&Value::int(6)));
 }
 
@@ -67,12 +66,10 @@ fn set_properties_and_labels() {
         &params,
     )
     .unwrap();
-    let t = run_read(
+    let t = rows(
         &g,
         "MATCH (p:Person:Verified) RETURN p.age AS age, p.tmp AS tmp",
-        &params,
-    )
-    .unwrap();
+    );
     assert_eq!(t.cell(0, "age"), Some(&Value::int(36)));
     assert!(t.cell(0, "tmp").unwrap().is_null());
 }
@@ -82,12 +79,12 @@ fn set_replace_and_merge_maps() {
     let (mut g, params) = fresh();
     run(&mut g, "CREATE (:P {a: 1, b: 2})", &params).unwrap();
     run(&mut g, "MATCH (p:P) SET p += {b: 20, c: 30}", &params).unwrap();
-    let t = run_read(&g, "MATCH (p:P) RETURN p.a, p.b, p.c", &params).unwrap();
+    let t = rows(&g, "MATCH (p:P) RETURN p.a, p.b, p.c");
     assert_eq!(t.cell(0, "p.a"), Some(&Value::int(1)));
     assert_eq!(t.cell(0, "p.b"), Some(&Value::int(20)));
     assert_eq!(t.cell(0, "p.c"), Some(&Value::int(30)));
     run(&mut g, "MATCH (p:P) SET p = {z: 9}", &params).unwrap();
-    let t2 = run_read(&g, "MATCH (p:P) RETURN p.a, p.z", &params).unwrap();
+    let t2 = rows(&g, "MATCH (p:P) RETURN p.a, p.z");
     assert!(t2.cell(0, "p.a").unwrap().is_null());
     assert_eq!(t2.cell(0, "p.z"), Some(&Value::int(9)));
 }
@@ -97,10 +94,10 @@ fn remove_properties_and_labels() {
     let (mut g, params) = fresh();
     run(&mut g, "CREATE (:A:B {x: 1, y: 2})", &params).unwrap();
     run(&mut g, "MATCH (n:A) REMOVE n.x, n:B", &params).unwrap();
-    let t = run_read(&g, "MATCH (n:A) RETURN n.x AS x, n.y AS y", &params).unwrap();
+    let t = rows(&g, "MATCH (n:A) RETURN n.x AS x, n.y AS y");
     assert!(t.cell(0, "x").unwrap().is_null());
     assert_eq!(t.cell(0, "y"), Some(&Value::int(2)));
-    let b_count = run_read(&g, "MATCH (n:B) RETURN count(*) AS c", &params).unwrap();
+    let b_count = rows(&g, "MATCH (n:B) RETURN count(*) AS c");
     assert_eq!(b_count.cell(0, "c"), Some(&Value::int(0)));
 }
 
@@ -137,7 +134,7 @@ fn delete_same_entity_from_multiple_rows() {
     // hub appears in two rows; collected deletions apply once.
     run(&mut g, "MATCH (:A)-[r:R]->(hub:Hub) DELETE r, hub", &params).unwrap();
     assert_eq!(g.rel_count(), 0);
-    let t = run_read(&g, "MATCH (h:Hub) RETURN count(*) AS c", &params).unwrap();
+    let t = rows(&g, "MATCH (h:Hub) RETURN count(*) AS c");
     assert_eq!(t.cell(0, "c"), Some(&Value::int(0)));
 }
 
@@ -166,12 +163,7 @@ fn merge_on_create_on_match() {
         &params,
     )
     .unwrap();
-    let t = run_read(
-        &g,
-        "MATCH (p:Person) RETURN p.created AS c, p.matched AS m",
-        &params,
-    )
-    .unwrap();
+    let t = rows(&g, "MATCH (p:Person) RETURN p.created AS c, p.matched AS m");
     assert_eq!(t.cell(0, "c"), Some(&Value::Bool(true)));
     assert!(t.cell(0, "m").unwrap().is_null());
 
@@ -183,12 +175,10 @@ fn merge_on_create_on_match() {
         &params,
     )
     .unwrap();
-    let t2 = run_read(
+    let t2 = rows(
         &g,
         "MATCH (p:Person) RETURN p.matched AS m, p.created2 AS c2",
-        &params,
-    )
-    .unwrap();
+    );
     assert_eq!(t2.cell(0, "m"), Some(&Value::Bool(true)));
     assert!(t2.cell(0, "c2").unwrap().is_null());
 }
@@ -244,7 +234,9 @@ fn parameters_in_updates() {
     params.insert("name".into(), Value::str("Dyn"));
     params.insert("age".into(), Value::int(7));
     run(&mut g, "CREATE (:P {name: $name, age: $age})", &params).unwrap();
-    let t = run_read(&g, "MATCH (p:P {name: $name}) RETURN p.age AS a", &params).unwrap();
+    let t = Diff::new(LIGHT)
+        .params(params)
+        .rows(&g, "MATCH (p:P {name: $name}) RETURN p.age AS a");
     assert_eq!(t.cell(0, "a"), Some(&Value::int(7)));
 }
 

@@ -34,9 +34,10 @@ use cypher_server::{Server, ServerConfig};
 use std::time::Duration;
 
 fn memory_cfg() -> EngineConfig {
-    let mut cfg = EngineConfig::default();
-    cfg.persistence = None;
-    cfg
+    EngineConfig {
+        persistence: None,
+        ..EngineConfig::default()
+    }
 }
 
 /// The fixed view panel: names with the query and whether the classifier
