@@ -28,6 +28,7 @@
 
 use crate::bag::CountedMap;
 use crate::error::{err, EvalError};
+use cypher_graph::value::cmp_f64;
 use cypher_graph::Value;
 use std::slice;
 
@@ -364,9 +365,9 @@ impl DistinctSet {
 // Aggregator
 // ---------------------------------------------------------------------------
 
-/// The per-kind partial state. `DISTINCT` aggregates do not use it at all:
-/// they keep their [`DistinctSet`] and fold at finish time (partial folds
-/// over overlapping distinct sets would double-count).
+/// The per-kind partial state. `DISTINCT` aggregates keep their
+/// [`DistinctSet`] instead and fold it into a fresh state at finish time
+/// (partial folds over overlapping distinct sets would double-count).
 #[derive(Debug, Clone)]
 enum AggState {
     /// `count(expr)`: non-null inputs seen.
@@ -618,14 +619,18 @@ impl Aggregator {
         if self.kind == AggKind::CountStar {
             return Ok(Value::int(self.rows as i64));
         }
-        if self.distinct {
-            // Fold the distinct set through the slice-based finishers; the
-            // set's first-occurrence order is deterministic, so so is the
-            // fold.
-            let vals = self.seen.into_values();
-            return finish_slice(self.kind, vals, self.aux);
-        }
-        match self.state {
+        let state = if self.distinct {
+            // The distinct set, in its deterministic first-occurrence
+            // order, through the fold plain aggregates use.
+            let mut state = fresh_state(self.kind);
+            for v in self.seen.into_values() {
+                accumulate(self.kind, &mut state, v);
+            }
+            state
+        } else {
+            self.state
+        };
+        match state {
             AggState::Count(n) => Ok(Value::int(n as i64)),
             AggState::Numeric {
                 count,
@@ -816,86 +821,14 @@ fn finish_moments(
     Ok(Value::float((ss_n / (nf * denom as f64)).sqrt()))
 }
 
-/// The slice-based finishers: `collect`, the percentiles, and every
-/// `DISTINCT` variant (whose state *is* the value slice).
+/// `collect` and the percentiles: the finishers that need every value.
 fn finish_slice(kind: AggKind, vals: Vec<Value>, aux: Option<Value>) -> Result<Value, EvalError> {
     match kind {
-        AggKind::Count => Ok(Value::int(vals.len() as i64)),
         AggKind::Collect => Ok(Value::List(vals)),
-        AggKind::Sum => sum(&vals),
-        AggKind::Avg => {
-            if vals.is_empty() {
-                return Ok(Value::Null);
-            }
-            let total = numeric_sum(&vals)?;
-            Ok(Value::float(total / vals.len() as f64))
-        }
-        AggKind::Min => Ok(vals
-            .into_iter()
-            .min_by(|a, b| a.cmp_order(b))
-            .unwrap_or(Value::Null)),
-        AggKind::Max => Ok(vals
-            .into_iter()
-            .max_by(|a, b| a.cmp_order(b))
-            .unwrap_or(Value::Null)),
-        AggKind::StDev => stdev(&vals, true),
-        AggKind::StDevP => stdev(&vals, false),
         AggKind::PercentileCont => percentile(&vals, aux, true),
         AggKind::PercentileDisc => percentile(&vals, aux, false),
-        AggKind::CountStar => unreachable!("count(*) handled before"),
+        _ => unreachable!("only collect and the percentiles keep their values"),
     }
-}
-
-fn numeric_sum(vals: &[Value]) -> Result<f64, EvalError> {
-    // Exact accumulation here too, so the distinct-set fold agrees with
-    // the incremental path on identical inputs.
-    let mut total = ExactFloatSum::new();
-    for v in vals {
-        total.add(v.as_number().ok_or_else(|| non_numeric(v))?);
-    }
-    Ok(total.value())
-}
-
-fn sum(vals: &[Value]) -> Result<Value, EvalError> {
-    if vals.is_empty() {
-        return Ok(Value::int(0));
-    }
-    let all_ints = vals.iter().all(|v| matches!(v, Value::Integer(_)));
-    if all_ints {
-        let mut acc: i64 = 0;
-        for v in vals {
-            acc = acc
-                .checked_add(v.as_int().unwrap())
-                .ok_or_else(|| EvalError::new("integer overflow in sum()"))?;
-        }
-        Ok(Value::int(acc))
-    } else {
-        Ok(Value::float(numeric_sum(vals)?))
-    }
-}
-
-fn stdev(vals: &[Value], sample: bool) -> Result<Value, EvalError> {
-    let n = vals.len();
-    if n == 0 {
-        return Ok(Value::Null);
-    }
-    let mut sum = ExactFloatSum::new();
-    let mut sum_sq = ExactFloatSum::new();
-    for v in vals {
-        let x = v.as_number().ok_or_else(|| non_numeric(v))?;
-        sum.add(x);
-        add_square_exact(&mut sum_sq, x);
-    }
-    finish_moments(
-        if sample {
-            AggKind::StDev
-        } else {
-            AggKind::StDevP
-        },
-        n as u64,
-        &sum,
-        &sum_sq,
-    )
 }
 
 fn percentile(vals: &[Value], aux: Option<Value>, cont: bool) -> Result<Value, EvalError> {
@@ -916,7 +849,8 @@ fn percentile(vals: &[Value], aux: Option<Value>, cont: bool) -> Result<Value, E
                 .ok_or_else(|| EvalError::new("percentile over non-numeric value"))?,
         );
     }
-    nums.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    // `ORDER BY`'s number order: NaN sorts after every other number.
+    nums.sort_by(|a, b| cmp_f64(*a, *b));
     if cont {
         let rank = p * (nums.len() - 1) as f64;
         let lo = rank.floor() as usize;
@@ -939,6 +873,14 @@ fn percentile(vals: &[Value], aux: Option<Value>, cont: bool) -> Result<Value, E
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use AggKind::*;
+
+    /// Every kind, the two percentiles last.
+    #[rustfmt::skip]
+    const KINDS: [AggKind; 11] = [
+        Count, CountStar, Sum, Avg, Min, Max, Collect, StDev, StDevP, PercentileCont, PercentileDisc,
+    ];
 
     fn run(kind: AggKind, distinct: bool, vals: Vec<Value>) -> Value {
         let mut a = Aggregator::new(kind, distinct);
@@ -1086,17 +1028,8 @@ mod tests {
                 _ => Value::float(1.0 / (i as f64 + 1.0)),
             })
             .collect();
-        for kind in [
-            AggKind::Count,
-            AggKind::CountStar,
-            AggKind::Sum,
-            AggKind::Avg,
-            AggKind::Min,
-            AggKind::Max,
-            AggKind::Collect,
-            AggKind::StDev,
-            AggKind::StDevP,
-        ] {
+        // The percentiles need their second argument.
+        for kind in KINDS[..9].iter().copied() {
             for distinct in [false, true] {
                 if distinct && kind == AggKind::CountStar {
                     continue;
@@ -1111,6 +1044,61 @@ mod tests {
                         "{kind:?} distinct={distinct} chunk={chunk}"
                     );
                     assert!(whole.equivalent(&split));
+                }
+            }
+        }
+    }
+
+    /// `DISTINCT` and plain aggregates fold through one accumulator: on
+    /// a list without duplicates they agree in either input order, and
+    /// every kind but `collect` is independent of that order. Integers
+    /// near `i64::MAX` make a partial sum leave the range mid-fold.
+    #[test]
+    fn distinct_and_plain_folds_agree_on_duplicate_free_lists() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let finish = |kind: AggKind, distinct: bool, vals: &[Value]| {
+            let mut a = Aggregator::new(kind, distinct);
+            for v in vals {
+                a.push(v.clone());
+                a.push_aux(Value::float(0.3));
+            }
+            match a.finish() {
+                Ok(v) => v.to_string(),
+                Err(e) => format!("error: {e}"),
+            }
+        };
+        for _ in 0..300 {
+            let len = (next() % 10) as usize;
+            let mut vals: Vec<Value> = Vec::new();
+            while vals.len() < len {
+                let r = next();
+                let k = (r >> 8) as i64;
+                let v = match r % 12 {
+                    0..=2 => Value::int(i64::MAX - k % 3),
+                    3..=5 => Value::int(-(k % 3) - 1),
+                    6..=8 => Value::int(k % 4),
+                    9 => Value::float((k % 1000) as f64 + 0.5),
+                    10 => Value::float(-((k % 1000) as f64) - 0.25),
+                    _ => Value::str(format!("s{}", k % 5)),
+                };
+                if !vals.contains(&v) {
+                    vals.push(v);
+                }
+            }
+            let reversed: Vec<Value> = vals.iter().rev().cloned().collect();
+            for kind in KINDS {
+                let plain = finish(kind, false, &vals);
+                assert_eq!(finish(kind, true, &vals), plain, "{kind:?} {vals:?}");
+                let back = finish(kind, false, &reversed);
+                assert_eq!(finish(kind, true, &reversed), back, "{kind:?} {vals:?}");
+                if kind != AggKind::Collect {
+                    assert_eq!(back, plain, "{kind:?} {vals:?}");
                 }
             }
         }

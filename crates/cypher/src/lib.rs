@@ -42,8 +42,8 @@ pub use cypher_core::{
 };
 pub use cypher_engine::config;
 pub use cypher_engine::{
-    env_config_issues, ClauseProfile, EngineConfig, EnvConfigIssue, ExecMetrics, FsyncMode,
-    MultiResult, OpProfile, PartialAggMode, PlanMemo, PlannerMode, QueryProfile, WcoJoinMode,
+    ClauseProfile, EngineConfig, EnvConfigIssue, ExecMetrics, FsyncMode, MultiResult, OpProfile,
+    PartialAggMode, PlanMemo, PlannerMode, QueryProfile, WcoJoinMode,
 };
 pub use cypher_graph::{
     Catalog, Change, Direction, GraphView, NodeId, Path, PropertyGraph, RelId, SharedChangeBuffer,

@@ -37,7 +37,6 @@ const MEMOS_PER_ENTRY: usize = 4;
 /// statistics fingerprint.
 struct CacheEntry {
     query: Arc<Query>,
-    cfg_fp: u64,
     /// `(stats fingerprint, plans, last used)` — tiny LRU within the
     /// entry.
     memos: Vec<(u64, Arc<PlanMemo>, u64)>,
@@ -57,8 +56,7 @@ struct PlanCache {
 impl PlanCache {
     /// Looks up the entry for `text`, returning the parsed query plus
     /// the plan memo valid under `stats_fp`. `None` means the text is
-    /// not cached (or was cached under another config and has been
-    /// dropped) — the caller parses **outside the cache lock** and
+    /// not cached — the caller parses **outside the cache lock** and
     /// completes with [`PlanCache::insert`].
     ///
     /// `count` suppresses the public counters for internal re-lookups
@@ -70,50 +68,41 @@ impl PlanCache {
     fn lookup(
         &mut self,
         text: &str,
-        cfg_fp: u64,
         stats_fp: u64,
         count: bool,
     ) -> Option<(Arc<Query>, Arc<PlanMemo>, bool)> {
         self.tick += 1;
         let tick = self.tick;
-        if let Some(e) = self.entries.get_mut(text) {
-            if e.cfg_fp == cfg_fp {
-                e.last_used = tick;
-                if let Some(slot) = e.memos.iter_mut().find(|(fp, _, _)| *fp == stats_fp) {
-                    slot.2 = tick;
-                    if count {
-                        self.stats.hits += 1;
-                    }
-                    return Some((Arc::clone(&e.query), Arc::clone(&slot.1), true));
-                }
-                // Statistics moved (or this session is pinned at another
-                // version): keep the parse, plan fresh under this
-                // fingerprint. Older fingerprints stay cached so a
-                // session still pinned before the mutation keeps *its*
-                // plans too.
-                let memo = Arc::new(PlanMemo::new());
-                if e.memos.len() >= MEMOS_PER_ENTRY {
-                    if let Some(lru) = e
-                        .memos
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (_, _, used))| *used)
-                        .map(|(i, _)| i)
-                    {
-                        e.memos.remove(lru);
-                    }
-                }
-                e.memos.push((stats_fp, Arc::clone(&memo), tick));
-                if count {
-                    self.stats.invalidations += 1;
-                }
-                return Some((Arc::clone(&e.query), memo, false));
+        let e = self.entries.get_mut(text)?;
+        e.last_used = tick;
+        if let Some(slot) = e.memos.iter_mut().find(|(fp, _, _)| *fp == stats_fp) {
+            slot.2 = tick;
+            if count {
+                self.stats.hits += 1;
             }
-            // Config changed under the same text: drop; the caller
-            // reparses and reinserts.
-            self.entries.remove(text);
+            return Some((Arc::clone(&e.query), Arc::clone(&slot.1), true));
         }
-        None
+        // Statistics moved (or this session is pinned at another
+        // version): keep the parse, plan fresh under this fingerprint.
+        // Older fingerprints stay cached so a session still pinned before
+        // the mutation keeps *its* plans too.
+        let memo = Arc::new(PlanMemo::new());
+        if e.memos.len() >= MEMOS_PER_ENTRY {
+            if let Some(lru) = e
+                .memos
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, (_, _, used))| *used)
+                .map(|(i, _)| i)
+            {
+                e.memos.remove(lru);
+            }
+        }
+        e.memos.push((stats_fp, Arc::clone(&memo), tick));
+        if count {
+            self.stats.invalidations += 1;
+        }
+        Some((Arc::clone(&e.query), memo, false))
     }
 
     /// Completes a miss: records the externally parsed query (evicting
@@ -123,7 +112,6 @@ impl PlanCache {
         text: &str,
         query: Arc<Query>,
         capacity: usize,
-        cfg_fp: u64,
         stats_fp: u64,
     ) -> (Arc<Query>, Arc<PlanMemo>) {
         self.tick += 1;
@@ -146,7 +134,6 @@ impl PlanCache {
             text.to_string(),
             CacheEntry {
                 query: Arc::clone(&query),
-                cfg_fp,
                 memos: vec![(stats_fp, Arc::clone(&memo), tick)],
                 last_used: tick,
             },
@@ -186,9 +173,9 @@ impl SharedPlanCache {
         if capacity == 0 {
             return Ok((Arc::new(crate::parse_query(text)?), None, false));
         }
-        let (cfg_fp, stats_fp) = (cfg.plan_fingerprint(), self.stats_fp_for(view));
+        let stats_fp = self.stats_fp_for(view);
         let hit = |(q, memo, hit)| (q, Some(memo), hit);
-        if let Some(found) = lock(&self.cache).lookup(text, cfg_fp, stats_fp, count) {
+        if let Some(found) = lock(&self.cache).lookup(text, stats_fp, count) {
             return Ok(hit(found));
         }
         let parsed = Arc::new(crate::parse_query(text)?);
@@ -197,10 +184,10 @@ impl SharedPlanCache {
         // entry. Counted under the caller's flag — an absent-entry
         // lookup increments nothing, so this query's outcome has not
         // been accounted yet and the adoption *is* its cache hit.
-        if let Some(found) = c.lookup(text, cfg_fp, stats_fp, count) {
+        if let Some(found) = c.lookup(text, stats_fp, count) {
             return Ok(hit(found));
         }
-        let (q, memo) = c.insert(text, parsed, capacity, cfg_fp, stats_fp);
+        let (q, memo) = c.insert(text, parsed, capacity, stats_fp);
         Ok((q, Some(memo), false))
     }
 

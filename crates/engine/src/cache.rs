@@ -16,10 +16,8 @@
 //! *wrong* — index and anchor choices affect speed, not results — so
 //! coarse invalidation is safe by construction.
 
-use crate::exec::EngineConfig;
-use crate::planner::{plan_match, PlannedMatch, PlannerMode, PlannerOptions, WcoJoinMode};
+use crate::planner::{plan_match, PlannedMatch, PlannerOptions};
 use cypher_ast::pattern::PathPattern;
-use cypher_core::morphism::Morphism;
 use cypher_graph::{PropertyGraph, ViewRef};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -139,35 +137,6 @@ pub fn stats_fingerprint(g: &PropertyGraph) -> u64 {
     h.finish()
 }
 
-impl EngineConfig {
-    /// A fingerprint of the configuration slice that shapes plans (the
-    /// planner mode, index toggles, join policy and morphism). Cached plans
-    /// keyed by query text are only reused under an identical fingerprint.
-    pub fn plan_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        let mode: u8 = match self.planner_mode {
-            PlannerMode::ExpandBased => 0,
-            PlannerMode::CartesianJoin => 1,
-        };
-        mode.hash(&mut h);
-        self.use_label_index.hash(&mut h);
-        self.use_property_index.hash(&mut h);
-        let wco: u8 = match self.wco_join {
-            WcoJoinMode::Off => 0,
-            WcoJoinMode::Auto => 1,
-            WcoJoinMode::Force => 2,
-        };
-        wco.hash(&mut h);
-        let morphism: u8 = match self.match_config.morphism {
-            Morphism::EdgeIsomorphism => 0,
-            Morphism::NodeIsomorphism => 1,
-            Morphism::Homomorphism => 2,
-        };
-        morphism.hash(&mut h);
-        h.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,28 +171,5 @@ mod tests {
             g.add_node(&["A"], [("v", Value::int(100 + i))]);
         }
         assert_ne!(fp, stats_fingerprint(&g), "2× growth invalidates");
-    }
-
-    #[test]
-    fn config_fingerprint_tracks_planner_slice() {
-        // Pin the join policy so the test holds under a CYPHER_WCO_JOIN
-        // override (the CI matrix runs the whole suite with it set).
-        let base = || EngineConfig::default().with_wco_join(WcoJoinMode::Auto);
-        let a = base();
-        let b = base().without_indexes();
-        assert_ne!(a.plan_fingerprint(), b.plan_fingerprint());
-        // Runtime knobs do not reshape plans.
-        let c = base().with_threads(8).with_morsel_size(2);
-        assert_eq!(a.plan_fingerprint(), c.plan_fingerprint());
-        // The worst-case-optimal join policy does.
-        let d = base().with_wco_join(WcoJoinMode::Off);
-        assert_ne!(a.plan_fingerprint(), d.plan_fingerprint());
-        let e = base().with_wco_join(WcoJoinMode::Force);
-        assert_ne!(a.plan_fingerprint(), e.plan_fingerprint());
-        assert_ne!(d.plan_fingerprint(), e.plan_fingerprint());
-        // So does the morphism: node isomorphism ends plans in a filter.
-        let mut f = base();
-        f.match_config.morphism = Morphism::NodeIsomorphism;
-        assert_ne!(a.plan_fingerprint(), f.plan_fingerprint());
     }
 }

@@ -1,8 +1,8 @@
 //! The configuration table: every `CYPHER_*` override is **one row**.
 //!
 //! A [`Knob`] names the environment variable, the config field it
-//! overrides, the shape its text must have, who is expected to set it,
-//! and how to read and write the field. Everything else is derived from
+//! overrides, the shape its text must have, and how to read and write
+//! the field. Everything else is derived from
 //! the rows: [`load`] overlays an environment on a config (reporting —
 //! never swallowing — malformed values as [`EnvConfigIssue`]s),
 //! [`render_config`] prints a config's effective values on the metrics
@@ -12,8 +12,9 @@
 //! parser.
 //!
 //! A row's *default* is not written in it: it is whatever the config's
-//! built-in constructor ([`EngineConfig::builtin`]) holds, so a default
-//! is stated once too.
+//! `Default` holds, so a default is stated once too. Only the
+//! `cypher-server` binary overlays the process environment; everything
+//! else takes its configuration as an argument.
 
 use crate::exec::{
     EngineConfig, FsyncMode, PartialAggMode, DEFAULT_PLAN_CACHE_SIZE, DEFAULT_WAL_COMPACT_BYTES,
@@ -60,13 +61,11 @@ pub enum Access<C: 'static> {
     },
 }
 
-/// One malformed environment override, reported instead of being
-/// silently replaced by the built-in default. The engine's are collected
-/// once at first config construction — inspect via
-/// [`env_config_issues`]; each is also printed to stderr once.
+/// One malformed environment override, reported by [`load`] instead of
+/// being silently replaced by the built-in default.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvConfigIssue {
-    /// The environment variable (e.g. `CYPHER_MORSEL_SIZE`).
+    /// The environment variable (e.g. `CYPHER_NUM_THREADS`).
     pub var: &'static str,
     /// The rejected value, verbatim.
     pub value: String,
@@ -88,8 +87,6 @@ pub struct Knob<C: 'static> {
     pub field: &'static str,
     /// The shape of its text (bound included) and the field's accessors.
     pub access: Access<C>,
-    /// Who is expected to set it: a deployment, a CI cell, or tests only.
-    pub set_by: &'static str,
     /// One line for the README table.
     pub doc: &'static str,
 }
@@ -165,8 +162,8 @@ pub fn load<C>(
     issues
 }
 
-/// The process environment as a [`load`] lookup — the only place the
-/// engine, the facade and the server read configuration from it.
+/// The process environment as a [`load`] lookup. Only the
+/// `cypher-server` binary passes it.
 pub fn process_env(var: &str) -> Option<OsString> {
     std::env::var_os(var)
 }
@@ -220,45 +217,22 @@ macro_rules! choice {
     };
 }
 
-const PARTIAL_AGG: [PartialAggMode; 2] = [PartialAggMode::Off, PartialAggMode::Auto];
-const WCO_JOIN: [WcoJoinMode; 3] = [WcoJoinMode::Off, WcoJoinMode::Auto, WcoJoinMode::Force];
 const FSYNC: [FsyncMode; 2] = [FsyncMode::Os, FsyncMode::Sync];
 
-/// The engine's rows: every `CYPHER_*` variable [`EngineConfig`] reads.
-pub static ENGINE_KNOBS: [Knob<EngineConfig>; 10] = [
+/// The engine's rows: every `CYPHER_*` variable `cypher-server` overlays
+/// on an [`EngineConfig`]. A variable stays only while a deployment sets
+/// it.
+pub static ENGINE_KNOBS: [Knob<EngineConfig>; 7] = [
     Knob {
         var: "CYPHER_NUM_THREADS",
         field: "num_threads",
         access: int!(num_threads as usize, min 1),
-        set_by: "deployment; CI `exec-matrix`, `views`",
         doc: "worker threads of the morsel pool; any count returns the same row sequence",
-    },
-    Knob {
-        var: "CYPHER_MORSEL_SIZE",
-        field: "morsel_size",
-        access: int!(morsel_size as usize, min 1),
-        set_by: "CI `exec-matrix`, `views`",
-        doc: "rows per batch between operators and per claimed unit of parallel scan work",
-    },
-    Knob {
-        var: "CYPHER_PARTIAL_AGG",
-        field: "partial_agg",
-        access: choice!(partial_agg, &["off", "auto"], PARTIAL_AGG),
-        set_by: "deployment",
-        doc: "run the final aggregate / `DISTINCT` / top-k / plain projection inside the pipeline; `off` keeps all of them, a plain `RETURN` included, on the collect-then-project path",
-    },
-    Knob {
-        var: "CYPHER_WCO_JOIN",
-        field: "wco_join",
-        access: choice!(wco_join, &["off", "auto", "force"], WCO_JOIN),
-        set_by: "CI `cyclic-join` (`force`)",
-        doc: "bind cycle-closing variables by `MultiwayIntersect` never / by cost / always",
     },
     Knob {
         var: "CYPHER_PLAN_CACHE_SIZE",
         field: "plan_cache_size",
         access: int!(plan_cache_size as usize, min 0),
-        set_by: "deployment",
         doc: "entries of the `Database` parse+plan LRU; 0 disables it",
     },
     Knob {
@@ -268,21 +242,18 @@ pub static ENGINE_KNOBS: [Knob<EngineConfig>; 10] = [
             get: |c| c.persistence.clone().map(Into::into),
             set: |c, dir| c.persistence = Some(dir.into()),
         },
-        set_by: "deployment",
         doc: "data directory of the durable store; unset keeps the graph in memory",
     },
     Knob {
         var: "CYPHER_WAL_COMPACT_BYTES",
         field: "wal_compact_bytes",
         access: int!(wal_compact_bytes as u64, min 1),
-        set_by: "deployment",
         doc: "WAL size beyond which a commit triggers snapshot + truncation",
     },
     Knob {
         var: "CYPHER_FSYNC_MODE",
         field: "fsync_mode",
         access: choice!(fsync_mode, &["os", "sync"], FSYNC),
-        set_by: "deployment; CI `concurrency-write`",
         doc: "when a sealed commit group is forced to stable storage",
     },
     Knob {
@@ -294,23 +265,21 @@ pub static ENGINE_KNOBS: [Knob<EngineConfig>; 10] = [
             get: |c| c.slow_query_ms,
             set: |c, v| c.slow_query_ms = Some(v),
         },
-        set_by: "deployment",
         doc: "log one structured line per statement at or above this latency; 0 logs all",
     },
     Knob {
         var: "CYPHER_METRICS",
         field: "metrics_enabled",
         access: choice!(metrics_enabled, &["off", "on"], [false, true]),
-        set_by: "deployment",
         doc: "record metrics at all; off, every instrument stays at zero",
     },
 ];
 
-impl EngineConfig {
-    /// Every field at its built-in value, the environment ignored — the
-    /// base [`EngineConfig::default`] overlays [`ENGINE_KNOBS`] on, and
-    /// the source of the README table's defaults.
-    pub fn builtin() -> EngineConfig {
+impl Default for EngineConfig {
+    /// Every field at its built-in value: the configuration a caller
+    /// changes field by field, and the source of the README table's
+    /// defaults.
+    fn default() -> Self {
         EngineConfig {
             match_config: MatchConfig::default(),
             planner_mode: PlannerMode::default(),
@@ -329,38 +298,5 @@ impl EngineConfig {
             metrics_enabled: true,
             exec_metrics: None,
         }
-    }
-}
-
-/// The environment's engine configuration, read once. The CI matrix uses
-/// these overrides to run the whole suite under degenerate morsels and a
-/// multi-threaded pool without touching any test.
-fn env_defaults() -> &'static (EngineConfig, Vec<EnvConfigIssue>) {
-    static CACHE: std::sync::OnceLock<(EngineConfig, Vec<EnvConfigIssue>)> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(|| {
-        let mut cfg = EngineConfig::builtin();
-        let issues = load(&ENGINE_KNOBS, &mut cfg, &process_env);
-        for issue in &issues {
-            eprintln!("warning: ignoring environment override {issue}");
-        }
-        (cfg, issues)
-    })
-}
-
-/// The malformed `CYPHER_*` environment overrides found when the
-/// execution defaults were first read (empty when every override was
-/// well-formed). Each was replaced by its built-in default and printed
-/// to stderr once; this accessor lets embedders surface them their own
-/// way (or fail hard on them).
-pub fn env_config_issues() -> &'static [EnvConfigIssue] {
-    &env_defaults().1
-}
-
-impl Default for EngineConfig {
-    /// [`EngineConfig::builtin`] overlaid with the process environment's
-    /// [`ENGINE_KNOBS`].
-    fn default() -> Self {
-        env_defaults().0.clone()
     }
 }

@@ -351,6 +351,8 @@ mod tests {
     #[test]
     fn affected_rows_match_brute_force_diff() {
         let params = Params::new();
+        // The built-in cell: `tests/view_maintenance.rs` folds deltas at
+        // the other cells.
         let cfg = EngineConfig::default();
 
         // Old graph: a chain with properties.

@@ -32,7 +32,9 @@ use std::sync::Arc;
 /// Engine configuration: pattern-matching semantics, the plan strategy,
 /// which secondary indexes the planner may exploit, the batch/thread
 /// knobs of the morsel-driven runtime, and the durability knobs the
-/// `Database` facade consumes.
+/// `Database` facade consumes. `Default` is the built-in configuration;
+/// no library reads the environment (only the `cypher-server` binary
+/// overlays `CYPHER_*`, see [`crate::config`]).
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Morphism mode and variable-length safeguards (shared with the
@@ -47,44 +49,41 @@ pub struct EngineConfig {
     /// (on by default).
     pub use_property_index: bool,
     /// Worst-case-optimal join policy for cyclic `MATCH` patterns.
-    /// Defaults to [`WcoJoinMode::Auto`] (cost-based); override with
-    /// `CYPHER_WCO_JOIN` (`off` / `auto` / `force`). Never changes
+    /// Defaults to [`WcoJoinMode::Auto`] (cost-based). Never changes
     /// results — only whether cycle-closing variables are bound by a
     /// `MultiwayIntersect` or an `Expand` chain.
     pub wco_join: WcoJoinMode,
     /// Rows per batch (morsel) flowing between operators, and the
     /// granularity at which parallel workers claim scan work. Defaults to
-    /// 1024 (override with the `CYPHER_MORSEL_SIZE` environment variable;
-    /// clamped to ≥ 1 at execution time).
+    /// 1024 (clamped to ≥ 1 at execution time).
     pub morsel_size: usize,
     /// Worker threads for morsel-parallel `MATCH` pipelines. `1` (the
-    /// default; override with `CYPHER_NUM_THREADS`) runs the classic
+    /// default; `cypher-server` reads `CYPHER_NUM_THREADS`) runs the classic
     /// single-threaded executor with zero dispatch overhead and
     /// reproduces its output bit-for-bit. Any higher count produces the
     /// *same row sequence* — morsels are merged in claim-index order, so
     /// results never depend on thread scheduling.
     pub num_threads: usize,
-    /// Data directory for the durable storage engine. `None` (the default
-    /// when the `CYPHER_DATA_DIR` environment variable is unset) keeps the
-    /// graph purely in memory. The engine's executors ignore this knob —
+    /// Data directory for the durable storage engine. `None` (the default;
+    /// `cypher-server` reads `CYPHER_DATA_DIR`) keeps the graph purely in
+    /// memory. The engine's executors ignore this knob —
     /// the `cypher::Database` facade consumes it to open a write-ahead
     /// log + snapshot store and commit each query's mutations as one
     /// atomic batch.
     pub persistence: Option<std::path::PathBuf>,
     /// Snapshot-compaction trigger: when the WAL grows beyond this many
     /// bytes, the `Database` facade checkpoints (snapshot + WAL truncate).
-    /// Defaults to 4 MiB; override with `CYPHER_WAL_COMPACT_BYTES`.
+    /// Defaults to 4 MiB (`CYPHER_WAL_COMPACT_BYTES` in `cypher-server`).
     pub wal_compact_bytes: u64,
     /// Whether the aggregating/`DISTINCT`/`ORDER BY … LIMIT`/plain
     /// projection that ends a segment is pushed down into the morsel
     /// pipeline (partial aggregation / top-k / per-batch projection).
-    /// Defaults to [`PartialAggMode::Auto`];
-    /// override with `CYPHER_PARTIAL_AGG` (`off` / `auto`).
+    /// Defaults to [`PartialAggMode::Auto`].
     /// Never changes results — only where the folding happens.
     pub partial_agg: PartialAggMode,
     /// Capacity of the `cypher::Database` parse+plan LRU cache (entries);
-    /// `0` disables caching. Defaults to 128; override with
-    /// `CYPHER_PLAN_CACHE_SIZE`. The stateless `run`/`run_read` helpers
+    /// `0` disables caching. Defaults to 128 (`CYPHER_PLAN_CACHE_SIZE` in
+    /// `cypher-server`). The stateless `run`/`run_read` helpers
     /// ignore this knob — only the `Database` facade holds a cache.
     pub plan_cache_size: usize,
     /// Whether the `Database` write path coalesces concurrently-arriving
@@ -97,23 +96,22 @@ pub struct EngineConfig {
     /// writers pays.
     pub group_commit: bool,
     /// When the durable write path forces sealed groups to stable
-    /// storage. Defaults to [`FsyncMode::Os`]; override with
-    /// `CYPHER_FSYNC_MODE` (`os` / `sync`).
+    /// storage. Defaults to [`FsyncMode::Os`] (`CYPHER_FSYNC_MODE` in
+    /// `cypher-server`).
     pub fsync_mode: FsyncMode,
     /// Slow-query threshold in milliseconds: the `cypher::Database`
     /// facade emits one structured log entry for every query whose wall
     /// time meets or exceeds it (`0` logs everything). `None` (the
-    /// default when `CYPHER_SLOW_QUERY_MS` is unset) disables the log.
+    /// default; `CYPHER_SLOW_QUERY_MS` in `cypher-server`) disables the log.
     pub slow_query_ms: Option<u64>,
     /// Whether the engine and the `Database` facade record metrics at
-    /// all. On by default; override with `CYPHER_METRICS` (`on` / `off`).
+    /// all. On by default (`CYPHER_METRICS` in `cypher-server`).
     /// Off, every counter site is skipped — the hot path carries no
     /// atomic traffic.
     pub metrics_enabled: bool,
     /// Executor counters ([`crate::ops::ExecMetrics`]) shared by the
     /// owning `Database`, recorded once per pipeline run. `None` (the
-    /// default) records nothing; the field never enters the plan-cache
-    /// fingerprint.
+    /// default) records nothing.
     pub exec_metrics: Option<std::sync::Arc<crate::ops::ExecMetrics>>,
 }
 
@@ -937,6 +935,8 @@ mod tests {
         g
     }
 
+    /// The built-in cell only: `tests/formal_semantics.rs` runs these
+    /// figure-4 queries at every cell of `cypher_tck::diff`.
     fn run(g: &PropertyGraph, src: &str) -> Table {
         run_at(g, src, &EngineConfig::default())
     }

@@ -65,7 +65,7 @@ mod pushdown;
 pub mod update;
 
 pub use cache::{stats_fingerprint, PlanMemo};
-pub use config::{env_config_issues, EnvConfigIssue};
+pub use config::EnvConfigIssue;
 pub use delta::{expr_rescans_graph, DeltaPlan};
 pub use exec::{
     execute, execute_cached, execute_read, execute_read_cached, explain, profile_read,

@@ -132,6 +132,8 @@ mod tests {
         cat
     }
 
+    /// The built-in cell: catalog queries run the one clause loop the
+    /// differential suites sweep at every cell.
     fn run(cat: &mut Catalog, q: &str) -> Result<MultiResult, EvalError> {
         let (q, cfg) = (parse_query(q).unwrap(), EngineConfig::default());
         execute_on_catalog(cat, "soc_net", &q, &Params::new(), &cfg)

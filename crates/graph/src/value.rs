@@ -452,9 +452,9 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
+/// `ORDER BY`'s total order on numbers: IEEE order, NaN after the rest.
 #[inline]
-fn cmp_f64(a: f64, b: f64) -> Ordering {
-    // NaN sorts after every other number (openCypher orderability).
+pub fn cmp_f64(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (true, true) => Ordering::Equal,
         (true, false) => Ordering::Greater,

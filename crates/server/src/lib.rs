@@ -57,7 +57,7 @@
 
 #![warn(missing_docs)]
 
-use cypher::config::{self, Access, Knob};
+use cypher::config::{Access, Knob};
 use cypher::metrics::{Counter, Gauge};
 use cypher::{Database, Error, Params, Session, SubscriptionPoll, ViewSubscription};
 use cypher_wire::{
@@ -111,7 +111,6 @@ pub static SERVER_KNOBS: [Knob<ServerConfig>; 2] = [
             get: |c| Some(c.max_connections as u64),
             set: |c, v| c.max_connections = v as usize,
         },
-        set_by: "deployment",
         doc: "connections served at once; one past the cap is answered `Limit` and closed",
     },
     Knob {
@@ -123,7 +122,6 @@ pub static SERVER_KNOBS: [Knob<ServerConfig>; 2] = [
             get: |c| Some(c.max_frame_bytes as u64),
             set: |c, v| c.max_frame_bytes = v as u32,
         },
-        set_by: "deployment",
         doc: "frame payload cap, enforced before allocation on receive and send",
     },
 ];
@@ -140,22 +138,8 @@ pub static LISTEN_KNOB: [Knob<String>; 1] = [Knob {
         get: |addr| Some(addr.into()),
         set: |addr, v| *addr = v.to_string_lossy().into_owned(),
     },
-    set_by: "deployment",
     doc: "address `cypher-server` binds",
 }];
-
-impl ServerConfig {
-    /// Defaults overlaid with the process environment's [`SERVER_KNOBS`].
-    /// A malformed or zero value keeps its default — the server must not
-    /// start wide open because of a typo — and is **reported** on stderr.
-    pub fn from_env() -> ServerConfig {
-        let mut cfg = ServerConfig::default();
-        for issue in config::load(&SERVER_KNOBS, &mut cfg, &config::process_env) {
-            eprintln!("warning: ignoring environment override {issue}");
-        }
-        cfg
-    }
-}
 
 /// Maps an engine error onto its wire error code. The message sent to
 /// the client is always the engine's own rendering (`Error::to_string`).

@@ -38,7 +38,7 @@ use std::fmt::Display;
 use std::ops::Range;
 use Policy::*;
 
-/// A plan policy: [`EngineConfig::builtin`], or one planning choice
+/// A plan policy: `EngineConfig::default()`, or one planning choice
 /// turned away from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Policy {
@@ -57,15 +57,16 @@ pub enum Policy {
 }
 
 /// A cell: a plan policy at a thread count and a morsel size, built from
-/// [`EngineConfig::builtin`] so it means the same under every `CYPHER_*`
-/// environment.
+/// `EngineConfig::default()`.
 pub type Cell = (Policy, usize, usize);
 
-/// The engine configuration of `cell` under `matching`.
-fn config((policy, threads, morsel): Cell, matching: MatchConfig) -> EngineConfig {
+/// The engine configuration of `cell` under `matching`: the one place a
+/// suite turns a cell into an [`EngineConfig`]. Suites that also set
+/// other fields (durability, the plan cache) start from it.
+pub fn config((policy, threads, morsel): Cell, matching: MatchConfig) -> EngineConfig {
     let c = EngineConfig {
         match_config: matching,
-        ..EngineConfig::builtin()
+        ..EngineConfig::default()
     };
     let c = c.with_threads(threads).with_morsel_size(morsel);
     match policy {

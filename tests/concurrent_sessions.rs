@@ -24,12 +24,17 @@
 //!
 //! Workload count is tunable via `CYPHER_CONC_WORKLOADS` (default 200,
 //! the acceptance floor); reader-thread count via `CYPHER_CONC_READERS`
-//! (default 3; CI runs 2 and 8).
+//! (default 3; CI runs 2 and 8). Every eighth workload runs one of the
+//! other engine cells of `cypher_tck::diff::LIGHT` in turn (thread
+//! counts, morsel sizes, every cycle intersected), the rest the built-in
+//! cell; failure messages name the cell.
 
 use cypher::workload::{harness_knob, harness_override, QueryGenerator};
 use cypher::{
-    run_read_with, run_reference, run_with, Database, EngineConfig, Params, PropertyGraph, Table,
+    run_read_with, run_reference, run_with, Database, EngineConfig, MatchConfig, Params,
+    PropertyGraph, Table,
 };
+use cypher_tck::diff::{config, Cell, LIGHT};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -42,17 +47,17 @@ fn reader_count() -> usize {
     harness_knob("CYPHER_CONC_READERS", 3, 1) as usize
 }
 
-/// The engine configuration of both the live database and the oracle.
-/// The plan cache is disabled so every query is planned freshly against
+/// The engine configuration of both the live database and the oracle at
+/// `cell`. The plan cache is disabled so every query is planned freshly against
 /// the statistics of its own snapshot — that makes *row order* (not just
 /// the multiset) a pure function of the pinned version, which is what
 /// the exact-sequence assertion needs. Plan-cache sharing across
 /// sessions has its own suite (`tests/plan_cache.rs`).
-fn conc_cfg() -> EngineConfig {
+fn conc_cfg(cell: Cell) -> EngineConfig {
     EngineConfig {
         persistence: None,
         plan_cache_size: 0,
-        ..EngineConfig::default()
+        ..config(cell, MatchConfig::default())
     }
 }
 
@@ -153,8 +158,16 @@ fn check_against_oracle(
 /// Runs one generated workload; returns how many reader queries were
 /// observed to complete while a write batch was open.
 fn run_workload(seed: u64, readers: usize, params: &Params) -> usize {
-    let label = format!("workload {seed}");
-    let cfg = conc_cfg();
+    // Every eighth workload takes the next of the other cells of `LIGHT`;
+    // the rest run the built-in cell. Readers cycle until the writer is
+    // done, so a slower cell also means more observations to replay.
+    let others = &LIGHT[1..];
+    let cell = match seed % 8 {
+        7 => others[(seed / 8) as usize % others.len()],
+        _ => LIGHT[0],
+    };
+    let label = format!("workload {seed} at {cell:?}");
+    let cfg = conc_cfg(cell);
 
     // Deterministic statement streams: a seeding prefix, then the
     // concurrent update stream. One mid-stream statement is a *bulk*
@@ -335,7 +348,7 @@ fn concurrent_readers_match_the_sequential_oracle_at_their_pinned_versions() {
 #[test]
 fn long_pin_stays_frozen_under_write_pressure() {
     let params = Params::new();
-    let db = Database::open_with(conc_cfg()).expect("in-memory open");
+    let db = Database::open_with(conc_cfg(LIGHT[0])).expect("in-memory open");
     let mut writer = db.session();
     let mut pinned = db.session();
     let mut head = db.session();
@@ -377,7 +390,7 @@ fn long_pin_stays_frozen_under_write_pressure() {
 #[test]
 fn readers_complete_while_one_write_batch_is_open() {
     let params = Params::new();
-    let db = Database::open_with(conc_cfg()).expect("in-memory open");
+    let db = Database::open_with(conc_cfg(LIGHT[0])).expect("in-memory open");
     let mut seeder = db.session();
     seeder.query("CREATE (:Seed {v: 1})", &params).unwrap();
     let base = db.version();

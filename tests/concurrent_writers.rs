@@ -9,8 +9,9 @@
 //! are assigned at admission).
 //!
 //! What must hold, for every generated workload and every knob cell
-//! (`EngineConfig::group_commit` on/off, set by the tests themselves ×
-//! `CYPHER_FSYNC_MODE` os/sync × 2–8 writers):
+//! (`EngineConfig::group_commit` on/off × `FsyncMode` os/sync, set by
+//! the tests themselves × 2–8 writers; workloads take the engine cells
+//! of `cypher_tck::diff::LIGHT` in turn):
 //!
 //! * **serializability witness** — the final graph is bit-identical
 //!   (canonical dump, indexes included) to the oracle's replay of the
@@ -39,9 +40,10 @@
 
 use cypher::workload::{harness_knob, harness_override, QueryGenerator};
 use cypher::{
-    run_read_with, run_reference, run_with, Database, EngineConfig, FsyncMode, Params,
+    run_read_with, run_reference, run_with, Database, EngineConfig, FsyncMode, MatchConfig, Params,
     PropertyGraph, Table,
 };
+use cypher_tck::diff::{config, Cell, LIGHT};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -76,17 +78,22 @@ fn fresh_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Base configuration of both the live database and the oracle. The
-/// plan cache is off so reader row *order* is a pure function of the
-/// pinned version (same rationale as `tests/concurrent_sessions.rs`);
-/// `group_commit` / `fsync_mode` stay at whatever `EngineConfig::default`
-/// resolved — i.e. the CI matrix cell's env vars.
-fn base_cfg() -> EngineConfig {
+/// Base configuration of both the live database and the oracle for
+/// workload `seed`: the seed's cell of `LIGHT`, in memory, with group
+/// commit on and `FsyncMode::Os` unless a test sets them. The plan cache
+/// is off so reader row *order* is a pure function of the pinned version
+/// (same rationale as `tests/concurrent_sessions.rs`).
+fn base_cfg(seed: u64) -> EngineConfig {
     EngineConfig {
         persistence: None,
         plan_cache_size: 0,
-        ..EngineConfig::default()
+        ..config(cell(seed), MatchConfig::default())
     }
+}
+
+/// The engine cell of workload `seed`: the cells of `LIGHT` in turn.
+fn cell(seed: u64) -> Cell {
+    LIGHT[seed as usize % LIGHT.len()]
 }
 
 /// One committed write: the version the ticket acknowledged, the
@@ -109,7 +116,7 @@ struct Observation {
 /// the sequential oracle. When `cfg.persistence` is set, also closes,
 /// reopens and proves the recovered state.
 fn run_workload(seed: u64, writers: usize, readers: usize, cfg: &EngineConfig, params: &Params) {
-    let label = format!("workload {seed}");
+    let label = format!("workload {seed} at {:?}", cell(seed));
 
     // Deterministic statement streams: a seeding prefix every side
     // agrees on, then one disjoint update stream per writer.
@@ -345,9 +352,8 @@ fn racing_writers_serialize_to_the_oracle_in_commit_version_order() {
     let params = Params::new();
     let writers = writer_count();
     let readers = reader_count();
-    let cfg = base_cfg();
     for seed in seeds(workload_count()) {
-        run_workload(seed, writers, readers, &cfg, &params);
+        run_workload(seed, writers, readers, &base_cfg(seed), &params);
     }
 }
 
@@ -357,9 +363,9 @@ fn serial_commit_mode_matches_the_oracle_too() {
     // one — the serial baseline must be just as correct under writer
     // contention.
     let params = Params::new();
-    let mut cfg = base_cfg();
-    cfg.group_commit = false;
     for seed in seeds(8) {
+        let mut cfg = base_cfg(seed);
+        cfg.group_commit = false;
         run_workload(seed, writer_count(), reader_count(), &cfg, &params);
     }
 }
@@ -371,7 +377,7 @@ fn durable_multi_writer_runs_survive_reopen_in_every_fsync_mode() {
     let params = Params::new();
     for seed in seeds(4) {
         let dir = fresh_dir(&format!("durable-sync-{seed}"));
-        let mut cfg = base_cfg();
+        let mut cfg = base_cfg(seed);
         cfg.persistence = Some(dir);
         cfg.fsync_mode = FsyncMode::Sync;
         run_workload(seed, writer_count(), reader_count(), &cfg, &params);
@@ -389,9 +395,9 @@ fn fsync_fault_poisons_followers_and_keeps_the_durable_prefix() {
     let params_owned = Params::new();
     let params = &params_owned;
     for seed in seeds(6) {
-        let label = format!("workload {seed}");
+        let label = format!("workload {seed} at {:?}", cell(seed));
         let dir = fresh_dir(&format!("fault-{seed}"));
-        let mut cfg = base_cfg();
+        let mut cfg = base_cfg(seed);
         cfg.persistence = Some(dir.clone());
         cfg.fsync_mode = FsyncMode::Sync;
 

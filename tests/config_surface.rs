@@ -95,7 +95,7 @@ fn check_rows<C>(rows: &'static [Knob<C>], base: impl Fn() -> C) {
 
 #[test]
 fn every_row_takes_good_values_and_reports_bad_ones() {
-    check_rows(&ENGINE_KNOBS, EngineConfig::builtin);
+    check_rows(&ENGINE_KNOBS, EngineConfig::default);
     check_rows(&SERVER_KNOBS, ServerConfig::default);
     check_rows(&LISTEN_KNOB, || DEFAULT_LISTEN.to_string());
 }
@@ -107,7 +107,7 @@ fn non_utf8_values_are_paths_or_reported() {
     use std::os::unix::ffi::OsStringExt;
     let raw = OsString::from_vec(vec![b'/', 0xff, b'd']);
     let lookup = |_: &str| Some(raw.clone());
-    let mut cfg = EngineConfig::builtin();
+    let mut cfg = EngineConfig::default();
     let issues = config::load(&ENGINE_KNOBS, &mut cfg, &lookup);
     assert_eq!(cfg.persistence.as_deref(), Some(raw.as_ref()));
     assert_eq!(issues.len(), ENGINE_KNOBS.len() - 1, "all but the path");
@@ -118,7 +118,7 @@ fn non_utf8_values_are_paths_or_reported() {
 
 #[test]
 fn rows_write_the_fields_they_name() {
-    let mut cfg = EngineConfig::builtin();
+    let mut cfg = EngineConfig::default();
     let set = env(&[
         ("CYPHER_NUM_THREADS", "4"),
         ("CYPHER_MORSEL_SIZE", "64"),
@@ -133,18 +133,18 @@ fn rows_write_the_fields_they_name() {
         ("CYPHER_GROUP_COMMIT", "off"),
     ]);
     assert!(config::load(&ENGINE_KNOBS, &mut cfg, &set).is_empty());
-    assert_eq!(
-        (cfg.num_threads, cfg.morsel_size, cfg.plan_cache_size),
-        (4, 64, 0)
-    );
-    assert_eq!(cfg.partial_agg, PartialAggMode::Off);
-    assert_eq!(cfg.wco_join, WcoJoinMode::Off);
+    assert_eq!((cfg.num_threads, cfg.plan_cache_size), (4, 0));
     assert_eq!(cfg.persistence.as_deref(), Some("/tmp/cy".as_ref()));
     assert_eq!(cfg.wal_compact_bytes, 4096);
     assert_eq!(cfg.fsync_mode, FsyncMode::Sync);
     assert_eq!(cfg.slow_query_ms, Some(250));
     assert!(!cfg.metrics_enabled);
-    assert!(cfg.group_commit, "group commit is a field, not a variable");
+    // Fields, not variables: the plan and execution policies are cells
+    // of the test suites, never deployment settings.
+    assert!(cfg.group_commit);
+    assert_eq!(cfg.morsel_size, EngineConfig::default().morsel_size);
+    assert_eq!(cfg.partial_agg, PartialAggMode::Auto);
+    assert_eq!(cfg.wco_join, WcoJoinMode::Auto);
 
     let mut server = ServerConfig::default();
     let set = env(&[
@@ -170,30 +170,22 @@ fn rows_write_the_fields_they_name() {
 /// and the field keeps its default.
 #[test]
 fn removed_modes_are_reported_like_unknown_tokens() {
-    let cases = [
-        (
-            "CYPHER_FSYNC_MODE",
-            "pipelined",
-            "expected os/sync; using default os",
-        ),
-        (
-            "CYPHER_PARTIAL_AGG",
-            "force",
-            "expected off/auto; using default auto",
-        ),
-    ];
+    let cases = [(
+        "CYPHER_FSYNC_MODE",
+        "pipelined",
+        "expected os/sync; using default os",
+    )];
     for (var, value, message) in cases {
-        let mut cfg = EngineConfig::builtin();
+        let mut cfg = EngineConfig::default();
         let issues = config::load(&ENGINE_KNOBS, &mut cfg, &env(&[(var, value)]));
         let issues: Vec<String> = issues.iter().map(ToString::to_string).collect();
         assert_eq!(issues, [format!("{var}=\"{value}\": {message}")]);
         assert_eq!(cfg.fsync_mode, FsyncMode::Os);
-        assert_eq!(cfg.partial_agg, PartialAggMode::Auto);
     }
 }
 
 /// One README table line per row: variable · field · default · accepted
-/// values · who sets it · effect.
+/// values · effect.
 fn readme_lines<C>(prefix: &str, rows: &[Knob<C>], base: &C) -> Vec<String> {
     let line = |row: &Knob<C>| {
         let accepts = match &row.access {
@@ -202,11 +194,10 @@ fn readme_lines<C>(prefix: &str, rows: &[Knob<C>], base: &C) -> Vec<String> {
             Access::Text { .. } => "text".to_string(),
         };
         format!(
-            "| `{}` | `{prefix}{}` | `{}` | {accepts} | {} | {} |",
+            "| `{}` | `{prefix}{}` | `{}` | {accepts} | {} |",
             row.var,
             row.field,
             row.value(base),
-            row.set_by,
             row.doc
         )
     };
@@ -216,13 +207,13 @@ fn readme_lines<C>(prefix: &str, rows: &[Knob<C>], base: &C) -> Vec<String> {
 #[test]
 fn readme_knob_table_is_the_rows() {
     let mut table = vec![
-        "| variable | field | default | accepts | set by | effect |".to_string(),
-        "|---|---|---|---|---|---|".to_string(),
+        "| variable | field | default | accepts | effect |".to_string(),
+        "|---|---|---|---|---|".to_string(),
     ];
     table.extend(readme_lines(
         "EngineConfig::",
         &ENGINE_KNOBS,
-        &EngineConfig::builtin(),
+        &EngineConfig::default(),
     ));
     table.extend(readme_lines(
         "ServerConfig::",
@@ -286,8 +277,10 @@ fn metrics_pages_keep_every_line_and_add_the_config_block() {
         .iter()
         .position(|l| l.contains("cypher_server_"))
         .expect("the golden page ends with the server's instruments");
-    let mut cfg = EngineConfig::builtin();
-    cfg.slow_query_ms = Some(250);
+    let cfg = EngineConfig {
+        slow_query_ms: Some(250),
+        ..EngineConfig::default()
+    };
 
     let db = Database::open_with(cfg.clone()).expect("open");
     let text = db.metrics_snapshot().text;

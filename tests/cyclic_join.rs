@@ -3,7 +3,7 @@
 //! (triangles, diamonds, 4-cycles) must produce
 //!
 //! * the **same row sequence** at every thread count and morsel size
-//!   *within* one plan policy (`CYPHER_WCO_JOIN` force / off / auto) —
+//!   *within* one plan policy (`WcoJoinMode` force / off / auto) —
 //!   morsel-order merging makes parallel output bit-identical to
 //!   sequential output, intersection operators included;
 //! * the **same sorted multiset** *across* plan policies and against the

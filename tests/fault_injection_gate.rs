@@ -15,6 +15,8 @@ fn fault_injection_is_inert_without_the_env_guard() {
     );
     let dir = std::env::temp_dir().join(format!("cypher-fault-gate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    // The built-in cell: the guard is read before any statement runs,
+    // so no execution field can reach it.
     let cfg = EngineConfig {
         persistence: Some(dir.clone()),
         group_commit: false,

@@ -24,9 +24,8 @@
 //! numbers do not move with the CI matrix's environment.
 
 use cypher::workload::powerlaw_social;
-use cypher::{
-    run_read_with, EngineConfig, Params, PartialAggMode, PropertyGraph, Table, Value, WcoJoinMode,
-};
+use cypher::{run_read_with, EngineConfig, MatchConfig, Params, PropertyGraph, Table, Value};
+use cypher_tck::diff::{config, Policy, Policy::*};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -110,11 +109,9 @@ fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1 << 20) as f64
 }
 
-fn cfg(threads: usize) -> EngineConfig {
-    EngineConfig::default()
-        .with_threads(threads)
-        .with_morsel_size(1024)
-        .with_partial_agg(PartialAggMode::Auto)
+/// The `cypher_tck::diff` cell `(policy, threads, 1024)`.
+fn cfg(policy: Policy, threads: usize) -> EngineConfig {
+    config((policy, threads, 1024), MatchConfig::default())
 }
 
 fn run(g: &PropertyGraph, q: &str, c: &EngineConfig) -> Table {
@@ -149,17 +146,17 @@ fn seeks_and_scans_stay_within_their_allocation_budgets() {
     let g = accounts(NODES);
     let label_only = EngineConfig {
         use_property_index: false,
-        ..cfg(1)
+        ..cfg(Builtin, 1)
     };
     let per_row = |allocations: u64| allocations as f64 / NODES as f64;
 
     let point = "MATCH (n:Account {serial: 31337}) RETURN n.shard";
-    let (out, seek) = heap_of(|| run(&g, point, &cfg(1)));
+    let (out, seek) = heap_of(|| run(&g, point, &cfg(Builtin, 1)));
     assert_eq!(out.len(), 1);
     let (out, label_scan) = heap_of(|| run(&g, point, &label_only));
     assert_eq!(out.len(), 1);
     let filtered = "MATCH (n:Account) WHERE n.serial = 99999 RETURN n.shard";
-    let (out, scan) = heap_of(|| run(&g, filtered, &cfg(1)));
+    let (out, scan) = heap_of(|| run(&g, filtered, &cfg(Builtin, 1)));
     assert_eq!(out.len(), 1);
     // One thread scans in `ItemScan`, four cut the scan into `MorselScan`s
     // (the `DISTINCT` ends the seek's segment, so the scan anchors the
@@ -167,7 +164,7 @@ fn seeks_and_scans_stay_within_their_allocation_budgets() {
     let driven = "MATCH (a:Account {serial: 0}) WITH DISTINCT a MATCH (n:Account) \
                   WHERE n.serial = a.serial + 99999 RETURN n.shard";
     let driven_scans = [1, 4].map(|threads| {
-        let (out, heap) = heap_of(|| run(&g, driven, &cfg(threads)));
+        let (out, heap) = heap_of(|| run(&g, driven, &cfg(Builtin, threads)));
         assert_eq!(out.len(), 1);
         (threads, heap)
     });
@@ -212,7 +209,7 @@ fn function_calls_and_string_literals_allocate_like_a_property_read() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let g = accounts(NODES);
     let allocations = |q: &str| {
-        let (out, heap) = heap_of(|| run(&g, q, &cfg(1)));
+        let (out, heap) = heap_of(|| run(&g, q, &cfg(Builtin, 1)));
         assert_eq!(out.len(), NODES, "{q}");
         heap.allocations
     };
@@ -269,7 +266,7 @@ fn grouped_folds_allocate_only_the_scanned_row() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let g = grouping_graph();
     let per_row = |q: &str| {
-        let (out, heap) = heap_of(|| run(&g, q, &cfg(1)));
+        let (out, heap) = heap_of(|| run(&g, q, &cfg(Builtin, 1)));
         assert!(!out.is_empty(), "{q}");
         heap.allocations as f64 / NODES as f64
     };
@@ -303,7 +300,7 @@ fn chained_expands_allocate_per_batch_not_per_row() {
     let g = powerlaw_social(300, 4, 1);
     let q = "MATCH (p:Person)-[:FOLLOWS]->(:Person)-[:FOLLOWS]->(:Person)-[:FOLLOWS]->(:Person)\
              -[:FOLLOWS]->(:Person)-[:FOLLOWS]->(f:Person) RETURN count(*) AS c";
-    let (out, heap) = heap_of(|| run(&g, q, &cfg(1)));
+    let (out, heap) = heap_of(|| run(&g, q, &cfg(Builtin, 1)));
     let rows = out.cell(0, "c").and_then(Value::as_int).unwrap();
     let per_row = heap.allocations as f64 / rows as f64;
     println!(
@@ -326,7 +323,7 @@ fn chained_expands_allocate_per_batch_not_per_row() {
 fn pushed_down_folds_keep_their_peak_flat_in_the_input_rows() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let g = grouping_graph();
-    let baseline = cfg(1).with_partial_agg(PartialAggMode::Off);
+    let baseline = cfg(NoPartialAgg, 1);
     let peak = |q: &str, c: &EngineConfig| heap_of(|| run(&g, q, c)).1.peak_bytes;
 
     let group_x1 = "MATCH (n:R) RETURN n.v AS g, count(*) AS c, sum(n.u) AS s";
@@ -336,9 +333,9 @@ fn pushed_down_folds_keep_their_peak_flat_in_the_input_rows() {
                     RETURN n.v AS g, count(*) AS c, sum(n.u) AS s";
     let base_x1 = peak(group_x1, &baseline);
     let base_x4 = peak(group_x4, &baseline);
-    let fused_x1 = peak(group_x1, &cfg(1));
-    let fused_x4 = peak(group_x4, &cfg(1));
-    let fused_x4_par = peak(group_x4, &cfg(4));
+    let fused_x1 = peak(group_x1, &cfg(Builtin, 1));
+    let fused_x4 = peak(group_x4, &cfg(Builtin, 1));
+    let fused_x4_par = peak(group_x4, &cfg(Builtin, 4));
     println!(
         "group-by peak ({NODES} nodes): merged-table 1x {:.1} MiB, 4x {:.1} MiB; \
          fused 1x {:.1} MiB, 4x {:.1} MiB, 4x on 4 threads {:.1} MiB",
@@ -368,7 +365,7 @@ fn pushed_down_folds_keep_their_peak_flat_in_the_input_rows() {
 
     let topk_x4 = "MATCH (k:K) MATCH (n:R) RETURN n.u AS u ORDER BY u DESC LIMIT 10";
     let topk_base = peak(topk_x4, &baseline);
-    let topk_fused = peak(topk_x4, &cfg(1));
+    let topk_fused = peak(topk_x4, &cfg(Builtin, 1));
     println!(
         "top-k peak ({NODES} nodes x 4): full sort {:.1} MiB, bounded heap {:.1} MiB",
         mib(topk_base),
@@ -389,7 +386,7 @@ fn intersection_join_streams_a_triangle_count() {
     let g = powerlaw_social(5_000, 8, 27);
     let triangles = "MATCH (a)-[:FOLLOWS]->(b)-[:FOLLOWS]->(c), (a)-[:FOLLOWS]->(c) \
                      RETURN count(*) AS n";
-    let force = cfg(1).with_wco_join(WcoJoinMode::Force);
+    let force = cfg(WcoForce, 1);
     // The first run builds and caches the sorted-adjacency snapshot.
     let first = run(&g, triangles, &force);
     let (again, heap) = heap_of(|| run(&g, triangles, &force));
@@ -418,7 +415,7 @@ fn intersection_join_streams_a_triangle_count() {
 fn streamed_chains_keep_the_peak_of_their_one_clause_twins() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let measure = |g: &PropertyGraph, q: &str, params: &Params, threads: usize| {
-        let (out, heap) = heap_of(|| run_read_with(g, q, params, &cfg(threads)).unwrap());
+        let (out, heap) = heap_of(|| run_read_with(g, q, params, &cfg(Builtin, threads)).unwrap());
         let count = out.cell(0, "c").and_then(Value::as_int).unwrap();
         println!(
             "{threads} thread(s): {count} rows, {} allocations, peak {:.2} MiB: {q}",

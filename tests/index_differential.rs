@@ -11,8 +11,8 @@
 //! the differential harness (`cypher_tck::diff`) compares them.
 
 use cypher::workload::random_graph;
-use cypher::{explain, run_read_with, EngineConfig, Params, Value};
-use cypher_tck::diff::{graph, Diff, Stmt, Sweep, PLANS};
+use cypher::{explain, run_read_with, MatchConfig, Params, Value};
+use cypher_tck::diff::{config, graph, Diff, Stmt, Sweep, LIGHT, PLANS};
 
 /// Read queries whose anchors exercise every index family: label scans,
 /// key-only property seeks, composite label+property seeks, multi-label
@@ -101,16 +101,22 @@ fn parameterized_seeks_agree() {
 /// the same error as before.
 #[test]
 fn residual_filter_evaluates_constants_only_when_a_row_arrives() {
-    let (params, cfg) = (Params::new(), EngineConfig::default());
+    let params = Params::new();
     let g = graph(&["UNWIND range(0, 9) AS i CREATE (:Bot {v: i, w: 1})"]);
     let empty = "MATCH (p:Bot {v: 99, w: $w}) RETURN p";
     let plan = explain(&g, empty).unwrap();
     assert!(plan.contains("PropertyIndexSeek(p:Bot.v = 99)"), "{plan}");
-    let t = run_read_with(&g, empty, &params, &cfg).expect("no row reaches the filter");
-    assert!(t.is_empty());
     let found = "MATCH (p:Bot {v: 3, w: $w}) RETURN p";
-    let e = run_read_with(&g, found, &params, &cfg).unwrap_err();
-    assert!(e.to_string().contains("missing parameter: $w"), "{e}");
+    for &cell in LIGHT {
+        let cfg = config(cell, MatchConfig::default());
+        let t = run_read_with(&g, empty, &params, &cfg).expect("no row reaches the filter");
+        assert!(t.is_empty(), "{cell:?}");
+        let e = run_read_with(&g, found, &params, &cfg).unwrap_err();
+        assert!(
+            e.to_string().contains("missing parameter: $w"),
+            "{cell:?}: {e}"
+        );
+    }
 }
 
 #[test]

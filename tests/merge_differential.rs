@@ -6,8 +6,8 @@
 //!
 //! Driving tables are generated with duplicate keys, so later rows match
 //! what earlier rows created. Node and path `MERGE` each run with and
-//! without `ON CREATE` / `ON MATCH`, under every morphism, at threads ∈
-//! {1, 4} × morsel ∈ {1, 1024}. The returned rows must agree as bags and
+//! without `ON CREATE` / `ON MATCH`, under every morphism, at every cell
+//! of `cypher_tck::diff::LIGHT`. The returned rows must agree as bags and
 //! the graphs' `canonical_dump`s exactly.
 //!
 //! **Order of `ON MATCH`.** The engine applies `ON MATCH` to a driving
@@ -23,6 +23,7 @@ use cypher::{
 };
 use cypher_core::expr::Bindings;
 use cypher_core::matching::{match_patterns, unbound_free_vars};
+use cypher_tck::diff::{config, LIGHT};
 
 /// What the oracle does where the engine's `MERGE` creates or sets: given
 /// the graph, the driving row's values and (after creation or per match)
@@ -243,17 +244,11 @@ fn merge_matches_the_oracle_loop_over_generated_driving_tables() {
                 let want = oracle(&mut want_graph, case, &params, mc);
                 let grew = want_graph.node_count() + want_graph.rel_count() > before;
                 (created, matched) = (created + grew as usize, matched + !grew as usize);
-                for (threads, morsel) in [(1, 1), (1, 1024), (4, 1), (4, 1024)] {
-                    let cfg = EngineConfig {
-                        match_config: mc,
-                        ..EngineConfig::default()
-                    };
-                    let cfg = cfg.with_threads(threads).with_morsel_size(morsel);
+                for &cell in LIGHT {
                     let mut g = base(seed);
-                    let got = run_with(&mut g, &text, &params, &cfg)
+                    let got = run_with(&mut g, &text, &params, &config(cell, mc))
                         .unwrap_or_else(|e| panic!("{text} failed: {e}"));
-                    let at =
-                        format!("{text} with rows {rows:?} ({morphism:?}, {threads}×{morsel})");
+                    let at = format!("{text} with rows {rows:?} ({morphism:?}, {cell:?})");
                     assert!(got.bag_eq(&want), "{at}\nengine:\n{got}\noracle:\n{want}");
                     assert_eq!(g.canonical_dump(), want_graph.canonical_dump(), "{at}");
                 }
@@ -273,6 +268,7 @@ fn merge_matches_the_oracle_loop_over_generated_driving_tables() {
 #[test]
 fn explain_shows_the_merge_match_plan() {
     let g = base(0);
+    // Plan text at the built-in cell; results are swept above.
     let cfg = EngineConfig::default();
     let explain = |q: &str| cypher_engine::explain(&g, &parse_query(q).unwrap(), &cfg);
     let keyed = explain("MERGE (n:P {k: 4}) RETURN n");

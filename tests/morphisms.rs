@@ -7,7 +7,7 @@
 //! queries choose; this suite pins the behaviour of all three modes.
 
 use cypher::{Database, EngineConfig, MatchConfig, Morphism, Params, PropertyGraph, Value};
-use cypher_tck::diff::{graph, Diff, LIGHT, PARALLEL};
+use cypher_tck::diff::{config, graph, Cell, Diff, LIGHT, PARALLEL};
 
 fn cfg(morphism: Morphism, cap: u64) -> MatchConfig {
     MatchConfig {
@@ -112,11 +112,8 @@ fn e14_morphisms_agree_on_acyclic_simple_graphs() {
 const TRIANGLE_WITH_TAIL: &str = "CREATE (a:P {i: 0})-[:E]->(b:P {i: 1})-[:E]->(c:P {i: 2}), \
      (c)-[:E]->(a), (c)-[:E]->(d:P {i: 3})";
 
-fn engine_cfg(morphism: Morphism) -> EngineConfig {
-    EngineConfig {
-        match_config: cfg(morphism, 8),
-        ..EngineConfig::default()
-    }
+fn engine_cfg(morphism: Morphism, cell: Cell) -> EngineConfig {
+    config(cell, cfg(morphism, 8))
 }
 
 /// The positional rule of node isomorphism, engine against oracle: the
@@ -150,10 +147,8 @@ fn e14_node_isomorphism_probe_shapes() {
 #[test]
 fn e14_variable_length_expand_emits_only_node_simple_paths() {
     let q = "MATCH (x)-[*1..3]->(y) RETURN count(*) AS c";
-    let rows = |morphism| {
-        let mut config = engine_cfg(morphism);
-        config.persistence = None;
-        let db = Database::open_with(config).unwrap();
+    let rows = |morphism, cell| {
+        let db = Database::open_with(engine_cfg(morphism, cell)).unwrap();
         db.session()
             .query(TRIANGLE_WITH_TAIL, &Params::new())
             .unwrap();
@@ -178,8 +173,10 @@ fn e14_variable_length_expand_emits_only_node_simple_paths() {
         assert_eq!(report.result.cell(0, "c"), Some(&Value::int(expand as i64)));
         expand
     };
-    assert_eq!(rows(Morphism::NodeIsomorphism), 9);
-    assert_eq!(rows(Morphism::EdgeIsomorphism), 12);
+    for &cell in LIGHT {
+        assert_eq!(rows(Morphism::NodeIsomorphism, cell), 9, "{cell:?}");
+        assert_eq!(rows(Morphism::EdgeIsomorphism, cell), 12, "{cell:?}");
+    }
 }
 
 /// `EXPLAIN` under node isomorphism shows the operator pipeline, closed by
@@ -188,12 +185,14 @@ fn e14_variable_length_expand_emits_only_node_simple_paths() {
 fn e14_node_isomorphism_explains_the_distinct_nodes_filter() {
     let g = graph(&[TRIANGLE_WITH_TAIL]);
     let q = cypher::parse_query("MATCH (x)-[r]->(y), (y)-[*0..2]->(z) RETURN x").unwrap();
-    let plan = cypher_engine::explain(&g, &q, &engine_cfg(Morphism::NodeIsomorphism));
-    assert!(plan.contains("Expand"), "{plan}");
-    assert!(
-        plan.contains("DistinctNodes((x)-[r]-(y), (y)-[ anon0*]-(z))"),
-        "{plan}"
-    );
-    let edge = cypher_engine::explain(&g, &q, &engine_cfg(Morphism::EdgeIsomorphism));
-    assert!(!edge.contains("DistinctNodes"), "{edge}");
+    for &cell in LIGHT {
+        let plan = cypher_engine::explain(&g, &q, &engine_cfg(Morphism::NodeIsomorphism, cell));
+        assert!(plan.contains("Expand"), "{plan}");
+        assert!(
+            plan.contains("DistinctNodes((x)-[r]-(y), (y)-[ anon0*]-(z))"),
+            "{plan}"
+        );
+        let edge = cypher_engine::explain(&g, &q, &engine_cfg(Morphism::EdgeIsomorphism, cell));
+        assert!(!edge.contains("DistinctNodes"), "{edge}");
+    }
 }

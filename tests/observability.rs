@@ -25,13 +25,17 @@
 //!   rows, and a remote write's trace id is witnessed at the WAL seal.
 
 use cypher::{
-    Database, EngineConfig, Params, PartialAggMode, SlowQueryEntry, SlowQuerySink, Value,
+    Database, EngineConfig, MatchConfig, Params, PartialAggMode, SlowQueryEntry, SlowQuerySink,
+    Value,
 };
 use cypher_client::Client;
 use cypher_server::{Server, ServerConfig};
+use cypher_tck::diff::{config, Policy::Builtin, ALL};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+/// The built-in cell in memory. No query here closes a cycle, so the join
+/// policy cannot reach them; the `PROFILE` sweep covers threads × morsels.
 fn mem_cfg() -> EngineConfig {
     EngineConfig {
         persistence: None,
@@ -106,25 +110,21 @@ fn profile_results_bit_identical_across_parallel_configs() {
     // Per query, the first cell's result (or error text).
     let mut results: HashMap<&str, Result<cypher::Table, String>> = HashMap::new();
     let modes = [PartialAggMode::Off, PartialAggMode::Auto];
-    let cells = [
-        (1usize, 1024usize),
-        (2, 1),
-        (3, 7),
-        (4, 1),
-        (4, 64),
-        (8, 1024),
-    ];
-    for (mode, &(threads, morsel)) in modes
+    // Every thread × morsel cell of the built-in policy, with pushdown
+    // off and on.
+    let cells = ALL.iter().filter(|(policy, ..)| *policy == Builtin);
+    for (mode, &cell) in modes
         .iter()
-        .flat_map(|m| cells.iter().map(move |c| (*m, c)))
+        .flat_map(|m| cells.clone().map(move |c| (*m, c)))
     {
-        let mut cfg = mem_cfg().with_partial_agg(mode);
-        cfg.num_threads = threads;
-        cfg.morsel_size = morsel;
+        let cfg = EngineConfig {
+            persistence: None,
+            ..config(cell, MatchConfig::default()).with_partial_agg(mode)
+        };
         let db = Database::open_with(cfg).expect("open");
         seed(&db, 300);
         let mut session = db.session();
-        let cell = format!("threads={threads} morsel={morsel} {mode:?}");
+        let cell = format!("{cell:?} {mode:?}");
         for q in QUERIES {
             let plain = session.query(q, &params).map_err(|e| e.to_string());
             let first = results.entry(q).or_insert_with(|| plain.clone());

@@ -13,11 +13,17 @@
 //! Workload count is tunable via `CYPHER_RECOVERY_WORKLOADS` (default
 //! 200, the acceptance floor). `CYPHER_TEST_SEED=<n>` replays exactly
 //! one seed — every failure message names the seed it was minted from,
-//! so a red CI line reproduces locally with one env var.
+//! so a red CI line reproduces locally with one env var. Seeded
+//! workloads take the engine cells of `cypher_tck::diff::LIGHT` in turn,
+//! each under both fsync modes (see [`durable_cfg`]).
 
 use cypher::storage::wal;
 use cypher::workload::{harness_knob, harness_override, QueryGenerator};
-use cypher::{Change, Database, EngineConfig, Params, PropertyGraph, SharedChangeBuffer, Store};
+use cypher::{
+    Change, Database, EngineConfig, FsyncMode, MatchConfig, Params, PropertyGraph,
+    SharedChangeBuffer, Store,
+};
+use cypher_tck::diff::{config, LIGHT};
 use std::path::{Path, PathBuf};
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -26,11 +32,22 @@ fn fresh_dir(tag: &str) -> PathBuf {
     d
 }
 
-fn durable_cfg(dir: &Path, compact_bytes: u64) -> EngineConfig {
+/// The durable configuration of workload `seed` in `dir`: even seeds
+/// leave flushing to the OS, odd seeds force every sealed group to disk
+/// (`FsyncMode::Sync`), and each pair of seeds takes the next cell of
+/// `LIGHT`, so every cell runs under both modes.
+fn durable_cfg(dir: &Path, compact_bytes: u64, seed: u64) -> EngineConfig {
+    let cell = LIGHT[(seed / 2) as usize % LIGHT.len()];
+    let fsync_mode = if seed % 2 == 1 {
+        FsyncMode::Sync
+    } else {
+        FsyncMode::Os
+    };
     EngineConfig {
         persistence: Some(dir.to_path_buf()),
         wal_compact_bytes: compact_bytes,
-        ..EngineConfig::default()
+        fsync_mode,
+        ..config(cell, MatchConfig::default())
     }
 }
 
@@ -75,7 +92,7 @@ fn generated_workloads_survive_kill_points_at_every_record_boundary() {
     for seed in seed_list {
         let stmts = workload(seed, 12);
         let dir = fresh_dir(&format!("sweep-{seed}"));
-        let cfg = durable_cfg(&dir, u64::MAX); // no compaction: one WAL holds the history
+        let cfg = durable_cfg(&dir, u64::MAX, seed); // no compaction: one WAL holds the history
         let mut db = Database::open_with(cfg.clone()).unwrap();
         let mut oracle = PropertyGraph::new();
 
@@ -83,7 +100,7 @@ fn generated_workloads_survive_kill_points_at_every_record_boundary() {
         // after every committed batch (read-only statements commit none).
         let mut dump_at_batches: Vec<String> = vec![oracle.canonical_dump()];
         for s in &stmts {
-            let mem = cypher::run(&mut oracle, s, &params);
+            let mem = cypher::run_with(&mut oracle, s, &params, &cfg);
             let dur = db.query(s, &params);
             match (mem, dur) {
                 (Ok(a), Ok(b)) => assert!(
@@ -156,7 +173,7 @@ fn generated_workloads_survive_kill_points_at_every_record_boundary() {
             let kdir = fresh_dir(&format!("kill-{seed}-{cut}"));
             std::fs::create_dir_all(&kdir).unwrap();
             std::fs::write(kdir.join("wal-0000000000.log"), &wal_bytes[..cut as usize]).unwrap();
-            let db3 = Database::open_with(durable_cfg(&kdir, u64::MAX)).unwrap();
+            let db3 = Database::open_with(durable_cfg(&kdir, u64::MAX, seed)).unwrap();
             assert_eq!(
                 db3.recovery().batches_replayed as usize,
                 expected_batches,
@@ -252,7 +269,7 @@ fn multi_batch_group_seals_recover_at_group_granularity() {
             let kdir = fresh_dir(&format!("groupkill-{seed}-{cut}"));
             std::fs::create_dir_all(&kdir).unwrap();
             std::fs::write(kdir.join("wal-0000000000.log"), &wal_bytes[..cut as usize]).unwrap();
-            let db = Database::open_with(durable_cfg(&kdir, u64::MAX)).unwrap();
+            let db = Database::open_with(durable_cfg(&kdir, u64::MAX, seed)).unwrap();
             assert_eq!(
                 db.recovery().batches_replayed as usize,
                 expected,
@@ -282,12 +299,12 @@ fn compaction_preserves_the_differential_under_churn() {
     let params = Params::new();
     for seed in seeds(10) {
         let dir = fresh_dir(&format!("compact-{seed}"));
-        let cfg = durable_cfg(&dir, 700);
+        let cfg = durable_cfg(&dir, 700, seed);
         let mut db = Database::open_with(cfg.clone()).unwrap();
         let mut oracle = PropertyGraph::new();
         let stmts = workload(500 + seed, 30);
         for (i, s) in stmts.iter().enumerate() {
-            let mem = cypher::run(&mut oracle, s, &params);
+            let mem = cypher::run_with(&mut oracle, s, &params, &cfg);
             let dur = db.query(s, &params);
             assert_eq!(mem.is_ok(), dur.is_ok(), "{s}");
             // Periodically bounce the process (close + reopen).
@@ -321,7 +338,7 @@ fn random_wal_corruption_never_panics() {
     // batch-prefix states).
     let params = Params::new();
     let dir = fresh_dir("corrupt");
-    let cfg = durable_cfg(&dir, u64::MAX);
+    let cfg = durable_cfg(&dir, u64::MAX, 0);
     let mut db = Database::open_with(cfg).unwrap();
     let mut oracle = PropertyGraph::new();
     let mut prefix_dumps = vec![oracle.canonical_dump()];
@@ -345,7 +362,7 @@ fn random_wal_corruption_never_panics() {
             let mut bad = wal_bytes.clone();
             bad[flip_at] ^= mask;
             std::fs::write(kdir.join("wal-0000000000.log"), &bad).unwrap();
-            match Database::open_with(durable_cfg(&kdir, u64::MAX)) {
+            match Database::open_with(durable_cfg(&kdir, u64::MAX, 0)) {
                 Ok(recovered) => {
                     let dump = recovered.graph().canonical_dump();
                     assert!(
@@ -369,7 +386,7 @@ fn recovered_database_keeps_assigning_fresh_ids() {
     // never reused after recovery.
     let params = Params::new();
     let dir = fresh_dir("tombstone");
-    let cfg = durable_cfg(&dir, u64::MAX);
+    let cfg = durable_cfg(&dir, u64::MAX, 0);
     {
         let mut db = Database::open_with(cfg.clone()).unwrap();
         db.query("CREATE (:A {i: 0}), (:A {i: 1}), (:A {i: 2})", &params)
@@ -427,7 +444,7 @@ fn large_wal_tail_replays_and_restores_bit_identical_indexes() {
     const KEYS: [&str; 3] = ["k", "v", "w"];
     let params = Params::new();
     let dir = fresh_dir("large-tail");
-    let cfg = durable_cfg(&dir, u64::MAX);
+    let cfg = durable_cfg(&dir, u64::MAX, 0);
     let mut db = Database::open_with(cfg.clone()).unwrap();
     let mut oracle = PropertyGraph::new();
     let buffer = SharedChangeBuffer::new();

@@ -183,3 +183,40 @@ fn impossible_filters_still_surface_upstream_errors() {
     let q = "MATCH (a:A), (b:A) MATCH (a)-[*1..2 {w: a + 1}]->(b:Zzz) RETURN a";
     error(&g, q);
 }
+
+/// `percentileCont` / `percentileDisc` must sort their inputs in
+/// `ORDER BY`'s number order (NaN after every other number), not panic
+/// on NaN's missing IEEE comparison.
+#[test]
+fn percentiles_sort_nan_last() {
+    let g = PropertyGraph::new();
+    for agg in ["percentileCont", "percentileDisc"] {
+        let q = format!("UNWIND [1.0, 0.0 / 0.0, 2.0] AS x RETURN {agg}(x, 0.5) AS p");
+        assert_eq!(rows(&g, &q).cell(0, "p"), Some(&Value::float(2.0)), "{q}");
+        let q = format!("UNWIND [1.0, 0.0 / 0.0, 2.0] AS x RETURN {agg}(x, 1.0) AS p");
+        let top = rows(&g, &q).cell(0, "p").unwrap().as_number().unwrap();
+        assert!(top.is_nan(), "{q}: {top}");
+    }
+}
+
+/// `sum(DISTINCT x)` must add like `sum(x)`: exactly, with one range
+/// check at the end, so neither the input order nor an intermediate
+/// partial sum outside `i64` decides the answer.
+#[test]
+fn distinct_integer_sum_checks_the_range_once() {
+    let g = PropertyGraph::new();
+    let max = Value::int(i64::MAX);
+    for list in [
+        "[9223372036854775807, 1, -1]",
+        "[9223372036854775807, -1, 1]",
+    ] {
+        for agg in ["sum(x)", "sum(DISTINCT x)"] {
+            let q = format!("UNWIND {list} AS x RETURN {agg} AS s");
+            assert_eq!(rows(&g, &q).cell(0, "s"), Some(&max), "{q}");
+        }
+    }
+    let q = "UNWIND [9223372036854775807, 1, 1] AS x RETURN sum(DISTINCT x) AS s";
+    assert!(error(&g, q)
+        .to_string()
+        .contains("integer overflow in sum()"));
+}

@@ -19,6 +19,10 @@
 //! by a retracted row and later joined by a kept row survives in its
 //! original slot) — so grouped outputs compare as sorted row sets; the
 //! cells themselves must match bit-for-bit.
+//!
+//! No engine cell reaches these states: the suite reads no
+//! `EngineConfig`, and the random chunk merges stand in for threads and
+//! morsels.
 
 use cypher::{parse_query, Params, PropertyGraph, Record, Schema, Table, Value};
 use cypher_core::aggregate::DistinctSet;

@@ -18,12 +18,14 @@
 //!   database round-trips through server shutdown and reopen.
 //!
 //! Workload count for the differential harness is tunable via
-//! `CYPHER_TCP_WORKLOADS` (default 4).
+//! `CYPHER_TCP_WORKLOADS` (default 6: workloads take the cells of
+//! `cypher_tck::diff::LIGHT` in turn).
 
 use cypher::workload::{harness_knob, QueryGenerator};
-use cypher::{Database, EngineConfig, Params, Value};
+use cypher::{Database, EngineConfig, MatchConfig, Params, Value};
 use cypher_client::{Client, ClientError};
 use cypher_server::{Server, ServerConfig};
+use cypher_tck::diff::{config, Cell, LIGHT};
 use cypher_wire::{
     client_handshake, read_exact_frame, write_frame, ErrorCode, Request, Response, WireError,
     DEFAULT_MAX_FRAME_BYTES,
@@ -34,10 +36,14 @@ use std::net::TcpStream;
 use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
-fn mem_cfg(plan_cache: bool) -> EngineConfig {
+/// An in-memory database at `cell`. The exactness tests sweep the cells
+/// of `LIGHT`; the hardening and lifecycle tests run the built-in cell,
+/// since what they assert (error codes, connection state) is decided
+/// before or after execution.
+fn mem_cfg(plan_cache: bool, cell: Cell) -> EngineConfig {
     let mut cfg = EngineConfig {
         persistence: None,
-        ..EngineConfig::default()
+        ..config(cell, MatchConfig::default())
     };
     if !plan_cache {
         // Row order becomes a pure function of the pinned version when
@@ -76,8 +82,14 @@ fn wait_until(label: &str, mut cond: impl FnMut() -> bool) {
 /// [`cypher::Session`] produces for the same statement stream.
 #[test]
 fn remote_results_match_in_process_session_exactly() {
-    let server = start(mem_cfg(true), ServerConfig::default());
-    let oracle_db = Database::open_with(mem_cfg(true)).expect("oracle open");
+    for &cell in LIGHT {
+        remote_results_match_in_process_session_at(cell);
+    }
+}
+
+fn remote_results_match_in_process_session_at(cell: Cell) {
+    let server = start(mem_cfg(true, cell), ServerConfig::default());
+    let oracle_db = Database::open_with(mem_cfg(true, cell)).expect("oracle open");
     let mut oracle = oracle_db.session();
     let mut client = connect(&server);
     let params = Params::new();
@@ -135,7 +147,7 @@ fn remote_results_match_in_process_session_exactly() {
 /// prepared on two different connections plans once and hits after.
 #[test]
 fn prepared_statements_share_the_plan_cache_across_connections() {
-    let server = start(mem_cfg(true), ServerConfig::default());
+    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
     let mut seeder = connect(&server);
     let params = Params::new();
     for i in 0..16 {
@@ -190,8 +202,9 @@ struct Observation {
 }
 
 fn tcp_workload(seed: u64, clients: usize, rounds: usize) {
-    let label = format!("tcp workload {seed}");
-    let server = start(mem_cfg(false), ServerConfig::default());
+    let cell = LIGHT[seed as usize % LIGHT.len()];
+    let label = format!("tcp workload {seed} at {cell:?}");
+    let server = start(mem_cfg(false, cell), ServerConfig::default());
     let params = Params::new();
 
     let mut gen = QueryGenerator::new(seed);
@@ -294,7 +307,7 @@ fn tcp_workload(seed: u64, clients: usize, rounds: usize) {
     let published: HashSet<u64> = log.iter().map(|(v, _)| *v).collect();
     let mut observations = observations.into_inner().unwrap();
     observations.sort_by_key(|o| o.version);
-    let oracle_db = Database::open_with(mem_cfg(false)).expect("oracle open");
+    let oracle_db = Database::open_with(mem_cfg(false, cell)).expect("oracle open");
     let mut oracle = oracle_db.session();
     for s in &seed_stmts {
         oracle
@@ -358,7 +371,7 @@ fn tcp_workload(seed: u64, clients: usize, rounds: usize) {
 /// every observation exactly.
 #[test]
 fn concurrent_tcp_clients_match_the_in_process_session_oracle() {
-    for w in 0..harness_knob("CYPHER_TCP_WORKLOADS", 4, 0) {
+    for w in 0..harness_knob("CYPHER_TCP_WORKLOADS", LIGHT.len() as u64, 0) {
         tcp_workload(0xBEEF + w, 3, 5);
     }
 }
@@ -367,7 +380,7 @@ fn concurrent_tcp_clients_match_the_in_process_session_oracle() {
 /// must not move until the read transaction is committed.
 #[test]
 fn pinned_read_is_repeatable_across_remote_writers() {
-    let server = start(mem_cfg(true), ServerConfig::default());
+    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
     let params = Params::new();
     let mut reader = connect(&server);
     let mut writer = connect(&server);
@@ -414,7 +427,7 @@ fn expect_server_error(r: Result<cypher_client::Rows, ClientError>, code: ErrorC
 /// all answer structured codes — and the connection keeps working.
 #[test]
 fn statement_failures_answer_structured_errors_and_connection_survives() {
-    let server = start(mem_cfg(true), ServerConfig::default());
+    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
     let mut client = connect(&server);
     let params = Params::new();
 
@@ -456,7 +469,7 @@ fn statement_failures_answer_structured_errors_and_connection_survives() {
 #[test]
 fn handler_panic_answers_internal_error_and_connection_survives() {
     std::env::set_var("CYPHER_TEST_FAULTS", "1");
-    let server = start(mem_cfg(true), ServerConfig::default());
+    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
     let mut client = connect(&server);
     let params = Params::new();
     let msg = expect_server_error(
@@ -532,7 +545,7 @@ fn poisoned_write_path_answers_unavailable_not_a_dropped_connection() {
 /// drops what it cannot trust — and always survives.
 #[test]
 fn hostile_bytes_cannot_kill_the_server() {
-    let server = start(mem_cfg(true), ServerConfig::default());
+    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
     let addr = server.local_addr();
     let params = Params::new();
 
@@ -617,7 +630,7 @@ fn splitmix(state: &mut u64) -> u64 {
 /// dies, the pinned version is released, the gauges fall back to zero.
 #[test]
 fn abrupt_disconnect_releases_session_and_pinned_version() {
-    let server = start(mem_cfg(true), ServerConfig::default());
+    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
     let addr = server.local_addr();
 
     let mut s = TcpStream::connect(addr).unwrap();
@@ -657,7 +670,7 @@ fn connection_limit_answers_limit_error() {
         max_connections: 1,
         ..ServerConfig::default()
     };
-    let server = start(mem_cfg(true), cfg);
+    let server = start(mem_cfg(true, LIGHT[0]), cfg);
     let mut first = connect(&server);
     first.ping().expect("first connection serves");
 
@@ -678,7 +691,7 @@ fn connection_limit_answers_limit_error() {
 /// answering: a second connection gets the same reply in full.
 #[test]
 fn client_frame_cap_refuses_a_larger_reply() {
-    let server = start(mem_cfg(true), ServerConfig::default());
+    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
     let big = "RETURN range(1, 6600) AS r"; // one list of 6 600 integers
     let mut capped = connect(&server).with_max_frame_bytes(16 * 1024);
     match capped.query(big, &Params::new()) {
@@ -712,7 +725,7 @@ fn shutdown_under_load_joins_every_connection_thread() {
         ..ServerConfig::default()
     };
     for round in 0..200 {
-        let server = start(mem_cfg(true), cfg.clone());
+        let server = start(mem_cfg(true, LIGHT[0]), cfg.clone());
         let addr = server.local_addr();
         let in_flight = Barrier::new(CLIENTS + 1);
         std::thread::scope(|scope| {
@@ -741,7 +754,7 @@ fn prepared_statement_cap_answers_limit_error() {
         max_prepared: 4,
         ..ServerConfig::default()
     };
-    let server = start(mem_cfg(true), cfg);
+    let server = start(mem_cfg(true, LIGHT[0]), cfg);
     let mut client = connect(&server);
     let ids: Vec<u32> = (0..4)
         .map(|_| {
@@ -796,7 +809,7 @@ fn durable_writes_over_tcp_survive_shutdown_and_reopen() {
 /// with.
 #[test]
 fn stats_report_connections_requests_and_version() {
-    let server = start(mem_cfg(true), ServerConfig::default());
+    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
     let mut client = connect(&server);
     let params = Params::new();
     client.query("CREATE (:S {k: 1})", &params).expect("seed");

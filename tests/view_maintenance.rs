@@ -23,20 +23,27 @@
 //!   frames, applied in version order to the subscribe-time contents,
 //!   must reproduce the final maintained table bit-for-bag.
 //!
-//! The engine knobs (threads, morsel size) come from the environment
-//! via `EngineConfig::default()`, so CI can sweep the matrix without
-//! code changes; group commit is a field the tests set themselves.
+//! The in-process layers run at every engine cell of
+//! `cypher_tck::diff::LIGHT` (thread counts, morsel sizes, every cycle
+//! intersected); the TCP replay runs at 4 threads over 1-row morsels.
+//! Group commit is a field the tests set themselves.
 
 use cypher::workload::QueryGenerator;
-use cypher::{Database, EngineConfig, Morphism, Params, Record, Session, Table};
+use cypher::{Database, EngineConfig, MatchConfig, Morphism, Params, Record, Session, Table};
 use cypher_client::Client;
 use cypher_server::{Server, ServerConfig};
+use cypher_tck::diff::{config, Cell, Policy, LIGHT};
 use std::time::Duration;
 
-fn memory_cfg() -> EngineConfig {
+/// An in-memory database under `morphism` at `cell`.
+fn memory_cfg(cell: Cell, morphism: Morphism) -> EngineConfig {
+    let matching = MatchConfig {
+        morphism,
+        ..MatchConfig::default()
+    };
     EngineConfig {
         persistence: None,
-        ..EngineConfig::default()
+        ..config(cell, matching)
     }
 }
 
@@ -99,16 +106,18 @@ fn check_view_matches_cold(session: &mut Session, name: &str, query: &str, after
 
 #[test]
 fn generated_views_track_generated_update_streams() {
-    track_update_streams(memory_cfg(), true);
+    for &cell in LIGHT {
+        track_update_streams(memory_cfg(cell, Morphism::default()), true);
+    }
 }
 
 /// Homomorphism stays on the delta path, whose enumeration runs on the
 /// engine's driver like any `MATCH`.
 #[test]
 fn homomorphism_views_track_generated_update_streams() {
-    let mut cfg = memory_cfg();
-    cfg.match_config.morphism = Morphism::Homomorphism;
-    track_update_streams(cfg, true);
+    for &cell in LIGHT {
+        track_update_streams(memory_cfg(cell, Morphism::Homomorphism), true);
+    }
 }
 
 /// Node isomorphism stays on the delta path too: every anchored plan
@@ -116,9 +125,9 @@ fn homomorphism_views_track_generated_update_streams() {
 /// bindings.
 #[test]
 fn node_isomorphism_views_track_generated_update_streams() {
-    let mut cfg = memory_cfg();
-    cfg.match_config.morphism = Morphism::NodeIsomorphism;
-    track_update_streams(cfg, true);
+    for &cell in LIGHT {
+        track_update_streams(memory_cfg(cell, Morphism::NodeIsomorphism), true);
+    }
 }
 
 /// The panel and generated views under `cfg`, checked against cold
@@ -186,7 +195,9 @@ fn track_update_streams(cfg: EngineConfig, delta: bool) {
 
 #[test]
 fn pinned_readers_see_exact_views_under_concurrent_writers() {
-    pinned_readers_see_exact_views(memory_cfg());
+    for &cell in LIGHT {
+        pinned_readers_see_exact_views(memory_cfg(cell, Morphism::default()));
+    }
 }
 
 /// The same race with every transaction sealed as its own group: the
@@ -197,9 +208,11 @@ fn pinned_readers_see_exact_views_under_concurrent_writers() {
 /// `CYPHER_GROUP_COMMIT=off` cells ran.)
 #[test]
 fn pinned_readers_see_exact_views_without_group_commit() {
-    let mut cfg = memory_cfg();
-    cfg.group_commit = false;
-    pinned_readers_see_exact_views(cfg);
+    for &cell in LIGHT {
+        let mut cfg = memory_cfg(cell, Morphism::default());
+        cfg.group_commit = false;
+        pinned_readers_see_exact_views(cfg);
+    }
 }
 
 fn pinned_readers_see_exact_views(cfg: EngineConfig) {
@@ -283,7 +296,8 @@ fn apply_frame(rows: &mut Vec<Record>, added: &Table, removed: &Table, version: 
 #[test]
 fn tcp_subscription_frames_replay_to_the_maintained_table() {
     let params = Params::new();
-    let db = Database::open_with(memory_cfg()).unwrap();
+    let cell = (Policy::Builtin, 4, 1);
+    let db = Database::open_with(memory_cfg(cell, Morphism::default())).unwrap();
     {
         let mut seed = db.session();
         let mut gen = QueryGenerator::new(21);
@@ -363,9 +377,8 @@ const HEAVY_EDGES: &str =
 
 /// `n` persons in `n / 2` disjoint `FOLLOWS` pairs, plus a three-person
 /// gadget cycle (keys -1, -2, -3) no pair touches.
-fn persons_with_gadget(n: i64, morphism: Morphism) -> Database {
-    let mut cfg = memory_cfg();
-    cfg.match_config.morphism = morphism;
+fn persons_with_gadget(n: i64, morphism: Morphism, cell: Cell) -> Database {
+    let mut cfg = memory_cfg(cell, morphism);
     cfg.metrics_enabled = true;
     let db = Database::open_with(cfg).unwrap();
     let mut session = db.session();
@@ -391,7 +404,8 @@ fn persons_with_gadget(n: i64, morphism: Morphism) -> Database {
 
 #[test]
 fn explain_view_prints_the_anchored_plans_the_fold_runs() {
-    let db = persons_with_gadget(200, Morphism::default());
+    // Plan text at the built-in cell; the fold's results are swept below.
+    let db = persons_with_gadget(200, Morphism::default(), LIGHT[0]);
     db.create_view("heavy_edges", HEAVY_EDGES).unwrap();
     let explain = db.explain_view("heavy_edges").unwrap();
     let anchors: Vec<&str> = explain
@@ -418,15 +432,17 @@ fn explain_view_prints_the_anchored_plans_the_fold_runs() {
 /// rows. Reading either view afterwards produces no executor rows at all.
 #[test]
 fn fold_work_does_not_grow_with_the_base_graph() {
-    for morphism in [Morphism::EdgeIsomorphism, Morphism::NodeIsomorphism] {
-        fold_work_is_flat_under(morphism);
+    for &cell in LIGHT {
+        for morphism in [Morphism::EdgeIsomorphism, Morphism::NodeIsomorphism] {
+            fold_work_is_flat_under(morphism, cell);
+        }
     }
 }
 
-fn fold_work_is_flat_under(morphism: Morphism) {
+fn fold_work_is_flat_under(morphism: Morphism, cell: Cell) {
     let find = "MATCH (a:Person {i: -1})-[f:FOLLOWS]->(b:Person {i: -2})";
     let fold_rows = |n: i64| {
-        let db = persons_with_gadget(n, morphism);
+        let db = persons_with_gadget(n, morphism, cell);
         db.create_view("by_v", BY_V).unwrap();
         db.create_view("heavy_edges", HEAVY_EDGES).unwrap();
         assert!(db
@@ -452,7 +468,7 @@ fn fold_work_is_flat_under(morphism: Morphism) {
         assert_eq!(db.metrics().view_full_recomputes.get(), recomputes);
         assert_eq!(
             recomputes, 0,
-            "a view was recomputed in full ({morphism:?})"
+            "a view was recomputed in full ({morphism:?}, {cell:?})"
         );
         check_view_matches_cold(&mut session, "by_v", BY_V, "gadget SET");
         check_view_matches_cold(&mut session, "heavy_edges", HEAVY_EDGES, "gadget SET");
@@ -465,10 +481,13 @@ fn fold_work_is_flat_under(morphism: Morphism) {
         commit_rows - (r1 - r0)
     };
     let small = fold_rows(1_000);
-    assert!(small > 0, "the fold runs on the executor ({morphism:?})");
+    assert!(
+        small > 0,
+        "the fold runs on the executor ({morphism:?}, {cell:?})"
+    );
     assert_eq!(
         small,
         fold_rows(4_000),
-        "fold rows grew with the base graph ({morphism:?})"
+        "fold rows grew with the base graph ({morphism:?}, {cell:?})"
     );
 }
