@@ -7,8 +7,8 @@
 //! Two interchangeable evaluators are provided:
 //!
 //! * [`run`] / [`run_read`] — the production-style engine
-//!   ([`cypher_engine`]): cost-based planning, `Expand` chains over native
-//!   adjacency, Volcano iterators, update clauses;
+//!   ([`cypher_engine`]): cost-based planning, `Expand` chains and
+//!   intersections over native adjacency, morsel-driven batches, updates;
 //! * [`run_reference`] — the literal transcription of the paper's formal
 //!   semantics ([`cypher_core`]), used as the differential-testing oracle.
 //!

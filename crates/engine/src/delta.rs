@@ -371,12 +371,7 @@ mod tests {
         let changes = {
             let buf = cypher_graph::SharedChangeBuffer::new();
             new.set_change_sink(Box::new(buf.clone()));
-            let rid = new
-                .out_rels(n[1])
-                .iter()
-                .copied()
-                .find(|&r| new.tgt(r) == Some(n[2]))
-                .unwrap();
+            let rid = new.out_neighbors(n[1])[0].rel;
             new.delete_rel(rid).unwrap();
             let k = new.intern("v");
             new.set_node_prop(n[1], k, Value::int(100)).unwrap();

@@ -53,8 +53,7 @@ pub use cypher_core::table::RowBatch;
 use cypher_core::table::{Schema, Table};
 use cypher_core::EvalContext;
 use cypher_graph::{
-    gallop, Direction, Neighbor, NodeId, Path, PropertyGraph, RelId, SortedAdjacency, Symbol, Tri,
-    Value,
+    gallop, Direction, Neighbor, NodeId, Path, PropertyGraph, RelId, Symbol, Tri, Value,
 };
 use cypher_metrics::Counter;
 use std::borrow::Cow;
@@ -822,7 +821,6 @@ fn attach<'a>(
                 guards: gstates,
                 label_syms,
                 exclude_idx,
-                adj: ctx.graph.sorted_adjacency(),
                 metrics,
                 probes: 0,
                 isect: 0,
@@ -1417,11 +1415,12 @@ struct IntersectGuardState {
     props: Vec<(Option<Symbol>, Expr)>,
 }
 
-/// One guard's position in the sorted adjacency of its (already bound)
-/// endpoint. `Both` walks the out and incoming lists as a merged cursor;
-/// an incoming entry whose neighbour equals `from` is a self-loop already
-/// present in the out list and is skipped, so the union enumerates each
-/// `(node, rel)` pair once — exactly what `expand(_, Both)` yields.
+/// One guard's position in the sorted neighbour lists of its (already
+/// bound) endpoint. `Both` walks the out and incoming lists as a merged
+/// cursor; an incoming entry whose neighbour equals `from` is a self-loop
+/// already present in the out list and is skipped, so the union
+/// enumerates each `(node, rel)` pair once — exactly what
+/// `expand(_, Both)` yields.
 struct GuardCursor<'s> {
     out: &'s [Neighbor],
     inc: &'s [Neighbor],
@@ -1432,11 +1431,11 @@ struct GuardCursor<'s> {
 }
 
 impl<'s> GuardCursor<'s> {
-    fn new(adj: &'s SortedAdjacency, from: NodeId, dir: Direction) -> Self {
+    fn new(graph: &'s PropertyGraph, from: NodeId, dir: Direction) -> Self {
         let (out, inc) = match dir {
-            Direction::Outgoing => (adj.out(from), &[][..]),
-            Direction::Incoming => (&[][..], adj.inc(from)),
-            Direction::Both => (adj.out(from), adj.inc(from)),
+            Direction::Outgoing => (graph.out_neighbors(from), &[][..]),
+            Direction::Incoming => (&[][..], graph.in_neighbors(from)),
+            Direction::Both => (graph.out_neighbors(from), graph.in_neighbors(from)),
         };
         let mut c = GuardCursor {
             out,
@@ -1454,9 +1453,7 @@ impl<'s> GuardCursor<'s> {
     /// the out list already carries them.
     fn skip_loops(&mut self) {
         if self.both {
-            while self.inc.get(self.ipos).is_some_and(|e| e.node == self.from) {
-                self.ipos += 1;
-            }
+            self.ipos = run_end(self.inc, self.ipos, self.from);
         }
     }
 
@@ -1482,34 +1479,22 @@ impl<'s> GuardCursor<'s> {
     /// Appends the relationship ids of every entry at exactly `v`. The
     /// cursor must have been seeked to `v`.
     fn rels_at(&self, v: NodeId, out: &mut Vec<RelId>) {
-        let mut i = self.opos;
-        while let Some(e) = self.out.get(i) {
-            if e.node != v {
-                break;
-            }
-            out.push(e.rel);
-            i += 1;
-        }
-        let mut i = self.ipos;
-        while let Some(e) = self.inc.get(i) {
-            if e.node != v {
-                break;
-            }
-            out.push(e.rel);
-            i += 1;
-        }
+        let out_run = &self.out[self.opos..run_end(self.out, self.opos, v)];
+        let inc_run = &self.inc[self.ipos..run_end(self.inc, self.ipos, v)];
+        out.extend(out_run.iter().chain(inc_run).map(|e| e.rel));
     }
 
     /// Advances both lists past every entry at `v`.
     fn advance_past(&mut self, v: NodeId) {
-        while self.out.get(self.opos).is_some_and(|e| e.node == v) {
-            self.opos += 1;
-        }
-        while self.inc.get(self.ipos).is_some_and(|e| e.node == v) {
-            self.ipos += 1;
-        }
+        self.opos = run_end(self.out, self.opos, v);
+        self.ipos = run_end(self.inc, self.ipos, v);
         self.skip_loops();
     }
+}
+
+/// The end of the run of entries at node `v` that starts at `pos`.
+fn run_end(list: &[Neighbor], pos: usize, v: NodeId) -> usize {
+    pos + list[pos..].iter().take_while(|e| e.node == v).count()
 }
 
 /// The worst-case-optimal join operator: binds the target variable by
@@ -1532,7 +1517,6 @@ struct MultiwayIntersectOp<'a> {
     /// `None` when some label was never interned (matches nothing).
     label_syms: Option<Vec<Symbol>>,
     exclude_idx: Vec<usize>,
-    adj: Arc<SortedAdjacency>,
     metrics: Option<&'a ExecMetrics>,
     /// Kernel counters, flushed to `metrics` once at end of stream.
     probes: u64,
@@ -1577,7 +1561,7 @@ impl MultiwayIntersectOp<'_> {
             .guards
             .iter()
             .zip(&froms)
-            .map(|(g, &f)| GuardCursor::new(&self.adj, f, g.dir))
+            .map(|(g, &f)| GuardCursor::new(self.ctx.graph, f, g.dir))
             .collect();
         // Leapfrog: gallop every cursor to the frontier; when all land on
         // the same node it is adjacent to every guard.

@@ -58,6 +58,8 @@ pub(crate) fn apply(
 }
 
 /// `CREATE pattern_tuple`: instantiates the patterns once per driving row.
+/// One [`PropertyGraph::bulk_load`] scope: no intersection runs in it
+/// (pattern expressions walk `expand`, whose order Cypher leaves open).
 pub fn exec_create(
     graph: &mut PropertyGraph,
     params: &Params,
@@ -70,10 +72,12 @@ pub fn exec_create(
     let new_vars = &out_schema.names()[schema.len()..];
     let mut out = Table::empty(out_schema.clone());
     let mut build = Builder::new(params, cfg, None);
-    for row in table.rows() {
-        out.push(build.row(graph, patterns, &schema, row, new_vars)?);
-    }
-    Ok(out)
+    graph.bulk_load(|graph| {
+        for row in table.rows() {
+            out.push(build.row(graph, patterns, &schema, row, new_vars)?);
+        }
+        Ok(out)
+    })
 }
 
 /// The schema of the rows `CREATE` or `MERGE` of `patterns` answers: the

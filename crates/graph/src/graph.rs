@@ -3,12 +3,15 @@
 //! incident relationships, in both directions, so that the `Expand`
 //! operator (paper Section 2, "Neo4j implementation") "never needs to read
 //! any unnecessary data, or proceed via an indirection such as an index in
-//! order to find related nodes".
+//! order to find related nodes". Each list holds [`Neighbor`] entries
+//! — the relationship and the node it reaches — sorted by `(node, rel)`,
+//! so the same lists also feed the sorted-list intersections of
+//! worst-case-optimal joins (see [`crate::adjacency`]).
 //!
 //! Mutation support (add/delete/set/remove) backs the update clauses of
 //! Section 2 (`CREATE`, `DELETE`, `SET`, `MERGE`).
 
-use crate::adjacency::{self, Neighbor, SortedAdjacency};
+use crate::adjacency::Neighbor;
 use crate::change::{Change, ChangeSink};
 use crate::fxhash::FxHashMap;
 use crate::index::{value_bucket, IndexCardinality, IndexSet};
@@ -16,7 +19,7 @@ use crate::interner::{Interner, Symbol};
 use crate::slots::CowSlots;
 use crate::value::Value;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A node identifier — an element of the countably infinite set `N`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -148,10 +151,12 @@ impl PropMap {
 struct NodeData {
     labels: Vec<Symbol>,
     props: PropMap,
-    /// Relationships whose `src` is this node, in insertion order.
-    out: Vec<RelId>,
-    /// Relationships whose `tgt` is this node, in insertion order.
-    inc: Vec<RelId>,
+    /// Relationships whose `src` is this node, with their targets,
+    /// sorted by `(node, rel)`.
+    out: Vec<Neighbor>,
+    /// Relationships whose `tgt` is this node, with their sources,
+    /// sorted by `(node, rel)`.
+    inc: Vec<Neighbor>,
 }
 
 #[derive(Debug, Clone)]
@@ -239,13 +244,10 @@ pub struct PropertyGraph {
     /// so callers (the plan cache) can skip recomputing statistics
     /// fingerprints while the graph is provably unchanged.
     version: u64,
-    /// Per-shard adjacency epochs (see [`crate::adjacency`]): bumped by
-    /// every mutation that changes some node's incident-relationship
-    /// lists, indexed by node slot / [`adjacency::SHARD_NODES`].
-    adj_epochs: Vec<u64>,
-    /// The lazily built sorted-adjacency cache for the current version
-    /// (interior mutability: building it is not a graph mutation).
-    adj_cache: Mutex<Option<Arc<adjacency::SortedAdjacency>>>,
+    /// `Some` inside [`PropertyGraph::bulk_load`], whose relationships
+    /// are appended to their endpoints' lists: the nodes an append left
+    /// out of order (with repeats), whose lists the scope sorts on exit.
+    unsorted: Option<Vec<NodeId>>,
 }
 
 /// Clones the graph **without** its change sink: a clone is a detached
@@ -263,15 +265,7 @@ impl Clone for PropertyGraph {
             live_rels: self.live_rels,
             sink: None,
             version: self.version,
-            adj_epochs: self.adj_epochs.clone(),
-            // The cache describes the same version/epochs, so the clone
-            // may keep sharing it (an `Arc` bump, no data copied).
-            adj_cache: Mutex::new(
-                self.adj_cache
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone(),
-            ),
+            unsorted: None,
         }
     }
 }
@@ -288,7 +282,6 @@ impl fmt::Debug for PropertyGraph {
             .field("live_nodes", &self.live_nodes)
             .field("live_rels", &self.live_rels)
             .field("sink", &self.sink.as_ref().map(|_| "<ChangeSink>"))
-            .field("adj_epochs", &self.adj_epochs)
             .finish()
     }
 }
@@ -356,63 +349,36 @@ impl PropertyGraph {
         self.version += 1;
     }
 
-    /// Marks `n`'s adjacency shard dirty for the sorted-adjacency cache.
-    /// Called by every mutation that changes an incident-relationship
-    /// list; pure node add/delete needs no bump (a node without
-    /// relationships has empty adjacency either way).
-    fn touch_adjacency(&mut self, n: NodeId) {
-        let shard = n.0 as usize / adjacency::SHARD_NODES;
-        if self.adj_epochs.len() <= shard {
-            self.adj_epochs.resize(shard + 1, 0);
-        }
-        self.adj_epochs[shard] += 1;
-    }
-
-    /// The sorted-adjacency cache for the current version (see
-    /// [`crate::adjacency`]): per-node neighbour lists sorted by
-    /// `(node, rel)`, the substrate of multiway intersection joins.
-    ///
-    /// Built lazily on first request after a version change and cached;
-    /// only shards whose epoch moved since the previous build are
-    /// re-sorted (shard-parallel), so a point commit against a large
-    /// graph rebuilds a handful of shards, not the world.
-    pub fn sorted_adjacency(&self) -> Arc<SortedAdjacency> {
-        let mut guard = self.adj_cache.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(cached) = guard.as_ref() {
-            if cached.version() == self.version {
-                return Arc::clone(cached);
-            }
-        }
-        let slot_count = self.nodes.slot_count();
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8);
-        let built = Arc::new(adjacency::rebuild(
-            self.version,
-            slot_count,
-            &self.adj_epochs,
-            guard.as_deref(),
-            threads,
-            &|slot, out, inc| {
-                if let Some(d) = self.nodes.get(slot) {
-                    for &r in &d.out {
-                        out.push(Neighbor {
-                            node: self.tgt(r).expect("live rel"),
-                            rel: r,
-                        });
-                    }
-                    for &r in &d.inc {
-                        inc.push(Neighbor {
-                            node: self.src(r).expect("live rel"),
-                            rel: r,
-                        });
+    /// Runs `load` with appending adjacency: relationships it adds are
+    /// pushed onto their endpoints' lists, and on every exit (errors and
+    /// panics included) each list an append left out of order is sorted
+    /// once. The stable sort is run-adaptive, so a sorted prefix plus an
+    /// appended tail costs one merge instead of an O(degree) insert per
+    /// entry. For loads into a graph the caller owns (snapshot decode,
+    /// WAL replay, `CREATE`): lists may be unsorted inside, so nothing
+    /// that needs their order may run there. Scopes do not nest.
+    pub fn bulk_load<T>(&mut self, load: impl FnOnce(&mut PropertyGraph) -> T) -> T {
+        debug_assert!(self.unsorted.is_none(), "nested bulk_load");
+        /// Ends the scope, however it ends. Deleting entries keeps a
+        /// sorted list sorted, so only the recorded nodes need a sort.
+        struct Seal<'g>(&'g mut PropertyGraph);
+        impl Drop for Seal<'_> {
+            fn drop(&mut self) {
+                let g = &mut *self.0;
+                let mut unsorted = g.unsorted.take().unwrap_or_default();
+                unsorted.sort_unstable();
+                unsorted.dedup();
+                for n in unsorted {
+                    if let Some(d) = g.node_mut(n) {
+                        d.out.sort();
+                        d.inc.sort();
                     }
                 }
-            },
-        ));
-        *guard = Some(Arc::clone(&built));
-        built
+            }
+        }
+        self.unsorted = Some(Vec::new());
+        let seal = Seal(self);
+        load(&mut *seal.0)
     }
 
     /// Resolves a property map into `(string key, value)` pairs for a
@@ -572,13 +538,31 @@ impl PropertyGraph {
             rel_type,
             props: pm,
         });
-        self.node_mut(src).unwrap().out.push(id);
-        self.node_mut(tgt).unwrap().inc.push(id);
-        self.touch_adjacency(src);
-        self.touch_adjacency(tgt);
+        self.link(src, tgt, id);
         *self.type_counts.entry(rel_type).or_insert(0) += 1;
         self.live_rels += 1;
         Ok(id)
+    }
+
+    /// Enters the newest relationship `rel` into its endpoints' lists. An
+    /// entry past the last one is a push; any other is inserted in place,
+    /// or appended inside a [`PropertyGraph::bulk_load`] scope.
+    fn link(&mut self, src: NodeId, tgt: NodeId, rel: RelId) {
+        for (at, node, out) in [(src, tgt, true), (tgt, src, false)] {
+            let d = self.nodes.get_mut(at.0 as usize).expect("live endpoint");
+            let list = if out { &mut d.out } else { &mut d.inc };
+            let e = Neighbor { node, rel };
+            let in_order = list.last().is_none_or(|last| *last < e);
+            match &mut self.unsorted {
+                _ if in_order => list.push(e),
+                None => list.insert(list.partition_point(|x| *x < e), e),
+                // Out of order in a bulk scope: sorted when the scope ends.
+                Some(unsorted) => {
+                    unsorted.push(at);
+                    list.push(e);
+                }
+            }
+        }
     }
 
     // -- deletion ------------------------------------------------------------
@@ -590,14 +574,19 @@ impl PropertyGraph {
             .rels
             .take(r.0 as usize)
             .ok_or(GraphError::NoSuchRel(r))?;
+        // Found by relationship id, so this also works on the unsorted
+        // lists of a bulk scope; `remove` keeps the rest in order.
+        let unlink = |list: &mut Vec<Neighbor>| {
+            if let Some(i) = list.iter().position(|e| e.rel == r) {
+                list.remove(i);
+            }
+        };
         if let Some(n) = self.node_mut(data.src) {
-            n.out.retain(|&x| x != r);
+            unlink(&mut n.out);
         }
         if let Some(n) = self.node_mut(data.tgt) {
-            n.inc.retain(|&x| x != r);
+            unlink(&mut n.inc);
         }
-        self.touch_adjacency(data.src);
-        self.touch_adjacency(data.tgt);
         if let Some(c) = self.type_counts.get_mut(&data.rel_type) {
             *c = c.saturating_sub(1);
         }
@@ -624,8 +613,8 @@ impl PropertyGraph {
         if !self.contains_node(n) {
             return Err(GraphError::NoSuchNode(n));
         }
-        let mut incident: Vec<RelId> = self.out_rels(n).to_vec();
-        incident.extend_from_slice(self.in_rels(n));
+        let lists = self.out_neighbors(n).iter().chain(self.in_neighbors(n));
+        let mut incident: Vec<RelId> = lists.map(|e| e.rel).collect();
         incident.sort_unstable();
         incident.dedup();
         for r in incident {
@@ -748,49 +737,44 @@ impl PropertyGraph {
         self.rel(r).into_iter().flat_map(|d| d.props.iter())
     }
 
-    /// Outgoing relationships of a node (direct references, no index).
-    pub fn out_rels(&self, n: NodeId) -> &[RelId] {
+    /// Outgoing relationships of a node with their targets, sorted by
+    /// `(node, rel)` (direct references, no index).
+    pub fn out_neighbors(&self, n: NodeId) -> &[Neighbor] {
         self.node(n).map(|d| d.out.as_slice()).unwrap_or(&[])
     }
 
-    /// Incoming relationships of a node.
-    pub fn in_rels(&self, n: NodeId) -> &[RelId] {
+    /// Incoming relationships of a node with their sources, sorted by
+    /// `(node, rel)`.
+    pub fn in_neighbors(&self, n: NodeId) -> &[Neighbor] {
         self.node(n).map(|d| d.inc.as_slice()).unwrap_or(&[])
     }
 
     /// All `(rel, neighbour)` pairs reachable from `n` in the given
-    /// direction, walked without collecting them. A self-loop appears once
-    /// for `Outgoing`/`Incoming` and twice for `Both` (once per
-    /// orientation), matching the undirected pattern semantics in §4.2
-    /// item (e′).
+    /// direction, walked without collecting them: the out list, then the
+    /// in list, each in `(node, rel)` order. A self-loop appears once in
+    /// every direction, `Both` included, matching the undirected pattern
+    /// semantics in §4.2 item (e′).
     pub fn expand(&self, n: NodeId, dir: Direction) -> impl Iterator<Item = (RelId, NodeId)> + '_ {
         let (out, inc) = match dir {
-            Direction::Outgoing => (self.out_rels(n), &[][..]),
-            Direction::Incoming => (&[][..], self.in_rels(n)),
-            Direction::Both => (self.out_rels(n), self.in_rels(n)),
+            Direction::Outgoing => (self.out_neighbors(n), &[][..]),
+            Direction::Incoming => (&[][..], self.in_neighbors(n)),
+            Direction::Both => (self.out_neighbors(n), self.in_neighbors(n)),
         };
         let both = dir == Direction::Both;
-        let out = out.iter().map(move |&r| (r, self.tgt(r).unwrap()));
-        // Under `Both`, skip self-loops here: already emitted from `out`.
-        out.chain(inc.iter().filter_map(move |&r| {
-            let s = self.src(r).unwrap();
-            (!both || s != n || self.tgt(r) != Some(n)).then_some((r, s))
-        }))
+        // Under `Both`, skip self-loops in `inc` (an incoming entry from
+        // `n` itself): already emitted from `out`.
+        out.iter()
+            .chain(inc.iter().filter(move |e| !both || e.node != n))
+            .map(|e| (e.rel, e.node))
     }
 
     /// Degree in the given direction.
     pub fn degree(&self, n: NodeId, dir: Direction) -> usize {
+        let (out, inc) = (self.out_neighbors(n), self.in_neighbors(n));
         match dir {
-            Direction::Outgoing => self.out_rels(n).len(),
-            Direction::Incoming => self.in_rels(n).len(),
-            Direction::Both => {
-                let loops = self
-                    .out_rels(n)
-                    .iter()
-                    .filter(|&&r| self.tgt(r) == Some(n))
-                    .count();
-                self.out_rels(n).len() + self.in_rels(n).len() - loops
-            }
+            Direction::Outgoing => out.len(),
+            Direction::Incoming => inc.len(),
+            Direction::Both => out.len() + inc.iter().filter(|e| e.node != n).count(),
         }
     }
 
@@ -1091,51 +1075,49 @@ impl PropertyGraph {
             g.live_nodes += 1;
         }
         g.rels = CowSlots::with_slots(rel_slots);
-        let mut last_rel: Option<u64> = None;
-        for rs in rels {
-            let idx = rs.id.0 as usize;
-            if idx >= rel_slots {
-                return Err(bad(format!("rel {} beyond slot count {rel_slots}", rs.id)));
+        g.bulk_load(|g| {
+            let mut last_rel: Option<u64> = None;
+            for rs in rels {
+                let idx = rs.id.0 as usize;
+                if idx >= rel_slots {
+                    return Err(bad(format!("rel {} beyond slot count {rel_slots}", rs.id)));
+                }
+                if last_rel.is_some_and(|p| rs.id.0 <= p) {
+                    return Err(bad(format!("rel ids not strictly increasing at {}", rs.id)));
+                }
+                last_rel = Some(rs.id.0);
+                if !g.contains_node(rs.src) {
+                    return Err(bad(format!("rel {} has dangling source {}", rs.id, rs.src)));
+                }
+                if !g.contains_node(rs.tgt) {
+                    return Err(bad(format!("rel {} has dangling target {}", rs.id, rs.tgt)));
+                }
+                let rel_type = g.interner.intern(&rs.rel_type);
+                let mut pm = PropMap::default();
+                for (k, v) in rs.props {
+                    pm.set(g.interner.intern(&k), v);
+                }
+                g.rels.set(
+                    idx,
+                    RelData {
+                        src: rs.src,
+                        tgt: rs.tgt,
+                        rel_type,
+                        props: pm,
+                    },
+                );
+                g.link(rs.src, rs.tgt, rs.id);
+                *g.type_counts.entry(rel_type).or_insert(0) += 1;
+                g.live_rels += 1;
             }
-            if last_rel.is_some_and(|p| rs.id.0 <= p) {
-                return Err(bad(format!("rel ids not strictly increasing at {}", rs.id)));
-            }
-            last_rel = Some(rs.id.0);
-            if !g.contains_node(rs.src) {
-                return Err(bad(format!("rel {} has dangling source {}", rs.id, rs.src)));
-            }
-            if !g.contains_node(rs.tgt) {
-                return Err(bad(format!("rel {} has dangling target {}", rs.id, rs.tgt)));
-            }
-            let rel_type = g.interner.intern(&rs.rel_type);
-            let mut pm = PropMap::default();
-            for (k, v) in rs.props {
-                pm.set(g.interner.intern(&k), v);
-            }
-            g.rels.set(
-                idx,
-                RelData {
-                    src: rs.src,
-                    tgt: rs.tgt,
-                    rel_type,
-                    props: pm,
-                },
-            );
-            // Relationships are exported in id order, which is exactly the
-            // order `add_rel` appended them to the adjacency lists (ids
-            // are never reused and deletions preserve relative order), so
-            // rebuilt out/in lists match the original lists verbatim.
-            g.node_mut(rs.src).expect("validated above").out.push(rs.id);
-            g.node_mut(rs.tgt).expect("validated above").inc.push(rs.id);
-            *g.type_counts.entry(rel_type).or_insert(0) += 1;
-            g.live_rels += 1;
-        }
+            Ok(())
+        })?;
         Ok(g)
     }
 
-    /// Renders the complete observable state — entities, adjacency, type
-    /// counts and all three index families — in a canonical, interner- and
-    /// hash-map-order-independent text form. Two graphs with equal dumps
+    /// Renders the complete observable state — entities, every neighbour
+    /// list entry for entry, type counts and all three index families — in
+    /// a canonical, interner- and hash-map-order-independent text form. Two graphs with equal dumps
     /// are indistinguishable to every query and every planner statistic;
     /// the crash-recovery differential suite compares dumps of recovered
     /// graphs against the in-memory oracle.
@@ -1162,6 +1144,13 @@ impl PropertyGraph {
             let mut props = ns.props;
             props.sort_by(|a, b| a.0.cmp(&b.0));
             writeln!(out, "node {} labels={labels:?} props={props:?}", ns.id).unwrap();
+            let list = |l: &[Neighbor]| {
+                let entries: Vec<String> =
+                    l.iter().map(|e| format!("{}:{}", e.node, e.rel)).collect();
+                entries.join(" ")
+            };
+            let (o, i) = (self.out_neighbors(ns.id), self.in_neighbors(ns.id));
+            writeln!(out, "  out [{}] in [{}]", list(o), list(i)).unwrap();
         }
         for rs in self.export_rels() {
             let mut props = rs.props;
@@ -1219,8 +1208,8 @@ mod tests {
     #[test]
     fn adjacency_is_direct() {
         let (g, a, b, r) = sample();
-        assert_eq!(g.out_rels(a), &[r]);
-        assert_eq!(g.in_rels(b), &[r]);
+        assert_eq!(g.out_neighbors(a), &[Neighbor { node: b, rel: r }]);
+        assert_eq!(g.in_neighbors(b), &[Neighbor { node: a, rel: r }]);
         let hops = |n, dir| g.expand(n, dir).collect::<Vec<_>>();
         assert_eq!(hops(a, Direction::Outgoing), vec![(r, b)]);
         assert_eq!(hops(b, Direction::Incoming), vec![(r, a)]);
@@ -1245,8 +1234,8 @@ mod tests {
         let (mut g, a, b, r) = sample();
         g.delete_rel(r).unwrap();
         assert_eq!(g.rel_count(), 0);
-        assert!(g.out_rels(a).is_empty());
-        assert!(g.in_rels(b).is_empty());
+        assert!(g.out_neighbors(a).is_empty());
+        assert!(g.in_neighbors(b).is_empty());
         let t = g.interner().get("KNOWS").unwrap();
         assert_eq!(g.type_cardinality(t), 0);
         assert!(g.delete_rel(r).is_err());
@@ -1398,6 +1387,94 @@ mod tests {
         // Deletion cleans the composite index.
         g.detach_delete_node(b).unwrap();
         assert!(g.nodes_with_label_prop(q, k, &Value::int(1)).is_empty());
+    }
+
+    /// Asserts every list of `g` is strictly `(node, rel)`-ordered and
+    /// holds exactly what `expand` yields.
+    fn assert_sorted_and_expanded(g: &PropertyGraph) {
+        for n in g.nodes() {
+            for (list, dir) in [
+                (g.out_neighbors(n), Direction::Outgoing),
+                (g.in_neighbors(n), Direction::Incoming),
+            ] {
+                assert!(list.windows(2).all(|w| w[0] < w[1]), "{n} {dir:?} sorted");
+                let mut expect: Vec<Neighbor> = g
+                    .expand(n, dir)
+                    .map(|(rel, node)| Neighbor { node, rel })
+                    .collect();
+                expect.sort_unstable();
+                assert_eq!(list, expect.as_slice());
+            }
+        }
+    }
+
+    /// 50 relationships among the first 50 nodes (made on demand), in
+    /// an order shuffled by `salt`.
+    fn shuffled(g: &mut PropertyGraph, salt: u64) {
+        while g.node_count() < 50 {
+            g.add_node(&["N"], []);
+        }
+        for i in 0..50 {
+            let (s, t) = ((i * 7 + salt) % 50, (i * 13 + 3 * salt + 3) % 50);
+            g.add_rel(NodeId(s), NodeId(t), "E", []).unwrap();
+        }
+    }
+
+    #[test]
+    fn sorted_lists_agree_with_expand() {
+        let mut g = PropertyGraph::new();
+        shuffled(&mut g, 0);
+        shuffled(&mut g, 1);
+        assert_sorted_and_expanded(&g);
+    }
+
+    #[test]
+    fn bulk_load_sorts_on_every_exit() {
+        let mut g = PropertyGraph::new();
+        let done: Result<(), GraphError> = g.bulk_load(|g| {
+            shuffled(g, 0);
+            Err(GraphError::NoSuchNode(NodeId(0)))
+        });
+        assert!(done.is_err());
+        assert_sorted_and_expanded(&g);
+        // A later scope merges its appended tails into the sorted lists,
+        // and deletes inside the scope find their entries.
+        g.bulk_load(|g| {
+            shuffled(g, 1);
+            g.delete_rel(RelId(3)).unwrap();
+            g.delete_rel(RelId(77)).unwrap();
+        });
+        assert_eq!(g.rel_count(), 98);
+        assert_sorted_and_expanded(&g);
+    }
+
+    #[test]
+    fn self_loops_appear_on_both_sides() {
+        let mut g = PropertyGraph::new();
+        let a = g.add_node(&[], []);
+        let r = g.add_rel(a, a, "E", []).unwrap();
+        let e = [Neighbor { node: a, rel: r }];
+        assert_eq!(g.out_neighbors(a), &e);
+        assert_eq!(g.in_neighbors(a), &e);
+    }
+
+    #[test]
+    fn deleted_rels_leave_the_lists() {
+        let (mut g, a, b, r1) = sample();
+        let r2 = g.add_rel(a, b, "E", []).unwrap();
+        g.delete_rel(r1).unwrap();
+        assert_eq!(g.out_neighbors(a), &[Neighbor { node: b, rel: r2 }]);
+        assert_eq!(g.in_neighbors(b), &[Neighbor { node: a, rel: r2 }]);
+    }
+
+    #[test]
+    fn clone_stays_frozen_after_the_original_mutates() {
+        let (mut g, a, b, _) = sample();
+        let clone = g.clone();
+        g.add_rel(b, a, "E", []).unwrap();
+        assert_eq!(g.out_neighbors(b).len(), 1);
+        assert!(clone.out_neighbors(b).is_empty(), "clone frozen");
+        assert_eq!(clone.in_neighbors(b).len(), 1);
     }
 
     #[test]

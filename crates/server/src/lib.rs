@@ -57,7 +57,7 @@
 
 #![warn(missing_docs)]
 
-use cypher::config::{Access, Knob};
+use cypher::config::{Access, Knob, ENGINE_KNOBS};
 use cypher::metrics::{Counter, Gauge};
 use cypher::{Database, Error, Params, Session, SubscriptionPoll, ViewSubscription};
 use cypher_wire::{
@@ -140,6 +140,18 @@ pub static LISTEN_KNOB: [Knob<String>; 1] = [Knob {
     },
     doc: "address `cypher-server` binds",
 }];
+
+/// The `CYPHER_*` names in `vars` that no row of [`LISTEN_KNOB`],
+/// [`ENGINE_KNOBS`] or [`SERVER_KNOBS`] reads: removed or misspelt
+/// settings. `CYPHER_TEST_FAULTS` is not one; the library reads it.
+pub fn unknown_settings(vars: impl IntoIterator<Item = String>) -> Vec<String> {
+    let rows = (LISTEN_KNOB.iter().map(|k| k.var))
+        .chain(ENGINE_KNOBS.iter().map(|k| k.var))
+        .chain(SERVER_KNOBS.iter().map(|k| k.var));
+    let known = |var: &str| var == "CYPHER_TEST_FAULTS" || rows.clone().any(|v| v == var);
+    let unknown = |var: &String| var.starts_with("CYPHER_") && !known(var);
+    vars.into_iter().filter(unknown).collect()
+}
 
 /// Maps an engine error onto its wire error code. The message sent to
 /// the client is always the engine's own rendering (`Error::to_string`).

@@ -23,6 +23,10 @@ fn main() {
     for issue in issues {
         eprintln!("cypher-server: ignoring environment override {issue}");
     }
+    let vars = std::env::vars_os().map(|(var, _)| var.to_string_lossy().into_owned());
+    for var in cypher_server::unknown_settings(vars) {
+        eprintln!("cypher-server: ignoring environment override {var}: no such setting");
+    }
     let durable = engine_cfg
         .persistence
         .as_ref()

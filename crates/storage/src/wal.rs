@@ -383,123 +383,128 @@ pub fn replay(path: &Path, graph: &mut PropertyGraph) -> Result<ReplaySummary, S
     let mut last_sealed_end = pos;
     let mut pending: Vec<Change> = Vec::new();
     let mut staged: Vec<(u64, Vec<Change>)> = Vec::new();
-    loop {
-        if pos == buf.len() {
-            break;
-        }
-        let (payload, end) = match read_frame(&buf, pos) {
-            Ok(ok) => ok,
-            // A frame failure that touches EOF is what a crash looks
-            // like: truncate. One with intact data after it means bytes
-            // that were once durably written have rotted — surface it
-            // instead of silently cutting off every later group.
-            Err(_) if frame_failure_is_torn_tail(&buf, pos) => break,
-            Err(e) => return Err(e),
-        };
-        enum Decoded {
-            Change(Change),
-            Commit { seq: u64, count: usize },
-            Group { first_seq: u64, count: usize },
-        }
-        let mut r = Reader::new(payload, "wal payload");
-        let decoded: Result<Decoded, StorageError> = (|| match r.u8()? {
-            KIND_CHANGE => Ok(Decoded::Change(r.change()?)),
-            KIND_COMMIT => {
-                let seq = r.u64()?;
-                let count = r.u32()? as usize;
-                Ok(Decoded::Commit { seq, count })
+    // Replay loads into a graph the caller owns: lists an append left out
+    // of order are sorted once when the scope ends.
+    graph.bulk_load(|graph| {
+        loop {
+            if pos == buf.len() {
+                break;
             }
-            // Group records exist only in version 2; in a v1 log a 0x03
-            // kind byte is garbage and falls through to "unknown kind".
-            KIND_GROUP if version == 2 => {
-                let first_seq = r.u64()?;
-                let count = r.u32()? as usize;
-                Ok(Decoded::Group { first_seq, count })
+            let (payload, end) = match read_frame(&buf, pos) {
+                Ok(ok) => ok,
+                // A frame failure that touches EOF is what a crash looks
+                // like: truncate. One with intact data after it means bytes
+                // that were once durably written have rotted — surface it
+                // instead of silently cutting off every later group.
+                Err(_) if frame_failure_is_torn_tail(&buf, pos) => break,
+                Err(e) => return Err(e),
+            };
+            enum Decoded {
+                Change(Change),
+                Commit { seq: u64, count: usize },
+                Group { first_seq: u64, count: usize },
             }
-            _ => Err(StorageError::corrupt(
-                "wal: unknown record kind",
-                pos as u64,
-            )),
-        })();
-        let mut seal = false;
-        match decoded {
-            Ok(Decoded::Change(c)) => pending.push(c),
-            Ok(Decoded::Commit { seq, count }) => {
-                if count != pending.len() {
-                    let e = StorageError::corrupt(
-                        format!(
-                            "wal commit {seq}: claims {count} changes, found {}",
-                            pending.len()
-                        ),
-                        pos as u64,
-                    );
-                    // A mismatched final commit is indistinguishable from
-                    // a torn write (its change records were the casualty);
-                    // anywhere else it is genuine corruption.
+            let mut r = Reader::new(payload, "wal payload");
+            let decoded: Result<Decoded, StorageError> = (|| match r.u8()? {
+                KIND_CHANGE => Ok(Decoded::Change(r.change()?)),
+                KIND_COMMIT => {
+                    let seq = r.u64()?;
+                    let count = r.u32()? as usize;
+                    Ok(Decoded::Commit { seq, count })
+                }
+                // Group records exist only in version 2; in a v1 log a 0x03
+                // kind byte is garbage and falls through to "unknown kind".
+                KIND_GROUP if version == 2 => {
+                    let first_seq = r.u64()?;
+                    let count = r.u32()? as usize;
+                    Ok(Decoded::Group { first_seq, count })
+                }
+                _ => Err(StorageError::corrupt(
+                    "wal: unknown record kind",
+                    pos as u64,
+                )),
+            })();
+            let mut seal = false;
+            match decoded {
+                Ok(Decoded::Change(c)) => pending.push(c),
+                Ok(Decoded::Commit { seq, count }) => {
+                    if count != pending.len() {
+                        let e = StorageError::corrupt(
+                            format!(
+                                "wal commit {seq}: claims {count} changes, found {}",
+                                pending.len()
+                            ),
+                            pos as u64,
+                        );
+                        // A mismatched final commit is indistinguishable from
+                        // a torn write (its change records were the casualty);
+                        // anywhere else it is genuine corruption.
+                        if end == buf.len() {
+                            break;
+                        }
+                        return Err(e);
+                    }
+                    staged.push((seq, std::mem::take(&mut pending)));
+                    // Version 1 had no group records: every commit seals its
+                    // own batch, a group of one.
+                    seal = version == 1;
+                }
+                Ok(Decoded::Group { first_seq, count }) => {
+                    // The group record must cover exactly the batches staged
+                    // since the previous group: right count, right first seq,
+                    // consecutive seqs, no loose changes after the last
+                    // commit. A mismatched *final* record is a torn seal;
+                    // anywhere else the sealed history has rotted.
+                    let coherent = count > 0
+                        && pending.is_empty()
+                        && staged.len() == count
+                        && staged
+                            .iter()
+                            .enumerate()
+                            .all(|(i, (seq, _))| *seq == first_seq + i as u64);
+                    if !coherent {
+                        let e = StorageError::corrupt(
+                            format!(
+                                "wal group at {first_seq}: claims {count} staged batches, found {}",
+                                staged.len()
+                            ),
+                            pos as u64,
+                        );
+                        if end == buf.len() {
+                            break;
+                        }
+                        return Err(e);
+                    }
+                    seal = true;
+                }
+                Err(e) => {
+                    // Decode errors never mutate the graph: a final record
+                    // that frames but does not decode is treated as torn.
                     if end == buf.len() {
                         break;
                     }
                     return Err(e);
                 }
-                staged.push((seq, std::mem::take(&mut pending)));
-                // Version 1 had no group records: every commit seals its
-                // own batch, a group of one.
-                seal = version == 1;
             }
-            Ok(Decoded::Group { first_seq, count }) => {
-                // The group record must cover exactly the batches staged
-                // since the previous group: right count, right first seq,
-                // consecutive seqs, no loose changes after the last
-                // commit. A mismatched *final* record is a torn seal;
-                // anywhere else the sealed history has rotted.
-                let coherent = count > 0
-                    && pending.is_empty()
-                    && staged.len() == count
-                    && staged
-                        .iter()
-                        .enumerate()
-                        .all(|(i, (seq, _))| *seq == first_seq + i as u64);
-                if !coherent {
-                    let e = StorageError::corrupt(
-                        format!(
-                            "wal group at {first_seq}: claims {count} staged batches, found {}",
-                            staged.len()
-                        ),
-                        pos as u64,
-                    );
-                    if end == buf.len() {
-                        break;
+            if seal {
+                // Application failures are *always* hard errors — changes
+                // mutate the graph as they apply, so a partially applied
+                // group must never be reported as a clean recovery.
+                for (seq, changes) in staged.drain(..) {
+                    for c in changes {
+                        apply_change(graph, &c)?;
+                        summary.changes_applied += 1;
                     }
-                    return Err(e);
+                    summary.batches_applied += 1;
+                    summary.next_seq = seq + 1;
                 }
-                seal = true;
+                summary.groups_applied += 1;
+                last_sealed_end = end;
             }
-            Err(e) => {
-                // Decode errors never mutate the graph: a final record
-                // that frames but does not decode is treated as torn.
-                if end == buf.len() {
-                    break;
-                }
-                return Err(e);
-            }
+            pos = end;
         }
-        if seal {
-            // Application failures are *always* hard errors — changes
-            // mutate the graph as they apply, so a partially applied
-            // group must never be reported as a clean recovery.
-            for (seq, changes) in staged.drain(..) {
-                for c in changes {
-                    apply_change(graph, &c)?;
-                    summary.changes_applied += 1;
-                }
-                summary.batches_applied += 1;
-                summary.next_seq = seq + 1;
-            }
-            summary.groups_applied += 1;
-            last_sealed_end = end;
-        }
-        pos = end;
-    }
+        Ok(())
+    })?;
 
     summary.discarded_changes = pending.len() + staged.iter().map(|(_, c)| c.len()).sum::<usize>();
     summary.truncated_bytes = (buf.len() - last_sealed_end) as u64;

@@ -381,7 +381,7 @@ mod tests {
         // Each ring's shared node has ring_size HAS edges pointing at it.
         let mut shared_with_many = 0;
         for n in g.nodes() {
-            let incoming = g.in_rels(n).len();
+            let incoming = g.in_neighbors(n).len();
             if incoming >= 4 {
                 shared_with_many += 1;
             }
@@ -429,7 +429,7 @@ mod tests {
         assert_eq!(a.rel_count(), 299 * 3);
         // Preferential attachment concentrates degree: the most-followed
         // node collects far more than its fair share.
-        let max_in = a.nodes().map(|n| a.in_rels(n).len()).max().unwrap();
+        let max_in = a.nodes().map(|n| a.in_neighbors(n).len()).max().unwrap();
         let avg = a.rel_count() as f64 / a.node_count() as f64;
         assert!(
             max_in as f64 > 3.0 * avg,

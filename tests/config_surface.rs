@@ -16,7 +16,9 @@
 use cypher::config::{self, Access, Knob, ENGINE_KNOBS};
 use cypher::{Database, EngineConfig, FsyncMode, PartialAggMode, WcoJoinMode};
 use cypher_client::Client;
-use cypher_server::{Server, ServerConfig, DEFAULT_LISTEN, LISTEN_KNOB, SERVER_KNOBS};
+use cypher_server::{
+    unknown_settings, Server, ServerConfig, DEFAULT_LISTEN, LISTEN_KNOB, SERVER_KNOBS,
+};
 use std::ffi::OsString;
 
 /// An environment holding exactly `pairs`.
@@ -182,6 +184,31 @@ fn removed_modes_are_reported_like_unknown_tokens() {
         assert_eq!(issues, [format!("{var}=\"{value}\": {message}")]);
         assert_eq!(cfg.fsync_mode, FsyncMode::Os);
     }
+}
+
+/// A `CYPHER_*` variable no row reads (a removed row, a misspelling) is
+/// reported; every row's own variable, `CYPHER_TEST_FAULTS` and names
+/// outside the prefix are not.
+#[test]
+fn unknown_cypher_variables_are_reported() {
+    let vars = [
+        "PATH",
+        "CYPHER_MORSEL_SIZE",
+        "CYPHER_NUM_THREADS",
+        "CYPHER_TEST_FAULTS",
+        "CYPHER_NUM_THREAD",
+        "cypher_listen",
+        "CYPHER_LISTEN",
+        "CYPHER_MAX_CONNS",
+    ];
+    assert_eq!(
+        unknown_settings(vars.map(String::from)),
+        ["CYPHER_MORSEL_SIZE", "CYPHER_NUM_THREAD"]
+    );
+    let rows = (LISTEN_KNOB.iter().map(|k| k.var))
+        .chain(ENGINE_KNOBS.iter().map(|k| k.var))
+        .chain(SERVER_KNOBS.iter().map(|k| k.var));
+    assert!(unknown_settings(rows.map(String::from)).is_empty());
 }
 
 /// One README table line per row: variable · field · default · accepted

@@ -17,7 +17,9 @@
 //! fuzz on, and the preferential-attachment `powerlaw_social` graph whose
 //! dense core is the workload the intersection join exists for. A third
 //! test churns the graph with generated updates between corpus slices, so
-//! the sorted-adjacency snapshot cache must invalidate correctly.
+//! every node's neighbour lists must still be sorted after each update:
+//! `MERGE`'s in-place inserts, `CREATE`'s append-then-sort scope and
+//! deletion by relationship id.
 
 use cypher::workload::{powerlaw_social, QueryGenerator, QueryVocabulary};
 use cypher_tck::diff::{generated, Diff, Sweep, CYCLIC};
@@ -69,8 +71,8 @@ fn powerlaw_corpus_agrees_across_plans_threads_and_oracle() {
 
 #[test]
 fn cyclic_corpus_agrees_after_graph_mutations() {
-    // Updates bump the graph version; the sorted-adjacency snapshot the
-    // intersection operators read must be rebuilt, never served stale.
+    // The intersection operators gallop over the very lists the updates
+    // rewrite; one left out of `(node, rel)` order drops or repeats rows.
     let stream = generated(Some(7777), 8000, 6, 12, QueryGenerator::next_cyclic_query);
     Diff::new(CYCLIC).sweep(Sweep::new(18, 50, 123, stream));
 }

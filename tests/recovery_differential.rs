@@ -407,6 +407,39 @@ fn recovered_database_keeps_assigning_fresh_ids() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn scrambled_links_recover_entry_for_entry() {
+    // MERGE enters each relationship in its sorted place; WAL replay and
+    // snapshot decode append them in id order and sort each list an
+    // append left out of order. The dump prints every neighbour list, so
+    // both must rebuild the live lists entry for entry.
+    let params = Params::new();
+    let dir = fresh_dir("scrambled-links");
+    let cfg = durable_cfg(&dir, u64::MAX, 0);
+    let mut db = Database::open_with(cfg.clone()).unwrap();
+    for q in [
+        "UNWIND range(0, 199) AS i CREATE (:P {s: (i * 73) % 200})",
+        "CREATE (:Hub)",
+        "MATCH (h:Hub), (p:P) WITH h, p ORDER BY p.s MERGE (p)-[:L]->(h) MERGE (h)-[:M]->(p)",
+    ] {
+        db.query(q, &params).unwrap_or_else(|e| panic!("{q}: {e}"));
+    }
+    let live = db.graph().canonical_dump();
+    db.close().unwrap();
+    let mut db = Database::open_with(cfg.clone()).unwrap();
+    assert_eq!(db.graph().canonical_dump(), live, "after WAL replay");
+    db.checkpoint().unwrap();
+    db.close().unwrap();
+    let db = Database::open_with(cfg).unwrap();
+    assert_eq!(
+        db.recovery().batches_replayed,
+        0,
+        "reopened from the snapshot"
+    );
+    assert_eq!(db.graph().canonical_dump(), live, "after snapshot decode");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Index statistics the planner reads, keyed by name (interner symbols
 /// differ between an oracle and a recovered graph). The canonical dump
 /// renders posting lists but not the running `entries` totals, so these

@@ -1,11 +1,12 @@
 //! Property-based tests for the storage substrate: random update
 //! sequences (through the Cypher update language and through the raw API)
 //! must preserve the structural invariants of the native store —
-//! adjacency lists agree with `src`/`tgt`, the label index agrees with
-//! `λ`, and cardinality counters agree with live entity counts.
+//! adjacency lists agree with `src`/`tgt` and are strictly `(node, rel)`-
+//! ordered, the label index agrees with `λ`, and cardinality counters
+//! agree with live entity counts.
 
 use cypher::{run, Params, PropertyGraph, Value};
-use cypher_graph::Direction;
+use cypher_graph::{Direction, Neighbor};
 use proptest::prelude::*;
 
 /// Full structural audit of a graph.
@@ -20,26 +21,27 @@ fn audit(g: &PropertyGraph) {
         let t = g.tgt(r).unwrap();
         assert!(g.contains_node(s), "src of {r} is live");
         assert!(g.contains_node(t), "tgt of {r} is live");
-        assert!(g.out_rels(s).contains(&r), "{r} in out({s})");
-        assert!(g.in_rels(t).contains(&r), "{r} in in({t})");
+        let (out, inc) = (Neighbor { node: t, rel: r }, Neighbor { node: s, rel: r });
+        assert!(g.out_neighbors(s).contains(&out), "{r} in out({s})");
+        assert!(g.in_neighbors(t).contains(&inc), "{r} in in({t})");
     }
-    // Adjacency lists contain only live incident relationships.
+    // Adjacency lists contain only live incident relationships, each
+    // with its other endpoint, strictly ordered by `(node, rel)`.
     for n in g.nodes() {
-        for &r in g.out_rels(n) {
-            assert_eq!(g.src(r), Some(n));
+        for e in g.out_neighbors(n) {
+            assert_eq!((g.src(e.rel), g.tgt(e.rel)), (Some(n), Some(e.node)));
         }
-        for &r in g.in_rels(n) {
-            assert_eq!(g.tgt(r), Some(n));
+        for e in g.in_neighbors(n) {
+            assert_eq!((g.src(e.rel), g.tgt(e.rel)), (Some(e.node), Some(n)));
+        }
+        for list in [g.out_neighbors(n), g.in_neighbors(n)] {
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "{n}: {list:?}");
         }
         // Degree identity.
-        let loops = g
-            .out_rels(n)
-            .iter()
-            .filter(|&&r| g.tgt(r) == Some(n))
-            .count();
+        let loops = g.out_neighbors(n).iter().filter(|e| e.node == n).count();
         assert_eq!(
             g.degree(n, Direction::Both),
-            g.out_rels(n).len() + g.in_rels(n).len() - loops
+            g.out_neighbors(n).len() + g.in_neighbors(n).len() - loops
         );
     }
     // Label index ↔ λ agreement, both directions.
@@ -170,6 +172,9 @@ fn cypher_update_sequences_preserve_invariants() {
     let steps: &[&str] = &[
         "UNWIND range(0, 9) AS i CREATE (:P {i: i})",
         "MATCH (a:P), (b:P) WHERE a.i + 1 = b.i CREATE (a)-[:NEXT]->(b)",
+        // One CREATE links every node into and out of one hub, in
+        // descending id order: the hub's lists are appended out of order.
+        "MATCH (a:P), (h:P {i: 4}) WITH a, h ORDER BY a.i DESC CREATE (a)-[:TO]->(h), (h)-[:FROM]->(a)",
         "MATCH (a:P {i: 0}) SET a:Head, a.first = true",
         "MATCH (a:P)-[r:NEXT]->(b:P) WHERE a.i >= 7 DELETE r",
         "MATCH (a:P) WHERE a.i = 9 DETACH DELETE a",
