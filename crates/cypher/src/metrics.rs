@@ -162,12 +162,6 @@ impl DatabaseMetrics {
             }
         }
     }
-
-    /// Age of the oldest live read pin, microseconds (0 when nothing is
-    /// pinned or metrics are disabled).
-    pub fn oldest_pin_age_us(&self) -> u64 {
-        self.pins.oldest_age_us()
-    }
 }
 
 /// One page of the database's metrics, with the headline identity

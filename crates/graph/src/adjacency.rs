@@ -8,9 +8,10 @@
 //! leapfrog-style worst-case-optimal join whose work is bounded by the
 //! AGM output bound rather than by intermediate-result sizes.
 //!
-//! The intersection primitives ([`gallop`], [`intersect_nodes`]) use
-//! galloping (exponential-probe) search, so intersecting a small list
-//! against a large one costs `O(small · log(large))` probes.
+//! [`gallop`] is the merge's one primitive: a galloping
+//! (exponential-probe) search, so the engine's multiway intersection
+//! (`MultiwayIntersectOp`, one cursor per guard) intersects a small list
+//! against a large one in `O(small · log(large))` probes.
 
 use crate::graph::{NodeId, RelId};
 
@@ -74,47 +75,6 @@ fn partition_point(list: &[Neighbor], target: NodeId, probes: &mut u64) -> usize
     lo
 }
 
-/// K-way leapfrog intersection of the *node sets* of sorted neighbour
-/// lists: appends each node id present in every list once to `out` (the
-/// lists themselves may hold several relationships per node). Returns the
-/// number of galloping probes performed.
-pub fn intersect_nodes(lists: &[&[Neighbor]], out: &mut Vec<NodeId>) -> u64 {
-    let mut probes = 0u64;
-    if lists.is_empty() {
-        return probes;
-    }
-    let mut pos = vec![0usize; lists.len()];
-    // The current frontier: the maximum of the lists' current nodes.
-    'outer: while let Some(first) = lists[0].get(pos[0]) {
-        let mut target = first.node;
-        loop {
-            let mut all_equal = true;
-            for (i, list) in lists.iter().enumerate() {
-                pos[i] = gallop(list, pos[i], target, &mut probes);
-                match list.get(pos[i]) {
-                    None => break 'outer,
-                    Some(e) if e.node > target => {
-                        target = e.node;
-                        all_equal = false;
-                    }
-                    Some(_) => {}
-                }
-            }
-            if all_equal {
-                out.push(target);
-                // Advance every list past the matched node.
-                for (i, list) in lists.iter().enumerate() {
-                    while list.get(pos[i]).is_some_and(|e| e.node == target) {
-                        pos[i] += 1;
-                    }
-                }
-                break;
-            }
-        }
-    }
-    probes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,27 +102,5 @@ mod tests {
         assert_eq!(gallop(&list, 0, NodeId(91), &mut probes), 10);
         assert_eq!(gallop(&list, 10, NodeId(1), &mut probes), 10);
         assert!(probes > 0);
-    }
-
-    #[test]
-    fn intersect_nodes_matches_naive() {
-        let a: Vec<Neighbor> = (0..200).map(|i| nb(i * 2, i)).collect();
-        let b: Vec<Neighbor> = (0..200).map(|i| nb(i * 3, 1000 + i)).collect();
-        let c: Vec<Neighbor> = (0..500).map(|i| nb(i, 2000 + i)).collect();
-        let mut out = Vec::new();
-        intersect_nodes(&[&a, &b, &c], &mut out);
-        // Common nodes: multiples of 6 within all three ranges (`a` tops
-        // out at 398, `c` at 499).
-        let expect: Vec<NodeId> = (0..=396).filter(|i| i % 6 == 0).map(NodeId).collect();
-        assert_eq!(out, expect);
-        // Duplicate node runs collapse to one entry.
-        let d = vec![nb(6, 1), nb(6, 2), nb(12, 3)];
-        let mut out = Vec::new();
-        intersect_nodes(&[&d, &c], &mut out);
-        assert_eq!(out, vec![NodeId(6), NodeId(12)]);
-        // Empty list short-circuits.
-        let mut out = Vec::new();
-        intersect_nodes(&[&a, &[]], &mut out);
-        assert!(out.is_empty());
     }
 }

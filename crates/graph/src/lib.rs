@@ -44,7 +44,7 @@ pub mod temporal;
 pub mod value;
 pub mod version;
 
-pub use adjacency::{gallop, intersect_nodes, Neighbor};
+pub use adjacency::{gallop, Neighbor};
 pub use catalog::Catalog;
 pub use change::{affected_nodes, Change, ChangeSink, SharedChangeBuffer};
 pub use graph::{

@@ -19,6 +19,11 @@
 //!    [`Diff::total_order_by`] also demands the oracle's row sequence
 //!    from a query with `ORDER BY`.
 //!
+//! [`Diff::at_versions`] holds a *concurrent* run to the same contract:
+//! every read a reader made at its pinned version ([`Observation`]) must
+//! be answered from the state the commits' serial order ([`History`])
+//! reaches at that version.
+//!
 //! A [`Sweep`] is a `random_graph` plus a stream of statements: updates
 //! applied through [`cypher::run`], reads checked with the contract and
 //! required to succeed — so every answer must equal recomputation from
@@ -28,12 +33,13 @@
 //! panic carries the failure and a paste-ready `#[test]` for
 //! `tests/regression.rs`.
 
-use cypher::workload::{random_graph, QueryGenerator};
+use cypher::workload::{harness_override, random_graph, QueryGenerator};
 use cypher::{
-    run_read_with, run_reference_with, EngineConfig, Error, MatchConfig, Params, PartialAggMode,
-    PlannerMode, PropertyGraph, Record, Table, Value, WcoJoinMode,
+    run_read_with, run_reference_with, run_with, EngineConfig, Error, MatchConfig, Params,
+    PartialAggMode, PlannerMode, PropertyGraph, Record, Table, Value, WcoJoinMode,
 };
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::ops::Range;
 use Policy::*;
@@ -211,6 +217,15 @@ pub fn error(g: &PropertyGraph, q: &str) -> Error {
     Diff::new(LIGHT).error(g, q)
 }
 
+/// The seeds a seeded suite sweeps: `0..n`, or exactly the one named by
+/// `CYPHER_TEST_SEED` (to replay a failure, whose message names its seed).
+pub fn seeds(n: u64) -> Vec<u64> {
+    match harness_override("CYPHER_TEST_SEED", 0) {
+        Some(seed) => vec![seed],
+        None => (0..n).collect(),
+    }
+}
+
 /// The graph `updates` build from empty, through [`cypher::run`].
 pub fn graph(updates: &[&str]) -> PropertyGraph {
     let mut g = PropertyGraph::new();
@@ -265,10 +280,19 @@ impl Diff {
     /// The sequential built-in cell's outcome of `q` on `g`, or how the
     /// cells and the oracle break the contract.
     pub fn outcome(&self, g: &PropertyGraph, q: &str) -> Result<Result<Table, Error>, String> {
+        self.outcome_at(self.cells, g, q)
+    }
+
+    fn outcome_at(
+        &self,
+        cells: &[Cell],
+        g: &PropertyGraph,
+        q: &str,
+    ) -> Result<Result<Table, Error>, String> {
         let oracle = run_reference_with(g, q, &self.params, self.matching);
         let mut orders: Vec<(Policy, Table)> = Vec::new();
         let mut first = None;
-        for &cell in self.cells {
+        for &cell in cells {
             let got = (self.engine.1)(g, q, &self.params, &config(cell, self.matching));
             let (p, threads, morsel) = cell;
             let diverge = |what: &str, want: &dyn Display, got: &dyn Display| {
@@ -335,14 +359,112 @@ impl Diff {
             Ok(counts) => counts,
             Err(Failure::Update(e)) => panic!("{e}"),
             Err(Failure::Read(at, divergence)) => {
-                let (s, divergence) = self.minimise(sweep, at, divergence);
-                let (n, nodes, test) = (s.stream.len(), s.nodes, self.render(&s));
-                panic!(
-                    "{divergence}\n\nminimised to {n} statements on {nodes} nodes; \
-                     paste into tests/regression.rs:\n\n{test}"
-                )
+                panic!("{}", self.minimised(sweep, at, divergence))
             }
         }
+    }
+
+    /// The failure of `sweep`'s read `at`, minimised, with its test.
+    fn minimised(&self, sweep: Sweep, at: usize, divergence: String) -> String {
+        let (s, divergence) = self.minimise(sweep, at, divergence);
+        let (n, nodes, test) = (s.stream.len(), s.nodes, self.render(&s));
+        format!(
+            "{divergence}\n\nminimised to {n} statements on {nodes} nodes; \
+             paste into tests/regression.rs:\n\n{test}"
+        )
+    }
+
+    /// Proves a concurrent run's `observations` against its `history`,
+    /// and returns the graph the history builds (for the caller to compare
+    /// with the live database's `canonical_dump`):
+    ///
+    /// 1. the published versions are dense from `base + 1`, and every
+    ///    observed version lies in `base..=head`;
+    /// 2. the observations of one (version, query) pair agree exactly —
+    ///    the same row sequence or the same error text (repeatable reads);
+    /// 3. the history replays once, through [`run_with`] at its cell,
+    ///    each statement with its live outcome, and each distinct pair is
+    ///    checked at its version: the reader's outcome equals the
+    ///    sequential engine's, and that one keeps the contract with the
+    ///    oracle. A divergence from the oracle arrives as a sweep of the
+    ///    statement prefix plus the read, minimised to a paste-ready test.
+    pub fn at_versions(
+        &self,
+        history: &History,
+        observations: &[Observation],
+    ) -> Result<PropertyGraph, String> {
+        let (cfg, base) = (config(history.cell, self.matching), history.base);
+        let mut commits: Vec<&Commit> = history.commits.iter().collect();
+        commits.sort_by_key(|c| c.version);
+        let gap = commits
+            .iter()
+            .zip(base + 1..)
+            .find(|(c, v)| c.version != *v);
+        if let Some((c, v)) = gap {
+            let (stmt, got) = (&c.stmt, c.version);
+            return Err(format!(
+                "versions are not dense: v{v} was never published, `{stmt}` published v{got}"
+            ));
+        }
+        let head = base + commits.len() as u64;
+        let mut pairs: BTreeMap<(u64, &str), &Observation> = BTreeMap::new();
+        for o in observations {
+            let (v, q) = (o.version, &o.query);
+            if !(base..=head).contains(&v) {
+                return Err(format!("`{q}` read v{v}, outside v{base}..=v{head}"));
+            }
+            let first = *pairs.entry((v, q)).or_insert(o);
+            if first != o {
+                let (a, b) = (shown(&first.outcome), shown(&o.outcome));
+                return Err(format!(
+                    "two reads of `{q}` at v{v} disagree\nfirst:\n{a}\nagain:\n{b}"
+                ));
+            }
+        }
+        // The seeds succeeded live; a commit says whether it did.
+        let seeds = history.seeds.iter().map(|s| (s, true));
+        let stmts: Vec<_> = seeds
+            .chain(commits.iter().map(|c| (&c.stmt, c.ok)))
+            .collect();
+        let replay = |g: &mut PropertyGraph, stmts: &[(&String, bool)]| {
+            for &(stmt, ok) in stmts {
+                let done = run_with(g, stmt, &self.params, &cfg);
+                if done.is_ok() != ok {
+                    return Err(format!("`{stmt}`: ok = {ok} live, replay {done:?}"));
+                }
+            }
+            Ok(())
+        };
+        let (mut g, mut applied) = (PropertyGraph::new(), 0);
+        for ((v, q), o) in pairs {
+            let upto = history.seeds.len() + (v - base) as usize;
+            replay(&mut g, &stmts[applied..upto])?;
+            applied = upto;
+            let seq = match self.outcome_at(&[history.cell], &g, q) {
+                Ok(seq) => seq.map_err(|e| e.to_string()),
+                Err(divergence) => {
+                    let updates = stmts[..upto]
+                        .iter()
+                        .map(|(u, _)| Stmt::Update(u.to_string()));
+                    let stream = updates.chain([Stmt::Read(q.to_string())]).collect();
+                    let sweep = Sweep::new(0, 0, 0, stream);
+                    let failure = match self.replay(&sweep) {
+                        Err(Failure::Read(at, d)) => self.minimised(sweep, at, d),
+                        _ => divergence,
+                    };
+                    return Err(format!("at v{v}: {failure}"));
+                }
+            };
+            if !same(&o.outcome, &seq) {
+                let (got, want) = (shown(&o.outcome), shown(&seq));
+                return Err(format!(
+                    "a reader of `{q}` at v{v} diverges from the sequential replay\
+                     \nreader:\n{got}\nreplay:\n{want}"
+                ));
+            }
+        }
+        replay(&mut g, &stmts[applied..])?;
+        Ok(g)
     }
 
     fn replay(&self, s: &Sweep) -> Result<Vec<usize>, Failure> {
@@ -501,6 +623,88 @@ impl Sweep {
     }
 }
 
+/// The engine configuration of a live database whose reads
+/// [`Diff::at_versions`] checks: `cell` with the plan cache off, so that
+/// every query is planned against its own snapshot's statistics and its
+/// *row order* (not just the multiset) is a pure function of the pinned
+/// version. Plan-cache sharing across sessions has its own suite
+/// (`tests/plan_cache.rs`).
+pub fn live(cell: Cell) -> EngineConfig {
+    EngineConfig {
+        plan_cache_size: 0,
+        ..config(cell, MatchConfig::default())
+    }
+}
+
+/// A concurrent run's write history, for [`Diff::at_versions`].
+#[derive(Clone, Debug)]
+pub struct History {
+    /// The cell the live database ran at; the replay runs there too.
+    pub cell: Cell,
+    /// The statements run before any reader started; each must succeed.
+    pub seeds: Vec<String>,
+    /// The version published when the seeds were done.
+    pub base: u64,
+    /// Every statement that published a version, in any order.
+    pub commits: Vec<Commit>,
+}
+
+/// A statement that published a version.
+#[derive(Clone, Debug)]
+pub struct Commit {
+    /// The version it published.
+    pub version: u64,
+    /// Its text.
+    pub stmt: String,
+    /// Whether it succeeded (a failed statement still publishes what it
+    /// mutated before the error).
+    pub ok: bool,
+}
+
+/// One read at a pinned version.
+#[derive(Clone, Debug)]
+pub struct Observation {
+    /// The pinned version.
+    pub version: u64,
+    /// The query.
+    pub query: String,
+    /// Its rows, or its error's text.
+    pub outcome: Result<Table, String>,
+}
+
+impl Observation {
+    /// What a read of `query` at `version` returned, errors by their text.
+    pub fn new<E: Display>(version: u64, query: &str, outcome: Result<Table, E>) -> Observation {
+        let (query, outcome) = (query.to_string(), outcome.map_err(|e| e.to_string()));
+        Observation {
+            version,
+            query,
+            outcome,
+        }
+    }
+}
+
+/// The same version, query and outcome (the same row sequence).
+impl PartialEq for Observation {
+    fn eq(&self, o: &Observation) -> bool {
+        (self.version, &self.query) == (o.version, &o.query) && same(&self.outcome, &o.outcome)
+    }
+}
+
+fn same(a: &Result<Table, String>, b: &Result<Table, String>) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => a.ordered_eq(b),
+        (a, b) => a.as_ref().err() == b.as_ref().err(),
+    }
+}
+
+fn shown(outcome: &Result<Table, String>) -> String {
+    match outcome {
+        Ok(t) => t.to_string(),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
 enum Failure {
     Update(String),
     Read(usize, String),
@@ -590,6 +794,80 @@ mod tests {
         let source = normal(include_str!("diff.rs"));
         let printed = printed.strip_prefix("#[test]").unwrap();
         assert!(source.contains(&normal(printed)), "{printed}");
+    }
+
+    const Q: &str = "MATCH (a:A) RETURN a.i ORDER BY a.i";
+    const V1: &[&str] = &["CREATE (:A {i: 1})"];
+    const V2: &[&str] = &["CREATE (:A {i: 1})", "CREATE (:A {i: 2})"];
+
+    /// Seeded with `V1[0]` at v1, then `commits`.
+    fn history(commits: &[(u64, &str)]) -> History {
+        let commit = |&(version, stmt): &(u64, &str)| {
+            let (stmt, ok) = (stmt.into(), true);
+            Commit { version, stmt, ok }
+        };
+        let (cell, seeds) = ((Builtin, 4, 1), vec![V1[0].into()]);
+        let commits = commits.iter().map(commit).collect();
+        History {
+            cell,
+            seeds,
+            base: 1,
+            commits,
+        }
+    }
+
+    /// `Q` at `version`, answered from the graph `updates` build.
+    fn read(version: u64, updates: &[&str]) -> Observation {
+        Observation::new(version, Q, Ok::<_, String>(rows(&graph(updates), Q)))
+    }
+
+    #[test]
+    fn a_reader_behind_its_version_is_named_with_both_tables() {
+        let (h, diff) = (history(&[(2, V2[1])]), Diff::new(LIGHT));
+        let g = diff.at_versions(&h, &[read(1, V1), read(2, V2), read(2, V2)]);
+        assert_eq!(g.unwrap().canonical_dump(), graph(V2).canonical_dump());
+        let err = diff.at_versions(&h, &[read(2, V1)]).unwrap_err();
+        assert!(err.contains(&format!("`{Q}` at v2 diverges")), "{err}");
+        let (t1, t2) = (rows(&graph(V1), Q), rows(&graph(V2), Q));
+        let tables = format!("reader:\n{t1}\nreplay:\n{t2}");
+        assert!(err.ends_with(&tables), "{err}");
+    }
+
+    #[test]
+    fn two_reads_of_one_pair_must_agree() {
+        let mut again = read(1, V1);
+        again.outcome = Err("boom".into());
+        let err = Diff::new(LIGHT).at_versions(&history(&[]), &[read(1, V1), again]);
+        let err = err.unwrap_err();
+        let head = format!("two reads of `{Q}` at v1 disagree");
+        assert!(err.starts_with(&head), "{err}");
+        assert!(err.ends_with("again:\nerror: boom"), "{err}");
+    }
+
+    #[test]
+    fn versions_are_dense_and_reads_stay_inside_them() {
+        let err = Diff::new(LIGHT).at_versions(&history(&[(3, "CREATE ()")]), &[]);
+        assert!(err.unwrap_err().contains("v2 was never published"));
+        let err = Diff::new(LIGHT).at_versions(&history(&[]), &[read(2, V2)]);
+        assert!(err.unwrap_err().contains("read v2, outside v1..=v1"));
+    }
+
+    #[test]
+    fn a_sequential_divergence_arrives_minimised_as_a_test() {
+        let h = history(&[(2, "CREATE (:B {v: 7, i: 1000})"), (3, V2[1])]);
+        let mut o = read(3, &[]);
+        o.query = "MATCH (n0) RETURN count(*) AS c".into();
+        let diff = Diff::new(LIGHT).engine("fake_engine", fake_engine);
+        let err = diff.at_versions(&h, &[o]).unwrap_err();
+        let shrunk = "minimised to 2 statements on 0 nodes";
+        assert!(err.contains(shrunk), "{err}");
+        let normal = |s: &str| s.split_whitespace().collect::<String>();
+        let want = r#"Update("CREATE (:B {v: 7, i: 1000})".into()),
+            Read("MATCH (n0) RETURN count(*) AS c".into()),
+        ];
+        let diff = Diff::new(LIGHT).engine("fake_engine", fake_engine);
+        diff.sweep(Sweep::new(0, 0, 0, stream));"#;
+        assert!(normal(&err).contains(&normal(want)), "{err}");
     }
 
     #[test]

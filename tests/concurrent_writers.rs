@@ -1,12 +1,13 @@
 //! Differential testing of the **multi-writer commit pipeline** (group
 //! commit): N writer threads race generated update streams through one
 //! database — their transactions coalesce into shared WAL seals — while
-//! M reader threads pin snapshots mid-flight. Afterwards a sequential
-//! oracle replays the *committed* statements in published-commit order
-//! (each writer records [`cypher::Session::last_commit_version`] per
-//! statement; commit version order **is** the serialization order,
-//! because write execution is serialized by the apply lock and versions
-//! are assigned at admission).
+//! M reader threads pin snapshots at arbitrary moments mid-flight.
+//! Afterwards `cypher_tck::diff`'s `Diff::at_versions` replays the
+//! *committed* statements in published-commit order (each writer
+//! records [`cypher::Session::last_commit_version`] per statement;
+//! commit version order **is** the serialization order, because write
+//! execution is serialized by the apply lock and versions are assigned
+//! at admission).
 //!
 //! What must hold, for every generated workload and every knob cell
 //! (`EngineConfig::group_commit` on/off × `FsyncMode` os/sync, set by
@@ -14,18 +15,18 @@
 //! of `cypher_tck::diff::LIGHT` in turn):
 //!
 //! * **serializability witness** — the final graph is bit-identical
-//!   (canonical dump, indexes included) to the oracle's replay of the
-//!   committed statements in version order, and every statement's
-//!   success/error outcome matches the oracle's at the same position;
+//!   (canonical dump, indexes included) to the replay of the committed
+//!   statements in version order, and every statement's success/error
+//!   outcome matches the replay's at the same position;
 //! * **dense, monotone versions** — the committed versions of all
 //!   writers interleaved are exactly `base+1 ..= base+k`, no gaps
 //!   (a lost or double-published group would tear this);
 //! * **snapshot reads under write contention** — a reader pinned at
-//!   version `v` sees exactly the oracle's state after the
+//!   version `v` sees exactly the replay's state after the
 //!   version-`≤ v` prefix: group commit publishes one version per
 //!   group, so a reader can never observe a mid-group state;
 //! * **durable modes survive reopen** — under `sync` the recovered
-//!   graph equals the oracle replay, batch-for-batch;
+//!   graph equals the replay, batch-for-batch;
 //! * **fsync faults poison exactly their group** — with an injected
 //!   flush failure, every statement is accounted for (acknowledged ∪
 //!   errored = all), acknowledged commits form a dense prefix, and both
@@ -38,12 +39,9 @@
 //! `CYPHER_TEST_SEED=<n>` replays exactly one seed — failure messages
 //! name the seed that minted the workload.
 
-use cypher::workload::{harness_knob, harness_override, QueryGenerator};
-use cypher::{
-    run_read_with, run_reference, run_with, Database, EngineConfig, FsyncMode, MatchConfig, Params,
-    PropertyGraph, Table,
-};
-use cypher_tck::diff::{config, Cell, LIGHT};
+use cypher::workload::{harness_knob, random_queries, random_updates};
+use cypher::{run_with, Database, EngineConfig, FsyncMode, Params, PropertyGraph};
+use cypher_tck::diff::{live, seeds, Cell, Commit, Diff, History, Observation, LIGHT};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -60,56 +58,15 @@ fn reader_count() -> usize {
     harness_knob("CYPHER_CONC_READERS", 2, 1) as usize
 }
 
-/// The seeds a test sweeps: `0..n`, or exactly the one named by
-/// `CYPHER_TEST_SEED` (for replaying a CI failure locally).
-fn seeds(n: u64) -> Vec<u64> {
-    match harness_override("CYPHER_TEST_SEED", 0) {
-        Some(seed) => {
-            eprintln!("CYPHER_TEST_SEED={seed}: replaying a single seed");
-            vec![seed]
-        }
-        None => (0..n).collect(),
-    }
-}
-
 fn fresh_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("cypher-writers-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }
 
-/// Base configuration of both the live database and the oracle for
-/// workload `seed`: the seed's cell of `LIGHT`, in memory, with group
-/// commit on and `FsyncMode::Os` unless a test sets them. The plan cache
-/// is off so reader row *order* is a pure function of the pinned version
-/// (same rationale as `tests/concurrent_sessions.rs`).
-fn base_cfg(seed: u64) -> EngineConfig {
-    EngineConfig {
-        persistence: None,
-        plan_cache_size: 0,
-        ..config(cell(seed), MatchConfig::default())
-    }
-}
-
 /// The engine cell of workload `seed`: the cells of `LIGHT` in turn.
 fn cell(seed: u64) -> Cell {
     LIGHT[seed as usize % LIGHT.len()]
-}
-
-/// One committed write: the version the ticket acknowledged, the
-/// statement, and whether execution reported success (an errored Cypher
-/// statement still commits its partial mutations — no rollback).
-struct Committed {
-    version: u64,
-    stmt: String,
-    ok: bool,
-}
-
-/// One reader observation at a pinned version.
-struct Observation {
-    version: u64,
-    query: String,
-    outcome: Result<Table, String>,
 }
 
 /// Runs one multi-writer workload against `cfg` and proves it against
@@ -120,19 +77,12 @@ fn run_workload(seed: u64, writers: usize, readers: usize, cfg: &EngineConfig, p
 
     // Deterministic statement streams: a seeding prefix every side
     // agrees on, then one disjoint update stream per writer.
-    let mut gen = QueryGenerator::new(seed);
-    let seed_stmts: Vec<String> = (0..6).map(|_| gen.next_update()).collect();
-    let streams: Vec<Vec<String>> = (0..writers)
-        .map(|w| {
-            let mut g = QueryGenerator::new(seed.wrapping_mul(131).wrapping_add(w as u64 + 1));
-            (0..10).map(|_| g.next_update()).collect()
-        })
+    let seed_stmts = random_updates(6, seed);
+    let streams: Vec<Vec<String>> = (0..writers as u64)
+        .map(|w| random_updates(10, seed.wrapping_mul(131).wrapping_add(w + 1)))
         .collect();
-    let query_streams: Vec<Vec<String>> = (0..readers)
-        .map(|r| {
-            let mut g = QueryGenerator::new(seed.wrapping_mul(31).wrapping_add(777 + r as u64));
-            (0..3).map(|_| g.next_query()).collect()
-        })
+    let query_streams: Vec<Vec<String>> = (0..readers as u64)
+        .map(|r| random_queries(3, seed.wrapping_mul(31).wrapping_add(777 + r)))
         .collect();
 
     let db =
@@ -145,18 +95,15 @@ fn run_workload(seed: u64, writers: usize, readers: usize, cfg: &EngineConfig, p
     }
     let base = db.version();
 
-    let committed: Mutex<Vec<Committed>> = Mutex::new(Vec::new());
+    let committed: Mutex<Vec<Commit>> = Mutex::new(Vec::new());
     let writers_done = AtomicBool::new(false);
     let barrier = Barrier::new(writers + readers);
     let writer_sessions: Vec<_> = (0..writers).map(|_| db.session()).collect();
     let reader_sessions: Vec<_> = (0..readers).map(|_| db.session()).collect();
 
     let observations: Vec<Observation> = std::thread::scope(|sc| {
-        let committed = &committed;
-        let writers_done = &writers_done;
-        let barrier = &barrier;
-        let label = &label;
-
+        let (committed, writers_done, barrier, label) =
+            (&committed, &writers_done, &barrier, &label);
         let write_handles: Vec<_> = writer_sessions
             .into_iter()
             .zip(&streams)
@@ -169,12 +116,9 @@ fn run_workload(seed: u64, writers: usize, readers: usize, cfg: &EngineConfig, p
                         // mutated anything — only a clean no-op (e.g. SET
                         // on an empty MATCH) or a query that errored
                         // before its first mutation.
-                        if let Some(v) = session.last_commit_version() {
-                            committed.lock().unwrap().push(Committed {
-                                version: v,
-                                stmt: stmt.clone(),
-                                ok,
-                            });
+                        if let Some(version) = session.last_commit_version() {
+                            let stmt = stmt.clone();
+                            committed.lock().unwrap().push(Commit { version, stmt, ok });
                         }
                     }
                 })
@@ -192,13 +136,8 @@ fn run_workload(seed: u64, writers: usize, readers: usize, cfg: &EngineConfig, p
                     while round == 0 || (!writers_done.load(Ordering::SeqCst) && round < 16) {
                         for q in queries {
                             let version = session.begin_read();
-                            let outcome = session.query(q, params).map_err(|e| e.to_string());
+                            out.push(Observation::new(version, q, session.query(q, params)));
                             session.commit();
-                            out.push(Observation {
-                                version,
-                                query: q.clone(),
-                                outcome,
-                            });
                         }
                         round += 1;
                     }
@@ -221,112 +160,31 @@ fn run_workload(seed: u64, writers: usize, readers: usize, cfg: &EngineConfig, p
             .collect()
     });
 
-    // The interleaved commit versions must be dense and unique:
-    // base+1 ..= base+k, exactly one statement per version.
-    let mut log = committed.into_inner().unwrap();
-    log.sort_by_key(|c| c.version);
-    for (i, c) in log.iter().enumerate() {
-        assert_eq!(
-            c.version,
-            base + 1 + i as u64,
-            "{label}: commit versions are not dense — a group was lost or \
-             double-published around {}",
-            c.stmt
-        );
-    }
+    let history = History {
+        cell: cell(seed),
+        seeds: seed_stmts,
+        base,
+        commits: committed.into_inner().unwrap(),
+    };
+    let total = base + history.commits.len() as u64;
     assert_eq!(
         db.version(),
-        base + log.len() as u64,
+        total,
         "{label}: published head disagrees with the acknowledged commits"
     );
-
-    // Sequential oracle: replay in commit-version order, re-evaluating
-    // each reader observation at its pinned version along the way.
-    let mut oracle = PropertyGraph::new();
-    for s in &seed_stmts {
-        run_with(&mut oracle, s, params, cfg)
-            .unwrap_or_else(|e| panic!("{label}: oracle seed failed on {s}: {e}"));
-    }
-    let mut obs = observations;
-    obs.sort_by_key(|o| o.version);
-    let mut applied = 0usize;
-    let replay_to = |oracle: &mut PropertyGraph, applied: &mut usize, upto: u64| {
-        while *applied < log.len() && log[*applied].version <= upto {
-            let c = &log[*applied];
-            let r = run_with(oracle, &c.stmt, params, cfg);
-            assert_eq!(
-                r.is_ok(),
-                c.ok,
-                "{label}: outcome drift at v{} on {}: oracle said {r:?}",
-                c.version,
-                c.stmt
-            );
-            *applied += 1;
-        }
-    };
-    for o in &obs {
-        assert!(
-            o.version <= base + log.len() as u64,
-            "{label}: reader pinned version {} beyond every acknowledged commit",
-            o.version
-        );
-        replay_to(&mut oracle, &mut applied, o.version);
-        match &o.outcome {
-            Ok(table) => {
-                let seq = run_read_with(&oracle, &o.query, params, cfg).unwrap_or_else(|e| {
-                    panic!(
-                        "{label}: oracle errored where the reader succeeded on {} at v{}: {e}",
-                        o.query, o.version
-                    )
-                });
-                assert!(
-                    table.ordered_eq(&seq),
-                    "{label}: reader rows diverge from the oracle on {} at v{}\
-                     \nreader:\n{table}\noracle:\n{seq}",
-                    o.query,
-                    o.version
-                );
-                let reference = run_reference(&oracle, &o.query, params)
-                    .unwrap_or_else(|e| panic!("{label}: reference failed on {}: {e}", o.query));
-                assert!(
-                    table.bag_eq(&reference),
-                    "{label}: reader diverges from the reference semantics on {} at v{}",
-                    o.query,
-                    o.version
-                );
-            }
-            Err(msg) => {
-                let oracle_err = run_read_with(&oracle, &o.query, params, cfg)
-                    .err()
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "{label}: reader errored ({msg}) but the oracle succeeded \
-                             on {} at v{}",
-                            o.query, o.version
-                        )
-                    });
-                assert_eq!(
-                    msg,
-                    &oracle_err.to_string(),
-                    "{label}: error drift on {} at v{}",
-                    o.query,
-                    o.version
-                );
-            }
-        }
-    }
-    replay_to(&mut oracle, &mut applied, u64::MAX);
-    let final_dump = oracle.canonical_dump();
+    let final_dump = Diff::new(LIGHT)
+        .at_versions(&history, &observations)
+        .unwrap_or_else(|e| panic!("{label}: {e}"))
+        .canonical_dump();
     assert_eq!(
         db.graph().canonical_dump(),
         final_dump,
-        "{label}: final state diverged from the version-order oracle replay"
+        "{label}: final state diverged from the version-order replay"
     );
 
     // Durable cells: the WAL must reconstruct the same state, batch for
     // batch, across a clean close/reopen.
     if let Some(dir) = &cfg.persistence {
-        let total = base + log.len() as u64;
         assert_eq!(db.batches_committed(), Some(total), "{label}");
         db.close()
             .unwrap_or_else(|e| panic!("{label}: close failed: {e}"));
@@ -353,7 +211,7 @@ fn racing_writers_serialize_to_the_oracle_in_commit_version_order() {
     let writers = writer_count();
     let readers = reader_count();
     for seed in seeds(workload_count()) {
-        run_workload(seed, writers, readers, &base_cfg(seed), &params);
+        run_workload(seed, writers, readers, &live(cell(seed)), &params);
     }
 }
 
@@ -364,7 +222,7 @@ fn serial_commit_mode_matches_the_oracle_too() {
     // contention.
     let params = Params::new();
     for seed in seeds(8) {
-        let mut cfg = base_cfg(seed);
+        let mut cfg = live(cell(seed));
         cfg.group_commit = false;
         run_workload(seed, writer_count(), reader_count(), &cfg, &params);
     }
@@ -377,7 +235,7 @@ fn durable_multi_writer_runs_survive_reopen_in_every_fsync_mode() {
     let params = Params::new();
     for seed in seeds(4) {
         let dir = fresh_dir(&format!("durable-sync-{seed}"));
-        let mut cfg = base_cfg(seed);
+        let mut cfg = live(cell(seed));
         cfg.persistence = Some(dir);
         cfg.fsync_mode = FsyncMode::Sync;
         run_workload(seed, writer_count(), reader_count(), &cfg, &params);
@@ -397,17 +255,13 @@ fn fsync_fault_poisons_followers_and_keeps_the_durable_prefix() {
     for seed in seeds(6) {
         let label = format!("workload {seed} at {:?}", cell(seed));
         let dir = fresh_dir(&format!("fault-{seed}"));
-        let mut cfg = base_cfg(seed);
+        let mut cfg = live(cell(seed));
         cfg.persistence = Some(dir.clone());
         cfg.fsync_mode = FsyncMode::Sync;
 
-        let mut gen = QueryGenerator::new(seed);
-        let prefix: Vec<String> = (0..8).map(|_| gen.next_update()).collect();
-        let streams: Vec<Vec<String>> = (0..writer_count())
-            .map(|w| {
-                let mut g = QueryGenerator::new(seed.wrapping_mul(97).wrapping_add(w as u64 + 1));
-                (0..6).map(|_| g.next_update()).collect()
-            })
+        let prefix = random_updates(8, seed);
+        let streams: Vec<Vec<String>> = (0..writer_count() as u64)
+            .map(|w| random_updates(6, seed.wrapping_mul(97).wrapping_add(w + 1)))
             .collect();
 
         let db = Database::open_with(cfg.clone()).unwrap();

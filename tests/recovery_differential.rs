@@ -18,12 +18,12 @@
 //! each under both fsync modes (see [`durable_cfg`]).
 
 use cypher::storage::wal;
-use cypher::workload::{harness_knob, harness_override, QueryGenerator};
+use cypher::workload::{harness_knob, QueryGenerator};
 use cypher::{
     Change, Database, EngineConfig, FsyncMode, MatchConfig, Params, PropertyGraph,
     SharedChangeBuffer, Store,
 };
-use cypher_tck::diff::{config, LIGHT};
+use cypher_tck::diff::{config, seeds, LIGHT};
 use std::path::{Path, PathBuf};
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -68,19 +68,6 @@ fn workload(seed: u64, len: usize) -> Vec<String> {
 
 fn workload_count() -> u64 {
     harness_knob("CYPHER_RECOVERY_WORKLOADS", 200, 0)
-}
-
-/// The seeds a differential test sweeps: `0..n`, or exactly the one
-/// named by `CYPHER_TEST_SEED` (for replaying a failure from a CI log —
-/// every assertion message includes the seed that minted the workload).
-fn seeds(n: u64) -> Vec<u64> {
-    match harness_override("CYPHER_TEST_SEED", 0) {
-        Some(seed) => {
-            eprintln!("CYPHER_TEST_SEED={seed}: replaying a single seed");
-            vec![seed]
-        }
-        None => (0..n).collect(),
-    }
 }
 
 #[test]

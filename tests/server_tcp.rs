@@ -2,11 +2,12 @@
 //! real concurrency.
 //!
 //! * **Differential harness** — N client threads replay generated
-//!   update + query workloads over TCP against one server; every
-//!   pinned-read observation is re-evaluated by an in-process
-//!   [`Session`] oracle replaying the committed statements in published
-//!   version order. Rows must match exactly (same sequence), errors by
-//!   message, and pinned reads must be repeatable across interleaved
+//!   update + query workloads over TCP against one server;
+//!   `cypher_tck::diff`'s `Diff::at_versions` replays the committed
+//!   statements in published version order and proves every pinned-read
+//!   observation at its version. Rows must match the sequential engine
+//!   exactly (same sequence) and the reference oracle as a bag, errors
+//!   by message, and pinned reads must be repeatable across interleaved
 //!   remote writers.
 //! * **Hardening** — hostile bytes (wrong magic, hostile length
 //!   prefixes, garbage payloads, random blobs) can neither kill the
@@ -21,16 +22,15 @@
 //! `CYPHER_TCP_WORKLOADS` (default 6: workloads take the cells of
 //! `cypher_tck::diff::LIGHT` in turn).
 
-use cypher::workload::{harness_knob, QueryGenerator};
+use cypher::workload::{harness_knob, random_queries, random_updates};
 use cypher::{Database, EngineConfig, MatchConfig, Params, Value};
 use cypher_client::{Client, ClientError};
 use cypher_server::{Server, ServerConfig};
-use cypher_tck::diff::{config, Cell, LIGHT};
+use cypher_tck::diff::{config, live, Cell, Commit, Diff, History, Observation, LIGHT};
 use cypher_wire::{
     client_handshake, read_exact_frame, write_frame, ErrorCode, Request, Response, WireError,
     DEFAULT_MAX_FRAME_BYTES,
 };
-use std::collections::HashSet;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::{Barrier, Mutex};
@@ -40,18 +40,8 @@ use std::time::Duration;
 /// of `LIGHT`; the hardening and lifecycle tests run the built-in cell,
 /// since what they assert (error codes, connection state) is decided
 /// before or after execution.
-fn mem_cfg(plan_cache: bool, cell: Cell) -> EngineConfig {
-    let mut cfg = EngineConfig {
-        persistence: None,
-        ..config(cell, MatchConfig::default())
-    };
-    if !plan_cache {
-        // Row order becomes a pure function of the pinned version when
-        // every query is planned against its own snapshot's statistics
-        // (same rationale as tests/concurrent_sessions.rs).
-        cfg.plan_cache_size = 0;
-    }
-    cfg
+fn mem_cfg(cell: Cell) -> EngineConfig {
+    config(cell, MatchConfig::default())
 }
 
 fn start(cfg: EngineConfig, server_cfg: ServerConfig) -> Server {
@@ -88,8 +78,8 @@ fn remote_results_match_in_process_session_exactly() {
 }
 
 fn remote_results_match_in_process_session_at(cell: Cell) {
-    let server = start(mem_cfg(true, cell), ServerConfig::default());
-    let oracle_db = Database::open_with(mem_cfg(true, cell)).expect("oracle open");
+    let server = start(mem_cfg(cell), ServerConfig::default());
+    let oracle_db = Database::open_with(mem_cfg(cell)).expect("oracle open");
     let mut oracle = oracle_db.session();
     let mut client = connect(&server);
     let params = Params::new();
@@ -147,7 +137,7 @@ fn remote_results_match_in_process_session_at(cell: Cell) {
 /// prepared on two different connections plans once and hits after.
 #[test]
 fn prepared_statements_share_the_plan_cache_across_connections() {
-    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
+    let server = start(mem_cfg(LIGHT[0]), ServerConfig::default());
     let mut seeder = connect(&server);
     let params = Params::new();
     for i in 0..16 {
@@ -195,20 +185,13 @@ fn prepared_statements_share_the_plan_cache_across_connections() {
 // The concurrent-clients differential harness.
 // ---------------------------------------------------------------------
 
-struct Observation {
-    version: u64,
-    query: String,
-    outcome: Result<cypher::Table, String>,
-}
-
 fn tcp_workload(seed: u64, clients: usize, rounds: usize) {
     let cell = LIGHT[seed as usize % LIGHT.len()];
     let label = format!("tcp workload {seed} at {cell:?}");
-    let server = start(mem_cfg(false, cell), ServerConfig::default());
+    let server = start(live(cell), ServerConfig::default());
     let params = Params::new();
 
-    let mut gen = QueryGenerator::new(seed);
-    let seed_stmts: Vec<String> = (0..6).map(|_| gen.next_update()).collect();
+    let seed_stmts = random_updates(6, seed);
     let mut admin = connect(&server);
     for s in &seed_stmts {
         admin
@@ -219,156 +202,77 @@ fn tcp_workload(seed: u64, clients: usize, rounds: usize) {
     let base = server.db().version();
 
     // Each client thread: its own deterministic update + query streams.
-    let committed: Mutex<Vec<(u64, String)>> = Mutex::new(Vec::new());
+    let committed: Mutex<Vec<Commit>> = Mutex::new(Vec::new());
     let observations: Mutex<Vec<Observation>> = Mutex::new(Vec::new());
     let addr = server.local_addr();
 
     std::thread::scope(|sc| {
-        for c in 0..clients {
-            let committed = &committed;
-            let observations = &observations;
-            let params = &params;
-            let label = &label;
+        for c in 0..clients as u64 {
+            let (committed, observations) = (&committed, &observations);
+            let (params, label) = (&params, &label);
             sc.spawn(move || {
-                let mut upd_gen =
-                    QueryGenerator::new(seed.wrapping_mul(131).wrapping_add(c as u64 + 1));
-                let mut q_gen =
-                    QueryGenerator::new(seed.wrapping_mul(31).wrapping_add(777 + c as u64));
+                let updates = random_updates(rounds, seed.wrapping_mul(131).wrapping_add(c + 1));
+                let queries = random_queries(rounds, seed.wrapping_mul(31).wrapping_add(777 + c));
                 let mut client = Client::connect(addr).expect("connect workload client");
-                for _ in 0..rounds {
+                for (stmt, q) in updates.into_iter().zip(queries) {
                     // One update in auto-commit mode; `committed` names
                     // the version this statement (alone) published.
-                    let stmt = upd_gen.next_update();
                     let rows = client
                         .query(&stmt, params)
                         .unwrap_or_else(|e| panic!("{label}: update failed on {stmt}: {e}"));
-                    if let Some(v) = rows.committed {
-                        committed.lock().unwrap().push((v, stmt));
+                    if let Some(version) = rows.committed {
+                        let ok = true;
+                        committed.lock().unwrap().push(Commit { version, stmt, ok });
                     }
 
-                    // A pinned read transaction: queries repeat
-                    // bit-identically however many remote writers commit
-                    // meanwhile, and both runs count as one observation
-                    // at the pinned version.
-                    let q = q_gen.next_query();
+                    // A pinned read transaction, its query run twice: both
+                    // runs are observations at the pinned version, so they
+                    // must agree however many remote writers commit between.
                     let version = client.begin_read().expect("begin read");
                     let stmt_id = client.prepare(&q).ok();
                     let run = |client: &mut Client| match stmt_id {
                         Some(id) => client.execute(id, params),
                         None => client.query(&q, params),
                     };
-                    let first = run(&mut client).map(|r| r.table).map_err(|e| match e {
-                        ClientError::Server { message, .. } => message,
-                        other => panic!("{label}: transport failure on {q}: {other}"),
-                    });
-                    let again = run(&mut client).map(|r| r.table).map_err(|e| e.to_string());
-                    match (&first, &again) {
-                        (Ok(a), Ok(b)) => assert!(
-                            a.ordered_eq(b),
-                            "{label}: pinned read at v{version} not repeatable on {q}\
-                             \nfirst:\n{a}\nagain:\n{b}"
-                        ),
-                        (a, b) => assert_eq!(
-                            a.is_err(),
-                            b.is_err(),
-                            "{label}: repeatable-read error drift on {q}"
-                        ),
+                    for _ in 0..2 {
+                        let outcome = run(&mut client).map(|r| r.table).map_err(|e| match e {
+                            ClientError::Server { message, .. } => message,
+                            other => panic!("{label}: transport failure on {q}: {other}"),
+                        });
+                        let o = Observation::new(version, &q, outcome);
+                        observations.lock().unwrap().push(o);
                     }
                     if let Some(id) = stmt_id {
                         client.deallocate(id).expect("deallocate");
                     }
                     client.commit_read().expect("commit read");
-                    observations.lock().unwrap().push(Observation {
-                        version,
-                        query: q,
-                        outcome: first,
-                    });
                 }
                 client.goodbye().expect("goodbye");
             });
         }
     });
 
-    // Commit versions must be dense and unique: every version the
-    // clients pinned was published by exactly one statement.
-    let mut log = committed.into_inner().unwrap();
-    log.sort_by_key(|(v, _)| *v);
-    for (i, (v, stmt)) in log.iter().enumerate() {
-        assert_eq!(
-            *v,
-            base + 1 + i as u64,
-            "{label}: commit versions not dense around {stmt}"
-        );
-    }
-    assert_eq!(server.db().version(), base + log.len() as u64);
-
-    // The in-process Session oracle: replay the committed statements in
-    // published order, re-evaluating every observation at its version.
-    let published: HashSet<u64> = log.iter().map(|(v, _)| *v).collect();
-    let mut observations = observations.into_inner().unwrap();
-    observations.sort_by_key(|o| o.version);
-    let oracle_db = Database::open_with(mem_cfg(false, cell)).expect("oracle open");
-    let mut oracle = oracle_db.session();
-    for s in &seed_stmts {
-        oracle
-            .query(s, &params)
-            .unwrap_or_else(|e| panic!("{label}: oracle seed failed on {s}: {e}"));
-    }
-    let mut applied = 0usize;
-    for obs in &observations {
-        assert!(
-            obs.version == base || published.contains(&obs.version),
-            "{label}: client pinned version {} which no commit published — \
-             a torn or invented state",
-            obs.version
-        );
-        while applied < log.len() && log[applied].0 <= obs.version {
-            let stmt = &log[applied].1;
-            oracle
-                .query(stmt, &params)
-                .unwrap_or_else(|e| panic!("{label}: oracle update failed on {stmt}: {e}"));
-            applied += 1;
-        }
-        match &obs.outcome {
-            Ok(table) => {
-                let expect = oracle.query(&obs.query, &params).unwrap_or_else(|e| {
-                    panic!(
-                        "{label}: oracle errored where the remote client succeeded \
-                         on {} at v{}: {e}",
-                        obs.query, obs.version
-                    )
-                });
-                assert!(
-                    table.ordered_eq(&expect),
-                    "{label}: remote rows diverge from the in-process session \
-                     on {} at v{}\nremote:\n{table}\noracle:\n{expect}",
-                    obs.query,
-                    obs.version
-                );
-            }
-            Err(msg) => {
-                let expect = oracle.query(&obs.query, &params).err().unwrap_or_else(|| {
-                    panic!(
-                        "{label}: remote errored ({msg}) but the oracle succeeded \
-                             on {} at v{}",
-                        obs.query, obs.version
-                    )
-                });
-                assert_eq!(
-                    msg,
-                    &expect.to_string(),
-                    "{label}: error drift on {}",
-                    obs.query
-                );
-            }
-        }
-    }
+    let history = History {
+        cell,
+        seeds: seed_stmts,
+        base,
+        commits: committed.into_inner().unwrap(),
+    };
+    assert_eq!(server.db().version(), base + history.commits.len() as u64);
+    let replayed = Diff::new(LIGHT)
+        .at_versions(&history, &observations.into_inner().unwrap())
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_eq!(
+        server.db().graph().canonical_dump(),
+        replayed.canonical_dump(),
+        "{label}: the head diverged from the version-order replay"
+    );
     server.shutdown();
 }
 
 /// N real TCP clients interleave generated updates and pinned reads
-/// against one server; an in-process `Session` oracle must reproduce
-/// every observation exactly.
+/// against one server; the version-order replay must reproduce every
+/// observation exactly.
 #[test]
 fn concurrent_tcp_clients_match_the_in_process_session_oracle() {
     for w in 0..harness_knob("CYPHER_TCP_WORKLOADS", LIGHT.len() as u64, 0) {
@@ -380,7 +284,7 @@ fn concurrent_tcp_clients_match_the_in_process_session_oracle() {
 /// must not move until the read transaction is committed.
 #[test]
 fn pinned_read_is_repeatable_across_remote_writers() {
-    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
+    let server = start(mem_cfg(LIGHT[0]), ServerConfig::default());
     let params = Params::new();
     let mut reader = connect(&server);
     let mut writer = connect(&server);
@@ -427,7 +331,7 @@ fn expect_server_error(r: Result<cypher_client::Rows, ClientError>, code: ErrorC
 /// all answer structured codes — and the connection keeps working.
 #[test]
 fn statement_failures_answer_structured_errors_and_connection_survives() {
-    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
+    let server = start(mem_cfg(LIGHT[0]), ServerConfig::default());
     let mut client = connect(&server);
     let params = Params::new();
 
@@ -469,7 +373,7 @@ fn statement_failures_answer_structured_errors_and_connection_survives() {
 #[test]
 fn handler_panic_answers_internal_error_and_connection_survives() {
     std::env::set_var("CYPHER_TEST_FAULTS", "1");
-    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
+    let server = start(mem_cfg(LIGHT[0]), ServerConfig::default());
     let mut client = connect(&server);
     let params = Params::new();
     let msg = expect_server_error(
@@ -545,7 +449,7 @@ fn poisoned_write_path_answers_unavailable_not_a_dropped_connection() {
 /// drops what it cannot trust — and always survives.
 #[test]
 fn hostile_bytes_cannot_kill_the_server() {
-    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
+    let server = start(mem_cfg(LIGHT[0]), ServerConfig::default());
     let addr = server.local_addr();
     let params = Params::new();
 
@@ -630,7 +534,7 @@ fn splitmix(state: &mut u64) -> u64 {
 /// dies, the pinned version is released, the gauges fall back to zero.
 #[test]
 fn abrupt_disconnect_releases_session_and_pinned_version() {
-    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
+    let server = start(mem_cfg(LIGHT[0]), ServerConfig::default());
     let addr = server.local_addr();
 
     let mut s = TcpStream::connect(addr).unwrap();
@@ -670,7 +574,7 @@ fn connection_limit_answers_limit_error() {
         max_connections: 1,
         ..ServerConfig::default()
     };
-    let server = start(mem_cfg(true, LIGHT[0]), cfg);
+    let server = start(mem_cfg(LIGHT[0]), cfg);
     let mut first = connect(&server);
     first.ping().expect("first connection serves");
 
@@ -691,7 +595,7 @@ fn connection_limit_answers_limit_error() {
 /// answering: a second connection gets the same reply in full.
 #[test]
 fn client_frame_cap_refuses_a_larger_reply() {
-    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
+    let server = start(mem_cfg(LIGHT[0]), ServerConfig::default());
     let big = "RETURN range(1, 6600) AS r"; // one list of 6 600 integers
     let mut capped = connect(&server).with_max_frame_bytes(16 * 1024);
     match capped.query(big, &Params::new()) {
@@ -725,7 +629,7 @@ fn shutdown_under_load_joins_every_connection_thread() {
         ..ServerConfig::default()
     };
     for round in 0..200 {
-        let server = start(mem_cfg(true, LIGHT[0]), cfg.clone());
+        let server = start(mem_cfg(LIGHT[0]), cfg.clone());
         let addr = server.local_addr();
         let in_flight = Barrier::new(CLIENTS + 1);
         std::thread::scope(|scope| {
@@ -754,7 +658,7 @@ fn prepared_statement_cap_answers_limit_error() {
         max_prepared: 4,
         ..ServerConfig::default()
     };
-    let server = start(mem_cfg(true, LIGHT[0]), cfg);
+    let server = start(mem_cfg(LIGHT[0]), cfg);
     let mut client = connect(&server);
     let ids: Vec<u32> = (0..4)
         .map(|_| {
@@ -809,7 +713,7 @@ fn durable_writes_over_tcp_survive_shutdown_and_reopen() {
 /// with.
 #[test]
 fn stats_report_connections_requests_and_version() {
-    let server = start(mem_cfg(true, LIGHT[0]), ServerConfig::default());
+    let server = start(mem_cfg(LIGHT[0]), ServerConfig::default());
     let mut client = connect(&server);
     let params = Params::new();
     client.query("CREATE (:S {k: 1})", &params).expect("seed");
