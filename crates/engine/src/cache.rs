@@ -16,7 +16,8 @@
 //! *wrong* — index and anchor choices affect speed, not results — so
 //! coarse invalidation is safe by construction.
 
-use crate::planner::{plan_match, PlannedMatch, PlannerOptions};
+use crate::exec::EngineConfig;
+use crate::planner::{plan_match, PlannedMatch};
 use cypher_ast::pattern::PathPattern;
 use cypher_graph::{PropertyGraph, ViewRef};
 use std::collections::hash_map::DefaultHasher;
@@ -64,7 +65,7 @@ impl PlanMemo {
         view: ViewRef<'_>,
         fields: &[String],
         patterns: &[PathPattern],
-        opts: PlannerOptions,
+        cfg: &EngineConfig,
     ) -> Arc<PlannedMatch> {
         let key = (site, fields.to_vec());
         {
@@ -76,7 +77,7 @@ impl PlanMemo {
         }
         self.misses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let planned = Arc::new(plan_match(view, fields, patterns, opts));
+        let planned = Arc::new(plan_match(view, fields, patterns, cfg));
         self.slots.lock().unwrap().insert(key, Arc::clone(&planned));
         planned
     }
@@ -89,11 +90,11 @@ pub(crate) fn plan_match_memo(
     view: ViewRef<'_>,
     fields: &[String],
     patterns: &[PathPattern],
-    opts: PlannerOptions,
+    cfg: &EngineConfig,
 ) -> Arc<PlannedMatch> {
     match memo {
-        Some((m, site)) => m.get_or_plan(site, view, fields, patterns, opts),
-        None => Arc::new(plan_match(view, fields, patterns, opts)),
+        Some((m, site)) => m.get_or_plan(site, view, fields, patterns, cfg),
+        None => Arc::new(plan_match(view, fields, patterns, cfg)),
     }
 }
 

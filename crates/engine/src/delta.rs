@@ -292,12 +292,7 @@ impl DeltaPlan {
 
     /// Plans the pattern over driving-table columns `bound`.
     fn plan(&self, graph: &PropertyGraph, bound: &[String], cfg: &EngineConfig) -> PlannedMatch {
-        plan_match(
-            graph,
-            bound,
-            slice::from_ref(&self.pattern),
-            cfg.planner_options(),
-        )
+        plan_match(graph, bound, slice::from_ref(&self.pattern), cfg)
     }
 
     /// Runs the pattern (plus `WHERE`) over `input` the way a `MATCH`

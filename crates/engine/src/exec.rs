@@ -15,7 +15,7 @@ use crate::cache::{plan_match_memo, PlanMemo};
 use crate::multigraph::{construct_graph, view_named, Graphs};
 use crate::ops::{drive, Collect, PlanProfile, Sink};
 use crate::plan::PlanStep;
-use crate::planner::{PlannedMatch, PlannerMode, PlannerOptions, WcoJoinMode};
+use crate::planner::{PlannedMatch, PlannerMode, WcoJoinMode};
 use crate::pushdown::{project, project_visible, select_sink, FinalSink};
 use crate::update;
 use cypher_ast::expr::Expr;
@@ -154,17 +154,6 @@ pub enum FsyncMode {
 }
 
 impl EngineConfig {
-    /// The planner-facing slice of this configuration.
-    pub fn planner_options(&self) -> PlannerOptions {
-        PlannerOptions {
-            mode: self.planner_mode,
-            use_label_index: self.use_label_index,
-            use_property_index: self.use_property_index,
-            wco_join: self.wco_join,
-            nodes_distinct: self.match_config.morphism.nodes_distinct(),
-        }
-    }
-
     /// The dispatch gate of the morsel driver, asked by execution and
     /// `EXPLAIN` alike: a source-anchored pipeline goes to the worker
     /// pool when its source emits more rows than this. `None` (one
@@ -714,9 +703,8 @@ impl<'e, 'g> Exec<'e, 'g> {
                     where_,
                 } => {
                     let site = self.memo.map(|m| (m, (self.branch, i)));
-                    let opts = self.cfg.planner_options();
                     let planned =
-                        plan_match_memo(site, access.view(), &seg.fields(), patterns, opts);
+                        plan_match_memo(site, access.view(), &seg.fields(), patterns, self.cfg);
                     seg.push_match("MATCH", &planned, where_.as_ref());
                     continue;
                 }
@@ -864,8 +852,7 @@ impl<'e, 'g> Exec<'e, 'g> {
         let width = table.schema().len();
         let tagged = table.schema().with_field(" opt_idx".to_string());
         let site = self.memo.map(|m| (m, (self.branch, i)));
-        let opts = self.cfg.planner_options();
-        let planned = plan_match_memo(site, view, tagged.names(), patterns, opts);
+        let planned = plan_match_memo(site, view, tagged.names(), patterns, self.cfg);
         let mut seg = Segment::new(tagged.clone());
         seg.push_match("OPTIONAL MATCH", &planned, where_);
         let rows = table.rows().iter().enumerate();

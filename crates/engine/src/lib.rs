@@ -74,4 +74,4 @@ pub use exec::{
 pub use multigraph::{execute_on_catalog, MultiResult};
 pub use ops::{ExecMetrics, RowBatch, DEFAULT_MORSEL_SIZE};
 pub use plan::{IntersectGuard, MatchPlan, PlanStep};
-pub use planner::{plan_match, PlannerMode, PlannerOptions, WcoJoinMode};
+pub use planner::{plan_match, PlannerMode, WcoJoinMode};

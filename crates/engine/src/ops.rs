@@ -29,12 +29,8 @@
 //! pipeline: into a collected table, a group's representative row or a
 //! top-k entry.
 //!
-//! **Errors stay row-major.** A step that evaluates several expressions
-//! over a batch evaluates them a column at a time, so the first failure
-//! it meets need not be the first one a row-at-a-time run raises. When a
-//! column fails, the rows up to the failing one are evaluated again row by
-//! row and the first error found is raised (see
-//! `cypher_core::project::BoundProjection`).
+//! **Errors are the reference semantics' errors:** a failed run is
+//! answered by re-running step prefixes to the first failing step (`drive`).
 //!
 //! `Expand` still exploits the native adjacency of [`cypher_graph`]: "it
 //! utilizes the fact that the data representation contains direct
@@ -244,10 +240,6 @@ impl Operator for ProfiledOp<'_> {
 pub(crate) trait Sink: Sync {
     /// One morsel's share of the result.
     type Partial: Send;
-    /// Whether the sink evaluates expressions between batches. Such a run
-    /// interleaves its own evaluation with the pipeline's, so its errors
-    /// are not the canonical ones and are answered by a re-run.
-    const EVALUATES: bool;
     /// A fresh partial for a pipeline that emits `schema`.
     fn partial(&self, schema: &Arc<Schema>) -> Self::Partial;
     /// Takes in one batch.
@@ -267,8 +259,8 @@ pub(crate) trait Sink: Sync {
         parts: impl Iterator<Item = Self::Partial>,
     ) -> Result<Table, EvalError>;
     /// The same result computed from the collected pipeline output — the
-    /// definition folding must agree with, and how [`drive`] answers a
-    /// failed run.
+    /// definition folding must agree with, and how [`drive`] raises a
+    /// failure of the sink's.
     fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError>;
 }
 
@@ -277,7 +269,6 @@ pub(crate) struct Collect;
 
 impl Sink for Collect {
     type Partial = Table;
-    const EVALUATES: bool = false;
 
     fn partial(&self, schema: &Arc<Schema>) -> Table {
         Table::empty(schema.clone())
@@ -334,23 +325,24 @@ impl Sink for Collect {
 /// partials in morsel order. The result is therefore the same for every
 /// `num_threads` and `morsel_size`, not merely the same bag.
 ///
-/// **Canonical errors:** workers race and an evaluating sink evaluates
-/// between batches, so the first error of a parallel or evaluating run
-/// is scheduling-dependent. Any such error is discarded and answered by
-/// one sequential re-run through [`Collect`] and [`Sink::materialized`]:
-/// the canonical error is the first one the sequential run of the
-/// segment raises, in row order. A step that evaluates several
-/// expressions a column at a time raises the first error of their
-/// row-major evaluation, so column order never shows.
+/// **One failure rule:** batches stream, so a later step (or the sink)
+/// can fail before an earlier step reaches its failing row. A failed
+/// run's error is discarded, and sequential re-runs of step prefixes into
+/// [`Discard`] binary-search for the shortest failing one (prefixes fail
+/// monotonically). Its error is the answer: the earlier steps ran clean
+/// over the rows the clause-at-a-time semantics feed its last step, which
+/// raises its first failing row (row-major, see `BoundProjection`). If
+/// every step runs clean, [`Collect`] + [`Sink::materialized`] raise the
+/// sink's error.
 pub(crate) fn drive<'a, S: Sink>(
     ctx: &'a EvalContext<'a>,
     steps: &[PlanStep],
     input: Table,
     cfg: &'a EngineConfig,
     sink: &S,
-    mut probe: Option<&mut PlanProfile>,
+    probe: Option<&mut PlanProfile>,
 ) -> Result<Table, EvalError> {
-    // Resolve every source once; all morsels and the re-run share the
+    // Resolve every source once; all morsels and the re-runs share the
     // lists (a second scan inside the pipeline — a disconnected pattern —
     // is not re-collected per morsel).
     let prepared = steps.iter().map(|s| source_items(ctx, s));
@@ -366,23 +358,52 @@ pub(crate) fn drive<'a, S: Sink>(
             None => input.schema().clone(),
         },
     };
+    // Borrowed by every run, its rows cloned a batch at a time.
     let driving = RowBatch::from_table(input);
     let total = anchor.map_or(0, |(_, items)| driving.len().saturating_mul(items.len()));
     let gate = cfg.parallel_gate();
     let first = if gate.is_some_and(|gate| total > gate) {
-        run.morsels(&driving, total, sink, probe.as_deref_mut())
-    } else if S::EVALUATES {
-        // Borrowed so the re-run still has it: one copy of the driving
-        // table, whose rows are cloned a batch at a time.
-        run.whole(Cow::Borrowed(&driving), sink, probe.as_deref_mut())
+        run.morsels(&driving, total, sink, probe)
     } else {
-        return run.whole(Cow::Owned(driving), sink, probe);
+        run.whole(&driving, sink, probe)
     };
-    first.or_else(|_| sink.materialized(ctx, run.whole(Cow::Owned(driving), &Collect, probe)?))
+    first.or_else(|_| run.canonical(&driving, sink))
 }
 
-/// What every execution of one plan — whole, per morsel, or the
-/// canonical re-run — shares.
+/// The sink that keeps nothing: a step prefix run into it only shows
+/// whether the prefix fails.
+struct Discard;
+
+impl Sink for Discard {
+    type Partial = ();
+
+    fn partial(&self, _schema: &Arc<Schema>) {}
+
+    fn feed(
+        &self,
+        _ctx: &EvalContext<'_>,
+        _schema: &Schema,
+        _part: &mut (),
+        _batch: RowBatch,
+    ) -> Result<(), EvalError> {
+        Ok(())
+    }
+
+    fn finish(
+        &self,
+        _ctx: &EvalContext<'_>,
+        schema: &Arc<Schema>,
+        _parts: impl Iterator<Item = ()>,
+    ) -> Result<Table, EvalError> {
+        Ok(Table::empty(schema.clone()))
+    }
+
+    fn materialized(&self, _ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
+        Ok(raw)
+    }
+}
+
+/// What every run of one plan — whole, per morsel or a prefix — shares.
 struct Run<'p> {
     ctx: &'p EvalContext<'p>,
     steps: &'p [PlanStep],
@@ -412,7 +433,7 @@ impl<'p> Run<'p> {
     /// steps it stands for.
     fn anchor<'x>(
         &'x self,
-        driving: Cow<'x, RowBatch>,
+        driving: &'x RowBatch,
         range: Option<Range<usize>>,
     ) -> (Box<dyn Operator + 'x>, usize) {
         let items = self.prepared.first().and_then(Option::as_ref);
@@ -421,7 +442,7 @@ impl<'p> Run<'p> {
         let scan = Scan {
             schema: self.schema.clone(),
             child: None,
-            input: driving,
+            input: Cow::Borrowed(driving),
             items,
             next: range.start,
             end: range.end,
@@ -433,7 +454,7 @@ impl<'p> Run<'p> {
     /// The whole input as one morsel on the calling thread.
     fn whole<S: Sink>(
         &self,
-        driving: Cow<'_, RowBatch>,
+        driving: &RowBatch,
         sink: &S,
         probe: Option<&mut PlanProfile>,
     ) -> Result<Table, EvalError> {
@@ -455,12 +476,38 @@ impl<'p> Run<'p> {
         let probing = probe.is_some();
         let mut done = parallel_morsels(self.cfg.num_threads, total.div_ceil(cap), |k| {
             let range = k * cap..((k + 1) * cap).min(total);
-            let (source, attached) = self.anchor(Cow::Borrowed(driving), Some(range));
+            let (source, attached) = self.anchor(driving, Some(range));
             self.pump(source, attached, sink, probing)
         })?
         .into_iter();
         let first = done.next().expect("a run has at least one morsel");
         self.merge(first, done, true, sink, probe)
+    }
+
+    /// The canonical answer to a failed run over `driving` (see
+    /// [`drive`]): the error of the shortest failing step prefix, or,
+    /// when every step runs clean, the sink's over the collected rows.
+    fn canonical<S: Sink>(&self, driving: &RowBatch, sink: &S) -> Result<Table, EvalError> {
+        // The first `clean` steps run clean and the first `failing` fail,
+        // `steps + 1` standing for the sink.
+        let (mut clean, mut failing, mut error) = (0, self.steps.len() + 1, None);
+        while failing - clean > 1 {
+            let mid = (clean + failing) / 2;
+            let prefix = Run {
+                steps: &self.steps[..mid],
+                prepared: &self.prepared[..mid],
+                schema: self.schema.clone(),
+                ..*self
+            };
+            match prefix.whole(driving, &Discard, None) {
+                Ok(_) => clean = mid,
+                Err(e) => (failing, error) = (mid, Some(e)),
+            }
+        }
+        match error {
+            Some(e) => Err(e),
+            None => sink.materialized(self.ctx, self.whole(driving, &Collect, None)?),
+        }
     }
 
     /// Builds the pipeline over `source` — which already stands for the

@@ -27,6 +27,7 @@
 //! into morsels for the worker pool. Picking the cheapest anchor therefore
 //! also picks the smallest work list to split.
 
+use crate::exec::EngineConfig;
 use crate::plan::{IntersectGuard, MatchPlan, PathElem, PlanStep};
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::{Dir, NodePattern, PathPattern, RelPattern};
@@ -68,46 +69,6 @@ pub enum WcoJoinMode {
     Force,
 }
 
-/// Everything the planner needs to know besides the graph: the plan
-/// strategy plus which index families it may exploit. Turning an index
-/// off never affects results — only the shape (and speed) of the plan.
-#[derive(Clone, Copy, Debug)]
-pub struct PlannerOptions {
-    /// Plan strategy (`Expand` chains vs the cartesian baseline).
-    pub mode: PlannerMode,
-    /// Allow `NodeIndexScan` over the label index (otherwise label
-    /// predicates compile to `AllNodesScan` + `FilterLabels`).
-    pub use_label_index: bool,
-    /// Allow `PropertyIndexSeek` over the exact-match property indexes
-    /// (otherwise constant property predicates become residual filters).
-    pub use_property_index: bool,
-    /// Worst-case-optimal join policy for cyclic patterns.
-    pub wco_join: WcoJoinMode,
-    /// Node isomorphism: every plan ends in a `DistinctNodes` filter.
-    pub nodes_distinct: bool,
-}
-
-impl Default for PlannerOptions {
-    fn default() -> Self {
-        PlannerOptions {
-            mode: PlannerMode::default(),
-            use_label_index: true,
-            use_property_index: true,
-            wco_join: WcoJoinMode::default(),
-            nodes_distinct: false,
-        }
-    }
-}
-
-impl From<PlannerMode> for PlannerOptions {
-    fn from(mode: PlannerMode) -> Self {
-        PlannerOptions {
-            mode,
-            ..PlannerOptions::default()
-        }
-    }
-}
-
 /// The output of planning one `MATCH` clause: the pipeline plus the
 /// *visible* (non-hidden) variables it introduces, in deterministic order.
 #[derive(Debug, Clone)]
@@ -122,7 +83,7 @@ pub struct PlannedMatch {
 
 struct PlanCtx<'a> {
     graph: &'a PropertyGraph,
-    opts: PlannerOptions,
+    cfg: &'a EngineConfig,
     bound: Vec<String>,
     steps: Vec<PlanStep>,
     step_est: Vec<f64>,
@@ -203,7 +164,7 @@ impl PlanCtx<'_> {
     /// The cheapest index seek available for a node pattern, if the
     /// property index is enabled and the pattern pins a constant value.
     fn best_seek(&self, chi: &NodePattern) -> Option<SeekChoice> {
-        if !self.opts.use_property_index {
+        if !self.cfg.use_property_index {
             return None;
         }
         let mut best: Option<SeekChoice> = None;
@@ -250,7 +211,7 @@ impl PlanCtx<'_> {
             // prices above a pre-bound argument.
             return seek.est.max(0.6);
         }
-        if chi.labels.is_empty() || !self.opts.use_label_index {
+        if chi.labels.is_empty() || !self.cfg.use_label_index {
             self.graph.node_count() as f64
         } else {
             chi.labels
@@ -310,19 +271,19 @@ impl PlanCtx<'_> {
 ///
 /// `view` is the snapshot whose statistics drive anchor/seek selection —
 /// a [`cypher_graph::GraphView`] from a versioned session or a plain
-/// `&PropertyGraph` borrow. `opts` accepts a bare [`PlannerMode`] (index
-/// usage defaults to on) or full [`PlannerOptions`].
+/// `&PropertyGraph` borrow. `cfg` names the plan strategy, the index
+/// families the plan may use, the cyclic-join policy and, through its
+/// morphism, whether every plan ends in a `DistinctNodes` filter.
 pub fn plan_match<'a>(
     view: impl Into<ViewRef<'a>>,
     driving_fields: &[String],
     patterns: &[PathPattern],
-    opts: impl Into<PlannerOptions>,
+    cfg: &EngineConfig,
 ) -> PlannedMatch {
-    let opts = opts.into();
     let graph = view.into().graph();
     let new_ctx = || PlanCtx {
         graph,
-        opts,
+        cfg,
         bound: driving_fields.to_vec(),
         steps: Vec::new(),
         step_est: Vec::new(),
@@ -337,7 +298,7 @@ pub fn plan_match<'a>(
     let mut ctx = new_ctx();
     for pat in patterns {
         let all_single = pat.rel_patterns().all(|r| r.range.is_single());
-        if opts.mode == PlannerMode::CartesianJoin && all_single && !pat.steps.is_empty() {
+        if cfg.planner_mode == PlannerMode::CartesianJoin && all_single && !pat.steps.is_empty() {
             plan_path_cartesian(&mut ctx, pat);
         } else {
             plan_path_expand(&mut ctx, pat);
@@ -349,7 +310,7 @@ pub fn plan_match<'a>(
     // is cyclic (and eligible), plan the whole `MATCH` by variable
     // elimination, binding cycle-closing variables with one multiway
     // intersection instead of expand + filter.
-    if opts.mode != PlannerMode::ExpandBased || opts.wco_join == WcoJoinMode::Off {
+    if cfg.planner_mode != PlannerMode::ExpandBased || cfg.wco_join == WcoJoinMode::Off {
         return chain;
     }
     let mut wco_ctx = new_ctx();
@@ -358,7 +319,7 @@ pub fn plan_match<'a>(
     };
     plan_wco(&mut wco_ctx, &vertices, &edges);
     let wco = finish_plan(wco_ctx, driving_fields);
-    match opts.wco_join {
+    match cfg.wco_join {
         WcoJoinMode::Force => wco,
         // The decision metric is the *peak* estimated intermediate
         // cardinality — the quantity worst-case-optimal joins bound.
@@ -449,7 +410,7 @@ fn emit_start(ctx: &mut PlanCtx<'_>, col: &str, chi: &NodePattern) {
         emit_node_filters(ctx, col, chi, scanned_label.as_deref());
         return;
     }
-    if chi.labels.is_empty() || !ctx.opts.use_label_index {
+    if chi.labels.is_empty() || !ctx.cfg.use_label_index {
         ctx.est_rows *= ctx.graph.node_count() as f64;
         ctx.emit(PlanStep::AllNodesScan { var: col.into() });
         ctx.bind(col);
@@ -663,7 +624,7 @@ fn emit_path_bind(
         }
         elements.push(PathElem::Node(node_cols[i + 1].clone()));
     }
-    if ctx.opts.nodes_distinct {
+    if ctx.cfg.match_config.morphism.nodes_distinct() {
         ctx.paths.push(elements.clone());
     }
     let Some(path_name) = &pat.name else { return };
@@ -778,7 +739,7 @@ fn wco_join_graph<'p>(
             });
             prev = cur;
         }
-        if ctx.opts.nodes_distinct {
+        if ctx.cfg.match_config.morphism.nodes_distinct() {
             ctx.paths.push(elements);
         }
     }
@@ -1081,7 +1042,7 @@ mod tests {
     fn anchors_on_most_selective_label() {
         let g = sample_graph();
         let p = parse_pattern("(a:Person)-[:KNOWS]->(b:Admin)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], &EngineConfig::default());
         // The Admin side has 3 nodes vs 100 Person: anchor must be b.
         match &planned.plan.steps[0] {
             PlanStep::NodeIndexScan { var, label } => {
@@ -1104,7 +1065,7 @@ mod tests {
     fn bound_variable_becomes_argument() {
         let g = sample_graph();
         let p = parse_pattern("(a)-[:KNOWS]->(b)").unwrap();
-        let planned = plan_match(&g, &["a".to_string()], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &["a".to_string()], &[p], &EngineConfig::default());
         assert!(matches!(
             &planned.plan.steps[0],
             PlanStep::Argument { var } if var == "a"
@@ -1116,7 +1077,7 @@ mod tests {
     fn anonymous_elements_get_hidden_columns() {
         let g = sample_graph();
         let p = parse_pattern("()-[:KNOWS]->()").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], &EngineConfig::default());
         assert!(planned.new_vars.is_empty());
         let PlanStep::Expand { rel, .. } = &planned.plan.steps[1] else {
             panic!("expected expand")
@@ -1124,11 +1085,18 @@ mod tests {
         assert!(rel.starts_with(' '), "anonymous rel column is hidden");
     }
 
+    fn cartesian() -> EngineConfig {
+        EngineConfig {
+            planner_mode: PlannerMode::CartesianJoin,
+            ..EngineConfig::default()
+        }
+    }
+
     #[test]
     fn cartesian_mode_uses_rel_scans() {
         let g = sample_graph();
         let p = parse_pattern("(a:Admin)-[r:KNOWS]->(b)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::CartesianJoin);
+        let planned = plan_match(&g, &[], &[p], &cartesian());
         assert!(planned
             .plan
             .steps
@@ -1150,7 +1118,7 @@ mod tests {
     fn cartesian_mode_falls_back_for_var_length() {
         let g = sample_graph();
         let p = parse_pattern("(a)-[:KNOWS*1..3]->(b)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::CartesianJoin);
+        let planned = plan_match(&g, &[], &[p], &cartesian());
         assert!(planned
             .plan
             .steps
@@ -1162,7 +1130,7 @@ mod tests {
     fn exclusion_lists_grow_along_the_chain() {
         let g = sample_graph();
         let p = parse_pattern("(a)-[r1]->(b)-[r2]->(c)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], &EngineConfig::default());
         let expands: Vec<&PlanStep> = planned
             .plan
             .steps
@@ -1180,7 +1148,7 @@ mod tests {
     fn constant_property_uses_index_scan() {
         let g = sample_graph();
         let p = parse_pattern("(a:Person {i: 5})-[:KNOWS]->(b)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], &EngineConfig::default());
         match &planned.plan.steps[0] {
             PlanStep::PropertyIndexSeek {
                 var, label, key, ..
@@ -1205,7 +1173,7 @@ mod tests {
         // Anchor must move to b: {i: 7} pins a single node even though
         // Admin is a small label on the other side.
         let p = parse_pattern("(a:Admin)-[:KNOWS]->(b {i: 7})").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], &EngineConfig::default());
         assert!(
             matches!(&planned.plan.steps[0], PlanStep::PropertyIndexSeek { var, .. } if var == "b"),
             "plan: {:?}",
@@ -1226,7 +1194,7 @@ mod tests {
             );
         }
         let p = parse_pattern("(d:Device {kind: 1, serial: 37})").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], &EngineConfig::default());
         match &planned.plan.steps[0] {
             PlanStep::PropertyIndexSeek { key, label, .. } => {
                 assert_eq!(key, "serial");
@@ -1241,11 +1209,11 @@ mod tests {
     fn disabling_property_index_falls_back_to_label_scan() {
         let g = sample_graph();
         let p = parse_pattern("(a:Person {i: 5})").unwrap();
-        let opts = PlannerOptions {
+        let cfg = EngineConfig {
             use_property_index: false,
-            ..PlannerOptions::default()
+            ..EngineConfig::default()
         };
-        let planned = plan_match(&g, &[], &[p], opts);
+        let planned = plan_match(&g, &[], &[p], &cfg);
         assert!(
             matches!(&planned.plan.steps[0], PlanStep::NodeIndexScan { .. }),
             "plan: {:?}",
@@ -1263,12 +1231,12 @@ mod tests {
     fn disabling_all_indexes_scans_everything() {
         let g = sample_graph();
         let p = parse_pattern("(a:Person {i: 5})").unwrap();
-        let opts = PlannerOptions {
+        let cfg = EngineConfig {
             use_label_index: false,
             use_property_index: false,
-            ..PlannerOptions::default()
+            ..EngineConfig::default()
         };
-        let planned = plan_match(&g, &[], &[p], opts);
+        let planned = plan_match(&g, &[], &[p], &cfg);
         assert!(
             matches!(&planned.plan.steps[0], PlanStep::AllNodesScan { .. }),
             "plan: {:?}",
@@ -1307,11 +1275,11 @@ mod tests {
     #[test]
     fn force_plans_cyclic_match_with_intersection() {
         let g = sample_graph();
-        let opts = PlannerOptions {
+        let cfg = EngineConfig {
             wco_join: WcoJoinMode::Force,
-            ..PlannerOptions::default()
+            ..EngineConfig::default()
         };
-        let planned = plan_match(&g, &[], &triangle(), opts);
+        let planned = plan_match(&g, &[], &triangle(), &cfg);
         let isect: Vec<&PlanStep> = planned
             .plan
             .steps
@@ -1335,11 +1303,11 @@ mod tests {
     #[test]
     fn off_never_plans_intersection() {
         let g = dense_graph();
-        let opts = PlannerOptions {
+        let cfg = EngineConfig {
             wco_join: WcoJoinMode::Off,
-            ..PlannerOptions::default()
+            ..EngineConfig::default()
         };
-        let planned = plan_match(&g, &[], &triangle(), opts);
+        let planned = plan_match(&g, &[], &triangle(), &cfg);
         assert!(!planned
             .plan
             .steps
@@ -1351,7 +1319,7 @@ mod tests {
     fn auto_intersects_on_dense_graphs_and_chains_on_sparse() {
         // Dense (avg degree 10): the chain's intermediate result dwarfs
         // the intersection's, so Auto flips to the intersect plan.
-        let planned = plan_match(&dense_graph(), &[], &triangle(), PlannerOptions::default());
+        let planned = plan_match(&dense_graph(), &[], &triangle(), &EngineConfig::default());
         assert!(
             planned
                 .plan
@@ -1363,7 +1331,7 @@ mod tests {
         );
         // Sparse (a chain, avg degree ≈ 1): estimates tie at the anchor
         // scan, and ties keep the expand chain.
-        let planned = plan_match(&sample_graph(), &[], &triangle(), PlannerOptions::default());
+        let planned = plan_match(&sample_graph(), &[], &triangle(), &EngineConfig::default());
         assert!(
             !planned
                 .plan
@@ -1378,12 +1346,12 @@ mod tests {
     #[test]
     fn ineligible_patterns_keep_the_chain_plan_even_forced() {
         let g = dense_graph();
-        let opts = PlannerOptions {
+        let cfg = EngineConfig {
             wco_join: WcoJoinMode::Force,
-            ..PlannerOptions::default()
+            ..EngineConfig::default()
         };
         let no_isect = |pats: Vec<PathPattern>| {
-            let planned = plan_match(&g, &[], &pats, opts);
+            let planned = plan_match(&g, &[], &pats, &cfg);
             assert!(
                 !planned
                     .plan
@@ -1420,12 +1388,12 @@ mod tests {
     #[test]
     fn two_cycle_flips_the_closing_guard_direction() {
         let g = dense_graph();
-        let opts = PlannerOptions {
+        let cfg = EngineConfig {
             wco_join: WcoJoinMode::Force,
-            ..PlannerOptions::default()
+            ..EngineConfig::default()
         };
         let p = parse_pattern("(a)-[r1:KNOWS]->(b)<-[r2:KNOWS]-(a)").unwrap();
-        let planned = plan_match(&g, &[], &[p], opts);
+        let planned = plan_match(&g, &[], &[p], &cfg);
         let Some(PlanStep::MultiwayIntersect { to, guards, .. }) = planned
             .plan
             .steps
@@ -1445,7 +1413,7 @@ mod tests {
     fn named_path_emits_path_bind() {
         let g = sample_graph();
         let p = parse_pattern("p = (a)-[:KNOWS*]->(b)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], &EngineConfig::default());
         assert!(planned
             .plan
             .steps

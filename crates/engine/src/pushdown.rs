@@ -156,7 +156,6 @@ pub(crate) fn select_sink<'q>(
 
 impl Sink for Fold<'_> {
     type Partial = GroupedAggState;
-    const EVALUATES: bool = true;
 
     fn partial(&self, _schema: &Arc<Schema>) -> GroupedAggState {
         // Whether groups keep a representative row is the plan's to say.
@@ -204,7 +203,6 @@ impl Sink for Fold<'_> {
 
 impl Sink for TopK<'_> {
     type Partial = TopKState;
-    const EVALUATES: bool = true;
 
     fn partial(&self, _schema: &Arc<Schema>) -> TopKState {
         // Unevaluable bounds keep nothing; `finish` raises them.
@@ -260,7 +258,6 @@ impl Sink for TopK<'_> {
 
 impl Sink for Map<'_> {
     type Partial = Vec<Record>;
-    const EVALUATES: bool = true;
 
     fn partial(&self, _schema: &Arc<Schema>) -> Vec<Record> {
         Vec::new()

@@ -20,7 +20,7 @@
 
 use crate::exec::EngineConfig;
 use crate::ops::{drive, Collect};
-use crate::planner::{plan_match, PlannedMatch};
+use crate::planner::{plan_match, PlannedMatch, WcoJoinMode};
 use crate::pushdown::project_visible;
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::{Dir, NodePattern, PathPattern};
@@ -35,7 +35,10 @@ use cypher_graph::{NodeId, PropertyGraph, RelId, Symbol, Value, ViewRef};
 use std::slice;
 use std::sync::Arc;
 
-/// Applies an updating clause to the driving table.
+/// Applies an updating clause to the driving table in one
+/// [`PropertyGraph::bulk_load`] scope, sealed before the next clause. No
+/// intersection runs in it (see [`merge_plan`]; pattern expressions walk
+/// `expand`), and deletes find entries by relationship id.
 pub(crate) fn apply(
     g: &mut PropertyGraph,
     params: &Params,
@@ -43,7 +46,7 @@ pub(crate) fn apply(
     clause: &Clause,
     t: Table,
 ) -> Result<Table, EvalError> {
-    match clause {
+    g.bulk_load(|g| match clause {
         Clause::Create { patterns } => exec_create(g, params, cfg, patterns, t),
         Clause::Merge {
             pattern,
@@ -54,12 +57,10 @@ pub(crate) fn apply(
         Clause::Set { items } => exec_set(g, params, cfg, items, t),
         Clause::Remove { items } => exec_remove(g, params, cfg, items, t),
         _ => err("not an updating clause"),
-    }
+    })
 }
 
 /// `CREATE pattern_tuple`: instantiates the patterns once per driving row.
-/// One [`PropertyGraph::bulk_load`] scope: no intersection runs in it
-/// (pattern expressions walk `expand`, whose order Cypher leaves open).
 pub fn exec_create(
     graph: &mut PropertyGraph,
     params: &Params,
@@ -72,12 +73,10 @@ pub fn exec_create(
     let new_vars = &out_schema.names()[schema.len()..];
     let mut out = Table::empty(out_schema.clone());
     let mut build = Builder::new(params, cfg, None);
-    graph.bulk_load(|graph| {
-        for row in table.rows() {
-            out.push(build.row(graph, patterns, &schema, row, new_vars)?);
-        }
-        Ok(out)
-    })
+    for row in table.rows() {
+        out.push(build.row(graph, patterns, &schema, row, new_vars)?);
+    }
+    Ok(out)
 }
 
 /// The schema of the rows `CREATE` or `MERGE` of `patterns` answers: the
@@ -290,6 +289,7 @@ fn copy_node(
 
 /// `MERGE`'s match plan — its pattern planned once over the driving
 /// `schema`, whose columns are pre-bound — and the schema of its rows.
+/// It never intersects: `MERGE`'s write scope leaves lists out of order.
 pub(crate) fn merge_plan(
     view: ViewRef<'_>,
     schema: &Arc<Schema>,
@@ -297,7 +297,11 @@ pub(crate) fn merge_plan(
     cfg: &EngineConfig,
 ) -> (PlannedMatch, Arc<Schema>) {
     let pats = slice::from_ref(pattern);
-    let planned = plan_match(view, schema.names(), pats, cfg.planner_options());
+    let cfg = EngineConfig {
+        wco_join: WcoJoinMode::Off,
+        ..cfg.clone()
+    };
+    let planned = plan_match(view, schema.names(), pats, &cfg);
     (planned, extended(schema, pats))
 }
 

@@ -240,10 +240,6 @@ pub struct PropertyGraph {
     /// The pluggable change-stream consumer (see [`crate::change`]).
     /// `None` (the default) makes every emission a no-op branch.
     sink: Option<Box<dyn ChangeSink>>,
-    /// Monotonic mutation counter: bumped by every mutating entry point,
-    /// so callers (the plan cache) can skip recomputing statistics
-    /// fingerprints while the graph is provably unchanged.
-    version: u64,
     /// `Some` inside [`PropertyGraph::bulk_load`], whose relationships
     /// are appended to their endpoints' lists: the nodes an append left
     /// out of order (with repeats), whose lists the scope sorts on exit.
@@ -264,7 +260,6 @@ impl Clone for PropertyGraph {
             live_nodes: self.live_nodes,
             live_rels: self.live_rels,
             sink: None,
-            version: self.version,
             unsorted: None,
         }
     }
@@ -335,20 +330,6 @@ impl PropertyGraph {
         }
     }
 
-    /// A monotonic counter that moves whenever the graph (and therefore
-    /// any statistic derived from it) may have changed. Cheap enough to
-    /// poll per query; equal versions guarantee equal statistics.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Bumps [`PropertyGraph::version`]; called on entry to every
-    /// mutating operation (a bump on a failed mutation is harmless — it
-    /// only costs one fingerprint recomputation).
-    fn touch(&mut self) {
-        self.version += 1;
-    }
-
     /// Runs `load` with appending adjacency: relationships it adds are
     /// pushed onto their endpoints' lists, and on every exit (errors and
     /// panics included) each list an append left out of order is sorted
@@ -408,7 +389,6 @@ impl PropertyGraph {
 
     /// Adds a node with pre-interned labels and properties.
     pub fn add_node_syms(&mut self, labels: Vec<Symbol>, props: Vec<(Symbol, Value)>) -> NodeId {
-        self.touch();
         let id = NodeId(self.nodes.slot_count() as u64);
         let mut pm = PropMap::default();
         for (k, v) in props {
@@ -510,7 +490,6 @@ impl PropertyGraph {
         rel_type: Symbol,
         props: Vec<(Symbol, Value)>,
     ) -> Result<RelId, GraphError> {
-        self.touch();
         if !self.contains_node(src) {
             return Err(GraphError::NoSuchNode(src));
         }
@@ -569,7 +548,6 @@ impl PropertyGraph {
 
     /// Deletes a relationship.
     pub fn delete_rel(&mut self, r: RelId) -> Result<(), GraphError> {
-        self.touch();
         let data = self
             .rels
             .take(r.0 as usize)
@@ -598,7 +576,6 @@ impl PropertyGraph {
     /// Deletes a node; fails if it still has incident relationships
     /// (plain `DELETE` semantics).
     pub fn delete_node(&mut self, n: NodeId) -> Result<(), GraphError> {
-        self.touch();
         let deg = self.degree(n, Direction::Both);
         if deg > 0 {
             return Err(GraphError::NodeHasRelationships(n, deg));
@@ -609,7 +586,6 @@ impl PropertyGraph {
     /// Deletes a node together with all its relationships
     /// (`DETACH DELETE` semantics).
     pub fn detach_delete_node(&mut self, n: NodeId) -> Result<(), GraphError> {
-        self.touch();
         if !self.contains_node(n) {
             return Err(GraphError::NoSuchNode(n));
         }
@@ -839,7 +815,6 @@ impl PropertyGraph {
 
     /// `SET n.k = v` (removes the key when `v` is `null`).
     pub fn set_node_prop(&mut self, n: NodeId, k: Symbol, v: Value) -> Result<(), GraphError> {
-        self.touch();
         let d = self.node(n).ok_or(GraphError::NoSuchNode(n))?;
         let labels = d.labels.clone();
         let old_bucket = d.props.get(k).map(value_bucket);
@@ -864,7 +839,6 @@ impl PropertyGraph {
 
     /// `SET r.k = v` for relationships.
     pub fn set_rel_prop(&mut self, r: RelId, k: Symbol, v: Value) -> Result<(), GraphError> {
-        self.touch();
         if !self.contains_rel(r) {
             return Err(GraphError::NoSuchRel(r));
         }
@@ -883,7 +857,6 @@ impl PropertyGraph {
 
     /// `REMOVE n.k`.
     pub fn remove_node_prop(&mut self, n: NodeId, k: Symbol) -> Result<(), GraphError> {
-        self.touch();
         let d = self.node(n).ok_or(GraphError::NoSuchNode(n))?;
         let labels = d.labels.clone();
         let old_bucket = d.props.get(k).map(value_bucket);
@@ -910,7 +883,6 @@ impl PropertyGraph {
         n: NodeId,
         props: Vec<(Symbol, Value)>,
     ) -> Result<(), GraphError> {
-        self.touch();
         let labels = self
             .node(n)
             .ok_or(GraphError::NoSuchNode(n))?
@@ -941,7 +913,6 @@ impl PropertyGraph {
 
     /// `SET n:Label`.
     pub fn add_label(&mut self, n: NodeId, l: Symbol) -> Result<(), GraphError> {
-        self.touch();
         let d = self.node_mut(n).ok_or(GraphError::NoSuchNode(n))?;
         if !d.labels.contains(&l) {
             d.labels.push(l);
@@ -961,7 +932,6 @@ impl PropertyGraph {
 
     /// `REMOVE n:Label`.
     pub fn remove_label(&mut self, n: NodeId, l: Symbol) -> Result<(), GraphError> {
-        self.touch();
         let d = self.node_mut(n).ok_or(GraphError::NoSuchNode(n))?;
         if let Some(pos) = d.labels.iter().position(|&x| x == l) {
             d.labels.remove(pos);

@@ -23,7 +23,7 @@ use cypher::{
 };
 use cypher_core::expr::Bindings;
 use cypher_core::matching::{match_patterns, unbound_free_vars};
-use cypher_tck::diff::{config, LIGHT};
+use cypher_tck::diff::{config, graph, CYCLIC, LIGHT};
 
 /// What the oracle does where the engine's `MERGE` creates or sets: given
 /// the graph, the driving row's values and (after creation or per match)
@@ -313,4 +313,35 @@ fn merge_matches_each_driving_row_on_the_calling_thread() {
         db.graph().canonical_dump()
     };
     assert_eq!(dump(4), dump(1));
+}
+
+/// A `MERGE` that closes triangles through a hub, fed in scrambled order
+/// so the hub's list is appended out of order, then a triangle `MATCH` in
+/// the same statement: at every cell of `CYCLIC` (forced intersection
+/// included, the one operator that reads list order) the `MATCH` finds
+/// every triangle the oracle finds on the graph the statement leaves, so
+/// the lists were sorted when the `MERGE` clause ended.
+#[test]
+fn a_match_after_merge_into_a_hub_reads_sorted_lists() {
+    let base = graph(&[
+        "UNWIND range(0, 59) AS k CREATE (:P {k: k, s: (k * 37) % 60})",
+        "MATCH (a:P), (b:P) WHERE b.k = a.k + 1 CREATE (a)-[:NEXT]->(b)",
+        "CREATE (:Hub)",
+        "MATCH (h:Hub), (p:P) WHERE p.k % 7 = 0 CREATE (h)-[:L]->(p)",
+    ]);
+    let merge = "MATCH (h:Hub), (p:P) WITH h, p ORDER BY p.s MERGE (h)-[:L]->(p)";
+    let triangles = "MATCH (h:Hub)-[:L]->(a)-[:NEXT]->(b), (h)-[:L]->(b) RETURN a.k AS a, b.k AS b";
+    let stmt = format!("{merge} WITH count(*) AS m {triangles}");
+    let (params, mc) = (Params::new(), MatchConfig::default());
+    for &cell in CYCLIC {
+        let mut g = base.clone();
+        let got = run_with(&mut g, &stmt, &params, &config(cell, mc))
+            .unwrap_or_else(|e| panic!("{cell:?}: {e}"));
+        let want = run_reference_with(&g, triangles, &params, mc).unwrap();
+        assert_eq!(want.len(), 59, "every NEXT edge closes a triangle");
+        assert!(
+            got.bag_eq(&want),
+            "{cell:?}\nengine:\n{got}\noracle:\n{want}"
+        );
+    }
 }

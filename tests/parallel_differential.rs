@@ -12,7 +12,7 @@
 
 use cypher::workload::QueryGenerator;
 use cypher::{MatchConfig, Morphism};
-use cypher_tck::diff::{generated, graph, Diff, Stmt, Sweep, ALL, CORPUS, PARALLEL};
+use cypher_tck::diff::{generated, graph, seeds, Diff, Stmt, Sweep, ALL, CORPUS, PARALLEL};
 use cypher_tck::diff::{REPRESENTATIVE_ROWS, STREAMED_CHAINS};
 
 /// Sweeps `reads` reads drawn by `next` from `QueryGenerator::new(seed +
@@ -170,4 +170,60 @@ fn error_shapes_agree_across_the_cell_table() {
         let by_row = !q.contains("CASE") || e.to_string().contains("property");
         assert!(by_row, "{q}: {e}");
     }
+    // A later clause that fails at an earlier row (or batch) than an
+    // earlier clause: clause at a time, the earlier clause fails first.
+    for q in [
+        "UNWIND range(1, 2000) AS x WITH x, CASE WHEN x = 1500 THEN 1 / 0 ELSE x END AS a \
+         WITH a, CASE WHEN a = 10 THEN a.foo ELSE a END AS b RETURN count(b) AS c",
+        "UNWIND [1, 0] AS x WITH x, 10 / x AS a WITH a, x.foo AS b RETURN b",
+        "UNWIND [1, 0] AS x WITH x WHERE 10 / x > 0 WITH x WHERE x.foo = 1 RETURN x",
+    ] {
+        let e = Diff::new(ALL).error(&g, q);
+        assert!(e.to_string().contains("division by zero"), "{q}: {e}");
+    }
+}
+
+/// Seeded chains of two or three streamed clauses over `UNWIND range(1,
+/// n)`, `n` up to 3 000, each clause — and the `RETURN` — failing at its
+/// own seed-chosen row (if the rows reach it) with its own message, a
+/// read of property `c<k>` on the integer `x`. Whichever fails first
+/// clause at a time is the error at every cell, wherever the failing
+/// rows fall across morsels.
+#[test]
+fn the_earliest_failing_clause_is_the_error_at_every_cell() {
+    let g = graph(&[]);
+    let mut failed = 0;
+    for seed in seeds(50) {
+        let mut state = (seed + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut below = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let n = 1 + below(3000);
+        // A failing row past `n` leaves its clause clean.
+        let rows = n + n / 4 + 1;
+        let fail = |key: &str, row: u64| format!("CASE WHEN x = {} THEN x.{key}", 1 + row);
+        let mut q = format!("UNWIND range(1, {n}) AS x");
+        for k in 0..2 + below(2) {
+            let fail = fail(&format!("c{k}"), below(rows));
+            q += &match below(2) {
+                0 => format!(" WITH x, {fail} ELSE x END AS a{k}"),
+                _ => format!(" WITH x WHERE {fail} ELSE x % {} <> 0 END", 2 + below(5)),
+            };
+        }
+        let ret = format!("{} ELSE x END", fail("ret", below(rows)));
+        q += &match below(4) {
+            0 => " RETURN count(*) AS c".to_string(),
+            1 => format!(" RETURN sum({ret}) AS s"),
+            2 => format!(" RETURN {ret} AS y"),
+            _ => format!(" RETURN {ret} AS y ORDER BY y DESC LIMIT 3"),
+        };
+        match Diff::new(ALL).outcome(&g, &q) {
+            Err(divergence) => panic!("seed {seed}: {divergence}"),
+            Ok(outcome) => failed += usize::from(outcome.is_err()),
+        }
+    }
+    assert!(failed * 2 >= seeds(50).len(), "vacuous: {failed} failed");
 }
