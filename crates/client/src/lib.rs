@@ -5,8 +5,8 @@
 //! messages) over one blocking connection, and exposes the server's
 //! request surface as typed methods — `query`, prepared statements
 //! (`prepare`/`execute`/`deallocate`), pinned read transactions
-//! (`begin_read`/`commit_read`), and the observability calls
-//! (`ping`/`stats`).
+//! (`begin_read`/`commit_read`), liveness (`ping`) and the metrics
+//! page (`metrics`).
 //!
 //! Results come back as the engine's own [`Table`], so client-side
 //! assertions can use the same `ordered_eq`/`bag_eq`/`cell` helpers as
@@ -17,8 +17,8 @@
 
 use cypher_core::{Params, Table};
 use cypher_wire::{
-    client_handshake, read_exact_frame, write_frame, ErrorCode, Request, Response, ServerStats,
-    WireError, DEFAULT_MAX_FRAME_BYTES,
+    client_handshake, read_exact_frame, write_frame, ErrorCode, Request, Response, WireError,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 use std::fmt;
 use std::io::{BufReader, BufWriter, Write};
@@ -75,23 +75,6 @@ impl ClientError {
             _ => None,
         }
     }
-}
-
-/// The full metrics page of a server, as returned by a `Metrics`
-/// request: a few headline fields decoded for programmatic use, plus
-/// the complete Prometheus-style text exposition.
-#[derive(Debug, Clone)]
-pub struct MetricsPage {
-    /// Milliseconds since the served database was opened.
-    pub uptime_ms: u64,
-    /// The currently committed graph version.
-    pub version: u64,
-    /// The WAL generation (bumps on every compaction).
-    pub wal_generation: u64,
-    /// Every instrument of every layer — engine, commit pipeline,
-    /// storage, sessions, server — rendered as `# HELP`/`# TYPE` +
-    /// sample lines.
-    pub text: String,
 }
 
 /// A successful statement execution: the result table plus the version
@@ -232,33 +215,12 @@ impl Client {
         }
     }
 
-    /// Server-wide counters: connections, pinned sessions, requests,
-    /// and the shared plan cache's hit/miss statistics.
-    pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        match self.request(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Unexpected(format!(
-                "wanted Stats, got {other:?}"
-            ))),
-        }
-    }
-
-    /// The server's full metrics page: headline fields plus the
-    /// Prometheus-style text exposition covering every layer.
-    pub fn metrics(&mut self) -> Result<MetricsPage, ClientError> {
+    /// The server's metrics page: every instrument of every layer —
+    /// engine, commit pipeline, storage, sessions, server — rendered as
+    /// Prometheus-style `# HELP`/`# TYPE` and sample lines.
+    pub fn metrics(&mut self) -> Result<String, ClientError> {
         match self.request(&Request::Metrics)? {
-            Response::Metrics {
-                uptime_ms,
-                version,
-                wal_generation,
-                text,
-            } => Ok(MetricsPage {
-                uptime_ms,
-                version,
-                wal_generation,
-                text,
-            }),
+            Response::Metrics { text } => Ok(text),
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             other => Err(ClientError::Unexpected(format!(
                 "wanted Metrics, got {other:?}"

@@ -242,10 +242,10 @@ pub fn apply_projection(
         out = t;
     } else {
         out = Table::empty(plan.out_schema().clone());
-        for u in table.rows() {
-            out.push(plan.project_row(ctx, &schema, u)?);
+        for u in table.into_rows() {
+            out.push(plan.project_row(ctx, &schema, &u)?);
             if !ret.order_by.is_empty() {
-                sources.push(u.clone());
+                sources.push(u);
             }
         }
     }
@@ -307,22 +307,20 @@ pub fn apply_order_by_scoped(
     src: Option<(std::sync::Arc<Schema>, Vec<Record>)>,
 ) -> Result<Table, EvalError> {
     let schema = table.schema().clone();
+    let rows = table.into_rows();
     // Precompute sort keys (decorate–sort–undecorate) so errors surface
-    // before the sort comparator runs.
-    let mut decorated: Vec<(Vec<Value>, Record)> = Vec::with_capacity(table.len());
-    for (i, u) in table.rows().iter().enumerate() {
+    // before the sort comparator runs; each row moves into its pair.
+    let mut decorated: Vec<(Vec<Value>, Record)> = Vec::with_capacity(rows.len());
+    for (i, u) in rows.into_iter().enumerate() {
         let source = src.as_ref().map(|(ss, rows)| Bindings::new(ss, &rows[i]));
         let source = source.as_ref().map(|s| s as &dyn VarLookup);
         let mut ks = Vec::with_capacity(keys.len());
-        sort_keys(ctx, keys, &Bindings::new(&schema, u), source, &mut ks)?;
-        decorated.push((ks, u.clone()));
+        sort_keys(ctx, keys, &Bindings::new(&schema, &u), source, &mut ks)?;
+        decorated.push((ks, u));
     }
     decorated.sort_by(|(ka, _), (kb, _)| cmp_sort_keys(keys.iter().map(|k| k.ascending), ka, kb));
-    let mut out = Table::empty(schema);
-    for (_, r) in decorated {
-        out.push(r);
-    }
-    Ok(out)
+    let sorted = decorated.into_iter().map(|(_, r)| r).collect();
+    Ok(Table::new(schema, sorted))
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@
 
 use crate::commit::{PendingCommit, Pipeline, Publisher};
 use crate::plan_cache::{PlanCacheStats, SharedPlanCache};
-use crate::registry::{DatabaseMetrics, MetricsSnapshot, SlowQuerySink, StderrSlowQueryLog};
+use crate::registry::{DatabaseMetrics, SlowQuerySink, StderrSlowQueryLog};
 use crate::session::{keyword_prefix, ProfileReport, Session};
 use crate::view::{ViewRegistry, ViewSubscription};
 use crate::{lock, run_reference_with, Error, Table};
@@ -425,14 +425,12 @@ impl Database {
     }
 
     /// Renders one consistent-enough metrics page: every layer's
-    /// instruments as Prometheus-style text, plus the headline identity
-    /// fields broken out for the wire protocol. Lock-free except for
-    /// the plan-cache stats and the pin registry (both held briefly);
-    /// safe to call at any frequency under load.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+    /// instruments as Prometheus-style text, identity (uptime, version,
+    /// snapshot generation) included. Lock-free except for the
+    /// plan-cache stats and the pin registry (both held briefly); safe
+    /// to call at any frequency under load.
+    pub fn metrics_snapshot(&self) -> String {
         let inner = &self.inner;
-        let uptime_ms = inner.opened.elapsed().as_millis() as u64;
-        let version = inner.readers.versioned.latest_version();
         let mut text = String::new();
         fmt_gauge(
             &mut text,
@@ -444,13 +442,13 @@ impl Database {
             &mut text,
             "cypher_uptime_ms",
             "milliseconds since this database handle was opened",
-            uptime_ms,
+            inner.opened.elapsed().as_millis() as u64,
         );
         fmt_counter(
             &mut text,
             "cypher_version",
             "latest published version id",
-            version,
+            inner.readers.versioned.latest_version(),
         );
         inner.metrics.render_into(&mut text);
         if let Some(em) = &inner.cfg.exec_metrics {
@@ -488,13 +486,7 @@ impl Database {
             inner.recovery.batches_replayed,
         );
         render_config(&mut text, "cypher_config", &ENGINE_KNOBS, &inner.cfg);
-        let wal_generation = self.generation().unwrap_or(0);
-        MetricsSnapshot {
-            uptime_ms,
-            version,
-            wal_generation,
-            text,
-        }
+        text
     }
 
     /// Registers a **standing view**: `query` (read-only) is planned and

@@ -66,7 +66,7 @@ mod session;
 mod view;
 pub use database::Database;
 pub use plan_cache::PlanCacheStats;
-pub use registry::{DatabaseMetrics, MetricsSnapshot, SlowQueryEntry, SlowQuerySink};
+pub use registry::{DatabaseMetrics, SlowQueryEntry, SlowQuerySink};
 pub use session::{ProfileReport, Session};
 pub use view::{SubscriptionPoll, ViewChange, ViewSubscription};
 

@@ -164,23 +164,6 @@ impl DatabaseMetrics {
     }
 }
 
-/// One page of the database's metrics, with the headline identity
-/// fields broken out so the wire protocol can carry them as typed
-/// values next to the text exposition.
-#[derive(Debug, Clone)]
-pub struct MetricsSnapshot {
-    /// Milliseconds since this database handle was opened.
-    pub uptime_ms: u64,
-    /// The latest published version id.
-    pub version: u64,
-    /// Snapshot generation of the store (0 for in-memory databases).
-    pub wal_generation: u64,
-    /// Prometheus-style text exposition of every instrument: the
-    /// database registry, executor counters, plan-cache stats, store
-    /// mirror, recovery report and effective configuration.
-    pub text: String,
-}
-
 /// One structured slow-query record, emitted when a statement's latency
 /// reaches [`crate::EngineConfig::slow_query_ms`]. `Display` renders the
 /// machine-parseable single-line `key=value` form the default stderr

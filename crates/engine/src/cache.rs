@@ -37,24 +37,12 @@ type MemoSlots = HashMap<(MemoSite, Vec<String>), Arc<PlannedMatch>>;
 #[derive(Debug, Default)]
 pub struct PlanMemo {
     slots: Mutex<MemoSlots>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
 }
 
 impl PlanMemo {
     /// An empty memo.
     pub fn new() -> PlanMemo {
         PlanMemo::default()
-    }
-
-    /// Plans planned through this memo that were answered from cache.
-    pub fn plan_hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Plans that had to be compiled.
-    pub fn plan_misses(&self) -> u64 {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Returns the cached plan for `(site, fields)` or compiles, stores
@@ -68,15 +56,9 @@ impl PlanMemo {
         cfg: &EngineConfig,
     ) -> Arc<PlannedMatch> {
         let key = (site, fields.to_vec());
-        {
-            let slots = self.slots.lock().unwrap();
-            if let Some(p) = slots.get(&key) {
-                self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Arc::clone(p);
-            }
+        if let Some(p) = self.slots.lock().unwrap().get(&key) {
+            return Arc::clone(p);
         }
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let planned = Arc::new(plan_match(view, fields, patterns, cfg));
         self.slots.lock().unwrap().insert(key, Arc::clone(&planned));
         planned

@@ -1360,11 +1360,29 @@ impl ExpandOp<'_> {
         if !hops_possible {
             return Ok(0);
         }
-        let hops = self.ctx.graph.expand(from, self.dir);
-        let hops = hops.filter(|&(r, _)| self.hop_ok(at, &expected, r));
-        Ok(hops
-            .map(|(r, next)| self.emit(at, Value::Rel(r), next, out))
-            .sum())
+        let (g, expected) = (self.ctx.graph, &expected);
+        let mut emit = |(r, next)| self.emit(at, Value::Rel(r), next, out);
+        // Both ends bound, and `to`'s reversed lists shorter (a leaf's hop
+        // into a hub): walk them filtered to `from`. A pair's entries sit in
+        // the same order in both ends' lists, so rows keep the `from` order.
+        if let Some(&Value::Node(to)) = self.to_bound.map(|i| input.at(i, row)) {
+            let (n_out, n_inc) = (g.out_neighbors(from).len(), g.in_neighbors(from).len());
+            let (to_out, to_inc) = (g.out_neighbors(to), g.in_neighbors(to));
+            let (from_len, first, second) = match self.dir {
+                Direction::Outgoing => (n_out, to_inc, &[][..]),
+                Direction::Incoming => (n_inc, to_out, &[][..]),
+                Direction::Both if from == to => (n_out + n_inc, to_inc, &[][..]),
+                Direction::Both => (n_out + n_inc, to_inc, to_out),
+            };
+            if first.len() + second.len() < from_len {
+                let hops = first.iter().chain(second);
+                let hops = hops.filter(|e| e.node == from && self.hop_ok(at, expected, e.rel));
+                return Ok(hops.map(|e| emit((e.rel, to))).sum());
+            }
+        }
+        let hops = g.expand(from, self.dir);
+        let hops = hops.filter(|&(r, _)| self.hop_ok(at, expected, r));
+        Ok(hops.map(emit).sum())
     }
 
     /// Appends the new values of a match ending at `node` over `rel` (a

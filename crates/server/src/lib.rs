@@ -32,7 +32,8 @@
 //!   `added`/`removed`) per committed version that changed the view's
 //!   rows, in version order, and closes the stream when the view is
 //!   dropped or the server stops;
-//! * `Ping`/`Stats`/`Goodbye` — liveness, observability, clean close.
+//! * `Ping`/`Metrics`/`Goodbye` — liveness, the metrics page (every
+//!   layer's instruments as text exposition), clean close.
 //!
 //! ## Error discipline (the hardening contract)
 //!
@@ -61,8 +62,8 @@ use cypher::config::{Access, Knob, ENGINE_KNOBS};
 use cypher::metrics::{Counter, Gauge};
 use cypher::{Database, Error, Params, Session, SubscriptionPoll, ViewSubscription};
 use cypher_wire::{
-    read_exact_frame, server_handshake, write_frame, ErrorCode, Request, Response, ServerStats,
-    WireError, DEFAULT_MAX_FRAME_BYTES,
+    read_exact_frame, server_handshake, write_frame, ErrorCode, Request, Response, WireError,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -193,7 +194,7 @@ cypher::metrics::instruments! {
         requests_prepare: Counter = "cypher_server_requests_prepare_total", "Prepare requests";
         requests_execute: Counter = "cypher_server_requests_execute_total", "Execute requests";
         requests_control: Counter = "cypher_server_requests_control_total",
-            "control requests (ping/stats/metrics/transactions/goodbye)";
+            "control requests (ping/metrics/transactions/goodbye)";
         bytes_in: Counter = "cypher_server_bytes_in_total", "request payload bytes received";
         bytes_out: Counter = "cypher_server_bytes_out_total", "response payload bytes sent";
         frame_errors: Counter = "cypher_server_frame_errors_total",
@@ -215,33 +216,13 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    fn stats(&self) -> ServerStats {
-        let plan = self.db.plan_cache_stats();
-        ServerStats {
-            version: self.db.version(),
-            connections: self.metrics.connections.get() as u32,
-            pinned: self.metrics.pinned.get() as u32,
-            requests: self.metrics.requests.get(),
-            plan_hits: plan.hits,
-            plan_misses: plan.misses,
-            plan_invalidations: plan.invalidations,
-            plan_evictions: plan.evictions,
-        }
-    }
-
     /// The full metrics page: the database's own exposition plus the
     /// server-level instruments appended, so one request observes every
     /// layer.
     fn metrics(&self) -> Response {
-        let snap = self.db.metrics_snapshot();
-        let mut text = snap.text;
+        let mut text = self.db.metrics_snapshot();
         self.metrics.render_into(&mut text);
-        Response::Metrics {
-            uptime_ms: snap.uptime_ms,
-            version: snap.version,
-            wal_generation: snap.wal_generation,
-            text,
-        }
+        Response::Metrics { text }
     }
 }
 
@@ -299,11 +280,6 @@ impl Server {
     /// Connections currently inside a pinned read transaction.
     pub fn pinned_connections(&self) -> usize {
         self.shared.metrics.pinned.get() as usize
-    }
-
-    /// The same counters a remote `Stats` request returns.
-    pub fn stats(&self) -> ServerStats {
-        self.shared.stats()
     }
 
     /// Serves until the accept loop exits (it never does on its own —
@@ -588,7 +564,6 @@ fn handle_request(shared: &ServerShared, state: &mut ConnState, req: Request) ->
             Response::ReadCommitted
         }
         Request::Ping => Response::Pong,
-        Request::Stats => Response::Stats(shared.stats()),
         Request::Metrics => shared.metrics(),
         Request::Goodbye => Response::Bye,
         Request::CreateView { name, query } => match shared.db.create_view(&name, &query) {

@@ -38,3 +38,25 @@ pub mod runner;
 extern crate self as cypher_tck;
 
 pub use runner::{parse_scenarios, run_scenario, run_scenarios, Scenario, TckError};
+
+use std::collections::HashMap;
+
+/// Splits a Prometheus-style metrics page (`Database::metrics_snapshot`
+/// or a server's `Metrics` reply) into `name -> value` samples, labels
+/// kept in the name, panicking on any malformed line.
+pub fn parse_exposition(text: &str) -> HashMap<String, f64> {
+    let mut out = HashMap::new();
+    for line in text.lines() {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (name, value) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("unsplittable sample line: {line:?}"));
+        let value: f64 = value
+            .parse()
+            .unwrap_or_else(|e| panic!("bad value in {line:?}: {e}"));
+        out.insert(name.to_string(), value);
+    }
+    out
+}

@@ -5,11 +5,12 @@ use cypher_storage::codec::crc32;
 use std::fmt;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 
-/// The 8-byte handshake each side sends on connect. The trailing `02` is
-/// the protocol version (02: reply-scoped string tables): a side that
-/// reads any other `CYWIRE0x` magic refuses the connection instead of
+/// The 8-byte handshake each side sends on connect. The trailing `03` is
+/// the protocol version (02: reply-scoped string tables; 03: `Metrics`
+/// carries only the page text, and `Stats` is gone): a side that reads
+/// any other `CYWIRE0x` magic refuses the connection instead of
 /// misparsing frames.
-pub const HANDSHAKE_MAGIC: &[u8; 8] = b"CYWIRE02";
+pub const HANDSHAKE_MAGIC: &[u8; 8] = b"CYWIRE03";
 
 /// Default cap on a frame's payload length (8 MiB). Both sides reject an
 /// advertised length above their cap *before* allocating — the defense
@@ -268,9 +269,10 @@ mod tests {
                 Ok(())
             }
         }
-        // A foreign magic, and the previous protocol version, whose
-        // replies carry no string tables.
-        for theirs in [b"CYWAL002", b"CYWIRE01"] {
+        // A foreign magic and the earlier protocol versions: 01's
+        // replies carry no string tables, 02's `Metrics` replies carry
+        // typed fields before the text.
+        for theirs in [b"CYWAL002", b"CYWIRE01", b"CYWIRE02"] {
             let mut s = Duplex {
                 input: Cursor::new(theirs.to_vec()),
                 output: Vec::new(),

@@ -10,7 +10,7 @@
 //! ## Layering
 //!
 //! ```text
-//! handshake  := 8 magic bytes each way ("CYWIRE02"; last byte = version)
+//! handshake  := 8 magic bytes each way ("CYWIRE03"; last byte = version)
 //! frame      := len:u32 LE · payload[len] · crc:u32 LE   (CRC-32/IEEE of payload)
 //!               written as one vectored write
 //! payload    := one encoded Request (client→server) or Response (server→client)
@@ -47,4 +47,4 @@ pub use frame::{
     client_handshake, read_exact_frame, server_handshake, write_frame, WireError,
     DEFAULT_MAX_FRAME_BYTES, HANDSHAKE_MAGIC,
 };
-pub use message::{ErrorCode, Request, Response, ServerStats};
+pub use message::{ErrorCode, Request, Response};

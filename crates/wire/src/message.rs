@@ -69,27 +69,6 @@ impl ErrorCode {
     }
 }
 
-/// Snapshot of server-side counters, answered to a [`Request::Stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Latest published database version.
-    pub version: u64,
-    /// Connections currently served.
-    pub connections: u32,
-    /// Connections currently inside a pinned read transaction.
-    pub pinned: u32,
-    /// Requests answered over the server's lifetime.
-    pub requests: u64,
-    /// Plan-cache hits (shared across every connection's session).
-    pub plan_hits: u64,
-    /// Plan-cache misses.
-    pub plan_misses: u64,
-    /// Plan-cache invalidations (statistics drift re-plans).
-    pub plan_invalidations: u64,
-    /// Plan-cache LRU evictions.
-    pub plan_evictions: u64,
-}
-
 /// A client→server message.
 #[derive(Debug, Clone)]
 pub enum Request {
@@ -125,13 +104,10 @@ pub enum Request {
     CommitRead,
     /// Liveness probe.
     Ping,
-    /// Ask for [`ServerStats`].
-    Stats,
     /// Graceful goodbye; the server answers `Bye` and closes.
     Goodbye,
-    /// Ask for the full metrics page ([`Response::Metrics`]): identity
-    /// fields plus the Prometheus-style text exposition of every layer's
-    /// instruments.
+    /// Ask for the metrics page ([`Response::Metrics`]): the
+    /// Prometheus-style text exposition of every layer's instruments.
     Metrics,
     /// Register a standing query: plan it once, materialize it at the
     /// current version and keep it delta-maintained on every commit.
@@ -197,22 +173,13 @@ pub enum Response {
     ReadCommitted,
     /// Answer to `Ping`.
     Pong,
-    /// Answer to `Stats`.
-    Stats(ServerStats),
     /// Answer to `Goodbye`; the server closes after sending it.
     Bye,
-    /// Answer to `Metrics`: headline identity fields as typed values,
-    /// everything else as text exposition (new instruments append lines
-    /// — no wire change needed).
+    /// Answer to `Metrics`: the page as text exposition (new
+    /// instruments append lines — no wire change needed).
     Metrics {
-        /// Milliseconds since the served database handle was opened.
-        uptime_ms: u64,
-        /// Latest published database version.
-        version: u64,
-        /// Snapshot generation of the store (0 for in-memory).
-        wal_generation: u64,
-        /// Prometheus-style text exposition (database, executor,
-        /// plan-cache, store and server-level instruments).
+        /// Prometheus-style text exposition (identity, database,
+        /// executor, plan-cache, store and server-level instruments).
         text: String,
     },
     /// Answer to `CreateView`.
@@ -373,7 +340,6 @@ impl Request {
             Request::BeginRead => buf.push(5),
             Request::CommitRead => buf.push(6),
             Request::Ping => buf.push(7),
-            Request::Stats => buf.push(8),
             Request::Goodbye => buf.push(9),
             Request::Metrics => buf.push(10),
             Request::CreateView { name, query } => {
@@ -417,7 +383,6 @@ impl Request {
             5 => Request::BeginRead,
             6 => Request::CommitRead,
             7 => Request::Ping,
-            8 => Request::Stats,
             9 => Request::Goodbye,
             10 => Request::Metrics,
             11 => Request::CreateView {
@@ -472,28 +437,9 @@ impl Response {
             }
             Response::ReadCommitted => buf.push(6),
             Response::Pong => buf.push(7),
-            Response::Stats(s) => {
-                buf.push(8);
-                put_u64(&mut buf, s.version);
-                put_u32(&mut buf, s.connections);
-                put_u32(&mut buf, s.pinned);
-                put_u64(&mut buf, s.requests);
-                put_u64(&mut buf, s.plan_hits);
-                put_u64(&mut buf, s.plan_misses);
-                put_u64(&mut buf, s.plan_invalidations);
-                put_u64(&mut buf, s.plan_evictions);
-            }
             Response::Bye => buf.push(9),
-            Response::Metrics {
-                uptime_ms,
-                version,
-                wal_generation,
-                text,
-            } => {
+            Response::Metrics { text } => {
                 buf.push(10);
-                put_u64(&mut buf, *uptime_ms);
-                put_u64(&mut buf, *version);
-                put_u64(&mut buf, *wal_generation);
                 put_str(&mut buf, text);
             }
             Response::ViewCreated { version } => {
@@ -547,21 +493,8 @@ impl Response {
             5 => Response::BeganRead { version: r.u64()? },
             6 => Response::ReadCommitted,
             7 => Response::Pong,
-            8 => Response::Stats(ServerStats {
-                version: r.u64()?,
-                connections: r.u32()?,
-                pinned: r.u32()?,
-                requests: r.u64()?,
-                plan_hits: r.u64()?,
-                plan_misses: r.u64()?,
-                plan_invalidations: r.u64()?,
-                plan_evictions: r.u64()?,
-            }),
             9 => Response::Bye,
             10 => Response::Metrics {
-                uptime_ms: r.u64()?,
-                version: r.u64()?,
-                wal_generation: r.u64()?,
                 text: r.str()?.to_string(),
             },
             11 => Response::ViewCreated { version: r.u64()? },
@@ -614,7 +547,6 @@ mod tests {
             Request::BeginRead,
             Request::CommitRead,
             Request::Ping,
-            Request::Stats,
             Request::Goodbye,
             Request::Metrics,
             Request::CreateView {
@@ -661,21 +593,8 @@ mod tests {
             Response::BeganRead { version: 9 },
             Response::ReadCommitted,
             Response::Pong,
-            Response::Stats(ServerStats {
-                version: 5,
-                connections: 2,
-                pinned: 1,
-                requests: 100,
-                plan_hits: 50,
-                plan_misses: 10,
-                plan_invalidations: 1,
-                plan_evictions: 0,
-            }),
             Response::Bye,
             Response::Metrics {
-                uptime_ms: 12_345,
-                version: 7,
-                wal_generation: 2,
                 text: "# TYPE cypher_queries_read_total counter\n\
                        cypher_queries_read_total 3\n"
                     .to_string(),

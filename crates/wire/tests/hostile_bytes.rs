@@ -8,8 +8,7 @@ use cypher_core::Params;
 use cypher_core::{Record, Schema, Table};
 use cypher_graph::Value;
 use cypher_wire::{
-    read_exact_frame, write_frame, ErrorCode, Request, Response, ServerStats,
-    DEFAULT_MAX_FRAME_BYTES,
+    read_exact_frame, write_frame, ErrorCode, Request, Response, DEFAULT_MAX_FRAME_BYTES,
 };
 use std::collections::BTreeMap;
 use std::io::Cursor;
@@ -78,8 +77,21 @@ fn every_request() -> Vec<Request> {
         Request::BeginRead,
         Request::CommitRead,
         Request::Ping,
-        Request::Stats,
         Request::Goodbye,
+        Request::Metrics,
+        Request::CreateView {
+            name: "hot".to_string(),
+            query: "MATCH (n) RETURN count(*) AS c".to_string(),
+        },
+        Request::DropView {
+            name: "hot".to_string(),
+        },
+        Request::ReadView {
+            name: "hot".to_string(),
+        },
+        Request::Subscribe {
+            name: "hot".to_string(),
+        },
     ]
 }
 
@@ -107,17 +119,23 @@ fn every_response() -> Vec<Response> {
         Response::BeganRead { version: 41 },
         Response::ReadCommitted,
         Response::Pong,
-        Response::Stats(ServerStats {
-            version: 5,
-            connections: 2,
-            pinned: 1,
-            requests: 99,
-            plan_hits: 10,
-            plan_misses: 3,
-            plan_invalidations: 1,
-            plan_evictions: 0,
-        }),
         Response::Bye,
+        Response::Metrics {
+            text: "# TYPE cypher_version gauge\ncypher_version 3\n".to_string(),
+        },
+        Response::ViewCreated { version: 4 },
+        Response::ViewDropped,
+        Response::ViewRows {
+            version: 4,
+            table: shared_string_table(),
+        },
+        Response::Subscribed,
+        Response::ViewChange {
+            name: "hot".to_string(),
+            version: 5,
+            added: sample_table(),
+            removed: shared_string_table(),
+        },
     ]
 }
 
@@ -196,9 +214,9 @@ fn random_blob_sweep_is_total() {
         let _ = Response::decode(&blob);
         // Bias toward valid tags so the sweep reaches the body decoders.
         if !blob.is_empty() {
-            blob[0] = 1 + (round % 9) as u8;
+            blob[0] = 1 + (round % 14) as u8;
             let _ = Request::decode(&blob);
-            blob[0] = 1 + (round % 10) as u8;
+            blob[0] = 1 + (round % 15) as u8;
             let _ = Response::decode(&blob);
         }
     }

@@ -310,14 +310,14 @@ fn metrics_pages_keep_every_line_and_add_the_config_block() {
     };
 
     let db = Database::open_with(cfg.clone()).expect("open");
-    let text = db.metrics_snapshot().text;
+    let text = db.metrics_snapshot();
     let mut page = skeleton(&text);
     take_config_block(&mut page, &cfg);
     assert_eq!(page, golden[..database_lines]);
 
     let server = Server::bind(db, "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let text = client.metrics().expect("metrics request").text;
+    let text = client.metrics().expect("metrics request");
     let mut page = skeleton(&text);
     take_config_block(&mut page, &cfg);
     assert_eq!(page, golden);

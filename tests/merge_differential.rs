@@ -23,7 +23,7 @@ use cypher::{
 };
 use cypher_core::expr::Bindings;
 use cypher_core::matching::{match_patterns, unbound_free_vars};
-use cypher_tck::diff::{config, graph, CYCLIC, LIGHT};
+use cypher_tck::diff::{config, graph, Diff, ALL, CYCLIC, LIGHT};
 
 /// What the oracle does where the engine's `MERGE` creates or sets: given
 /// the graph, the driving row's values and (after creation or per match)
@@ -342,6 +342,74 @@ fn a_match_after_merge_into_a_hub_reads_sorted_lists() {
         assert!(
             got.bag_eq(&want),
             "{cell:?}\nengine:\n{got}\noracle:\n{want}"
+        );
+    }
+}
+
+/// A hub with parallel relationships in both directions and self-loops.
+fn two_way_hub() -> PropertyGraph {
+    graph(&[
+        "CREATE (:Hub)",
+        "UNWIND range(0, 11) AS k CREATE (:P {k: k, s: (k * 5) % 12})",
+        "MATCH (h:Hub), (p:P) CREATE (h)-[:L {i: 2 * p.k}]->(p), (p)-[:L {i: 2 * p.k + 1}]->(h)",
+        "MATCH (h:Hub), (p:P) WHERE p.k % 3 = 0 CREATE (h)-[:L {i: 100 + p.k}]->(p)",
+        "MATCH (h:Hub), (p:P) WHERE p.k % 4 = 1 CREATE (p)-[:M {i: 200 + p.k}]->(h)",
+        "MATCH (h:Hub) CREATE (h)-[:L {i: 300}]->(h), (h)-[:M {i: 301}]->(h)",
+        "MATCH (a:P), (b:P) WHERE b.k = a.k + 1 CREATE (a)-[:L {i: 400 + a.k}]->(b)",
+    ])
+}
+
+/// A hop whose two ends are both bound walks the shorter end's lists:
+/// from the hub to each leaf (and to itself, over its self-loops), in
+/// every direction, the rows are the oracle's at every cell of `ALL`,
+/// in the order the hop yields with its far end unbound and filtered.
+#[test]
+fn a_hop_between_two_bound_ends_matches_the_oracle_from_either_side() {
+    let g = two_way_hub();
+    for hop in [
+        "(h)-[r]->(p)",
+        "(h)<-[r]-(p)",
+        "(h)-[r]-(p)",
+        "(h)-[r:M]-(p)",
+    ] {
+        for nodes in ["(h:Hub), (p)", "(p), (h:Hub)"] {
+            let q = format!("MATCH {nodes} MATCH {hop} RETURN p.k AS k, r.i AS i");
+            let rows = Diff::new(ALL).rows(&g, &q);
+            assert!(!rows.is_empty(), "{q}");
+            let walked = hop.replace("(p)", "(q)");
+            let filtered =
+                format!("MATCH {nodes} MATCH {walked} WHERE q = p RETURN p.k AS k, r.i AS i");
+            assert!(rows.ordered_eq(&Diff::new(ALL).rows(&g, &filtered)), "{q}");
+        }
+    }
+}
+
+/// Both spellings of the hub `MERGE` anchor one way or the other and
+/// leave the same graph: relationships matched (parallel ones included)
+/// and created in the same order.
+#[test]
+fn both_spellings_of_a_merge_into_a_hub_leave_one_graph() {
+    let params = Params::new();
+    let merge = |pattern: &str, cell| {
+        let mut g = two_way_hub();
+        let stmt = format!(
+            "MATCH (h:Hub), (p:P) WITH h, p ORDER BY p.s MERGE {pattern} \
+             ON CREATE SET r.c = true ON MATCH SET r.m = coalesce(r.m, 0) + 1"
+        );
+        run_with(
+            &mut g,
+            &stmt,
+            &params,
+            &config(cell, MatchConfig::default()),
+        )
+        .unwrap_or_else(|e| panic!("{cell:?}: {e}"));
+        g.canonical_dump()
+    };
+    for &cell in ALL {
+        assert_eq!(
+            merge("(h)-[r:L]->(p)", cell),
+            merge("(p)<-[r:L]-(h)", cell),
+            "{cell:?}"
         );
     }
 }

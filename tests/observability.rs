@@ -31,6 +31,7 @@ use cypher::{
 use cypher_client::Client;
 use cypher_server::{Server, ServerConfig};
 use cypher_tck::diff::{config, Policy::Builtin, ALL};
+use cypher_tck::parse_exposition;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -454,8 +455,7 @@ fn disabled_metrics_freeze_but_do_not_change_results() {
     assert_eq!(m.query_latency_us.snapshot().count, 0);
     assert_eq!(m.sessions_active.get(), 0);
     // The page still renders, and says the registry is off.
-    let snap = db.metrics_snapshot();
-    assert!(snap.text.contains("cypher_metrics_enabled 0"));
+    assert!(db.metrics_snapshot().contains("cypher_metrics_enabled 0"));
 }
 
 /// The registry's price: in-process point reads against a metrics-on and
@@ -534,9 +534,8 @@ fn metrics_snapshot_text_parses() {
         let warm = session.query(q, &params);
         assert_eq!(warm.is_err(), *q == BAD_PROJECTION, "warm instruments: {q}");
     }
-    let snap = db.metrics_snapshot();
-    assert_eq!(snap.version, db.version());
-    let samples = parse_exposition(&snap.text);
+    let samples = parse_exposition(&db.metrics_snapshot());
+    assert_eq!(samples["cypher_version"], db.version() as f64);
     assert!(samples.get("cypher_queries_read_total").copied() >= Some(5.0));
     assert!(samples.contains_key("cypher_uptime_ms"));
     assert!(samples.contains_key("cypher_query_latency_us_sum"));
@@ -545,25 +544,6 @@ fn metrics_snapshot_text_parses() {
         samples.get("cypher_query_latency_us_bucket{le=\"+Inf\"}"),
         "histogram count must equal its +Inf cumulative bucket"
     );
-}
-
-/// Splits a Prometheus-style page into `name -> value` samples,
-/// panicking on any malformed line.
-fn parse_exposition(text: &str) -> HashMap<String, f64> {
-    let mut out = HashMap::new();
-    for line in text.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name, value) = line
-            .rsplit_once(' ')
-            .unwrap_or_else(|| panic!("unsplittable sample line: {line:?}"));
-        let value: f64 = value
-            .parse()
-            .unwrap_or_else(|e| panic!("bad value in {line:?}: {e}"));
-        out.insert(name.to_string(), value);
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -725,13 +705,11 @@ fn wire_metrics_page_is_monotone_and_parseable_under_load() {
         .collect();
 
     let mut poller = Client::connect(addr).expect("connect poller");
-    let mut last_requests = 0.0f64;
-    let mut last_uptime = 0u64;
+    let (mut last_requests, mut last_uptime) = (0.0f64, 0.0f64);
     for _ in 0..20 {
-        let page = poller.metrics().expect("metrics request");
-        assert!(page.uptime_ms >= last_uptime);
-        last_uptime = page.uptime_ms;
-        let samples = parse_exposition(&page.text);
+        let samples = parse_exposition(&poller.metrics().expect("metrics request"));
+        assert!(samples["cypher_uptime_ms"] >= last_uptime);
+        last_uptime = samples["cypher_uptime_ms"];
         let requests = samples["cypher_server_requests_total"];
         assert!(
             requests >= last_requests,
@@ -744,14 +722,13 @@ fn wire_metrics_page_is_monotone_and_parseable_under_load() {
     for w in workers {
         w.join().expect("worker");
     }
-    let page = poller.metrics().expect("final metrics");
-    let samples = parse_exposition(&page.text);
+    let samples = parse_exposition(&poller.metrics().expect("final metrics"));
     // 4 workers × 40 statements, plus this poller's traffic.
     assert!(samples["cypher_server_requests_query_total"] >= 160.0);
     assert!(samples["cypher_queries_write_total"] >= 4.0 * 5.0);
     assert!(samples["cypher_server_bytes_in_total"] > 0.0);
     assert!(samples["cypher_server_bytes_out_total"] > 0.0);
-    assert_eq!(page.version, server.db().version());
+    assert_eq!(samples["cypher_version"], server.db().version() as f64);
     poller.goodbye().expect("goodbye");
 }
 

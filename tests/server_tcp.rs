@@ -27,6 +27,7 @@ use cypher::{Database, EngineConfig, MatchConfig, Params, Value};
 use cypher_client::{Client, ClientError};
 use cypher_server::{Server, ServerConfig};
 use cypher_tck::diff::{config, live, Cell, Commit, Diff, History, Observation, LIGHT};
+use cypher_tck::parse_exposition;
 use cypher_wire::{
     client_handshake, read_exact_frame, write_frame, ErrorCode, Request, Response, WireError,
     DEFAULT_MAX_FRAME_BYTES,
@@ -168,15 +169,14 @@ fn prepared_statements_share_the_plan_cache_across_connections() {
     run_on_fresh_connection(0..8);
     run_on_fresh_connection(8..16);
 
-    let stats = seeder.stats().expect("stats");
+    let page = parse_exposition(&seeder.metrics().expect("metrics"));
     assert!(
-        stats.plan_misses >= 1,
-        "someone must have planned the text once: {stats:?}"
+        page["cypher_plan_cache_misses_total"] >= 1.0,
+        "someone must have planned the text once"
     );
     assert!(
-        stats.plan_hits >= 8,
-        "prepared executions across connections must hit the shared plan \
-         cache: {stats:?}"
+        page["cypher_plan_cache_hits_total"] >= 8.0,
+        "prepared executions across connections must hit the shared plan cache"
     );
     seeder.goodbye().expect("goodbye");
 }
@@ -709,20 +709,24 @@ fn durable_writes_over_tcp_survive_shutdown_and_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `Stats` answers server-wide gauges that the in-process handle agrees
-/// with.
+/// The metrics page read over TCP carries the server-wide gauges that
+/// the in-process handle agrees with.
 #[test]
-fn stats_report_connections_requests_and_version() {
+fn metrics_page_reports_connections_requests_and_version() {
     let server = start(mem_cfg(LIGHT[0]), ServerConfig::default());
     let mut client = connect(&server);
     let params = Params::new();
     client.query("CREATE (:S {k: 1})", &params).expect("seed");
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.connections as usize, server.active_connections());
-    assert!(
-        stats.requests >= 2,
-        "the stats call itself counts: {stats:?}"
+    let page = parse_exposition(&client.metrics().expect("metrics"));
+    assert_eq!(
+        page["cypher_server_connections"],
+        server.active_connections() as f64
     );
-    assert_eq!(stats.version, server.db().version());
+    assert_eq!(page["cypher_server_pinned_connections"], 0.0);
+    assert!(
+        page["cypher_server_requests_total"] >= 2.0,
+        "the metrics call itself counts"
+    );
+    assert_eq!(page["cypher_version"], server.db().version() as f64);
     client.goodbye().expect("goodbye");
 }
