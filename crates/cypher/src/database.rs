@@ -27,8 +27,9 @@
 //!    the latest valid snapshot plus the replayed WAL tail; the result
 //!    is published as the initial version (= batches recovered);
 //! 2. **query** — one WAL batch per mutating query; a query that errors
-//!    midway still commits the mutations it *did* apply (Cypher has no
-//!    rollback), atomically, so memory and disk stay aligned;
+//!    midway still commits the clauses before the failing one (a clause
+//!    applies all of its rows or none), atomically, so memory and disk
+//!    stay aligned;
 //! 3. **checkpoint** — when the WAL outgrows
 //!    [`EngineConfig::wal_compact_bytes`] (or on demand), the pipeline is
 //!    quiesced, the latest version snapshotted and the WAL truncated;

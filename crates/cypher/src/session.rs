@@ -263,10 +263,11 @@ impl DbInner {
         let result =
             cypher_engine::execute_cached(&mut graph, q, params, &self.cfg, memo.as_deref())
                 .map_err(Error::from);
-        // Even an errored query commits (and seals) the mutations it
-        // did apply before failing — Cypher has no rollback, so the
-        // already-executed clauses are real and must be durable; they
-        // become visible to readers atomically like any other batch.
+        // Even an errored query commits (and seals) the clauses before
+        // the failing one: each clause applies all of its rows or none,
+        // so the failing clause left no records, while the clauses that
+        // ran are real and must be durable. They become visible to
+        // readers atomically like any other batch.
         let changes = txn.buffer().drain();
         graph.take_change_sink();
         if changes.is_empty() {

@@ -44,29 +44,11 @@ impl PlanMemo {
     pub fn new() -> PlanMemo {
         PlanMemo::default()
     }
-
-    /// Returns the cached plan for `(site, fields)` or compiles, stores
-    /// and returns it.
-    pub(crate) fn get_or_plan(
-        &self,
-        site: MemoSite,
-        view: ViewRef<'_>,
-        fields: &[String],
-        patterns: &[PathPattern],
-        cfg: &EngineConfig,
-    ) -> Arc<PlannedMatch> {
-        let key = (site, fields.to_vec());
-        if let Some(p) = self.slots.lock().unwrap().get(&key) {
-            return Arc::clone(p);
-        }
-        let planned = Arc::new(plan_match(view, fields, patterns, cfg));
-        self.slots.lock().unwrap().insert(key, Arc::clone(&planned));
-        planned
-    }
 }
 
-/// Plans for `(site, fields)` against the given snapshot — through the
-/// memo when one is installed, directly otherwise.
+/// Plans for `(site, fields)` against the given snapshot — directly, or
+/// through the memo when one is installed: its plan for the site, or one
+/// compiled and stored now.
 pub(crate) fn plan_match_memo(
     memo: Option<(&PlanMemo, MemoSite)>,
     view: ViewRef<'_>,
@@ -74,10 +56,17 @@ pub(crate) fn plan_match_memo(
     patterns: &[PathPattern],
     cfg: &EngineConfig,
 ) -> Arc<PlannedMatch> {
-    match memo {
-        Some((m, site)) => m.get_or_plan(site, view, fields, patterns, cfg),
-        None => Arc::new(plan_match(view, fields, patterns, cfg)),
+    let planned = || Arc::new(plan_match(view, fields, patterns, cfg));
+    let Some((memo, site)) = memo else {
+        return planned();
+    };
+    let key = (site, fields.to_vec());
+    if let Some(p) = memo.slots.lock().unwrap().get(&key) {
+        return Arc::clone(p);
     }
+    let planned = planned();
+    memo.slots.lock().unwrap().insert(key, Arc::clone(&planned));
+    planned
 }
 
 /// Buckets a cardinality on a log₂ grid: 0, then one bucket per power of

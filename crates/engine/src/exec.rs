@@ -7,9 +7,11 @@
 //! row by row, `UNWIND` — is compiled into one *segment*: a step list the
 //! morsel driver of [`crate::ops`] runs without building a table between
 //! clauses. Every other clause ends the segment. One that ends at a `WITH`
-//! or the `RETURN` runs into that projection's sink (`pushdown.rs`);
-//! `OPTIONAL MATCH`, `FROM GRAPH` and the updating clauses
-//! ([`crate::update`]) apply to the collected table.
+//! or the `RETURN` runs into that projection's sink (`pushdown.rs`); an
+//! updating clause runs it into its `Write` sink ([`crate::update`]),
+//! which applies the rows as they arrive while the steps read the graph
+//! as it was before the clause; `OPTIONAL MATCH` and `FROM GRAPH` apply
+//! to the collected table.
 
 use crate::cache::{plan_match_memo, PlanMemo};
 use crate::multigraph::{construct_graph, view_named, Graphs};
@@ -17,7 +19,7 @@ use crate::ops::{drive, Collect, PlanProfile, Sink};
 use crate::plan::PlanStep;
 use crate::planner::{PlannedMatch, PlannerMode, WcoJoinMode};
 use crate::pushdown::{project, project_visible, select_sink, FinalSink};
-use crate::update;
+use crate::update::{self, Write};
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::PathPattern;
 use cypher_ast::query::{Clause, Query, Return, SingleQuery};
@@ -25,7 +27,7 @@ use cypher_core::error::{err, EvalError};
 use cypher_core::project::ProjectionPlan;
 use cypher_core::table::{Record, Schema, Table};
 use cypher_core::{EvalContext, MatchConfig, Params};
-use cypher_graph::{PropertyGraph, Value, ViewRef};
+use cypher_graph::{PropertyGraph, SharedChangeBuffer, Value, ViewRef};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -402,7 +404,7 @@ pub(crate) fn execute_on_graphs(
 enum Access<'g> {
     /// A frozen snapshot: updating clauses are refused.
     Read(ViewRef<'g>),
-    /// The graph itself: updating clauses go to [`crate::update`].
+    /// The graph itself: updating clauses write to it.
     Write(&'g mut PropertyGraph),
 }
 
@@ -411,13 +413,6 @@ impl Access<'_> {
         match self {
             Access::Read(view) => *view,
             Access::Write(graph) => ViewRef::from(&**graph),
-        }
-    }
-
-    fn graph_mut(&mut self) -> Result<&mut PropertyGraph, EvalError> {
-        match self {
-            Access::Read(_) => err("updating clause in a read-only execution"),
-            Access::Write(graph) => Ok(graph),
         }
     }
 }
@@ -583,8 +578,13 @@ impl Segment {
     }
 
     /// The EXPLAIN block: the estimated steps, whether the worker pool
-    /// can engage, and the `sink` the segment runs into.
+    /// can engage, and the `sink` the segment runs into — only the sink
+    /// line when there are no steps.
     fn render(&self, cfg: &EngineConfig, sink: Option<String>, out: &mut String) {
+        if self.steps.is_empty() {
+            out.extend(sink.map(|sink| sink + "\n"));
+            return;
+        }
         out.push_str(&format!("{} plan:\n", self.label));
         let listed = self.steps.iter().zip(&self.estimates);
         let listed = listed.filter_map(|(s, e)| Some((s, (*e)?)));
@@ -632,10 +632,8 @@ struct Exec<'e, 'g> {
     catalog: Option<&'e mut Graphs<'g>>,
     /// One entry per segment run, when profiling.
     profile: Option<Vec<ClauseProfile>>,
-    /// The rendered plan, when explaining: segments and updating clauses
-    /// render instead of running — a segment as its block, or its sink
-    /// line alone when it has no steps; an updating clause as one line,
-    /// and MERGE also as its match plan.
+    /// The rendered plan, when explaining: segments render instead of
+    /// running.
     explain: Option<String>,
 }
 
@@ -687,8 +685,9 @@ impl<'e, 'g> Exec<'e, 'g> {
     }
 
     /// Streamable clauses extend the current segment; every other clause
-    /// runs it (into the projection of a breaking `WITH`) and then
-    /// applies itself to the resulting table.
+    /// runs it — into the projection of a breaking `WITH`, or into an
+    /// updating clause's sink — and then applies itself to the resulting
+    /// table.
     fn single(&mut self, access: &mut Access<'g>, sq: &SingleQuery) -> Result<Table, EvalError> {
         if let Some(graphs) = &self.catalog {
             *access = Access::Read(graphs.default);
@@ -719,48 +718,31 @@ impl<'e, 'g> Exec<'e, 'g> {
                 }
                 _ => {}
             }
-            let ret = match clause {
-                Clause::With { ret, .. } => Some(ret),
-                _ => None,
-            };
-            t = self.finish(access.view(), &seg, t, ret)?;
             // A breaking `WITH`'s `WHERE` opens the next segment.
             let mut carried = None;
             t = match clause {
-                Clause::With { where_, .. } => {
+                Clause::With { ret, where_ } => {
                     carried = where_.as_ref();
-                    t
+                    self.finish(access.view(), &seg, t, Some(ret))?
                 }
                 Clause::Match {
                     patterns, where_, ..
-                } => self.optional_match(access.view(), i, patterns, where_.as_ref(), t)?,
+                } => {
+                    let t = self.finish(access.view(), &seg, t, None)?;
+                    self.optional_match(access.view(), i, patterns, where_.as_ref(), t)?
+                }
                 Clause::FromGraph { name, .. } => {
+                    let t = self.finish(access.view(), &seg, t, None)?;
                     let Some(graphs) = &self.catalog else {
                         return err("FROM GRAPH requires a catalog; use the multigraph executor");
                     };
                     *access = Access::Read(view_named(&graphs.views, name)?);
                     t
                 }
-                // Explaining, an updating clause renders one line (and
-                // MERGE its match plan) and answers the schema it would.
-                _ if self.explain.is_some() => {
-                    let out = self.explain.as_mut().expect("explaining");
-                    out.push_str(&format!("{clause}\n"));
-                    Table::empty(match clause {
-                        Clause::Create { patterns } => update::extended(t.schema(), patterns),
-                        Clause::Merge { pattern, .. } => {
-                            let view = access.view();
-                            let (planned, rows) =
-                                update::merge_plan(view, t.schema(), pattern, self.cfg);
-                            let mut merge = Segment::new(t.schema().clone());
-                            merge.push_match("MERGE", &planned, None);
-                            merge.render(self.cfg, None, out);
-                            rows
-                        }
-                        _ => t.schema().clone(),
-                    })
+                _ => {
+                    let keep = i + 1 < sq.clauses.len() || sq.ret.is_some();
+                    self.write(access, &seg, t, clause, keep)?
                 }
-                _ => update::apply(access.graph_mut()?, self.params, self.cfg, clause, t)?,
             };
             seg = Segment::new(t.schema().clone());
             seg.push_where(carried);
@@ -805,11 +787,7 @@ impl<'e, 'g> Exec<'e, 'g> {
         let shown = self.profile.is_some() || self.explain.is_some();
         let sink_label = sink.as_ref().filter(|_| shown).map(FinalSink::label);
         if let Some(out) = &mut self.explain {
-            match sink_label {
-                _ if !seg.steps.is_empty() => seg.render(self.cfg, sink_label, out),
-                Some(sink) => out.push_str(&format!("{sink}\n")),
-                None => {}
-            }
+            seg.render(self.cfg, sink_label, out);
             let schema = match ret {
                 Some(ret) => ProjectionPlan::compile(ret, &visible)?.out_schema().clone(),
                 None => visible,
@@ -835,6 +813,57 @@ impl<'e, 'g> Exec<'e, 'g> {
                 }
             }
         })
+    }
+
+    /// Runs `seg` over `input` into the updating `clause`'s [`Write`] sink
+    /// on the calling thread, keeping the answered rows when `keep`. The
+    /// steps read a snapshot taken before the clause. A clause applies
+    /// all of its rows or none: on failure the graph goes back to the
+    /// snapshot and the clause's change records are dropped. Explaining
+    /// renders the segment with the clause as its sink line, and MERGE's
+    /// match plan after it.
+    fn write(
+        &mut self,
+        access: &mut Access<'_>,
+        seg: &Segment,
+        input: Table,
+        clause: &Clause,
+        keep: bool,
+    ) -> Result<Table, EvalError> {
+        let cfg = &self.cfg.clone().with_threads(1);
+        let merge = update::merge_segment(access.view(), &seg.visible, clause, cfg);
+        if let Some(out) = &mut self.explain {
+            seg.render(cfg, Some(clause.to_string()), out);
+            if let Some(merge) = &merge {
+                merge.render(cfg, None, out);
+            }
+            return Ok(Table::empty(update::written(clause, &seg.visible)));
+        }
+        let Access::Write(g) = access else {
+            return err("updating clause in a read-only execution");
+        };
+        let snapshot = g.clone();
+        let outer = g.take_change_sink();
+        let records = SharedChangeBuffer::new();
+        if outer.is_some() {
+            g.set_change_sink(Box::new(records.clone()));
+        }
+        let out = g.bulk_load(|g| {
+            let ctx = self.ctx(ViewRef::from(&snapshot));
+            let sink = Write::new(g, clause, &seg.visible, merge, keep, (self.params, cfg));
+            seg.run(&ctx, cfg, input, &sink, None, None)
+        });
+        g.take_change_sink();
+        if out.is_err() {
+            **g = snapshot;
+        }
+        if let Some(mut outer) = outer {
+            if out.is_ok() {
+                records.drain().into_iter().for_each(|c| outer.record(c));
+            }
+            g.set_change_sink(outer);
+        }
+        out
     }
 
     /// `OPTIONAL MATCH`: tags each driving row with its index, runs the
@@ -990,36 +1019,30 @@ mod tests {
     #[test]
     fn update_then_read() {
         let mut g = PropertyGraph::new();
-        let params = Params::new();
-        let q = parse_query(
-            "CREATE (a:Person {name: 'Ada'})-[:KNOWS {since: 1985}]->(b:Person {name: 'Bo'})",
-        )
-        .unwrap();
-        let out = execute(&mut g, &q, &params, &EngineConfig::default()).unwrap();
-        assert_eq!(out.len(), 0);
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.rel_count(), 1);
-        let check = run(
-            &g,
-            "MATCH (a:Person)-[r:KNOWS]->(b) RETURN a.name, r.since, b.name",
-        );
+        let create =
+            "CREATE (a:Person {name: 'Ada'})-[:KNOWS {since: 1985}]->(b:Person {name: 'Bo'})";
+        let q = parse_query(create).unwrap();
+        let out = execute(&mut g, &q, &Params::new(), &EngineConfig::default()).unwrap();
+        assert_eq!((out.len(), g.node_count(), g.rel_count()), (0, 2, 1));
+        let check = run(&g, "MATCH (a:Person)-[r:KNOWS]->(b) RETURN a.name, r.since");
         assert_eq!(check.cell(0, "a.name"), Some(&Value::str("Ada")));
         assert_eq!(check.cell(0, "r.since"), Some(&Value::int(1985)));
     }
 
     #[test]
     fn read_execution_rejects_updates() {
-        let g = PropertyGraph::new();
-        let params = Params::new();
         let q = parse_query("CREATE (n)").unwrap();
+        let (g, params) = (PropertyGraph::new(), Params::new());
         assert!(execute_read(&g, &q, &params, &EngineConfig::default()).is_err());
+    }
+
+    fn plan(g: &PropertyGraph, src: &str, cfg: &EngineConfig) -> String {
+        explain(g, &parse_query(src).unwrap(), cfg)
     }
 
     #[test]
     fn explain_mentions_expand() {
-        let g = figure4();
-        let q = parse_query("MATCH (x:Teacher)-[:KNOWS]->(y) RETURN x").unwrap();
-        let plan = explain(&g, &q, &EngineConfig::default());
+        let plan = plan(&figure4(), TEACHER_PAIRS, &EngineConfig::default());
         assert!(plan.contains("NodeIndexScan"), "{plan}");
         assert!(plan.contains("Expand"), "{plan}");
     }
@@ -1027,51 +1050,37 @@ mod tests {
     #[test]
     fn explain_shows_property_index_seek() {
         let mut g = PropertyGraph::new();
-        let params = Params::new();
         let create = parse_query("CREATE (:Person {name: 'Ada'}), (:Person {name: 'Bo'})").unwrap();
-        execute(&mut g, &create, &params, &EngineConfig::default()).unwrap();
-        let q = parse_query("MATCH (n:Person {name: 'Ada'}) RETURN n").unwrap();
-        let plan = explain(&g, &q, &EngineConfig::default());
+        execute(&mut g, &create, &Params::new(), &EngineConfig::default()).unwrap();
+        let q = "MATCH (n:Person {name: 'Ada'}) RETURN n";
+        let seek = plan(&g, q, &EngineConfig::default());
         assert!(
-            plan.contains("PropertyIndexSeek(n:Person.name = 'Ada')"),
-            "{plan}"
+            seek.contains("PropertyIndexSeek(n:Person.name = 'Ada')"),
+            "{seek}"
         );
         // With the property index off the anchor falls back to the label
         // index; with both off, to a full scan.
-        let no_prop = explain(
-            &g,
-            &q,
-            &EngineConfig {
-                use_property_index: false,
-                ..EngineConfig::default()
-            },
-        );
+        let no_prop = EngineConfig {
+            use_property_index: false,
+            ..EngineConfig::default()
+        };
+        let no_prop = plan(&g, q, &no_prop);
         assert!(no_prop.contains("NodeIndexScan(n:Person)"), "{no_prop}");
-        let no_idx = explain(&g, &q, &EngineConfig::default().without_indexes());
+        let no_idx = plan(&g, q, &EngineConfig::default().without_indexes());
         assert!(no_idx.contains("AllNodesScan"), "{no_idx}");
     }
 
     #[test]
     fn explain_shows_parallelism() {
-        let g = figure4();
-        let q = parse_query("MATCH (x:Teacher)-[:KNOWS]->(y) RETURN x").unwrap();
-        let seq = explain(&g, &q, &EngineConfig::default().with_threads(1));
+        let seq = plan(&figure4(), TEACHER_PAIRS, &EngineConfig::default());
         assert!(!seq.contains("parallel:"), "{seq}");
-        let par = explain(
-            &g,
-            &q,
-            &EngineConfig::default()
-                .with_threads(4)
-                .with_morsel_size(512)
-                .with_partial_agg(PartialAggMode::Auto),
-        );
-        assert!(
-            par.contains(
-                "(parallel: 4 threads, morsel size 512; \
-                 engages when driving rows × scanned items exceed 512)"
-            ),
-            "{par}"
-        );
+        let cfg = EngineConfig::default()
+            .with_threads(4)
+            .with_morsel_size(512);
+        let par = plan(&figure4(), TEACHER_PAIRS, &cfg);
+        let line = "(parallel: 4 threads, morsel size 512; \
+                    engages when driving rows × scanned items exceed 512)";
+        assert!(par.contains(line), "{par}");
     }
 
     #[test]

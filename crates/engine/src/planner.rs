@@ -1019,6 +1019,17 @@ mod tests {
     use cypher_graph::Value;
     use cypher_parser::parse_pattern;
 
+    /// Whether some step of `planned` is a `PlanStep::$step`.
+    macro_rules! has {
+        ($planned:expr, $step:ident) => {
+            $planned
+                .plan
+                .steps
+                .iter()
+                .any(|s| matches!(s, PlanStep::$step { .. }))
+        };
+    }
+
     fn sample_graph() -> PropertyGraph {
         let mut g = PropertyGraph::new();
         // 100 Person nodes, 3 Admin nodes, chain of KNOWS.
@@ -1097,21 +1108,9 @@ mod tests {
         let g = sample_graph();
         let p = parse_pattern("(a:Admin)-[r:KNOWS]->(b)").unwrap();
         let planned = plan_match(&g, &[], &[p], &cartesian());
-        assert!(planned
-            .plan
-            .steps
-            .iter()
-            .any(|s| matches!(s, PlanStep::RelScan { .. })));
-        assert!(planned
-            .plan
-            .steps
-            .iter()
-            .any(|s| matches!(s, PlanStep::FilterEndpoints { .. })));
-        assert!(!planned
-            .plan
-            .steps
-            .iter()
-            .any(|s| matches!(s, PlanStep::Expand { .. })));
+        assert!(has!(planned, RelScan));
+        assert!(has!(planned, FilterEndpoints));
+        assert!(!has!(planned, Expand));
     }
 
     #[test]
@@ -1119,11 +1118,7 @@ mod tests {
         let g = sample_graph();
         let p = parse_pattern("(a)-[:KNOWS*1..3]->(b)").unwrap();
         let planned = plan_match(&g, &[], &[p], &cartesian());
-        assert!(planned
-            .plan
-            .steps
-            .iter()
-            .any(|s| matches!(s, PlanStep::Expand { .. })));
+        assert!(has!(planned, Expand));
     }
 
     #[test]
@@ -1160,11 +1155,7 @@ mod tests {
             other => panic!("expected property seek, got {other}"),
         }
         // The residual property filter keeps `=` semantics exact.
-        assert!(planned
-            .plan
-            .steps
-            .iter()
-            .any(|s| matches!(s, PlanStep::FilterProps { .. })));
+        assert!(has!(planned, FilterProps));
     }
 
     #[test]
@@ -1220,33 +1211,21 @@ mod tests {
             planned.plan
         );
         // Property conditions survive as residual filters.
-        assert!(planned
-            .plan
-            .steps
-            .iter()
-            .any(|s| matches!(s, PlanStep::FilterProps { .. })));
+        assert!(has!(planned, FilterProps));
     }
 
     #[test]
     fn disabling_all_indexes_scans_everything() {
         let g = sample_graph();
         let p = parse_pattern("(a:Person {i: 5})").unwrap();
-        let cfg = EngineConfig {
-            use_label_index: false,
-            use_property_index: false,
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig::default().without_indexes();
         let planned = plan_match(&g, &[], &[p], &cfg);
         assert!(
             matches!(&planned.plan.steps[0], PlanStep::AllNodesScan { .. }),
             "plan: {:?}",
             planned.plan
         );
-        assert!(planned
-            .plan
-            .steps
-            .iter()
-            .any(|s| matches!(s, PlanStep::FilterLabels { .. })));
+        assert!(has!(planned, FilterLabels));
     }
 
     /// 100 nodes, 10 outgoing KNOWS each — dense enough that expand
@@ -1275,10 +1254,7 @@ mod tests {
     #[test]
     fn force_plans_cyclic_match_with_intersection() {
         let g = sample_graph();
-        let cfg = EngineConfig {
-            wco_join: WcoJoinMode::Force,
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig::default().with_wco_join(WcoJoinMode::Force);
         let planned = plan_match(&g, &[], &triangle(), &cfg);
         let isect: Vec<&PlanStep> = planned
             .plan
@@ -1303,16 +1279,9 @@ mod tests {
     #[test]
     fn off_never_plans_intersection() {
         let g = dense_graph();
-        let cfg = EngineConfig {
-            wco_join: WcoJoinMode::Off,
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig::default().with_wco_join(WcoJoinMode::Off);
         let planned = plan_match(&g, &[], &triangle(), &cfg);
-        assert!(!planned
-            .plan
-            .steps
-            .iter()
-            .any(|s| matches!(s, PlanStep::MultiwayIntersect { .. })));
+        assert!(!has!(planned, MultiwayIntersect));
     }
 
     #[test]
@@ -1320,24 +1289,12 @@ mod tests {
         // Dense (avg degree 10): the chain's intermediate result dwarfs
         // the intersection's, so Auto flips to the intersect plan.
         let planned = plan_match(&dense_graph(), &[], &triangle(), &EngineConfig::default());
-        assert!(
-            planned
-                .plan
-                .steps
-                .iter()
-                .any(|s| matches!(s, PlanStep::MultiwayIntersect { .. })),
-            "plan: {:?}",
-            planned.plan
-        );
+        assert!(has!(planned, MultiwayIntersect), "plan: {:?}", planned.plan);
         // Sparse (a chain, avg degree ≈ 1): estimates tie at the anchor
         // scan, and ties keep the expand chain.
         let planned = plan_match(&sample_graph(), &[], &triangle(), &EngineConfig::default());
         assert!(
-            !planned
-                .plan
-                .steps
-                .iter()
-                .any(|s| matches!(s, PlanStep::MultiwayIntersect { .. })),
+            !has!(planned, MultiwayIntersect),
             "plan: {:?}",
             planned.plan
         );
@@ -1346,18 +1303,11 @@ mod tests {
     #[test]
     fn ineligible_patterns_keep_the_chain_plan_even_forced() {
         let g = dense_graph();
-        let cfg = EngineConfig {
-            wco_join: WcoJoinMode::Force,
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig::default().with_wco_join(WcoJoinMode::Force);
         let no_isect = |pats: Vec<PathPattern>| {
             let planned = plan_match(&g, &[], &pats, &cfg);
             assert!(
-                !planned
-                    .plan
-                    .steps
-                    .iter()
-                    .any(|s| matches!(s, PlanStep::MultiwayIntersect { .. })),
+                !has!(planned, MultiwayIntersect),
                 "plan: {:?}",
                 planned.plan
             );
@@ -1388,10 +1338,7 @@ mod tests {
     #[test]
     fn two_cycle_flips_the_closing_guard_direction() {
         let g = dense_graph();
-        let cfg = EngineConfig {
-            wco_join: WcoJoinMode::Force,
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig::default().with_wco_join(WcoJoinMode::Force);
         let p = parse_pattern("(a)-[r1:KNOWS]->(b)<-[r2:KNOWS]-(a)").unwrap();
         let planned = plan_match(&g, &[], &[p], &cfg);
         let Some(PlanStep::MultiwayIntersect { to, guards, .. }) = planned

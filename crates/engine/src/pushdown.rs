@@ -309,16 +309,8 @@ pub(crate) fn project_visible(raw: Table, visible: &Arc<Schema>) -> Table {
     if raw.schema().names() == visible.names() {
         return raw;
     }
-    let idxs: Vec<usize> = visible
-        .names()
-        .iter()
-        .map(|n| raw.schema().index_of(n).expect("visible column present"))
-        .collect();
-    let mut out = Table::empty(visible.clone());
-    for r in raw.rows() {
-        out.push(Record::new(
-            idxs.iter().map(|&i| r.get(i).clone()).collect(),
-        ));
-    }
-    out
+    let at = |n: &String| raw.schema().index_of(n).expect("visible column present");
+    let idxs: Vec<usize> = visible.names().iter().map(at).collect();
+    let row = |r: &Record| Record::new(idxs.iter().map(|&i| r.get(i).clone()).collect());
+    Table::new(visible.clone(), raw.rows().iter().map(row).collect())
 }

@@ -6,7 +6,10 @@
 //! Each clause remains a function from tables to tables — `CREATE` and
 //! `MERGE` extend rows with the entities they bind, the others pass rows
 //! through — so updating queries compose linearly exactly like reading
-//! ones.
+//! ones. Each ends its segment in the `Write` sink: the segment's steps
+//! read the graph as it was before the clause, and the sink applies the
+//! arriving rows in row order to the graph itself, evaluating its own
+//! expressions against the graph as earlier rows left it.
 //!
 //! **Index maintenance**: every mutation here bottoms out in a
 //! [`PropertyGraph`] mutator (`add_node_syms`, `set_node_prop`,
@@ -18,9 +21,9 @@
 //! mutated graph — the invariant the differential test suite
 //! (`tests/index_differential.rs`) exercises.
 
-use crate::exec::EngineConfig;
-use crate::ops::{drive, Collect};
-use crate::planner::{plan_match, PlannedMatch, WcoJoinMode};
+use crate::exec::{EngineConfig, Segment};
+use crate::ops::{Collect, Sink};
+use crate::planner::{plan_match, WcoJoinMode};
 use crate::pushdown::project_visible;
 use cypher_ast::expr::Expr;
 use cypher_ast::pattern::{Dir, NodePattern, PathPattern};
@@ -28,62 +31,262 @@ use cypher_ast::query::{Clause, RemoveItem, SetItem};
 use cypher_core::error::{err, EvalError};
 use cypher_core::expr::{eval_expr, Bindings};
 use cypher_core::matching::unbound_free_vars;
-use cypher_core::table::{Record, Schema, Table};
+use cypher_core::table::{Record, RowBatch, Schema, Table};
 use cypher_core::{EvalContext, Params};
 use cypher_graph::fxhash::FxHashMap;
 use cypher_graph::{NodeId, PropertyGraph, RelId, Symbol, Value, ViewRef};
 use std::slice;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// Applies an updating clause to the driving table in one
-/// [`PropertyGraph::bulk_load`] scope, sealed before the next clause. No
-/// intersection runs in it (see [`merge_plan`]; pattern expressions walk
-/// `expand`), and deletes find entries by relationship id.
-pub(crate) fn apply(
-    g: &mut PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    clause: &Clause,
-    t: Table,
-) -> Result<Table, EvalError> {
-    g.bulk_load(|g| match clause {
-        Clause::Create { patterns } => exec_create(g, params, cfg, patterns, t),
-        Clause::Merge {
-            pattern,
-            on_create,
-            on_match,
-        } => exec_merge(g, params, cfg, pattern, on_create, on_match, t),
-        Clause::Delete { detach, exprs } => exec_delete(g, params, cfg, *detach, exprs, t),
-        Clause::Set { items } => exec_set(g, params, cfg, items, t),
-        Clause::Remove { items } => exec_remove(g, params, cfg, items, t),
-        _ => err("not an updating clause"),
-    })
+/// The sink an updating clause's segment runs into. The driver runs a
+/// write segment on the calling thread, so batches arrive in row order;
+/// each row is applied as it arrives, inside the clause's one
+/// [`PropertyGraph::bulk_load`] scope. The steps read a snapshot taken
+/// before the scope; what reads the graph being written intersects no
+/// lists (see [`merge_segment`]; pattern expressions walk `expand`), and
+/// deletes find entries by relationship id.
+pub(crate) struct Write<'w> {
+    clause: &'w Clause,
+    params: &'w Params,
+    cfg: &'w EngineConfig,
+    /// The fields in scope at the end of the segment, which the clause
+    /// reads.
+    visible: Arc<Schema>,
+    /// The rows the clause answers (see [`written`]).
+    out: Arc<Schema>,
+    /// `MERGE`'s match plan.
+    merge: Option<Segment>,
+    /// Whether a later clause reads the answered rows: an update-only
+    /// statement keeps none.
+    keep: bool,
+    /// The graph written to.
+    graph: Mutex<&'w mut PropertyGraph>,
 }
 
-/// `CREATE pattern_tuple`: instantiates the patterns once per driving row.
-pub fn exec_create(
-    graph: &mut PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    patterns: &[PathPattern],
-    table: Table,
-) -> Result<Table, EvalError> {
-    let schema = table.schema().clone();
-    let out_schema = extended(&schema, patterns);
-    let new_vars = &out_schema.names()[schema.len()..];
-    let mut out = Table::empty(out_schema.clone());
-    let mut build = Builder::new(params, cfg, None);
-    for row in table.rows() {
-        out.push(build.row(graph, patterns, &schema, row, new_vars)?);
+/// What a [`Write`] run keeps: the answered rows, and what a `DELETE`
+/// removes when the clause ends.
+#[derive(Default)]
+pub(crate) struct Kept {
+    rows: Vec<Record>,
+    nodes: Vec<NodeId>,
+    rels: Vec<RelId>,
+}
+
+impl<'w> Write<'w> {
+    /// The sink of `clause` over a segment whose fields in scope are
+    /// `visible`, applying to `g`; `merge` is [`merge_segment`] for a
+    /// `MERGE`.
+    pub(crate) fn new(
+        g: &'w mut PropertyGraph,
+        clause: &'w Clause,
+        visible: &Arc<Schema>,
+        merge: Option<Segment>,
+        keep: bool,
+        (params, cfg): (&'w Params, &'w EngineConfig),
+    ) -> Self {
+        Write {
+            clause,
+            params,
+            cfg,
+            visible: visible.clone(),
+            out: written(clause, visible),
+            merge,
+            keep,
+            graph: Mutex::new(g),
+        }
     }
-    Ok(out)
+
+    /// Applies one batch of the pipeline's rows (schema `schema`) to `g`
+    /// in order.
+    fn batch(
+        &self,
+        g: &mut PropertyGraph,
+        schema: &Schema,
+        batch: RowBatch,
+        kept: &mut Kept,
+    ) -> Result<(), EvalError> {
+        let (params, cfg) = (self.params, self.cfg);
+        let mut build = Builder::new(params, cfg, None);
+        let new_vars = &self.out.names()[self.visible.len()..];
+        let mut keep = |row| {
+            if self.keep {
+                kept.rows.push(row);
+            }
+        };
+        for row in self.visible_rows(schema, batch) {
+            let at = (&*self.visible, &row);
+            match self.clause {
+                Clause::Create { patterns } => {
+                    keep(build.row(g, patterns, &self.visible, &row, new_vars)?);
+                    continue;
+                }
+                Clause::Merge {
+                    pattern,
+                    on_create,
+                    on_match,
+                } => {
+                    let matches = {
+                        let merge = self.merge.as_ref().expect("MERGE has its match plan");
+                        let ctx = EvalContext::new(g, params).with_config(cfg.match_config);
+                        let one = Table::new(self.visible.clone(), vec![row.clone()]);
+                        let raw = merge.run(&ctx, cfg, one, &Collect, None, None)?;
+                        project_visible(raw, &self.out).into_rows()
+                    };
+                    if matches.is_empty() {
+                        let pats = slice::from_ref(pattern);
+                        let made = build.row(g, pats, &self.visible, &row, new_vars)?;
+                        self.set_items(g, on_create, (&*self.out, &made))?;
+                        keep(made);
+                    }
+                    for m in matches {
+                        self.set_items(g, on_match, (&*self.out, &m))?;
+                        keep(m);
+                    }
+                    continue;
+                }
+                Clause::Set { items } => self.set_items(g, items, at)?,
+                Clause::Remove { items } => self.remove_items(g, items, at)?,
+                Clause::Delete { exprs, .. } => {
+                    for e in exprs {
+                        match self.eval(g, at, e)? {
+                            Value::Null => {}
+                            Value::Node(n) => kept.nodes.push(n),
+                            Value::Rel(r) => kept.rels.push(r),
+                            Value::Path(p) => {
+                                kept.nodes.extend(p.nodes());
+                                kept.rels.extend(p.rels());
+                            }
+                            other => {
+                                return err(format!(
+                                    "DELETE requires nodes, relationships or paths, got {}",
+                                    other.type_name()
+                                ))
+                            }
+                        }
+                    }
+                }
+                _ => return err("not an updating clause"),
+            }
+            keep(row);
+        }
+        Ok(())
+    }
+
+    /// A batch's rows over the fields in scope, without the hidden
+    /// columns of the pipeline's `schema`.
+    fn visible_rows(&self, schema: &Schema, batch: RowBatch) -> impl Iterator<Item = Record> {
+        let (len, mut cols) = (batch.len(), batch.into_columns());
+        if schema.names() != self.visible.names() {
+            let at = |n: &String| schema.index_of(n).expect("visible column present");
+            let idxs = self.visible.names().iter().map(at);
+            cols = idxs.map(|i| std::mem::take(&mut cols[i])).collect();
+        }
+        RowBatch::new(len, cols).into_records()
+    }
+
+    /// Ends the clause, answering the kept rows. `[DETACH] DELETE`
+    /// removes what its rows named only now (relationships before nodes),
+    /// so that repeated references to the same entity are harmless —
+    /// Cypher's end-of-clause visibility rule.
+    fn end(&self, g: &mut PropertyGraph, mut kept: Kept) -> Result<Table, EvalError> {
+        if let Clause::Delete { detach, .. } = self.clause {
+            kept.rels.sort_unstable();
+            kept.rels.dedup();
+            kept.nodes.sort_unstable();
+            kept.nodes.dedup();
+            for &r in &kept.rels {
+                if g.contains_rel(r) {
+                    g.delete_rel(r)?;
+                }
+            }
+            for &n in &kept.nodes {
+                if !g.contains_node(n) {
+                    continue;
+                }
+                if *detach {
+                    g.detach_delete_node(n)?;
+                } else {
+                    g.delete_node(n)?;
+                }
+            }
+        }
+        Ok(Table::new(self.out.clone(), kept.rows))
+    }
 }
 
-/// The schema of the rows `CREATE` or `MERGE` of `patterns` answers: the
-/// driving fields, then the patterns' new names in binding order.
-pub(crate) fn extended(schema: &Schema, patterns: &[PathPattern]) -> Arc<Schema> {
-    let new_vars = unbound_free_vars(patterns, &|n| schema.contains(n));
-    Schema::new([schema.names(), &new_vars].concat())
+impl Sink for Write<'_> {
+    type Partial = Kept;
+
+    fn partial(&self, _schema: &Arc<Schema>) -> Kept {
+        Kept::default()
+    }
+
+    fn feed(
+        &self,
+        _ctx: &EvalContext<'_>,
+        schema: &Schema,
+        kept: &mut Kept,
+        batch: RowBatch,
+    ) -> Result<(), EvalError> {
+        self.batch(&mut self.graph.lock().unwrap(), schema, batch, kept)
+    }
+
+    fn finish(
+        &self,
+        _ctx: &EvalContext<'_>,
+        _schema: &Arc<Schema>,
+        mut parts: impl Iterator<Item = Kept>,
+    ) -> Result<Table, EvalError> {
+        let kept = parts.next().expect("a write segment runs as one morsel");
+        self.end(&mut self.graph.lock().unwrap(), kept)
+    }
+
+    /// The collected rows applied in order to a copy of the graph the
+    /// steps read — the pre-clause graph, which the streamed run applied
+    /// the same rows to.
+    fn materialized(&self, ctx: &EvalContext<'_>, raw: Table) -> Result<Table, EvalError> {
+        let (schema, mut kept) = (raw.schema().clone(), Kept::default());
+        ctx.graph.clone().bulk_load(|g| {
+            self.batch(g, &schema, RowBatch::from_table(raw), &mut kept)?;
+            self.end(g, kept)
+        })
+    }
+}
+
+/// The schema of the rows `clause` answers over the fields `visible`:
+/// `CREATE` and `MERGE` append their patterns' new names in binding
+/// order, the other updating clauses pass rows through.
+pub(crate) fn written(clause: &Clause, visible: &Arc<Schema>) -> Arc<Schema> {
+    let patterns = match clause {
+        Clause::Create { patterns } => patterns,
+        Clause::Merge { pattern, .. } => slice::from_ref(pattern),
+        _ => return visible.clone(),
+    };
+    let new_vars = unbound_free_vars(patterns, &|n| visible.contains(n));
+    Schema::new([visible.names(), &new_vars].concat())
+}
+
+/// `MERGE`'s match plan (`None` for any other clause): its pattern
+/// planned once over the fields `visible`, which are pre-bound, as a
+/// segment of its own. Per driving row it runs against the graph as
+/// earlier rows left it, so MERGE sees its own creations, and binds all
+/// matches (`ON MATCH` applies to them in the plan's row order) or
+/// creates the pattern. It never intersects: the write scope leaves
+/// lists out of order.
+pub(crate) fn merge_segment(
+    view: ViewRef<'_>,
+    visible: &Arc<Schema>,
+    clause: &Clause,
+    cfg: &EngineConfig,
+) -> Option<Segment> {
+    let Clause::Merge { pattern, .. } = clause else {
+        return None;
+    };
+    let cfg = cfg.clone().with_wco_join(WcoJoinMode::Off);
+    let planned = plan_match(view, visible.names(), slice::from_ref(pattern), &cfg);
+    let mut seg = Segment::new(visible.clone());
+    seg.push_match("MERGE", &planned, None);
+    Some(seg)
 }
 
 /// A driving row: its schema and values.
@@ -183,9 +386,8 @@ impl<'s> Builder<'s> {
             if rho.types.len() != 1 {
                 return err("CREATE requires exactly one relationship type");
             }
-            let vals = self.eval(g, &rho.props, row, made)?;
             let t = g.intern(&rho.types[0]);
-            let props = keyed(g, &rho.props, vals);
+            let props = self.props(g, &rho.props, row, made)?;
             let r = g.add_rel_syms(src, tgt, t, props)?;
             if let Some(name) = &rho.name {
                 made.push((name.clone(), Value::Rel(r)));
@@ -228,9 +430,8 @@ impl<'s> Builder<'s> {
                 };
             }
         }
-        let vals = self.eval(g, &chi.props, row, made)?;
         let labels = chi.labels.iter().map(|l| g.intern(l)).collect();
-        let props = keyed(g, &chi.props, vals);
+        let props = self.props(g, &chi.props, row, made)?;
         let n = g.add_node_syms(labels, props);
         if let Some(name) = &chi.name {
             made.push((name.clone(), Value::Node(n)));
@@ -238,35 +439,25 @@ impl<'s> Builder<'s> {
         Ok(n)
     }
 
-    /// A property map's values over the row.
-    fn eval(
+    /// A property map over the row, its keys interned into `g`.
+    fn props(
         &self,
-        g: &PropertyGraph,
+        g: &mut PropertyGraph,
         props: &[(String, Expr)],
         row: Row<'_>,
         made: &[(String, Value)],
-    ) -> Result<Vec<Value>, EvalError> {
-        let graph = self.copy.as_ref().map_or(g, |(src, _)| *src);
+    ) -> Result<Vec<(Symbol, Value)>, EvalError> {
+        let graph = self.copy.as_ref().map_or(&*g, |(src, _)| *src);
         let ctx = EvalContext::new(graph, self.params).with_config(self.cfg.match_config);
         let view = RowView { row, made };
-        props
+        let vals = props.iter().map(|(_, e)| eval_expr(&ctx, &view, e));
+        let vals = vals.collect::<Result<Vec<_>, _>>()?;
+        Ok(props
             .iter()
-            .map(|(_, e)| eval_expr(&ctx, &view, e))
-            .collect()
+            .zip(vals)
+            .map(|((k, _), v)| (g.intern(k), v))
+            .collect())
     }
-}
-
-/// A property map's keys, interned into `g`, paired with their values.
-fn keyed(
-    g: &mut PropertyGraph,
-    props: &[(String, Expr)],
-    vals: Vec<Value>,
-) -> Vec<(Symbol, Value)> {
-    props
-        .iter()
-        .zip(vals)
-        .map(|((k, _), v)| (g.intern(k), v))
-        .collect()
 }
 
 /// The copy in `out` of the source node `n` (labels and properties),
@@ -287,191 +478,116 @@ fn copy_node(
     })
 }
 
-/// `MERGE`'s match plan — its pattern planned once over the driving
-/// `schema`, whose columns are pre-bound — and the schema of its rows.
-/// It never intersects: `MERGE`'s write scope leaves lists out of order.
-pub(crate) fn merge_plan(
-    view: ViewRef<'_>,
-    schema: &Arc<Schema>,
-    pattern: &PathPattern,
-    cfg: &EngineConfig,
-) -> (PlannedMatch, Arc<Schema>) {
-    let pats = slice::from_ref(pattern);
-    let cfg = EngineConfig {
-        wco_join: WcoJoinMode::Off,
-        ..cfg.clone()
-    };
-    let planned = plan_match(view, schema.names(), pats, &cfg);
-    (planned, extended(schema, pats))
-}
+/// The per-row updates of `SET` and `REMOVE`, evaluated against the graph
+/// as earlier rows left it.
+impl Write<'_> {
+    /// The value of `e` over one driving row.
+    fn eval(
+        &self,
+        g: &PropertyGraph,
+        (schema, row): Row<'_>,
+        e: &Expr,
+    ) -> Result<Value, EvalError> {
+        let ctx = EvalContext::new(g, self.params).with_config(self.cfg.match_config);
+        eval_expr(&ctx, &Bindings::new(schema, row), e)
+    }
 
-/// `MERGE pattern [ON CREATE SET …] [ON MATCH SET …]`: per driving row,
-/// bind all matches of the pattern, or create it when there are none.
-/// The match plan runs per row against the graph as earlier rows left it,
-/// so MERGE sees its own creations; `ON MATCH` applies to the matches in
-/// the plan's row order. A row's match runs on the calling thread: one
-/// row's plan is too small to pay for starting the worker pool.
-pub fn exec_merge(
-    graph: &mut PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    pattern: &PathPattern,
-    on_create: &[SetItem],
-    on_match: &[SetItem],
-    table: Table,
-) -> Result<Table, EvalError> {
-    let schema = table.schema().clone();
-    let (planned, out_schema) = merge_plan(ViewRef::from(&*graph), &schema, pattern, cfg);
-    let new_vars = &out_schema.names()[schema.len()..];
-    let mut build = Builder::new(params, cfg, None);
-    let mut out = Table::empty(out_schema.clone());
-    let one_thread = cfg.clone().with_threads(1);
-    for row in table.rows() {
-        let one = Table::new(schema.clone(), vec![row.clone()]);
-        let ctx = EvalContext::new(graph, params).with_config(cfg.match_config);
-        let matches = drive(&ctx, &planned.plan.steps, one, &one_thread, &Collect, None)?;
-        let matches = project_visible(matches, &out_schema).into_rows();
-        if matches.is_empty() {
-            let pats = slice::from_ref(pattern);
-            let new_row = build.row(graph, pats, &schema, row, new_vars)?;
-            apply_set_items(graph, params, cfg, on_create, &out_schema, &new_row)?;
-            out.push(new_row);
-        }
-        for m in matches {
-            apply_set_items(graph, params, cfg, on_match, &out_schema, &m)?;
-            out.push(m);
+    /// The node `var` binds in one driving row for `SET`/`REMOVE var:Label`
+    /// (`clause`), `None` for `null`.
+    fn label_target(
+        &self,
+        g: &PropertyGraph,
+        at: Row<'_>,
+        (clause, var): (&str, &str),
+    ) -> Result<Option<NodeId>, EvalError> {
+        match self.eval(g, at, &Expr::var(var.to_string()))? {
+            Value::Node(n) => Ok(Some(n)),
+            Value::Null => Ok(None),
+            _ => err(format!("{clause} {var}:Label requires a node")),
         }
     }
-    Ok(out)
-}
 
-/// The value of `e` over one driving row.
-fn eval_at(
-    g: &PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    (schema, row): Row<'_>,
-    e: &Expr,
-) -> Result<Value, EvalError> {
-    let ctx = EvalContext::new(g, params).with_config(cfg.match_config);
-    eval_expr(&ctx, &Bindings::new(schema, row), e)
-}
-
-/// The node `var` binds in one driving row for `SET`/`REMOVE var:Label`
-/// (`clause`), `None` for `null`.
-fn label_target(
-    g: &PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    at: Row<'_>,
-    (clause, var): (&str, &str),
-) -> Result<Option<NodeId>, EvalError> {
-    match eval_at(g, params, cfg, at, &Expr::var(var.to_string()))? {
-        Value::Node(n) => Ok(Some(n)),
-        Value::Null => Ok(None),
-        _ => err(format!("{clause} {var}:Label requires a node")),
-    }
-}
-
-/// `SET` items applied to one row.
-fn apply_set_items(
-    graph: &mut PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    items: &[SetItem],
-    schema: &Schema,
-    row: &Record,
-) -> Result<(), EvalError> {
-    let at = (schema, row);
-    for item in items {
-        match item {
-            SetItem::Prop(base, key, value) => {
-                let target = eval_at(graph, params, cfg, at, base)?;
-                let v = eval_at(graph, params, cfg, at, value)?;
-                let k = graph.intern(key);
-                match target {
-                    Value::Node(n) => graph.set_node_prop(n, k, v)?,
-                    Value::Rel(r) => graph.set_rel_prop(r, k, v)?,
-                    Value::Null => {} // SET on null is a no-op
-                    other => {
-                        return err(format!(
-                            "SET target must be a node or relationship, got {}",
-                            other.type_name()
-                        ))
+    /// `SET` items applied to one row.
+    fn set_items(
+        &self,
+        graph: &mut PropertyGraph,
+        items: &[SetItem],
+        at: Row<'_>,
+    ) -> Result<(), EvalError> {
+        for item in items {
+            match item {
+                SetItem::Prop(base, key, value) => {
+                    let target = self.eval(graph, at, base)?;
+                    let v = self.eval(graph, at, value)?;
+                    let k = graph.intern(key);
+                    match target {
+                        Value::Node(n) => graph.set_node_prop(n, k, v)?,
+                        Value::Rel(r) => graph.set_rel_prop(r, k, v)?,
+                        Value::Null => {} // SET on null is a no-op
+                        other => {
+                            return err(format!(
+                                "SET target must be a node or relationship, got {}",
+                                other.type_name()
+                            ))
+                        }
                     }
                 }
-            }
-            SetItem::Replace(var, value) | SetItem::Merge(var, value) => {
-                let target = eval_at(graph, params, cfg, at, &Expr::var(var.clone()))?;
-                let v = eval_at(graph, params, cfg, at, value)?;
-                let Value::Node(n) = target else {
-                    if target.is_null() {
+                SetItem::Replace(var, value) | SetItem::Merge(var, value) => {
+                    let target = self.eval(graph, at, &Expr::var(var.clone()))?;
+                    let v = self.eval(graph, at, value)?;
+                    let Value::Node(n) = target else {
+                        if target.is_null() {
+                            continue;
+                        }
+                        return err(format!("SET {var} = map requires a node"));
+                    };
+                    let props: Vec<(Symbol, Value)> = match v {
+                        Value::Map(m) => {
+                            m.into_iter().map(|(k, v)| (graph.intern(&k), v)).collect()
+                        }
+                        Value::Node(src) => {
+                            graph.node_props(src).map(|(k, v)| (k, v.clone())).collect()
+                        }
+                        other => {
+                            return err(format!(
+                                "SET {var} = requires a map or node, got {}",
+                                other.type_name()
+                            ))
+                        }
+                    };
+                    if matches!(item, SetItem::Merge(..)) {
+                        for (k, v) in props {
+                            graph.set_node_prop(n, k, v)?;
+                        }
+                    } else {
+                        graph.replace_node_props(n, props)?;
+                    }
+                }
+                SetItem::Labels(var, labels) => {
+                    let Some(n) = self.label_target(graph, at, ("SET", var))? else {
                         continue;
+                    };
+                    for l in labels {
+                        let sym = graph.intern(l);
+                        graph.add_label(n, sym)?;
                     }
-                    return err(format!("SET {var} = map requires a node"));
-                };
-                let props: Vec<(Symbol, Value)> = match v {
-                    Value::Map(m) => m.into_iter().map(|(k, v)| (graph.intern(&k), v)).collect(),
-                    Value::Node(src) => {
-                        graph.node_props(src).map(|(k, v)| (k, v.clone())).collect()
-                    }
-                    other => {
-                        return err(format!(
-                            "SET {var} = requires a map or node, got {}",
-                            other.type_name()
-                        ))
-                    }
-                };
-                if matches!(item, SetItem::Merge(..)) {
-                    for (k, v) in props {
-                        graph.set_node_prop(n, k, v)?;
-                    }
-                } else {
-                    graph.replace_node_props(n, props)?;
-                }
-            }
-            SetItem::Labels(var, labels) => {
-                let Some(n) = label_target(graph, params, cfg, at, ("SET", var))? else {
-                    continue;
-                };
-                for l in labels {
-                    let sym = graph.intern(l);
-                    graph.add_label(n, sym)?;
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
-}
 
-/// `SET` clause: applies items to every row, passing the table through.
-pub fn exec_set(
-    graph: &mut PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    items: &[SetItem],
-    table: Table,
-) -> Result<Table, EvalError> {
-    for row in table.rows() {
-        apply_set_items(graph, params, cfg, items, table.schema(), row)?;
-    }
-    Ok(table)
-}
-
-/// `REMOVE` clause.
-pub fn exec_remove(
-    graph: &mut PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    items: &[RemoveItem],
-    table: Table,
-) -> Result<Table, EvalError> {
-    for row in table.rows() {
-        let at = (&**table.schema(), row);
+    /// `REMOVE` items applied to one row.
+    fn remove_items(
+        &self,
+        graph: &mut PropertyGraph,
+        items: &[RemoveItem],
+        at: Row<'_>,
+    ) -> Result<(), EvalError> {
         for item in items {
             match item {
                 RemoveItem::Prop(base, key) => {
-                    let target = eval_at(graph, params, cfg, at, base)?;
+                    let target = self.eval(graph, at, base)?;
                     let Some(k) = graph.interner().get(key) else {
                         continue;
                     };
@@ -488,7 +604,7 @@ pub fn exec_remove(
                     }
                 }
                 RemoveItem::Labels(var, labels) => {
-                    let Some(n) = label_target(graph, params, cfg, at, ("REMOVE", var))? else {
+                    let Some(n) = self.label_target(graph, at, ("REMOVE", var))? else {
                         continue;
                     };
                     for l in labels {
@@ -499,61 +615,6 @@ pub fn exec_remove(
                 }
             }
         }
+        Ok(())
     }
-    Ok(table)
-}
-
-/// `[DETACH] DELETE`: deletions are collected across all rows first, then
-/// applied (relationships before nodes), so that repeated references to
-/// the same entity are harmless — matching Cypher's end-of-clause
-/// visibility rule.
-pub fn exec_delete(
-    graph: &mut PropertyGraph,
-    params: &Params,
-    cfg: &EngineConfig,
-    detach: bool,
-    exprs: &[Expr],
-    table: Table,
-) -> Result<Table, EvalError> {
-    let mut nodes: Vec<NodeId> = Vec::new();
-    let mut rels: Vec<RelId> = Vec::new();
-    for row in table.rows() {
-        for e in exprs {
-            match eval_at(graph, params, cfg, (table.schema(), row), e)? {
-                Value::Null => {}
-                Value::Node(n) => nodes.push(n),
-                Value::Rel(r) => rels.push(r),
-                Value::Path(p) => {
-                    nodes.extend(p.nodes());
-                    rels.extend(p.rels());
-                }
-                other => {
-                    return err(format!(
-                        "DELETE requires nodes, relationships or paths, got {}",
-                        other.type_name()
-                    ))
-                }
-            }
-        }
-    }
-    rels.sort_unstable();
-    rels.dedup();
-    nodes.sort_unstable();
-    nodes.dedup();
-    for r in rels {
-        if graph.contains_rel(r) {
-            graph.delete_rel(r)?;
-        }
-    }
-    for n in nodes {
-        if !graph.contains_node(n) {
-            continue;
-        }
-        if detach {
-            graph.detach_delete_node(n)?;
-        } else {
-            graph.delete_node(n)?;
-        }
-    }
-    Ok(table)
 }

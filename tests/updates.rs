@@ -1,9 +1,13 @@
 //! Experiment E21: the update clauses of Section 2 ("Data modification"):
 //! `CREATE`, `DELETE` / `DETACH DELETE`, `SET`, `REMOVE`, and `MERGE`'s
-//! match-or-create semantics.
+//! match-or-create semantics; each clause's reading side sees the graph
+//! as it was before the clause, and a clause applies all of its rows or
+//! none.
 
-use cypher::{run, Params, PropertyGraph, Value};
-use cypher_tck::diff::{rows, Diff, LIGHT};
+use cypher::{
+    run, run_read, run_with, Database, EngineConfig, MatchConfig, Params, PropertyGraph, Value,
+};
+use cypher_tck::diff::{config, graph, rows, Diff, LIGHT};
 
 fn fresh() -> (PropertyGraph, Params) {
     (PropertyGraph::new(), Params::new())
@@ -278,4 +282,176 @@ fn explain_renders_the_clauses_around_updates() {
     assert!(matched.starts_with("MATCH plan:\n"), "{merge}");
     assert!(merged.contains("(estimated rows: "), "{merge}");
     assert!(merged.ends_with(")\nProject(r)\n"), "{merge}");
+
+    // The same statements at four threads: a read segment may engage the
+    // worker pool, a write segment runs on the calling thread and says
+    // nothing about it.
+    let mut db = Database::open_with(EngineConfig {
+        persistence: None,
+        ..config(LIGHT[4], MatchConfig::default())
+    })
+    .unwrap();
+    db.query("UNWIND range(1, 50) AS i CREATE (:P {k: i})", &params)
+        .unwrap();
+    let explain4 = |q: &str| {
+        let plan = db.explain(q).unwrap();
+        plan.split_once('\n').unwrap().1.to_string()
+    };
+    let read = explain4("MATCH (a:P {k: 1}) RETURN a");
+    assert!(read.contains("(parallel: 4 threads"), "{read}");
+    let seek = "MATCH plan:\n\
+                PropertyIndexSeek(a:P.k = 1)  (est rows: 1.0)\n \
+                Filter(a.{k})  (est rows: 1.0)\n\
+                (estimated rows: 1.0)\n";
+    for (q, sinks) in [
+        (
+            "MATCH (a:P {k: 1}) REMOVE a.v, a:P RETURN a",
+            "REMOVE a.v, a:P\nProject(a)\n",
+        ),
+        ("MATCH (a:P {k: 1}) DELETE a", "DELETE a\n"),
+        ("MATCH (a:P {k: 1}) DETACH DELETE a", "DETACH DELETE a\n"),
+        (
+            "MATCH (a:P {k: 1}) SET a.v = 2 CREATE (a)-[:R]->(b:Q) RETURN a.v, b",
+            "SET a.v = 2\nCREATE (a)-[:R]->(b:Q)\nProject(a.v, b)\n",
+        ),
+    ] {
+        assert_eq!(explain(q), format!("{seek}{sinks}"), "{q}");
+        assert_eq!(explain4(q), format!("{seek}{sinks}"), "{q} at 4 threads");
+    }
+}
+
+/// Runs `statements` in order on a copy of `g` at every cell of `LIGHT`,
+/// calling `check` after each, and asserts every cell leaves the same
+/// graph after each statement.
+fn at_every_cell(g: &PropertyGraph, statements: &[&str], check: impl Fn(usize, &PropertyGraph)) {
+    let mut first: Option<Vec<String>> = None;
+    for &cell in LIGHT {
+        let cfg = config(cell, MatchConfig::default());
+        let mut g = g.clone();
+        let dumps: Vec<String> = statements
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                run_with(&mut g, q, &Params::new(), &cfg)
+                    .unwrap_or_else(|e| panic!("{q} at {cell:?}: {e}"));
+                check(i, &g);
+                g.canonical_dump()
+            })
+            .collect();
+        match &first {
+            None => first = Some(dumps),
+            Some(want) => assert!(&dumps == want, "{cell:?} left a different graph"),
+        }
+    }
+}
+
+/// A one-value read at the built-in cell.
+fn count(g: &PropertyGraph, q: &str) -> i64 {
+    match run_read(g, q, &Params::new()).unwrap().rows()[0].get(0) {
+        Value::Integer(n) => *n,
+        other => panic!("{q}: {other:?}"),
+    }
+}
+
+/// The Halloween problem is a reading side that sees its own writes. Each
+/// clause's steps read the graph as it was before the clause, so each
+/// shape below applies exactly once per row it read, while every stream
+/// of at least 3 000 rows spans several batches.
+#[test]
+fn halloween_shapes_read_the_graph_before_the_clause() {
+    let xs = graph(&["UNWIND range(1, 3000) AS i CREATE (:X {k: i})"]);
+    let pairs = |n: i64| graph(&[&format!("UNWIND range(1, {n}) AS i CREATE (:X)-[:R]->(:Y)")]);
+    at_every_cell(&xs, &["MATCH (n:X) CREATE (:X)"], |_, g| {
+        assert_eq!(count(g, "MATCH (n:X) RETURN count(*)"), 6000)
+    });
+    at_every_cell(
+        &pairs(3000),
+        &["MATCH (a)-[r]->(b) CREATE (a)-[:R]->(b)"],
+        |_, g| assert_eq!(g.rel_count(), 6000),
+    );
+    let (set, sum) = ("MATCH (n) SET n.k = n.k + 1", "MATCH (n) RETURN sum(n.k)");
+    let base = count(&xs, sum);
+    at_every_cell(&xs, &[set, set], |i, g| {
+        assert_eq!(count(g, sum), base + 3000 * (i as i64 + 1))
+    });
+    at_every_cell(&pairs(1500), &["MATCH (n) DETACH DELETE n"], |_, g| {
+        assert_eq!(count(g, "MATCH (n) RETURN count(*)"), 0)
+    });
+}
+
+/// A clause applies all of its rows or none. A failure on its reading
+/// side or while it writes leaves the graph as the clauses before it
+/// left it, with the error clause-at-a-time evaluation raises. Streamed
+/// naively, the first statement would leave the batches before row 2 000
+/// (at least 1 024 nodes), and the third would leave `a` set on two
+/// nodes.
+#[test]
+fn a_failing_clause_applies_none_of_its_rows() {
+    for &cell in LIGHT {
+        let cfg = config(cell, MatchConfig::default());
+        for (q, error, left, nodes) in [
+            (DIVIDES, "division by zero", "MATCH (n) RETURN count(*)", 0),
+            (
+                AFTER_A,
+                "division by zero",
+                "MATCH (n:A) RETURN count(*)",
+                1,
+            ),
+            (
+                "UNWIND [{a: 1}, {a: 2}, 5] AS m CREATE (n:N) SET n = m",
+                "SET n = requires a map or node, got INTEGER",
+                "MATCH (n:N) WHERE n.a IS NULL RETURN count(*)",
+                3,
+            ),
+        ] {
+            let mut g = PropertyGraph::new();
+            let e = run_with(&mut g, q, &Params::new(), &cfg).unwrap_err();
+            assert_eq!(e.to_string(), format!("evaluation error: {error}"), "{q}");
+            let left = (count(&g, left), g.node_count());
+            assert_eq!(left, (nodes, nodes as usize), "{q} at {cell:?}");
+        }
+    }
+}
+
+const DIVIDES: &str = "UNWIND range(1, 3000) AS x WITH x, 10 / (x - 2000) AS y CREATE (:N {y: y})";
+
+const AFTER_A: &str = "CREATE (:A) WITH 1 AS one \
+     UNWIND range(1, 3000) AS x WITH x, 10 / (x - 2000) AS y CREATE (:N {y: y})";
+
+/// On a durable database a failed statement still commits the clauses
+/// before the failing one, and only those: the WAL, the live graph and a
+/// standing view all see `CREATE (:A)` and nothing of the failed clause.
+#[test]
+fn a_failed_statement_publishes_only_its_applied_clauses() {
+    let dir = std::env::temp_dir().join(format!("cypher-updates-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = EngineConfig {
+        persistence: Some(dir.clone()),
+        ..EngineConfig::default()
+    };
+    const BY_LABELS: &str = "MATCH (n) RETURN labels(n) AS l, count(*) AS c";
+    let params = Params::new();
+    let view_is_cold = |db: &Database| {
+        let cold = db.session().query(BY_LABELS, &params).unwrap();
+        assert!(db.view("by_labels").unwrap().bag_eq(&cold));
+        cold
+    };
+    let db = Database::open_with(cfg.clone()).unwrap();
+    db.create_view("by_labels", BY_LABELS).unwrap();
+    let mut session = db.session();
+    session.query("CREATE (:B)", &params).unwrap();
+    let e = session.query(AFTER_A, &params).unwrap_err();
+    assert_eq!(e.to_string(), "evaluation error: division by zero");
+    let cold = view_is_cold(&db);
+    assert_eq!(cold.len(), 2, "{cold}");
+    assert_eq!(db.graph().node_count(), 2);
+    let live = db.graph().canonical_dump();
+    drop(session);
+    db.close().unwrap();
+    let db = Database::open_with(cfg).unwrap();
+    assert_eq!(db.graph().canonical_dump(), live, "after WAL replay");
+    db.create_view("by_labels", BY_LABELS).unwrap();
+    view_is_cold(&db);
+    db.close().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
